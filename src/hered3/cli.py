@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -22,16 +21,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_CLASS = 2
 EXIT_USAGE = 3
-
-
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HERED3_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        raise InputError(f"HERED3_THREADS is not an integer: {env!r}")
 
 
 def _read_document(args) -> GraphDocument:
@@ -87,8 +76,7 @@ def _cmd_solve(args) -> int:
         report["warnings"] = list(doc.warnings)
     try:
         res = solve(doc.graph, witness=args.witness,
-                    assume_class=args.assume_class,
-                    threads=_threads_from(args))
+                    assume_class=args.assume_class)
     except ClassViolationError as exc:
         report["decision"] = "class_violation"
         report["class_witness"] = {
@@ -201,7 +189,7 @@ def _cmd_fuzz(args) -> int:
         "input": {"source": f"fuzz:{args.kind}", "format": "edge_list",
                   "vertices": 0, "edges": 0},
         "stats": {"branches": 0, "reductions": 0,
-                  "millis": int(rep.elapsed * 1000)},
+                  "millis": round(rep.elapsed * 1000, 3)},
     }
     bad = rep.mismatches + rep.violations
     report["decision"] = "fuzz_clean" if not bad else "fuzz_mismatch"
@@ -249,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="produce and verify an explicit coloring")
     p.add_argument("--assume-class", action="store_true",
                    help="skip the class membership scan")
-    p.add_argument("--seed-irrelevant", action="store_true",
-                   help="assert that no seed affects this command (no effect)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: HERED3_THREADS or 1)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check-class", help="test membership in the supported class")
@@ -286,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="erdos-renyi")
     p.add_argument("--artifact-dir", default=".",
                    help="where to write mismatch replay files")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted for symmetry; fuzz cases run sequentially")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.set_defaults(func=_cmd_fuzz)
 

@@ -10,10 +10,9 @@ reverse order of creation.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable
 
-from . import cograph, patterns
+from . import cograph
 from .errors import ContractViolationError, StageAssertionError
 from .graph import Graph, bipartition, common_neighbors, connected_components
 from .twosat import TwoSat, lit
@@ -134,11 +133,9 @@ class Stats:
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = {}
-        self.lock = threading.Lock()
 
     def bump(self, key: str, by: int = 1) -> None:
-        with self.lock:
-            self.counters[key] = self.counters.get(key, 0) + by
+        self.counters[key] = self.counters.get(key, 0) + by
 
     def get(self, key: str) -> int:
         return self.counters.get(key, 0)
@@ -161,7 +158,7 @@ class Instance:
     anchored (member of `anchored`).
     """
 
-    def __init__(self, g: Graph, stats: Stats, probe_class: bool = False):
+    def __init__(self, g: Graph, stats: Stats):
         self.g = g
         self.palettes: dict[int, frozenset] = {v: ALL_COLORS for v in g.vertices()}
         self.colors: dict[int, int] = {}
@@ -169,7 +166,6 @@ class Instance:
         self.replay: list = []
         self.synthetic: set[int] = set()
         self.stats = stats
-        self.probe_class = probe_class
         # branch bookkeeping used by the anchored pipeline
         self.anchor_order: tuple = ()
         self.post_checks: list = []
@@ -183,7 +179,6 @@ class Instance:
         other.replay = list(self.replay)
         other.synthetic = set(self.synthetic)
         other.stats = self.stats
-        other.probe_class = self.probe_class
         other.anchor_order = self.anchor_order
         other.post_checks = list(self.post_checks)
         return other
@@ -611,10 +606,6 @@ def collapse_neighborhood(inst: Instance, v: int) -> tuple[int, int]:
     pal_x = _shared_palette(inst, side_x)
     pal_y = _shared_palette(inst, side_y)
 
-    was_clean = None
-    if inst.probe_class:
-        was_clean = patterns.find_induced_2p4(inst.g) is None
-
     ext_x = _outside_adjacency(inst, side_x, nbrs | {v})
     ext_y = _outside_adjacency(inst, side_y, nbrs | {v})
     x_new = inst.fresh_synthetic()
@@ -631,10 +622,6 @@ def collapse_neighborhood(inst: Instance, v: int) -> tuple[int, int]:
     rec = RecCollapse(x_new, y_new, tuple(sorted(side_x)), tuple(sorted(side_y)))
     inst.remove_region(side_x | side_y, rec)
     inst.stats.bump("op_collapse")
-
-    if inst.probe_class and was_clean:
-        if patterns.find_induced_2p4(inst.g) is not None:
-            raise StageAssertionError("neighborhood collapse introduced a 2P4")
     return x_new, y_new
 
 

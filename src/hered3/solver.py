@@ -21,8 +21,6 @@ collected by the reduction engine.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
@@ -46,8 +44,6 @@ from .reductions import (
 )
 from .twosat import TwoSat, lit
 
-_TRACKER_LOCK = threading.Lock()
-
 
 @dataclass
 class SolveReport:
@@ -62,8 +58,6 @@ def solve(
     *,
     witness: bool = False,
     assume_class: bool = False,
-    threads: int = 1,
-    probe_class: bool = False,
     witness_ceiling: int = 64,
 ) -> SolveReport:
     """Decide 3-colorability of g; optionally produce a coloring.
@@ -91,8 +85,7 @@ def solve(
     witness_map: dict[int, int] = {}
     complete = True
     for comp in connected_components(g):
-        ok, cmap, full = _solve_component(
-            g, comp, stats, witness, threads, probe_class, witness_ceiling)
+        ok, cmap, full = _solve_component(g, comp, stats, witness, witness_ceiling)
         if not ok:
             return _report("not_colorable", None, False, stats, start)
         if witness:
@@ -110,7 +103,7 @@ def _report(decision, witness_map, full_witness, stats, start) -> SolveReport:
     out = stats.to_dict()
     out.setdefault("branches", 0)
     out["reductions"] = stats.reductions_total()
-    out["millis"] = int((perf_counter() - start) * 1000)
+    out["millis"] = round((perf_counter() - start) * 1000, 3)
     mode = "witness" if full_witness else "decision_only"
     return SolveReport(decision, witness_map if full_witness else None, mode, out)
 
@@ -125,20 +118,20 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 
 
-def _solve_component(g, comp, stats, want_witness, threads, probe, ceiling):
+def _solve_component(g, comp, stats, want_witness, ceiling):
     """Returns (colorable, coloring or None, witness-complete flag)."""
     sub = induced_subgraph(g, comp)
     cyc = patterns.find_induced_cycle(sub, 7)
     if cyc is not None:
         stats.bump("components_anchored_7")
-        won = _run_anchored(sub, cyc, stats, threads, probe, direct=False)
+        won = _run_anchored(sub, cyc, stats, direct=False)
         if won is None:
             return False, None, True
         return True, won.assemble_witness(comp) if want_witness else None, True
     cyc = patterns.find_induced_cycle(sub, 9)
     if cyc is not None:
         stats.bump("components_anchored_9")
-        won = _run_anchored(sub, cyc, stats, threads, probe, direct=True)
+        won = _run_anchored(sub, cyc, stats, direct=True)
         if won is None:
             return False, None, True
         return True, won.assemble_witness(comp) if want_witness else None, True
@@ -178,10 +171,10 @@ def _proper_cycle_colorings(k: int) -> list[tuple]:
     return out
 
 
-def _run_anchored(comp_graph, cycle, stats, threads, probe, direct):
+def _run_anchored(comp_graph, cycle, stats, direct):
     """Enumerate anchor colorings; in direct mode the fixpoint must finish
     each branch, otherwise the structural stage ladder drives a DFS."""
-    base = Instance(comp_graph, stats, probe_class=probe)
+    base = Instance(comp_graph, stats)
     base.anchor_order = tuple(cycle)
     colorings = _proper_cycle_colorings(len(cycle))
     stats.bump("anchor_colorings", len(colorings))
@@ -202,22 +195,10 @@ def _run_anchored(comp_graph, cycle, stats, threads, probe, direct):
         return _dfs(child, tracker, stats)
 
     winner = None
-    if threads <= 1:
-        for col in colorings:
-            winner = attempt(col)
-            if winner is not None:
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(attempt, col) for col in colorings]
-            try:
-                for fut in futures:
-                    got = fut.result()
-                    if got is not None:
-                        winner = got
-                        break
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
+    for col in colorings:
+        winner = attempt(col)
+        if winner is not None:
+            break
 
     if not direct:
         # every branching stage is structurally bounded: one two-way split
@@ -231,11 +212,6 @@ def _run_anchored(comp_graph, cycle, stats, threads, probe, direct):
     return winner
 
 
-def _count_leaf(tracker) -> None:
-    with _TRACKER_LOCK:
-        tracker["leaves"] += 1
-
-
 def _dfs(root, tracker, stats):
     stack = [root]
     while stack:
@@ -243,13 +219,13 @@ def _dfs(root, tracker, stats):
         stats.bump("branches")
         if inst is None:
             # a branch whose planned colors were already infeasible
-            _count_leaf(tracker)
+            tracker["leaves"] += 1
             continue
         out, kids = _advance(inst, tracker)
         if out == "solved":
             return inst
         if out == "rejected":
-            _count_leaf(tracker)
+            tracker["leaves"] += 1
             continue
         stack.extend(reversed(kids))
     return None
@@ -505,9 +481,8 @@ def _branch_opposing_pair(inst, view, tracker):
                 spawn(plan)
         if len(kids) > 1 + 9 * len(zs):
             raise StageAssertionError("opposing-pair branching exceeded its child bound")
-        with _TRACKER_LOCK:
-            width = tracker["pair_width"]
-            width[i] = max(width.get(i, 0), len(zs))
+        width = tracker["pair_width"]
+        width[i] = max(width.get(i, 0), len(zs))
         inst.stats.bump("stage_opposing_pairs")
         return kids
     return None

@@ -133,8 +133,7 @@ def test_solve_class_violation(write, capsys):
 
 def test_solve_assume_class(write, capsys):
     path = write("c5.edges", C5_NUMBERS)
-    code, out, _ = run(capsys, "solve", path, "--assume-class",
-                       "--witness", "--seed-irrelevant")
+    code, out, _ = run(capsys, "solve", path, "--assume-class", "--witness")
     assert code == 0
     assert out.splitlines()[0] == "colorable"
 
@@ -156,16 +155,18 @@ def test_solve_reads_stdin(write, capsys, monkeypatch):
     assert report["input"]["source"] == "<stdin>"
 
 
-def test_solve_threads_env(write, capsys, monkeypatch):
+def test_removed_thread_options_are_gone(write, capsys, monkeypatch):
     path = write("c7.edges", C7_LETTERS)
-    monkeypatch.setenv("HERED3_THREADS", "2")
+    for argv in (("solve", path, "--threads", "2"),
+                 ("solve", path, "--seed-irrelevant"),
+                 ("fuzz", "--threads", "2")):
+        code, _, _ = run(capsys, *argv)
+        assert code == 3, argv
+
+    # the environment variable is no longer read
+    monkeypatch.setenv("HERED3_THREADS", "lots")
     code, out, _ = run(capsys, "solve", path)
     assert code == 0 and out.strip() == "colorable"
-
-    monkeypatch.setenv("HERED3_THREADS", "lots")
-    code, _, err = run(capsys, "solve", path)
-    assert code == 3
-    assert "HERED3_THREADS" in err
 
 
 # -- usage and parse failures ---------------------------------------------------

@@ -206,6 +206,7 @@ def test_report_always_carries_summary_counters():
     for rep in (solve(named_graph("k4")), solve(c7_gadget(3), witness=True)):
         assert isinstance(rep.stats["branches"], int)
         assert isinstance(rep.stats["reductions"], int)
+        assert isinstance(rep.stats["millis"], float)
         assert rep.stats["millis"] >= 0
 
 
@@ -250,20 +251,3 @@ def test_disconnected_components_combine():
     assert rep.stats["components_anchored_7"] == 1
     assert rep.stats["components_plain"] == 2
 
-
-# -- option smoke -----------------------------------------------------------
-
-def test_threads_do_not_change_the_answer():
-    for seed in (0, 5, 11):
-        g = c7_gadget(seed)
-        seq = solve(g, witness=True)
-        par = solve(g, witness=True, threads=2)
-        assert seq.decision == par.decision
-        if par.witness is not None:
-            assert verify_coloring(g, par.witness)
-
-
-def test_probe_class_smoke():
-    for seed in (1, 7):
-        g = c7_gadget(seed)
-        assert solve(g, probe_class=True).decision == solve(g).decision
