@@ -4,11 +4,13 @@ The coloring routine works on "achievable color sets": for a cotree node,
 the family of exact color sets that some proper palette-respecting coloring
 of its leaves uses.  With 3 colors every table has at most 7 entries, so
 the dynamic program is linear in the cotree size.
+
+Cotrees of threshold-like graphs are about as deep as the graph is large,
+so every walk over a cotree runs on an explicit stack, never by recursion.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Iterable, Mapping
 
 from .errors import ContractViolationError
@@ -22,46 +24,26 @@ ColorSet = frozenset
 
 
 class Cotree:
-    __slots__ = ("kind", "vertex", "children", "min_vertex")
+    __slots__ = ("kind", "vertex", "children")
 
-    def __init__(self, kind: str, vertex: int | None = None, children: list["Cotree"] | None = None):
-        self.kind = kind
-        self.vertex = vertex
-        self.children = children or []
-        self.min_vertex = vertex if vertex is not None else self.children[0].min_vertex
+    def __init__(self) -> None:
+        # cotree_or_failure fills a node in once it has split its vertex set
+        self.kind = LEAF
+        self.vertex: int | None = None
+        self.children: list[Cotree] = []
 
-    def leaves(self) -> list[int]:
-        if self.kind == LEAF:
-            return [self.vertex]
-        out: list[int] = []
-        for c in self.children:
-            out.extend(c.leaves())
+    def nodes(self) -> list["Cotree"]:
+        """Every node of the subtree in depth-first preorder."""
+        out: list[Cotree] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            stack.extend(reversed(node.children))
         return out
 
-
-class _NotCograph(Exception):
-    def __init__(self, verts: frozenset):
-        self.verts = verts
-
-
-def _ensure_recursion_room(n: int) -> None:
-    # cotrees of threshold-like graphs are ~2n deep
-    want = 4 * n + 200
-    if sys.getrecursionlimit() < want:
-        sys.setrecursionlimit(want)
-
-
-def _build(g: Graph, verts: set) -> Cotree:
-    if len(verts) == 1:
-        v = next(iter(verts))
-        return Cotree(LEAF, vertex=v)
-    comps = connected_components(g, within=verts)
-    if len(comps) > 1:
-        return Cotree(UNION, children=[_build(g, c) for c in comps])
-    cocomps = complement_components(g, within=verts)
-    if len(cocomps) > 1:
-        return Cotree(JOIN, children=[_build(g, c) for c in cocomps])
-    raise _NotCograph(frozenset(verts))
+    def leaves(self) -> list[int]:
+        return [node.vertex for node in self.nodes() if node.kind == LEAF]
 
 
 def cotree_or_failure(g: Graph, within: Iterable[int] | None = None):
@@ -69,17 +51,30 @@ def cotree_or_failure(g: Graph, within: Iterable[int] | None = None):
 
     Returns (root, None) for a cograph and (None, bad_set) otherwise, where
     bad_set is a vertex set that is connected in both the graph and its
-    complement (hence contains an induced P4).  Keeping witness extraction
-    out of this function keeps recognition near-linear.
+    complement (hence contains an induced P4): the first such set in
+    depth-first order.  Keeping witness extraction out of this function
+    keeps recognition near-linear.
     """
     verts = set(g.vertices()) if within is None else set(within)
     if not verts:
         return None, None
-    _ensure_recursion_room(len(verts))
-    try:
-        return _build(g, verts), None
-    except _NotCograph as exc:
-        return None, exc.verts
+    root = Cotree()
+    stack = [(root, verts)]
+    while stack:
+        node, part = stack.pop()
+        if len(part) == 1:
+            (node.vertex,) = part
+            continue
+        node.kind = UNION
+        parts = connected_components(g, within=part)
+        if len(parts) == 1:
+            node.kind = JOIN
+            parts = complement_components(g, within=part)
+            if len(parts) == 1:
+                return None, frozenset(part)
+        node.children = [Cotree() for _ in parts]
+        stack.extend(zip(reversed(node.children), reversed(parts)))
+    return root, None
 
 
 def is_p4_free(g: Graph, within: Iterable[int] | None = None) -> bool:
@@ -91,39 +86,31 @@ def _set_key(s: ColorSet) -> tuple:
     return (len(s), tuple(sorted(s)))
 
 
-def _node_table(node: Cotree, palettes: Mapping[int, frozenset], memo: dict) -> dict:
-    """Map achievable color set -> tuple of per-child color set choices."""
-    key = id(node)
-    if key in memo:
-        return memo[key]
-    if node.kind == LEAF:
-        table = {frozenset((c,)): None for c in palettes[node.vertex]}
-    else:
-        acc = {s: (s,) for s in _node_table(node.children[0], palettes, memo)}
-        for child in node.children[1:]:
-            child_table = _node_table(child, palettes, memo)
+def _color_tables(root: Cotree, palettes: Mapping[int, frozenset]) -> dict:
+    """Node -> {achievable color set: tuple of per-child color set choices}.
+
+    Children come before their parent in reversed preorder.
+    """
+    tables: dict = {}
+    for node in reversed(root.nodes()):
+        if node.kind == LEAF:
+            tables[node] = {frozenset((c,)): None for c in palettes[node.vertex]}
+            continue
+        first, *rest = node.children
+        acc = {s: (s,) for s in tables[first]}
+        for child in rest:
+            child_sets = sorted(tables[child], key=_set_key)
             nxt: dict = {}
             for s_acc in sorted(acc, key=_set_key):
-                for s_child in sorted(child_table, key=_set_key):
+                for s_child in child_sets:
                     if node.kind == JOIN and s_acc & s_child:
                         continue
                     merged = s_acc | s_child
                     if merged not in nxt:
                         nxt[merged] = acc[s_acc] + (s_child,)
             acc = nxt
-        table = acc
-    memo[key] = table
-    return table
-
-
-def _extract(node: Cotree, target: ColorSet, memo: dict, out: dict) -> None:
-    if node.kind == LEAF:
-        (color,) = target
-        out[node.vertex] = color
-        return
-    cert = memo[id(node)][target]
-    for child, child_set in zip(node.children, cert):
-        _extract(child, child_set, memo, out)
+        tables[node] = acc
+    return tables
 
 
 def list3color(
@@ -145,13 +132,17 @@ def list3color(
     root, bad = cotree_or_failure(g, verts)
     if root is None:
         raise ContractViolationError(f"subgraph on {len(bad)} vertices is not P4-free")
-    memo: dict = {}
-    table = _node_table(root, palettes, memo)
-    if not table:
+    tables = _color_tables(root, palettes)
+    if not tables[root]:
         return None
-    target = min(table, key=_set_key)
     coloring: dict = {}
-    _extract(root, target, memo, coloring)
+    stack = [(root, min(tables[root], key=_set_key))]
+    while stack:
+        node, target = stack.pop()
+        if node.kind == LEAF:
+            (coloring[node.vertex],) = target
+        else:
+            stack.extend(reversed(list(zip(node.children, tables[node][target]))))
     for v in verts:
         if coloring[v] not in palettes[v]:
             raise AssertionError(f"cograph coloring left palette at {v}")

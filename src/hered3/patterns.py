@@ -43,29 +43,9 @@ def _verify_cycle(g: Graph, cyc) -> None:
                 raise AssertionError(f"bad cycle witness {cyc}")
 
 
-def find_induced_p4(g: Graph, within=None):
-    """Lexicographically least induced 4-vertex path (a,b,c,d), a < d."""
-    verts = sorted(g.vertices()) if within is None else sorted(within)
-    vset = set(verts)
-    for a in verts:
-        na = g.neighbors(a)
-        for b in sorted(na & vset):
-            for c in sorted(g.neighbors(b) & vset):
-                if c == a or c in na:
-                    continue
-                nc = g.neighbors(c)
-                for d in sorted(nc & vset):
-                    if d <= a or d == b or d in na or g.has_edge(b, d):
-                        continue
-                    path = (a, b, c, d)
-                    _verify_path(g, path)
-                    return path
-    return None
-
-
-def iter_induced_p4s(g: Graph):
+def iter_induced_p4s(g: Graph, within=None):
     """All induced P4s as canonical tuples (a,b,c,d) with a < d, lex order."""
-    verts = g.vertices()
+    verts = g.vertices() if within is None else sorted(within)
     vset = set(verts)
     for a in verts:
         na = g.neighbors(a)
@@ -77,6 +57,14 @@ def iter_induced_p4s(g: Graph):
                     if d <= a or d == b or d in na or g.has_edge(b, d):
                         continue
                     yield (a, b, c, d)
+
+
+def find_induced_p4(g: Graph, within=None):
+    """Lexicographically least induced 4-vertex path (a,b,c,d), a < d."""
+    path = next(iter_induced_p4s(g, within), None)
+    if path is not None:
+        _verify_path(g, path)
+    return path
 
 
 def find_induced_2p4(g: Graph):
@@ -101,7 +89,6 @@ def find_induced_2p4(g: Graph):
         second = find_induced_p4(g, within=bad)
         if second is None:
             raise AssertionError("non-cograph set without a P4")
-        _verify_path(g, second)
         for u in first:
             for w in second:
                 if g.has_edge(u, w):
@@ -110,7 +97,7 @@ def find_induced_2p4(g: Graph):
     return None
 
 
-def find_induced_cycle(g: Graph, k: int, within=None):
+def find_induced_cycle(g: Graph, k: int):
     """First induced k-cycle in canonical order, or None.
 
     Canonical form: the cycle's smallest vertex first, second-smallest
@@ -118,8 +105,6 @@ def find_induced_cycle(g: Graph, k: int, within=None):
     """
     if k < 4:
         raise ValueError("use explicit triangle checks for k=3")
-    verts = sorted(g.vertices()) if within is None else sorted(within)
-    vset = set(verts)
 
     def extend(path):
         i = len(path)
@@ -129,7 +114,7 @@ def find_induced_cycle(g: Graph, k: int, within=None):
         # chordlessness: internal vertices avoid v0 and everything before
         # the previous one; the closing vertex must reach back to v0.
         lo = 1 if closing else 0
-        for cand in sorted(g.neighbors(last) & vset):
+        for cand in g.sorted_neighbors(last):
             if cand <= v0 or cand in path:
                 continue
             if any(g.has_edge(cand, path[j]) for j in range(lo, i - 1)):
@@ -143,7 +128,7 @@ def find_induced_cycle(g: Graph, k: int, within=None):
                 return got
         return None
 
-    for v0 in verts:
+    for v0 in g.vertices():
         got = extend([v0])
         if got is not None:
             _verify_cycle(g, got)

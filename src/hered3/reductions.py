@@ -164,7 +164,6 @@ class Instance:
         self.colors: dict[int, int] = {}
         self.anchored: set[int] = set()
         self.replay: list = []
-        self.synthetic: set[int] = set()
         self.stats = stats
         # branch bookkeeping used by the anchored pipeline
         self.anchor_order: tuple = ()
@@ -177,7 +176,6 @@ class Instance:
         other.colors = dict(self.colors)
         other.anchored = set(self.anchored)
         other.replay = list(self.replay)
-        other.synthetic = set(self.synthetic)
         other.stats = self.stats
         other.anchor_order = self.anchor_order
         other.post_checks = list(self.post_checks)
@@ -238,9 +236,7 @@ class Instance:
             self.replay.append(record)
 
     def fresh_synthetic(self) -> int:
-        v = self.g.add_vertex()
-        self.synthetic.add(v)
-        return v
+        return self.g.add_vertex()
 
     def assemble_witness(self, original_vertices: Iterable[int]) -> dict:
         """Run the replay log backwards into a full coloring.
@@ -289,13 +285,16 @@ def _one_pass(inst: Instance) -> str:
             inst.remove_region(inst.g.vertices())
         return SOLVED
 
-    # rule 1: singleton palette commits its color
+    # rule 1: every singleton palette commits its color, in ascending id
+    # order; a commit can empty a later singleton, which is then left to
+    # rule 2 in the next pass
     singles = sorted(v for v, p in inst.palettes.items() if len(p) == 1)
     if singles:
-        v = singles[0]
-        (c,) = inst.palettes[v]
-        inst.commit_color(v, c)
-        inst.stats.bump("rule_singleton_color")
+        for v in singles:
+            if len(inst.palettes[v]) == 1:
+                (c,) = inst.palettes[v]
+                inst.commit_color(v, c)
+                inst.stats.bump("rule_singleton_color")
         return _FIRED
 
     # rule 2: empty palette rejects the branch
@@ -446,7 +445,7 @@ def _two_sat_component(inst: Instance, comp: set):
     for v in unc:
         a, b = sorted(inst.palettes[v])
         solved[v] = a if model[var_of[v]] else b
-    _verify_region_coloring(inst, comp, solved)
+    _verify_region_coloring(inst, solved)
     inst.remove_region(comp, RecComponent(solved))
     return _FIRED
 
@@ -470,12 +469,12 @@ def _cograph_component(inst: Instance, comp: set):
     if solved is None:
         return REJECTED
     solved = {v: c for v, c in solved.items() if v in inst.palettes}
-    _verify_region_coloring(inst, comp, solved)
+    _verify_region_coloring(inst, solved)
     inst.remove_region(comp, RecComponent(solved) if solved else None)
     return _FIRED
 
 
-def _verify_region_coloring(inst: Instance, region: set, solved: dict) -> None:
+def _verify_region_coloring(inst: Instance, solved: dict) -> None:
     for v, c in solved.items():
         if c not in inst.palettes[v]:
             raise AssertionError(f"solved color for {v} leaves its palette")

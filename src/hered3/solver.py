@@ -41,8 +41,13 @@ from .reductions import (
     cut_reduction,
     run_fixpoint,
     _palette_lit,
+    _verify_region_coloring,
 )
 from .twosat import TwoSat, lit
+
+# Plain components above this many vertices get no witness: the
+# backtracking colorer that builds one has no polynomial bound.
+WITNESS_CEILING = 64
 
 
 @dataclass
@@ -58,7 +63,6 @@ def solve(
     *,
     witness: bool = False,
     assume_class: bool = False,
-    witness_ceiling: int = 64,
 ) -> SolveReport:
     """Decide 3-colorability of g; optionally produce a coloring.
 
@@ -85,7 +89,7 @@ def solve(
     witness_map: dict[int, int] = {}
     complete = True
     for comp in connected_components(g):
-        ok, cmap, full = _solve_component(g, comp, stats, witness, witness_ceiling)
+        ok, cmap, full = _solve_component(g, comp, stats, witness)
         if not ok:
             return _report("not_colorable", None, False, stats, start)
         if witness:
@@ -118,7 +122,7 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 
 
-def _solve_component(g, comp, stats, want_witness, ceiling):
+def _solve_component(g, comp, stats, want_witness):
     """Returns (colorable, coloring or None, witness-complete flag)."""
     sub = induced_subgraph(g, comp)
     cyc = patterns.find_induced_cycle(sub, 7)
@@ -140,7 +144,7 @@ def _solve_component(g, comp, stats, want_witness, ceiling):
     stats.bump("components_plain")
     if not want_witness:
         return True, None, True
-    if len(comp) > ceiling:
+    if len(comp) > WITNESS_CEILING:
         return True, None, False
     coloring = _backtrack_color(sub)
     if coloring is None:
@@ -878,12 +882,7 @@ def _final_assembly(inst, view, frame, payloads):
             raise StageAssertionError("satisfiable assembly failed to extend into a component")
         for w in pay.comp:
             solved[w] = got[w]
-    for v, c in solved.items():
-        if c not in inst.palettes[v]:
-            raise AssertionError("assembly coloring leaves a palette")
-        for w in g.neighbors(v):
-            if solved.get(w, inst.colors.get(w)) == c:
-                raise AssertionError("assembly coloring is monochromatic on an edge")
+    _verify_region_coloring(inst, solved)
     inst.replay.append(RecComponent(solved))
     return "solved"
 

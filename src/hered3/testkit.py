@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from random import Random
@@ -470,14 +470,16 @@ def graph_from_record(record) -> Graph:
     return Graph.from_edges(record["vertices"], record["edges"])
 
 
+_FUZZ_PROBABILITIES = (0.15, 0.25, 0.4)
+
+
 def differential_fuzz(budget: int, seed: int, sizes=(8, 10, 12, 14, 16),
-                      probabilities=(0.15, 0.25, 0.4), probe: bool = True,
                       generator=None) -> FuzzReport:
     """Run the solver against the exhaustive oracle on random graphs.
 
-    Out-of-class samples are discarded.  With probe on, each solve runs
-    under probe_collapses, so a collapse that introduces a 2P4 is recorded
-    as a violation.
+    Out-of-class samples are discarded.  Each solve runs under
+    probe_collapses, so a collapse that introduces a 2P4 is recorded as a
+    violation.
     """
     report = FuzzReport()
     start = time.monotonic()
@@ -485,7 +487,7 @@ def differential_fuzz(budget: int, seed: int, sizes=(8, 10, 12, 14, 16),
         rng = Random(split_seed(seed, 3, i))
         if generator is None:
             n = sizes[rng.randrange(len(sizes))]
-            p = probabilities[rng.randrange(len(probabilities))]
+            p = _FUZZ_PROBABILITIES[rng.randrange(len(_FUZZ_PROBABILITIES))]
             g = erdos_renyi(n, p, split_seed(seed, 4, i))
         else:
             g = generator(split_seed(seed, 4, i))
@@ -495,7 +497,7 @@ def differential_fuzz(budget: int, seed: int, sizes=(8, 10, 12, 14, 16),
         report.in_class += 1
         expected = oracle_list3color(g)
         try:
-            with probe_collapses() if probe else nullcontext():
+            with probe_collapses():
                 got = solver.solve(g, witness=True)
         except Exception as exc:  # any solver failure is a finding
             report.violations.append(

@@ -1,5 +1,7 @@
 """Cotree recognition and palette-respecting 3-coloring of cographs."""
 
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -138,3 +140,43 @@ def test_cotree_shape_smoke():
     assert root.kind == "join"
     kinds = {child.kind for child in root.children}
     assert kinds == {"leaf"}
+
+
+def threshold_graph(n):
+    """Vertex i is isolated for even i and dominating for odd i on arrival.
+
+    Its cotree alternates union and join nodes, so it is n - 1 levels deep.
+    """
+    g = Graph()
+    for i in range(n):
+        v = g.add_vertex()
+        if i % 2:
+            for w in range(1, v):
+                g.add_edge(v, w)
+    return g
+
+
+def test_deep_cotree_leaves_the_recursion_limit_alone():
+    g = threshold_graph(300)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert cograph.is_p4_free(g)
+        root, _ = cograph.cotree_or_failure(g)
+        depth, node = 0, root
+        while node.kind != "leaf":
+            node = max(node.children, key=lambda c: len(c.children))
+            depth += 1
+        assert depth == 299
+        assert sorted(root.leaves()) == g.vertices()
+        # the dominating vertices form a clique of 150
+        assert cograph.list3color(g, {v: FULL for v in g.vertices()}) is None
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_library_never_sets_the_recursion_limit():
+    src = Path(cograph.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert "setrecursionlimit" not in path.read_text(), path.name

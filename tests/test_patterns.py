@@ -1,5 +1,7 @@
 """Induced-pattern detectors, cross-checked against naive enumeration."""
 
+from random import Random
+
 import pytest
 
 from hered3.errors import ClassViolationError
@@ -67,6 +69,18 @@ def test_iter_induced_p4s_exhaustive():
     g = path_graph(5)
     quads = {frozenset(p) for p in iter_induced_p4s(g)}
     assert quads == {frozenset({1, 2, 3, 4}), frozenset({2, 3, 4, 5})}
+
+
+def test_find_induced_p4_is_the_first_enumerated():
+    rng = Random(2024)
+    for i in range(150):
+        g = erdos_renyi(6 + i % 9, (0.2, 0.35, 0.5)[i % 3], split_seed(7, i))
+        within = rng.sample(g.vertices(), rng.randint(1, g.vertex_count()))
+        for sub in (None, within):
+            first = next(iter_induced_p4s(g, sub), None)
+            assert find_induced_p4(g, sub) == first
+            if sub is not None and first is not None:
+                assert set(first) <= set(sub)
 
 
 def test_find_induced_2p4():

@@ -90,6 +90,20 @@ def test_singleton_rule():
     assert inst.palettes[2] == frozenset((1, 3))
 
 
+def test_singleton_rule_commits_every_singleton_in_one_pass():
+    # 1 and 3 commit; 2 ends empty after 1 takes color 2, so it is skipped
+    # and left to the empty-palette rule; 5 and 7 commit as well
+    inst = make_instance(path_graph(7), {1: {2}, 2: {2}, 3: {1}, 5: {3}, 7: {3}})
+    assert _one_pass(inst) == "fired"
+    assert inst.colors == {1: 2, 3: 1, 5: 3, 7: 3}
+    assert inst.stats.get("rule_singleton_color") == 4
+    assert inst.palettes[2] == frozenset()
+    assert inst.palettes[4] == frozenset((2,))
+    assert _one_pass(inst) == "fired"  # 4 became a singleton meanwhile
+    assert inst.colors[4] == 2
+    assert _one_pass(inst) == REJECTED
+
+
 def test_empty_palette_rejects():
     inst = make_instance(path_graph(4), {2: set()})
     # vertex 1 has degree 1 < 3 colors; empty palette outranks it

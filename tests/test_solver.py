@@ -9,7 +9,7 @@ import pytest
 from hered3.errors import ClassViolationError
 from hered3.graph import Graph
 from hered3.patterns import check_class
-from hered3.solver import solve
+from hered3.solver import WITNESS_CEILING, solve
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
@@ -211,19 +211,23 @@ def test_report_always_carries_summary_counters():
 
 
 def test_witness_ceiling_degrades_plain_components():
-    g = path_graph(6)
-    rep = solve(g, witness=True, witness_ceiling=4)
+    # the star K_{1,70} is P4-free, so in class, and plain with 71 vertices
+    star = Graph.from_edges(range(71), [(0, v) for v in range(1, 71)])
+    assert check_class(star) is None
+    assert star.vertex_count() > WITNESS_CEILING
+    rep = solve(star, witness=True)
     assert rep.decision == "colorable"
     assert rep.witness is None
     assert rep.mode == "decision_only"
 
+    g = path_graph(6)
     rep = solve(g, witness=True)
     assert rep.mode == "witness"
     assert verify_coloring(g, rep.witness)
 
     # anchored components reconstruct their coloring from replay records
     # and ignore the ceiling
-    rep = solve(cycle_graph(7), witness=True, witness_ceiling=2)
+    rep = solve(cycle_graph(7), witness=True)
     assert rep.mode == "witness"
 
 
