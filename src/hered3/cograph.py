@@ -52,8 +52,11 @@ def cotree_or_failure(g: Graph, within: Iterable[int] | None = None):
     Returns (root, None) for a cograph and (None, bad_set) otherwise, where
     bad_set is a vertex set that is connected in both the graph and its
     complement (hence contains an induced P4): the first such set in
-    depth-first order.  Keeping witness extraction out of this function
-    keeps recognition near-linear.
+    depth-first order.  Witness extraction is left to the caller.
+
+    Each cotree level reruns the component searches over the part that is
+    still unsplit, so the cost is O(n + m) per level: a deep cotree, such
+    as a threshold graph's, costs about n * m in all.
     """
     verts = set(g.vertices()) if within is None else set(within)
     if not verts:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import cograph
 from .errors import ClassViolationError
-from .graph import Graph, shortest_odd_cycle
+from .graph import Graph, bipartition, shortest_odd_cycle
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,14 @@ def iter_induced_p4s(g: Graph, within=None):
     for a in verts:
         na = g.neighbors(a)
         for b in sorted(na & vset):
-            for c in sorted(g.neighbors(b) & vset):
-                if c == a or c in na:
+            nb = g.neighbors(b)
+            # set differences drop chord candidates in bulk, not one test each
+            for c in sorted((nb & vset) - na):
+                if c == a:
                     continue
-                for d in sorted(g.neighbors(c) & vset):
-                    if d <= a or d == b or d in na or g.has_edge(b, d):
-                        continue
-                    yield (a, b, c, d)
+                for d in sorted((g.neighbors(c) & vset) - na - nb):
+                    if d > a:
+                        yield (a, b, c, d)
 
 
 def find_induced_p4(g: Graph, within=None):
@@ -139,42 +140,38 @@ def find_induced_cycle(g: Graph, k: int):
 def find_co_c7(g: Graph):
     """An induced complement-of-C7, as the complement cycle order, or None.
 
-    Searches directly in g: u_i must be adjacent to u_0..u_{i-2} and
-    non-adjacent to u_{i-1}; the last vertex must additionally avoid u_0.
+    In the complement cycle order u0..u6 (u_i ~ u_j unless i and j are
+    cyclically consecutive), N(u0) meets the pattern in {u2, u3, u4, u5},
+    which induces the path u4-u2-u5-u3; u1 sees u4, u5 and u3 but not u2;
+    u6 sees u4, u2 and u3 but not u5; u1 ~ u6, and both miss N[u0].  Those
+    21 adjacencies are the whole pattern.  So for each u0 and each induced
+    P4 (a, b, c, d) in N(u0), an adjacent pair u1 in
+    N(a) & N(c) & N(d) - N(b) - N[u0] and u6 in
+    N(a) & N(b) & N(d) - N(c) - N[u0] gives (u0, u1, b, d, a, c, u6).
+    The reflection i -> -i fixes u0, swaps u1 with u6 and reverses the
+    path, so the one orientation of each P4 that `iter_induced_p4s` yields
+    is enough.  co-C7 is vertex-transitive, so u0 can be the pattern's
+    least vertex: the search stays above u0.
     """
     verts = g.vertices()
-    for u0 in verts:
+    for i, u0 in enumerate(verts):
         n0 = g.neighbors(u0)
-        non0 = [v for v in verts if v > u0 and v not in n0]
-        for u1 in non0:
-            got = _co_c7_extend(g, [u0, u1], g.neighbors(u0))
-            if got is not None:
-                _verify_cocycle7(g, got)
-                return got
-    return None
-
-
-def _co_c7_extend(g: Graph, seq, inter):
-    # inter = common neighborhood of seq[:-1]
-    i = len(seq)
-    u0 = seq[0]
-    if i == 6:
-        pool = g.neighbors(seq[1])
-        for u in seq[2:5]:
-            pool = pool & g.neighbors(u)
-        cands = [v for v in sorted(pool)
-                 if v > u0 and v > seq[1] and v not in seq
-                 and not g.has_edge(v, seq[5]) and not g.has_edge(v, u0)]
-        if cands:
-            return tuple(seq + [cands[0]])
-        return None
-    prev = seq[-1]
-    for cand in sorted(inter):
-        if cand <= u0 or cand in seq or g.has_edge(cand, prev):
+        up = {v for v in n0 if v > u0}
+        # u0 is the least pattern vertex: 4 neighbours and 2 non-neighbours above it
+        if len(up) < 4 or len(verts) - 1 - i - len(up) < 2:
             continue
-        got = _co_c7_extend(g, seq + [cand], inter & g.neighbors(prev))
-        if got is not None:
-            return got
+        for a, b, c, d in iter_induced_p4s(g, within=up):
+            na, nb, nc = g.neighbors(a), g.neighbors(b), g.neighbors(c)
+            outer = {v for v in (na & g.neighbors(d)) - n0 if v > u0}
+            p6 = (outer & nb) - nc
+            if not p6:
+                continue
+            for u1 in sorted((outer & nc) - nb):
+                ends = g.neighbors(u1) & p6
+                if ends:
+                    got = (u0, u1, b, d, a, c, min(ends))
+                    _verify_cocycle7(g, got)
+                    return got
     return None
 
 
@@ -198,9 +195,12 @@ def find_nonbipartite_neighborhood(g: Graph):
     from the cycle.
     """
     for v in g.vertices():
-        cyc = shortest_odd_cycle(g, within=g.neighbors(v))
-        if cyc is None:
+        nv = g.neighbors(v)
+        # one BFS settles the common bipartite case; the per-vertex BFS of
+        # shortest_odd_cycle runs only on a neighborhood that has an odd cycle
+        if bipartition(g, within=nv) is not None:
             continue
+        cyc = shortest_odd_cycle(g, within=nv)
         if len(cyc) == 3:
             part = tuple([v] + sorted(cyc))
             w = PatternWitness("k4", (part,))

@@ -1,5 +1,6 @@
 """Induced-pattern detectors, cross-checked against naive enumeration."""
 
+from itertools import permutations
 from random import Random
 
 import pytest
@@ -114,18 +115,97 @@ def test_find_induced_cycle_canonical_order():
     assert got[1] < got[-1]
 
 
-def test_find_co_c7():
-    g = co_c7_graph()
-    seq = find_co_c7(g)
-    assert seq is not None and len(seq) == 7
-    # seq is the complement cycle order: non-neighbors are consecutive
+def assert_cocycle7_order(g, seq):
+    """seq is a complement cycle order: only consecutive entries are non-adjacent."""
+    assert seq is not None and len(set(seq)) == 7
     for i in range(7):
         for j in range(i + 1, 7):
             gap = (j - i) % 7
-            expect = gap not in (1, 6)
-            assert g.has_edge(seq[i], seq[j]) == expect
+            assert g.has_edge(seq[i], seq[j]) == (gap not in (1, 6)), (seq, i, j)
+
+
+def relabeled(g, seed):
+    """g under a seeded random permutation of its vertex ids."""
+    verts = g.vertices()
+    ids = verts[:]
+    Random(seed).shuffle(ids)
+    name = dict(zip(verts, ids))
+    return Graph.from_edges(ids, ((name[u], name[w]) for u, w in g.edges()))
+
+
+def co_c7_on(order):
+    """The complement of the 7-cycle whose cycle order is `order`."""
+    g = Graph.from_edges(order)
+    for i in range(7):
+        for j in range(i + 2, 7 if i else 6):
+            g.add_edge(order[i], order[j])
+    return g
+
+
+def c7_blowup(sizes):
+    """C7 with vertex i replaced by an independent set of sizes[i] vertices."""
+    g = Graph()
+    classes = [[g.add_vertex() for _ in range(k)] for k in sizes]
+    for i in range(7):
+        for u in classes[i]:
+            for w in classes[(i + 1) % 7]:
+                g.add_edge(u, w)
+    return g
+
+
+def test_find_co_c7():
+    g = co_c7_graph()
+    assert_cocycle7_order(g, find_co_c7(g))
     assert find_co_c7(cycle_graph(7)) is None
     assert find_co_c7(petersen_graph()) is None
+
+
+def test_find_co_c7_under_every_labeling():
+    # The 14 rotations and reflections of one cycle order are automorphisms
+    # and give the same labelled graph, so this runs every labelled copy on
+    # seven ids instead: 7!/14 = 360 cycle orders, u0 = 0 and u1 < u6.
+    seen = set()
+    for rest in permutations(range(1, 7)):
+        if rest[0] > rest[-1]:
+            continue
+        g = co_c7_on((0,) + rest)
+        seen.add(frozenset(g.edges()))
+        assert_cocycle7_order(g, find_co_c7(g))
+    assert len(seen) == 360
+
+
+def plant_co_c7(g, rng):
+    """Add a co-C7 on fresh vertices, each tied to three random old ones."""
+    old = g.vertices()
+    new = [g.add_vertex() for _ in range(7)]
+    for u, w in co_c7_on(new).edges():
+        g.add_edge(u, w)
+    for v in new:
+        for h in rng.sample(old, 3):
+            g.add_edge(v, h)
+    return g
+
+
+def test_find_co_c7_planted_in_composite():
+    for s in range(6):
+        rng = Random(s)
+        host = testkit.cograph_composite(120, s)
+        assert find_co_c7(host) is None
+        planted = plant_co_c7(host, rng)
+        for r in range(3):
+            g = relabeled(planted, split_seed(31, s, r))
+            assert_cocycle7_order(g, find_co_c7(g))
+
+
+def test_colorable_families_have_no_co_c7():
+    # co-C7 needs four colors, so a 3-colorable graph cannot contain one.
+    # A composite is colored by a 3-coloring of its 7-cycle spine plus, per
+    # K_{a,b} blob, the two colors its spine vertex does not use; a C7
+    # blowup takes the colors of C7 class by class.
+    for n in (200, 500, 1000):
+        assert find_co_c7(testkit.cograph_composite(n, 3)) is None
+    for k in range(1, 9):
+        assert find_co_c7(c7_blowup([k, k + 1, 2, k, 3, k + 2, 1])) is None
 
 
 def wheel_graph(k):
@@ -204,14 +284,35 @@ def test_detectors_against_naive_enumeration():
     assert 0 < hits["c7"]
 
 
+def small_graph(n, p, rng, plant, flip):
+    """Random graph on ids 0..n-1; `plant` makes 0..6 a co-C7 first, and
+    `flip` then toggles one random pair."""
+    core = co_c7_on(range(7))
+    toggled = tuple(sorted(rng.sample(range(n), 2))) if flip else None
+    g = Graph.from_edges(range(n))
+    for u in range(n):
+        for w in range(u + 1, n):
+            edge = core.has_edge(u, w) if plant and w < 7 else rng.random() < p
+            if edge != ((u, w) == toggled):
+                g.add_edge(u, w)
+    return g
+
+
 def test_co_c7_against_naive():
-    found = 0
-    for i in range(60):
-        g = erdos_renyi(9, 0.75, split_seed(7, i))
+    # plain random graphs this small rarely hold a co-C7, so two of every
+    # three samples plant one, and one of those two flips a random pair
+    hits = [0, 0]
+    for i in range(288):
+        n = 7 + i % 4
+        p = (0.5, 0.6, 0.7, 0.75, 0.8, 0.85)[i // 4 % 6]
+        rng = Random(split_seed(7, i))
+        g = relabeled(small_graph(n, p, rng, i % 3 > 0, i % 3 == 2), split_seed(9, i))
         got = find_co_c7(g)
-        assert (got is not None) == naive_has_co_c7(g)
-        found += got is not None
-    assert found > 0
+        assert (got is not None) == naive_has_co_c7(g), i
+        if got is not None:
+            assert_cocycle7_order(g, got)
+        hits[got is not None] += 1
+    assert hits[0] > 50 and hits[1] > 50, hits
 
 
 def test_k4_detection_against_naive():
