@@ -135,6 +135,43 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     return sub
 
 
+def twin_core(g: Graph) -> Graph:
+    """The induced subgraph left when twins are deleted, to a fixpoint.
+
+    u and v are false twins when N(u) = N(v) and true twins when
+    N[u] = N[v].  Each round deletes every vertex that has a smaller twin,
+    until no two vertices are twins.  A deletion never splits two other
+    twins, and a vertex with a false twin has no true twin, so twins of
+    twins are twins: the core keeps the least id of each false-twin class
+    and each true-twin class, repeated until nothing changes, and the
+    order of the deletions does not matter.  A pattern without twins (C5,
+    C7, C9, 2P4, co-C7) is an induced subgraph of g exactly when it is one
+    of the core.  Ids and the id counter are kept, as in `induced_subgraph`.
+
+    A round is one pass of grouping by neighbourhood, O(n + m).  A
+    deletion can make new twins, so a threshold graph, whose twin pairs
+    form one at a time, takes a round per vertex.
+    """
+    adj = {v: set(nbrs) for v, nbrs in g._adj.items()}
+    while True:
+        least: dict[frozenset, int] = {}
+        drop = []
+        for v in sorted(adj):
+            nv = frozenset(adj[v])
+            # N(u) = N[v] is impossible, so open and closed keys share a dict
+            if least.setdefault(nv, v) != v or least.setdefault(nv | {v}, v) != v:
+                drop.append(v)
+        if not drop:
+            break
+        for v in drop:
+            for w in adj.pop(v):
+                adj[w].discard(v)
+    core = Graph()
+    core._adj = adj
+    core._next_id = g._next_id
+    return core
+
+
 def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[set[int]]:
     """Connected components ordered by their smallest contained vertex id.
 

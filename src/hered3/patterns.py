@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import cograph
 from .errors import ClassViolationError
-from .graph import Graph, bipartition, shortest_odd_cycle
+from .graph import Graph, bipartition, shortest_odd_cycle, twin_core
 
 
 @dataclass(frozen=True)
@@ -194,8 +194,16 @@ def find_nonbipartite_neighborhood(g: Graph):
     class, so that case raises ClassViolationError with a 2P4 witness cut
     from the cycle.
     """
+    scanned = set()
     for v in g.vertices():
         nv = g.neighbors(v)
+        # false twins share a neighborhood: one already scanned was
+        # bipartite, and the first failing vertex is the least of its
+        # class, so skipping repeats changes no witness
+        key = frozenset(nv)
+        if key in scanned:
+            continue
+        scanned.add(key)
         # one BFS settles the common bipartite case; the per-vertex BFS of
         # shortest_odd_cycle runs only on a neighborhood that has an odd cycle
         if bipartition(g, within=nv) is not None:
@@ -222,8 +230,25 @@ def find_nonbipartite_neighborhood(g: Graph):
 
 
 def check_class(g: Graph):
-    """A witness that g is outside the (2P4,C5)-free class, or None."""
-    c5 = find_induced_cycle(g, 5)
+    """A witness that g is outside the (2P4,C5)-free class, or None.
+
+    Both scans run on `graph.twin_core(g)`.  Neither C5 nor 2P4 has twins
+    (no two of its vertices have equal open or closed neighbourhoods).
+    Each step of the core deletes a vertex u that has a twin v in what is
+    left; an induced copy of the pattern cannot hold both, since they would
+    be twins in it, so a copy through u becomes one through v.  So g holds
+    the pattern exactly when its core does.  The core is an induced
+    subgraph of g with g's ids, so a witness is one in g.
+
+    The core keeps the least id of each twin class, so v < u, and putting v
+    in u's place on an induced cycle or path gives one that comes earlier
+    in canonical order.  So the first C5 of `find_induced_cycle` on g is on
+    the core and is the one returned.  The swap also leaves the closed
+    neighbourhood of a P4 unchanged, so the first part of a 2P4 witness is
+    the one found on g; the second part may differ.
+    """
+    core = twin_core(g)
+    c5 = find_induced_cycle(core, 5)
     if c5 is not None:
         return PatternWitness("c5", (c5,))
-    return find_induced_2p4(g)
+    return find_induced_2p4(core)

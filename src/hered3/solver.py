@@ -5,6 +5,14 @@ regardless of class membership: an induced complement-of-C7, and a vertex
 whose neighborhood contains an odd cycle (the vertex plus the cycle forms
 an odd wheel).  Each connected component is then solved independently.
 
+The searches for patterns without twins run on the twin core
+(`graph.twin_core`, computed once per solve): the class check, the co-C7
+preflight and each component's search for its anchor cycle.  The core
+keeps the least id of each twin class, so each search gives the verdict
+it gives on the whole graph, and the anchor cycle is the same one.  The
+odd-neighborhood preflight runs on the whole graph, because K4 has twins;
+so do the anchored runs, the fixpoint, the stages and witness replay.
+
 A component containing an induced 7-cycle is anchored on that cycle: all
 126 proper colorings of the anchor are enumerated, and each branch runs
 the palette fixpoint followed by a ladder of structural stages that either
@@ -27,7 +35,14 @@ from time import perf_counter
 
 from . import cograph, patterns
 from .errors import ClassViolationError, StageAssertionError
-from .graph import Graph, bipartition, common_neighbors, connected_components, induced_subgraph
+from .graph import (
+    Graph,
+    bipartition,
+    common_neighbors,
+    connected_components,
+    induced_subgraph,
+    twin_core,
+)
 from .reductions import (
     ALL_COLORS,
     REJECTED,
@@ -73,12 +88,13 @@ def solve(
     """
     start = perf_counter()
     stats = Stats()
+    core = twin_core(g)
     if not assume_class:
-        offending = patterns.check_class(g)
+        offending = patterns.check_class(core)
         if offending is not None:
             raise ClassViolationError(offending)
 
-    if patterns.find_co_c7(g) is not None:
+    if patterns.find_co_c7(core) is not None:
         stats.bump("preflight_co_c7")
         return _report("not_colorable", None, False, stats, start)
     odd = patterns.find_nonbipartite_neighborhood(g)
@@ -89,7 +105,7 @@ def solve(
     witness_map: dict[int, int] = {}
     complete = True
     for comp in connected_components(g):
-        ok, cmap, full = _solve_component(g, comp, stats, witness)
+        ok, cmap, full = _solve_component(g, core, comp, stats, witness)
         if not ok:
             return _report("not_colorable", None, False, stats, start)
         if witness:
@@ -122,17 +138,21 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 
 
-def _solve_component(g, comp, stats, want_witness):
-    """Returns (colorable, coloring or None, witness-complete flag)."""
+def _solve_component(g, core, comp, stats, want_witness):
+    """Returns (colorable, coloring or None, witness-complete flag).
+
+    The anchor cycle is sought on the component's part of the twin core;
+    the anchored run itself works on the whole component."""
     sub = induced_subgraph(g, comp)
-    cyc = patterns.find_induced_cycle(sub, 7)
+    search = induced_subgraph(core, [v for v in comp if v in core])
+    cyc = patterns.find_induced_cycle(search, 7)
     if cyc is not None:
         stats.bump("components_anchored_7")
         won = _run_anchored(sub, cyc, stats, direct=False)
         if won is None:
             return False, None, True
         return True, won.assemble_witness(comp) if want_witness else None, True
-    cyc = patterns.find_induced_cycle(sub, 9)
+    cyc = patterns.find_induced_cycle(search, 9)
     if cyc is not None:
         stats.bump("components_anchored_9")
         won = _run_anchored(sub, cyc, stats, direct=True)

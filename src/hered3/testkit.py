@@ -258,6 +258,56 @@ def co_c7_graph() -> Graph:
     return g
 
 
+def cycle_blowup(sizes, cliques=()) -> Graph:
+    """C_k with vertex i replaced by a class of sizes[i] vertices.
+
+    Classes i and i+1 (mod k) are completely joined.  A class listed in
+    `cliques` is a clique (true twins); every other class is an
+    independent set (false twins).  Ids run class by class from 1.
+
+    With independent classes and k in (7, 9) the result is in class and
+    3-colorable: no two vertices of C5 or 2P4 are twins, so an induced copy
+    takes at most one vertex per class and would be an induced subgraph of
+    C_k, which has neither; a blowup takes C_k's coloring class by class.
+    """
+    k = len(sizes)
+    g = Graph()
+    classes = [[g.add_vertex() for _ in range(size)] for size in sizes]
+    for i in cliques:
+        for a, b in combinations(classes[i], 2):
+            g.add_edge(a, b)
+    for i in range(k):
+        for a in classes[i]:
+            for b in classes[(i + 1) % k]:
+                g.add_edge(a, b)
+    return g
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    """K_{a,b}, sides on ids 1..a and a+1..a+b."""
+    g = Graph()
+    left = [g.add_vertex() for _ in range(a)]
+    for _ in range(b):
+        v = g.add_vertex()
+        for u in left:
+            g.add_edge(u, v)
+    return g
+
+
+def threshold_graph(n: int) -> Graph:
+    """Vertex i is isolated for even i and dominating for odd i on arrival.
+
+    Its cotree alternates union and join nodes, so it is n - 1 levels deep.
+    """
+    g = Graph()
+    for i in range(n):
+        v = g.add_vertex()
+        if i % 2:
+            for w in range(1, v):
+                g.add_edge(v, w)
+    return g
+
+
 def named_graph(name: str) -> Graph:
     name = name.lower()
     if name == "petersen":

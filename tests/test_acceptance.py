@@ -27,7 +27,9 @@ from hered3.testkit import (
     c7_gadget,
     c9_gadget,
     cograph_composite,
+    complete_bipartite,
     count_proper_3colorings,
+    cycle_blowup,
     cycle_graph,
     differential_fuzz,
     erdos_renyi,
@@ -351,3 +353,27 @@ def test_fixed_verdicts_on_named_graphs():
         assert verify_coloring(g, rep.witness), name
     print("PASS fixed verdicts: k4 and co_c7 rejected; "
           "c5, c7, c9, petersen colored and verified")
+
+
+# -- gate 11: in-class scaling -----------------------------------------------------
+
+def test_in_class_scaling_on_blowups_and_bicliques():
+    # in class by construction (see testkit.cycle_blowup; K_{a,b} is a
+    # bipartite cograph) and full of twins: the class check stays fast
+    # only because the pattern scans run on the twin core
+    timings = []
+    cases = [(f"C7 blowup n={n}", cycle_blowup([n // 7 + d for d in (-3, 2, 0, 1, -1, 3, -2)]))
+             for n in (70, 140, 280)]
+    cases.append(("K_{50,50}", complete_bipartite(50, 50)))
+    for name, g in cases:
+        t0 = time.perf_counter()
+        assert check_class(g) is None, name
+        t1 = time.perf_counter()
+        rep = solve(g, witness=True)
+        t2 = time.perf_counter()
+        assert rep.decision == "colorable", name
+        if name.startswith("C7"):
+            assert verify_coloring(g, rep.witness), name
+        assert t1 - t0 < 5 and t2 - t1 < 5, f"{name}: {t1 - t0:.2f}s, {t2 - t1:.2f}s"
+        timings.append(f"{name} {t1 - t0:.3f}/{t2 - t1:.3f}s")
+    print("PASS in-class scaling (check_class/solve): " + ", ".join(timings))

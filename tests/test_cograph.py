@@ -17,6 +17,7 @@ from hered3.testkit import (
     oracle_list3color,
     path_graph,
     split_seed,
+    threshold_graph,
     verify_coloring,
 )
 
@@ -140,20 +141,6 @@ def test_cotree_shape_smoke():
     assert root.kind == "join"
     kinds = {child.kind for child in root.children}
     assert kinds == {"leaf"}
-
-
-def threshold_graph(n):
-    """Vertex i is isolated for even i and dominating for odd i on arrival.
-
-    Its cotree alternates union and join nodes, so it is n - 1 levels deep.
-    """
-    g = Graph()
-    for i in range(n):
-        v = g.add_vertex()
-        if i % 2:
-            for w in range(1, v):
-                g.add_edge(v, w)
-    return g
 
 
 def test_deep_cotree_leaves_the_recursion_limit_alone():

@@ -1,5 +1,7 @@
 """Adjacency-set graph and the small structural helpers on top of it."""
 
+from random import Random
+
 import pytest
 
 from hered3.errors import InputError
@@ -11,6 +13,15 @@ from hered3.graph import (
     connected_components,
     induced_subgraph,
     shortest_odd_cycle,
+    twin_core,
+)
+from hered3.testkit import (
+    complete_bipartite,
+    cycle_blowup,
+    erdos_renyi,
+    petersen_graph,
+    split_seed,
+    threshold_graph,
 )
 
 
@@ -128,3 +139,68 @@ def test_shortest_odd_cycle_prefers_short():
     g.add_edge(0, 2)
     got = shortest_odd_cycle(g)
     assert len(got) == 3
+
+
+def adjacency(g):
+    return {v: set(g.neighbors(v)) for v in g.vertices()}
+
+
+def test_twin_core_of_a_blowup_is_its_cycle():
+    # independent classes hold false twins, clique classes true twins
+    sizes = [3, 2, 1, 4, 2, 2, 3]
+    g = cycle_blowup(sizes, cliques=(1, 4))
+    before = adjacency(g)
+    core = twin_core(g)
+    firsts = [1 + sum(sizes[:i]) for i in range(7)]
+    assert core.vertices() == firsts
+    assert sorted(core.edges()) == sorted(
+        (min(a, b), max(a, b)) for a, b in zip(firsts, firsts[1:] + firsts[:1]))
+    assert adjacency(g) == before
+
+
+def test_twin_core_of_cographs_is_one_vertex():
+    # deleting twins to a fixpoint takes every cograph down to one vertex
+    for g in (complete_bipartite(3, 5), complete_bipartite(9, 21), threshold_graph(300)):
+        before = adjacency(g)
+        assert twin_core(g).vertices() == [1]
+        assert adjacency(g) == before
+
+
+def test_twin_core_of_a_twin_free_graph_is_itself():
+    for g in (cycle(7), petersen_graph()):
+        core = twin_core(g)
+        assert adjacency(core) == adjacency(g)
+        assert core is not g
+
+
+def naive_twin_core(g):
+    """Rounds that each delete every vertex with a smaller twin."""
+    keep = set(g.vertices())
+    while True:
+        sub = induced_subgraph(g, keep)
+        drop = {u for u in keep for v in keep
+                if v < u and sub.neighbors(u) - {v} == sub.neighbors(v) - {u}}
+        if not drop:
+            return sub
+        keep -= drop
+
+
+def test_twin_core_matches_rounds_of_pairwise_tests():
+    for i in range(300):
+        rng = Random(split_seed(61, i))
+        base = erdos_renyi(rng.randint(1, 10), rng.choice((0.2, 0.5, 0.8)), split_seed(62, i))
+        twins = rng.randint(0, 5)
+        # random ids, so that a planted twin is as often the smaller one
+        ids = iter(rng.sample(range(1, 40), len(base) + twins))
+        name = {v: next(ids) for v in base.vertices()}
+        g = Graph.from_edges(name.values(), ((name[u], name[w]) for u, w in base.edges()))
+        for _ in range(twins):
+            v = rng.choice(g.vertices())
+            t = g.add_vertex(next(ids))
+            for w in list(g.neighbors(v)):
+                g.add_edge(t, w)
+            if rng.random() < 0.5:
+                g.add_edge(t, v)
+        core = twin_core(g)
+        assert adjacency(core) == adjacency(naive_twin_core(g)), i
+        assert core.add_vertex() == g.add_vertex()

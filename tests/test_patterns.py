@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from hered3.errors import ClassViolationError
-from hered3.graph import Graph
+from hered3.graph import Graph, twin_core
 from hered3.patterns import (
     PatternWitness,
     check_class,
@@ -142,17 +142,6 @@ def co_c7_on(order):
     return g
 
 
-def c7_blowup(sizes):
-    """C7 with vertex i replaced by an independent set of sizes[i] vertices."""
-    g = Graph()
-    classes = [[g.add_vertex() for _ in range(k)] for k in sizes]
-    for i in range(7):
-        for u in classes[i]:
-            for w in classes[(i + 1) % 7]:
-                g.add_edge(u, w)
-    return g
-
-
 def test_find_co_c7():
     g = co_c7_graph()
     assert_cocycle7_order(g, find_co_c7(g))
@@ -205,7 +194,7 @@ def test_colorable_families_have_no_co_c7():
     for n in (200, 500, 1000):
         assert find_co_c7(testkit.cograph_composite(n, 3)) is None
     for k in range(1, 9):
-        assert find_co_c7(c7_blowup([k, k + 1, 2, k, 3, k + 2, 1])) is None
+        assert find_co_c7(testkit.cycle_blowup([k, k + 1, 2, k, 3, k + 2, 1])) is None
 
 
 def wheel_graph(k):
@@ -313,6 +302,66 @@ def test_co_c7_against_naive():
             assert_cocycle7_order(g, got)
         hits[got is not None] += 1
     assert hits[0] > 50 and hits[1] > 50, hits
+
+
+def plant_twins(g, rng, count):
+    """Add `count` vertices, each a false or true twin of a random vertex."""
+    for _ in range(count):
+        v = rng.choice(g.vertices())
+        t = g.add_vertex()
+        for w in list(g.neighbors(v)):
+            g.add_edge(t, w)
+        if rng.random() < 0.5:
+            g.add_edge(t, v)
+    return g
+
+
+def twin_free_sample(i, rng):
+    """Bases rich in co-C7, in 2P4, in long induced cycles, and plain."""
+    kind = i % 4
+    if kind == 0:
+        return small_graph(7 + i % 2, 0.6, rng, True, i % 8 == 4)
+    if kind == 1:
+        return two_block_graph(i)
+    if kind == 2:
+        g = cycle_graph(7 if i % 8 == 2 else 9)
+        for _ in range(2):
+            old = g.vertices()
+            v = g.add_vertex()
+            for w in rng.sample(old, rng.randint(1, 3)):
+                g.add_edge(v, w)
+        return g
+    return erdos_renyi(8, (0.25, 0.45)[i % 8 == 3], split_seed(55, i))
+
+
+def test_twin_free_searches_agree_on_the_twin_core():
+    # C5, C7, C9, 2P4 and co-C7 have no twins, so the core holds each of
+    # them exactly when the graph does, and the first cycle and the first
+    # part of a 2P4 are the ones found on the whole graph
+    hits = {"c5": 0, "c7": 0, "c9": 0, "2p4": 0, "co_c7": 0, "in_class": 0}
+    total = 160
+    for i in range(total):
+        rng = Random(split_seed(53, i))
+        g = relabeled(plant_twins(twin_free_sample(i, rng), rng, 1 + i % 3), split_seed(54, i))
+        core = twin_core(g)
+        assert len(core) < len(g)
+        for k in (5, 7, 9):
+            got = find_induced_cycle(core, k)
+            assert got == find_induced_cycle(g, k), (i, k)
+            hits[f"c{k}"] += got is not None
+        full_2p4, core_2p4 = find_induced_2p4(g), find_induced_2p4(core)
+        has_2p4 = naive_has_2p4(g)
+        assert (core_2p4 is not None) == (full_2p4 is not None) == has_2p4, i
+        if has_2p4:
+            assert core_2p4.parts[0] == full_2p4.parts[0], i
+        in_class = not naive_has_cycle(g, 5) and not has_2p4
+        assert (check_class(g) is None) == in_class, i
+        co_c7 = naive_has_co_c7(g)
+        assert (find_co_c7(core) is not None) == co_c7, i
+        hits["2p4"] += has_2p4
+        hits["co_c7"] += co_c7
+        hits["in_class"] += in_class
+    assert all(10 < h < total - 10 for h in hits.values()), hits
 
 
 def test_k4_detection_against_naive():

@@ -7,7 +7,7 @@ stats counters pin down which route of the pipeline produced each verdict.
 import pytest
 
 from hered3.errors import ClassViolationError
-from hered3.graph import Graph
+from hered3.graph import Graph, twin_core
 from hered3.patterns import check_class
 from hered3.solver import WITNESS_CEILING, solve
 from hered3.testkit import (
@@ -64,6 +64,34 @@ def test_co_c7_rejected_in_preflight():
     assert rep.decision == "not_colorable"
     assert rep.stats["preflight_co_c7"] == 1
     assert "preflight_odd_neighborhood_k4" not in rep.stats
+
+
+def test_k4_preflight_sees_the_whole_graph():
+    # K4 is a triangle plus a true twin, and its twin core is one vertex:
+    # the odd-neighborhood check must not run on the core
+    g = cycle_graph(3)
+    t = g.add_vertex()
+    for v in (1, 2, 3):
+        g.add_edge(t, v)
+    assert len(twin_core(g)) == 1
+    rep = solve(g)
+    assert rep.decision == "not_colorable"
+    assert rep.stats["preflight_odd_neighborhood_k4"] == 1
+
+
+def test_co_c7_preflight_with_a_planted_twin():
+    # co-C7 has no twins, so the twin core of co-C7 plus a twin is co-C7
+    for true_twin in (False, True):
+        g = named_graph("co_c7")
+        t = g.add_vertex()
+        for w in list(g.neighbors(1)):
+            g.add_edge(t, w)
+        if true_twin:
+            g.add_edge(t, 1)
+        assert twin_core(g).vertices() == list(range(1, 8))
+        rep = solve(g)
+        assert rep.decision == "not_colorable"
+        assert rep.stats["preflight_co_c7"] == 1
 
 
 def test_odd_wheels_rejected_by_neighborhood_check():
