@@ -247,7 +247,14 @@ def check_class(g: Graph):
     neighbourhood of a P4 unchanged, so the first part of a 2P4 witness is
     the one found on g; the second part may differ.
     """
-    core = twin_core(g)
+    return check_core(twin_core(g))
+
+
+def check_core(core: Graph):
+    """The C5 scan, then the 2P4 scan, of `check_class`, run on `core` as
+    given.  The verdict holds for any graph; a caller that has already built
+    a twin core passes it here and gets the witness `check_class` argues.
+    """
     c5 = find_induced_cycle(core, 5)
     if c5 is not None:
         return PatternWitness("c5", (c5,))

@@ -1,5 +1,5 @@
-"""Palette propagation rules, replay-based witness records, and the two
-structural operations (cut reduction, neighborhood collapse).
+"""Palette propagation rules, replay-based witness records, and the one
+structural operation the stage ladder uses (cut reduction).
 
 An Instance owns a working graph plus per-vertex palettes.  Rules either
 commit a color, shrink palettes, or delete vertices; every deletion appends
@@ -14,7 +14,7 @@ from typing import Iterable
 
 from . import cograph
 from .errors import ContractViolationError, StageAssertionError
-from .graph import Graph, bipartition, common_neighbors, connected_components
+from .graph import Graph, common_neighbors, connected_components
 from .twosat import TwoSat, lit
 
 REJECTED = "rejected"
@@ -103,26 +103,6 @@ class RecKeyedDrop:
         coloring.update(self.extensions[coloring[self.key]])
         for v in self.drop:
             coloring.pop(v, None)
-
-
-class RecCollapse:
-    """Two merged sides re-expanded: members copy their representative."""
-
-    __slots__ = ("x_new", "y_new", "x_members", "y_members")
-
-    def __init__(self, x_new: int, y_new: int, x_members: tuple, y_members: tuple):
-        self.x_new = x_new
-        self.y_new = y_new
-        self.x_members = x_members
-        self.y_members = y_members
-
-    def apply(self, coloring: dict) -> None:
-        cx = coloring.pop(self.x_new)
-        cy = coloring.pop(self.y_new)
-        for v in self.x_members:
-            coloring[v] = cx
-        for v in self.y_members:
-            coloring[v] = cy
 
 
 # -- stats ------------------------------------------------------------------
@@ -575,64 +555,3 @@ def _check_cut_contract(inst: Instance, x_ids: list, c_ids: set) -> None:
             raise ContractViolationError("region has neighbors outside the cut")
     if not cograph.is_p4_free(inst.g, c_ids | set(x_ids)):
         raise ContractViolationError("region plus cut is not P4-free")
-
-
-# -- neighborhood collapse --------------------------------------------------
-
-
-def collapse_neighborhood(inst: Instance, v: int) -> tuple[int, int]:
-    """Merge both sides of v's connected bipartite neighborhood.
-
-    Each side becomes one fresh representative vertex carrying the side's
-    shared palette and outside adjacency.  Returns the two representative
-    ids (side containing the smallest neighbor first).
-    """
-    if v not in inst.palettes:
-        raise ContractViolationError(f"collapse target {v} not live and uncolored")
-    nbrs = set(inst.g.neighbors(v))
-    if len(nbrs) < 2:
-        raise ContractViolationError("neighborhood too small to collapse")
-    if any(w not in inst.palettes for w in nbrs):
-        raise ContractViolationError("neighborhood contains colored vertices")
-    if len(connected_components(inst.g, within=nbrs)) != 1:
-        raise ContractViolationError("neighborhood not connected")
-    sides = bipartition(inst.g, within=nbrs)
-    if sides is None:
-        raise ContractViolationError("neighborhood not bipartite")
-    side_x, side_y = sides
-    if not side_x or not side_y:
-        raise ContractViolationError("collapse needs two nonempty sides")
-    pal_x = _shared_palette(inst, side_x)
-    pal_y = _shared_palette(inst, side_y)
-
-    ext_x = _outside_adjacency(inst, side_x, nbrs | {v})
-    ext_y = _outside_adjacency(inst, side_y, nbrs | {v})
-    x_new = inst.fresh_synthetic()
-    y_new = inst.fresh_synthetic()
-    inst.palettes[x_new] = pal_x
-    inst.palettes[y_new] = pal_y
-    inst.g.add_edge(x_new, y_new)
-    inst.g.add_edge(x_new, v)
-    inst.g.add_edge(y_new, v)
-    for w in sorted(ext_x):
-        inst.g.add_edge(x_new, w)
-    for w in sorted(ext_y):
-        inst.g.add_edge(y_new, w)
-    rec = RecCollapse(x_new, y_new, tuple(sorted(side_x)), tuple(sorted(side_y)))
-    inst.remove_region(side_x | side_y, rec)
-    inst.stats.bump("op_collapse")
-    return x_new, y_new
-
-
-def _shared_palette(inst: Instance, side: set) -> frozenset:
-    pals = {inst.palettes[w] for w in side}
-    if len(pals) != 1:
-        raise ContractViolationError("collapse side palettes differ")
-    return pals.pop()
-
-
-def _outside_adjacency(inst: Instance, side: set, exclude: set) -> set:
-    out: set = set()
-    for w in side:
-        out |= inst.g.neighbors(w)
-    return out - exclude

@@ -15,13 +15,15 @@ so do the anchored runs, the fixpoint, the stages and witness replay.
 
 A component containing an induced 7-cycle is anchored on that cycle: all
 126 proper colorings of the anchor are enumerated, and each branch runs
-the palette fixpoint followed by a ladder of structural stages that either
-branch further (bounded by the structure), shrink the graph, reject, or
-finish through a 2-SAT assembly.  A component with an induced 9-cycle but
-no 7-cycle is anchored the same way (510 colorings), and the fixpoint
-alone must settle every branch.  A component with neither anchor cycle is
-3-colorable outright once the preflight has passed; a witness for it comes
-from a bounded backtracking colorer.
+the palette fixpoint followed by a short ladder of structural stages: two
+that branch further (bounded by the structure), then one that cuts off a
+P4-free component behind a one-vertex border.  A branch the ladder cannot
+handle raises StageAssertionError naming its shape, never a verdict.  A
+component with an induced 9-cycle but no 7-cycle is anchored the same way
+(510 colorings), and the fixpoint alone must settle every branch.  A
+component with neither anchor cycle is 3-colorable outright once the
+preflight has passed; a witness for it comes from a bounded backtracking
+colorer.
 
 Deleted vertices re-enter the final coloring through the replay records
 collected by the reduction engine.
@@ -30,35 +32,22 @@ collected by the reduction engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from time import perf_counter
 
 from . import cograph, patterns
 from .errors import ClassViolationError, StageAssertionError
-from .graph import (
-    Graph,
-    bipartition,
-    common_neighbors,
-    connected_components,
-    induced_subgraph,
-    twin_core,
-)
+from .graph import Graph, connected_components, induced_subgraph, twin_core
 from .reductions import (
     ALL_COLORS,
     REJECTED,
     SOLVED,
     Instance,
-    RecDominated,
-    RecComponent,
-    RecKeyedDrop,
     Stats,
-    collapse_neighborhood,
     cut_reduction,
     run_fixpoint,
-    _palette_lit,
-    _verify_region_coloring,
 )
-from .twosat import TwoSat, lit
 
 # Plain components above this many vertices get no witness: the
 # backtracking colorer that builds one has no polynomial bound.
@@ -90,7 +79,7 @@ def solve(
     stats = Stats()
     core = twin_core(g)
     if not assume_class:
-        offending = patterns.check_class(core)
+        offending = patterns.check_core(core)
         if offending is not None:
             raise ClassViolationError(offending)
 
@@ -174,25 +163,18 @@ def _solve_component(g, core, comp, stats, want_witness):
     return True, coloring, True
 
 
-def _proper_cycle_colorings(k: int) -> list[tuple]:
-    """All proper 3-colorings of a k-cycle, lexicographic."""
-    out: list[tuple] = []
-    colors = (1, 2, 3)
+@lru_cache(maxsize=None)
+def _proper_cycle_colorings(k: int) -> tuple[tuple, ...]:
+    """All proper 3-colorings of a k-cycle, lexicographic; built once per k.
 
-    def grow(prefix):
-        if len(prefix) == k:
-            if prefix[-1] != prefix[0]:
-                out.append(tuple(prefix))
-            return
-        for c in colors:
-            if prefix and c == prefix[-1]:
-                continue
-            prefix.append(c)
-            grow(prefix)
-            prefix.pop()
-
-    grow([])
-    return out
+    Proper colorings of the path grow one vertex at a time, each extended
+    in color order, which keeps the list sorted; the cycle's closing edge
+    filters it last.
+    """
+    walks = [(c,) for c in (1, 2, 3)]
+    for _ in range(k - 1):
+        walks = [w + (c,) for w in walks for c in (1, 2, 3) if c != w[-1]]
+    return tuple(w for w in walks if w[-1] != w[0])
 
 
 def _run_anchored(comp_graph, cycle, stats, direct):
@@ -269,24 +251,13 @@ def _advance(inst, tracker):
             kids = _branch_opposing_pair(inst, view, tracker)
         if kids is not None:
             return "children", kids
-        rotated, frame = _normalize_rotation(inst, view)
-        if rotated:
+        if _normalize_rotation(inst, view):
             view = _analyze(inst)
         live_before = inst.g.vertex_count()
-
-        status = _reduce_relevant_edges(inst, view, frame)
-        if status == "clean":
-            status = _reduce_equivalence_cuts(inst, view, frame)
-        payloads = None
-        if status == "clean":
-            status, payloads = _component_cases(inst, view, frame)
-        if status == "rejected":
+        if _component_cases(inst, view) == REJECTED:
             return "rejected", None
-        if status == "mutated":
-            if not inst.g.vertex_count() < live_before:
-                raise AssertionError("structural stage fired without shrinking the graph")
-            continue
-        return _final_assembly(inst, view, frame, payloads), None
+        if not inst.g.vertex_count() < live_before:
+            raise AssertionError("structural stage fired without shrinking the graph")
 
 
 # -- structure analysis -------------------------------------------------------
@@ -517,9 +488,7 @@ def _normalize_rotation(inst, view):
 
     Once no single-anchor set and no opposing pair remains, every relevant
     vertex must touch the same two anchors, two steps apart and equally
-    colored.  Returns (rotated?, (low, high, third)) where low/high are
-    the shared relevant palette and third is the color of the touched
-    anchors.
+    colored.  Returns whether it rotated.
     """
     k = len(view.anchors)
     for x in view.relevant:
@@ -537,374 +506,49 @@ def _normalize_rotation(inst, view):
         raise StageAssertionError("relevant supports are not two apart on the anchor cycle")
     if view.acolor[p] != view.acolor[q]:
         raise StageAssertionError("anchors under the relevant vertices differ in color")
-    third = view.acolor[p]
-    low, high = sorted(ALL_COLORS - {third})
-    pal = frozenset((low, high))
+    pal = ALL_COLORS - {view.acolor[p]}
     for x in view.relevant:
         if inst.palettes[x] != pal:
             raise StageAssertionError("relevant palette differs from the anchor complement")
     if r:
         inst.anchor_order = inst.anchor_order[r:] + inst.anchor_order[:r]
-    return bool(r), (low, high, third)
+    return bool(r)
 
 
-# -- mutating stages ----------------------------------------------------------
+# -- component cases ----------------------------------------------------------
 
 
-def _reduce_relevant_edges(inst, view, frame):
-    """Resolve one edge-containing component among the relevant vertices.
+def _component_cases(inst, view):
+    """Cut off the first relevant component behind its one-vertex border.
 
-    Such a component is a complete join of two sides whose members share
-    their outer neighborhoods.  Which of the two side colorings extend
-    into the attached outer vertices decides between rejection, committing
-    the sides, or deleting the attachments.
-    """
-    low, high, _ = frame
-    g = inst.g
-    for comp in connected_components(g, within=set(view.relevant)):
-        if len(comp) < 2:
-            continue
-        sides = bipartition(g, within=comp)
-        inst.stats.bump("stage_relevant_edges")
-        if sides is None:
-            return "rejected"
-        left, right = sorted(sides[0]), sorted(sides[1])
-        for p in left:
-            for q in right:
-                if not g.has_edge(p, q):
-                    raise StageAssertionError("adjacent relevant vertices not completely joined")
-        left_outer = view.outer_nbrs[left[0]]
-        right_outer = view.outer_nbrs[right[0]]
-        for p in left[1:]:
-            if view.outer_nbrs[p] != left_outer:
-                raise StageAssertionError("joined relevant side has unequal outer neighborhoods")
-        for q in right[1:]:
-            if view.outer_nbrs[q] != right_outer:
-                raise StageAssertionError("joined relevant side has unequal outer neighborhoods")
-        if not left_outer or not right_outer:
-            raise StageAssertionError("joined relevant side lost its outer attachment")
-        if left_outer & right_outer:
-            raise StageAssertionError("joined relevant sides share an outer neighbor")
-        for p in sorted(set(left) | right_outer):
-            for q in sorted(set(right) | left_outer):
-                if not g.has_edge(p, q):
-                    raise StageAssertionError("relevant edge block is not completely joined")
-        block = set(left) | set(right) | left_outer | right_outer
-        for v in left_outer | right_outer:
-            if not g.neighbors(v) <= block:
-                raise StageAssertionError("outer attachment reaches past the relevant edge block")
-        if not cograph.is_p4_free(g, block):
-            raise StageAssertionError("relevant edge block is not P4-free")
-
-        def fits(cl, cr):
-            pal = {}
-            for v in block:
-                if v in comp:
-                    pal[v] = frozenset((cl if v in sides[0] else cr,))
-                else:
-                    pal[v] = inst.palettes[v]
-            return cograph.list3color(g, pal, within=block)
-
-        ext_lh = fits(low, high)
-        ext_hl = fits(high, low)
-        if ext_lh is None and ext_hl is None:
-            return "rejected"
-        if ext_lh is not None and ext_hl is not None:
-            drop = left_outer | right_outer
-            rec = RecKeyedDrop(left[0], {
-                low: {v: ext_lh[v] for v in drop},
-                high: {v: ext_hl[v] for v in drop},
-            })
-            inst.remove_region(drop, rec)
-            return "mutated"
-        ext, cl, cr = (ext_lh, low, high) if ext_lh is not None else (ext_hl, high, low)
-        for p in left:
-            inst.commit_color(p, cl)
-        for q in right:
-            inst.commit_color(q, cr)
-        return "mutated"
-    return "clean"
-
-
-def _reduce_equivalence_cuts(inst, view, frame):
-    """Cut off the relevant components behind one multi-component class.
-
-    Relevant vertices touching the same set of outer components form a
-    class; a class touching two or more components is a uniform cut in
-    front of the union of its relevant components.
-    """
-    _, _, third = frame
-    groups: dict[frozenset, list] = {}
-    for x in view.relevant:
-        groups.setdefault(view.adj_comps[x], []).append(x)
-    keys = sorted(groups, key=lambda fs: sorted(fs))
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i + 1:]:
-            if k1 & k2:
-                raise StageAssertionError("component contact sets are neither equal nor disjoint")
-    pick = None
-    for key in keys:
-        if len(key) >= 2 and (pick is None or min(groups[key]) < min(groups[pick])):
-            pick = key
-    if pick is None:
-        return "clean"
-    members = sorted(groups[pick])
-    for x in members:
-        for idx in pick:
-            if not view.full_adj[(x, idx)]:
-                raise StageAssertionError("multi-component relevant vertex is a partial neighbor")
-    rel_idx = [idx for idx in sorted(pick) if view.comp_relevant[idx]]
-    if not rel_idx:
-        raise StageAssertionError("relevant vertex with no relevant component contact")
-    region = set().union(*(view.comps[idx] for idx in rel_idx))
-    inst.stats.bump("stage_equivalence_cuts")
-    if len(region) == 1:
-        # a lone full-palette vertex seen only by this class: the anchors'
-        # color is always free for it
-        (y,) = region
-        if inst.palettes[y] != ALL_COLORS:
-            raise StageAssertionError("singleton relevant component without a full palette")
-        if not inst.g.neighbors(y) <= set(members):
-            raise StageAssertionError("singleton relevant component seen outside its class")
-        inst.commit_color(y, third)
-        return "mutated"
-    if cut_reduction(inst, members, region) == REJECTED:
-        return "rejected"
-    return "mutated"
-
-
-def _component_cases(inst, view, frame):
-    """Case ladder on the border each relevant component shows its class.
-
-    Mutating cases return early; a component that mutates nothing yields a
-    terminal wing payload for the final assembly.
-    """
-    low, high, third = frame
-    g = inst.g
-    payloads = []
-    for idx in range(len(view.comps)):
-        if not view.comp_relevant[idx]:
-            continue
-        comp = view.comps[idx]
-        cls = [x for x in view.relevant if idx in view.adj_comps[x]]
-        if not cls:
-            raise StageAssertionError("relevant component with no adjacent relevant vertex")
-        for x in cls:
-            if view.adj_comps[x] != frozenset((idx,)):
-                raise StageAssertionError("relevant vertex still touches several components")
-        pivot = max(cls, key=lambda v: (len(view.outer_nbrs[v]), -v))
-        border = sorted(view.outer_nbrs[pivot])
-        inst.stats.bump("stage_component_cases")
-
-        if len(connected_components(g, within=border)) > 1:
-            inst.stats.bump("case_border_disconnected")
-            if cut_reduction(inst, cls, comp) == REJECTED:
-                return "rejected", None
-            return "mutated", None
-
-        if len(border) >= 3:
-            status = _merge_border_sides(inst, border)
-            if status == "rejected":
-                return "rejected", None
-            return "mutated", None
-
-        if len(border) == 1:
-            inst.stats.bump("case_border_single_vertex")
-            y = border[0]
-            if comp == frozenset((y,)):
-                if inst.palettes[y] != ALL_COLORS:
-                    raise StageAssertionError("singleton component must carry a full palette")
-                if not g.neighbors(y) <= set(cls):
-                    raise StageAssertionError("singleton component seen outside its class")
-                inst.commit_color(y, third)
-                return "mutated", None
-            if cut_reduction(inst, cls, comp) == REJECTED:
-                return "rejected", None
-            return "mutated", None
-
-        outcome = _single_edge_border(inst, view, frame, comp, cls, pivot, border)
-        if outcome == "rejected" or outcome == "mutated":
-            return outcome, None
-        payloads.append(outcome)
-    return "terminal", payloads
-
-
-def _merge_border_sides(inst, border):
-    """A border on >= 3 vertices is a complete join of two twin classes;
-    keep one vertex per side."""
-    g = inst.g
-    sides = bipartition(g, within=border)
-    if sides is None:
-        # an odd cycle inside one vertex's neighborhood
-        inst.stats.bump("case_border_merge")
-        return "rejected"
-    for p in sides[0]:
-        for q in sides[1]:
-            if not g.has_edge(p, q):
-                raise StageAssertionError("large border is not a complete join")
-    plans = []
-    for side in sides:
-        order = sorted(side)
-        keep = order[0]
-        for y in order[1:]:
-            if g.neighbors(y) != g.neighbors(keep):
-                raise StageAssertionError("border side vertices with distinct neighborhoods")
-            if inst.palettes[y] != inst.palettes[keep]:
-                raise StageAssertionError("border side vertices with distinct palettes")
-            plans.append((y, keep))
-    for y, keep in plans:
-        inst.delete_recorded(y, RecDominated(y, keep))
-    inst.stats.bump("case_border_merge")
-    return "mutated"
-
-
-@dataclass(frozen=True)
-class _Terminal:
-    comp: frozenset          # the component's vertices (star center included)
-    cls: tuple               # the relevant class in front of it
-    touch_low: tuple         # class members attached to a {low, third} wing
-    touch_high: tuple        # class members attached to a {high, third} wing
-
-
-def _single_edge_border(inst, view, frame, comp, cls, pivot, border):
-    """Border is one edge: peel the component down to a star, then either
-    mutate or emit the star's wing payload."""
-    low, high, third = frame
-    g = inst.g
-    inst.stats.bump("case_border_single_edge")
-    first, second = border
-    center, leaf = sorted(border, key=lambda v: (-g.degree(v), v))
-    if not g.has_edge(first, second):
-        raise StageAssertionError("connected two-vertex border without its edge")
-    for w in sorted((set(cls) | comp) - {center}):
-        if not g.has_edge(center, w):
-            raise StageAssertionError("border edge endpoint is not universal on its block")
-
-    shared = sorted(common_neighbors(g, center, leaf) & comp)
-    if shared:
-        y = shared[0]
-        if inst.palettes[y] != frozenset((low, high)):
-            raise StageAssertionError("border edge twin with an unexpected palette")
-        if g.neighbors(y) != {center, leaf}:
-            raise StageAssertionError("border edge twin with outside contacts")
-        inst.delete_recorded(y, RecDominated(y, pivot))
-        inst.stats.bump("case_edge_twin_drop")
-        return "mutated"
-
-    rest = comp - {center}
-    cls_set = set(cls)
-    for part in connected_components(g, within=rest):
-        if len(part) < 2:
-            continue
-        if leaf in part:
-            raise StageAssertionError("border edge partner not isolated in the peeled component")
-        for w in part:
-            if g.neighbors(w) & cls_set:
-                raise StageAssertionError("inner component with relevant contacts")
-            if not g.neighbors(w) <= part | {center}:
-                raise StageAssertionError("inner component leaks past the star center")
-        feasible = {}
-        for c in sorted(inst.palettes[center]):
-            pal = {w: inst.palettes[w] - {c} for w in part}
-            if any(not p for p in pal.values()):
-                continue
-            got = cograph.list3color(g, pal, within=part)
-            if got is not None:
-                feasible[c] = got
-        inst.stats.bump("case_inner_component_split")
-        if not feasible:
-            return "rejected"
-        inst.palettes[center] = frozenset(feasible)
-        inst.remove_region(part, RecKeyedDrop(center, feasible))
-        return "mutated"
-
-    crowded = [w for w in sorted(rest) if len(g.neighbors(w) & cls_set) >= 2]
-    if crowded:
-        w = crowded[0]
-        if not g.neighbors(w) <= cls_set | {center}:
-            raise StageAssertionError("star point with contacts outside center and class")
-        collapse_neighborhood(inst, w)
-        inst.stats.bump("case_star_collapse")
-        return "mutated"
-
-    for w in sorted(rest):
-        if len(g.neighbors(w) & cls_set) != 1:
-            raise StageAssertionError("star point without exactly one relevant contact")
-        if len(inst.palettes[w]) != 2:
-            raise StageAssertionError("star point without a binary palette")
-    if inst.palettes[center] != ALL_COLORS:
-        raise StageAssertionError("star center lost its full palette")
-    if any(inst.palettes[w] == frozenset((low, high)) for w in rest):
-        # such a point and its class neighbor exhaust both non-anchor
-        # colors, forcing the center onto the anchors' color
-        inst.commit_color(center, third)
-        inst.stats.bump("case_forced_center")
-        return "mutated"
-
-    wing_low = [w for w in sorted(rest) if inst.palettes[w] == frozenset((low, third))]
-    wing_high = [w for w in sorted(rest) if inst.palettes[w] == frozenset((high, third))]
-    if len(wing_low) + len(wing_high) != len(rest):
-        raise StageAssertionError("star point with a palette outside both wings")
-    touch_low = sorted({x for x in cls if any(g.has_edge(x, w) for w in wing_low)})
-    touch_high = sorted({x for x in cls if any(g.has_edge(x, w) for w in wing_high)})
-    inst.stats.bump("case_terminal_wings")
-    return _Terminal(comp, tuple(sorted(cls)), tuple(touch_low), tuple(touch_high))
-
-
-def _final_assembly(inst, view, frame, payloads):
-    """Close the branch with one 2-SAT over all binary palettes.
-
-    The wing payload of a terminal component admits exactly three coloring
-    shapes on its class: all low, all high, or low-wing contacts high and
-    high-wing contacts low.  Two clause families per payload encode that;
-    ordinary edge clauses cover the rest of the graph.
+    This is the only shape the branch reaches here: no edge among the
+    relevant vertices, each touching one outer component, and a component
+    of two or more vertices whose border (the outer neighbors of its
+    widest relevant vertex) is one vertex.  Any other shape raises
+    StageAssertionError naming it.  Returns cut_reduction's verdict.
     """
     g = inst.g
-    covered = set()
-    for pay in payloads:
-        covered |= pay.comp
-    region = sorted(v for v in inst.palettes if v not in covered)
-    for v in region:
-        if len(inst.palettes[v]) != 2:
-            raise StageAssertionError("assembly region vertex without a binary palette")
-    var_of = {v: i for i, v in enumerate(region)}
-    sat = TwoSat(len(region))
-    for v in region:
-        for w in g.sorted_neighbors(v):
-            if w < v or w not in var_of:
-                continue
-            for c in sorted(inst.palettes[v] & inst.palettes[w]):
-                sat.add_clause(_palette_lit(inst, var_of, v, c, negate=True),
-                               _palette_lit(inst, var_of, w, c, negate=True))
-    for pay in payloads:
-        # variable true = the vertex takes its smaller palette color (low)
-        for p in pay.touch_low:
-            for q in pay.cls:
-                if q != p:
-                    sat.add_clause(lit(var_of[p], False), lit(var_of[q], True))
-        for p in pay.touch_high:
-            for q in pay.cls:
-                if q != p:
-                    sat.add_clause(lit(var_of[p], True), lit(var_of[q], False))
-    inst.stats.bump("stage_final_assembly")
-    model = sat.solve()
-    if model is None:
-        return "rejected"
-    solved = {}
-    for v in region:
-        lo, hi = sorted(inst.palettes[v])
-        solved[v] = lo if model[var_of[v]] else hi
-    for pay in payloads:
-        pal = {w: inst.palettes[w] for w in pay.comp}
-        pal.update({x: frozenset((solved[x],)) for x in pay.cls})
-        got = cograph.list3color(g, pal, within=pay.comp | set(pay.cls))
-        if got is None:
-            raise StageAssertionError("satisfiable assembly failed to extend into a component")
-        for w in pay.comp:
-            solved[w] = got[w]
-    _verify_region_coloring(inst, solved)
-    inst.replay.append(RecComponent(solved))
-    return "solved"
+    relevant = set(view.relevant)
+    if any(g.neighbors(x) & relevant for x in relevant):
+        raise StageAssertionError("relevant vertices span an edge")
+    if any(len(view.adj_comps[x]) > 1 for x in relevant):
+        raise StageAssertionError("relevant vertex touches several outer components")
+    idx = view.comp_relevant.index(True)
+    comp = view.comps[idx]
+    cls = [x for x in view.relevant if idx in view.adj_comps[x]]
+    if not cls:
+        raise StageAssertionError("relevant component with no adjacent relevant vertex")
+    pivot = max(cls, key=lambda v: (len(view.outer_nbrs[v]), -v))
+    border = view.outer_nbrs[pivot]
+    inst.stats.bump("stage_component_cases")
+    if len(border) != 1:
+        shape = ("disconnected" if len(connected_components(g, within=border)) > 1
+                 else "single-edge" if len(border) == 2 else "three-or-more-vertex")
+        raise StageAssertionError(f"relevant component behind a {shape} border")
+    if len(comp) == 1:
+        raise StageAssertionError("singleton relevant component")
+    inst.stats.bump("case_border_single_vertex")
+    return cut_reduction(inst, cls, comp)
 
 
 # -- plain components ---------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Palette reduction rules, replay records, and the structural operations."""
+"""Palette reduction rules, replay records, and the cut reduction."""
 
 from random import Random
 
@@ -12,7 +12,6 @@ from hered3.reductions import (
     REJECTED,
     SOLVED,
     Instance,
-    RecCollapse,
     RecColor,
     RecComponent,
     RecDegree,
@@ -23,7 +22,6 @@ from hered3.reductions import (
     _diamond_pass,
     _domination_pass,
     _one_pass,
-    collapse_neighborhood,
     cut_reduction,
     run_fixpoint,
 )
@@ -241,13 +239,6 @@ def test_keyed_drop_replay():
     assert coloring == {5: 3, 8: 1}
 
 
-def test_collapse_record_replay():
-    rec = RecCollapse(10, 11, (1, 2), (3,))
-    coloring = {10: 2, 11: 3}
-    rec.apply(coloring)
-    assert coloring == {1: 2, 2: 2, 3: 3}
-
-
 # -- cut reduction -----------------------------------------------------------
 
 
@@ -330,60 +321,6 @@ def test_cut_reduction_needs_uniform_view():
     inst.palettes[1] = inst.palettes[2] = frozenset((1, 3))
     with pytest.raises(ContractViolationError):
         cut_reduction(inst, (1, 2), (3, 4))  # 1 sees {3}, 2 sees {3,4}
-
-
-# -- neighborhood collapse -----------------------------------------------------
-
-
-def collapse_setup():
-    # v=1 sees a 4-cycle 2-3-4-5; 2 and 4 lead outside to 6, 7
-    g = Graph.from_edges(range(1, 8),
-                         [(1, 2), (1, 3), (1, 4), (1, 5),
-                          (2, 3), (3, 4), (4, 5), (5, 2),
-                          (2, 6), (4, 6), (2, 7), (4, 7)])
-    inst = make_instance(g, {2: {1, 2}, 4: {1, 2}, 3: {1, 3}, 5: {1, 3}})
-    return inst
-
-
-def test_collapse_neighborhood():
-    inst = collapse_setup()
-    x_new, y_new = collapse_neighborhood(inst, 1)
-    assert inst.stats.get("op_collapse") == 1
-    # side of vertex 2 comes first
-    assert inst.palettes[x_new] == frozenset((1, 2))
-    assert inst.palettes[y_new] == frozenset((1, 3))
-    assert inst.g.has_edge(x_new, y_new)
-    assert inst.g.has_edge(x_new, 1) and inst.g.has_edge(y_new, 1)
-    assert inst.g.neighbors(x_new) == {1, y_new, 6, 7}
-    assert inst.g.neighbors(y_new) == {1, x_new}
-    for gone in (2, 3, 4, 5):
-        assert not inst.g.has_vertex(gone)
-    rec = inst.replay[-1]
-    assert isinstance(rec, RecCollapse)
-    coloring = {x_new: 2, y_new: 1}
-    rec.apply(coloring)
-    assert coloring == {2: 2, 4: 2, 3: 1, 5: 1}
-
-
-def test_collapse_requires_shared_palettes():
-    inst = collapse_setup()
-    inst.palettes[4] = frozenset((2, 3))
-    with pytest.raises(ContractViolationError):
-        collapse_neighborhood(inst, 1)
-
-
-def test_collapse_requires_bipartite():
-    g = complete_graph(4)
-    inst = make_instance(g)
-    with pytest.raises(ContractViolationError):
-        collapse_neighborhood(inst, 1)
-
-
-def test_collapse_requires_connected():
-    g = Graph.from_edges(range(1, 6), [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3)])
-    inst = make_instance(g)
-    with pytest.raises(ContractViolationError):
-        collapse_neighborhood(inst, 1)
 
 
 # -- randomized soundness -------------------------------------------------------

@@ -6,13 +6,16 @@ stats counters pin down which route of the pipeline produced each verdict.
 
 import pytest
 
+from hered3 import patterns, solver
 from hered3.errors import ClassViolationError
 from hered3.graph import Graph, twin_core
 from hered3.patterns import check_class
-from hered3.solver import WITNESS_CEILING, solve
+from hered3.solver import WITNESS_CEILING, _proper_cycle_colorings, solve
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
+    count_proper_3colorings,
+    cycle_blowup,
     cycle_graph,
     named_graph,
     oracle_list3color,
@@ -163,6 +166,35 @@ def test_nine_cycle_enumerates_all_anchor_colorings():
     assert rep.stats["branches"] >= 1
 
 
+def test_anchor_colorings_are_built_once_in_lexicographic_order():
+    # the first winning anchor coloring picks the witness, so the order is
+    # part of the answer
+    for k in (7, 9):
+        cols = _proper_cycle_colorings(k)
+        assert list(cols) == sorted(set(cols))
+        assert all(c[i] != c[i - 1] for c in cols for i in range(k))
+        assert len(cols) == count_proper_3colorings(cycle_graph(k))
+        assert _proper_cycle_colorings(k) is cols
+
+
+def test_anchored_refutations_reject_every_anchor_branch():
+    # C7 and C9 blowups with two-vertex clique classes at every other
+    # position: in class, not 3-colorable, and past the preflight, so every
+    # anchor coloring is a branch and each one is rejected
+    for sizes, cliques, n, count in (
+        ([2, 1, 2, 1, 2, 1, 1], (0, 2, 4), 10, 126),
+        ([2, 1, 2, 1, 2, 1, 2, 1, 1], (0, 2, 4, 6), 13, 510),
+    ):
+        g = cycle_blowup(sizes, cliques=cliques)
+        assert g.vertex_count() == n
+        assert oracle_list3color(g) is None
+        rep = solve(g, witness=True)
+        assert rep.decision == "not_colorable"
+        assert rep.witness is None
+        assert rep.stats[f"components_anchored_{len(sizes)}"] == 1
+        assert rep.stats["anchor_colorings"] == rep.stats["branches"] == count
+
+
 def test_anchored_cycles_with_pendant_tails():
     # a pendant tail on a long anchored cycle pairs with the far arc to
     # form the forbidden double path, so these need the waiver
@@ -219,6 +251,22 @@ def test_generated_anchored_graphs_match_oracle():
         assert (rep.decision == "colorable") == (want is not None), f"c9 seed {seed}"
         if rep.witness is not None:
             assert verify_coloring(g, rep.witness)
+
+
+def test_solve_builds_one_twin_core(monkeypatch):
+    # the class scans run on the core solve already has, not on a second one
+    calls = []
+
+    def counted(g):
+        calls.append(g.vertex_count())
+        return twin_core(g)
+
+    monkeypatch.setattr(solver, "twin_core", counted)
+    monkeypatch.setattr(patterns, "twin_core", counted)
+    g = cycle_blowup([2, 3, 1, 2, 1, 2, 1])
+    rep = solve(g, witness=True)
+    assert rep.decision == "colorable"
+    assert calls == [12]
 
 
 # -- report shape and modes -------------------------------------------------

@@ -7,11 +7,9 @@ is known independently of any code here: a cycle on n vertices has
 
 import pytest
 
-from hered3.errors import StageAssertionError
+from hered3 import testkit
 from hered3.graph import Graph
-from hered3.patterns import check_class, find_induced_2p4, find_induced_cycle
-from hered3.reductions import Instance, Stats
-from hered3 import solver, testkit
+from hered3.patterns import check_class, find_induced_cycle
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
@@ -169,30 +167,3 @@ def test_differential_fuzz_custom_generator():
     assert rep.ok
     assert rep.in_class == 25
     assert rep.witness_checked > 0
-
-
-def test_probe_collapses_flags_a_collapse_that_adds_a_2p4(monkeypatch):
-    def bad_collapse(inst, v):
-        for a, b in ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)):
-            inst.g.add_edge(a, b)
-        return v, v
-
-    monkeypatch.setattr(solver, "collapse_neighborhood", bad_collapse)
-    g = Graph.from_edges(range(8))
-    assert find_induced_2p4(g) is None
-    with pytest.raises(StageAssertionError, match="introduced a 2P4"):
-        with testkit.probe_collapses():
-            assert solver.collapse_neighborhood is not bad_collapse
-            solver.collapse_neighborhood(Instance(g, Stats()), 0)
-    assert find_induced_2p4(g) is not None
-    assert solver.collapse_neighborhood is bad_collapse
-
-
-def test_probe_collapses_passes_a_clean_collapse_and_restores():
-    original = solver.collapse_neighborhood
-    triangle = Graph.from_edges(range(3), [(0, 1), (1, 2), (0, 2)])
-    inst = Instance(triangle, Stats())
-    with testkit.probe_collapses():
-        solver.collapse_neighborhood(inst, 0)
-    assert inst.stats.get("op_collapse") == 1
-    assert solver.collapse_neighborhood is original
