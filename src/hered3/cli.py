@@ -2,7 +2,8 @@
 
 Subcommands: solve, check-class, generate, fuzz, count-colorings.
 Exit codes: 0 colorable/ok, 1 not colorable (or failing fuzz run),
-2 class violation, 3 usage or parse error.
+2 class violation, 3 usage or parse error, or a stage refusal under
+--assume-class.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import sys
 from pathlib import Path
 
 from . import formats, patterns, testkit
-from .errors import ClassViolationError, GenerationError, InputError, ParseError
+from .errors import (ClassViolationError, GenerationError, InputError, ParseError,
+                     StageAssertionError)
 from .formats import GraphDocument
 from .solver import solve
 
@@ -286,7 +288,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, InputError, GenerationError) as exc:
+    except (ParseError, InputError, GenerationError, StageAssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

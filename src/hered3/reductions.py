@@ -2,10 +2,13 @@
 structural operation the stage ladder uses (cut reduction).
 
 An Instance owns a working graph plus per-vertex palettes.  Rules either
-commit a color, shrink palettes, or delete vertices; every deletion appends
-a replay record holding enough data to re-color the vertex once everything
-that outlived it is colored.  Witness assembly processes the record list in
-reverse order of creation.
+settle colors, shrink palettes, or delete vertices.  A settled color goes
+straight into the instance's color map: a committed vertex, and every
+vertex of a region whose coloring was solved on the spot.  A deletion whose
+color depends on vertices that outlive it appends a replay record instead
+(low degree, domination, or a cut region keyed by one cut vertex).  Witness
+assembly seeds the color map and processes the records in reverse order of
+creation.
 """
 
 from __future__ import annotations
@@ -25,19 +28,6 @@ ALL_COLORS = frozenset((1, 2, 3))
 
 
 # -- replay records ---------------------------------------------------------
-
-
-class RecColor:
-    """Vertex v was committed to a color."""
-
-    __slots__ = ("v", "color")
-
-    def __init__(self, v: int, color: int):
-        self.v = v
-        self.color = color
-
-    def apply(self, coloring: dict) -> None:
-        coloring[self.v] = self.color
 
 
 class RecDegree:
@@ -72,37 +62,21 @@ class RecDominated:
         coloring[self.v] = coloring[self.dominator]
 
 
-class RecComponent:
-    """A removed region whose full coloring was solved on the spot."""
-
-    __slots__ = ("colors",)
-
-    def __init__(self, colors: dict):
-        self.colors = dict(colors)
-
-    def apply(self, coloring: dict) -> None:
-        coloring.update(self.colors)
-
-
 class RecKeyedDrop:
     """A removed region whose coloring depends on one surviving vertex.
 
     At replay time the key vertex is already colored; its color selects
-    which stored extension to merge.  Synthetic helper vertices listed in
-    `drop` are scrubbed from the final coloring.
+    which stored extension to merge.
     """
 
-    __slots__ = ("key", "extensions", "drop")
+    __slots__ = ("key", "extensions")
 
-    def __init__(self, key: int, extensions: dict, drop: tuple = ()):
+    def __init__(self, key: int, extensions: dict):
         self.key = key
         self.extensions = {c: dict(ext) for c, ext in extensions.items()}
-        self.drop = drop
 
     def apply(self, coloring: dict) -> None:
         coloring.update(self.extensions[coloring[self.key]])
-        for v in self.drop:
-            coloring.pop(v, None)
 
 
 # -- stats ------------------------------------------------------------------
@@ -134,15 +108,15 @@ class Instance:
     """One branch of the search: working graph, palettes, replay log.
 
     palettes holds exactly the live uncolored vertices.  colors holds every
-    committed color; a colored vertex stays in the graph only while it is
-    anchored (member of `anchored`).
+    settled color: committed vertices, and the vertices of regions solved
+    on the spot and removed.  A committed vertex stays in the graph only
+    when it was committed with keep (the anchor cycle).
     """
 
     def __init__(self, g: Graph, stats: Stats):
         self.g = g
         self.palettes: dict[int, frozenset] = {v: ALL_COLORS for v in g.vertices()}
         self.colors: dict[int, int] = {}
-        self.anchored: set[int] = set()
         self.replay: list = []
         self.stats = stats
         # branch bookkeeping used by the anchored pipeline
@@ -154,7 +128,6 @@ class Instance:
         other.g = self.g.copy()
         other.palettes = dict(self.palettes)
         other.colors = dict(self.colors)
-        other.anchored = set(self.anchored)
         other.replay = list(self.replay)
         other.stats = self.stats
         other.anchor_order = self.anchor_order
@@ -170,9 +143,9 @@ class Instance:
         return (self.g.vertex_count(), sum(len(p) for p in self.palettes.values()))
 
     def commit_color(self, v: int, color: int, keep: bool = False) -> None:
-        """Color v, record it, propagate to neighbor palettes.
+        """Color v and propagate to neighbor palettes.
 
-        Non-anchored vertices leave the graph; anchored ones stay so later
+        v leaves the graph unless keep is set; anchors stay so later
         structural stages can see their adjacency.
         """
         if v not in self.palettes:
@@ -184,13 +157,10 @@ class Instance:
                 raise AssertionError(f"coloring {v} with {color} clashes with {w}")
         self.colors[v] = color
         del self.palettes[v]
-        self.replay.append(RecColor(v, color))
         for w in self.g.neighbors(v):
             if w in self.palettes and color in self.palettes[w]:
                 self.palettes[w] = self.palettes[w] - {color}
-        if keep:
-            self.anchored.add(v)
-        else:
+        if not keep:
             self.g.remove_vertex(v)
 
     def try_color(self, v: int, color: int) -> bool:
@@ -207,23 +177,22 @@ class Instance:
         self.g.remove_vertex(v)
         self.replay.append(record)
 
-    def remove_region(self, verts: Iterable[int], record=None) -> None:
+    def remove_region(self, verts: Iterable[int], solved: dict | None = None) -> None:
+        """Delete verts; solved settles the colors of the uncolored ones."""
         for v in sorted(verts):
             self.palettes.pop(v, None)
-            self.anchored.discard(v)
             self.g.remove_vertex(v)
-        if record is not None:
-            self.replay.append(record)
-
-    def fresh_synthetic(self) -> int:
-        return self.g.add_vertex()
+        if solved:
+            self.colors.update(solved)
 
     def assemble_witness(self, original_vertices: Iterable[int]) -> dict:
         """Run the replay log backwards into a full coloring.
 
-        Committed colors seed the map up front: a record may consult a vertex
-        that was colored before the record fired, which reverse order alone
-        would visit too late.
+        The settled colors seed the map.  A record reads only vertices that
+        were in the graph when it fired; each of them is settled or was
+        deleted by a newer record, which reverse order replays first.
+        Helper vertices added by cut reduction may sit in the map too; only
+        original_vertices are returned.
         """
         coloring: dict[int, int] = dict(self.colors)
         for rec in reversed(self.replay):
@@ -336,8 +305,6 @@ def _diamond_pass(inst: Instance):
     any 3-coloring the two edge endpoints use two colors, so both common
     neighbors are forced to the remaining one and their palettes must agree.
     """
-    if not inst.colors and all(len(p) == 3 for p in inst.palettes.values()):
-        return None  # nothing is constrained yet, no pair can differ
     for u, w in inst.g.edges():
         shared = sorted(common_neighbors(inst.g, u, w))
         for i in range(len(shared)):
@@ -426,7 +393,7 @@ def _two_sat_component(inst: Instance, comp: set):
         a, b = sorted(inst.palettes[v])
         solved[v] = a if model[var_of[v]] else b
     _verify_region_coloring(inst, solved)
-    inst.remove_region(comp, RecComponent(solved))
+    inst.remove_region(comp, solved)
     return _FIRED
 
 
@@ -450,7 +417,7 @@ def _cograph_component(inst: Instance, comp: set):
         return REJECTED
     solved = {v: c for v, c in solved.items() if v in inst.palettes}
     _verify_region_coloring(inst, solved)
-    inst.remove_region(comp, RecComponent(solved) if solved else None)
+    inst.remove_region(comp, solved)
     return _FIRED
 
 
@@ -501,7 +468,7 @@ def cut_reduction(inst: Instance, cut: Iterable[int], region: Iterable[int]) -> 
             for v in border:
                 if ext[v] != t:
                     raise StageAssertionError("mixed cut extension not third-colored on the border")
-            inst.remove_region(c_ids, RecComponent(ext))
+            inst.remove_region(c_ids, ext)
             return _FIRED
 
     ext_a = extend({x: a for x in x_ids})
@@ -509,14 +476,15 @@ def cut_reduction(inst: Instance, cut: Iterable[int], region: Iterable[int]) -> 
     if ext_a is None and ext_b is None:
         return REJECTED
     if ext_a is not None and ext_b is not None:
-        stub = inst.fresh_synthetic()
+        stub = inst.g.add_vertex()
         inst.palettes[stub] = pal
         for x in x_ids:
             inst.g.add_edge(stub, x)
-        inst.remove_region(c_ids, RecKeyedDrop(x_ids[0], {a: ext_a, b: ext_b}, drop=(stub,)))
+        inst.remove_region(c_ids)
+        inst.replay.append(RecKeyedDrop(x_ids[0], {a: ext_a, b: ext_b}))
         return _FIRED
     ext, forced = (ext_a, a) if ext_a is not None else (ext_b, b)
-    inst.remove_region(c_ids, RecComponent(ext))
+    inst.remove_region(c_ids, ext)
     for x in x_ids:
         inst.commit_color(x, forced)
     return _FIRED

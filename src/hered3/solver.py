@@ -25,8 +25,8 @@ component with neither anchor cycle is 3-colorable outright once the
 preflight has passed; a witness for it comes from a bounded backtracking
 colorer.
 
-Deleted vertices re-enter the final coloring through the replay records
-collected by the reduction engine.
+Deleted vertices re-enter the final coloring through the settled colors
+and replay records the reduction engine collects.
 """
 
 from __future__ import annotations
@@ -134,20 +134,14 @@ def _solve_component(g, core, comp, stats, want_witness):
     the anchored run itself works on the whole component."""
     sub = induced_subgraph(g, comp)
     search = induced_subgraph(core, [v for v in comp if v in core])
-    cyc = patterns.find_induced_cycle(search, 7)
-    if cyc is not None:
-        stats.bump("components_anchored_7")
-        won = _run_anchored(sub, cyc, stats, direct=False)
-        if won is None:
-            return False, None, True
-        return True, won.assemble_witness(comp) if want_witness else None, True
-    cyc = patterns.find_induced_cycle(search, 9)
-    if cyc is not None:
-        stats.bump("components_anchored_9")
-        won = _run_anchored(sub, cyc, stats, direct=True)
-        if won is None:
-            return False, None, True
-        return True, won.assemble_witness(comp) if want_witness else None, True
+    for k in (7, 9):
+        cyc = patterns.find_induced_cycle(search, k)
+        if cyc is not None:
+            stats.bump(f"components_anchored_{k}")
+            won = _run_anchored(sub, cyc, stats)
+            if won is None:
+                return False, None, True
+            return True, won.assemble_witness(comp) if want_witness else None, True
     # no anchor cycle: with the preflight certificates gone the component
     # is 3-colorable, so only the witness still takes work
     stats.bump("components_plain")
@@ -177,44 +171,35 @@ def _proper_cycle_colorings(k: int) -> tuple[tuple, ...]:
     return tuple(w for w in walks if w[-1] != w[0])
 
 
-def _run_anchored(comp_graph, cycle, stats, direct):
-    """Enumerate anchor colorings; in direct mode the fixpoint must finish
-    each branch, otherwise the structural stage ladder drives a DFS."""
+def _run_anchored(comp_graph, cycle, stats):
+    """Run a DFS from each proper coloring of the anchor cycle in turn.
+
+    Each root commits its anchor colors, which stay in the graph.  The
+    winning branch's settled colors and replay records hold its witness.
+    Returns that branch, or None when every anchor coloring is rejected.
+    """
     base = Instance(comp_graph, stats)
     base.anchor_order = tuple(cycle)
     colorings = _proper_cycle_colorings(len(cycle))
     stats.bump("anchor_colorings", len(colorings))
     tracker = {"leaves": 0, "pair_width": {}}
-
-    def attempt(coloring):
-        child = base.clone()
-        for v, c in zip(cycle, coloring):
-            child.commit_color(v, c, keep=True)
-        if direct:
-            stats.bump("branches")
-            out = run_fixpoint(child)
-            if out == SOLVED:
-                return child
-            if out == REJECTED:
-                return None
-            raise StageAssertionError("fixpoint did not fully resolve a C9 branch")
-        return _dfs(child, tracker, stats)
-
     winner = None
     for col in colorings:
-        winner = attempt(col)
+        child = base.clone()
+        for v, c in zip(cycle, col):
+            child.commit_color(v, c, keep=True)
+        winner = _dfs(child, tracker, stats)
         if winner is not None:
             break
 
-    if not direct:
-        # every branching stage is structurally bounded: one two-way split
-        # per anchor position, and per opposing anchor pair one split into
-        # at most 1 + 9 * width children
-        bound = len(colorings) * 2 ** len(cycle)
-        for i in range(len(cycle)):
-            bound *= 1 + 9 * tracker["pair_width"].get(i, 0)
-        if tracker["leaves"] > bound:
-            raise AssertionError("explored leaves exceed the structural branch bound")
+    # every branching stage is structurally bounded: one two-way split
+    # per anchor position, and per opposing anchor pair one split into
+    # at most 1 + 9 * width children
+    bound = len(colorings) * 2 ** len(cycle)
+    for i in range(len(cycle)):
+        bound *= 1 + 9 * tracker["pair_width"].get(i, 0)
+    if tracker["leaves"] > bound:
+        raise AssertionError("explored leaves exceed the structural branch bound")
     return winner
 
 
@@ -245,6 +230,8 @@ def _advance(inst, tracker):
             return "rejected", None
         if out == SOLVED:
             return "solved", None
+        if len(inst.anchor_order) == 9:
+            raise StageAssertionError("fixpoint did not fully resolve a C9 branch")
         view = _analyze(inst)
         kids = _branch_single_anchor(inst, view)
         if kids is None:
@@ -266,9 +253,8 @@ def _advance(inst, tracker):
 class _View:
     """Indexes over one anchored branch at a rule fixpoint."""
 
-    __slots__ = ("anchors", "acolor", "rim", "outer", "comps", "comp_relevant",
-                 "comp_of", "supports", "relevant", "adj_comps", "full_adj",
-                 "outer_nbrs", "dominators")
+    __slots__ = ("anchors", "acolor", "comps", "comp_relevant", "supports",
+                 "relevant", "adj_comps", "full_adj", "outer_nbrs", "dominators")
 
 
 def _analyze(inst) -> _View:
@@ -350,11 +336,8 @@ def _analyze(inst) -> _View:
                 raise StageAssertionError("relevant component lacks a dominating set of size two")
             dominators[idx] = dom
 
-    view.rim = rim
-    view.outer = outer
     view.comps = comps
     view.comp_relevant = comp_relevant
-    view.comp_of = comp_of
     view.supports = supports
     view.relevant = relevant
     view.adj_comps = adj_comps

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 from hered3 import cli
-from hered3.formats import parse_edge_list
+from hered3.formats import format_edge_list, parse_edge_list
 from hered3.patterns import check_class, find_induced_cycle
-from hered3.testkit import verify_coloring
+from hered3.testkit import erdos_renyi, split_seed, verify_coloring
 
 SCHEMA = json.loads((Path(cli.__file__).parent / "report_schema.json").read_text())
 
@@ -136,6 +136,17 @@ def test_solve_assume_class(write, capsys):
     code, out, _ = run(capsys, "solve", path, "--assume-class", "--witness")
     assert code == 0
     assert out.splitlines()[0] == "colorable"
+
+
+def test_solve_stage_refusal_is_an_error(write, capsys):
+    # out of class (induced C5) and 3-colorable; with the scan waived the
+    # stage ladder refuses the shape, which must not read as "not colorable"
+    g = erdos_renyi(16, 0.15, split_seed(9, 1209))
+    path = write("er.edges", format_edge_list(g))
+    code, out, err = run(capsys, "solve", path, "--assume-class")
+    assert code == 3
+    assert out == ""
+    assert err == "error: partial outer neighbor outside its allowed shape\n"
 
 
 def test_solve_palette_annotations_warn(write, capsys):

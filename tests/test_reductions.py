@@ -6,14 +6,13 @@ import pytest
 
 from hered3.errors import ContractViolationError
 from hered3.graph import Graph, induced_subgraph
+from hered3.patterns import find_induced_cycle
 from hered3.reductions import (
     ALL_COLORS,
     CONTINUE,
     REJECTED,
     SOLVED,
     Instance,
-    RecColor,
-    RecComponent,
     RecDegree,
     RecDominated,
     RecKeyedDrop,
@@ -25,7 +24,10 @@ from hered3.reductions import (
     cut_reduction,
     run_fixpoint,
 )
+from hered3.solver import _proper_cycle_colorings
 from hered3.testkit import (
+    c7_gadget,
+    c9_gadget,
     complete_graph,
     cycle_graph,
     erdos_renyi,
@@ -69,8 +71,8 @@ def test_commit_color_keep_anchors():
     g = path_graph(2)
     inst = make_instance(g)
     inst.commit_color(1, 2, keep=True)
-    assert inst.g.has_vertex(1)
-    assert 1 in inst.anchored
+    assert inst.g.has_vertex(1) and inst.g.has_edge(1, 2)
+    assert inst.colors == {1: 2}
     with pytest.raises(ContractViolationError):
         inst.commit_color(1, 2)
 
@@ -233,10 +235,33 @@ def test_fixpoint_metric_strictly_decreases():
 
 
 def test_keyed_drop_replay():
-    rec = RecKeyedDrop(5, {1: {8: 2}, 3: {8: 1}}, drop=(9,))
-    coloring = {5: 3, 9: 1}
+    rec = RecKeyedDrop(5, {1: {8: 2}, 3: {8: 1}})
+    coloring = {5: 3}
     rec.apply(coloring)
     assert coloring == {5: 3, 8: 1}
+
+
+def test_anchored_branches_record_only_dependent_colors():
+    # settled colors live in inst.colors; the replay log keeps only the
+    # deletions whose color depends on another vertex
+    dependent = (RecDegree, RecDominated, RecKeyedDrop)
+    records = solved = 0
+    for g in [c7_gadget(s) for s in range(6)] + [c9_gadget(s) for s in range(3)]:
+        for k in (7, 9):
+            cycle = find_induced_cycle(g, k)
+            if cycle is not None:
+                break
+        for coloring in _proper_cycle_colorings(k):
+            inst = make_instance(g)
+            for v, c in zip(cycle, coloring):
+                inst.commit_color(v, c, keep=True)
+            out = run_fixpoint(inst)
+            assert all(isinstance(rec, dependent) for rec in inst.replay)
+            records += len(inst.replay)
+            if out == SOLVED:
+                assert verify_coloring(g, inst.assemble_witness(g.vertices()))
+                solved += 1
+    assert records > 0 and solved > 0
 
 
 # -- cut reduction -----------------------------------------------------------
@@ -266,9 +291,8 @@ def test_cut_reduction_mixed_coloring():
     assert cut_reduction(inst, cut, (11, 12)) == "fired"
     assert not inst.g.has_vertex(11) and not inst.g.has_vertex(12)
     assert inst.stats.get("op_cut_reduction") == 1
-    rec = inst.replay[-1]
-    assert isinstance(rec, RecComponent)
-    assert rec.colors == {11: 2, 12: 2}
+    assert inst.colors == {11: 2, 12: 2}
+    assert inst.replay == []
 
 
 def test_cut_reduction_stub():
@@ -284,8 +308,9 @@ def test_cut_reduction_stub():
     assert inst.g.neighbors(stub) == {1, 2}
     rec = inst.replay[-1]
     assert isinstance(rec, RecKeyedDrop)
-    assert rec.drop == (stub,)
+    assert rec.key == 1
     assert set(rec.extensions) == {1, 3}
+    assert all(set(ext) == {11, 12} for ext in rec.extensions.values())
 
 
 def test_cut_reduction_forced_color():

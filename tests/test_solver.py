@@ -253,6 +253,21 @@ def test_generated_anchored_graphs_match_oracle():
             assert verify_coloring(g, rep.witness)
 
 
+def test_cut_reduction_witnesses_cover_exactly_the_input():
+    # seeds 10, 17 and 32 leave a helper stub in the branch graph; the
+    # witness must hold the input's vertices and nothing else
+    cut = 0
+    for seed in range(40):
+        g = c7_gadget(seed)
+        rep = solve(g, witness=True)
+        if not rep.stats.get("op_cut_reduction"):
+            continue
+        cut += 1
+        assert set(rep.witness) == set(g.vertices()), seed
+        assert verify_coloring(g, rep.witness)
+    assert cut >= 15
+
+
 def test_solve_builds_one_twin_core(monkeypatch):
     # the class scans run on the core solve already has, not on a second one
     calls = []
