@@ -302,7 +302,7 @@ def _lift_cycle(parent: dict[int, int], u: int, w: int) -> list[int] | None:
         pu.append(parent[pu[-1]])
     while parent[pw[-1]] != pw[-1]:
         pw.append(parent[pw[-1]])
-    su, sw = set(pu), set(pw)
+    sw = set(pw)
     meet = None
     for x in pu:
         if x in sw:

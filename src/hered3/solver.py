@@ -13,17 +13,31 @@ it gives on the whole graph, and the anchor cycle is the same one.  The
 odd-neighborhood preflight runs on the whole graph, because K4 has twins;
 so do the anchored runs, the fixpoint, the stages and witness replay.
 
-A component containing an induced 7-cycle is anchored on that cycle: all
-126 proper colorings of the anchor are enumerated, and each branch runs
-the palette fixpoint followed by a short ladder of structural stages: two
-that branch further (bounded by the structure), then one that cuts off a
-P4-free component behind a one-vertex border.  A branch the ladder cannot
-handle raises StageAssertionError naming its shape, never a verdict.  A
-component with an induced 9-cycle but no 7-cycle is anchored the same way
-(510 colorings), and the fixpoint alone must settle every branch.  A
-component with neither anchor cycle is 3-colorable outright once the
-preflight has passed; a witness for it comes from a bounded backtracking
-colorer.
+A component containing an induced 7-cycle is anchored on that cycle: the
+21 proper colorings of the anchor that begin (1, 2) are enumerated, one
+per class of the 126 proper colorings under renaming the three colors,
+and each branch runs the palette fixpoint followed by a short ladder of
+structural stages: two that branch further (bounded by the structure),
+then one that cuts off a P4-free component behind a one-vertex border.  A
+branch the ladder cannot handle raises StageAssertionError naming its
+shape, never a verdict.  A component with an induced 9-cycle but no
+7-cycle is anchored the same way (85 of 510 colorings), and the fixpoint
+alone must settle every branch.  A component with neither anchor cycle is
+3-colorable outright once the preflight has passed; a witness for it
+comes from a bounded backtracking colorer.
+
+Renaming the colors loses no answer.  Every proper coloring of an odd
+cycle uses all three colors, so the six permutations of {1, 2, 3} act
+freely on them and split them into orbits of six, whose least member is
+the one that begins (1, 2).  A branch asks whether its anchor coloring
+extends to a 3-coloring of the component: a solved branch's witness is
+verified, and a rejected branch rests on sound rules and exhaustive
+splits.  If phi extends col, then pi . phi extends pi . col, so every
+member of an orbit gets the same verdict.  The first winning coloring in
+the full lexicographic order is thus the least member of its orbit.  The
+representatives are also the first colorings of that order, so a
+colorable component runs exactly the branches the full enumeration runs,
+up to the same winner and witness; only a rejection stops sooner.
 
 Deleted vertices re-enter the final coloring through the settled colors
 and replay records the reduction engine collects.
@@ -159,24 +173,31 @@ def _solve_component(g, core, comp, stats, want_witness):
 
 @lru_cache(maxsize=None)
 def _proper_cycle_colorings(k: int) -> tuple[tuple, ...]:
-    """All proper 3-colorings of a k-cycle, lexicographic; built once per k.
+    """The proper 3-colorings of an odd k-cycle that begin (1, 2),
+    lexicographic; built once per k.
 
-    Proper colorings of the path grow one vertex at a time, each extended
-    in color order, which keeps the list sorted; the cycle's closing edge
-    filters it last.
+    They are the least members of the orbits of all proper colorings under
+    the six color permutations, one per orbit: 21 of 126 for k = 7, 85 of
+    510 for k = 9 (see the module docstring for why one per orbit
+    suffices).  Proper colorings of the path grow from (1, 2) one vertex
+    at a time, each extended in color order, which keeps the list sorted;
+    the cycle's closing edge filters it last.
     """
-    walks = [(c,) for c in (1, 2, 3)]
-    for _ in range(k - 1):
+    walks = [(1, 2)]
+    for _ in range(k - 2):
         walks = [w + (c,) for w in walks for c in (1, 2, 3) if c != w[-1]]
     return tuple(w for w in walks if w[-1] != w[0])
 
 
 def _run_anchored(comp_graph, cycle, stats):
-    """Run a DFS from each proper coloring of the anchor cycle in turn.
+    """Run a DFS from each anchor coloring that begins (1, 2) in turn.
 
-    Each root commits its anchor colors, which stay in the graph.  The
-    winning branch's settled colors and replay records hold its witness.
-    Returns that branch, or None when every anchor coloring is rejected.
+    These are the 21 (C7) or 85 (C9) orbit representatives of the cycle's
+    proper colorings under renaming the colors.  Each root commits its
+    anchor colors, which stay in the graph.  The winning branch's settled
+    colors and replay records hold its witness.  Returns that branch, or
+    None when every representative is rejected, and then so is every
+    proper anchor coloring.
     """
     base = Instance(comp_graph, stats)
     base.anchor_order = tuple(cycle)
@@ -194,7 +215,8 @@ def _run_anchored(comp_graph, cycle, stats):
 
     # every branching stage is structurally bounded: one two-way split
     # per anchor position, and per opposing anchor pair one split into
-    # at most 1 + 9 * width children
+    # at most 1 + 9 * width children, below each of the 21 (C7) or 85
+    # (C9) orbit representatives
     bound = len(colorings) * 2 ** len(cycle)
     for i in range(len(cycle)):
         bound *= 1 + 9 * tracker["pair_width"].get(i, 0)

@@ -8,7 +8,7 @@ line with the measured numbers.  A failing gate is a plain test failure.
 import math
 import time
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from random import Random
 
 from hered3 import cograph
@@ -21,7 +21,7 @@ from hered3.reductions import (
     Stats,
     _one_pass,
 )
-from hered3.solver import solve
+from hered3.solver import _proper_cycle_colorings, solve
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
@@ -116,13 +116,22 @@ def test_anchored_gadgets_cover_every_stage_family():
 # -- gate 4: exact anchor enumeration counts ------------------------------------
 
 def test_anchor_enumeration_counts_are_exact():
-    want7 = count_proper_3colorings(cycle_graph(7))
-    want9 = count_proper_3colorings(cycle_graph(9))
-    got7 = solve(cycle_graph(7)).stats["anchor_colorings"]
-    got9 = solve(cycle_graph(9)).stats["anchor_colorings"]
-    assert got7 == want7 == 126
-    assert got9 == want9 == 510
-    print(f"PASS anchor counts: 7-cycle enumerates {got7}, 9-cycle {got9}")
+    # the solver branches on one coloring per orbit of the proper anchor
+    # colorings under the six color permutations; their images under those
+    # permutations must tile the full set, so no coloring goes unrepresented
+    for k, reps, full in ((7, 21, 126), (9, 85, 510)):
+        got = solve(cycle_graph(k)).stats["anchor_colorings"]
+        assert got == reps
+        proper = {c for c in product((1, 2, 3), repeat=k)
+                  if all(c[i] != c[i - 1] for i in range(k))}
+        assert len(proper) == count_proper_3colorings(cycle_graph(k)) == full
+        cols = _proper_cycle_colorings(k)
+        images = [{tuple(pi[c - 1] for c in col) for col in cols}
+                  for pi in permutations((1, 2, 3))]
+        assert sum(map(len, images)) == len(set().union(*images))
+        assert set().union(*images) == proper
+        print(f"PASS anchor counts: {k}-cycle branches on {got} colorings, "
+              f"whose 6 color-permuted images tile all {full}")
 
 
 # -- gate 5: safety net under the stage ladder -----------------------------------

@@ -4,12 +4,15 @@ Decisions are checked against the exhaustive oracle in testkit, and the
 stats counters pin down which route of the pipeline produced each verdict.
 """
 
+from itertools import product
+
 import pytest
 
 from hered3 import patterns, solver
 from hered3.errors import ClassViolationError
-from hered3.graph import Graph, twin_core
+from hered3.graph import Graph, connected_components, twin_core
 from hered3.patterns import check_class
+from hered3.reductions import Instance, Stats
 from hered3.solver import WITNESS_CEILING, _proper_cycle_colorings, solve
 from hered3.testkit import (
     c7_gadget,
@@ -147,44 +150,53 @@ def test_waiver_on_uncolorable_input_stays_honest():
 # -- anchored components ----------------------------------------------------
 
 def test_seven_cycle_enumerates_all_anchor_colorings():
+    # one anchor branch per orbit of the 126 proper colorings under the
+    # six color permutations
     g = cycle_graph(7)
     rep = solve(g, witness=True)
     assert rep.decision == "colorable"
     assert rep.mode == "witness"
     assert verify_coloring(g, rep.witness)
-    assert rep.stats["anchor_colorings"] == 126
+    assert rep.stats["anchor_colorings"] == 21
     assert rep.stats["components_anchored_7"] == 1
 
 
 def test_nine_cycle_enumerates_all_anchor_colorings():
+    # one anchor branch per orbit of the 510 proper colorings
     g = cycle_graph(9)
     rep = solve(g, witness=True)
     assert rep.decision == "colorable"
     assert verify_coloring(g, rep.witness)
-    assert rep.stats["anchor_colorings"] == 510
+    assert rep.stats["anchor_colorings"] == 85
     assert rep.stats["components_anchored_9"] == 1
     assert rep.stats["branches"] >= 1
 
 
 def test_anchor_colorings_are_built_once_in_lexicographic_order():
     # the first winning anchor coloring picks the witness, so the order is
-    # part of the answer
+    # part of the answer; each orbit of six is represented by its least
+    # member, the one that begins (1, 2)
     for k in (7, 9):
         cols = _proper_cycle_colorings(k)
         assert list(cols) == sorted(set(cols))
         assert all(c[i] != c[i - 1] for c in cols for i in range(k))
-        assert len(cols) == count_proper_3colorings(cycle_graph(k))
+        assert all(c[:2] == (1, 2) for c in cols)
+        assert 6 * len(cols) == count_proper_3colorings(cycle_graph(k))
         assert _proper_cycle_colorings(k) is cols
 
 
+# C7 and C9 blowups with two-vertex clique classes at every other position:
+# in class, not 3-colorable, and past the preflight
+REFUTATION_BLOWUPS = (
+    ([2, 1, 2, 1, 2, 1, 1], (0, 2, 4), 10, 21),
+    ([2, 1, 2, 1, 2, 1, 2, 1, 1], (0, 2, 4, 6), 13, 85),
+)
+
+
 def test_anchored_refutations_reject_every_anchor_branch():
-    # C7 and C9 blowups with two-vertex clique classes at every other
-    # position: in class, not 3-colorable, and past the preflight, so every
-    # anchor coloring is a branch and each one is rejected
-    for sizes, cliques, n, count in (
-        ([2, 1, 2, 1, 2, 1, 1], (0, 2, 4), 10, 126),
-        ([2, 1, 2, 1, 2, 1, 2, 1, 1], (0, 2, 4, 6), 13, 510),
-    ):
+    # every orbit representative of the anchor colorings is a branch and
+    # each one is rejected
+    for sizes, cliques, n, count in REFUTATION_BLOWUPS:
         g = cycle_blowup(sizes, cliques=cliques)
         assert g.vertex_count() == n
         assert oracle_list3color(g) is None
@@ -193,6 +205,48 @@ def test_anchored_refutations_reject_every_anchor_branch():
         assert rep.witness is None
         assert rep.stats[f"components_anchored_{len(sizes)}"] == 1
         assert rep.stats["anchor_colorings"] == rep.stats["branches"] == count
+
+
+def test_anchor_branch_verdicts_are_constant_on_color_orbits():
+    # the solver branches only on colorings that begin (1, 2); that is sound
+    # because renaming the colors of an anchor coloring keeps its verdict,
+    # so run every proper coloring as its own branch and compare
+    graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
+    graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
+    orbits_seen = 0
+    for g in graphs:
+        assert len(connected_components(g)) == 1
+        core = twin_core(g)
+        for k in (7, 9):
+            cycle = patterns.find_induced_cycle(core, k)
+            if cycle is not None:
+                break
+        full = [c for c in product((1, 2, 3), repeat=k)
+                if all(c[i] != c[i - 1] for i in range(k))]
+        stats = Stats()
+        base = Instance(g, stats)
+        base.anchor_order = tuple(cycle)
+        verdicts = {}
+        for col in full:
+            child = base.clone()
+            for v, c in zip(cycle, col):
+                child.commit_color(v, c, keep=True)
+            tracker = {"leaves": 0, "pair_width": {}}
+            verdicts[col] = solver._dfs(child, tracker, stats) is not None
+        by_orbit = {}
+        for col, won in verdicts.items():
+            # the renaming that sends col to its orbit's least member
+            rename = {col[0]: 1, col[1]: 2, 6 - col[0] - col[1]: 3}
+            least = tuple(rename[c] for c in col)
+            by_orbit.setdefault(least, set()).add(won)
+        assert len(by_orbit) == len(full) // 6
+        assert all(len(v) == 1 for v in by_orbit.values())
+        winners = [col for col in full if verdicts[col]]
+        if winners:
+            assert winners[0][:2] == (1, 2)
+        assert (oracle_list3color(g) is not None) == bool(winners)
+        orbits_seen += len(by_orbit)
+    assert orbits_seen == 40 * 21 + 6 * 85 + 21 + 85
 
 
 def test_anchored_cycles_with_pendant_tails():
