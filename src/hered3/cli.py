@@ -94,8 +94,6 @@ def _cmd_solve(args) -> int:
     if res.witness is not None:
         report["witness"] = {doc.label(v): c for v, c in res.witness.items()}
         lines += _witness_lines(doc, res.witness)
-    elif args.witness and res.decision == "colorable":
-        lines.append(f"(witness unavailable: mode {res.mode})")
     _emit(args, report, lines)
     return EXIT_OK if res.decision == "colorable" else EXIT_NEGATIVE
 
@@ -236,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide 3-colorability")
     _add_input_args(p)
     p.add_argument("--witness", action="store_true",
-                   help="produce and verify an explicit coloring")
+                   help="print the verified coloring behind a colorable answer")
     p.add_argument("--assume-class", action="store_true",
                    help="skip the class membership scan")
     p.set_defaults(func=_cmd_solve)

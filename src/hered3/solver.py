@@ -23,8 +23,10 @@ branch the ladder cannot handle raises StageAssertionError naming its
 shape, never a verdict.  A component with an induced 9-cycle but no
 7-cycle is anchored the same way (85 of 510 colorings), and the fixpoint
 alone must settle every branch.  A component with neither anchor cycle is
-3-colorable outright once the preflight has passed; a witness for it
-comes from a bounded backtracking colorer.
+colored by saturation-ordered backtracking; in class, once the preflight
+has passed, it is perfect with clique number at most 3, so the colorer
+succeeds.  A colorable answer always rests on a coloring of every
+component, verified as a whole.
 
 Renaming the colors loses no answer.  Every proper coloring of an odd
 cycle uses all three colors, so the six permutations of {1, 2, 3} act
@@ -63,16 +65,10 @@ from .reductions import (
     run_fixpoint,
 )
 
-# Plain components above this many vertices get no witness: the
-# backtracking colorer that builds one has no polynomial bound.
-WITNESS_CEILING = 64
-
-
 @dataclass
 class SolveReport:
     decision: str               # "colorable" | "not_colorable"
-    witness: dict | None        # vertex -> color, only in witness mode
-    mode: str                   # "witness" | "decision_only"
+    witness: dict | None        # vertex -> color, when asked for and colorable
     stats: dict
 
 
@@ -82,12 +78,12 @@ def solve(
     witness: bool = False,
     assume_class: bool = False,
 ) -> SolveReport:
-    """Decide 3-colorability of g; optionally produce a coloring.
+    """Decide 3-colorability of g by building and verifying a coloring.
 
-    Raises ClassViolationError when the input is outside the supported
-    class, unless assume_class skips the membership check.  On out-of-class
-    input with assume_class the structural stages may fail loudly; they
-    never return a wrong answer silently for in-class graphs.
+    witness only decides whether that coloring goes on the report.  Raises
+    ClassViolationError when the input is outside the supported class,
+    unless assume_class skips the membership check; on such input the
+    structural stages may then fail loudly.
     """
     start = perf_counter()
     stats = Stats()
@@ -99,36 +95,28 @@ def solve(
 
     if patterns.find_co_c7(core) is not None:
         stats.bump("preflight_co_c7")
-        return _report("not_colorable", None, False, stats, start)
+        return _report("not_colorable", None, stats, start)
     odd = patterns.find_nonbipartite_neighborhood(g)
     if odd is not None:
         stats.bump("preflight_odd_neighborhood_" + odd.kind)
-        return _report("not_colorable", None, False, stats, start)
+        return _report("not_colorable", None, stats, start)
 
-    witness_map: dict[int, int] = {}
-    complete = True
+    coloring: dict[int, int] = {}
     for comp in connected_components(g):
-        ok, cmap, full = _solve_component(g, core, comp, stats, witness)
-        if not ok:
-            return _report("not_colorable", None, False, stats, start)
-        if witness:
-            if cmap is None:
-                complete = False
-            else:
-                witness_map.update(cmap)
-    if witness and complete:
-        _verify_witness(g, witness_map)
-        return _report("colorable", witness_map, True, stats, start)
-    return _report("colorable", None, False, stats, start)
+        cmap = _solve_component(g, core, comp, stats)
+        if cmap is None:
+            return _report("not_colorable", None, stats, start)
+        coloring.update(cmap)
+    _verify_witness(g, coloring)
+    return _report("colorable", coloring if witness else None, stats, start)
 
 
-def _report(decision, witness_map, full_witness, stats, start) -> SolveReport:
+def _report(decision, witness_map, stats, start) -> SolveReport:
     out = stats.to_dict()
     out.setdefault("branches", 0)
     out["reductions"] = stats.reductions_total()
     out["millis"] = round((perf_counter() - start) * 1000, 3)
-    mode = "witness" if full_witness else "decision_only"
-    return SolveReport(decision, witness_map if full_witness else None, mode, out)
+    return SolveReport(decision, witness_map, out)
 
 
 def _verify_witness(g: Graph, coloring: dict) -> None:
@@ -141,8 +129,8 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 
 
-def _solve_component(g, core, comp, stats, want_witness):
-    """Returns (colorable, coloring or None, witness-complete flag).
+def _solve_component(g, core, comp, stats):
+    """The component's 3-coloring, or None when it has none.
 
     The anchor cycle is sought on the component's part of the twin core;
     the anchored run itself works on the whole component."""
@@ -153,22 +141,9 @@ def _solve_component(g, core, comp, stats, want_witness):
         if cyc is not None:
             stats.bump(f"components_anchored_{k}")
             won = _run_anchored(sub, cyc, stats)
-            if won is None:
-                return False, None, True
-            return True, won.assemble_witness(comp) if want_witness else None, True
-    # no anchor cycle: with the preflight certificates gone the component
-    # is 3-colorable, so only the witness still takes work
+            return None if won is None else won.assemble_witness(comp)
     stats.bump("components_plain")
-    if not want_witness:
-        return True, None, True
-    if len(comp) > WITNESS_CEILING:
-        return True, None, False
-    coloring = _backtrack_color(sub)
-    if coloring is None:
-        # reachable only when assume_class waived the membership check on
-        # a graph that genuinely needs four colors
-        return False, None, True
-    return True, coloring, True
+    return _backtrack_color(sub)
 
 
 @lru_cache(maxsize=None)
@@ -560,30 +535,48 @@ def _component_cases(inst, view):
 
 
 def _backtrack_color(g) -> dict | None:
-    """Exact 3-coloring by saturation-ordered backtracking."""
+    """Exact 3-coloring by saturation-ordered backtracking, or None.
+
+    The next vertex has the fewest free colors, then the highest degree,
+    then the lowest id (DSatur order), and its free colors are tried in
+    ascending order.  On a connected bipartite graph this order never
+    needs a third color, so it never backtracks there.  The choice points
+    sit on an explicit stack, so depth does not meet the recursion limit.
+    """
     assign: dict[int, int] = {}
     verts = g.vertices()
+    rank = {v: (-g.degree(v), v) for v in verts}
+    # seen[v][c]: how many colored neighbors of v have color c
+    seen = {v: [0, 0, 0, 0] for v in verts}
 
-    def free_colors(v):
-        used = {assign[w] for w in g.neighbors(v) if w in assign}
-        return [c for c in (1, 2, 3) if c not in used]
+    def paint(v, c, step):
+        for w in g.neighbors(v):
+            seen[w][c] += step
 
-    def go():
+    stack = []   # (vertex, iterator over the colors it has left to try)
+    while True:
         best = None
         best_key = None
         for v in verts:
-            if v in assign:
-                continue
-            key = (len(free_colors(v)), -g.degree(v), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+            if v not in assign:
+                s = seen[v]
+                key = ((not s[1]) + (not s[2]) + (not s[3]), rank[v])
+                if best_key is None or key < best_key:
+                    best, best_key = v, key
         if best is None:
-            return True
-        for c in free_colors(best):
-            assign[best] = c
-            if go():
-                return True
-            del assign[best]
-        return False
-
-    return dict(assign) if go() else None
+            return assign
+        stack.append((best, iter([c for c in (1, 2, 3) if not seen[best][c]])))
+        # give the newest choice point its next color; one that has tried
+        # them all is undone, and its parent moves on
+        while stack:
+            v, left = stack[-1]
+            if v in assign:
+                paint(v, assign.pop(v), -1)
+            c = next(left, None)
+            if c is not None:
+                assign[v] = c
+                paint(v, c, 1)
+                break
+            stack.pop()
+        else:
+            return None

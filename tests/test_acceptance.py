@@ -372,8 +372,7 @@ def test_in_class_scaling_on_blowups_and_bicliques():
         rep = solve(g, witness=True)
         t2 = time.perf_counter()
         assert rep.decision == "colorable", name
-        if name.startswith("C7"):
-            assert verify_coloring(g, rep.witness), name
+        assert verify_coloring(g, rep.witness), name
         assert t1 - t0 < 5 and t2 - t1 < 5, f"{name}: {t1 - t0:.2f}s, {t2 - t1:.2f}s"
         timings.append(f"{name} {t1 - t0:.3f}/{t2 - t1:.3f}s")
     print("PASS in-class scaling (check_class/solve): " + ", ".join(timings))

@@ -4,6 +4,8 @@ Decisions are checked against the exhaustive oracle in testkit, and the
 stats counters pin down which route of the pipeline produced each verdict.
 """
 
+import sys
+import time
 from itertools import product
 
 import pytest
@@ -13,13 +15,15 @@ from hered3.errors import ClassViolationError
 from hered3.graph import Graph, connected_components, twin_core
 from hered3.patterns import check_class
 from hered3.reductions import Instance, Stats
-from hered3.solver import WITNESS_CEILING, _proper_cycle_colorings, solve
+from hered3.solver import _proper_cycle_colorings, solve
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
+    complete_bipartite,
     count_proper_3colorings,
     cycle_blowup,
     cycle_graph,
+    naive_in_class,
     named_graph,
     oracle_list3color,
     path_graph,
@@ -61,7 +65,6 @@ def test_k4_rejected_in_preflight():
     rep = solve(named_graph("k4"))
     assert rep.decision == "not_colorable"
     assert rep.witness is None
-    assert rep.mode == "decision_only"
     assert rep.stats["preflight_odd_neighborhood_k4"] == 1
 
 
@@ -133,18 +136,21 @@ def test_out_of_class_inputs_solve_under_waiver():
     for g in (cycle_graph(5), named_graph("petersen")):
         rep = solve(g, witness=True, assume_class=True)
         assert rep.decision == "colorable"
-        assert rep.mode == "witness"
+        assert rep.witness is not None
         assert verify_coloring(g, rep.witness)
         assert rep.stats["components_plain"] == 1
 
 
 def test_waiver_on_uncolorable_input_stays_honest():
+    # a plain component is colored, not assumed colorable, so the verdict
+    # does not depend on whether the caller asked for the witness
     g = grotzsch_graph()
     assert oracle_list3color(g) is None
-    rep = solve(g, witness=True, assume_class=True)
-    assert rep.decision == "not_colorable"
-    assert rep.witness is None
-    assert rep.stats["components_plain"] == 1
+    for want_witness in (True, False):
+        rep = solve(g, witness=want_witness, assume_class=True)
+        assert rep.decision == "not_colorable"
+        assert rep.witness is None
+        assert rep.stats["components_plain"] == 1
 
 
 # -- anchored components ----------------------------------------------------
@@ -155,7 +161,7 @@ def test_seven_cycle_enumerates_all_anchor_colorings():
     g = cycle_graph(7)
     rep = solve(g, witness=True)
     assert rep.decision == "colorable"
-    assert rep.mode == "witness"
+    assert rep.witness is not None
     assert verify_coloring(g, rep.witness)
     assert rep.stats["anchor_colorings"] == 21
     assert rep.stats["components_anchored_7"] == 1
@@ -340,11 +346,17 @@ def test_solve_builds_one_twin_core(monkeypatch):
 
 # -- report shape and modes -------------------------------------------------
 
-def test_decision_only_is_the_default():
-    rep = solve(cycle_graph(7))
+def test_witness_is_off_by_default():
+    # the coloring is built and verified either way; the default only
+    # leaves it off the report
+    g = cycle_graph(7)
+    rep = solve(g)
     assert rep.decision == "colorable"
     assert rep.witness is None
-    assert rep.mode == "decision_only"
+    full = solve(g, witness=True)
+    assert verify_coloring(g, full.witness)
+    del rep.stats["millis"], full.stats["millis"]
+    assert rep.stats == full.stats
 
 
 def test_report_always_carries_summary_counters():
@@ -355,32 +367,98 @@ def test_report_always_carries_summary_counters():
         assert rep.stats["millis"] >= 0
 
 
-def test_witness_ceiling_degrades_plain_components():
-    # the star K_{1,70} is P4-free, so in class, and plain with 71 vertices
+def test_large_plain_components_get_a_witness():
+    # plain components of any size are colored; the star K_{1,70} and
+    # K_{30,30,30} are P4-free, so in class, and have no anchor cycle
     star = Graph.from_edges(range(71), [(0, v) for v in range(1, 71)])
-    assert check_class(star) is None
-    assert star.vertex_count() > WITNESS_CEILING
-    rep = solve(star, witness=True)
-    assert rep.decision == "colorable"
-    assert rep.witness is None
-    assert rep.mode == "decision_only"
-
-    g = path_graph(6)
-    rep = solve(g, witness=True)
-    assert rep.mode == "witness"
-    assert verify_coloring(g, rep.witness)
+    tripartite = Graph.from_edges(
+        range(90), [(u, v) for u in range(90) for v in range(u + 1, 90) if u // 30 != v // 30])
+    big_star = complete_bipartite(1, 1100)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for g in (star, tripartite, big_star, path_graph(6)):
+            assert check_class(g) is None
+            t0 = time.perf_counter()
+            rep = solve(g, witness=True)
+            took = time.perf_counter() - t0
+            assert rep.decision == "colorable"
+            assert rep.stats["components_plain"] == 1
+            assert verify_coloring(g, rep.witness)
+            assert took < 5, f"{g.vertex_count()} vertices: {took:.2f}s"
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
 
     # anchored components reconstruct their coloring from replay records
-    # and ignore the ceiling
     rep = solve(cycle_graph(7), witness=True)
-    assert rep.mode == "witness"
+    assert verify_coloring(cycle_graph(7), rep.witness)
+
+
+def _dsatur_without_undo(g):
+    """The colorer's choice order with no backtracking; None on a dead end."""
+    assign = {}
+
+    def free(v):
+        return [c for c in (1, 2, 3) if c not in {assign.get(w) for w in g.neighbors(v)}]
+
+    while len(assign) < g.vertex_count():
+        v = min((u for u in g.vertices() if u not in assign),
+                key=lambda u: (len(free(u)), -g.degree(u), u))
+        if not free(v):
+            return None
+        assign[v] = free(v)[0]
+    return assign
+
+
+def test_plain_component_that_needs_backtracking():
+    # the colorer's first choices dead-end here, so it must undo some of
+    # them; the coloring it then returns is pinned, since its choice order
+    # (DSatur, colors ascending) decides every plain component's witness
+    edges = ("1-2 1-3 1-4 1-7 1-9 2-8 2-9 2-11 2-12 3-4 3-7 3-10 3-12 "
+             "5-6 5-12 7-8 7-10 7-12 8-12")
+    g = Graph.from_edges(range(1, 13), [tuple(map(int, e.split("-"))) for e in edges.split()])
+    assert check_class(g) is None
+    assert _dsatur_without_undo(g) is None
+    assert oracle_list3color(g) is not None
+    rep = solve(g, witness=True)
+    assert rep.decision == "colorable"
+    assert rep.stats["components_plain"] == 1
+    assert verify_coloring(g, rep.witness)
+    assert rep.witness == {1: 1, 2: 2, 3: 3, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 1,
+                           11: 1, 12: 1}
+
+
+def test_cograph_component_rule_fires_in_a_solve():
+    # a C7 anchor, a vertex x on anchors 5 and 7, and a bowtie (two edges
+    # joined to a centre) on 9..13 whose four outer vertices all see x.
+    # The anchors leave x one color; once x is colored, the bowtie is a
+    # component of its own whose centre keeps all three colors, which
+    # 2-SAT cannot take, and rule 7 colors it as a cograph
+    g = cycle_graph(7)
+    x = g.add_vertex()
+    g.add_edge(x, 5)
+    g.add_edge(x, 7)
+    for v in range(9, 14):
+        g.add_vertex()
+    for a, b in [(9, 10), (11, 12)] + [(13, v) for v in range(9, 13)]:
+        g.add_edge(a, b)
+    for v in range(9, 13):
+        g.add_edge(x, v)
+    assert check_class(g) is None
+    assert naive_in_class(g)
+    assert oracle_list3color(g) is not None
+    rep = solve(g, witness=True)
+    assert rep.decision == "colorable"
+    assert rep.stats["components_anchored_7"] == 1
+    assert rep.stats["rule_cograph_component"] >= 1
+    assert verify_coloring(g, rep.witness)
 
 
 def test_trivial_graphs():
     rep = solve(Graph(), witness=True)
     assert rep.decision == "colorable"
     assert rep.witness == {}
-    assert rep.mode == "witness"
 
     g = Graph()
     v = g.add_vertex()
@@ -394,7 +472,6 @@ def test_disconnected_components_combine():
     g = Graph.from_edges(range(11), edges)
     rep = solve(g, witness=True)
     assert rep.decision == "colorable"
-    assert rep.mode == "witness"
     assert verify_coloring(g, rep.witness)
     assert set(rep.witness) == set(range(11))
     assert rep.stats["components_anchored_7"] == 1
