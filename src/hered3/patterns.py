@@ -193,17 +193,14 @@ def find_nonbipartite_neighborhood(g: Graph):
     hole of length >= 11 in a neighborhood proves the graph is outside the
     class, so that case raises ClassViolationError with a 2P4 witness cut
     from the cycle.
+
+    `solver.solve` calls this on its false-twin quotient, where no two
+    vertices share an open neighborhood, so each neighborhood is scanned
+    once.  On a graph with false twins a copy repeats its representative's
+    scan, which comes first and so has already passed.
     """
-    scanned = set()
     for v in g.vertices():
         nv = g.neighbors(v)
-        # false twins share a neighborhood: one already scanned was
-        # bipartite, and the first failing vertex is the least of its
-        # class, so skipping repeats changes no witness
-        key = frozenset(nv)
-        if key in scanned:
-            continue
-        scanned.add(key)
         # one BFS settles the common bipartite case; the per-vertex BFS of
         # shortest_odd_cycle runs only on a neighborhood that has an odd cycle
         if bipartition(g, within=nv) is not None:

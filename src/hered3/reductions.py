@@ -216,14 +216,15 @@ def run_fixpoint(inst: Instance) -> str:
     Every firing pass strictly shrinks (live vertices, total palette size)
     lexicographically; asserted to guarantee termination.
     """
+    before = inst.metric()
     while True:
-        before = inst.metric()
         out = _one_pass(inst)
-        if out == _FIRED:
-            if not inst.metric() < before:
-                raise AssertionError("reduction pass did not shrink the instance")
-            continue
-        return out
+        if out != _FIRED:
+            return out
+        after = inst.metric()
+        if not after < before:
+            raise AssertionError("reduction pass did not shrink the instance")
+        before = after
 
 
 def _one_pass(inst: Instance) -> str:
@@ -407,6 +408,9 @@ def _palette_lit(inst: Instance, var_of: dict, v: int, color: int, negate: bool)
 
 
 def _cograph_component(inst: Instance, comp: set):
+    # the anchor cycle, an induced C7 or C9, holds an induced P4
+    if inst.anchor_order and comp.issuperset(inst.anchor_order):
+        return None
     root, bad = cograph.cotree_or_failure(inst.g, comp)
     if bad is not None:
         return None

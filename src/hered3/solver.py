@@ -5,13 +5,28 @@ regardless of class membership: an induced complement-of-C7, and a vertex
 whose neighborhood contains an odd cycle (the vertex plus the cycle forms
 an odd wheel).  Each connected component is then solved independently.
 
-The searches for patterns without twins run on the twin core
+All of this runs on the false-twin quotient h: the subgraph induced by the
+vertices that have no smaller false twin (`graph.false_twins`; false
+twins have equal open neighborhoods).  Each copy left out takes the color
+of its class's least vertex, and the coloring is verified on the whole
+input.  This is sound: h is an induced subgraph, so it stays in class,
+and a graph whose part h has no 3-coloring has none; a copy is not
+adjacent to its representative and has the same neighbors, so every edge
+stays proper.  h itself has no false twins.
+
+The searches for patterns without twins run on the twin core of h
 (`graph.twin_core`, computed once per solve): the class check, the co-C7
 preflight and each component's search for its anchor cycle.  The core
-keeps the least id of each twin class, so each search gives the verdict
-it gives on the whole graph, and the anchor cycle is the same one.  The
-odd-neighborhood preflight runs on the whole graph, because K4 has twins;
-so do the anchored runs, the fixpoint, the stages and witness replay.
+does not depend on the order of the deletions and keeps the least id of
+each twin class, so it is the twin core of the whole input too: each
+search gives the verdict it gives on the input, and the anchor cycle is
+the same one.  The odd-neighborhood preflight runs on h, not on the core,
+because K4 has true twins.  It picks the vertex and kind it picks on the
+input: a copy's neighborhood is its representative's, which comes first,
+and a shortest odd cycle in a neighborhood holds no two false twins, so
+swapping each copy on it for its representative gives one of the same
+length in h.  The anchored runs, the fixpoint, the stages and witness
+replay also work on h.
 
 A component containing an induced 7-cycle is anchored on that cycle: the
 21 proper colorings of the anchor that begin (1, 2) are enumerated, one
@@ -54,7 +69,13 @@ from time import perf_counter
 
 from . import cograph, patterns
 from .errors import ClassViolationError, StageAssertionError
-from .graph import Graph, connected_components, induced_subgraph, twin_core
+from .graph import (
+    Graph,
+    connected_components,
+    false_twins,
+    induced_subgraph,
+    twin_core,
+)
 from .reductions import (
     ALL_COLORS,
     REJECTED,
@@ -80,14 +101,20 @@ def solve(
 ) -> SolveReport:
     """Decide 3-colorability of g by building and verifying a coloring.
 
-    witness only decides whether that coloring goes on the report.  Raises
+    witness only decides whether that coloring goes on the report, and
+    stats["false_twins"] counts the vertices left out of the solve as copies
+    of a smaller false twin (see the module docstring).  Raises
     ClassViolationError when the input is outside the supported class,
     unless assume_class skips the membership check; on such input the
     structural stages may then fail loudly.
     """
     start = perf_counter()
     stats = Stats()
-    core = twin_core(g)
+    copies = false_twins(g)
+    if copies:
+        stats.bump("false_twins", len(copies))
+    h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
+    core = twin_core(h)
     if not assume_class:
         offending = patterns.check_core(core)
         if offending is not None:
@@ -96,17 +123,19 @@ def solve(
     if patterns.find_co_c7(core) is not None:
         stats.bump("preflight_co_c7")
         return _report("not_colorable", None, stats, start)
-    odd = patterns.find_nonbipartite_neighborhood(g)
+    odd = patterns.find_nonbipartite_neighborhood(h)
     if odd is not None:
         stats.bump("preflight_odd_neighborhood_" + odd.kind)
         return _report("not_colorable", None, stats, start)
 
     coloring: dict[int, int] = {}
-    for comp in connected_components(g):
-        cmap = _solve_component(g, core, comp, stats)
+    for comp in connected_components(h):
+        cmap = _solve_component(h, core, comp, stats)
         if cmap is None:
             return _report("not_colorable", None, stats, start)
         coloring.update(cmap)
+    for v, rep in copies.items():
+        coloring[v] = coloring[rep]
     _verify_witness(g, coloring)
     return _report("colorable", coloring if witness else None, stats, start)
 
@@ -133,7 +162,7 @@ def _solve_component(g, core, comp, stats):
     """The component's 3-coloring, or None when it has none.
 
     The anchor cycle is sought on the component's part of the twin core;
-    the anchored run itself works on the whole component."""
+    the anchored run itself works on the whole component of g."""
     sub = induced_subgraph(g, comp)
     search = induced_subgraph(core, [v for v in comp if v in core])
     for k in (7, 9):

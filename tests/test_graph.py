@@ -11,6 +11,7 @@ from hered3.graph import (
     common_neighbors,
     complement_components,
     connected_components,
+    false_twins,
     induced_subgraph,
     shortest_odd_cycle,
     twin_core,
@@ -203,4 +204,13 @@ def test_twin_core_matches_rounds_of_pairwise_tests():
                 g.add_edge(t, v)
         core = twin_core(g)
         assert adjacency(core) == adjacency(naive_twin_core(g)), i
+        # each copy maps to the least vertex with its open neighbourhood
+        copies = false_twins(g)
+        for v in g.vertices():
+            least = min(u for u in g.vertices() if g.neighbors(u) == g.neighbors(v))
+            assert copies.get(v, v) == least, i
+        # one round leaves no false twins, and the same twin core
+        h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
+        assert false_twins(h) == {}, i
+        assert adjacency(twin_core(h)) == adjacency(core), i
         assert core.add_vertex() == g.add_vertex()

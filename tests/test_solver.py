@@ -6,11 +6,12 @@ stats counters pin down which route of the pipeline produced each verdict.
 
 import sys
 import time
+import warnings
 from itertools import product
 
 import pytest
 
-from hered3 import patterns, solver
+from hered3 import cograph, patterns, reductions, solver
 from hered3.errors import ClassViolationError
 from hered3.graph import Graph, connected_components, twin_core
 from hered3.patterns import check_class
@@ -341,7 +342,34 @@ def test_solve_builds_one_twin_core(monkeypatch):
     g = cycle_blowup([2, 3, 1, 2, 1, 2, 1])
     rep = solve(g, witness=True)
     assert rep.decision == "colorable"
-    assert calls == [12]
+    # built once, on the false-twin quotient: the blowup's bare 7-cycle
+    assert calls == [7]
+
+
+def test_solve_colors_the_false_twin_quotient():
+    # a vertex with a smaller false twin is left out of the solve and takes
+    # the color of the least vertex of its class
+    cases = (
+        (cycle_blowup([3, 2, 4, 2, 3, 2, 5]), 14),
+        # as the benchmark's refutations: two-vertex clique classes (true
+        # twins) at 0, 2, 4 and free classes of one to three
+        (cycle_blowup([2, 3, 2, 1, 2, 2, 2], cliques=(0, 2, 4)), 4),
+        (complete_bipartite(9, 21), 28),
+        # isolated vertices share the empty neighbourhood
+        (Graph.from_edges([1, 2, 3, 4, 5], [(1, 2)]), 2),
+    )
+    for g, copies in cases:
+        with warnings.catch_warnings():
+            # K_{9,21} is above the oracle's size warning; being bipartite,
+            # it is colored at once
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = oracle_list3color(g)
+        rep = solve(g, witness=True)
+        assert rep.stats["false_twins"] == copies
+        assert rep.decision == ("colorable" if expected is not None else "not_colorable")
+        assert rep.witness is None if expected is None else verify_coloring(g, rep.witness)
+    # of the edge and three isolated vertices, the edge and one are solved
+    assert rep.stats["components_plain"] == 2
 
 
 # -- report shape and modes -------------------------------------------------
@@ -453,6 +481,34 @@ def test_cograph_component_rule_fires_in_a_solve():
     assert rep.stats["components_anchored_7"] == 1
     assert rep.stats["rule_cograph_component"] >= 1
     assert verify_coloring(g, rep.witness)
+
+
+def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeypatch):
+    # the anchor cycle, an induced C7 or C9, holds an induced P4, so rule 7
+    # skips a component holding it without building a cotree
+    calls = []     # per rule-7 call: (holds the anchor cycle, cotrees built)
+    built = []
+    rule7, cotree = reductions._cograph_component, cograph.cotree_or_failure
+
+    def counted_rule7(inst, comp):
+        before = len(built)
+        out = rule7(inst, comp)
+        calls.append((comp >= set(inst.anchor_order), len(built) - before))
+        return out
+
+    def counted_cotree(g, within=None):
+        built.append(within)
+        return cotree(g, within)
+
+    monkeypatch.setattr(reductions, "_cograph_component", counted_rule7)
+    monkeypatch.setattr(cograph, "cotree_or_failure", counted_cotree)
+    g = c7_gadget(0)
+    rep = solve(g, witness=True, assume_class=True)
+    assert rep.decision == "colorable"
+    assert verify_coloring(g, rep.witness)
+    assert calls == [(True, 0)]
+    # the P4-freeness checks of the outer components and the cut
+    assert len(built) == 7
 
 
 def test_trivial_graphs():
