@@ -314,13 +314,16 @@ def shortest_odd_cycle(g: Graph, within: Iterable[int] | None = None) -> list[in
                     queue.append(w)
                 elif dist[w] == dist[u]:
                     cycle = _lift_cycle(parent, u, w)
-                    if cycle is not None and (best is None or len(cycle) < len(best)):
+                    if best is None or len(cycle) < len(best):
                         best = cycle
     return best
 
 
-def _lift_cycle(parent: dict[int, int], u: int, w: int) -> list[int] | None:
-    # Walk both BFS branches toward the root until they meet.
+def _lift_cycle(parent: dict[int, int], u: int, w: int) -> list[int]:
+    """The odd cycle closed by the edge uw between two BFS vertices at one
+    depth d: both tree paths up to their lowest common ancestor, at depth
+    d_lca, share no other vertex, so it has 2(d - d_lca) + 1 distinct
+    vertices."""
     pu = [u]
     pw = [w]
     while parent[pu[-1]] != pu[-1]:
@@ -328,16 +331,7 @@ def _lift_cycle(parent: dict[int, int], u: int, w: int) -> list[int] | None:
     while parent[pw[-1]] != pw[-1]:
         pw.append(parent[pw[-1]])
     sw = set(pw)
-    meet = None
-    for x in pu:
-        if x in sw:
-            meet = x
-            break
-    if meet is None:
-        return None
+    meet = next(x for x in pu if x in sw)
     cu = pu[: pu.index(meet) + 1]
     cw = pw[: pw.index(meet)]
-    cycle = cu + cw[::-1]
-    if len(cycle) % 2 == 0 or len(set(cycle)) != len(cycle):
-        return None
-    return cycle
+    return cu + cw[::-1]

@@ -6,7 +6,7 @@ settle colors, shrink palettes, or delete vertices.  A settled color goes
 straight into the instance's color map: a committed vertex, and every
 vertex of a region whose coloring was solved on the spot.  A deletion whose
 color depends on vertices that outlive it appends a replay record instead
-(low degree, domination, or a cut region keyed by one cut vertex).  Witness
+(low degree, domination, or a cut region keyed by its border vertex).  Witness
 assembly seeds the color map and processes the records in reverse order of
 creation.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import cograph
-from .errors import ContractViolationError, StageAssertionError
+from .errors import ContractViolationError
 from .graph import Graph, common_neighbors, connected_components
 from .twosat import TwoSat, lit
 
@@ -191,8 +191,6 @@ class Instance:
         The settled colors seed the map.  A record reads only vertices that
         were in the graph when it fired; each of them is settled or was
         deleted by a newer record, which reverse order replays first.
-        Helper vertices added by cut reduction may sit in the map too; only
-        original_vertices are returned.
         """
         coloring: dict[int, int] = dict(self.colors)
         for rec in reversed(self.replay):
@@ -438,92 +436,42 @@ def _verify_region_coloring(inst: Instance, solved: dict) -> None:
 # -- cut reduction ----------------------------------------------------------
 
 
-def cut_reduction(inst: Instance, cut: Iterable[int], region: Iterable[int]) -> str:
-    """Replace a P4-free region behind a uniform two-palette cut.
+def cut_reduction(inst: Instance, w: int, region: Iterable[int]) -> str:
+    """Reduce a P4-free region that meets the rest of the graph at w alone.
 
-    The cut X is an independent set, every cut vertex sees the same
-    nonempty subset of the region C, and C has no neighbors outside X and
-    itself.  Tests which uniform/mixed colorings of X extend into C; the
-    region is then deleted, stubbed by a placeholder, or the branch is
-    rejected.  Returns _FIRED or REJECTED.
+    The region C holds w, and C - w has no neighbor outside C, so a
+    coloring of C - w depends on the rest of the graph only through w's
+    color.  C - w is list-colored with w clamped to each of w's colors in
+    turn, free colors first: those that no neighbor of w outside C can
+    take.  None extends: the branch is rejected.  A free color extends:
+    w keeps it alone, since any coloring of the graph can switch w to it.
+    Otherwise w keeps the colors that extend.  C - w is deleted, and one
+    record keyed by w stores the extension of each color w kept.  Returns
+    _FIRED or REJECTED.
     """
-    x_ids = sorted(cut)
     c_ids = set(region)
-    _check_cut_contract(inst, x_ids, c_ids)
-    pal = inst.palettes[x_ids[0]]
-    a, b = sorted(pal)
-    (t,) = ALL_COLORS - pal
+    rest = c_ids - {w}
+    for v in rest:
+        if not inst.g.neighbors(v) <= c_ids:
+            raise ContractViolationError(f"region vertex {v} has a neighbor outside the region")
     inst.stats.bump("op_cut_reduction")
-
-    def extend(clamp: dict):
-        eff = {v: inst.eff_palette(v) for v in c_ids}
-        eff.update({x: frozenset((c,)) for x, c in clamp.items()})
-        sol = cograph.list3color(inst.g, eff, within=c_ids | set(x_ids))
+    taken = set()
+    for u in inst.g.neighbors(w) - c_ids:
+        taken |= inst.eff_palette(u)
+    pal = inst.palettes[w]
+    eff = {v: inst.eff_palette(v) for v in rest}
+    kept = {}
+    for c in sorted(pal - taken) + sorted(pal & taken):
+        eff[w] = frozenset((c,))
+        sol = cograph.list3color(inst.g, eff, within=c_ids)
         if sol is None:
-            return None
-        return {v: sol[v] for v in c_ids}
-
-    if len(x_ids) >= 2:
-        mixed = {x: b for x in x_ids}
-        mixed[x_ids[0]] = a
-        ext = extend(mixed)
-        if ext is not None:
-            border = inst.g.neighbors(x_ids[0]) & c_ids
-            for v in border:
-                if ext[v] != t:
-                    raise StageAssertionError("mixed cut extension not third-colored on the border")
-            inst.remove_region(c_ids, ext)
-            return _FIRED
-
-    ext_a = extend({x: a for x in x_ids})
-    ext_b = extend({x: b for x in x_ids})
-    if ext_a is None and ext_b is None:
+            continue
+        kept[c] = {v: sol[v] for v in rest}
+        if c not in taken:
+            break
+    if not kept:
         return REJECTED
-    if ext_a is not None and ext_b is not None:
-        stub = inst.g.add_vertex()
-        inst.palettes[stub] = pal
-        for x in x_ids:
-            inst.g.add_edge(stub, x)
-        inst.remove_region(c_ids)
-        inst.replay.append(RecKeyedDrop(x_ids[0], {a: ext_a, b: ext_b}))
-        return _FIRED
-    ext, forced = (ext_a, a) if ext_a is not None else (ext_b, b)
-    inst.remove_region(c_ids, ext)
-    for x in x_ids:
-        inst.commit_color(x, forced)
+    inst.palettes[w] = frozenset(kept)
+    inst.remove_region(rest)
+    inst.replay.append(RecKeyedDrop(w, kept))
     return _FIRED
-
-
-def _check_cut_contract(inst: Instance, x_ids: list, c_ids: set) -> None:
-    if len(c_ids) < 2:
-        raise ContractViolationError("cut region must have at least 2 vertices")
-    if not x_ids:
-        raise ContractViolationError("empty cut")
-    if c_ids & set(x_ids):
-        raise ContractViolationError("cut and region overlap")
-    for v in list(c_ids) + x_ids:
-        if not inst.g.has_vertex(v):
-            raise ContractViolationError(f"vertex {v} not live")
-    for v in c_ids:
-        if v not in inst.palettes:
-            raise ContractViolationError("region contains a colored vertex")
-    pal = inst.palettes.get(x_ids[0])
-    for x in x_ids:
-        if inst.palettes.get(x) != pal or pal is None or len(pal) != 2:
-            raise ContractViolationError("cut vertices need one shared palette of size 2")
-    for i, x in enumerate(x_ids):
-        for x2 in x_ids[i + 1:]:
-            if inst.g.has_edge(x, x2):
-                raise ContractViolationError("cut is not independent")
-    border = inst.g.neighbors(x_ids[0]) & c_ids
-    if not border:
-        raise ContractViolationError("cut does not touch the region")
-    for x in x_ids[1:]:
-        if inst.g.neighbors(x) & c_ids != border:
-            raise ContractViolationError("cut vertices see different region parts")
-    allowed = c_ids | set(x_ids)
-    for v in c_ids:
-        if not inst.g.neighbors(v) <= allowed:
-            raise ContractViolationError("region has neighbors outside the cut")
-    if not cograph.is_p4_free(inst.g, c_ids | set(x_ids)):
-        raise ContractViolationError("region plus cut is not P4-free")

@@ -264,8 +264,7 @@ def _advance(inst, tracker):
             kids = _branch_opposing_pair(inst, view, tracker)
         if kids is not None:
             return "children", kids
-        if _normalize_rotation(inst, view):
-            view = _analyze(inst)
+        _check_one_anchor_pair(inst, view)
         live_before = inst.g.vertex_count()
         if _component_cases(inst, view) == REJECTED:
             return "rejected", None
@@ -280,7 +279,7 @@ class _View:
     """Indexes over one anchored branch at a rule fixpoint."""
 
     __slots__ = ("anchors", "acolor", "comps", "comp_relevant", "supports",
-                 "relevant", "adj_comps", "full_adj", "outer_nbrs", "dominators")
+                 "relevant", "adj_comps", "full_adj", "outer_nbrs")
 
 
 def _analyze(inst) -> _View:
@@ -354,14 +353,6 @@ def _analyze(inst) -> _View:
                 if len(adj_comps[v]) != 1 or len(supports[v]) != 2:
                     raise StageAssertionError("partial outer neighbor outside its allowed shape")
 
-    dominators = {}
-    for idx, c in enumerate(comps):
-        if comp_relevant[idx]:
-            dom = _dominating_set(g, c)
-            if dom is None:
-                raise StageAssertionError("relevant component lacks a dominating set of size two")
-            dominators[idx] = dom
-
     view.comps = comps
     view.comp_relevant = comp_relevant
     view.supports = supports
@@ -369,7 +360,6 @@ def _analyze(inst) -> _View:
     view.adj_comps = adj_comps
     view.full_adj = full_adj
     view.outer_nbrs = outer_nbrs
-    view.dominators = dominators
     _consume_checks(inst, view)
     return view
 
@@ -389,7 +379,13 @@ def _consume_checks(inst, view) -> None:
 
 
 def _dominating_set(g, verts):
-    """A dominating set of size <= 2 inside verts, scanning by vertex id."""
+    """A dominating set of size <= 2 inside verts, scanning by vertex id.
+
+    verts induces a connected P4-free graph, which always has one: on two
+    or more vertices its complement is disconnected, so a vertex from each
+    of two co-components sees every vertex outside its own co-component,
+    and the pair dominates.
+    """
     order = sorted(verts)
     vs = set(verts)
     for v in order:
@@ -400,7 +396,7 @@ def _dominating_set(g, verts):
         for w in order[i + 1:]:
             if vs <= cov | (g.neighbors(w) & vs) | {w}:
                 return (v, w)
-    return None
+    raise AssertionError("connected P4-free vertex set without a dominating pair")
 
 
 # -- branching stages ---------------------------------------------------------
@@ -478,7 +474,7 @@ def _branch_opposing_pair(inst, view, tracker):
             partial = any(not view.full_adj[(zj, idx)] for idx in view.adj_comps[zj])
             if partial:
                 (tidx,) = view.adj_comps[zj]
-                dom = view.dominators[tidx]
+                dom = _dominating_set(inst.g, view.comps[tidx])
                 for combo in product((1, 2, 3), repeat=len(dom)):
                     spawn(plan + list(zip(dom, combo)))
             else:
@@ -492,12 +488,16 @@ def _branch_opposing_pair(inst, view, tracker):
     return None
 
 
-def _normalize_rotation(inst, view):
-    """Rotate the anchor order so all relevant supports sit on (0, 2).
+def _check_one_anchor_pair(inst, view):
+    """Check that all relevant supports are one anchor pair two steps apart.
 
     Once no single-anchor set and no opposing pair remains, every relevant
     vertex must touch the same two anchors, two steps apart and equally
-    colored.  Returns whether it rotated.
+    colored, and have the other two colors as its palette.  From here on
+    relevant vertices only disappear: the reductions delete vertices and
+    shrink palettes, and never add either, so a rim vertex relevant later
+    was relevant now and keeps its support.  No branching stage fires
+    again, and the component cases read no anchor index.
     """
     k = len(view.anchors)
     for x in view.relevant:
@@ -507,11 +507,7 @@ def _normalize_rotation(inst, view):
     if len(occupied) != 2:
         raise StageAssertionError("relevant supports span more than one anchor pair")
     p, q = occupied
-    if (q - p) % k == 2:
-        r = p
-    elif (p - q) % k == 2:
-        r = q
-    else:
+    if (q - p) % k not in (2, k - 2):
         raise StageAssertionError("relevant supports are not two apart on the anchor cycle")
     if view.acolor[p] != view.acolor[q]:
         raise StageAssertionError("anchors under the relevant vertices differ in color")
@@ -519,22 +515,20 @@ def _normalize_rotation(inst, view):
     for x in view.relevant:
         if inst.palettes[x] != pal:
             raise StageAssertionError("relevant palette differs from the anchor complement")
-    if r:
-        inst.anchor_order = inst.anchor_order[r:] + inst.anchor_order[:r]
-    return bool(r)
 
 
 # -- component cases ----------------------------------------------------------
 
 
 def _component_cases(inst, view):
-    """Cut off the first relevant component behind its one-vertex border.
+    """Reduce the first relevant component at its one border vertex.
 
     This is the only shape the branch reaches here: no edge among the
     relevant vertices, each touching one outer component, and a component
-    of two or more vertices whose border (the outer neighbors of its
-    widest relevant vertex) is one vertex.  Any other shape raises
-    StageAssertionError naming it.  Returns cut_reduction's verdict.
+    C of two or more vertices whose border, the vertices of C with a
+    neighbor outside C, is one vertex w.  Any other shape raises
+    StageAssertionError naming it.  Returns cut_reduction's verdict on
+    C keyed by w.
     """
     g = inst.g
     relevant = set(view.relevant)
@@ -542,13 +536,8 @@ def _component_cases(inst, view):
         raise StageAssertionError("relevant vertices span an edge")
     if any(len(view.adj_comps[x]) > 1 for x in relevant):
         raise StageAssertionError("relevant vertex touches several outer components")
-    idx = view.comp_relevant.index(True)
-    comp = view.comps[idx]
-    cls = [x for x in view.relevant if idx in view.adj_comps[x]]
-    if not cls:
-        raise StageAssertionError("relevant component with no adjacent relevant vertex")
-    pivot = max(cls, key=lambda v: (len(view.outer_nbrs[v]), -v))
-    border = view.outer_nbrs[pivot]
+    comp = view.comps[view.comp_relevant.index(True)]
+    border = {v for v in comp if not g.neighbors(v) <= comp}
     inst.stats.bump("stage_component_cases")
     if len(border) != 1:
         shape = ("disconnected" if len(connected_components(g, within=border)) > 1
@@ -557,7 +546,8 @@ def _component_cases(inst, view):
     if len(comp) == 1:
         raise StageAssertionError("singleton relevant component")
     inst.stats.bump("case_border_single_vertex")
-    return cut_reduction(inst, cls, comp)
+    (w,) = border
+    return cut_reduction(inst, w, comp)
 
 
 # -- plain components ---------------------------------------------------------

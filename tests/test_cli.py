@@ -149,6 +149,19 @@ def test_solve_stage_refusal_is_an_error(write, capsys):
     assert err == "error: partial outer neighbor outside its allowed shape\n"
 
 
+def test_solve_waived_two_part_border_is_a_stage_refusal(write, capsys):
+    # colorable, with an induced 2P4; the relevant component behind the
+    # anchor meets the rim at two nonadjacent vertices
+    edges = ("1 2, 1 7, 1 13, 1 14, 2 3, 2 15, 2 16, 3 4, 3 13, 3 14, 4 5, 5 6, "
+             "6 7, 7 16, 8 11, 8 12, 8 13, 9 11, 9 12, 9 14, 10 11, 10 12, "
+             "11 12, 13 15, 14 16")
+    path = write("border.edges", "\n".join(edges.split(", ")) + "\n")
+    code, out, err = run(capsys, "solve", path, "--assume-class")
+    assert code == 3
+    assert out == ""
+    assert err == "error: relevant component behind a disconnected border\n"
+
+
 def test_solve_palette_annotations_warn(write, capsys):
     path = write("annotated.edges", "a b\nb c\na: 1\n")
     code, _, err = run(capsys, "solve", path)

@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from hered3 import cograph
 from hered3.errors import ContractViolationError
 from hered3.graph import Graph, induced_subgraph
 from hered3.patterns import find_induced_cycle
@@ -267,85 +268,106 @@ def test_anchored_branches_record_only_dependent_colors():
 # -- cut reduction -----------------------------------------------------------
 
 
-def cut_instance(region_edges, region_palettes, cut_palette={1, 3}):
-    """Two-vertex independent cut in front of a small region."""
-    g = Graph()
-    x1, x2 = g.add_vertex(1), g.add_vertex(2)
-    for v in region_palettes:
-        g.add_vertex(v)
-    for u, w in region_edges:
-        g.add_edge(u, w)
-    border = sorted(region_palettes)[:2] if len(region_palettes) > 2 else sorted(region_palettes)
-    for x in (x1, x2):
-        for v in border:
-            g.add_edge(x, v)
-    inst = make_instance(g, dict(region_palettes))
-    inst.palettes[x1] = inst.palettes[x2] = frozenset(cut_palette)
-    return inst, (x1, x2)
+def border_instance(region_edges, region_palettes, outside_palette=(1, 3)):
+    """Outside vertices 1 and 2 that see only the border vertex 11 of a
+    small region."""
+    g = Graph.from_edges([1, 2, *region_palettes], [(1, 11), (2, 11), *region_edges])
+    inst = make_instance(g, region_palettes)
+    inst.palettes[1] = inst.palettes[2] = frozenset(outside_palette)
+    return inst
 
 
-def test_cut_reduction_mixed_coloring():
-    # two isolated region vertices: a mixed cut coloring forces both to
-    # the third color, which works
-    inst, cut = cut_instance([], {11: FULL, 12: FULL})
-    assert cut_reduction(inst, cut, (11, 12)) == "fired"
-    assert not inst.g.has_vertex(11) and not inst.g.has_vertex(12)
+def test_cut_reduction_keeps_a_free_color_alone():
+    # no outside neighbor of 11 can take 2, and 2 extends, so 11 keeps it
+    # alone: every coloring of the graph can switch 11 to 2
+    inst = border_instance([(11, 12), (11, 13)], {11: FULL, 12: FULL, 13: FULL})
+    assert cut_reduction(inst, 11, (11, 12, 13)) == "fired"
     assert inst.stats.get("op_cut_reduction") == 1
-    assert inst.colors == {11: 2, 12: 2}
-    assert inst.replay == []
-
-
-def test_cut_reduction_stub():
-    # adjacent region pair: mixed fails, both uniform colorings extend,
-    # so the region is replaced by a synthetic placeholder
-    inst, cut = cut_instance([(11, 12)], {11: FULL, 12: FULL})
-    before = set(inst.g.vertices())
-    assert cut_reduction(inst, cut, (11, 12)) == "fired"
-    stubs = set(inst.g.vertices()) - before
-    assert len(stubs) == 1
-    (stub,) = stubs
-    assert inst.palettes[stub] == frozenset((1, 3))
-    assert inst.g.neighbors(stub) == {1, 2}
-    rec = inst.replay[-1]
-    assert isinstance(rec, RecKeyedDrop)
-    assert rec.key == 1
-    assert set(rec.extensions) == {1, 3}
-    assert all(set(ext) == {11, 12} for ext in rec.extensions.values())
+    assert set(inst.g.vertices()) == {1, 2, 11}
+    assert inst.palettes[11] == frozenset((2,))
+    (rec,) = inst.replay
+    assert rec.key == 11 and rec.extensions == {2: {12: 1, 13: 1}}
+    assert run_fixpoint(inst) == SOLVED
+    g = Graph.from_edges([1, 2, 11, 12, 13], [(1, 11), (2, 11), (11, 12), (11, 13)])
+    assert verify_coloring(g, inst.assemble_witness(g.vertices()))
 
 
 def test_cut_reduction_forced_color():
-    # triangle region with one pinned corner: only one uniform cut
-    # coloring extends, so the cut gets committed
-    inst, cut = cut_instance([(11, 12), (11, 13), (12, 13)],
-                             {11: FULL, 12: FULL, 13: {3}})
-    assert cut_reduction(inst, cut, (11, 12, 13)) == "fired"
-    assert inst.colors[1] == 3 and inst.colors[2] == 3
-    assert not inst.g.has_vertex(11)
+    # 12 and 13 pin 11 to 1, which its outside neighbors can take too
+    inst = border_instance([(11, 12), (11, 13)], {11: FULL, 12: {2}, 13: {3}})
+    assert cut_reduction(inst, 11, (11, 12, 13)) == "fired"
+    assert inst.palettes[11] == frozenset((1,))
+    assert inst.replay[-1].extensions == {1: {12: 2, 13: 3}}
+    assert run_fixpoint(inst) == SOLVED
+    assert inst.colors[11] == 1 and inst.colors[1] == inst.colors[2] == 3
+
+
+def test_cut_reduction_keeps_every_extending_color():
+    # the free color 2 clashes with 12, and both other colors extend, so 11
+    # keeps {1, 3} and one record keyed by 11 holds both extensions; no
+    # vertex or edge is added
+    inst = border_instance([(11, 12)], {11: FULL, 12: {2}})
+    edges = set(inst.g.edges())
+    assert cut_reduction(inst, 11, (11, 12)) == "fired"
+    assert set(inst.g.vertices()) == {1, 2, 11}
+    assert set(inst.g.edges()) <= edges
+    assert inst.palettes[11] == frozenset((1, 3))
+    (rec,) = inst.replay
+    assert isinstance(rec, RecKeyedDrop)
+    assert rec.key == 11
+    assert rec.extensions == {1: {12: 2}, 3: {12: 2}}
 
 
 def test_cut_reduction_rejects():
-    inst, cut = cut_instance([(11, 12), (11, 13), (12, 13)],
-                             {11: {1, 2}, 12: {1, 2}, 13: {1, 2}})
-    assert cut_reduction(inst, cut, (11, 12, 13)) == REJECTED
+    inst = border_instance([(11, 12), (11, 13), (12, 13)],
+                           {11: {1, 2}, 12: {1, 2}, 13: {1, 2}})
+    assert cut_reduction(inst, 11, (11, 12, 13)) == REJECTED
 
 
 def test_cut_reduction_contract_checks():
-    inst, cut = cut_instance([(11, 12)], {11: FULL, 12: FULL})
+    # only the border vertex may see outside the region
+    inst = border_instance([(11, 12)], {11: FULL, 12: FULL})
+    inst.g.add_edge(1, 12)
     with pytest.raises(ContractViolationError):
-        cut_reduction(inst, cut, (11,))  # region too small
-    with pytest.raises(ContractViolationError):
-        cut_reduction(inst, cut, (11, 12, 1))  # region overlaps the cut
-    inst.g.add_edge(1, 2)
-    with pytest.raises(ContractViolationError):
-        cut_reduction(inst, cut, (11, 12))  # cut no longer independent
+        cut_reduction(inst, 11, (11, 12))
 
 
-def test_cut_reduction_needs_uniform_view():
-    g = Graph.from_edges(range(1, 5), [(1, 3), (2, 3), (2, 4), (3, 4)])
-    inst = make_instance(g)
-    inst.palettes[1] = inst.palettes[2] = frozenset((1, 3))
-    with pytest.raises(ContractViolationError):
-        cut_reduction(inst, (1, 2), (3, 4))  # 1 sees {3}, 2 sees {3,4}
+def test_cut_reduction_preserves_list_colorability():
+    # a random P4-free region hung on a random outside part at one vertex:
+    # the reduction keeps list-colorability, and replay extends a
+    # coloring of what is left to the whole graph
+    fired = 0
+    for i in range(200):
+        rng = Random(split_seed(64, i))
+        outside = erdos_renyi(rng.randint(2, 5), 0.5, split_seed(65, i))
+        region = [100 + j for j in range(rng.randint(2, 5))]
+        g = Graph.from_edges(outside.vertices() + region, outside.edges())
+        for j, u in enumerate(region):
+            for v in region[j + 1:]:
+                if rng.random() < 0.5:
+                    g.add_edge(u, v)
+        if not cograph.is_p4_free(g, region):
+            continue
+        for x in rng.sample(outside.vertices(), rng.randint(1, 2)):
+            g.add_edge(x, region[0])
+        inst = make_instance(g, {v: rng.sample((1, 2, 3), rng.randint(1, 3))
+                                 for v in g.vertices()})
+        pal_in = dict(inst.palettes)
+        want = inst_feasible(inst)
+        if cut_reduction(inst, region[0], region) == REJECTED:
+            assert not want, i
+            continue
+        assert inst_feasible(inst) == want, i
+        if not want:
+            continue
+        fired += 1
+        sub = induced_subgraph(inst.g, inst.g.vertices())
+        inst.colors.update(oracle_list3color(
+            sub, {v: set(p) for v, p in inst.palettes.items()}))
+        witness = inst.assemble_witness(g.vertices())
+        assert verify_coloring(g, witness), i
+        assert all(witness[v] in pal_in[v] for v in g.vertices()), i
+    assert fired > 40
 
 
 # -- randomized soundness -------------------------------------------------------

@@ -12,8 +12,8 @@ from itertools import product
 import pytest
 
 from hered3 import cograph, patterns, reductions, solver
-from hered3.errors import ClassViolationError
-from hered3.graph import Graph, connected_components, twin_core
+from hered3.errors import ClassViolationError, StageAssertionError
+from hered3.graph import Graph, connected_components, induced_subgraph, twin_core
 from hered3.patterns import check_class
 from hered3.reductions import Instance, Stats
 from hered3.solver import _proper_cycle_colorings, solve
@@ -315,7 +315,7 @@ def test_generated_anchored_graphs_match_oracle():
 
 
 def test_cut_reduction_witnesses_cover_exactly_the_input():
-    # seeds 10, 17 and 32 leave a helper stub in the branch graph; the
+    # the region behind the border vertex is colored only by replay; the
     # witness must hold the input's vertices and nothing else
     cut = 0
     for seed in range(40):
@@ -327,6 +327,44 @@ def test_cut_reduction_witnesses_cover_exactly_the_input():
         assert set(rep.witness) == set(g.vertices()), seed
         assert verify_coloring(g, rep.witness)
     assert cut >= 15
+
+
+def test_anchored_branch_graphs_are_induced_subgraphs(monkeypatch):
+    # the reductions only delete vertices, so every branch graph the
+    # fixpoint sees is an induced subgraph of the input, and the in-class
+    # arguments of the stages hold at every step
+    seen = []
+
+    def recorded(inst):
+        seen.append(inst.g.copy())
+        return reductions.run_fixpoint(inst)
+
+    monkeypatch.setattr(solver, "run_fixpoint", recorded)
+    for seed in range(40):
+        g = c7_gadget(seed)
+        seen.clear()
+        solve(g)
+        assert seen, seed
+        for h in seen:
+            assert set(h.vertices()) <= set(g.vertices()), seed
+            want = induced_subgraph(g, h.vertices())
+            assert {frozenset(e) for e in h.edges()} == {frozenset(e) for e in want.edges()}, seed
+
+
+def test_waived_border_of_two_parts_is_a_stage_refusal():
+    # colorable and out of class (an induced 2P4): with the scan waived the
+    # relevant component meets the rim at two nonadjacent vertices, a shape
+    # the stages refuse by name
+    g = Graph.from_edges(range(1, 17), [
+        (1, 2), (1, 7), (1, 13), (1, 14), (2, 3), (2, 15), (2, 16), (3, 4),
+        (3, 13), (3, 14), (4, 5), (5, 6), (6, 7), (7, 16), (8, 11), (8, 12),
+        (8, 13), (9, 11), (9, 12), (9, 14), (10, 11), (10, 12), (11, 12),
+        (13, 15), (14, 16)])
+    assert oracle_list3color(g) is not None
+    with pytest.raises(ClassViolationError):
+        solve(g)
+    with pytest.raises(StageAssertionError, match="behind a disconnected border"):
+        solve(g, assume_class=True)
 
 
 def test_solve_builds_one_twin_core(monkeypatch):
