@@ -1,9 +1,14 @@
 """Decision pipeline for 3-coloring within the supported graph class.
 
 Up front the solver rejects two certificates that rule out any 3-coloring
-regardless of class membership: an induced complement-of-C7, and a vertex
-whose neighborhood contains an odd cycle (the vertex plus the cycle forms
-an odd wheel).  Each connected component is then solved independently.
+regardless of class membership: a vertex whose neighborhood contains an
+odd cycle (the vertex plus the cycle forms an odd wheel), and then an
+induced complement-of-C7.  The cheap neighborhood check goes first, since
+on dense inputs the co-C7 search is the slow one.  A graph that holds both
+is refused either way, only under the other counter; out of class, under
+assume_class, a neighborhood holding an odd hole of length 11 or more now
+raises its ClassViolationError ahead of the co-C7.  Each connected
+component is then solved independently.
 
 All of this runs on the false-twin quotient h: the subgraph induced by the
 vertices that have no smaller false twin (`graph.false_twins`; false
@@ -55,6 +60,20 @@ the full lexicographic order is thus the least member of its orbit.  The
 representatives are also the first colorings of that order, so a
 colorable component runs exactly the branches the full enumeration runs,
 up to the same winner and witness; only a rejection stops sooner.
+
+Once the first representative is rejected, the later ones are checked
+before they run, by forward checking (Haralick & Elliott 1980): commit a
+prefix of the anchor coloring, strike each committed color from the
+neighbors' palettes, commit every palette left with one color, and refute
+the prefix on an empty palette or a clash.  Prefixes are checked shortest
+first, and a refuted one skips every representative that extends it.
+Every propagation step is forced, so a refuted prefix has no extending
+3-coloring of the component.  A skipped representative's full branch could
+then only have been rejected, since a branch wins only on a witness that
+is verified; out of class it might instead have raised, and skipping it
+removes that refusal, never a verdict.  The representatives that survive
+run in the same order, through the same DFS from the unreduced component,
+so verdicts and witnesses are those of running them all.
 
 Deleted vertices re-enter the final coloring through the settled colors
 and replay records the reduction engine collects.
@@ -120,12 +139,12 @@ def solve(
         if offending is not None:
             raise ClassViolationError(offending)
 
-    if patterns.find_co_c7(core) is not None:
-        stats.bump("preflight_co_c7")
-        return _report("not_colorable", None, stats, start)
     odd = patterns.find_nonbipartite_neighborhood(h)
     if odd is not None:
         stats.bump("preflight_odd_neighborhood_" + odd.kind)
+        return _report("not_colorable", None, stats, start)
+    if patterns.find_co_c7(core) is not None:
+        stats.bump("preflight_co_c7")
         return _report("not_colorable", None, stats, start)
 
     coloring: dict[int, int] = {}
@@ -202,14 +221,23 @@ def _run_anchored(comp_graph, cycle, stats):
     colors and replay records hold its witness.  Returns that branch, or
     None when every representative is rejected, and then so is every
     proper anchor coloring.
+
+    The first representative runs unchecked, since a colorable component
+    usually wins on it.  Once it is rejected, each later one first goes
+    through `_prefix_refuter`, and one whose prefix is refuted is skipped
+    unrun (see the module docstring for why the answer stays the same).
     """
     base = Instance(comp_graph, stats)
     base.anchor_order = tuple(cycle)
     colorings = _proper_cycle_colorings(len(cycle))
     stats.bump("anchor_colorings", len(colorings))
+    refutes = _prefix_refuter(comp_graph, cycle)
     tracker = {"leaves": 0, "pair_width": {}}
     winner = None
-    for col in colorings:
+    for i, col in enumerate(colorings):
+        if i and refutes(col):
+            stats.bump("anchor_colorings_skipped")
+            continue
         child = base.clone()
         for v, c in zip(cycle, col):
             child.commit_color(v, c, keep=True)
@@ -219,14 +247,71 @@ def _run_anchored(comp_graph, cycle, stats):
 
     # every branching stage is structurally bounded: one two-way split
     # per anchor position, and per opposing anchor pair one split into
-    # at most 1 + 9 * width children, below each of the 21 (C7) or 85
-    # (C9) orbit representatives
+    # at most 1 + 9 * width children, below each representative that
+    # runs; the bound counts all 21 (C7) or 85 (C9) of them, and a skipped
+    # one adds no leaf
     bound = len(colorings) * 2 ** len(cycle)
     for i in range(len(cycle)):
         bound *= 1 + 9 * tracker["pair_width"].get(i, 0)
     if tracker["leaves"] > bound:
         raise AssertionError("explored leaves exceed the structural branch bound")
     return winner
+
+
+def _prefix_refuter(g, cycle):
+    """A test of anchor colorings: True when singleton propagation on g
+    refutes one of the coloring's prefixes.
+
+    A prefix colors the first anchors of the cycle.  Each prefix is built
+    once, from its parent's propagated state, and the shortest ones are
+    checked first, so a refuted prefix settles every coloring below it.
+    """
+    memo = {(): ({}, {})}
+
+    def refutes(col):
+        for d in range(1, len(col) + 1):
+            prefix = col[:d]
+            if prefix not in memo:
+                colors, palettes = memo[prefix[:-1]]
+                memo[prefix] = _propagate(g, colors, palettes, cycle[d - 1], col[d - 1])
+            if memo[prefix] is None:
+                return True
+        return False
+
+    return refutes
+
+
+def _propagate(g, colors, palettes, v, c):
+    """Color v with c in a forced partial coloring, then every vertex this
+    leaves a single color.
+
+    palettes holds the shrunk palettes of uncolored vertices; a vertex
+    missing from it has all three colors.  Returns the new colors and
+    palettes, or None when v already holds another color, c is struck from
+    v's palette, or a palette runs empty.
+    """
+    colors, palettes = dict(colors), dict(palettes)
+    todo = [(v, c)]
+    while todo:
+        v, c = todo.pop()
+        if v in colors:
+            if colors[v] != c:
+                return None
+            continue
+        if c not in palettes.pop(v, ALL_COLORS):
+            return None
+        colors[v] = c
+        for w in g.neighbors(v):
+            left = palettes.get(w, ALL_COLORS)
+            if w in colors or c not in left:
+                continue
+            left = left - {c}
+            if not left:
+                return None
+            palettes[w] = left
+            if len(left) == 1:
+                todo.append((w, min(left)))
+    return colors, palettes
 
 
 def _dfs(root, tracker, stats):

@@ -293,6 +293,29 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return g
 
 
+def co_bipartite(n: int, p: float, seed: int) -> Graph:
+    """The complement of a seeded random bipartite graph on n vertices.
+
+    The bipartite graph has sides 1..n // 2 and the rest, and joins each
+    pair across them with probability p; so here each side is a clique, and
+    a pair across is an edge exactly when the bipartite graph lacks it.
+
+    The result is in class: an induced C5 here would be one in the
+    bipartite graph, since C5 is self-complementary, and the complement of
+    2P4 holds a K4, which a bipartite graph cannot.  A side of four or more
+    vertices is a K4, so such a graph is not 3-colorable.
+    """
+    rng = Random(seed)
+    g = Graph()
+    ids = [g.add_vertex() for _ in range(n)]
+    half = n // 2
+    for i, j in combinations(range(n), 2):
+        across = i < half <= j
+        if not across or rng.random() >= p:
+            g.add_edge(ids[i], ids[j])
+    return g
+
+
 def threshold_graph(n: int) -> Graph:
     """Vertex i is isolated for even i and dominating for odd i on arrival.
 

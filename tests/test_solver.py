@@ -8,18 +8,26 @@ import sys
 import time
 import warnings
 from itertools import product
+from random import Random
 
 import pytest
 
 from hered3 import cograph, patterns, reductions, solver
 from hered3.errors import ClassViolationError, StageAssertionError
-from hered3.graph import Graph, connected_components, induced_subgraph, twin_core
+from hered3.graph import (
+    Graph,
+    connected_components,
+    false_twins,
+    induced_subgraph,
+    twin_core,
+)
 from hered3.patterns import check_class
 from hered3.reductions import Instance, Stats
 from hered3.solver import _proper_cycle_colorings, solve
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
+    co_bipartite,
     complete_bipartite,
     count_proper_3colorings,
     cycle_blowup,
@@ -28,6 +36,7 @@ from hered3.testkit import (
     named_graph,
     oracle_list3color,
     path_graph,
+    split_seed,
     verify_coloring,
 )
 
@@ -90,7 +99,9 @@ def test_k4_preflight_sees_the_whole_graph():
 
 
 def test_co_c7_preflight_with_a_planted_twin():
-    # co-C7 has no twins, so the twin core of co-C7 plus a twin is co-C7
+    # co-C7 has no twins, so the twin core of co-C7 plus a twin is co-C7;
+    # a true twin of 1 also sees 1 joined to the path N(1), which holds a
+    # K4, and the odd-neighborhood check runs first
     for true_twin in (False, True):
         g = named_graph("co_c7")
         t = g.add_vertex()
@@ -99,9 +110,36 @@ def test_co_c7_preflight_with_a_planted_twin():
         if true_twin:
             g.add_edge(t, 1)
         assert twin_core(g).vertices() == list(range(1, 8))
+        assert patterns.find_co_c7(twin_core(g)) is not None
         rep = solve(g)
         assert rep.decision == "not_colorable"
-        assert rep.stats["preflight_co_c7"] == 1
+        if true_twin:
+            assert rep.stats["preflight_odd_neighborhood_k4"] == 1
+            assert "preflight_co_c7" not in rep.stats
+        else:
+            assert rep.stats["preflight_co_c7"] == 1
+
+
+def test_odd_neighborhood_check_runs_before_co_c7(monkeypatch):
+    # a co-bipartite graph holds a K4 as soon as a side has four vertices;
+    # the neighborhood check finds it at once, and the co-C7 search, which
+    # would scan every vertex's dense neighborhood first, never runs
+    calls = []
+    real = patterns.find_co_c7
+
+    def counting(g):
+        calls.append(g.vertex_count())
+        return real(g)
+
+    monkeypatch.setattr(patterns, "find_co_c7", counting)
+    g = co_bipartite(60, 0.5, 7)
+    rep = solve(g, assume_class=True)
+    assert rep.decision == "not_colorable"
+    assert rep.stats["preflight_odd_neighborhood_k4"] == 1
+    assert calls == []
+    rep = solve(named_graph("co_c7"))
+    assert rep.stats["preflight_co_c7"] == 1
+    assert calls == [7]
 
 
 def test_odd_wheels_rejected_by_neighborhood_check():
@@ -201,8 +239,9 @@ REFUTATION_BLOWUPS = (
 
 
 def test_anchored_refutations_reject_every_anchor_branch():
-    # every orbit representative of the anchor colorings is a branch and
-    # each one is rejected
+    # every orbit representative of the anchor colorings is rejected: the
+    # first by its branch, and every later one by singleton propagation on
+    # a prefix, without a branch
     for sizes, cliques, n, count in REFUTATION_BLOWUPS:
         g = cycle_blowup(sizes, cliques=cliques)
         assert g.vertex_count() == n
@@ -211,7 +250,66 @@ def test_anchored_refutations_reject_every_anchor_branch():
         assert rep.decision == "not_colorable"
         assert rep.witness is None
         assert rep.stats[f"components_anchored_{len(sizes)}"] == 1
-        assert rep.stats["anchor_colorings"] == rep.stats["branches"] == count
+        assert rep.stats["anchor_colorings"] == count
+        assert rep.stats["branches"] == 1
+        assert rep.stats["anchor_colorings_skipped"] == count - 1
+
+
+def test_refuted_anchor_prefixes_only_skip_rejected_branches():
+    # run every representative as its own branch, the way solve would run
+    # it on the false-twin quotient: a representative whose prefix the
+    # propagation refutes is rejected by its branch too, and solve's
+    # witness is the first winner's
+    graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
+    graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
+    # in their own ids the gadgets anchor a cycle on which no prefix is
+    # refuted; relabeled, as a parsed edge list relabels them, some are
+    for s in range(40):
+        g = c7_gadget(s)
+        verts = g.vertices()
+        ids = verts[:]
+        Random(split_seed(12, s)).shuffle(ids)
+        name = dict(zip(verts, ids))
+        graphs.append(Graph.from_edges(ids, ((name[u], name[w]) for u, w in g.edges())))
+    refuted_seen = refuted_colorable = 0
+    for g in graphs:
+        copies = false_twins(g)
+        h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
+        assert len(connected_components(h)) == 1
+        core = twin_core(h)
+        for k in (7, 9):
+            cycle = patterns.find_induced_cycle(core, k)
+            if cycle is not None:
+                break
+        stats = Stats()
+        base = Instance(h, stats)
+        base.anchor_order = tuple(cycle)
+        refutes = solver._prefix_refuter(h, cycle)
+        first = None
+        refuted = 0
+        for col in _proper_cycle_colorings(k):
+            child = base.clone()
+            for v, c in zip(cycle, col):
+                child.commit_color(v, c, keep=True)
+            tracker = {"leaves": 0, "pair_width": {}}
+            won = solver._dfs(child, tracker, stats)
+            if refutes(col):
+                refuted += 1
+                assert won is None
+            if won is not None and first is None:
+                first = won.assemble_witness(h.vertices())
+        rep = solve(g, witness=True)
+        if first is None:
+            assert rep.decision == "not_colorable"
+        else:
+            refuted_colorable += refuted
+            for v, rep_v in copies.items():
+                first[v] = first[rep_v]
+            assert rep.witness == first
+        refuted_seen += refuted
+    # every representative of both blowups, and 11 of each of 11 gadgets
+    assert refuted_seen - refuted_colorable == 21 + 85
+    assert refuted_colorable >= 100
 
 
 def test_anchor_branch_verdicts_are_constant_on_color_orbits():

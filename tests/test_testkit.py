@@ -13,12 +13,14 @@ from hered3.patterns import check_class, find_induced_cycle
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
+    co_bipartite,
     cograph_composite,
     count_proper_3colorings,
     cycle_graph,
     differential_fuzz,
     erdos_renyi,
     graph_from_record,
+    naive_in_class,
     named_graph,
     oracle_list3color,
     split_seed,
@@ -99,6 +101,21 @@ def test_erdos_renyi_is_seeded():
     assert sorted(a.edges()) == sorted(b.edges())
     c = erdos_renyi(12, 0.3, 8)
     assert sorted(a.edges()) != sorted(c.edges())
+
+
+def test_co_bipartite_graphs_are_in_class():
+    # the complement of a bipartite graph: both sides are cliques
+    for n in range(1, 11):
+        for p in (0.2, 0.5, 0.8):
+            g = co_bipartite(n, p, split_seed(11, n))
+            assert g.vertices() == list(range(1, n + 1))
+            half = n // 2
+            for side in (range(1, half + 1), range(half + 1, n + 1)):
+                assert all(g.has_edge(a, b) for a in side for b in side if a < b)
+            assert naive_in_class(g)
+    a, b = co_bipartite(12, 0.5, 3), co_bipartite(12, 0.5, 3)
+    assert sorted(a.edges()) == sorted(b.edges())
+    assert sorted(a.edges()) != sorted(co_bipartite(12, 0.5, 4).edges())
 
 
 def test_c7_gadgets_keep_their_guarantees():
