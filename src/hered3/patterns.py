@@ -71,68 +71,151 @@ def find_induced_p4(g: Graph, within=None):
 def find_induced_2p4(g: Graph):
     """Two induced P4s with no edges between them, or None.
 
-    Scans induced P4s in canonical order; for each, the second path is
-    sought outside the closed neighborhood of the first, which guarantees
-    there are no connecting edges.
+    A P4 a-b-c-d is scanned through its middle edge, b < c, in the order
+    (b, c, a, d): a in N(b) - N[c], then d in N(c) - N[b] - N(a).  A 2P4
+    through it exists exactly when the vertices outside N[{a, b, c, d}]
+    are not a cograph, and they lie in X = V - N[b] - N[c], so an edge
+    whose X has fewer than four vertices is skipped whole.  One call tests
+    each vertex set once, with `cograph.cotree_or_failure` unless it is
+    four vertices that are not a P4.  The first hit, written so that
+    a < d, is the first part; the second is the least P4 of the set the
+    cotree test reports.
     """
     if g.vertex_count() < 8:
         return None
-    for first in iter_induced_p4s(g):
-        banned = set(first)
-        for v in first:
-            banned |= g.neighbors(v)
-        rest = [v for v in g.vertices() if v not in banned]
-        if len(rest) < 4:
-            continue
-        root, bad = cograph.cotree_or_failure(g, rest)
-        if bad is None:
-            continue
-        second = find_induced_p4(g, within=bad)
-        if second is None:
-            raise AssertionError("non-cograph set without a P4")
-        for u in first:
-            for w in second:
-                if g.has_edge(u, w):
-                    raise AssertionError("2P4 parts touch")
-        return PatternWitness("2p4", (first, second))
+    adj = g._adj
+    verts = set(adj)
+    seen: dict[frozenset, frozenset | None] = {}
+    for b in sorted(adj):
+        nb = adj[b]
+        for c in sorted(w for w in nb if w > b):
+            nc = adj[c]
+            far = verts - nb - nc
+            far.discard(b)
+            far.discard(c)
+            if len(far) < 4:
+                continue
+            ends = nc - nb
+            ends.discard(b)
+            for a in sorted(nb - nc - {c}):
+                na = adj[a]
+                far_a = far - na
+                if len(far_a) < 4:
+                    continue
+                for d in sorted(ends - na):
+                    rest = frozenset(far_a - adj[d])
+                    if len(rest) < 4:
+                        continue
+                    if rest not in seen:
+                        seen[rest] = _non_cograph_part(g, rest)
+                    bad = seen[rest]
+                    if bad is not None:
+                        first = (a, b, c, d) if a < d else (d, c, b, a)
+                        return _two_p4(g, first, bad)
     return None
+
+
+def _non_cograph_part(g: Graph, part: frozenset):
+    """The cotree test's failure set for `part`, or None for a cograph.
+
+    Four vertices that are not a P4 (degrees 1, 1, 2, 2) are a cograph, so
+    such a set is settled without building a cotree."""
+    if len(part) == 4 and sorted(len(g._adj[v] & part) for v in part) != [1, 1, 2, 2]:
+        return None
+    return cograph.cotree_or_failure(g, part)[1]
+
+
+def _two_p4(g: Graph, first, bad):
+    _verify_path(g, first)
+    second = find_induced_p4(g, within=bad)
+    if second is None:
+        raise AssertionError("non-cograph set without a P4")
+    for u in first:
+        for w in second:
+            if g.has_edge(u, w):
+                raise AssertionError("2P4 parts touch")
+    return PatternWitness("2p4", (first, second))
 
 
 def find_induced_cycle(g: Graph, k: int):
     """First induced k-cycle in canonical order, or None.
 
-    Canonical form: the cycle's smallest vertex first, second-smallest
-    neighbor direction fixed by v1 < v_{k-1}.
+    Canonical form: the cycle's smallest vertex v0 first, then the
+    lexicographically least (v1, ..., v_{k-1}) with v1 < v_{k-1}.
+
+    A 5-cycle v0-a-x-y-b is sought by neighbour pairs: for each
+    non-adjacent pair a < b in N(v0) above v0, an edge from
+    X = N(a) - N(b) - N[v0] to Y = N(b) - N(a) - N[v0], both above v0.  The
+    least (x, y, b) of the first a that has one is the canonical cycle.
+
+    Longer and even cycles grow a path v0, v1, ... in ascending order.  A
+    vertex may follow path[i - 1] when it avoids N(v0) and N[path[j]] for
+    every 1 <= j <= i - 2; the last one must instead be a neighbour of v0
+    above v1.  Those closed neighbourhoods are kept as one blocked set,
+    grown by one union per step.
     """
     if k < 4:
         raise ValueError("use explicit triangle checks for k=3")
+    adj = g._adj
+    for v0 in g.vertices():
+        got = _find_c5(adj, v0) if k == 5 else _find_long_cycle(adj, v0, k)
+        if got is not None:
+            _verify_cycle(g, got)
+            return got
+    return None
 
-    def extend(path):
-        i = len(path)
-        v0 = path[0]
+
+def _find_c5(adj, v0):
+    n0 = adj[v0]
+    # the vertices above v0 and outside N[v0]
+    out = {w for w in adj if w > v0} - n0
+    up = sorted(w for w in n0 if w > v0)
+    for i, a in enumerate(up):
+        na = adj[a]
+        xs = na & out
+        if not xs:
+            continue
+        best = None
+        for b in up[i + 1:]:
+            if b in na:
+                continue
+            nb = adj[b]
+            ys = (nb & out) - na
+            if not ys:
+                continue
+            for x in sorted(xs - nb):
+                hit = adj[x] & ys
+                if hit:
+                    got = (x, min(hit), b)
+                    if best is None or got < best:
+                        best = got
+                    break
+        if best is not None:
+            return (v0, a) + best
+    return None
+
+
+def _find_long_cycle(adj, v0, k):
+    n0 = adj[v0]
+
+    def extend(path, blocked):
         last = path[-1]
-        closing = i == k - 1
-        # chordlessness: internal vertices avoid v0 and everything before
-        # the previous one; the closing vertex must reach back to v0.
-        lo = 1 if closing else 0
-        for cand in g.sorted_neighbors(last):
-            if cand <= v0 or cand in path:
+        if len(path) == k - 1:
+            ends = (adj[last] & n0) - blocked
+            ends = [w for w in ends if w > path[1]]
+            return tuple(path) + (min(ends),) if ends else None
+        for cand in sorted(adj[last] - blocked - n0):
+            if cand <= v0:
                 continue
-            if any(g.has_edge(cand, path[j]) for j in range(lo, i - 1)):
-                continue
-            if closing:
-                if cand < path[1] or not g.has_edge(cand, v0):
-                    continue
-                return tuple(path) + (cand,)
-            got = extend(path + [cand])
+            got = extend(path + [cand], blocked | adj[last] | {last})
             if got is not None:
                 return got
         return None
 
-    for v0 in g.vertices():
-        got = extend([v0])
+    for v1 in sorted(w for w in n0 if w > v0):
+        # N(v0) stays out of the blocked set: the closing vertex lies in it
+        got = extend([v0, v1], set())
         if got is not None:
-            _verify_cycle(g, got)
             return got
     return None
 
@@ -238,11 +321,16 @@ def check_class(g: Graph):
     subgraph of g with g's ids, so a witness is one in g.
 
     The core keeps the least id of each twin class, so v < u, and putting v
-    in u's place on an induced cycle or path gives one that comes earlier
-    in canonical order.  So the first C5 of `find_induced_cycle` on g is on
-    the core and is the one returned.  The swap also leaves the closed
-    neighbourhood of a P4 unchanged, so the first part of a 2P4 witness is
-    the one found on g; the second part may differ.
+    in u's place on an induced cycle gives one that comes earlier in
+    canonical order.  So the first C5 of `find_induced_cycle` on g is on
+    the core and is the one returned.  For a 2P4, a hit of
+    `find_induced_2p4` is a P4 P whose outside, V - N[P], is not a
+    cograph.  Putting v in u's place on P leaves N[P] unchanged and moves
+    the hit earlier in the scan's (b, c, a, d) order, and a deletion
+    outside N[P] leaves the outside a non-cograph (a P4 in it through u
+    goes through v instead).  So the first hit on g avoids every deleted
+    vertex, the first hit on the core is the same P4, and the first part
+    of a 2P4 witness is the one found on g; the second part may differ.
     """
     return check_core(twin_core(g))
 
@@ -251,8 +339,10 @@ def check_core(core: Graph):
     """The C5 scan, then the 2P4 scan, of `check_class`, run on `core` as
     given.  The verdict holds for any graph; a caller that has already built
     a twin core passes it here and gets the witness `check_class` argues.
+    A bipartite core has no odd cycle, so its C5 scan is skipped.
     """
-    c5 = find_induced_cycle(core, 5)
-    if c5 is not None:
-        return PatternWitness("c5", (c5,))
+    if bipartition(core) is None:
+        c5 = find_induced_cycle(core, 5)
+        if c5 is not None:
+            return PatternWitness("c5", (c5,))
     return find_induced_2p4(core)

@@ -90,6 +90,7 @@ from . import cograph, patterns
 from .errors import ClassViolationError, StageAssertionError
 from .graph import (
     Graph,
+    bipartition,
     connected_components,
     false_twins,
     induced_subgraph,
@@ -180,16 +181,18 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
 def _solve_component(g, core, comp, stats):
     """The component's 3-coloring, or None when it has none.
 
-    The anchor cycle is sought on the component's part of the twin core;
-    the anchored run itself works on the whole component of g."""
+    The anchor cycle is sought on the component's part of the twin core,
+    unless that part is bipartite and so holds no odd cycle; the anchored
+    run itself works on the whole component of g."""
     sub = induced_subgraph(g, comp)
     search = induced_subgraph(core, [v for v in comp if v in core])
-    for k in (7, 9):
-        cyc = patterns.find_induced_cycle(search, k)
-        if cyc is not None:
-            stats.bump(f"components_anchored_{k}")
-            won = _run_anchored(sub, cyc, stats)
-            return None if won is None else won.assemble_witness(comp)
+    if bipartition(search) is None:
+        for k in (7, 9):
+            cyc = patterns.find_induced_cycle(search, k)
+            if cyc is not None:
+                stats.bump(f"components_anchored_{k}")
+                won = _run_anchored(sub, cyc, stats)
+                return None if won is None else won.assemble_witness(comp)
     stats.bump("components_plain")
     return _backtrack_color(sub)
 

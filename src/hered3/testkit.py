@@ -131,30 +131,26 @@ def count_proper_3colorings(g: Graph) -> int:
 
 
 def naive_has_p4(g: Graph) -> bool:
-    return any(_is_path4(g, quad) for quad in combinations(g.vertices(), 4))
+    adj = {v: g.neighbors(v) for v in g.vertices()}
+    return any(_is_path4(adj, quad) for quad in combinations(sorted(adj), 4))
 
 
-def _is_path4(g, quad) -> bool:
-    # exactly a path on 4 vertices: 3 edges with degree multiset 1,1,2,2
-    degs = []
-    edges = 0
-    for v in quad:
-        d = sum(1 for w in quad if w != v and g.has_edge(v, w))
-        degs.append(d)
-        edges += d
-    return edges == 6 and sorted(degs) == [1, 1, 2, 2]
+def _is_path4(adj, quad) -> bool:
+    # exactly a path on 4 vertices: degrees 1,1,2,2 (3 edges; K3 + K1 and
+    # the star, the other graphs with 3 edges, have degrees 0,2,2,2 and 1,1,1,3)
+    inside = set(quad)
+    return sorted(len(adj[v] & inside) for v in quad) == [1, 1, 2, 2]
 
 
 def naive_has_2p4(g: Graph) -> bool:
-    verts = g.vertices()
-    quads = [q for q in combinations(verts, 4) if _is_path4(g, q)]
+    """Some pair of induced P4s, each missing the other's closed
+    neighbourhood, so that they share no vertex and no edge joins them."""
+    adj = {v: g.neighbors(v) for v in g.vertices()}
+    quads = [q for q in combinations(sorted(adj), 4) if _is_path4(adj, q)]
     for i, qa in enumerate(quads):
-        sa = set(qa)
-        for qb in quads[i + 1:]:
-            if sa & set(qb):
-                continue
-            if not any(g.has_edge(a, b) for a in qa for b in qb):
-                return True
+        closed = set(qa).union(*(adj[a] for a in qa))
+        if any(closed.isdisjoint(qb) for qb in quads[i + 1:]):
+            return True
     return False
 
 
@@ -167,6 +163,44 @@ def naive_has_cycle(g: Graph, k: int) -> bool:
         if len(connected_components(g, within=set(sub))) == 1:
             return True
     return False
+
+
+def reference_induced_cycle(g: Graph, k: int):
+    """The first induced k-cycle of a plain depth-first search, or None.
+
+    Paths grow from each start vertex v0 in ascending order through
+    ascending neighbours above v0, testing each candidate for chords one
+    edge at a time; the closing vertex is a neighbour of v0 above the
+    second vertex.  So the result is the canonical cycle that
+    `patterns.find_induced_cycle` must return.
+    """
+    if k < 4:
+        raise ValueError("use explicit triangle checks for k=3")
+
+    def extend(path):
+        i = len(path)
+        v0 = path[0]
+        closing = i == k - 1
+        lo = 1 if closing else 0
+        for cand in g.sorted_neighbors(path[-1]):
+            if cand <= v0 or cand in path:
+                continue
+            if any(g.has_edge(cand, path[j]) for j in range(lo, i - 1)):
+                continue
+            if closing:
+                if cand < path[1] or not g.has_edge(cand, v0):
+                    continue
+                return tuple(path) + (cand,)
+            got = extend(path + [cand])
+            if got is not None:
+                return got
+        return None
+
+    for v0 in g.vertices():
+        got = extend([v0])
+        if got is not None:
+            return got
+    return None
 
 
 def naive_has_k4(g: Graph) -> bool:
@@ -290,6 +324,26 @@ def complete_bipartite(a: int, b: int) -> Graph:
         v = g.add_vertex()
         for u in left:
             g.add_edge(u, v)
+    return g
+
+
+def crown_graph(n: int) -> Graph:
+    """The crown graph S_n: K_{n,n} minus a perfect matching.
+
+    Sides are ids 1..n and n+1..2n, and i is joined to n + j unless i = j.
+    It is bipartite, so it has no odd cycle, and it has no 2P4: in a
+    bipartite graph an end of the first P4 misses the other end and the two
+    vertices of the second P4 on the other side, three non-neighbours
+    there, and each vertex here has one.  For n >= 3 no two vertices are
+    twins, so nothing shrinks it before the pattern scans.
+    """
+    g = Graph()
+    left = [g.add_vertex() for _ in range(n)]
+    right = [g.add_vertex() for _ in range(n)]
+    for i, u in enumerate(left):
+        for j, v in enumerate(right):
+            if i != j:
+                g.add_edge(u, v)
     return g
 
 

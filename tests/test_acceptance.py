@@ -25,9 +25,11 @@ from hered3.solver import _proper_cycle_colorings, solve
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
+    co_bipartite,
     cograph_composite,
     complete_bipartite,
     count_proper_3colorings,
+    crown_graph,
     cycle_blowup,
     cycle_graph,
     differential_fuzz,
@@ -376,3 +378,25 @@ def test_in_class_scaling_on_blowups_and_bicliques():
         assert t1 - t0 < 5 and t2 - t1 < 5, f"{name}: {t1 - t0:.2f}s, {t2 - t1:.2f}s"
         timings.append(f"{name} {t1 - t0:.3f}/{t2 - t1:.3f}s")
     print("PASS in-class scaling (check_class/solve): " + ", ".join(timings))
+
+
+# -- gate 12: twin-free in-class scaling --------------------------------------------
+
+def test_in_class_scaling_on_twin_free_graphs():
+    # in class by construction (see testkit.crown_graph and co_bipartite)
+    # and twin-free, so the twin core leaves the pattern scans at full size
+    timings = []
+    cases = [("S_50", crown_graph(50), True), ("S_100", crown_graph(100), True),
+             ("co-bipartite n=100", co_bipartite(100, 0.5, split_seed(12, 100)), False)]
+    for name, g, colorable in cases:
+        t0 = time.perf_counter()
+        assert check_class(g) is None, name
+        t1 = time.perf_counter()
+        rep = solve(g, witness=True)
+        t2 = time.perf_counter()
+        assert (rep.decision == "colorable") == colorable, name
+        if colorable:
+            assert verify_coloring(g, rep.witness), name
+        assert t1 - t0 < 5 and t2 - t1 < 5, f"{name}: {t1 - t0:.2f}s, {t2 - t1:.2f}s"
+        timings.append(f"{name} {t1 - t0:.3f}/{t2 - t1:.3f}s")
+    print("PASS twin-free in-class scaling (check_class/solve): " + ", ".join(timings))

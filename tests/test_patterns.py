@@ -7,9 +7,11 @@ import pytest
 
 from hered3.errors import ClassViolationError
 from hered3.graph import Graph, twin_core
+from hered3 import patterns
 from hered3.patterns import (
     PatternWitness,
     check_class,
+    check_core,
     find_co_c7,
     find_induced_2p4,
     find_induced_cycle,
@@ -30,6 +32,7 @@ from hered3.testkit import (
     naive_has_p4,
     path_graph,
     petersen_graph,
+    reference_induced_cycle,
     split_seed,
 )
 
@@ -271,6 +274,44 @@ def test_detectors_against_naive_enumeration():
     assert 0 < hits["2p4"] < total
     assert 0 < hits["c5"] < total
     assert 0 < hits["c7"]
+
+
+def test_scans_match_the_reference_search():
+    # the set-based cycle scans return the reference search's canonical
+    # cycle, and the middle-edge 2P4 scan finds a 2P4 exactly when one
+    # exists, with the same first part on the graph as on its twin core
+    hits = {5: 0, 7: 0, 9: 0, "2p4": 0}
+    total = 1500
+    for i in range(total):
+        n = 6 + i % 11
+        p = (0.1, 0.2, 0.3, 0.45, 0.6, 0.75)[i % 6]
+        g = erdos_renyi(n, p, split_seed(61, i))
+        for k in (5, 7, 9):
+            got = find_induced_cycle(g, k)
+            assert got == reference_induced_cycle(g, k), (i, k)
+            hits[k] += got is not None
+        found = find_induced_2p4(g)
+        assert (found is not None) == naive_has_2p4(g), i
+        if found is not None:
+            assert find_induced_2p4(twin_core(g)).parts[0] == found.parts[0], i
+            hits["2p4"] += 1
+    assert all(10 < h < total - 10 for h in hits.values()), hits
+
+
+def test_bipartite_core_skips_the_c5_scan(monkeypatch):
+    calls = []
+    real = patterns.find_induced_cycle
+
+    def recorded(g, k):
+        calls.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(patterns, "find_induced_cycle", recorded)
+    for g in (testkit.crown_graph(6), cycle_graph(10), path_graph(9)):
+        check_core(twin_core(g))
+    assert calls == []
+    assert check_core(cycle_graph(5)).kind == "c5"
+    assert calls == [5]
 
 
 def small_graph(n, p, rng, plant, flip):

@@ -30,6 +30,7 @@ from hered3.testkit import (
     co_bipartite,
     complete_bipartite,
     count_proper_3colorings,
+    crown_graph,
     cycle_blowup,
     cycle_graph,
     naive_in_class,
@@ -140,6 +141,27 @@ def test_odd_neighborhood_check_runs_before_co_c7(monkeypatch):
     rep = solve(named_graph("co_c7"))
     assert rep.stats["preflight_co_c7"] == 1
     assert calls == [7]
+
+
+def test_bipartite_components_skip_the_anchor_search(monkeypatch):
+    # a bipartite component has no odd cycle, so no C7 or C9 is sought in it
+    calls = []
+    real = patterns.find_induced_cycle
+
+    def recorded(g, k):
+        calls.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(patterns, "find_induced_cycle", recorded)
+    for g in (crown_graph(6), cycle_graph(8)):
+        rep = solve(g, witness=True)
+        assert rep.decision == "colorable"
+        assert rep.stats["components_plain"] == 1
+        assert verify_coloring(g, rep.witness)
+    assert calls == []
+    rep = solve(cycle_graph(7))
+    assert rep.stats["components_anchored_7"] == 1
+    assert calls == [5, 7]
 
 
 def test_odd_wheels_rejected_by_neighborhood_check():
@@ -636,15 +658,16 @@ def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeyp
         built.append(within)
         return cotree(g, within)
 
+    # built first: the generator's class check builds cotrees of its own
+    g = c7_gadget(0)
     monkeypatch.setattr(reductions, "_cograph_component", counted_rule7)
     monkeypatch.setattr(cograph, "cotree_or_failure", counted_cotree)
-    g = c7_gadget(0)
     rep = solve(g, witness=True, assume_class=True)
     assert rep.decision == "colorable"
     assert verify_coloring(g, rep.witness)
     assert calls == [(True, 0)]
-    # the P4-freeness checks of the outer components and the cut
-    assert len(built) == 7
+    # the P4-freeness check of the one outer component at the stage ladder
+    assert len(built) == 1
 
 
 def test_trivial_graphs():

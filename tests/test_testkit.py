@@ -8,7 +8,7 @@ is known independently of any code here: a cycle on n vertices has
 import pytest
 
 from hered3 import testkit
-from hered3.graph import Graph
+from hered3.graph import Graph, bipartition, false_twins, twin_core
 from hered3.patterns import check_class, find_induced_cycle
 from hered3.testkit import (
     c7_gadget,
@@ -16,10 +16,14 @@ from hered3.testkit import (
     co_bipartite,
     cograph_composite,
     count_proper_3colorings,
+    crown_graph,
     cycle_graph,
     differential_fuzz,
     erdos_renyi,
     graph_from_record,
+    naive_has_2p4,
+    naive_has_cycle,
+    naive_has_p4,
     naive_in_class,
     named_graph,
     oracle_list3color,
@@ -116,6 +120,22 @@ def test_co_bipartite_graphs_are_in_class():
     a, b = co_bipartite(12, 0.5, 3), co_bipartite(12, 0.5, 3)
     assert sorted(a.edges()) == sorted(b.edges())
     assert sorted(a.edges()) != sorted(co_bipartite(12, 0.5, 4).edges())
+
+
+def test_crown_graphs_are_in_class_and_twin_free():
+    for n in range(1, 7):
+        g = crown_graph(n)
+        assert g.vertices() == list(range(1, 2 * n + 1))
+        assert g.edge_count() == n * (n - 1)
+        assert bipartition(g) is not None
+        assert naive_in_class(g)
+        assert not naive_has_cycle(g, 5) and not naive_has_cycle(g, 7)
+        assert not naive_has_2p4(g)
+        assert naive_has_p4(g) == (n >= 3)
+        assert check_class(g) is None
+        if n >= 3:
+            assert len(twin_core(g)) == 2 * n
+            assert false_twins(g) == {}
 
 
 def test_c7_gadgets_keep_their_guarantees():
