@@ -115,20 +115,22 @@ def format_dimacs(g: Graph, comments: tuple = ()) -> str:
 
 
 def parse_edge_list(text: str) -> GraphDocument:
+    """Ids 1, 2, ... in order of first appearance of each label."""
     g = Graph()
     doc = GraphDocument("edge_list", g)
+    adj = g._adj
     by_label: dict[str, int] = {}
 
     def vertex(label: str) -> int:
-        if label not in by_label:
-            by_label[label] = g.add_vertex()
-            doc.labels[by_label[label]] = label
-        return by_label[label]
+        v = by_label.get(label)
+        if v is None:
+            v = by_label[label] = len(by_label) + 1
+            adj[v] = set()
+            doc.labels[v] = label
+        return v
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0] if "#" in raw else raw
         if ":" in line:
             # palette annotation: "<label>: <color> <color>..."
             name, _, rest = line.partition(":")
@@ -144,19 +146,21 @@ def parse_edge_list(text: str) -> GraphDocument:
             doc.palettes[vertex(name)] = colors
             continue
         parts = line.split()
-        if len(parts) == 1:
-            vertex(parts[0])
-        elif len(parts) == 2:
-            if parts[0] == parts[1]:
-                raise ParseError(f"self-loop at {parts[0]!r}", line_no=line_no)
-            u, v = vertex(parts[0]), vertex(parts[1])
-            if g.has_edge(u, v):
-                doc.warnings.append(
-                    f"line {line_no}: duplicate edge {parts[0]} {parts[1]} ignored")
+        if len(parts) == 2:
+            a, b = parts
+            if a == b:
+                raise ParseError(f"self-loop at {a!r}", line_no=line_no)
+            u, v = vertex(a), vertex(b)
+            if v in adj[u]:
+                doc.warnings.append(f"line {line_no}: duplicate edge {a} {b} ignored")
             else:
-                g.add_edge(u, v)
-        else:
+                adj[u].add(v)
+                adj[v].add(u)
+        elif len(parts) == 1:
+            vertex(parts[0])
+        elif parts:
             raise ParseError(f"expected one or two tokens: {raw!r}", line_no=line_no)
+    g._next_id = len(adj) + 1
     return doc
 
 

@@ -229,7 +229,8 @@ def bipartition(g: Graph, within: Iterable[int] | None = None) -> tuple[set[int]
     id is assigned to the first set, which makes the result deterministic
     (the first set always contains the globally smallest vertex id).
     """
-    verts = g._adj if within is None else set(within)
+    adj = g._adj
+    verts = adj if within is None else set(within)
     side: dict[int, int] = {}
     first: set[int] = set()
     second: set[int] = set()
@@ -241,9 +242,7 @@ def bipartition(g: Graph, within: Iterable[int] | None = None) -> tuple[set[int]
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in g._adj[u]:
-                if w not in verts:
-                    continue
+            for w in adj[u] if within is None else adj[u] & verts:
                 if w not in side:
                     side[w] = side[u] ^ 1
                     queue.append(w)
@@ -252,12 +251,6 @@ def bipartition(g: Graph, within: Iterable[int] | None = None) -> tuple[set[int]
     for v, s in side.items():
         (first if s == 0 else second).add(v)
     return first, second
-
-
-def common_neighbors(g: Graph, u: int, v: int) -> set[int]:
-    g._check(u)
-    g._check(v)
-    return g._adj[u] & g._adj[v]
 
 
 def complement_components(g: Graph, within: Iterable[int] | None = None) -> list[set[int]]:

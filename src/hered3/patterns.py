@@ -284,9 +284,10 @@ def find_nonbipartite_neighborhood(g: Graph):
     """
     for v in g.vertices():
         nv = g.neighbors(v)
-        # one BFS settles the common bipartite case; the per-vertex BFS of
-        # shortest_odd_cycle runs only on a neighborhood that has an odd cycle
-        if bipartition(g, within=nv) is not None:
+        # an odd cycle needs three vertices; one BFS settles the common
+        # bipartite case; the per-vertex BFS of shortest_odd_cycle runs only
+        # on a neighborhood that has an odd cycle
+        if len(nv) < 3 or bipartition(g, within=nv) is not None:
             continue
         cyc = shortest_odd_cycle(g, within=nv)
         if len(cyc) == 3:

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from . import cograph
 from .errors import ContractViolationError
-from .graph import Graph, common_neighbors, connected_components
+from .graph import Graph, connected_components
 from .twosat import TwoSat, lit
 
 REJECTED = "rejected"
@@ -178,10 +178,17 @@ class Instance:
         self.replay.append(record)
 
     def remove_region(self, verts: Iterable[int], solved: dict | None = None) -> None:
-        """Delete verts; solved settles the colors of the uncolored ones."""
-        for v in sorted(verts):
+        """Delete verts; solved settles the colors of the uncolored ones.
+
+        An edge inside the region goes with its endpoints' adjacency
+        entries, so only edges leaving the region cost a discard.
+        """
+        region = set(verts)
+        adj = self.g._adj
+        for v in region:
             self.palettes.pop(v, None)
-            self.g.remove_vertex(v)
+            for u in adj.pop(v) - region:
+                adj[u].discard(v)
         if solved:
             self.colors.update(solved)
 
@@ -281,17 +288,15 @@ def _one_pass(inst: Instance) -> str:
 
 
 def _prune_low_degree(inst: Instance) -> bool:
+    adj = inst.g._adj
     fired = False
     while True:
-        cands = sorted(v for v in inst.palettes if len(inst.palettes[v]) > inst.g.degree(v))
+        cands = sorted(v for v, p in inst.palettes.items() if len(p) > len(adj[v]))
         if not cands:
             return fired
         for v in cands:
-            if v not in inst.palettes:
-                continue
-            if len(inst.palettes[v]) <= inst.g.degree(v):
-                continue
-            rec = RecDegree(v, inst.palettes[v], tuple(sorted(inst.g.neighbors(v))))
+            # a deletion only lowers degrees, so every candidate still qualifies
+            rec = RecDegree(v, inst.palettes[v], tuple(sorted(adj[v])))
             inst.delete_recorded(v, rec)
             inst.stats.bump("rule_degree_prune")
             fired = True
@@ -303,52 +308,64 @@ def _diamond_pass(inst: Instance):
     Candidate pairs are the nonadjacent common neighbors of each edge; in
     any 3-coloring the two edge endpoints use two colors, so both common
     neighbors are forced to the remaining one and their palettes must agree.
+    Edges are walked in ascending order, and an edge with fewer than two
+    common neighbors holds no pair.
     """
-    for u, w in inst.g.edges():
-        shared = sorted(common_neighbors(inst.g, u, w))
-        for i in range(len(shared)):
-            y = shared[i]
-            py = inst.eff_palette(y)
-            for j in range(i + 1, len(shared)):
-                yp = shared[j]
-                if inst.g.has_edge(y, yp):
-                    continue
-                pyp = inst.eff_palette(yp)
-                if py == pyp:
-                    continue
-                inter = py & pyp
-                if not inter:
+    adj = inst.g._adj
+    for u in sorted(adj):
+        nu = adj[u]
+        for w in sorted(w for w in nu if w > u):
+            shared = nu & adj[w]
+            if len(shared) < 2:
+                continue
+            shared = sorted(shared)
+            for i, y in enumerate(shared):
+                ny = adj[y]
+                py = inst.eff_palette(y)
+                for yp in shared[i + 1:]:
+                    if yp in ny:
+                        continue
+                    pyp = inst.eff_palette(yp)
+                    if py == pyp:
+                        continue
+                    inter = py & pyp
+                    if not inter:
+                        inst.stats.bump("rule_diamond")
+                        return REJECTED
+                    for z in (y, yp):
+                        if z in inst.palettes and inst.palettes[z] != inter:
+                            inst.palettes[z] = inter
                     inst.stats.bump("rule_diamond")
-                    return REJECTED
-                for z in (y, yp):
-                    if z in inst.palettes and inst.palettes[z] != inter:
-                        inst.palettes[z] = inter
-                inst.stats.bump("rule_diamond")
-                return _FIRED
+                    return _FIRED
     return None
 
 
 def _domination_pass(inst: Instance) -> bool:
-    """Delete vertices whose neighborhood and palette are dominated."""
+    """Delete vertices whose neighborhood and palette are dominated.
+
+    y is dominated by y' != y when N(y) is a subset of N(y') and the
+    palette of y' is a subset of y's: in any coloring of the rest, y can
+    take the color of y'.  The vertices y' with N(y) inside N(y') are the
+    common neighbors of N(y), tried in ascending order.
+    """
+    adj = inst.g._adj
     fired = False
     for y in sorted(inst.palettes):
-        if not inst.g.has_vertex(y):
-            continue
-        ny = inst.g.neighbors(y)
+        ny = adj[y]
         if not ny:
             continue
-        gate = min(ny, key=lambda x: (inst.g.degree(x), x))
-        for yp in inst.g.sorted_neighbors(gate):
-            if yp == y:
-                continue
-            if not inst.eff_palette(yp) <= inst.palettes[y]:
-                continue
-            if not ny <= inst.g.neighbors(yp):
-                continue
-            inst.delete_recorded(y, RecDominated(y, yp))
-            inst.stats.bump("rule_domination")
-            fired = True
-            break
+        # y is a common neighbor of N(y) itself
+        cands = set.intersection(*[adj[x] for x in ny])
+        if len(cands) < 2:
+            continue
+        cands.discard(y)
+        pal = inst.palettes[y]
+        for yp in sorted(cands):
+            if inst.eff_palette(yp) <= pal:
+                inst.delete_recorded(y, RecDominated(y, yp))
+                inst.stats.bump("rule_domination")
+                fired = True
+                break
     return fired
 
 
@@ -374,35 +391,30 @@ def _two_sat_component(inst: Instance, comp: set):
     if any(len(inst.palettes[v]) != 2 for v in unc):
         return None
     _assert_colored_edges_proper(inst, comp)
-    var_of = {v: i for i, v in enumerate(unc)}
+    # variable i true means unc[i] takes the smaller of its two colors;
+    # avoid[v][c] is the literal for "v does not take c"
+    pairs = [sorted(inst.palettes[v]) for v in unc]
+    avoid = {}
+    for i, (v, (a, b)) in enumerate(zip(unc, pairs)):
+        avoid[v] = {a: lit(i, False), b: lit(i, True)}
+    adj = inst.g._adj
     sat = TwoSat(len(unc))
     for v in unc:
-        for w in inst.g.sorted_neighbors(v):
-            if w < v or w not in inst.palettes:
+        av = avoid[v]
+        for w in sorted(adj[v]):
+            if w < v or w not in avoid:
                 continue
-            for c in sorted(inst.palettes[v] & inst.palettes[w]):
-                sat.add_clause(_palette_lit(inst, var_of, v, c, negate=True),
-                               _palette_lit(inst, var_of, w, c, negate=True))
+            aw = avoid[w]
+            for c in sorted(av.keys() & aw.keys()):
+                sat.add_clause(av[c], aw[c])
     model = sat.solve()
     inst.stats.bump("rule_two_sat_component")
     if model is None:
         return REJECTED
-    solved = {}
-    for v in unc:
-        a, b = sorted(inst.palettes[v])
-        solved[v] = a if model[var_of[v]] else b
+    solved = {v: a if model[i] else b for i, (v, (a, b)) in enumerate(zip(unc, pairs))}
     _verify_region_coloring(inst, solved)
     inst.remove_region(comp, solved)
     return _FIRED
-
-
-def _palette_lit(inst: Instance, var_of: dict, v: int, color: int, negate: bool) -> int:
-    """Literal for "v takes `color`"; variable true means the smaller color."""
-    a, b = sorted(inst.palettes[v])
-    positive = color == a
-    if negate:
-        positive = not positive
-    return lit(var_of[v], positive)
 
 
 def _cograph_component(inst: Instance, comp: set):

@@ -169,11 +169,12 @@ def _report(decision, witness_map, stats, start) -> SolveReport:
 
 
 def _verify_witness(g: Graph, coloring: dict) -> None:
-    for v in g.vertices():
+    adj = g._adj
+    for v in sorted(adj):
         c = coloring.get(v)
         if c not in ALL_COLORS:
             raise AssertionError(f"witness misses vertex {v}")
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if coloring.get(w) == c:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 

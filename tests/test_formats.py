@@ -145,6 +145,48 @@ def test_parse_edge_list_duplicate_edge_warns():
     assert len(list(doc.graph.edges())) == 1
 
 
+def test_parse_edge_list_comments_and_whitespace():
+    # a comment-only line, a "#" right after a label, tabs, runs of spaces
+    # and blank lines: ids follow first appearance, line numbers count
+    # every line
+    text = "# header only\nb#note\n\n\tb \t  a  # trailing\n   \n c\t\td\n\t\n"
+    doc = parse_edge_list(text)
+    assert doc.labels == {1: "b", 2: "a", 3: "c", 4: "d"}
+    assert sorted(doc.graph.edges()) == [(1, 2), (3, 4)]
+    assert doc.warnings == []
+    assert doc.graph.add_vertex() == 5
+
+
+def test_parse_edge_list_reversed_duplicate_edge():
+    doc = parse_edge_list("x y\n# comment\n\ny\t x\ny x # again\n")
+    assert doc.labels == {1: "x", 2: "y"}
+    assert sorted(doc.graph.edges()) == [(1, 2)]
+    assert doc.warnings == [
+        "line 4: duplicate edge y x ignored",
+        "line 5: duplicate edge y x ignored",
+    ]
+
+
+def test_parse_edge_list_palette_for_a_new_label_takes_the_next_id():
+    doc = parse_edge_list("a b\nnew: 3 2\nb new\nlast:1#c\n")
+    assert doc.labels == {1: "a", 2: "b", 3: "new", 4: "last"}
+    assert doc.palettes == {3: (2, 3), 4: (1,)}
+    assert sorted(doc.graph.edges()) == [(1, 2), (2, 3)]
+    assert not doc.graph.neighbors(4)
+    assert doc.graph.add_vertex() == 5
+
+
+def test_parse_edge_list_error_line_numbers_count_comments_and_blanks():
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("# c\n\na b\n\t\nb\tb  # loop\n")
+    assert err.value.line_no == 5
+    assert "self-loop at 'b'" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("a b\n  \n a\tb c # three\n")
+    assert err.value.line_no == 3
+    assert "expected one or two tokens: ' a\\tb c # three'" in str(err.value)
+
+
 def test_format_edge_list_round_trip():
     g = Graph.from_edges(range(1, 5), [(1, 2), (2, 3)])
     labels = {1: "left", 2: "mid", 3: "right", 4: "lone"}

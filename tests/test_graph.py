@@ -8,7 +8,6 @@ from hered3.errors import InputError
 from hered3.graph import (
     Graph,
     bipartition,
-    common_neighbors,
     complement_components,
     connected_components,
     false_twins,
@@ -106,12 +105,6 @@ def test_bipartition():
     # restricted view ignores odd structure outside
     g = cycle(5)
     assert bipartition(g, within=[0, 1, 2]) is not None
-
-
-def test_common_neighbors():
-    g = Graph.from_edges(range(4), [(0, 1), (0, 2), (3, 1), (3, 2), (1, 2)])
-    assert common_neighbors(g, 0, 3) == {1, 2}
-    assert common_neighbors(g, 0, 1) == {2}
 
 
 def test_complement_components():

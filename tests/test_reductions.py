@@ -181,6 +181,98 @@ def test_domination_needs_palette_containment():
     assert inst.g.vertex_count() == 4
 
 
+# -- rules 4 and 5 against the per-edge and per-gate walks --------------------
+
+
+def naive_diamond_pass(inst):
+    """Rule 4 by every pair of common neighbors of every edge, in order."""
+    for u, w in inst.g.edges():
+        shared = sorted(inst.g.neighbors(u) & inst.g.neighbors(w))
+        for i in range(len(shared)):
+            y = shared[i]
+            py = inst.eff_palette(y)
+            for j in range(i + 1, len(shared)):
+                yp = shared[j]
+                if inst.g.has_edge(y, yp):
+                    continue
+                pyp = inst.eff_palette(yp)
+                if py == pyp:
+                    continue
+                inter = py & pyp
+                if not inter:
+                    inst.stats.bump("rule_diamond")
+                    return REJECTED
+                for z in (y, yp):
+                    if z in inst.palettes and inst.palettes[z] != inter:
+                        inst.palettes[z] = inter
+                inst.stats.bump("rule_diamond")
+                return "fired"
+    return None
+
+
+def naive_domination_pass(inst):
+    """Rule 5 by walking the neighbors of y's least-degree neighbor."""
+    fired = False
+    for y in sorted(inst.palettes):
+        ny = inst.g.neighbors(y)
+        if not ny:
+            continue
+        gate = min(ny, key=lambda x: (inst.g.degree(x), x))
+        for yp in inst.g.sorted_neighbors(gate):
+            if yp == y:
+                continue
+            if not inst.eff_palette(yp) <= inst.palettes[y]:
+                continue
+            if not ny <= inst.g.neighbors(yp):
+                continue
+            inst.delete_recorded(y, RecDominated(y, yp))
+            inst.stats.bump("rule_domination")
+            fired = True
+            break
+    return fired
+
+
+def rule_instance(i):
+    """A random graph with planted dominators, random palettes, and up to
+    two anchor vertices kept in the graph with a committed color."""
+    rng = Random(split_seed(66, i))
+    g = erdos_renyi(rng.randint(4, 14), rng.choice((0.3, 0.5, 0.7)), split_seed(67, i))
+    for _ in range(rng.randint(0, 3)):
+        v = rng.choice(g.vertices())
+        t = g.add_vertex()
+        for w in list(g.neighbors(v)) + rng.sample(g.vertices()[:-1], 1):
+            if w != t and not g.has_edge(t, w):
+                g.add_edge(t, w)
+    inst = make_instance(g, {v: rng.sample((1, 2, 3), rng.randint(1, 3)) for v in g.vertices()})
+    for v in rng.sample(g.vertices(), rng.randint(0, 2)):
+        if not inst.palettes[v]:
+            continue
+        c = rng.choice(sorted(inst.palettes[v]))
+        if all(inst.colors.get(w) != c for w in g.neighbors(v)):
+            inst.commit_color(v, c, keep=True)
+    return inst
+
+
+def rule_state(inst, out):
+    replay = [(type(r).__name__, *(getattr(r, a) for a in r.__slots__)) for r in inst.replay]
+    adjacency = {v: sorted(inst.g.neighbors(v)) for v in inst.g.vertices()}
+    return out, dict(inst.palettes), dict(inst.colors), replay, inst.stats.to_dict(), adjacency
+
+
+@pytest.mark.parametrize("rule,naive,key", [
+    (_diamond_pass, naive_diamond_pass, "rule_diamond"),
+    (_domination_pass, naive_domination_pass, "rule_domination"),
+])
+def test_set_based_rule_scans_match_the_naive_walks(rule, naive, key):
+    fired = anchored = 0
+    for i in range(500):
+        fast, slow = rule_instance(i), rule_instance(i)
+        assert rule_state(fast, rule(fast)) == rule_state(slow, naive(slow)), i
+        fired += fast.stats.get(key) > 0
+        anchored += bool(fast.colors) and fast.stats.get(key) > 0
+    assert fired > 300 and anchored > 150
+
+
 def test_two_sat_component_solves():
     # C6 with one shared binary palette: degrees match palette sizes and
     # no neighborhood contains another, so only the 2-SAT rule can act

@@ -214,6 +214,21 @@ def test_waiver_on_uncolorable_input_stays_honest():
         assert rep.stats["components_plain"] == 1
 
 
+def test_witness_check_names_the_first_bad_vertex():
+    # vertices in ascending order: a missing or out-of-range color, or the
+    # first neighbor that shares the vertex's color
+    g = cycle_graph(5)
+    solver._verify_witness(g, {1: 1, 2: 2, 3: 1, 4: 2, 5: 3})
+    with pytest.raises(AssertionError, match="witness misses vertex 3"):
+        solver._verify_witness(g, {1: 1, 2: 2, 4: 1, 5: 4})
+    with pytest.raises(AssertionError, match="witness misses vertex 5"):
+        solver._verify_witness(g, {1: 1, 2: 2, 3: 1, 4: 2, 5: 4})
+    with pytest.raises(AssertionError, match="witness colors edge 2,3 monochromatically"):
+        solver._verify_witness(g, {1: 1, 2: 2, 3: 2, 4: 1, 5: 3})
+    with pytest.raises(AssertionError, match="witness colors edge 1,5 monochromatically"):
+        solver._verify_witness(g, {1: 1, 2: 2, 3: 1, 4: 2, 5: 1, 9: 1})
+
+
 # -- anchored components ----------------------------------------------------
 
 def test_seven_cycle_enumerates_all_anchor_colorings():
