@@ -39,7 +39,7 @@ def _read_document(args) -> GraphDocument:
 
 
 def _base_report(command: str, doc: GraphDocument) -> dict:
-    return {
+    report = {
         "command": command,
         "input": {
             "source": getattr(doc, "source", "<generated>"),
@@ -49,6 +49,9 @@ def _base_report(command: str, doc: GraphDocument) -> dict:
         },
         "stats": {"branches": 0, "reductions": 0, "millis": 0},
     }
+    if doc.warnings:
+        report["warnings"] = list(doc.warnings)
+    return report
 
 
 def _emit(args, report: dict, text_lines: list) -> None:
@@ -66,6 +69,15 @@ def _witness_lines(doc: GraphDocument, coloring: dict) -> list:
     return [f"v {doc.label(v)} {coloring[v]}" for v in sorted(coloring)]
 
 
+def _class_violation(args, report: dict, doc: GraphDocument, witness) -> int:
+    """Report witness, an induced forbidden pattern, and return EXIT_CLASS."""
+    labels = [doc.label(v) for v in witness.vertices()]
+    report["decision"] = "class_violation"
+    report["class_witness"] = {"kind": witness.kind, "vertices": labels}
+    _emit(args, report, [f"class violation: induced {witness.kind} on " + " ".join(labels)])
+    return EXIT_CLASS
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -74,20 +86,11 @@ def _cmd_solve(args) -> int:
     if doc.palettes:
         doc.warnings.append("palette annotations are ignored by solve")
     report = _base_report("solve", doc)
-    if doc.warnings:
-        report["warnings"] = list(doc.warnings)
     try:
         res = solve(doc.graph, witness=args.witness,
                     assume_class=args.assume_class)
     except ClassViolationError as exc:
-        report["decision"] = "class_violation"
-        report["class_witness"] = {
-            "kind": exc.witness.kind,
-            "vertices": [doc.label(v) for v in exc.witness.vertices()],
-        }
-        _emit(args, report, [f"class violation: induced {exc.witness.kind} on "
-                             + " ".join(report["class_witness"]["vertices"])])
-        return EXIT_CLASS
+        return _class_violation(args, report, doc, exc.witness)
     report["decision"] = res.decision
     report["stats"].update(res.stats)
     lines = [res.decision]
@@ -101,21 +104,12 @@ def _cmd_solve(args) -> int:
 def _cmd_check_class(args) -> int:
     doc = _read_document(args)
     report = _base_report("check-class", doc)
-    if doc.warnings:
-        report["warnings"] = list(doc.warnings)
     witness = patterns.check_class(doc.graph)
     if witness is None:
         report["decision"] = "in_class"
         _emit(args, report, ["in class"])
         return EXIT_OK
-    report["decision"] = "class_violation"
-    report["class_witness"] = {
-        "kind": witness.kind,
-        "vertices": [doc.label(v) for v in witness.vertices()],
-    }
-    _emit(args, report, [f"class violation: induced {witness.kind} on "
-                         + " ".join(report["class_witness"]["vertices"])])
-    return EXIT_CLASS
+    return _class_violation(args, report, doc, witness)
 
 
 def _cmd_count(args) -> int:
@@ -123,8 +117,6 @@ def _cmd_count(args) -> int:
     if len(doc.graph.vertices()) > 20:
         raise InputError("count-colorings is limited to 20 vertices")
     report = _base_report("count-colorings", doc)
-    if doc.warnings:
-        report["warnings"] = list(doc.warnings)
     n = testkit.count_proper_3colorings(doc.graph)
     report["decision"] = "count"
     report["count"] = n
@@ -156,8 +148,6 @@ def _generate_graph(args):
 def _cmd_generate(args) -> int:
     try:
         g = _generate_graph(args)
-    except InputError:
-        raise
     except ValueError as exc:
         # generator rejections (unknown name, undersized composite) are
         # usage errors, not crashes

@@ -48,6 +48,15 @@ has passed, it is perfect with clique number at most 3, so the colorer
 succeeds.  A colorable answer always rests on a coloring of every
 component, verified as a whole.
 
+The ladder rechecks nothing the fixpoint implies.  It runs only on C7, at
+a CONTINUE fixpoint, and rests on three facts that hold on any graph.
+F1: each live uncolored palette has 2 or 3 colors (rules 1 and 2) and
+lacks every colored neighbor's color (commit_color strikes it, palettes
+only shrink); the anchors are the only colored vertices left.  F2: branch
+graphs only lose vertices and palettes only shrink, so a vertex relevant
+with a given support at a descendant was so at every ancestor.  F3: two
+distinct anchor pairs two apart on a 7-cycle hold two anchors three apart.
+
 Renaming the colors loses no answer.  Every proper coloring of an odd
 cycle uses all three colors, so the six permutations of {1, 2, 3} act
 freely on them and split them into orbits of six, whose least member is
@@ -81,6 +90,7 @@ and replay records the reduction engine collects.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -236,8 +246,6 @@ def _run_anchored(comp_graph, cycle, stats):
     colorings = _proper_cycle_colorings(len(cycle))
     stats.bump("anchor_colorings", len(colorings))
     refutes = _prefix_refuter(comp_graph, cycle)
-    tracker = {"leaves": 0, "pair_width": {}}
-    winner = None
     for i, col in enumerate(colorings):
         if i and refutes(col):
             stats.bump("anchor_colorings_skipped")
@@ -245,21 +253,10 @@ def _run_anchored(comp_graph, cycle, stats):
         child = base.clone()
         for v, c in zip(cycle, col):
             child.commit_color(v, c, keep=True)
-        winner = _dfs(child, tracker, stats)
+        winner = _dfs(child, stats)
         if winner is not None:
-            break
-
-    # every branching stage is structurally bounded: one two-way split
-    # per anchor position, and per opposing anchor pair one split into
-    # at most 1 + 9 * width children, below each representative that
-    # runs; the bound counts all 21 (C7) or 85 (C9) of them, and a skipped
-    # one adds no leaf
-    bound = len(colorings) * 2 ** len(cycle)
-    for i in range(len(cycle)):
-        bound *= 1 + 9 * tracker["pair_width"].get(i, 0)
-    if tracker["leaves"] > bound:
-        raise AssertionError("explored leaves exceed the structural branch bound")
-    return winner
+            return winner
+    return None
 
 
 def _prefix_refuter(g, cycle):
@@ -318,27 +315,32 @@ def _propagate(g, colors, palettes, v, c):
     return colors, palettes
 
 
-def _dfs(root, tracker, stats):
+def _dfs(root, stats):
     stack = [root]
     while stack:
         inst = stack.pop()
         stats.bump("branches")
         if inst is None:
             # a branch whose planned colors were already infeasible
-            tracker["leaves"] += 1
             continue
-        out, kids = _advance(inst, tracker)
+        out, kids = _advance(inst)
         if out == "solved":
             return inst
-        if out == "rejected":
-            tracker["leaves"] += 1
-            continue
-        stack.extend(reversed(kids))
+        if out == "children":
+            stack.extend(reversed(kids))
     return None
 
 
-def _advance(inst, tracker):
-    """Drive one branch to a verdict or a branching point."""
+def _advance(inst):
+    """Drive one branch to a verdict or a branching point.
+
+    If neither stage branches, the relevant supports are one pair two
+    apart (F3) of like-colored anchors, palettes the other two (F1).  A
+    path branches once per single anchor i: z's outer neighbors hold every
+    member's, each fully adjacent to its components, so by F2 any full
+    palette a later member reaches lost z's color.  A pair branches once
+    (post-check, then F2) into <= 1 + 9|zs| kids.  cut_reduction drops C - w.
+    """
     while True:
         out = run_fixpoint(inst)
         if out == REJECTED:
@@ -350,42 +352,38 @@ def _advance(inst, tracker):
         view = _analyze(inst)
         kids = _branch_single_anchor(inst, view)
         if kids is None:
-            kids = _branch_opposing_pair(inst, view, tracker)
+            kids = _branch_opposing_pair(inst, view)
         if kids is not None:
             return "children", kids
-        _check_one_anchor_pair(inst, view)
-        live_before = inst.g.vertex_count()
         if _component_cases(inst, view) == REJECTED:
             return "rejected", None
-        if not inst.g.vertex_count() < live_before:
-            raise AssertionError("structural stage fired without shrinking the graph")
 
 
 # -- structure analysis -------------------------------------------------------
 
 
-class _View:
-    """Indexes over one anchored branch at a rule fixpoint."""
-
-    __slots__ = ("anchors", "acolor", "comps", "comp_relevant", "supports",
-                 "relevant", "adj_comps", "full_adj", "outer_nbrs")
+# indexes over one anchored branch at a rule fixpoint
+_View = namedtuple("_View", "anchors acolor comps comp_relevant supports relevant "
+                            "adj_comps full_adj outer_nbrs")
 
 
 def _analyze(inst) -> _View:
+    """Index a C7 branch at a CONTINUE fixpoint.
+
+    Every root sets anchor_order.  By F1 no full palette touches the
+    cycle, and since rule 6 spared the one component, some palette is full,
+    so an outer component is relevant; the graph is connected and the rim
+    separates it from the anchors, so some rim vertex is relevant.
+    """
     g = inst.g
     if len(connected_components(g)) != 1:
         raise StageAssertionError("anchored branch split into several components")
     anchors = inst.anchor_order
-    if not anchors:
-        raise StageAssertionError("structural stage entered without an anchor cycle")
     for v in anchors:
         if not g.has_vertex(v) or v not in inst.colors:
             raise StageAssertionError("anchor cycle vertex lost before the structural stages")
     k = len(anchors)
 
-    view = _View()
-    view.anchors = anchors
-    view.acolor = tuple(inst.colors[v] for v in anchors)
     rim: list[int] = []
     outer: set[int] = set()
     supports: dict[int, frozenset] = {}
@@ -396,9 +394,6 @@ def _analyze(inst) -> _View:
             supports[v] = sup
         else:
             outer.add(v)
-    for v, p in inst.palettes.items():
-        if len(p) == 3 and v not in outer:
-            raise StageAssertionError("full palette vertex adjacent to the anchor cycle")
     for v in rim:
         sup = supports[v]
         ok = len(sup) == 1
@@ -418,8 +413,6 @@ def _analyze(inst) -> _View:
         if not cograph.is_p4_free(g, c):
             raise StageAssertionError("outer component is not P4-free")
         comp_relevant.append(any(len(inst.palettes[v]) == 3 for v in c))
-    if not any(comp_relevant):
-        raise StageAssertionError("no relevant outer component at a stable fixpoint")
 
     adj_comps = {}
     outer_nbrs = {}
@@ -434,37 +427,17 @@ def _analyze(inst) -> _View:
             full_adj[(v, idx)] = comps[idx] <= nb
         if any(comp_relevant[idx] for idx in touched):
             relevant.append(v)
-    if not relevant:
-        raise StageAssertionError("relevant component with an empty boundary")
     for v in relevant:
         for idx in adj_comps[v]:
             if not full_adj[(v, idx)]:
                 if len(adj_comps[v]) != 1 or len(supports[v]) != 2:
                     raise StageAssertionError("partial outer neighbor outside its allowed shape")
-
-    view.comps = comps
-    view.comp_relevant = comp_relevant
-    view.supports = supports
-    view.relevant = relevant
-    view.adj_comps = adj_comps
-    view.full_adj = full_adj
-    view.outer_nbrs = outer_nbrs
-    _consume_checks(inst, view)
-    return view
-
-
-def _consume_checks(inst, view) -> None:
-    checks, inst.post_checks = inst.post_checks, []
-    for kind, data in checks:
-        if kind == "single_anchor_cleared":
-            if any(view.supports[x] == frozenset((data,)) for x in view.relevant):
-                raise StageAssertionError("single-anchor relevant set survived its branching")
-        else:  # "pair_cleared"
-            i, j = data
-            low = any(i in view.supports[x] for x in view.relevant)
-            high = any(j in view.supports[x] for x in view.relevant)
-            if low and high:
-                raise StageAssertionError("opposing anchor pair survived its branching")
+    for i, j in inst.post_checks:
+        if all(any(a in supports[x] for x in relevant) for a in (i, j)):
+            raise StageAssertionError("opposing anchor pair survived its branching")
+    inst.post_checks = []
+    return _View(anchors, tuple(inst.colors[v] for v in anchors), comps, comp_relevant,
+                 supports, relevant, adj_comps, full_adj, outer_nbrs)
 
 
 def _dominating_set(g, verts):
@@ -506,40 +479,31 @@ def _branch_single_anchor(inst, view):
         kids = []
         for c in sorted(inst.palettes[z]):
             child = inst.clone()
-            ok = child.try_color(z, c)
-            child.post_checks.append(("single_anchor_cleared", i))
-            kids.append(child if ok else None)
+            kids.append(child if child.try_color(z, c) else None)
         return kids
     return None
 
 
-def _branch_opposing_pair(inst, view, tracker):
+def _branch_opposing_pair(inst, view):
     """Branch on the relevant sets of two anchors three steps apart.
 
     Every member is either given the color its side does not share with
     the other side, or a first member takes the shared color; in the
     latter case a partial neighbor additionally branches over the (at
-    most nine) colorings of its component's dominating set.
+    most nine) colorings of its component's dominating set.  By F1 each
+    member's palette is the two colors its anchor lacks.
     """
     k = len(view.anchors)
-    at = [[x for x in view.relevant if i in view.supports[x]] for i in range(k)]
+    at = [{x for x in view.relevant if i in view.supports[x]} for i in range(k)]
     for i in range(k):
         j = (i + 3) % k
         if not at[i] or not at[j]:
             continue
         ci, cj = view.acolor[i], view.acolor[j]
-        side_i = set(at[i])
-        for x in at[i]:
-            if inst.palettes[x] != ALL_COLORS - {ci}:
-                raise StageAssertionError("relevant palette disagrees with its anchor color")
-        for x in at[j]:
-            if inst.palettes[x] != ALL_COLORS - {cj}:
-                raise StageAssertionError("relevant palette disagrees with its anchor color")
-        zs = sorted(set(at[i]) | set(at[j]),
-                    key=lambda x: (-len(view.outer_nbrs[x]), x))
+        zs = sorted(at[i] | at[j], key=lambda x: (-len(view.outer_nbrs[x]), x))
         if ci != cj:
             (shared,) = ALL_COLORS - {ci, cj}
-            base = {x: (cj if x in side_i else ci) for x in zs}
+            base = {x: (cj if x in at[i] else ci) for x in zs}
             alt = {x: shared for x in zs}
         else:
             # both anchors carry one color, so both sides share the same
@@ -548,13 +512,12 @@ def _branch_opposing_pair(inst, view, tracker):
             base = {x: lo for x in zs}
             alt = {x: hi for x in zs}
 
-        check = ("pair_cleared", (i, j))
         kids = []
 
         def spawn(plan):
             child = inst.clone()
             ok = all(child.try_color(v, c) for v, c in plan)
-            child.post_checks.append(check)
+            child.post_checks.append((i, j))
             kids.append(child if ok else None)
 
         spawn([(z, base[z]) for z in zs])
@@ -568,42 +531,9 @@ def _branch_opposing_pair(inst, view, tracker):
                     spawn(plan + list(zip(dom, combo)))
             else:
                 spawn(plan)
-        if len(kids) > 1 + 9 * len(zs):
-            raise StageAssertionError("opposing-pair branching exceeded its child bound")
-        width = tracker["pair_width"]
-        width[i] = max(width.get(i, 0), len(zs))
         inst.stats.bump("stage_opposing_pairs")
         return kids
     return None
-
-
-def _check_one_anchor_pair(inst, view):
-    """Check that all relevant supports are one anchor pair two steps apart.
-
-    Once no single-anchor set and no opposing pair remains, every relevant
-    vertex must touch the same two anchors, two steps apart and equally
-    colored, and have the other two colors as its palette.  From here on
-    relevant vertices only disappear: the reductions delete vertices and
-    shrink palettes, and never add either, so a rim vertex relevant later
-    was relevant now and keeps its support.  No branching stage fires
-    again, and the component cases read no anchor index.
-    """
-    k = len(view.anchors)
-    for x in view.relevant:
-        if len(view.supports[x]) != 2:
-            raise StageAssertionError("single-anchor relevant vertex survived branching")
-    occupied = sorted({i for x in view.relevant for i in view.supports[x]})
-    if len(occupied) != 2:
-        raise StageAssertionError("relevant supports span more than one anchor pair")
-    p, q = occupied
-    if (q - p) % k not in (2, k - 2):
-        raise StageAssertionError("relevant supports are not two apart on the anchor cycle")
-    if view.acolor[p] != view.acolor[q]:
-        raise StageAssertionError("anchors under the relevant vertices differ in color")
-    pal = ALL_COLORS - {view.acolor[p]}
-    for x in view.relevant:
-        if inst.palettes[x] != pal:
-            raise StageAssertionError("relevant palette differs from the anchor complement")
 
 
 # -- component cases ----------------------------------------------------------

@@ -7,7 +7,7 @@ stats counters pin down which route of the pipeline produced each verdict.
 import sys
 import time
 import warnings
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import pytest
@@ -22,7 +22,7 @@ from hered3.graph import (
     twin_core,
 )
 from hered3.patterns import check_class
-from hered3.reductions import Instance, Stats
+from hered3.reductions import ALL_COLORS, Instance, Stats
 from hered3.solver import _proper_cycle_colorings, solve
 from hered3.testkit import (
     c7_gadget,
@@ -292,6 +292,20 @@ def test_anchored_refutations_reject_every_anchor_branch():
         assert rep.stats["anchor_colorings_skipped"] == count - 1
 
 
+def _relabeled_c7_gadgets():
+    # in their own ids the gadgets anchor a cycle on which no prefix is
+    # refuted; relabeled, as a parsed edge list relabels them, some are
+    out = []
+    for s in range(40):
+        g = c7_gadget(s)
+        verts = g.vertices()
+        ids = verts[:]
+        Random(split_seed(12, s)).shuffle(ids)
+        name = dict(zip(verts, ids))
+        out.append(Graph.from_edges(ids, ((name[u], name[w]) for u, w in g.edges())))
+    return out
+
+
 def test_refuted_anchor_prefixes_only_skip_rejected_branches():
     # run every representative as its own branch, the way solve would run
     # it on the false-twin quotient: a representative whose prefix the
@@ -299,15 +313,7 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches():
     # witness is the first winner's
     graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
     graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
-    # in their own ids the gadgets anchor a cycle on which no prefix is
-    # refuted; relabeled, as a parsed edge list relabels them, some are
-    for s in range(40):
-        g = c7_gadget(s)
-        verts = g.vertices()
-        ids = verts[:]
-        Random(split_seed(12, s)).shuffle(ids)
-        name = dict(zip(verts, ids))
-        graphs.append(Graph.from_edges(ids, ((name[u], name[w]) for u, w in g.edges())))
+    graphs += _relabeled_c7_gadgets()
     refuted_seen = refuted_colorable = 0
     for g in graphs:
         copies = false_twins(g)
@@ -328,8 +334,7 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches():
             child = base.clone()
             for v, c in zip(cycle, col):
                 child.commit_color(v, c, keep=True)
-            tracker = {"leaves": 0, "pair_width": {}}
-            won = solver._dfs(child, tracker, stats)
+            won = solver._dfs(child, stats)
             if refutes(col):
                 refuted += 1
                 assert won is None
@@ -373,8 +378,7 @@ def test_anchor_branch_verdicts_are_constant_on_color_orbits():
             child = base.clone()
             for v, c in zip(cycle, col):
                 child.commit_color(v, c, keep=True)
-            tracker = {"leaves": 0, "pair_width": {}}
-            verdicts[col] = solver._dfs(child, tracker, stats) is not None
+            verdicts[col] = solver._dfs(child, stats) is not None
         by_orbit = {}
         for col, won in verdicts.items():
             # the renaming that sends col to its orbit's least member
@@ -389,6 +393,97 @@ def test_anchor_branch_verdicts_are_constant_on_color_orbits():
         assert (oracle_list3color(g) is not None) == bool(winners)
         orbits_seen += len(by_orbit)
     assert orbits_seen == 40 * 21 + 6 * 85 + 21 + 85
+
+
+def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
+    # the stages recheck nothing the fixpoint implies (see the solver
+    # module docstring): F1 at every analysis, F3 on the 7-cycle, one anchor
+    # pair once neither stage branches, and on every path at most one
+    # branching per single anchor and per opposing pair; the corpus is that
+    # of the two all-colorings tests above, every proper coloring each
+    k = 7
+    two_apart = [{a, (a + 2) % k} for a in range(k)]
+    for p, q in combinations(two_apart, 2):
+        assert any((b - a) % k in (3, 4) for a in p for b in q)   # F3
+    real_analyze = solver._analyze
+    real_single = solver._branch_single_anchor
+    real_pair = solver._branch_opposing_pair
+    path = {}       # instance -> the branchings above it
+    seen = {"analyzed": 0, "single": 0, "pair": 0, "one pair": 0}
+
+    def analyze(inst):
+        g = inst.g
+        assert {v for v in g.vertices() if v in inst.colors} == set(inst.anchor_order)
+        for v, pal in inst.palettes.items():   # F1
+            assert len(pal) in (2, 3)
+            assert not pal & {inst.colors.get(w) for w in g.neighbors(v)}
+        seen["analyzed"] += 1
+        return real_analyze(inst)
+
+    def branch(inst, step, kids):
+        hist = path.get(inst, ())
+        assert step not in hist
+        seen[step[0]] += 1
+        for kid in kids:
+            if kid is not None:
+                path[kid] = hist + (step,)
+
+    def single(inst, view):
+        kids = real_single(inst, view)
+        if kids is not None:
+            i = min(min(view.supports[x]) for x in view.relevant
+                    if len(view.supports[x]) == 1)
+            assert len(kids) == 2 and None not in kids
+            branch(inst, ("single", i), kids)
+        return kids
+
+    def pair(inst, view):
+        kids = real_pair(inst, view)
+        at = [{x for x in view.relevant if i in view.supports[x]} for i in range(k)]
+        opposing = [i for i in range(k) if at[i] and at[(i + 3) % k]]
+        if kids is None:
+            assert not opposing
+            (sup,) = {view.supports[x] for x in view.relevant}
+            p, q = sorted(sup)
+            assert (q - p) % k in (2, k - 2)
+            assert view.acolor[p] == view.acolor[q]
+            for x in view.relevant:
+                assert inst.palettes[x] == ALL_COLORS - {view.acolor[p]}
+            seen["one pair"] += 1
+            return None
+        i = opposing[0]
+        j = (i + 3) % k
+        assert len(kids) <= 1 + 9 * len(at[i] | at[j])
+        for kid in kids:
+            assert kid is None or kid.post_checks == [(i, j)]
+        branch(inst, ("pair", i), kids)
+        return kids
+
+    monkeypatch.setattr(solver, "_analyze", analyze)
+    monkeypatch.setattr(solver, "_branch_single_anchor", single)
+    monkeypatch.setattr(solver, "_branch_opposing_pair", pair)
+    graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
+    graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
+    graphs += _relabeled_c7_gadgets()
+    for g in graphs:
+        copies = false_twins(g)
+        h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
+        for run_on in (g, h) if copies else (g,):
+            core = twin_core(run_on)
+            cycle = (patterns.find_induced_cycle(core, 7)
+                     or patterns.find_induced_cycle(core, 9))
+            base = Instance(run_on, Stats())
+            base.anchor_order = tuple(cycle)
+            for col in product((1, 2, 3), repeat=len(cycle)):
+                if any(col[i] == col[i - 1] for i in range(len(cycle))):
+                    continue
+                child = base.clone()
+                for v, c in zip(cycle, col):
+                    child.commit_color(v, c, keep=True)
+                path.clear()
+                solver._dfs(child, base.stats)
+    assert seen["analyzed"] >= 3700 and seen["single"] >= 1800
+    assert seen["pair"] >= 700 and seen["one pair"] >= 1100
 
 
 def test_anchored_cycles_with_pendant_tails():
