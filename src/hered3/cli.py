@@ -44,8 +44,8 @@ def _base_report(command: str, doc: GraphDocument) -> dict:
         "input": {
             "source": getattr(doc, "source", "<generated>"),
             "format": doc.format,
-            "vertices": len(doc.graph.vertices()),
-            "edges": sum(1 for _ in doc.graph.edges()),
+            "vertices": doc.graph.vertex_count(),
+            "edges": doc.graph.edge_count(),
         },
         "stats": {"branches": 0, "reductions": 0, "millis": 0},
     }

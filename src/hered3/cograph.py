@@ -1,9 +1,11 @@
 """Cotree construction and list 3-coloring of P4-free graphs.
 
-The coloring routine works on "achievable color sets": for a cotree node,
-the family of exact color sets that some proper palette-respecting coloring
-of its leaves uses.  With 3 colors every table has at most 7 entries, so
-the dynamic program is linear in the cotree size.
+The coloring routine takes a cotree that `cotree_or_failure` built, so a
+caller that colors one vertex set several times builds its cotree once.
+It works on "achievable color sets": for a cotree node, the family of
+exact color sets that some proper palette-respecting coloring of its
+leaves uses.  With 3 colors every table has at most 7 entries, so the
+dynamic program is linear in the cotree size.
 
 Cotrees of threshold-like graphs are about as deep as the graph is large,
 so every walk over a cotree runs on an explicit stack, never by recursion.
@@ -80,11 +82,6 @@ def cotree_or_failure(g: Graph, within: Iterable[int] | None = None):
     return root, None
 
 
-def is_p4_free(g: Graph, within: Iterable[int] | None = None) -> bool:
-    root, bad = cotree_or_failure(g, within)
-    return bad is None
-
-
 def _set_key(s: ColorSet) -> tuple:
     return (len(s), tuple(sorted(s)))
 
@@ -116,25 +113,17 @@ def _color_tables(root: Cotree, palettes: Mapping[int, frozenset]) -> dict:
     return tables
 
 
-def list3color(
-    g: Graph,
-    palettes: Mapping[int, frozenset],
-    within: Iterable[int] | None = None,
-) -> dict | None:
-    """A proper palette-respecting coloring of a P4-free (sub)graph, or None.
+def list3color(g: Graph, root: Cotree, palettes: Mapping[int, frozenset]) -> dict | None:
+    """A proper palette-respecting coloring of the leaves of root, or None.
 
-    Raises ContractViolationError when the target is not P4-free.  The
-    result, when present, is verified against the edges and palettes.
+    root is the cotree of a vertex set of g, as `cotree_or_failure` built
+    it; holding one already means the set is P4-free.  The result, when
+    present, is verified against the edges and palettes.
     """
-    verts = set(g.vertices()) if within is None else set(within)
-    if not verts:
-        return {}
+    verts = root.leaves()
     missing = [v for v in verts if v not in palettes]
     if missing:
         raise ContractViolationError(f"no palette for vertices {sorted(missing)[:5]}")
-    root, bad = cotree_or_failure(g, verts)
-    if root is None:
-        raise ContractViolationError(f"subgraph on {len(bad)} vertices is not P4-free")
     tables = _color_tables(root, palettes)
     if not tables[root]:
         return None

@@ -1,5 +1,6 @@
 """Palette propagation rules, replay-based witness records, and the one
-structural operation the stage ladder uses (cut reduction).
+structural operation the stage ladder uses (cut reduction).  Rule 7 and
+cut reduction color a P4-free region from a cotree built once for it.
 
 An Instance owns a working graph plus per-vertex palettes.  Rules either
 settle colors, shrink palettes, or delete vertices.  A settled color goes
@@ -425,7 +426,7 @@ def _cograph_component(inst: Instance, comp: set):
     if bad is not None:
         return None
     eff = {v: inst.eff_palette(v) for v in comp}
-    solved = cograph.list3color(inst.g, eff, within=comp)
+    solved = cograph.list3color(inst.g, root, eff)
     inst.stats.bump("rule_cograph_component")
     if solved is None:
         return REJECTED
@@ -448,20 +449,20 @@ def _verify_region_coloring(inst: Instance, solved: dict) -> None:
 # -- cut reduction ----------------------------------------------------------
 
 
-def cut_reduction(inst: Instance, w: int, region: Iterable[int]) -> str:
+def cut_reduction(inst: Instance, w: int, root: cograph.Cotree) -> str:
     """Reduce a P4-free region that meets the rest of the graph at w alone.
 
-    The region C holds w, and C - w has no neighbor outside C, so a
-    coloring of C - w depends on the rest of the graph only through w's
-    color.  C - w is list-colored with w clamped to each of w's colors in
-    turn, free colors first: those that no neighbor of w outside C can
-    take.  None extends: the branch is rejected.  A free color extends:
-    w keeps it alone, since any coloring of the graph can switch w to it.
-    Otherwise w keeps the colors that extend.  C - w is deleted, and one
-    record keyed by w stores the extension of each color w kept.  Returns
-    _FIRED or REJECTED.
+    The region C is the leaf set of root, its cotree; it holds w, and C - w
+    has no neighbor outside C, so a coloring of C - w depends on the rest
+    of the graph only through w's color.  C is list-colored from root with
+    w clamped to each of w's colors in turn, free colors first: those that
+    no neighbor of w outside C can take.  None extends: the branch is
+    rejected.  A free color extends: w keeps it alone, since any coloring
+    of the graph can switch w to it.  Otherwise w keeps the colors that
+    extend.  C - w is deleted, and one record keyed by w stores the
+    extension of each color w kept.  Returns _FIRED or REJECTED.
     """
-    c_ids = set(region)
+    c_ids = set(root.leaves())
     rest = c_ids - {w}
     for v in rest:
         if not inst.g.neighbors(v) <= c_ids:
@@ -475,7 +476,7 @@ def cut_reduction(inst: Instance, w: int, region: Iterable[int]) -> str:
     kept = {}
     for c in sorted(pal - taken) + sorted(pal & taken):
         eff[w] = frozenset((c,))
-        sol = cograph.list3color(inst.g, eff, within=c_ids)
+        sol = cograph.list3color(inst.g, root, eff)
         if sol is None:
             continue
         kept[c] = {v: sol[v] for v in rest}

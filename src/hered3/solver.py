@@ -363,8 +363,8 @@ def _advance(inst):
 
 
 # indexes over one anchored branch at a rule fixpoint
-_View = namedtuple("_View", "anchors acolor comps comp_relevant supports relevant "
-                            "adj_comps full_adj outer_nbrs")
+_View = namedtuple("_View", "anchors acolor comps cotrees comp_relevant supports "
+                            "relevant adj_comps full_adj outer_nbrs")
 
 
 def _analyze(inst) -> _View:
@@ -373,7 +373,8 @@ def _analyze(inst) -> _View:
     Every root sets anchor_order.  By F1 no full palette touches the
     cycle, and since rule 6 spared the one component, some palette is full,
     so an outer component is relevant; the graph is connected and the rim
-    separates it from the anchors, so some rim vertex is relevant.
+    separates it from the anchors, so some rim vertex is relevant.  The
+    cotree that shows an outer component P4-free is kept for the stages.
     """
     g = inst.g
     if len(connected_components(g)) != 1:
@@ -408,10 +409,13 @@ def _analyze(inst) -> _View:
     for idx, c in enumerate(comps):
         for v in c:
             comp_of[v] = idx
+    cotrees = []
     comp_relevant = []
     for c in comps:
-        if not cograph.is_p4_free(g, c):
+        root, bad = cograph.cotree_or_failure(g, c)
+        if bad is not None:
             raise StageAssertionError("outer component is not P4-free")
+        cotrees.append(root)
         comp_relevant.append(any(len(inst.palettes[v]) == 3 for v in c))
 
     adj_comps = {}
@@ -436,29 +440,24 @@ def _analyze(inst) -> _View:
         if all(any(a in supports[x] for x in relevant) for a in (i, j)):
             raise StageAssertionError("opposing anchor pair survived its branching")
     inst.post_checks = []
-    return _View(anchors, tuple(inst.colors[v] for v in anchors), comps, comp_relevant,
-                 supports, relevant, adj_comps, full_adj, outer_nbrs)
+    return _View(anchors, tuple(inst.colors[v] for v in anchors), comps, cotrees,
+                 comp_relevant, supports, relevant, adj_comps, full_adj, outer_nbrs)
 
 
-def _dominating_set(g, verts):
-    """A dominating set of size <= 2 inside verts, scanning by vertex id.
+def _dominating_set(root):
+    """A dominating set of size <= 2 from the cotree of a connected P4-free
+    set of two or more vertices.
 
-    verts induces a connected P4-free graph, which always has one: on two
-    or more vertices its complement is disconnected, so a vertex from each
-    of two co-components sees every vertex outside its own co-component,
-    and the pair dominates.
+    The set's complement is disconnected, so root is a join whose children
+    are the co-components, and each vertex sees all the other ones.  A
+    larger co-component is connected in the complement, so a universal
+    vertex is a co-component on its own; the least one is returned alone.
+    Else the least vertices of the first two co-components dominate.
     """
-    order = sorted(verts)
-    vs = set(verts)
-    for v in order:
-        if vs <= (g.neighbors(v) & vs) | {v}:
-            return (v,)
-    for i, v in enumerate(order):
-        cov = (g.neighbors(v) & vs) | {v}
-        for w in order[i + 1:]:
-            if vs <= cov | (g.neighbors(w) & vs) | {w}:
-                return (v, w)
-    raise AssertionError("connected P4-free vertex set without a dominating pair")
+    alone = [kid.vertex for kid in root.children if kid.kind == cograph.LEAF]
+    if alone:
+        return (min(alone),)
+    return tuple(min(kid.leaves()) for kid in root.children[:2])
 
 
 # -- branching stages ---------------------------------------------------------
@@ -478,8 +477,10 @@ def _branch_single_anchor(inst, view):
         inst.stats.bump("stage_single_anchor")
         kids = []
         for c in sorted(inst.palettes[z]):
+            # c comes from the clone's own copy of z's palette, so it commits
             child = inst.clone()
-            kids.append(child if child.try_color(z, c) else None)
+            child.commit_color(z, c)
+            kids.append(child)
         return kids
     return None
 
@@ -490,8 +491,9 @@ def _branch_opposing_pair(inst, view):
     Every member is either given the color its side does not share with
     the other side, or a first member takes the shared color; in the
     latter case a partial neighbor additionally branches over the (at
-    most nine) colorings of its component's dominating set.  By F1 each
-    member's palette is the two colors its anchor lacks.
+    most nine) colorings of its component's dominating set, read off the
+    cotree that `_analyze` kept.  By F1 each member's palette is the two
+    colors its anchor lacks.
     """
     k = len(view.anchors)
     at = [{x for x in view.relevant if i in view.supports[x]} for i in range(k)]
@@ -526,7 +528,7 @@ def _branch_opposing_pair(inst, view):
             partial = any(not view.full_adj[(zj, idx)] for idx in view.adj_comps[zj])
             if partial:
                 (tidx,) = view.adj_comps[zj]
-                dom = _dominating_set(inst.g, view.comps[tidx])
+                dom = _dominating_set(view.cotrees[tidx])
                 for combo in product((1, 2, 3), repeat=len(dom)):
                     spawn(plan + list(zip(dom, combo)))
             else:
@@ -547,7 +549,7 @@ def _component_cases(inst, view):
     C of two or more vertices whose border, the vertices of C with a
     neighbor outside C, is one vertex w.  Any other shape raises
     StageAssertionError naming it.  Returns cut_reduction's verdict on
-    C keyed by w.
+    C keyed by w, which colors C from the cotree that `_analyze` kept.
     """
     g = inst.g
     relevant = set(view.relevant)
@@ -555,7 +557,8 @@ def _component_cases(inst, view):
         raise StageAssertionError("relevant vertices span an edge")
     if any(len(view.adj_comps[x]) > 1 for x in relevant):
         raise StageAssertionError("relevant vertex touches several outer components")
-    comp = view.comps[view.comp_relevant.index(True)]
+    idx = view.comp_relevant.index(True)
+    comp = view.comps[idx]
     border = {v for v in comp if not g.neighbors(v) <= comp}
     inst.stats.bump("stage_component_cases")
     if len(border) != 1:
@@ -566,7 +569,7 @@ def _component_cases(inst, view):
         raise StageAssertionError("singleton relevant component")
     inst.stats.bump("case_border_single_vertex")
     (w,) = border
-    return cut_reduction(inst, w, comp)
+    return cut_reduction(inst, w, view.cotrees[idx])
 
 
 # -- plain components ---------------------------------------------------------

@@ -26,9 +26,6 @@ class TwoSat:
         self._adj[a ^ 1].append(b)
         self._adj[b ^ 1].append(a)
 
-    def add_unit(self, a: int) -> None:
-        self.add_clause(a, a)
-
     def solve(self) -> dict | None:
         """A satisfying assignment var -> bool, or None.
 

@@ -118,6 +118,16 @@ def test_solve_json_report(write, capsys):
     assert report["stats"]["branches"] >= 0
 
 
+def test_report_counts_an_isolated_vertex_and_a_duplicate_edge_once(write, capsys):
+    # x has no edge, and "b a" repeats "a b"
+    path = write("dup.edges", "a b\nb a\nb c\nx\n")
+    for argv in (("solve", path, "--json"), ("check-class", path, "--json")):
+        code, report, _ = run_json(capsys, *argv)
+        assert code == 0
+        assert report["input"]["vertices"] == 4
+        assert report["input"]["edges"] == 2
+
+
 def test_solve_class_violation(write, capsys):
     path = write("c5.edges", C5_NUMBERS)
     code, out, _ = run(capsys, "solve", path)

@@ -40,18 +40,28 @@ def random_cograph(seed, size=8):
     return g
 
 
+def p4_free(g, within=None):
+    return cograph.cotree_or_failure(g, within)[1] is None
+
+
+def color(g, palettes, within=None):
+    """list3color on the cotree of g, or of its subgraph on within."""
+    root, _ = cograph.cotree_or_failure(g, within)
+    return cograph.list3color(g, root, palettes)
+
+
 def test_is_p4_free():
-    assert cograph.is_p4_free(cycle_graph(4))
-    assert cograph.is_p4_free(complete_graph(5))
-    assert not cograph.is_p4_free(path_graph(4))
-    assert not cograph.is_p4_free(cycle_graph(5))
-    assert cograph.is_p4_free(path_graph(5), within=[1, 2, 3])
+    assert p4_free(cycle_graph(4))
+    assert p4_free(complete_graph(5))
+    assert not p4_free(path_graph(4))
+    assert not p4_free(cycle_graph(5))
+    assert p4_free(path_graph(5), within=[1, 2, 3])
 
 
 def test_is_p4_free_matches_naive():
     for i in range(120):
         g = erdos_renyi(7, (0.3, 0.5, 0.7)[i % 3], split_seed(31, i))
-        assert cograph.is_p4_free(g) == (not naive_has_p4(g))
+        assert p4_free(g) == (not naive_has_p4(g))
 
 
 def test_cotree_or_failure():
@@ -73,43 +83,38 @@ def test_cotree_on_random_cographs():
 
 def test_list3color_trivial_cases():
     g = Graph()
-    assert cograph.list3color(g, {}) == {}
+    # an empty graph has no cotree, so there is nothing to color
+    assert cograph.cotree_or_failure(g) == (None, None)
     v = g.add_vertex()
-    got = cograph.list3color(g, {v: frozenset((2,))})
+    got = color(g, {v: frozenset((2,))})
     assert got == {v: 2}
-    assert cograph.list3color(g, {v: frozenset()}) is None
+    assert color(g, {v: frozenset()}) is None
 
 
 def test_list3color_triangle():
     g = complete_graph(3)
-    got = cograph.list3color(g, {v: FULL for v in g.vertices()})
+    got = color(g, {v: FULL for v in g.vertices()})
     assert verify_coloring(g, got)
     # pinning two corners to one color kills it
     pal = {1: frozenset((1,)), 2: frozenset((1,)), 3: FULL}
-    assert cograph.list3color(g, pal) is None
+    assert color(g, pal) is None
     # list constraints flow: corner palettes {1,2},{2,3},{1,3} still work
     pal = {1: frozenset((1, 2)), 2: frozenset((2, 3)), 3: frozenset((1, 3))}
-    got = cograph.list3color(g, pal)
+    got = color(g, pal)
     assert verify_coloring(g, got)
     assert all(got[v] in pal[v] for v in pal)
-
-
-def test_list3color_rejects_p4():
-    g = path_graph(4)
-    with pytest.raises(ContractViolationError):
-        cograph.list3color(g, {v: FULL for v in g.vertices()})
 
 
 def test_list3color_requires_palettes():
     g = complete_graph(2)
     with pytest.raises(ContractViolationError):
-        cograph.list3color(g, {1: FULL})
+        color(g, {1: FULL})
 
 
 def test_list3color_within():
     g = path_graph(5)  # not a cograph, but its ends are
     pal = {1: frozenset((1,)), 5: frozenset((1,))}
-    got = cograph.list3color(g, pal, within=[1, 5])
+    got = color(g, pal, within=[1, 5])
     assert got == {1: 1, 5: 1}
 
 
@@ -122,7 +127,7 @@ def test_list3color_against_oracle():
         for v in g.vertices():
             k = rng.randint(1, 3)
             pal[v] = frozenset(rng.sample((1, 2, 3), k))
-        got = cograph.list3color(g, pal)
+        got = color(g, pal)
         want = oracle_list3color(g, {v: set(p) for v, p in pal.items()})
         assert (got is None) == (want is None), (list(g.edges()), pal)
         if got is None:
@@ -148,8 +153,8 @@ def test_deep_cotree_leaves_the_recursion_limit_alone():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        assert cograph.is_p4_free(g)
-        root, _ = cograph.cotree_or_failure(g)
+        root, bad = cograph.cotree_or_failure(g)
+        assert bad is None
         depth, node = 0, root
         while node.kind != "leaf":
             node = max(node.children, key=lambda c: len(c.children))
@@ -157,7 +162,7 @@ def test_deep_cotree_leaves_the_recursion_limit_alone():
         assert depth == 299
         assert sorted(root.leaves()) == g.vertices()
         # the dominating vertices form a clique of 150
-        assert cograph.list3color(g, {v: FULL for v in g.vertices()}) is None
+        assert cograph.list3color(g, root, {v: FULL for v in g.vertices()}) is None
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(old)

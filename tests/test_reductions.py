@@ -369,11 +369,17 @@ def border_instance(region_edges, region_palettes, outside_palette=(1, 3)):
     return inst
 
 
+def cut(inst, w, region):
+    """cut_reduction on the cotree of the region."""
+    root, _ = cograph.cotree_or_failure(inst.g, region)
+    return cut_reduction(inst, w, root)
+
+
 def test_cut_reduction_keeps_a_free_color_alone():
     # no outside neighbor of 11 can take 2, and 2 extends, so 11 keeps it
     # alone: every coloring of the graph can switch 11 to 2
     inst = border_instance([(11, 12), (11, 13)], {11: FULL, 12: FULL, 13: FULL})
-    assert cut_reduction(inst, 11, (11, 12, 13)) == "fired"
+    assert cut(inst, 11, (11, 12, 13)) == "fired"
     assert inst.stats.get("op_cut_reduction") == 1
     assert set(inst.g.vertices()) == {1, 2, 11}
     assert inst.palettes[11] == frozenset((2,))
@@ -387,7 +393,7 @@ def test_cut_reduction_keeps_a_free_color_alone():
 def test_cut_reduction_forced_color():
     # 12 and 13 pin 11 to 1, which its outside neighbors can take too
     inst = border_instance([(11, 12), (11, 13)], {11: FULL, 12: {2}, 13: {3}})
-    assert cut_reduction(inst, 11, (11, 12, 13)) == "fired"
+    assert cut(inst, 11, (11, 12, 13)) == "fired"
     assert inst.palettes[11] == frozenset((1,))
     assert inst.replay[-1].extensions == {1: {12: 2, 13: 3}}
     assert run_fixpoint(inst) == SOLVED
@@ -400,7 +406,7 @@ def test_cut_reduction_keeps_every_extending_color():
     # vertex or edge is added
     inst = border_instance([(11, 12)], {11: FULL, 12: {2}})
     edges = set(inst.g.edges())
-    assert cut_reduction(inst, 11, (11, 12)) == "fired"
+    assert cut(inst, 11, (11, 12)) == "fired"
     assert set(inst.g.vertices()) == {1, 2, 11}
     assert set(inst.g.edges()) <= edges
     assert inst.palettes[11] == frozenset((1, 3))
@@ -413,7 +419,7 @@ def test_cut_reduction_keeps_every_extending_color():
 def test_cut_reduction_rejects():
     inst = border_instance([(11, 12), (11, 13), (12, 13)],
                            {11: {1, 2}, 12: {1, 2}, 13: {1, 2}})
-    assert cut_reduction(inst, 11, (11, 12, 13)) == REJECTED
+    assert cut(inst, 11, (11, 12, 13)) == REJECTED
 
 
 def test_cut_reduction_contract_checks():
@@ -421,7 +427,7 @@ def test_cut_reduction_contract_checks():
     inst = border_instance([(11, 12)], {11: FULL, 12: FULL})
     inst.g.add_edge(1, 12)
     with pytest.raises(ContractViolationError):
-        cut_reduction(inst, 11, (11, 12))
+        cut(inst, 11, (11, 12))
 
 
 def test_cut_reduction_preserves_list_colorability():
@@ -438,7 +444,8 @@ def test_cut_reduction_preserves_list_colorability():
             for v in region[j + 1:]:
                 if rng.random() < 0.5:
                     g.add_edge(u, v)
-        if not cograph.is_p4_free(g, region):
+        root, bad = cograph.cotree_or_failure(g, region)
+        if bad is not None:
             continue
         for x in rng.sample(outside.vertices(), rng.randint(1, 2)):
             g.add_edge(x, region[0])
@@ -446,7 +453,7 @@ def test_cut_reduction_preserves_list_colorability():
                                  for v in g.vertices()})
         pal_in = dict(inst.palettes)
         want = inst_feasible(inst)
-        if cut_reduction(inst, region[0], region) == REJECTED:
+        if cut_reduction(inst, region[0], root) == REJECTED:
             assert not want, i
             continue
         assert inst_feasible(inst) == want, i

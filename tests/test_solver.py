@@ -780,6 +780,113 @@ def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeyp
     assert len(built) == 1
 
 
+def test_stages_build_no_cotree_of_their_own(monkeypatch):
+    # within one _advance, cotrees are built only by rule 7's P4-free test
+    # inside the fixpoint and by _analyze, one per outer component;
+    # cut_reduction and the pair stage work from the cotrees _analyze kept
+    where = ["solve"]
+    built = []     # per cotree build: the innermost layer it ran in
+    advances = []  # per _advance call: {layer: cotrees built}
+    analysed = []  # per _advance call: outer components analysed
+    cotree = cograph.cotree_or_failure
+    fixpoint, analyze, advance = solver.run_fixpoint, solver._analyze, solver._advance
+
+    def counted_cotree(g, within=None):
+        built.append(where[-1])
+        return cotree(g, within)
+
+    def layer(name, fn):
+        def run(inst):
+            where.append(name)
+            try:
+                return fn(inst)
+            finally:
+                where.pop()
+        return run
+
+    def counted_analyze(inst):
+        view = layer("analyze", analyze)(inst)
+        analysed[-1] += len(view.comps)
+        return view
+
+    def counted_advance(inst):
+        before = len(built)
+        analysed.append(0)
+        out = layer("advance", advance)(inst)
+        mine = built[before:]
+        advances.append(({name: mine.count(name) for name in set(mine)}, analysed.pop()))
+        return out
+
+    monkeypatch.setattr(cograph, "cotree_or_failure", counted_cotree)
+    monkeypatch.setattr(solver, "run_fixpoint", layer("fixpoint", fixpoint))
+    monkeypatch.setattr(solver, "_analyze", counted_analyze)
+    monkeypatch.setattr(solver, "_advance", counted_advance)
+    cuts = pairs = 0
+    for g in [c7_gadget(seed) for seed in range(40)] + [rimmed_seven_cycle(r) for r in range(4)]:
+        advances.clear()
+        rep = solve(g, witness=True, assume_class=True)
+        if not rep.stats.get("op_cut_reduction") and not rep.stats.get("stage_opposing_pairs"):
+            continue
+        cuts += bool(rep.stats.get("op_cut_reduction"))
+        pairs += bool(rep.stats.get("stage_opposing_pairs"))
+        assert verify_coloring(g, rep.witness)
+        for counts, comps in advances:
+            assert counts.get("advance", 0) == 0, (counts, comps)
+            assert counts.get("analyze", 0) == comps, (counts, comps)
+    assert cuts >= 15 and pairs >= 1
+
+
+def connected_cograph(rng, size):
+    """A random connected cograph on 2 or more vertices: random unions and
+    joins of smaller pieces, the last one a join."""
+    g = Graph()
+    blocks = [[g.add_vertex()] for _ in range(size)]
+    while len(blocks) > 1:
+        a = blocks.pop(rng.randrange(len(blocks)))
+        b = blocks.pop(rng.randrange(len(blocks)))
+        if not blocks or rng.random() < 0.5:
+            for u in a:
+                for w in b:
+                    g.add_edge(u, w)
+        blocks.append(a + b)
+    return g
+
+
+def naive_dominating_set(g, verts):
+    """The vertex-pair scan _dominating_set once ran: the least universal
+    vertex, else the least dominating pair by vertex id, else None."""
+    order = sorted(verts)
+    vs = set(verts)
+    for v in order:
+        if vs <= (g.neighbors(v) & vs) | {v}:
+            return (v,)
+    for i, v in enumerate(order):
+        cov = (g.neighbors(v) & vs) | {v}
+        for w in order[i + 1:]:
+            if vs <= cov | (g.neighbors(w) & vs) | {w}:
+                return (v, w)
+    return None
+
+
+def test_dominating_set_reads_the_cotree():
+    rng = Random(909)
+    universal = pairs = 0
+    for _ in range(400):
+        g = connected_cograph(rng, rng.randint(4, 10))
+        root, bad = cograph.cotree_or_failure(g)
+        assert bad is None
+        dom = solver._dominating_set(root)
+        assert 1 <= len(dom) <= 2
+        assert set(dom).union(*(g.neighbors(v) for v in dom)) == set(g.vertices())
+        want = naive_dominating_set(g, g.vertices())
+        if len(want) == 1:
+            universal += 1
+            assert dom == want
+        else:
+            pairs += 1
+    assert universal > 50 and pairs > 50
+
+
 def test_trivial_graphs():
     rep = solve(Graph(), witness=True)
     assert rep.decision == "colorable"

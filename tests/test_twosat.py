@@ -35,7 +35,7 @@ def test_empty_instance():
 
 def test_unit_propagation():
     s = TwoSat(2)
-    s.add_unit(lit(0, True))
+    s.add_clause(lit(0, True), lit(0, True))
     s.add_clause(lit(0, False), lit(1, True))  # x0 -> x1
     model = s.solve()
     assert model == {0: True, 1: True}
@@ -43,8 +43,8 @@ def test_unit_propagation():
 
 def test_contradiction():
     s = TwoSat(1)
-    s.add_unit(lit(0, True))
-    s.add_unit(lit(0, False))
+    s.add_clause(lit(0, True), lit(0, True))
+    s.add_clause(lit(0, False), lit(0, False))
     assert s.solve() is None
 
 
