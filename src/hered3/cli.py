@@ -26,12 +26,21 @@ EXIT_USAGE = 3
 
 
 def _read_document(args) -> GraphDocument:
+    """Parse the input file or stdin as UTF-8 text.
+
+    Both are read as bytes and decoded strictly, so an undecodable input
+    is a ParseError whatever the locale or the interpreter's UTF-8 mode.
+    """
     if args.path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
         source = "<stdin>"
     else:
-        text = Path(args.path).read_text()
+        data = Path(args.path).read_bytes()
         source = args.path
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: not UTF-8 text (byte {exc.start})") from exc
     fmt = None if args.format == "auto" else args.format
     doc = formats.parse_graph(text, fmt)
     doc.source = source
@@ -164,9 +173,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    sizes = tuple(int(t) for t in args.sizes.split(",") if t) if args.sizes else (8, 10, 12, 14, 16)
-    if any(n < 1 for n in sizes):
-        raise InputError("--sizes entries must be positive")
+    try:
+        sizes = tuple(int(t) for t in (args.sizes or "8,10,12,14,16").split(",") if t)
+    except ValueError as exc:
+        raise InputError("--sizes entries must be integers") from exc
+    if not sizes or any(n < 1 for n in sizes):
+        raise InputError("--sizes needs one or more positive entries")
     generator = None
     if args.kind == "c7-gadget":
         generator = testkit.c7_gadget

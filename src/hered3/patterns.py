@@ -8,6 +8,7 @@ returning it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import cograph
 from .errors import ClassViolationError
@@ -25,22 +26,14 @@ class PatternWitness:
         return [v for part in self.parts for v in part]
 
 
-def _verify_path(g: Graph, path) -> None:
-    k = len(path)
-    for i in range(k):
-        for j in range(i + 1, k):
-            want = j == i + 1
-            if g.has_edge(path[i], path[j]) != want:
-                raise AssertionError(f"bad path witness {path}")
-
-
-def _verify_cycle(g: Graph, cyc) -> None:
-    k = len(cyc)
-    for i in range(k):
-        for j in range(i + 1, k):
-            want = (j - i) % k in (1, k - 1)
-            if g.has_edge(cyc[i], cyc[j]) != want:
-                raise AssertionError(f"bad cycle witness {cyc}")
+def _verify_induced(g: Graph, kind: str, seq, gaps) -> None:
+    """Raise unless seq induces the pattern `kind` in g: the vertices at
+    positions i < j are adjacent exactly when j - i is in gaps.  A path
+    has gaps (1,), a k-cycle (1, k - 1), its complement the others, and
+    a clique all of them."""
+    for i, j in combinations(range(len(seq)), 2):
+        if g.has_edge(seq[i], seq[j]) != (j - i in gaps):
+            raise AssertionError(f"bad {kind} witness {tuple(seq)}")
 
 
 def iter_induced_p4s(g: Graph, within=None):
@@ -64,7 +57,7 @@ def find_induced_p4(g: Graph, within=None):
     """Lexicographically least induced 4-vertex path (a,b,c,d), a < d."""
     path = next(iter_induced_p4s(g, within), None)
     if path is not None:
-        _verify_path(g, path)
+        _verify_induced(g, "path", path, (1,))
     return path
 
 
@@ -126,7 +119,7 @@ def _non_cograph_part(g: Graph, part: frozenset):
 
 
 def _two_p4(g: Graph, first, bad):
-    _verify_path(g, first)
+    _verify_induced(g, "path", first, (1,))
     second = find_induced_p4(g, within=bad)
     if second is None:
         raise AssertionError("non-cograph set without a P4")
@@ -160,7 +153,7 @@ def find_induced_cycle(g: Graph, k: int):
     for v0 in g.vertices():
         got = _find_c5(adj, v0) if k == 5 else _find_long_cycle(adj, v0, k)
         if got is not None:
-            _verify_cycle(g, got)
+            _verify_induced(g, "cycle", got, (1, k - 1))
             return got
     return None
 
@@ -253,18 +246,9 @@ def find_co_c7(g: Graph):
                 ends = g.neighbors(u1) & p6
                 if ends:
                     got = (u0, u1, b, d, a, c, min(ends))
-                    _verify_cocycle7(g, got)
+                    _verify_induced(g, "co-C7", got, (2, 3, 4, 5))
                     return got
     return None
-
-
-def _verify_cocycle7(g: Graph, seq) -> None:
-    for i in range(7):
-        for j in range(i + 1, 7):
-            gap = (j - i) % 7
-            want = gap not in (1, 6)
-            if g.has_edge(seq[i], seq[j]) != want:
-                raise AssertionError(f"bad co-C7 witness {seq}")
 
 
 def find_nonbipartite_neighborhood(g: Graph):
@@ -292,21 +276,16 @@ def find_nonbipartite_neighborhood(g: Graph):
         cyc = shortest_odd_cycle(g, within=nv)
         if len(cyc) == 3:
             part = tuple([v] + sorted(cyc))
-            w = PatternWitness("k4", (part,))
-            for a in part:
-                for b in part:
-                    if a < b and not g.has_edge(a, b):
-                        raise AssertionError(f"bad k4 witness {part}")
-            return w
-        _verify_cycle(g, cyc)
+            _verify_induced(g, "k4", part, (1, 2, 3))
+            return PatternWitness("k4", (part,))
+        _verify_induced(g, "cycle", cyc, (1, len(cyc) - 1))
         if len(cyc) <= 9:
             return PatternWitness({5: "c5", 7: "c7", 9: "c9"}[len(cyc)], (tuple(cyc),))
         first = tuple(cyc[0:4])
         second = tuple(cyc[5:9])
-        witness = PatternWitness("2p4", (first, second))
-        _verify_path(g, first)
-        _verify_path(g, second)
-        raise ClassViolationError(witness)
+        for part in (first, second):
+            _verify_induced(g, "path", part, (1,))
+        raise ClassViolationError(PatternWitness("2p4", (first, second)))
     return None
 
 

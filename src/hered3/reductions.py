@@ -10,6 +10,15 @@ color depends on vertices that outlive it appends a replay record instead
 (low degree, domination, or a cut region keyed by its border vertex).  Witness
 assembly seeds the color map and processes the records in reverse order of
 creation.
+
+F1 of the solver holds by construction, so no rule rechecks it: no live
+palette holds the color of a colored neighbor, and no edge between two
+colored vertices is monochromatic.  Every palette starts full and only
+shrinks (rule 4 intersects, cut reduction keeps a subset).  commit_color
+takes only a color of the vertex's own palette, which has already lost
+the color of every neighbor colored before it, and strikes that color
+from the palette of every live neighbor.  Edges are never added, so both
+properties hold for as long as the two ends stay in the graph.
 """
 
 from __future__ import annotations
@@ -153,9 +162,6 @@ class Instance:
             raise ContractViolationError(f"vertex {v} is not live and uncolored")
         if color not in self.palettes[v]:
             raise ContractViolationError(f"color {color} not in palette of {v}")
-        for w in self.g.neighbors(v):
-            if w in self.colors and self.colors[w] == color:
-                raise AssertionError(f"coloring {v} with {color} clashes with {w}")
         self.colors[v] = color
         del self.palettes[v]
         for w in self.g.neighbors(v):
@@ -236,8 +242,7 @@ def run_fixpoint(inst: Instance) -> str:
 def _one_pass(inst: Instance) -> str:
     if not inst.palettes:
         if inst.g.vertex_count():
-            # only anchored vertices left; clear them after a final check
-            _assert_colored_edges_proper(inst, set(inst.g.vertices()))
+            # only anchored vertices left, properly colored by F1
             inst.remove_region(inst.g.vertices())
         return SOLVED
 
@@ -370,28 +375,14 @@ def _domination_pass(inst: Instance) -> bool:
     return fired
 
 
-def _assert_colored_edges_proper(inst: Instance, comp: set) -> None:
-    for v in comp:
-        cv = inst.colors.get(v)
-        if cv is None:
-            continue
-        for w in inst.g.neighbors(v):
-            if w in inst.colors and inst.colors[w] == cv:
-                raise AssertionError(f"colored edge {v},{w} is monochromatic")
-            if w in inst.palettes and cv in inst.palettes[w]:
-                raise AssertionError(f"palette of {w} kept its colored neighbor's color")
-
-
 def _two_sat_component(inst: Instance, comp: set):
     unc = sorted(v for v in comp if v in inst.palettes)
     if not unc:
-        _assert_colored_edges_proper(inst, comp)
         inst.remove_region(comp)
         inst.stats.bump("rule_two_sat_component")
         return _FIRED
     if any(len(inst.palettes[v]) != 2 for v in unc):
         return None
-    _assert_colored_edges_proper(inst, comp)
     # variable i true means unc[i] takes the smaller of its two colors;
     # avoid[v][c] is the literal for "v does not take c"
     pairs = [sorted(inst.palettes[v]) for v in unc]
@@ -419,6 +410,13 @@ def _two_sat_component(inst: Instance, comp: set):
 
 
 def _cograph_component(inst: Instance, comp: set):
+    """Rule 7: list-color a P4-free component from its cotree.
+
+    comp is a whole component, so every neighbor of a solved vertex is in
+    it, and `cograph.list3color` has checked its coloring against these
+    palettes and edges; a colored vertex's palette is its own color, so
+    the check covers the edges to it too.
+    """
     # the anchor cycle, an induced C7 or C9, holds an induced P4
     if inst.anchor_order and comp.issuperset(inst.anchor_order):
         return None
@@ -431,7 +429,6 @@ def _cograph_component(inst: Instance, comp: set):
     if solved is None:
         return REJECTED
     solved = {v: c for v, c in solved.items() if v in inst.palettes}
-    _verify_region_coloring(inst, solved)
     inst.remove_region(comp, solved)
     return _FIRED
 

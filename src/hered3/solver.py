@@ -56,6 +56,14 @@ only shrink); the anchors are the only colored vertices left.  F2: branch
 graphs only lose vertices and palettes only shrink, so a vertex relevant
 with a given support at a descendant was so at every ancestor.  F3: two
 distinct anchor pairs two apart on a 7-cycle hold two anchors three apart.
+Three more facts need no check, each argued where it is used.  F4, in
+class: the branch graph is connected (`_analyze`).  F5, in class: the
+outer neighborhoods of the relevant vertices whose support is one anchor
+form a chain under inclusion (`_branch_single_anchor`).  F6, on any
+graph: a relevant outer component that reaches `_component_cases` has two
+or more vertices, since rule 5 deletes a lone one.  Out of class F4 and F5
+may fail, and neither failure costs a verdict: a split graph is refused
+by a later check, and a single-anchor split is exhaustive anyway.
 
 Renaming the colors loses no answer.  Every proper coloring of an odd
 cycle uses all three colors, so the six permutations of {1, 2, 3} act
@@ -335,11 +343,12 @@ def _advance(inst):
     """Drive one branch to a verdict or a branching point.
 
     If neither stage branches, the relevant supports are one pair two
-    apart (F3) of like-colored anchors, palettes the other two (F1).  A
-    path branches once per single anchor i: z's outer neighbors hold every
-    member's, each fully adjacent to its components, so by F2 any full
-    palette a later member reaches lost z's color.  A pair branches once
-    (post-check, then F2) into <= 1 + 9|zs| kids.  cut_reduction drops C - w.
+    apart (F3) of like-colored anchors, palettes the other two (F1).  In
+    class a path branches once per single anchor i: z's outer neighbors
+    hold every member's (F5), each fully adjacent to its components, so by
+    F2 any full palette a later member reaches lost z's color.  A pair
+    branches once (post-check, then F2) into <= 1 + 9|zs| kids.
+    cut_reduction drops C - w.
     """
     while True:
         out = run_fixpoint(inst)
@@ -370,6 +379,13 @@ _View = namedtuple("_View", "anchors acolor comps cotrees comp_relevant supports
 def _analyze(inst) -> _View:
     """Index a C7 branch at a CONTINUE fixpoint.
 
+    In class the branch graph is connected (F4).  Rules 6 and 7 spared
+    every component, so each one holds the anchor cycle or is not P4-free,
+    and either way holds an induced P4; P4s in two components would form
+    an induced 2P4.  Out of class, a component without the anchors holds
+    only outer vertices and is not P4-free, so the outer-component check
+    below refuses the branch, unless a check before it does.
+
     Every root sets anchor_order.  By F1 no full palette touches the
     cycle, and since rule 6 spared the one component, some palette is full,
     so an outer component is relevant; the graph is connected and the rim
@@ -377,8 +393,6 @@ def _analyze(inst) -> _View:
     cotree that shows an outer component P4-free is kept for the stages.
     """
     g = inst.g
-    if len(connected_components(g)) != 1:
-        raise StageAssertionError("anchored branch split into several components")
     anchors = inst.anchor_order
     for v in anchors:
         if not g.has_vertex(v) or v not in inst.colors:
@@ -464,16 +478,22 @@ def _dominating_set(root):
 
 
 def _branch_single_anchor(inst, view):
-    """Branch on the widest relevant vertex whose support is one anchor."""
+    """Branch on the widest relevant vertex whose support is one anchor.
+
+    In class the members' outer neighborhoods form a chain (F5), so the
+    widest one holds every other.  Were it not so, two members x and y
+    would have outer neighbors a in N(x) - N(y) and b in N(y) - N(x).  If
+    x and y are not adjacent, a-x-v_i-y is an induced P4; if they are,
+    a-x-y-b is one when a and b are not adjacent, and v_i-x-a-b when they
+    are.  Outer vertices see no anchor and members only v_i, so each P4
+    and v_{i+2} ... v_{i+5} form an induced 2P4.  Out of class the split
+    over z's palette is still exhaustive, so the answer stays exact.
+    """
     for i in range(len(view.anchors)):
         members = [x for x in view.relevant if view.supports[x] == frozenset((i,))]
         if not members:
             continue
-        chain = sorted(members, key=lambda x: (len(view.outer_nbrs[x]), x))
-        for prev, nxt in zip(chain, chain[1:]):
-            if not view.outer_nbrs[prev] <= view.outer_nbrs[nxt]:
-                raise StageAssertionError("single-anchor outer neighborhoods do not nest")
-        z = max(chain, key=lambda x: (len(view.outer_nbrs[x]), -x))
+        z = max(members, key=lambda x: (len(view.outer_nbrs[x]), -x))
         inst.stats.bump("stage_single_anchor")
         kids = []
         for c in sorted(inst.palettes[z]):
@@ -550,6 +570,13 @@ def _component_cases(inst, view):
     neighbor outside C, is one vertex w.  Any other shape raises
     StageAssertionError naming it.  Returns cut_reduction's verdict on
     C keyed by w, which colors C from the cotree that `_analyze` kept.
+
+    C is never one vertex u, on any graph (F6).  Neither stage branched, so
+    every relevant vertex has the one support {p, q}.  u has no outer
+    neighbor, so each of its neighbors is a rim vertex that touches C and
+    is thus relevant, and anchor v_p sees them all.  u's palette is full,
+    so it holds v_p's color, and rule 3 left u three or more neighbors:
+    v_p dominates u, and rule 5 would have deleted u.
     """
     g = inst.g
     relevant = set(view.relevant)
@@ -565,8 +592,6 @@ def _component_cases(inst, view):
         shape = ("disconnected" if len(connected_components(g, within=border)) > 1
                  else "single-edge" if len(border) == 2 else "three-or-more-vertex")
         raise StageAssertionError(f"relevant component behind a {shape} border")
-    if len(comp) == 1:
-        raise StageAssertionError("singleton relevant component")
     inst.stats.bump("case_border_single_vertex")
     (w,) = border
     return cut_reduction(inst, w, view.cotrees[idx])

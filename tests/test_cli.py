@@ -183,7 +183,7 @@ def test_solve_palette_annotations_warn(write, capsys):
 
 
 def test_solve_reads_stdin(write, capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(C7_LETTERS))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(C7_LETTERS.encode())))
     code, report, _ = run_json(capsys, "solve", "-", "--json")
     assert code == 0
     assert report["input"]["source"] == "<stdin>"
@@ -219,6 +219,23 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(tmp_path / "absent.edges"))
     assert code == 3
     assert err.startswith("error:")
+
+
+def test_undecodable_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    # exit 1 would read as "not colorable"; both paths decode strictly, so
+    # stdin fails the same way under any error handler its wrapper has
+    data = b"1 2\n2 \xff3\n"
+    path = tmp_path / "latin.edges"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}: not UTF-8 text (byte 6)\n"
+
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run(capsys, "check-class", "-")
+    assert (code, out) == (3, "")
+    assert err == "error: <stdin>: not UTF-8 text (byte 6)\n"
 
 
 def test_format_override_can_fail_parse(write, capsys):
@@ -348,3 +365,12 @@ def test_fuzz_gadget_generator(tmp_path, capsys):
         "--artifact-dir", str(tmp_path), "--json")
     assert code == 0
     assert report["detail"]["in_class"] == 8
+
+
+def test_fuzz_sizes_must_be_integers(tmp_path, capsys):
+    # exit 1 would read as "the fuzzer found a mismatch"
+    for sizes in ("8,x", "8,0", ","):
+        code, out, err = run(capsys, "fuzz", "--budget", "2", "--sizes", sizes,
+                             "--artifact-dir", str(tmp_path))
+        assert (code, out) == (3, ""), sizes
+        assert err.startswith("error: --sizes "), sizes

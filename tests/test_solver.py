@@ -397,10 +397,13 @@ def test_anchor_branch_verdicts_are_constant_on_color_orbits():
 
 def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
     # the stages recheck nothing the fixpoint implies (see the solver
-    # module docstring): F1 at every analysis, F3 on the 7-cycle, one anchor
-    # pair once neither stage branches, and on every path at most one
-    # branching per single anchor and per opposing pair; the corpus is that
-    # of the two all-colorings tests above, every proper coloring each
+    # module docstring): F1 at every analysis and at every rule-6 call, no
+    # monochromatic edge between colored vertices, F3 on the 7-cycle, a
+    # connected branch graph (F4), nested single-anchor neighborhoods (F5),
+    # cut regions of two or more vertices (F6), one anchor pair once
+    # neither stage branches, and on every path at most one branching per
+    # single anchor and per opposing pair; the corpus is that of the two
+    # all-colorings tests above, every proper coloring each
     k = 7
     two_apart = [{a, (a + 2) % k} for a in range(k)]
     for p, q in combinations(two_apart, 2):
@@ -408,8 +411,15 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
     real_analyze = solver._analyze
     real_single = solver._branch_single_anchor
     real_pair = solver._branch_opposing_pair
+    real_cut = solver.cut_reduction
+    real_rule6 = reductions._two_sat_component
     path = {}       # instance -> the branchings above it
-    seen = {"analyzed": 0, "single": 0, "pair": 0, "one pair": 0}
+    seen = {"analyzed": 0, "single": 0, "pair": 0, "one pair": 0, "cut": 0, "rule 6": 0}
+
+    def colored_edges_proper(inst, verts):
+        for v in verts:
+            if v in inst.colors:
+                assert all(inst.colors.get(w) != inst.colors[v] for w in inst.g.neighbors(v))
 
     def analyze(inst):
         g = inst.g
@@ -417,8 +427,23 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
         for v, pal in inst.palettes.items():   # F1
             assert len(pal) in (2, 3)
             assert not pal & {inst.colors.get(w) for w in g.neighbors(v)}
+        colored_edges_proper(inst, inst.anchor_order)
+        assert len(connected_components(g)) == 1   # F4
         seen["analyzed"] += 1
         return real_analyze(inst)
+
+    def rule6(inst, comp):
+        for v in comp:
+            if v in inst.palettes:   # F1 where rule 6 reads the palettes
+                assert not inst.palettes[v] & {inst.colors.get(w) for w in inst.g.neighbors(v)}
+        colored_edges_proper(inst, comp)
+        seen["rule 6"] += 1
+        return real_rule6(inst, comp)
+
+    def cut(inst, w, root):
+        assert len(root.leaves()) >= 2   # F6
+        seen["cut"] += 1
+        return real_cut(inst, w, root)
 
     def branch(inst, step, kids):
         hist = path.get(inst, ())
@@ -429,6 +454,10 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
                 path[kid] = hist + (step,)
 
     def single(inst, view):
+        for i in range(k):   # F5
+            members = [x for x in view.relevant if view.supports[x] == {i}]
+            chain = sorted((view.outer_nbrs[x] for x in members), key=len)
+            assert all(a <= b for a, b in zip(chain, chain[1:]))
         kids = real_single(inst, view)
         if kids is not None:
             i = min(min(view.supports[x]) for x in view.relevant
@@ -462,6 +491,8 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
     monkeypatch.setattr(solver, "_analyze", analyze)
     monkeypatch.setattr(solver, "_branch_single_anchor", single)
     monkeypatch.setattr(solver, "_branch_opposing_pair", pair)
+    monkeypatch.setattr(solver, "cut_reduction", cut)
+    monkeypatch.setattr(reductions, "_two_sat_component", rule6)
     graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
     graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
     graphs += _relabeled_c7_gadgets()
@@ -484,6 +515,7 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
                 solver._dfs(child, base.stats)
     assert seen["analyzed"] >= 3700 and seen["single"] >= 1800
     assert seen["pair"] >= 700 and seen["one pair"] >= 1100
+    assert seen["cut"] >= 1100 and seen["rule 6"] >= 12000
 
 
 def test_anchored_cycles_with_pendant_tails():
@@ -594,6 +626,20 @@ def test_waived_border_of_two_parts_is_a_stage_refusal():
     with pytest.raises(ClassViolationError):
         solve(g)
     with pytest.raises(StageAssertionError, match="behind a disconnected border"):
+        solve(g, assume_class=True)
+
+
+def test_waived_c9_branch_the_fixpoint_leaves_open_is_a_stage_refusal():
+    # colorable and out of class (an induced 2P4): a 9-cycle with two rim
+    # vertices joined through a diamond; with the scan waived the fixpoint
+    # leaves a branch open, and a 9-cycle anchor has no stage for it
+    g = Graph.from_edges(range(1, 14), [
+        (1, 2), (1, 9), (2, 3), (3, 4), (3, 11), (4, 5), (5, 6), (6, 7), (7, 8),
+        (7, 10), (8, 9), (10, 12), (10, 13), (11, 12), (11, 13), (12, 13)])
+    assert oracle_list3color(g) is not None
+    with pytest.raises(ClassViolationError):
+        solve(g)
+    with pytest.raises(StageAssertionError, match="fixpoint did not fully resolve a C9 branch"):
         solve(g, assume_class=True)
 
 
