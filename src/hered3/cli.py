@@ -173,6 +173,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.budget < 1:
+        raise InputError("--budget must be a positive number of cases")
     try:
         sizes = tuple(int(t) for t in (args.sizes or "8,10,12,14,16").split(",") if t)
     except ValueError as exc:

@@ -1,6 +1,8 @@
 """Palette propagation rules, replay-based witness records, and the one
-structural operation the stage ladder uses (cut reduction).  Rule 7 and
-cut reduction color a P4-free region from a cotree built once for it.
+structural operation the stage ladder uses (cut reduction).  Rule 6
+colors a component whose palettes all have two colors by forced-choice
+propagation, each vertex trying one color and on a clash the other.  Rule
+7 and cut reduction color a P4-free region from a cotree built once for it.
 
 An Instance owns a working graph plus per-vertex palettes.  Rules either
 settle colors, shrink palettes, or delete vertices.  A settled color goes
@@ -28,7 +30,6 @@ from typing import Iterable
 from . import cograph
 from .errors import ContractViolationError
 from .graph import Graph, connected_components
-from .twosat import TwoSat, lit
 
 REJECTED = "rejected"
 SOLVED = "solved"
@@ -278,7 +279,7 @@ def _one_pass(inst: Instance) -> str:
 
     comps = connected_components(inst.g)
 
-    # rule 6: component with all palettes of size 2 -> 2-SAT
+    # rule 6: component with all palettes of size 2 -> forced-choice propagation
     for comp in comps:
         verdict = _two_sat_component(inst, comp)
         if verdict is not None:
@@ -376,34 +377,53 @@ def _domination_pass(inst: Instance) -> bool:
 
 
 def _two_sat_component(inst: Instance, comp: set):
-    unc = sorted(v for v in comp if v in inst.palettes)
-    if not unc:
-        inst.remove_region(comp)
-        inst.stats.bump("rule_two_sat_component")
-        return _FIRED
-    if any(len(inst.palettes[v]) != 2 for v in unc):
+    """Rule 6: list-color a component whose live palettes all have two colors.
+
+    Each undecided vertex, in ascending id order, tries its smaller color,
+    then its other one.  A try colors every vertex it forces: a neighbor
+    whose palette holds the tried color must take its other color.  A try
+    that meets a clash is undone, since every coloring that gives the vertex
+    that color has the same clash.  A try that ends without a clash is kept:
+    an undecided vertex has no decided neighbor whose color its palette
+    holds, or that color would have forced it, so the undecided vertices
+    keep their whole palettes and no constraint to a decided vertex, and
+    they are colorable exactly when they were before the try.  When both
+    tries clash the branch is rejected.  This is forced-choice 2-SAT
+    (Even, Itai and Shamir, SIAM J. Comput. 5(4), 1976); a colored vertex
+    needs no care, since by F1 no live palette holds its color.
+    """
+    pal = inst.palettes
+    unc = sorted(v for v in comp if v in pal)
+    if any(len(pal[v]) != 2 for v in unc):
         return None
-    # variable i true means unc[i] takes the smaller of its two colors;
-    # avoid[v][c] is the literal for "v does not take c"
-    pairs = [sorted(inst.palettes[v]) for v in unc]
-    avoid = {}
-    for i, (v, (a, b)) in enumerate(zip(unc, pairs)):
-        avoid[v] = {a: lit(i, False), b: lit(i, True)}
-    adj = inst.g._adj
-    sat = TwoSat(len(unc))
-    for v in unc:
-        av = avoid[v]
-        for w in sorted(adj[v]):
-            if w < v or w not in avoid:
-                continue
-            aw = avoid[w]
-            for c in sorted(av.keys() & aw.keys()):
-                sat.add_clause(av[c], aw[c])
-    model = sat.solve()
     inst.stats.bump("rule_two_sat_component")
-    if model is None:
-        return REJECTED
-    solved = {v: a if model[i] else b for i, (v, (a, b)) in enumerate(zip(unc, pairs))}
+    adj = inst.g._adj
+    solved: dict[int, int] = {}
+    for v in unc:
+        if v in solved:
+            continue
+        for c in sorted(pal[v]):
+            solved[v] = c
+            tried = [v]
+            clash = False
+            for x in tried:   # grows while it is walked
+                cx = solved[x]
+                for w in adj[x]:
+                    cw = solved.get(w)
+                    if cw == cx:
+                        clash = True
+                        break
+                    if cw is None and cx in pal.get(w, ()):
+                        (solved[w],) = pal[w] - {cx}
+                        tried.append(w)
+                if clash:
+                    break
+            if not clash:
+                break
+            for x in tried:
+                del solved[x]
+        else:
+            return REJECTED
     _verify_region_coloring(inst, solved)
     inst.remove_region(comp, solved)
     return _FIRED

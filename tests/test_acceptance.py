@@ -7,7 +7,6 @@ line with the measured numbers.  A failing gate is a plain test failure.
 
 import math
 import time
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from random import Random
 
@@ -21,6 +20,7 @@ from hered3.reductions import (
     Instance,
     Stats,
     _one_pass,
+    _two_sat_component,
 )
 from hered3.solver import _proper_cycle_colorings, solve
 from hered3.testkit import (
@@ -40,7 +40,6 @@ from hered3.testkit import (
     split_seed,
     verify_coloring,
 )
-from hered3.twosat import TwoSat
 
 
 # -- gate 1: exhaustive small-graph equivalence -------------------------------
@@ -247,55 +246,37 @@ def test_reduction_steps_preserve_colorability():
           f"instances, colorability preserved, {elapsed:.1f}s")
 
 
-# -- gate 7: 2-SAT against exhaustive enumeration ---------------------------------
+# -- gate 7: rule 6 (two-color palettes) against the oracle -----------------------
 
-@lru_cache(maxsize=None)
-def _assignment_mask(nvars, var):
-    """Bitset over all 2^nvars assignments where `var` is true."""
-    block = (1 << (1 << var)) - 1
-    period = 1 << (var + 1)
-    m = 0
-    for start in range(1 << var, 1 << nvars, period):
-        m |= block << start
-    return m
-
-
-def test_two_sat_matches_exhaustive_enumeration():
+def test_two_color_rule_matches_oracle():
     rng = Random(707)
-    sat = unsat = 0
+    solved = rejected = 0
     start = time.monotonic()
     for case in range(10_000):
-        nvars = rng.randint(1, 12)
-        full = (1 << (1 << nvars)) - 1
-        clauses = []
-        # a third of the cases get dense formulas so both outcomes show up
-        top = 2 * nvars if rng.random() < 0.67 else 4 * nvars
-        for _ in range(rng.randint(0, top)):
-            a = (rng.randrange(nvars), rng.random() < 0.5)
-            b = (rng.randrange(nvars), rng.random() < 0.5)
-            clauses.append((a, b))
-
-        surviving = full
-        for (va, pa), (vb, pb) in clauses:
-            ma = _assignment_mask(nvars, va)
-            mb = _assignment_mask(nvars, vb)
-            surviving &= (ma if pa else full ^ ma) | (mb if pb else full ^ mb)
-
-        ts = TwoSat(nvars)
-        for (va, pa), (vb, pb) in clauses:
-            ts.add_clause(2 * va + (0 if pa else 1), 2 * vb + (0 if pb else 1))
-        model = ts.solve()
-        assert (model is not None) == (surviving != 0), f"case {case}"
-        if model is None:
-            unsat += 1
+        n = rng.randint(1, 12)
+        g = Graph.from_edges(range(1, n + 1), [])
+        for v in range(2, n + 1):   # a random spanning tree keeps g connected
+            g.add_edge(v, rng.randint(1, v - 1))
+        p = rng.choice((0.1, 0.25, 0.45))
+        for a, b in combinations(range(1, n + 1), 2):
+            if rng.random() < p:
+                g.add_edge(a, b)
+        palettes = {v: frozenset(rng.sample((1, 2, 3), 2)) for v in range(1, n + 1)}
+        inst = Instance(g.copy(), Stats())
+        inst.palettes = dict(palettes)
+        verdict = _two_sat_component(inst, set(g.vertices()))
+        want = oracle_list3color(g, palettes)
+        assert (verdict == REJECTED) == (want is None), f"case {case}"
+        if verdict == REJECTED:
+            rejected += 1
             continue
-        sat += 1
-        for (va, pa), (vb, pb) in clauses:
-            assert (model[va] == pa) or (model[vb] == pb), f"case {case}"
-    assert sat > 1000 and unsat > 1000
+        solved += 1
+        assert verify_coloring(g, inst.colors), f"case {case}"
+        assert all(inst.colors[v] in palettes[v] for v in g.vertices()), f"case {case}"
+    assert solved > 1000 and rejected > 1000
     elapsed = time.monotonic() - start
-    print(f"PASS 2-SAT: 10000 formulas ({sat} sat, {unsat} unsat) "
-          f"match enumeration in {elapsed:.1f}s")
+    print(f"PASS rule 6: 10000 two-color instances ({solved} solved, {rejected} "
+          f"rejected) match the oracle in {elapsed:.1f}s")
 
 
 # -- gate 8: cograph coloring against brute force ----------------------------------

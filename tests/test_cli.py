@@ -374,3 +374,12 @@ def test_fuzz_sizes_must_be_integers(tmp_path, capsys):
                              "--artifact-dir", str(tmp_path))
         assert (code, out) == (3, ""), sizes
         assert err.startswith("error: --sizes "), sizes
+
+
+def test_fuzz_budget_must_be_positive(tmp_path, capsys):
+    # exit 0 would read as a clean run of no cases
+    for budget in ("0", "-1"):
+        code, out, err = run(capsys, "fuzz", "--budget", budget,
+                             "--artifact-dir", str(tmp_path))
+        assert (code, out) == (3, ""), budget
+        assert err.startswith("error: --budget "), budget
