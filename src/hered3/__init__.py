@@ -6,7 +6,6 @@ entry point, and the parsing helpers used by the command line tool.
 
 from .errors import (
     ClassViolationError,
-    ContractViolationError,
     GenerationError,
     InputError,
     ParseError,
@@ -19,7 +18,6 @@ from .solver import SolveReport, solve
 
 __all__ = [
     "ClassViolationError",
-    "ContractViolationError",
     "GenerationError",
     "Graph",
     "GraphDocument",

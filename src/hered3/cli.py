@@ -30,6 +30,7 @@ def _read_document(args) -> GraphDocument:
 
     Both are read as bytes and decoded strictly, so an undecodable input
     is a ParseError whatever the locale or the interpreter's UTF-8 mode.
+    No command reads palette annotations, so they draw a warning.
     """
     if args.path == "-":
         data = sys.stdin.buffer.read()
@@ -44,6 +45,8 @@ def _read_document(args) -> GraphDocument:
     fmt = None if args.format == "auto" else args.format
     doc = formats.parse_graph(text, fmt)
     doc.source = source
+    if doc.palettes:
+        doc.warnings.append(f"palette annotations are ignored by {args.command}")
     return doc
 
 
@@ -92,8 +95,6 @@ def _class_violation(args, report: dict, doc: GraphDocument, witness) -> int:
 
 def _cmd_solve(args) -> int:
     doc = _read_document(args)
-    if doc.palettes:
-        doc.warnings.append("palette annotations are ignored by solve")
     report = _base_report("solve", doc)
     try:
         res = solve(doc.graph, witness=args.witness,
@@ -123,7 +124,7 @@ def _cmd_check_class(args) -> int:
 
 def _cmd_count(args) -> int:
     doc = _read_document(args)
-    if len(doc.graph.vertices()) > 20:
+    if doc.graph.vertex_count() > 20:
         raise InputError("count-colorings is limited to 20 vertices")
     report = _base_report("count-colorings", doc)
     n = testkit.count_proper_3colorings(doc.graph)

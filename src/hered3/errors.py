@@ -15,10 +15,6 @@ class ParseError(InputError):
         self.line_no = line_no
 
 
-class ContractViolationError(RuntimeError):
-    """A caller invoked an operation whose stated preconditions do not hold."""
-
-
 class ClassViolationError(RuntimeError):
     """The input graph is outside the supported class.
 

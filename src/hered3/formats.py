@@ -24,15 +24,14 @@ class GraphDocument:
 
 
 def sniff_format(text: str) -> str:
-    """DIMACS files lead with a p/c line; everything else is an edge list."""
+    """DIMACS when the first line past blank and c lines is a problem line
+    (p plus 3 tokens) or an edge line (e plus 2); an edge-list line has 1 or
+    2 tokens, so everything else is an edge list, even with a label c."""
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        head = line.split()[0]
-        if head in ("c", "p", "e") and len(head) == 1:
-            return "dimacs_col"
-        return "edge_list"
+        parts = raw.split()
+        if parts and parts[0] != "c":
+            dimacs = (parts[0], len(parts)) in (("p", 4), ("e", 3))
+            return "dimacs_col" if dimacs else "edge_list"
     return "edge_list"
 
 

@@ -32,23 +32,24 @@ def _verify_induced(g: Graph, kind: str, seq, gaps) -> None:
     has gaps (1,), a k-cycle (1, k - 1), its complement the others, and
     a clique all of them."""
     for i, j in combinations(range(len(seq)), 2):
-        if g.has_edge(seq[i], seq[j]) != (j - i in gaps):
+        if (seq[j] in g._adj[seq[i]]) != (j - i in gaps):
             raise AssertionError(f"bad {kind} witness {tuple(seq)}")
 
 
 def iter_induced_p4s(g: Graph, within=None):
     """All induced P4s as canonical tuples (a,b,c,d) with a < d, lex order."""
+    adj = g._adj
     verts = g.vertices() if within is None else sorted(within)
     vset = set(verts)
     for a in verts:
-        na = g.neighbors(a)
+        na = adj[a]
         for b in sorted(na & vset):
-            nb = g.neighbors(b)
+            nb = adj[b]
             # set differences drop chord candidates in bulk, not one test each
             for c in sorted((nb & vset) - na):
                 if c == a:
                     continue
-                for d in sorted((g.neighbors(c) & vset) - na - nb):
+                for d in sorted((adj[c] & vset) - na - nb):
                     if d > a:
                         yield (a, b, c, d)
 
@@ -124,9 +125,8 @@ def _two_p4(g: Graph, first, bad):
     if second is None:
         raise AssertionError("non-cograph set without a P4")
     for u in first:
-        for w in second:
-            if g.has_edge(u, w):
-                raise AssertionError("2P4 parts touch")
+        if g._adj[u].intersection(second):
+            raise AssertionError("2P4 parts touch")
     return PatternWitness("2p4", (first, second))
 
 
@@ -229,21 +229,22 @@ def find_co_c7(g: Graph):
     is enough.  co-C7 is vertex-transitive, so u0 can be the pattern's
     least vertex: the search stays above u0.
     """
+    adj = g._adj
     verts = g.vertices()
     for i, u0 in enumerate(verts):
-        n0 = g.neighbors(u0)
+        n0 = adj[u0]
         up = {v for v in n0 if v > u0}
         # u0 is the least pattern vertex: 4 neighbours and 2 non-neighbours above it
         if len(up) < 4 or len(verts) - 1 - i - len(up) < 2:
             continue
         for a, b, c, d in iter_induced_p4s(g, within=up):
-            na, nb, nc = g.neighbors(a), g.neighbors(b), g.neighbors(c)
-            outer = {v for v in (na & g.neighbors(d)) - n0 if v > u0}
+            na, nb, nc = adj[a], adj[b], adj[c]
+            outer = {v for v in (na & adj[d]) - n0 if v > u0}
             p6 = (outer & nb) - nc
             if not p6:
                 continue
             for u1 in sorted((outer & nc) - nb):
-                ends = g.neighbors(u1) & p6
+                ends = adj[u1] & p6
                 if ends:
                     got = (u0, u1, b, d, a, c, min(ends))
                     _verify_induced(g, "co-C7", got, (2, 3, 4, 5))
@@ -267,7 +268,7 @@ def find_nonbipartite_neighborhood(g: Graph):
     scan, which comes first and so has already passed.
     """
     for v in g.vertices():
-        nv = g.neighbors(v)
+        nv = g._adj[v]
         # an odd cycle needs three vertices; one BFS settles the common
         # bipartite case; the per-vertex BFS of shortest_odd_cycle runs only
         # on a neighborhood that has an odd cycle

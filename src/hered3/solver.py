@@ -310,7 +310,7 @@ def _propagate(g, colors, palettes, v, c):
         if c not in palettes.pop(v, ALL_COLORS):
             return None
         colors[v] = c
-        for w in g.neighbors(v):
+        for w in g._adj[v]:
             left = palettes.get(w, ALL_COLORS)
             if w in colors or c not in left:
                 continue
@@ -403,7 +403,7 @@ def _analyze(inst) -> _View:
     outer: set[int] = set()
     supports: dict[int, frozenset] = {}
     for v in sorted(inst.palettes):
-        sup = frozenset(i for i, u in enumerate(anchors) if g.has_edge(v, u))
+        sup = frozenset(i for i, u in enumerate(anchors) if u in g._adj[v])
         if sup:
             rim.append(v)
             supports[v] = sup
@@ -437,7 +437,7 @@ def _analyze(inst) -> _View:
     full_adj = {}
     relevant = []
     for v in rim:
-        nb = frozenset(g.neighbors(v) & outer)
+        nb = frozenset(g._adj[v] & outer)
         outer_nbrs[v] = nb
         touched = frozenset(comp_of[w] for w in nb)
         adj_comps[v] = touched
@@ -580,13 +580,13 @@ def _component_cases(inst, view):
     """
     g = inst.g
     relevant = set(view.relevant)
-    if any(g.neighbors(x) & relevant for x in relevant):
+    if any(g._adj[x] & relevant for x in relevant):
         raise StageAssertionError("relevant vertices span an edge")
     if any(len(view.adj_comps[x]) > 1 for x in relevant):
         raise StageAssertionError("relevant vertex touches several outer components")
     idx = view.comp_relevant.index(True)
     comp = view.comps[idx]
-    border = {v for v in comp if not g.neighbors(v) <= comp}
+    border = {v for v in comp if not g._adj[v] <= comp}
     inst.stats.bump("stage_component_cases")
     if len(border) != 1:
         shape = ("disconnected" if len(connected_components(g, within=border)) > 1
@@ -611,12 +611,12 @@ def _backtrack_color(g) -> dict | None:
     """
     assign: dict[int, int] = {}
     verts = g.vertices()
-    rank = {v: (-g.degree(v), v) for v in verts}
+    rank = {v: (-len(g._adj[v]), v) for v in verts}
     # seen[v][c]: how many colored neighbors of v have color c
     seen = {v: [0, 0, 0, 0] for v in verts}
 
     def paint(v, c, step):
-        for w in g.neighbors(v):
+        for w in g._adj[v]:
             seen[w][c] += step
 
     stack = []   # (vertex, iterator over the colors it has left to try)

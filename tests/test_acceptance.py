@@ -12,7 +12,7 @@ from random import Random
 
 from hered3 import cograph
 from hered3.errors import StageAssertionError
-from hered3.graph import Graph
+from hered3.graph import Graph, connected_components
 from hered3.patterns import check_class
 from hered3.reductions import (
     REJECTED,
@@ -274,9 +274,62 @@ def test_two_color_rule_matches_oracle():
         assert verify_coloring(g, inst.colors), f"case {case}"
         assert all(inst.colors[v] in palettes[v] for v in g.vertices()), f"case {case}"
     assert solved > 1000 and rejected > 1000
+
+    # anchored cases: one to three vertices are committed with keep first,
+    # in a proper coloring, as the anchors are; each neighbour's two-color
+    # palette lacks its color (F1), so an edge to a second anchor color is
+    # dropped; the rule runs on each component, as _one_pass runs it
+    rng = Random(708)
+    anchored_solved = anchored_rejected = anchor_edges = 0
+    for case in range(2_000):
+        n = rng.randint(2, 12)
+        edges = {(v, rng.randint(1, v - 1)) for v in range(2, n + 1)}
+        p = rng.choice((0.1, 0.25, 0.45))
+        edges |= {(b, a) for a, b in combinations(range(1, n + 1), 2) if rng.random() < p}
+        nbrs = {v: set() for v in range(1, n + 1)}
+        for a, b in edges:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        anchors = rng.sample(range(1, n + 1), rng.randint(1, min(3, n - 1)))
+        acolor = {}
+        for a in anchors:
+            taken = {acolor[b] for b in nbrs[a] if b in acolor}
+            acolor[a] = rng.choice(sorted({1, 2, 3} - taken))
+        palettes = {}
+        for v in sorted(set(nbrs) - set(acolor)):
+            seen = sorted(a for a in nbrs[v] if a in acolor)
+            if seen:
+                c = acolor[seen[0]]
+                edges -= {(max(a, v), min(a, v)) for a in seen if acolor[a] != c}
+                palettes[v] = frozenset({1, 2, 3} - {c})
+            else:
+                palettes[v] = frozenset(rng.sample((1, 2, 3), 2))
+        g = Graph.from_edges(range(1, n + 1), edges)
+        inst = Instance(g.copy(), Stats())
+        for a in anchors:
+            inst.commit_color(a, acolor[a], keep=True)
+        inst.palettes = dict(palettes)
+        verdict = None
+        for comp in connected_components(g):
+            verdict = _two_sat_component(inst, comp)
+            if verdict == REJECTED:
+                break
+        want = oracle_list3color(g, {**palettes, **{a: {c} for a, c in acolor.items()}})
+        assert (verdict == REJECTED) == (want is None), f"anchored case {case}"
+        if verdict == REJECTED:
+            anchored_rejected += 1
+            continue
+        anchored_solved += 1
+        assert verify_coloring(g, inst.colors), f"anchored case {case}"
+        assert all(inst.colors[a] == c for a, c in acolor.items()), f"anchored case {case}"
+        assert all(inst.colors[v] in palettes[v] for v in palettes), f"anchored case {case}"
+        anchor_edges += sum(1 for a in acolor for v in g.neighbors(a) if v in palettes)
+    assert anchored_solved > 200 and anchored_rejected > 200 and anchor_edges > 1000
     elapsed = time.monotonic() - start
     print(f"PASS rule 6: 10000 two-color instances ({solved} solved, {rejected} "
-          f"rejected) match the oracle in {elapsed:.1f}s")
+          f"rejected) and 2000 with anchors ({anchored_solved} solved, "
+          f"{anchored_rejected} rejected, {anchor_edges} solved edges to an anchor) "
+          f"match the oracle in {elapsed:.1f}s")
 
 
 # -- gate 8: cograph coloring against brute force ----------------------------------
@@ -303,7 +356,7 @@ def test_cograph_coloring_matches_brute_force():
         palettes = {v: frozenset(rng.sample((1, 2, 3), rng.randint(1, 3)))
                     for v in g.vertices()}
         root, _ = cograph.cotree_or_failure(g)
-        got = cograph.list3color(g, root, palettes)
+        got = cograph.list3color(root, palettes)
         want = oracle_list3color(g, palettes)
         assert (got is None) == (want is None), f"case {case}"
         if got is None:

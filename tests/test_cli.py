@@ -182,6 +182,18 @@ def test_solve_palette_annotations_warn(write, capsys):
     assert any("palette annotations" in w for w in report["warnings"])
 
 
+def test_palette_annotations_warn_in_check_class_and_count(write, capsys):
+    # count-colorings counts plain 3-colorings: 12 on this path, where the
+    # palette of a would allow 8
+    path = write("annotated.edges", "a b\nb c\na: 1 2\n")
+    for argv, want in ((("count-colorings", path), "12"), (("check-class", path), "in class")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out.strip()) == (0, want)
+        assert err == f"warning: palette annotations are ignored by {argv[0]}\n"
+        code, report, _ = run_json(capsys, *argv, "--json")
+        assert report["warnings"] == [f"palette annotations are ignored by {argv[0]}"]
+
+
 def test_solve_reads_stdin(write, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(C7_LETTERS.encode())))
     code, report, _ = run_json(capsys, "solve", "-", "--json")

@@ -4,10 +4,8 @@ import sys
 from pathlib import Path
 from random import Random
 
-import pytest
 
 from hered3 import cograph
-from hered3.errors import ContractViolationError
 from hered3.graph import Graph
 from hered3.testkit import (
     complete_graph,
@@ -47,7 +45,7 @@ def p4_free(g, within=None):
 def color(g, palettes, within=None):
     """list3color on the cotree of g, or of its subgraph on within."""
     root, _ = cograph.cotree_or_failure(g, within)
-    return cograph.list3color(g, root, palettes)
+    return cograph.list3color(root, palettes)
 
 
 def test_is_p4_free():
@@ -105,12 +103,6 @@ def test_list3color_triangle():
     assert all(got[v] in pal[v] for v in pal)
 
 
-def test_list3color_requires_palettes():
-    g = complete_graph(2)
-    with pytest.raises(ContractViolationError):
-        color(g, {1: FULL})
-
-
 def test_list3color_within():
     g = path_graph(5)  # not a cograph, but its ends are
     pal = {1: frozenset((1,)), 5: frozenset((1,))}
@@ -162,7 +154,7 @@ def test_deep_cotree_leaves_the_recursion_limit_alone():
         assert depth == 299
         assert sorted(root.leaves()) == g.vertices()
         # the dominating vertices form a clique of 150
-        assert cograph.list3color(g, root, {v: FULL for v in g.vertices()}) is None
+        assert cograph.list3color(root, {v: FULL for v in g.vertices()}) is None
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(old)

@@ -21,6 +21,11 @@ def test_sniff_format():
     assert sniff_format("a b\n") == "edge_list"
     assert sniff_format("edge a b\n") == "edge_list"
     assert sniff_format("") == "edge_list"
+    # an edge list whose first label is c, p or e: an edge-list line has
+    # one or two tokens, a DIMACS problem line four and an edge line three
+    assert sniff_format("c d\nd e\n") == "edge_list"
+    assert sniff_format("p q\n") == "edge_list"
+    assert sniff_format("e f\n") == "edge_list"
 
 
 def test_parse_graph_dispatch():
