@@ -1,8 +1,8 @@
 """Palette propagation rules, replay-based witness records, and the one
-structural operation the stage ladder uses (cut reduction).  Rule 6
-colors a component whose palettes all have two colors by forced-choice
-propagation, each vertex trying one color and on a clash the other.  Rule
-7 and cut reduction color a P4-free region from a cotree built once for it.
+structural operation the stage ladder uses (cut reduction).  Rule 6 colors
+a component whose palettes all have two colors by `propagate`, shared with
+the solver, each vertex trying one color and on a clash the other.  Rule 7
+and cut reduction color a P4-free region from a cotree built once for it.
 
 An Instance owns a working graph plus per-vertex palettes.  Rules either
 settle colors, shrink palettes, or delete vertices.  A settled color goes
@@ -74,14 +74,14 @@ class RecKeyedDrop:
     """A removed region whose coloring depends on one surviving vertex.
 
     At replay time the key vertex is already colored; its color selects
-    which stored extension to merge.
+    which stored extension to merge.  Clones share the record; nothing edits it.
     """
 
     __slots__ = ("key", "extensions")
 
     def __init__(self, key: int, extensions: dict):
         self.key = key
-        self.extensions = {c: dict(ext) for c, ext in extensions.items()}
+        self.extensions = extensions
 
     def apply(self, coloring: dict) -> None:
         coloring.update(self.extensions[coloring[self.key]])
@@ -371,11 +371,53 @@ def _domination_pass(inst: Instance) -> bool:
     return fired
 
 
+def propagate(adj, palettes, colors, v, c, trail) -> bool:
+    """Color v with c, then every vertex this leaves a single color.
+
+    palettes holds the uncolored vertices in play, which leave it when
+    colored; a neighbor missing from it is skipped.  Coloring v and each
+    strike push (vertex, old palette) on trail, and undoing a strike that
+    forced a vertex uncolors it.  Returns False, its changes left on trail,
+    when v holds another color or lacks c, or a palette runs empty.  A
+    color comes from a palette, which lost each colored neighbor's color.
+    """
+    if v in colors:
+        return colors[v] == c
+    if c not in palettes[v]:
+        return False
+    trail.append((v, palettes[v]))
+    todo = [(v, c)]
+    while todo:
+        v, c = todo.pop()
+        del palettes[v]
+        colors[v] = c
+        for w in adj[v]:
+            left = palettes.get(w)
+            if left is None or c not in left:
+                continue
+            if len(left) == 1:
+                return False
+            trail.append((w, left))
+            left = palettes[w] = left - {c}
+            if len(left) == 1:
+                # pushed once: its palette can only run empty from here
+                todo.append((w, min(left)))
+    return True
+
+
+def undo(palettes, colors, trail, mark: int) -> None:
+    """Pop trail back to length mark, restoring palettes and colors."""
+    while len(trail) > mark:
+        v, old = trail.pop()
+        palettes[v] = old
+        colors.pop(v, None)
+
+
 def _two_sat_component(inst: Instance, comp: set):
     """Rule 6: list-color a component whose live palettes all have two colors.
 
     Each undecided vertex, in ascending id order, tries its smaller color,
-    then its other one.  A try colors every vertex it forces: a neighbor
+    then its other one, by `propagate` on a copy of the palettes: a neighbor
     whose palette holds the tried color must take its other color.  A try
     that meets a clash is undone, since every coloring that gives the vertex
     that color has the same clash.  A try that ends without a clash is kept:
@@ -383,14 +425,12 @@ def _two_sat_component(inst: Instance, comp: set):
     holds, or that color would have forced it, so the undecided vertices
     keep their whole palettes and no constraint to a decided vertex, and
     they are colorable exactly when they were before the try.  When both
-    tries clash the branch is rejected.  This is forced-choice 2-SAT
-    (Even, Itai and Shamir, SIAM J. Comput. 5(4), 1976), without their
-    lockstep tries, so it is O(n * m), not linear: a try that walks a long
-    chain to a clash leaves it for the next vertex to walk again (a comb of
-    k = 4,000 teeth takes 28 s).  Each color is from its palette, and a kept
-    try compared it with each neighbor's or forced or left that neighbor
-    without it, so the coloring is proper; by F1 no live palette holds a
-    colored vertex's color.
+    tries clash the branch is rejected.  This is forced-choice 2-SAT (Even,
+    Itai and Shamir, SIAM J. Comput. 5(4), 1976), without their lockstep
+    tries, so it is O(n * m), not linear: a try that walks a long chain to a
+    clash leaves it for the next vertex to walk again (a comb of k = 2,000
+    teeth takes about 7 s).  The coloring is proper, and by F1 no live
+    palette holds a colored vertex's color.
     """
     pal = inst.palettes
     unc = sorted(v for v in comp if v in pal)
@@ -398,30 +438,16 @@ def _two_sat_component(inst: Instance, comp: set):
         return None
     inst.stats.bump("rule_two_sat_component")
     adj = inst.g._adj
+    left = {v: pal[v] for v in unc}
     solved: dict[int, int] = {}
     for v in unc:
         if v in solved:
             continue
         for c in sorted(pal[v]):
-            solved[v] = c
-            tried = [v]
-            clash = False
-            for x in tried:   # grows while it is walked
-                cx = solved[x]
-                for w in adj[x]:
-                    cw = solved.get(w)
-                    if cw == cx:
-                        clash = True
-                        break
-                    if cw is None and cx in pal.get(w, ()):
-                        (solved[w],) = pal[w] - {cx}
-                        tried.append(w)
-                if clash:
-                    break
-            if not clash:
+            trail: list = []
+            if propagate(adj, left, solved, v, c, trail):
                 break
-            for x in tried:
-                del solved[x]
+            undo(left, solved, trail, 0)
         else:
             return REJECTED
     inst.remove_region(comp, solved)

@@ -79,18 +79,19 @@ colorable component runs exactly the branches the full enumeration runs,
 up to the same winner and witness; only a rejection stops sooner.
 
 Once the first representative is rejected, the later ones are checked
-before they run, by forward checking (Haralick & Elliott 1980): commit a
-prefix of the anchor coloring, strike each committed color from the
-neighbors' palettes, commit every palette left with one color, and refute
-the prefix on an empty palette or a clash.  Prefixes are checked shortest
-first, and a refuted one skips every representative that extends it.
-Every propagation step is forced, so a refuted prefix has no extending
-3-coloring of the component.  A skipped representative's full branch could
-then only have been rejected, since a branch wins only on a witness that
-is verified; out of class it might instead have raised, and skipping it
-removes that refusal, never a verdict.  The representatives that survive
-run in the same order, through the same DFS from the unreduced component,
-so verdicts and witnesses are those of running them all.
+before they run, by forward checking (Haralick & Elliott 1980):
+`reductions.propagate` commits a prefix of the anchor coloring, striking
+each committed color from the neighbors' palettes, and every palette this
+leaves one color; an empty palette or a clash refutes the prefix.  Prefixes
+are checked shortest first, a shared one is propagated once, and a refuted
+one skips every representative that extends it.  Every propagation step is
+forced, so a refuted prefix has no extending 3-coloring of the component.
+A skipped representative's full branch could then only have been rejected,
+since a branch wins only on a witness that is verified; out of class it
+might instead have raised, and skipping it removes that refusal, never a
+verdict.  The representatives that survive run in the same order, through
+the same DFS from the unreduced component, so verdicts and witnesses are
+those of running them all.
 
 Deleted vertices re-enter the final coloring through the settled colors
 and replay records the reduction engine collects.
@@ -121,7 +122,9 @@ from .reductions import (
     Instance,
     Stats,
     cut_reduction,
+    propagate,
     run_fixpoint,
+    undo,
 )
 
 @dataclass
@@ -246,8 +249,9 @@ def _run_anchored(comp_graph, cycle, stats):
 
     The first representative runs unchecked, since a colorable component
     usually wins on it.  Once it is rejected, each later one first goes
-    through `_prefix_refuter`, and one whose prefix is refuted is skipped
-    unrun (see the module docstring for why the answer stays the same).
+    through `_prefix_refuter`, which propagates only where it differs from
+    the one before; one with a refuted prefix is skipped unrun (the module
+    docstring says why the answer stays the same).
     """
     base = Instance(comp_graph, stats)
     base.anchor_order = tuple(cycle)
@@ -268,59 +272,41 @@ def _run_anchored(comp_graph, cycle, stats):
 
 
 def _prefix_refuter(g, cycle):
-    """A test of anchor colorings: True when singleton propagation on g
-    refutes one of the coloring's prefixes.
+    """A test of anchor colorings: True when `propagate` on g refutes one
+    of the coloring's prefixes.
 
-    A prefix colors the first anchors of the cycle.  Each prefix is built
-    once, from its parent's propagated state, and the shortest ones are
-    checked first, so a refuted prefix settles every coloring below it.
+    A prefix colors the first anchors of the cycle.  The last propagated
+    prefix stays applied and is undone only back to the one the next
+    coloring shares, so shorter prefixes are checked first.  The last
+    refuted prefix, the shortest of its coloring, settles those after it.
     """
-    memo = {(): ({}, {})}
+    adj = g._adj
+    palettes = {v: ALL_COLORS for v in adj}
+    colors: dict[int, int] = {}
+    trail: list = []
+    applied: list = []   # the colors of the applied prefix
+    marks = [0]   # the trail length with each prefix applied, from the empty one
+    refuted = None
 
     def refutes(col):
-        for d in range(1, len(col) + 1):
-            prefix = col[:d]
-            if prefix not in memo:
-                colors, palettes = memo[prefix[:-1]]
-                memo[prefix] = _propagate(g, colors, palettes, cycle[d - 1], col[d - 1])
-            if memo[prefix] is None:
+        nonlocal refuted
+        if refuted is not None and col[:len(refuted)] == refuted:
+            return True
+        d = 0
+        while d < len(applied) and applied[d] == col[d]:
+            d += 1
+        undo(palettes, colors, trail, marks[d])
+        del applied[d:], marks[d + 1:]
+        for i in range(d, len(col)):
+            if not propagate(adj, palettes, colors, cycle[i], col[i], trail):
+                undo(palettes, colors, trail, marks[-1])
+                refuted = col[:i + 1]
                 return True
+            applied.append(col[i])
+            marks.append(len(trail))
         return False
 
     return refutes
-
-
-def _propagate(g, colors, palettes, v, c):
-    """Color v with c in a forced partial coloring, then every vertex this
-    leaves a single color.
-
-    palettes holds the shrunk palettes of uncolored vertices; a vertex
-    missing from it has all three colors.  Returns the new colors and
-    palettes, or None when v already holds another color, c is struck from
-    v's palette, or a palette runs empty.
-    """
-    colors, palettes = dict(colors), dict(palettes)
-    todo = [(v, c)]
-    while todo:
-        v, c = todo.pop()
-        if v in colors:
-            if colors[v] != c:
-                return None
-            continue
-        if c not in palettes.pop(v, ALL_COLORS):
-            return None
-        colors[v] = c
-        for w in g._adj[v]:
-            left = palettes.get(w, ALL_COLORS)
-            if w in colors or c not in left:
-                continue
-            left = left - {c}
-            if not left:
-                return None
-            palettes[w] = left
-            if len(left) == 1:
-                todo.append((w, min(left)))
-    return colors, palettes
 
 
 def _dfs(root, stats):
@@ -603,46 +589,31 @@ def _component_cases(inst, view):
 def _backtrack_color(g) -> dict | None:
     """Exact 3-coloring by saturation-ordered backtracking, or None.
 
-    The next vertex has the fewest free colors, then the highest degree,
-    then the lowest id (DSatur order), and its free colors are tried in
-    ascending order.  On a connected bipartite graph this order never
-    needs a third color, so it never backtracks there.  The choice points
-    sit on an explicit stack, so depth does not meet the recursion limit.
+    The next vertex has the fewest palette colors, then the highest degree,
+    then the lowest id (DSatur order), and `propagate` tries its colors in
+    ascending order and colors what each forces.  On a connected bipartite
+    graph this order never needs a third color, so it never backtracks
+    there.  The choice points and their trail marks sit on an explicit
+    stack, so depth does not meet the recursion limit.
     """
-    assign: dict[int, int] = {}
-    verts = g.vertices()
-    rank = {v: (-len(g._adj[v]), v) for v in verts}
-    # seen[v][c]: how many colored neighbors of v have color c
-    seen = {v: [0, 0, 0, 0] for v in verts}
-
-    def paint(v, c, step):
-        for w in g._adj[v]:
-            seen[w][c] += step
-
-    stack = []   # (vertex, iterator over the colors it has left to try)
-    while True:
-        best = None
-        best_key = None
-        for v in verts:
-            if v not in assign:
-                s = seen[v]
-                key = ((not s[1]) + (not s[2]) + (not s[3]), rank[v])
-                if best_key is None or key < best_key:
-                    best, best_key = v, key
-        if best is None:
-            return assign
-        stack.append((best, iter([c for c in (1, 2, 3) if not seen[best][c]])))
+    adj = g._adj
+    palettes = {v: ALL_COLORS for v in adj}
+    colors: dict[int, int] = {}
+    trail: list = []
+    stack = []   # (vertex, iterator over the colors it has left, trail mark)
+    while palettes:
+        v = min(palettes, key=lambda u: (len(palettes[u]), -len(adj[u]), u))
+        stack.append((v, iter(sorted(palettes[v])), len(trail)))
         # give the newest choice point its next color; one that has tried
-        # them all is undone, and its parent moves on
+        # them all is dropped, and its parent moves on
         while stack:
-            v, left = stack[-1]
-            if v in assign:
-                paint(v, assign.pop(v), -1)
+            v, left, mark = stack[-1]
+            undo(palettes, colors, trail, mark)
             c = next(left, None)
-            if c is not None:
-                assign[v] = c
-                paint(v, c, 1)
+            if c is None:
+                stack.pop()
+            elif propagate(adj, palettes, colors, v, c, trail):
                 break
-            stack.pop()
         else:
             return None
+    return colors

@@ -234,6 +234,8 @@ def naive_in_class(g: Graph) -> bool:
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
+    if not (n >= 0 and 0 <= p <= 1):
+        raise ValueError(f"erdos-renyi needs n >= 0 and 0 <= p <= 1, got n={n}, p={p}")
     rng = Random(seed)
     g = Graph()
     ids = [g.add_vertex() for _ in range(n)]

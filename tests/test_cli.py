@@ -346,6 +346,10 @@ def test_generate_json_report(capsys):
     ("generate", "--kind", "cograph-composite", "--n", "5"),
     ("generate", "--kind", "named"),
     ("generate", "--kind", "named", "--name", "mystery"),
+    ("generate", "--kind", "erdos-renyi", "--n", "-3", "--p", "0.5"),
+    ("generate", "--kind", "erdos-renyi", "--n", "5", "--p", "1.5"),
+    ("generate", "--kind", "erdos-renyi", "--n", "5", "--p", "-1"),
+    ("generate", "--kind", "erdos-renyi", "--n", "5", "--p", "nan"),
 ])
 def test_generate_usage_errors(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -24,7 +24,9 @@ from hered3.reductions import (
     _one_pass,
     _two_sat_component,
     cut_reduction,
+    propagate,
     run_fixpoint,
+    undo,
 )
 from hered3.solver import _proper_cycle_colorings
 from hered3.testkit import (
@@ -267,6 +269,41 @@ def test_set_based_rule_scans_match_the_naive_walks(rule, naive, key):
     assert fired > 300 and anchored > 150
 
 
+def _k4_with_pendant():
+    # K4 on 1..4, vertex 5 hangs off 1; 2 and 3 may take only 1 or 2
+    g = complete_graph(4)
+    g.add_edge(1, g.add_vertex())
+    palettes = {v: FULL for v in g.vertices()}
+    palettes[2] = palettes[3] = frozenset((1, 2))
+    return g._adj, palettes
+
+
+def test_undo_restores_a_clashing_propagation():
+    # 1 = 1 forces 2 and 3 to 2, which clash, after striking 1 from 4 and 5
+    adj, palettes = _k4_with_pendant()
+    colors, trail = {}, []
+    before = dict(palettes)
+    assert not propagate(adj, palettes, colors, 1, 1, trail)
+    assert palettes[4] == {2, 3} and colors
+    undo(palettes, colors, trail, 0)
+    assert palettes == before and colors == {} and trail == []
+
+
+def test_undo_keeps_the_propagation_before_its_mark():
+    # 5 = 3 strikes 3 from 1 and is kept; then each color of 1 forces 2
+    # and 3 to one color, which clash, and each try is undone to the mark
+    adj, palettes = _k4_with_pendant()
+    colors, trail = {}, []
+    assert propagate(adj, palettes, colors, 5, 3, trail)
+    assert palettes[1] == {1, 2} and colors == {5: 3}
+    kept = dict(palettes)
+    mark = len(trail)
+    for c in (1, 2):
+        assert not propagate(adj, palettes, colors, 1, c, trail)
+        undo(palettes, colors, trail, mark)
+        assert palettes == kept and colors == {5: 3} and len(trail) == mark
+
+
 def test_two_sat_component_solves():
     # C6 with one shared binary palette: degrees match palette sizes and
     # no neighborhood contains another, so only the 2-SAT rule can act
@@ -305,8 +342,8 @@ def test_two_color_rule_keeps_a_try_that_leaves_vertices_undecided():
 def test_two_color_rule_stays_linear_on_a_large_star():
     # the first leaf's try forces the centre, the last vertex, to 1, and
     # every later try walks one edge.  About 0.08 s on a 2-core x86 box; a
-    # try that copies its colors and palettes, as solver._propagate does,
-    # is quadratic and took 10 s there
+    # try that copies its colors and palettes, where propagate and undo
+    # change them in place, is quadratic and took 10 s there
     n = 20_000
     g = complete_bipartite(n, 1)
     pals = {v: {2, 3} for v in range(1, n + 1)}

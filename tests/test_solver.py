@@ -328,18 +328,24 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches():
         base = Instance(h, stats)
         base.anchor_order = tuple(cycle)
         refutes = solver._prefix_refuter(h, cycle)
+        colorings = _proper_cycle_colorings(k)
         first = None
-        refuted = 0
-        for col in _proper_cycle_colorings(k):
+        answers = []
+        for col in colorings:
             child = base.clone()
             for v, c in zip(cycle, col):
                 child.commit_color(v, c, keep=True)
             won = solver._dfs(child, stats)
-            if refutes(col):
-                refuted += 1
+            answers.append(refutes(col))
+            if answers[-1]:
                 assert won is None
             if won is not None and first is None:
                 first = won.assemble_witness(h.vertices())
+        # the refuter keeps its last propagated prefix applied: in reverse
+        # order it undoes other prefixes, and must answer the same
+        backwards = solver._prefix_refuter(h, cycle)
+        assert [backwards(col) for col in reversed(colorings)] == answers[::-1]
+        refuted = sum(answers)
         rep = solve(g, witness=True)
         if first is None:
             assert rep.decision == "not_colorable"
