@@ -175,9 +175,10 @@ def twin_core(g: Graph) -> Graph:
 
     A round is one pass of grouping by neighbourhood, O(n + m).  A
     deletion can make new twins, so a threshold graph, whose twin pairs
-    form one at a time, takes a round per vertex.
+    form one at a time, takes a round per vertex.  The first round reads
+    g's sets, and the first deletion copies only what is kept.
     """
-    adj = {v: set(nbrs) for v, nbrs in g._adj.items()}
+    adj = g._adj
     while True:
         least: dict[frozenset, int] = {}
         drop = []
@@ -188,11 +189,15 @@ def twin_core(g: Graph) -> Graph:
                 drop.append(v)
         if not drop:
             break
-        for v in drop:
-            for w in adj.pop(v):
-                adj[w].discard(v)
+        if adj is g._adj:
+            gone = set(drop)
+            adj = {v: nbrs - gone for v, nbrs in adj.items() if v not in gone}
+        else:
+            for v in drop:
+                for w in adj.pop(v):
+                    adj[w].discard(v)
     core = Graph()
-    core._adj = adj
+    core._adj = {v: set(nbrs) for v, nbrs in adj.items()} if adj is g._adj else adj
     core._next_id = g._next_id
     return core
 
@@ -251,6 +256,38 @@ def bipartition(g: Graph, within: Iterable[int] | None = None) -> tuple[set[int]
     for v, s in side.items():
         (first if s == 0 else second).add(v)
     return first, second
+
+
+def odd_cycle_transversal(g: Graph) -> set[int]:
+    """A vertex set T such that g - T is bipartite; empty exactly when g is.
+
+    Each component is searched breadth first from its least vertex.  An
+    edge joins two BFS layers at most one apart, so coloring each vertex by
+    the parity of its layer leaves monochromatic only the edges inside a
+    layer.  T holds the smaller end of each of them: the vertices with a
+    larger neighbour in their own layer.  So every odd cycle of g, induced
+    or not, meets T.  The layers are fixed by the graph, so T does not
+    depend on the order of set iteration.
+    """
+    adj = g._adj
+    depth: dict[int, int] = {}
+    trans: set[int] = set()
+    for start in sorted(adj):
+        if start in depth:
+            continue
+        depth[start] = 0
+        queue = [start]
+        # the queue grows as it is walked; a layer is complete before its
+        # first vertex is reached, so an edge inside it is seen from both ends
+        for u in queue:
+            du = depth[u]
+            for w in adj[u]:
+                if w not in depth:
+                    depth[w] = du + 1
+                    queue.append(w)
+                elif w > u and depth[w] == du:
+                    trans.add(u)
+    return trans
 
 
 def complement_components(g: Graph, within: Iterable[int] | None = None) -> list[set[int]]:

@@ -12,7 +12,7 @@ from itertools import combinations
 
 from . import cograph
 from .errors import ClassViolationError
-from .graph import Graph, bipartition, shortest_odd_cycle, twin_core
+from .graph import Graph, bipartition, odd_cycle_transversal, shortest_odd_cycle, twin_core
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,16 @@ def find_induced_2p4(g: Graph):
     A P4 a-b-c-d is scanned through its middle edge, b < c, in the order
     (b, c, a, d): a in N(b) - N[c], then d in N(c) - N[b] - N(a).  A 2P4
     through it exists exactly when the vertices outside N[{a, b, c, d}]
-    are not a cograph, and they lie in X = V - N[b] - N[c], so an edge
-    whose X has fewer than four vertices is skipped whole.  One call tests
-    each vertex set once, with `cograph.cotree_or_failure` unless it is
-    four vertices that are not a P4.  The first hit, written so that
+    are not a cograph, and they lie in X = V - N[b] - N[c] = V - N(b) - N(c),
+    so an edge whose X has fewer than four vertices is skipped whole, on
+    the count |X| = n - |N(b)| - |N(c)| + |N(b) & N(c)| before X is built.
+    One call tests each vertex set once, with `cograph.cotree_or_failure`
+    unless it is four vertices that are not a P4.  The first hit, written so that
     a < d, is the first part; the second is the least P4 of the set the
     cotree test reports.
     """
-    if g.vertex_count() < 8:
+    n = g.vertex_count()
+    if n < 8:
         return None
     adj = g._adj
     verts = set(adj)
@@ -84,11 +86,9 @@ def find_induced_2p4(g: Graph):
         nb = adj[b]
         for c in sorted(w for w in nb if w > b):
             nc = adj[c]
-            far = verts - nb - nc
-            far.discard(b)
-            far.discard(c)
-            if len(far) < 4:
+            if n - len(nb) - len(nc) + len(nb & nc) < 4:
                 continue
+            far = verts - nb - nc
             ends = nc - nb
             ends.discard(b)
             for a in sorted(nb - nc - {c}):
@@ -136,7 +136,16 @@ def find_induced_cycle(g: Graph, k: int):
     Canonical form: the cycle's smallest vertex v0 first, then the
     lexicographically least (v1, ..., v_{k-1}) with v1 < v_{k-1}.
 
-    A 5-cycle v0-a-x-y-b is sought by neighbour pairs: for each
+    For odd k the roots are bounded by an odd-cycle transversal T
+    (`graph.odd_cycle_transversal`): g - T is bipartite, so every odd
+    cycle meets T, and a cycle whose least vertex is v0 holds some t >= v0.
+    So the root loop stops once v0 > max(T), and an empty T (g bipartite)
+    answers None with no root at all.  For k = 5 a decision runs first:
+    each C5 is rooted at its least T-vertex, so T is walked in ascending
+    order and each t searches only the vertices not yet used as a root.
+    When it finds none, there is no C5; otherwise the canonical scan runs.
+
+    A canonical 5-cycle v0-a-x-y-b is sought by neighbour pairs: for each
     non-adjacent pair a < b in N(v0) above v0, an edge from
     X = N(a) - N(b) - N[v0] to Y = N(b) - N(a) - N[v0], both above v0.  The
     least (x, y, b) of the first a that has one is the canonical cycle.
@@ -150,19 +159,66 @@ def find_induced_cycle(g: Graph, k: int):
     if k < 4:
         raise ValueError("use explicit triangle checks for k=3")
     adj = g._adj
-    for v0 in g.vertices():
-        got = _find_c5(adj, v0) if k == 5 else _find_long_cycle(adj, v0, k)
+    last = None
+    if k % 2:
+        trans = sorted(odd_cycle_transversal(g))
+        if not trans or (k == 5 and not _has_c5(adj, trans)):
+            return None
+        last = trans[-1]
+    above = set(adj)
+    for v0 in sorted(adj):
+        if last is not None and v0 > last:
+            break
+        above.discard(v0)
+        got = _find_c5(adj, v0, above) if k == 5 else _find_long_cycle(adj, v0, k)
         if got is not None:
             _verify_induced(g, "cycle", got, (1, k - 1))
             return got
     return None
 
 
-def _find_c5(adj, v0):
+def _has_c5(adj, trans):
+    """Whether an induced C5 exists, given an odd-cycle transversal T in
+    ascending order.
+
+    A C5 is found from its least T-vertex t: the vertices used as roots
+    before t are all off the cycle.  From t, with R the vertices not yet
+    used as roots and O = R - N[t], a C5 t-a-x-y-b takes a non-adjacent
+    pair a < b in N(t) & R, x in N(a) - N(b) and y in N(b) - N(a), both in
+    O, and x ~ y.  For each a, the y in O - N(a) that see some x are kept
+    once, so a pair (a, b) whose b sees none of them costs one
+    intersection with that small set.
+    """
+    rest = set(adj)
+    for t in trans:
+        rest.discard(t)
+        up = sorted(adj[t] & rest)
+        out = rest - adj[t]
+        for i, a in enumerate(up[:-1]):
+            na = adj[a]
+            bs = [b for b in up[i + 1:] if b not in na]
+            if not bs:
+                continue
+            xs = na & out
+            if not xs:
+                continue
+            far = {y for y in out - na if not adj[y].isdisjoint(xs)}
+            if not far:
+                continue
+            for b in bs:
+                nb = adj[b]
+                ys = nb & far
+                if ys and any(not adj[x].isdisjoint(ys) for x in xs - nb):
+                    return True
+    return False
+
+
+def _find_c5(adj, v0, above):
+    """The canonical C5 whose least vertex is v0, or None; `above` holds
+    the vertices above v0."""
     n0 = adj[v0]
-    # the vertices above v0 and outside N[v0]
-    out = {w for w in adj if w > v0} - n0
-    up = sorted(w for w in n0 if w > v0)
+    out = above - n0
+    up = sorted(n0 & above)
     for i, a in enumerate(up):
         na = adj[a]
         xs = na & out
@@ -236,6 +292,9 @@ def find_co_c7(g: Graph):
         up = {v for v in n0 if v > u0}
         # u0 is the least pattern vertex: 4 neighbours and 2 non-neighbours above it
         if len(up) < 4 or len(verts) - 1 - i - len(up) < 2:
+            continue
+        # u0 sees an induced P4 above it, so an independent `up` has none
+        if all(adj[v].isdisjoint(up) for v in up):
             continue
         for a, b, c, d in iter_induced_p4s(g, within=up):
             na, nb, nc = adj[a], adj[b], adj[c]
@@ -312,6 +371,13 @@ def check_class(g: Graph):
     goes through v instead).  So the first hit on g avoids every deleted
     vertex, the first hit on the core is the same P4, and the first part
     of a 2P4 witness is the one found on g; the second part may differ.
+
+    The certificates of `check_core` (a bipartite core, two cliques) and
+    the transversal bound on the C5 roots only skip work that finds
+    nothing, so they change no witness.  Costs on twin-free cores: S_200
+    plus one apex on an edge about 0.15 s, S_300 about 0.5 s (the 2P4
+    scan), the complement of a random bipartite graph on 300 vertices
+    about 0.02 s.
     """
     return check_core(twin_core(g))
 
@@ -320,10 +386,43 @@ def check_core(core: Graph):
     """The C5 scan, then the 2P4 scan, of `check_class`, run on `core` as
     given.  The verdict holds for any graph; a caller that has already built
     a twin core passes it here and gets the witness `check_class` argues.
-    A bipartite core has no odd cycle, so its C5 scan is skipped.
+
+    A core with more than half of all possible edges whose complement is
+    bipartite (two cliques) is in class, and answers None with no scan:
+    C5 is self-complementary and odd, so an induced C5 would be an odd
+    cycle of the complement, and the complement of 2P4 is the join of two
+    P4s, which holds a triangle.  A bipartite core has no odd cycle, so it
+    skips the C5 scan; on any other core that scan tries only the roots
+    that `find_induced_cycle` bounds by an odd-cycle transversal.
     """
+    adj = core._adj
+    n = len(adj)
+    if 2 * sum(map(len, adj.values())) > n * (n - 1) and _co_bipartite(adj):
+        return None
     if bipartition(core) is None:
         c5 = find_induced_cycle(core, 5)
         if c5 is not None:
             return PatternWitness("c5", (c5,))
     return find_induced_2p4(core)
+
+
+def _co_bipartite(adj) -> bool:
+    """Whether the complement of the graph is bipartite.
+
+    A breadth-first search of the complement, layer by layer: the next
+    layer is what the unreached vertices miss of the current one, and the
+    complement is bipartite exactly when no layer holds one of its edges,
+    a pair of vertices not adjacent here.
+    """
+    unseen = set(adj)
+    while unseen:
+        layer = {unseen.pop()}
+        while layer:
+            nxt: set[int] = set()
+            for u in layer:
+                if len(layer - adj[u]) > 1:
+                    return False
+                nxt |= unseen - adj[u]
+            unseen -= nxt
+            layer = nxt
+    return True

@@ -204,8 +204,10 @@ def _solve_component(g, core, comp, stats):
     """The component's 3-coloring, or None when it has none.
 
     The anchor cycle is sought on the component's part of the twin core,
-    unless that part is bipartite and so holds no odd cycle; the anchored
-    run itself works on the whole component of g."""
+    unless that part is bipartite and so holds no odd cycle; otherwise
+    `patterns.find_induced_cycle` tries only the roots up to the largest
+    vertex of an odd-cycle transversal of that part.  The anchored run
+    itself works on the whole component of g."""
     sub = induced_subgraph(g, comp)
     search = induced_subgraph(core, [v for v in comp if v in core])
     if bipartition(search) is None:

@@ -349,6 +349,26 @@ def crown_graph(n: int) -> Graph:
     return g
 
 
+def apex_crown(n: int) -> Graph:
+    """S_n plus an apex 2n + 1 joined to both ends of the edge 1, n + 2.
+
+    It is in class.  The apex's two neighbours are adjacent, so the only
+    induced cycle through it is a triangle, and S_n is bipartite: there is
+    no odd hole, so no C5.  A P4 of S_n is i, n + j, k, n + i with i, j, k
+    distinct (its ends are on opposite sides and not adjacent), and i and
+    n + i between them see every other vertex of S_n, so every vertex of
+    S_n off the P4 sees it.  So a 2P4 has no part inside S_n, since the
+    other part has three vertices there; both parts would need the apex.
+    It is 3-colorable: one side 1, the other 2, the apex 3.  For n >= 3 no
+    two vertices are twins.
+    """
+    g = crown_graph(n)
+    apex = g.add_vertex()
+    g.add_edge(apex, 1)
+    g.add_edge(apex, n + 2)
+    return g
+
+
 def co_bipartite(n: int, p: float, seed: int) -> Graph:
     """The complement of a seeded random bipartite graph on n vertices.
 

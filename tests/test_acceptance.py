@@ -24,6 +24,7 @@ from hered3.reductions import (
 )
 from hered3.solver import _proper_cycle_colorings, solve
 from hered3.testkit import (
+    apex_crown,
     c7_gadget,
     c9_gadget,
     co_bipartite,
@@ -452,4 +453,16 @@ def test_in_class_scaling_on_twin_free_graphs():
             assert verify_coloring(g, rep.witness), name
         assert t1 - t0 < 5 and t2 - t1 < 5, f"{name}: {t1 - t0:.2f}s, {t2 - t1:.2f}s"
         timings.append(f"{name} {t1 - t0:.3f}/{t2 - t1:.3f}s")
-    print("PASS twin-free in-class scaling (check_class/solve): " + ", ".join(timings))
+    # the class check alone, on cores the bipartite shortcut does not
+    # settle: S_200+ is not bipartite, S_300's 2P4 scan meets 89,700 edges,
+    # and the co-bipartite core is dense
+    checks = []
+    for name, g in (("S_200+", apex_crown(200)), ("S_300", crown_graph(300)),
+                    ("co-bipartite n=300", co_bipartite(300, 0.3, 3))):
+        t0 = time.perf_counter()
+        assert check_class(g) is None, name
+        dt = time.perf_counter() - t0
+        assert dt < 1, f"{name}: check_class {dt:.2f}s"
+        checks.append(f"{name} {dt:.3f}s")
+    print("PASS twin-free in-class scaling (check_class/solve): " + ", ".join(timings)
+          + "; check_class: " + ", ".join(checks))

@@ -12,6 +12,7 @@ from hered3.graph import (
     connected_components,
     false_twins,
     induced_subgraph,
+    odd_cycle_transversal,
     shortest_odd_cycle,
     twin_core,
 )
@@ -105,6 +106,49 @@ def test_bipartition():
     # restricted view ignores odd structure outside
     g = cycle(5)
     assert bipartition(g, within=[0, 1, 2]) is not None
+
+
+def test_odd_cycle_transversal():
+    assert odd_cycle_transversal(cycle(4)) == set()
+    # layers {0}, {1, 4}, {2, 3}: the edge 2-3 lies in one layer
+    assert odd_cycle_transversal(cycle(5)) == {2}
+    k4 = Graph.from_edges(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    assert odd_cycle_transversal(k4) == {1, 2}
+    two = Graph.from_edges(range(8), [(i, (i + 1) % 5) for i in range(5)]
+                           + [(5, 6), (6, 7), (5, 7)])
+    assert odd_cycle_transversal(two) == {2, 6}
+
+
+def test_odd_cycle_transversal_leaves_a_bipartite_graph():
+    # T is the set of vertices with a larger neighbour in their own BFS
+    # layer, searched from each component's least vertex; it is empty
+    # exactly when the graph is bipartite, and does not depend on the order
+    # in which the adjacency sets were filled
+    sizes = set()
+    for i in range(300):
+        g = erdos_renyi(4 + i % 17, (0.08, 0.15, 0.3, 0.5)[i % 4], split_seed(31, i))
+        trans = odd_cycle_transversal(g)
+        assert (not trans) == (bipartition(g) is not None), i
+        assert bipartition(g, within=set(g.vertices()) - trans) is not None, i
+        depth = {}
+        for start in g.vertices():
+            if start in depth:
+                continue
+            depth[start] = 0
+            layer = [start]
+            while layer:
+                nxt = sorted({w for u in layer for w in g.neighbors(u)} - set(depth))
+                for w in nxt:
+                    depth[w] = depth[layer[0]] + 1
+                layer = nxt
+        want = {u for u in g.vertices()
+                if any(w > u and depth[w] == depth[u] for w in g.neighbors(u))}
+        assert trans == want, i
+        backwards = Graph.from_edges(sorted(g.vertices(), reverse=True),
+                                     sorted(g.edges(), reverse=True))
+        assert odd_cycle_transversal(backwards) == trans, i
+        sizes.add(min(len(trans), 3))
+    assert sizes == {0, 1, 2, 3}
 
 
 def test_complement_components():

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from hered3.errors import ClassViolationError
-from hered3.graph import Graph, twin_core
+from hered3.graph import Graph, odd_cycle_transversal, twin_core
 from hered3 import patterns
 from hered3.patterns import (
     PatternWitness,
@@ -30,6 +30,7 @@ from hered3.testkit import (
     naive_has_cycle,
     naive_has_k4,
     naive_has_p4,
+    naive_in_class,
     path_graph,
     petersen_graph,
     reference_induced_cycle,
@@ -312,6 +313,79 @@ def test_bipartite_core_skips_the_c5_scan(monkeypatch):
     assert calls == []
     assert check_core(cycle_graph(5)).kind == "c5"
     assert calls == [5]
+
+
+def toggled_co_bipartite(i):
+    """A small co-bipartite graph with i % 3 random pairs toggled: dense,
+    and in or out of class either way."""
+    rng = Random(split_seed(74, i))
+    g = testkit.co_bipartite(8 + i % 7, (0.2, 0.4, 0.6)[i % 3], split_seed(75, i))
+    for _ in range(i % 3):
+        u, w = rng.sample(g.vertices(), 2)
+        if g.has_edge(u, w):
+            g.neighbors(u).discard(w)
+            g.neighbors(w).discard(u)
+        else:
+            g.add_edge(u, w)
+    return g
+
+
+def test_transversal_rooted_scans_match_the_reference():
+    # the C5 decision from the odd-cycle transversal and the roots it
+    # bounds give the reference search's canonical cycle for every odd
+    # length, and check_class agrees with naive enumeration; the sample
+    # holds transversals of two or more vertices, in class and out, graphs
+    # with holes of several lengths, and dense graphs for the complement
+    # certificate
+    hits = {"t2_in": 0, "t2_out": 0, "mixed": 0, "dense_in": 0, "dense_out": 0}
+    total = 480
+    for i in range(total):
+        if i % 6 == 5:
+            g = toggled_co_bipartite(i)
+        else:
+            g = erdos_renyi(8 + i % 9, (0.12, 0.18, 0.25, 0.35, 0.5)[i % 5], split_seed(73, i))
+            g = relabeled(g, split_seed(76, i))
+        found = 0
+        for k in (5, 7, 9):
+            got = find_induced_cycle(g, k)
+            assert got == reference_induced_cycle(g, k), (i, k)
+            found += got is not None
+            if k == 5:
+                # the decision alone, which a false "yes" would only slow
+                trans = sorted(odd_cycle_transversal(g))
+                assert patterns._has_c5(g._adj, trans) == (got is not None), i
+        in_class = naive_in_class(g)
+        assert (check_class(g) is None) == in_class, i
+        big_t = len(trans) >= 2
+        n = len(g)
+        dense = 4 * g.edge_count() > n * (n - 1)
+        hits["t2_in"] += big_t and in_class
+        hits["t2_out"] += big_t and not in_class
+        hits["mixed"] += found >= 2
+        hits["dense_in"] += dense and in_class
+        hits["dense_out"] += dense and not in_class
+    assert all(h >= 10 for h in hits.values()), hits
+
+
+def test_dense_core_with_two_cliques_needs_no_scan(monkeypatch):
+    calls = []
+    for name in ("find_induced_cycle", "find_induced_2p4"):
+        real = getattr(patterns, name)
+        monkeypatch.setattr(patterns, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    g = testkit.co_bipartite(60, 0.3, 3)
+    assert check_core(g) is None
+    assert calls == []
+    # one missing edge inside a side leaves the complement with a triangle
+    # (the missing pair and a vertex of the other side that sees neither
+    # one), so the scans run, the C5 scan first
+    side = range(1, 31)
+    u, w = next((u, w) for u in side for w in side if u < w
+                and any(not g.has_edge(u, x) and not g.has_edge(w, x) for x in range(31, 61)))
+    g.neighbors(u).discard(w)
+    g.neighbors(w).discard(u)
+    check_core(g)
+    assert calls[:1] == ["find_induced_cycle"]
 
 
 def small_graph(n, p, rng, plant, flip):

@@ -164,6 +164,25 @@ def test_bipartite_components_skip_the_anchor_search(monkeypatch):
     assert calls == [5, 7]
 
 
+def test_co_c7_preflight_skips_roots_with_independent_neighbourhoods(monkeypatch):
+    # a co-C7's least vertex sees an induced P4 above it, so on a
+    # triangle-free graph the preflight lists no P4 in any neighbourhood
+    calls = []
+    real = patterns.iter_induced_p4s
+
+    def recorded(g, within=None):
+        calls.append(within)
+        return real(g, within)
+
+    monkeypatch.setattr(patterns, "iter_induced_p4s", recorded)
+    rep = solve(crown_graph(100))
+    assert rep.decision == "colorable"
+    assert calls == []
+    rep = solve(named_graph("co_c7"))
+    assert rep.stats["preflight_co_c7"] == 1
+    assert len(calls) == 1
+
+
 def test_odd_wheels_rejected_by_neighborhood_check():
     rep7 = solve(wheel(7))
     assert rep7.decision == "not_colorable"

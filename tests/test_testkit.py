@@ -11,6 +11,7 @@ from hered3 import testkit
 from hered3.graph import Graph, bipartition, false_twins, twin_core
 from hered3.patterns import check_class, find_induced_cycle
 from hered3.testkit import (
+    apex_crown,
     c7_gadget,
     c9_gadget,
     co_bipartite,
@@ -105,6 +106,20 @@ def test_erdos_renyi_is_seeded():
     assert sorted(a.edges()) == sorted(b.edges())
     c = erdos_renyi(12, 0.3, 8)
     assert sorted(a.edges()) != sorted(c.edges())
+
+
+def test_apex_crowns_are_in_class_colorable_and_twin_free():
+    for n in range(3, 7):
+        g = apex_crown(n)
+        apex = 2 * n + 1
+        assert g.vertices() == list(range(1, apex + 1))
+        assert g.neighbors(apex) == {1, n + 2}
+        assert bipartition(g) is None
+        assert naive_in_class(g)
+        assert check_class(g) is None
+        assert oracle_list3color(g) is not None
+        assert len(twin_core(g)) == apex
+        assert false_twins(g) == {}
 
 
 def test_co_bipartite_graphs_are_in_class():
