@@ -176,30 +176,34 @@ def twin_core(g: Graph) -> Graph:
     A round is one pass of grouping by neighbourhood, O(n + m).  A
     deletion can make new twins, so a threshold graph, whose twin pairs
     form one at a time, takes a round per vertex.  The first round reads
-    g's sets, and the first deletion copies only what is kept.
+    g's sets and the copy keeps only what it spares; later rounds delete in
+    place, which takes about half the time of copying the kept sets every
+    round on `threshold_graph(600)`.
     """
-    adj = g._adj
-    while True:
-        least: dict[frozenset, int] = {}
-        drop = []
-        for v in sorted(adj):
-            nv = frozenset(adj[v])
-            # N(u) = N[v] is impossible, so open and closed keys share a dict
-            if least.setdefault(nv, v) != v or least.setdefault(nv | {v}, v) != v:
-                drop.append(v)
-        if not drop:
-            break
-        if adj is g._adj:
-            gone = set(drop)
-            adj = {v: nbrs - gone for v, nbrs in adj.items() if v not in gone}
-        else:
-            for v in drop:
-                for w in adj.pop(v):
-                    adj[w].discard(v)
+    drop = _twins_above_least(g._adj)
+    gone = set(drop)
+    adj = {v: nbrs - gone for v, nbrs in g._adj.items() if v not in gone}
+    while drop:
+        drop = _twins_above_least(adj)
+        for v in drop:
+            for w in adj.pop(v):
+                adj[w].discard(v)
     core = Graph()
-    core._adj = {v: set(nbrs) for v, nbrs in adj.items()} if adj is g._adj else adj
+    core._adj = adj
     core._next_id = g._next_id
     return core
+
+
+def _twins_above_least(adj) -> list[int]:
+    """The vertices that have a twin with a smaller id, ascending."""
+    least: dict[frozenset, int] = {}
+    drop = []
+    for v in sorted(adj):
+        nv = frozenset(adj[v])
+        # N(u) = N[v] is impossible, so open and closed keys share a dict
+        if least.setdefault(nv, v) != v or least.setdefault(nv | {v}, v) != v:
+            drop.append(v)
+    return drop
 
 
 def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[set[int]]:

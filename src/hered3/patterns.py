@@ -140,9 +140,11 @@ def find_induced_cycle(g: Graph, k: int):
     (`graph.odd_cycle_transversal`): g - T is bipartite, so every odd
     cycle meets T, and a cycle whose least vertex is v0 holds some t >= v0.
     So the root loop stops once v0 > max(T), and an empty T (g bipartite)
-    answers None with no root at all.  For k = 5 a decision runs first:
-    each C5 is rooted at its least T-vertex, so T is walked in ascending
-    order and each t searches only the vertices not yet used as a root.
+    answers None with no root at all; `check_core` and the solver test
+    bipartiteness before they call, so only direct callers meet that case.
+    For k = 5 a decision runs first: each C5 is rooted at its least
+    T-vertex, so T is walked in ascending order and each t searches only
+    the vertices not yet used as a root.
     When it finds none, there is no C5; otherwise the canonical scan runs.
 
     A canonical 5-cycle v0-a-x-y-b is sought by neighbour pairs: for each
@@ -374,10 +376,7 @@ def check_class(g: Graph):
 
     The certificates of `check_core` (a bipartite core, two cliques) and
     the transversal bound on the C5 roots only skip work that finds
-    nothing, so they change no witness.  Costs on twin-free cores: S_200
-    plus one apex on an edge about 0.15 s, S_300 about 0.5 s (the 2P4
-    scan), the complement of a random bipartite graph on 300 vertices
-    about 0.02 s.
+    nothing, so they change no witness.  The README gives measured costs.
     """
     return check_core(twin_core(g))
 
@@ -387,17 +386,19 @@ def check_core(core: Graph):
     given.  The verdict holds for any graph; a caller that has already built
     a twin core passes it here and gets the witness `check_class` argues.
 
-    A core with more than half of all possible edges whose complement is
-    bipartite (two cliques) is in class, and answers None with no scan:
-    C5 is self-complementary and odd, so an induced C5 would be an odd
-    cycle of the complement, and the complement of 2P4 is the join of two
-    P4s, which holds a triangle.  A bipartite core has no odd cycle, so it
-    skips the C5 scan; on any other core that scan tries only the roots
-    that `find_induced_cycle` bounds by an odd-cycle transversal.
+    A core whose complement is bipartite (two cliques) is in class, and
+    answers None with no scan: C5 is self-complementary and odd, so an
+    induced C5 would be an odd cycle of the complement, and the complement
+    of 2P4 is the join of two P4s, which holds a triangle.  Two cliques of
+    a and n - a vertices hold at least n(n - 2)/4 edges, the least at
+    a = n/2, so a core with fewer edges skips the complement's search on
+    one count.  A bipartite core has no odd cycle, so it skips the C5
+    scan; on any other core that scan tries only the roots that
+    `find_induced_cycle` bounds by an odd-cycle transversal.
     """
     adj = core._adj
     n = len(adj)
-    if 2 * sum(map(len, adj.values())) > n * (n - 1) and _co_bipartite(adj):
+    if 2 * sum(map(len, adj.values())) >= n * (n - 2) and _co_bipartite(adj):
         return None
     if bipartition(core) is None:
         c5 = find_induced_cycle(core, 5)

@@ -335,9 +335,9 @@ def test_transversal_rooted_scans_match_the_reference():
     # bounds give the reference search's canonical cycle for every odd
     # length, and check_class agrees with naive enumeration; the sample
     # holds transversals of two or more vertices, in class and out, graphs
-    # with holes of several lengths, and dense graphs for the complement
-    # certificate
-    hits = {"t2_in": 0, "t2_out": 0, "mixed": 0, "dense_in": 0, "dense_out": 0}
+    # with holes of several lengths, and two-clique graphs, with and
+    # without a toggled pair, for the complement certificate
+    hits = {"t2_in": 0, "t2_out": 0, "mixed": 0, "two_cliques": 0, "toggled_out": 0}
     total = 480
     for i in range(total):
         if i % 6 == 5:
@@ -357,22 +357,33 @@ def test_transversal_rooted_scans_match_the_reference():
         in_class = naive_in_class(g)
         assert (check_class(g) is None) == in_class, i
         big_t = len(trans) >= 2
-        n = len(g)
-        dense = 4 * g.edge_count() > n * (n - 1)
+        two_cliques = patterns._co_bipartite(g._adj)
+        if two_cliques:
+            # the edge count check_core tests before the search
+            n = len(g)
+            assert 4 * g.edge_count() >= n * (n - 2), i
         hits["t2_in"] += big_t and in_class
         hits["t2_out"] += big_t and not in_class
         hits["mixed"] += found >= 2
-        hits["dense_in"] += dense and in_class
-        hits["dense_out"] += dense and not in_class
+        hits["two_cliques"] += two_cliques
+        hits["toggled_out"] += i % 6 == 5 and not in_class
     assert all(h >= 10 for h in hits.values()), hits
 
 
-def test_dense_core_with_two_cliques_needs_no_scan(monkeypatch):
+def test_core_of_two_cliques_needs_no_scan(monkeypatch):
     calls = []
     for name in ("find_induced_cycle", "find_induced_2p4"):
         real = getattr(patterns, name)
         monkeypatch.setattr(patterns, name,
                             lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    # two disjoint cliques hold exactly the n(n - 2)/4 edges that check_core
+    # asks for before it searches the complement
+    for a, b in ((5, 5), (5, 4), (1, 1), (1, 0)):
+        sides = (range(1, a + 1), range(a + 1, a + b + 1))
+        g = Graph.from_edges(range(1, a + b + 1),
+                             [(u, w) for side in sides for u in side for w in side if u < w])
+        assert check_core(g) is None
+    assert calls == []
     g = testkit.co_bipartite(60, 0.3, 3)
     assert check_core(g) is None
     assert calls == []
