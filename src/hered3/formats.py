@@ -114,18 +114,22 @@ def format_dimacs(g: Graph, comments: tuple = ()) -> str:
 
 
 def parse_edge_list(text: str) -> GraphDocument:
-    """Ids 1, 2, ... in order of first appearance of each label."""
+    """Ids 1, 2, ... in order of first appearance of each label.
+
+    A known label is one dict lookup; `new` runs only for a label's first
+    appearance.  Ids start at 1, so a missing label is the only false
+    lookup.
+    """
     g = Graph()
     doc = GraphDocument("edge_list", g)
     adj = g._adj
     by_label: dict[str, int] = {}
+    known = by_label.get
 
-    def vertex(label: str) -> int:
-        v = by_label.get(label)
-        if v is None:
-            v = by_label[label] = len(by_label) + 1
-            adj[v] = set()
-            doc.labels[v] = label
+    def new(label: str) -> int:
+        v = by_label[label] = len(by_label) + 1
+        adj[v] = set()
+        doc.labels[v] = label
         return v
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -142,21 +146,24 @@ def parse_edge_list(text: str) -> GraphDocument:
                 raise ParseError(f"malformed palette line: {raw!r}", line_no=line_no)
             if not colors or any(c not in (1, 2, 3) for c in colors):
                 raise ParseError(f"palette outside 1..3: {raw!r}", line_no=line_no)
-            doc.palettes[vertex(name)] = colors
+            doc.palettes[known(name) or new(name)] = colors
             continue
         parts = line.split()
         if len(parts) == 2:
             a, b = parts
             if a == b:
                 raise ParseError(f"self-loop at {a!r}", line_no=line_no)
-            u, v = vertex(a), vertex(b)
-            if v in adj[u]:
+            u = known(a) or new(a)
+            v = known(b) or new(b)
+            nu = adj[u]
+            if v in nu:
                 doc.warnings.append(f"line {line_no}: duplicate edge {a} {b} ignored")
             else:
-                adj[u].add(v)
+                nu.add(v)
                 adj[v].add(u)
         elif len(parts) == 1:
-            vertex(parts[0])
+            if parts[0] not in by_label:
+                new(parts[0])
         elif parts:
             raise ParseError(f"expected one or two tokens: {raw!r}", line_no=line_no)
     g._next_id = len(adj) + 1

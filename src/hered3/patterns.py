@@ -62,7 +62,7 @@ def find_induced_p4(g: Graph, within=None):
     return path
 
 
-def find_induced_2p4(g: Graph):
+def find_induced_2p4(g: Graph, trans=None):
     """Two induced P4s with no edges between them, or None.
 
     A P4 a-b-c-d is scanned through its middle edge, b < c, in the order
@@ -71,6 +71,10 @@ def find_induced_2p4(g: Graph):
     are not a cograph, and they lie in X = V - N[b] - N[c] = V - N(b) - N(c),
     so an edge whose X has fewer than four vertices is skipped whole, on
     the count |X| = n - |N(b)| - |N(c)| + |N(b) & N(c)| before X is built.
+    The intersection is taken only when the rest of the count is below four,
+    and never when the odd-cycle transversal `trans` of g (computed when
+    not given) is empty: adjacent b and c of a bipartite graph share no
+    neighbour.
     One call tests each vertex set once, with `cograph.cotree_or_failure`
     unless it is four vertices that are not a P4.  The first hit, written so that
     a < d, is the first part; the second is the least P4 of the set the
@@ -79,6 +83,8 @@ def find_induced_2p4(g: Graph):
     n = g.vertex_count()
     if n < 8:
         return None
+    if trans is None:
+        trans = odd_cycle_transversal(g)
     adj = g._adj
     verts = set(adj)
     seen: dict[frozenset, frozenset | None] = {}
@@ -86,7 +92,8 @@ def find_induced_2p4(g: Graph):
         nb = adj[b]
         for c in sorted(w for w in nb if w > b):
             nc = adj[c]
-            if n - len(nb) - len(nc) + len(nb & nc) < 4:
+            free = n - len(nb) - len(nc)
+            if free < 4 and (not trans or free + len(nb & nc) < 4):
                 continue
             far = verts - nb - nc
             ends = nc - nb
@@ -130,7 +137,7 @@ def _two_p4(g: Graph, first, bad):
     return PatternWitness("2p4", (first, second))
 
 
-def find_induced_cycle(g: Graph, k: int):
+def find_induced_cycle(g: Graph, k: int, trans=None):
     """First induced k-cycle in canonical order, or None.
 
     Canonical form: the cycle's smallest vertex v0 first, then the
@@ -140,8 +147,10 @@ def find_induced_cycle(g: Graph, k: int):
     (`graph.odd_cycle_transversal`): g - T is bipartite, so every odd
     cycle meets T, and a cycle whose least vertex is v0 holds some t >= v0.
     So the root loop stops once v0 > max(T), and an empty T (g bipartite)
-    answers None with no root at all; `check_core` and the solver test
-    bipartiteness before they call, so only direct callers meet that case.
+    answers None with no root at all.  A caller that already holds T for g
+    passes it as trans; otherwise it is computed here.  `check_core` and
+    the solver compute it once per core and skip the call when it is empty,
+    so only direct callers meet that case.
     For k = 5 a decision runs first: each C5 is rooted at its least
     T-vertex, so T is walked in ascending order and each t searches only
     the vertices not yet used as a root.
@@ -163,7 +172,9 @@ def find_induced_cycle(g: Graph, k: int):
     adj = g._adj
     last = None
     if k % 2:
-        trans = sorted(odd_cycle_transversal(g))
+        if trans is None:
+            trans = odd_cycle_transversal(g)
+        trans = sorted(trans)
         if not trans or (k == 5 and not _has_c5(adj, trans)):
             return None
         last = trans[-1]
@@ -381,10 +392,14 @@ def check_class(g: Graph):
     return check_core(twin_core(g))
 
 
-def check_core(core: Graph):
+def check_core(core: Graph, trans=None):
     """The C5 scan, then the 2P4 scan, of `check_class`, run on `core` as
     given.  The verdict holds for any graph; a caller that has already built
     a twin core passes it here and gets the witness `check_class` argues.
+    trans is an odd-cycle transversal of core
+    (`graph.odd_cycle_transversal`), shared by both scans: a caller that
+    holds one passes it, and otherwise it is built here, after the
+    two-clique test, which needs none.
 
     A core whose complement is bipartite (two cliques) is in class, and
     answers None with no scan: C5 is self-complementary and odd, so an
@@ -392,19 +407,22 @@ def check_core(core: Graph):
     of 2P4 is the join of two P4s, which holds a triangle.  Two cliques of
     a and n - a vertices hold at least n(n - 2)/4 edges, the least at
     a = n/2, so a core with fewer edges skips the complement's search on
-    one count.  A bipartite core has no odd cycle, so it skips the C5
-    scan; on any other core that scan tries only the roots that
-    `find_induced_cycle` bounds by an odd-cycle transversal.
+    one count.  A core with an empty transversal is bipartite and has no
+    odd cycle, so it skips the C5 scan, and its 2P4 scan counts each edge's
+    far side without an intersection; on any other core the C5 scan tries
+    only the roots that `find_induced_cycle` bounds by the transversal.
     """
     adj = core._adj
     n = len(adj)
     if 2 * sum(map(len, adj.values())) >= n * (n - 2) and _co_bipartite(adj):
         return None
-    if bipartition(core) is None:
-        c5 = find_induced_cycle(core, 5)
+    if trans is None:
+        trans = odd_cycle_transversal(core)
+    if trans:
+        c5 = find_induced_cycle(core, 5, trans)
         if c5 is not None:
             return PatternWitness("c5", (c5,))
-    return find_induced_2p4(core)
+    return find_induced_2p4(core, trans)
 
 
 def _co_bipartite(adj) -> bool:

@@ -109,10 +109,10 @@ from . import cograph, patterns
 from .errors import ClassViolationError, StageAssertionError
 from .graph import (
     Graph,
-    bipartition,
     connected_components,
     false_twins,
     induced_subgraph,
+    odd_cycle_transversal,
     twin_core,
 )
 from .reductions import (
@@ -156,8 +156,9 @@ def solve(
         stats.bump("false_twins", len(copies))
     h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
     core = twin_core(h)
+    trans = odd_cycle_transversal(core)
     if not assume_class:
-        offending = patterns.check_core(core)
+        offending = patterns.check_core(core, trans)
         if offending is not None:
             raise ClassViolationError(offending)
 
@@ -171,7 +172,7 @@ def solve(
 
     coloring: dict[int, int] = {}
     for comp in connected_components(h):
-        cmap = _solve_component(h, core, comp, stats)
+        cmap = _solve_component(h, core, trans, comp, stats)
         if cmap is None:
             return _report("not_colorable", None, stats, start)
         coloring.update(cmap)
@@ -190,7 +191,23 @@ def _report(decision, witness_map, stats, start) -> SolveReport:
 
 
 def _verify_witness(g: Graph, coloring: dict) -> None:
+    """Raise AssertionError unless coloring properly 3-colors g.
+
+    The vertices are grouped into their color classes, and each vertex
+    must see none of its own class.  Only when that fails, or a vertex has
+    no color in 1..3, does the ascending walk run: it names the least
+    vertex without such a color, or else the least monochromatic edge.
+    """
     adj = g._adj
+    classes = {c: set() for c in ALL_COLORS}
+    for v in adj:
+        cls = classes.get(coloring.get(v))
+        if cls is None:
+            break
+        cls.add(v)
+    else:
+        if all(adj[v].isdisjoint(cls) for cls in classes.values() for v in cls):
+            return
     for v in sorted(adj):
         c = coloring.get(v)
         if c not in ALL_COLORS:
@@ -200,25 +217,37 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 
 
-def _solve_component(g, core, comp, stats):
-    """The component's 3-coloring, or None when it has none.
+def _solve_component(g, core, trans, comp, stats):
+    """The 3-coloring of the component comp of g, or None when it has none.
 
-    The anchor cycle is sought on the component's part of the twin core,
-    unless that part is bipartite and so holds no odd cycle; otherwise
+    core is g's twin core and trans an odd-cycle transversal of it.  When
+    comp is all of g, all three are used as given.  Otherwise they are cut
+    down to comp: the induced subgraphs of g and of the core, and
+    trans & comp.  That is the transversal of the core's part:
+    `graph.odd_cycle_transversal` searches each component from its least
+    vertex, as it would the part alone, and the part is empty or one
+    component of the core, since deleting a twin keeps the rest connected.
+
+    The anchor cycle is sought on the core's part, unless its transversal
+    is empty: the part is then bipartite and holds no odd cycle.  Otherwise
     `patterns.find_induced_cycle` tries only the roots up to the largest
-    vertex of an odd-cycle transversal of that part.  The anchored run
-    itself works on the whole component of g."""
-    sub = induced_subgraph(g, comp)
-    search = induced_subgraph(core, [v for v in comp if v in core])
-    if bipartition(search) is None:
+    vertex of the transversal.  The anchored run and the plain colorer work
+    on the whole component of g and never change it: `_run_anchored` and
+    `_prefix_refuter` only read it and change clones, and `_backtrack_color`
+    keeps its palettes and colors apart."""
+    if len(comp) < len(g):
+        g = induced_subgraph(g, comp)
+        core = induced_subgraph(core, [v for v in comp if v in core])
+        trans = trans & comp
+    if trans:
         for k in (7, 9):
-            cyc = patterns.find_induced_cycle(search, k)
+            cyc = patterns.find_induced_cycle(core, k, trans)
             if cyc is not None:
                 stats.bump(f"components_anchored_{k}")
-                won = _run_anchored(sub, cyc, stats)
+                won = _run_anchored(g, cyc, stats)
                 return None if won is None else won.assemble_witness(comp)
     stats.bump("components_plain")
-    return _backtrack_color(sub)
+    return _backtrack_color(g)
 
 
 @lru_cache(maxsize=None)

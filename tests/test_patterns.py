@@ -303,15 +303,17 @@ def test_bipartite_core_skips_the_c5_scan(monkeypatch):
     calls = []
     real = patterns.find_induced_cycle
 
-    def recorded(g, k):
+    def recorded(g, k, trans=None):
         calls.append(k)
-        return real(g, k)
+        return real(g, k, trans)
 
     monkeypatch.setattr(patterns, "find_induced_cycle", recorded)
     for g in (testkit.crown_graph(6), cycle_graph(10), path_graph(9)):
-        check_core(twin_core(g))
+        core = twin_core(g)
+        check_core(core, odd_cycle_transversal(core))
     assert calls == []
-    assert check_core(cycle_graph(5)).kind == "c5"
+    g = cycle_graph(5)
+    assert check_core(g, odd_cycle_transversal(g)).kind == "c5"
     assert calls == [5]
 
 
@@ -382,10 +384,10 @@ def test_core_of_two_cliques_needs_no_scan(monkeypatch):
         sides = (range(1, a + 1), range(a + 1, a + b + 1))
         g = Graph.from_edges(range(1, a + b + 1),
                              [(u, w) for side in sides for u in side for w in side if u < w])
-        assert check_core(g) is None
+        assert check_core(g, odd_cycle_transversal(g)) is None
     assert calls == []
     g = testkit.co_bipartite(60, 0.3, 3)
-    assert check_core(g) is None
+    assert check_core(g, odd_cycle_transversal(g)) is None
     assert calls == []
     # one missing edge inside a side leaves the complement with a triangle
     # (the missing pair and a vertex of the other side that sees neither
@@ -395,7 +397,7 @@ def test_core_of_two_cliques_needs_no_scan(monkeypatch):
                 and any(not g.has_edge(u, x) and not g.has_edge(w, x) for x in range(31, 61)))
     g.neighbors(u).discard(w)
     g.neighbors(w).discard(u)
-    check_core(g)
+    check_core(g, odd_cycle_transversal(g))
     assert calls[:1] == ["find_induced_cycle"]
 
 

@@ -12,13 +12,15 @@ from random import Random
 
 import pytest
 
-from hered3 import cograph, patterns, reductions, solver
+from hered3 import cograph, graph, patterns, reductions, solver
 from hered3.errors import ClassViolationError, StageAssertionError
+from hered3.formats import parse_edge_list
 from hered3.graph import (
     Graph,
     connected_components,
     false_twins,
     induced_subgraph,
+    odd_cycle_transversal,
     twin_core,
 )
 from hered3.patterns import check_class
@@ -148,9 +150,9 @@ def test_bipartite_components_skip_the_anchor_search(monkeypatch):
     calls = []
     real = patterns.find_induced_cycle
 
-    def recorded(g, k):
+    def recorded(g, k, trans=None):
         calls.append(k)
-        return real(g, k)
+        return real(g, k, trans)
 
     monkeypatch.setattr(patterns, "find_induced_cycle", recorded)
     for g in (crown_graph(6), cycle_graph(8)):
@@ -246,6 +248,28 @@ def test_witness_check_names_the_first_bad_vertex():
         solver._verify_witness(g, {1: 1, 2: 2, 3: 2, 4: 1, 5: 3})
     with pytest.raises(AssertionError, match="witness colors edge 1,5 monochromatically"):
         solver._verify_witness(g, {1: 1, 2: 2, 3: 1, 4: 2, 5: 1, 9: 1})
+
+
+def test_witness_check_names_the_least_fault_in_any_adjacency_order():
+    # the labels first appear out of id order (label 6 is vertex 1); a
+    # parsed graph keeps its adjacency in id order, so the copy lists it
+    # descending: the messages still name the least fault, as the
+    # ascending walk does
+    doc = parse_edge_list("6 5\n5 4\n4 3\n3 2\n2 1\n1 6\n")
+    assert doc.labels == {1: "6", 2: "5", 3: "4", 4: "3", 5: "2", 6: "1"}
+    back = Graph.from_edges(sorted(doc.graph.vertices(), reverse=True), doc.graph.edges())
+    assert list(back._adj) == [6, 5, 4, 3, 2, 1]
+    for g in (doc.graph, back):
+        # the 6-cycle 1-2-3-4-5-6
+        solver._verify_witness(g, {1: 1, 2: 2, 3: 1, 4: 2, 5: 1, 6: 2})
+        with pytest.raises(AssertionError, match="witness colors edge 2,3 monochromatically"):
+            solver._verify_witness(g, {1: 1, 2: 2, 3: 2, 4: 1, 5: 3, 6: 3})
+        with pytest.raises(AssertionError, match="witness misses vertex 3"):
+            solver._verify_witness(g, {1: 1, 2: 2, 3: 0, 5: None, 6: 2})
+        with pytest.raises(AssertionError, match="witness misses vertex 4"):
+            solver._verify_witness(g, {1: 1, 2: 2, 3: 1, 5: 1, 6: 0})
+        with pytest.raises(AssertionError, match="witness misses vertex 5"):
+            solver._verify_witness(g, {1: 1, 2: 2, 3: 1, 4: 2, 5: None, 6: 0})
 
 
 # -- anchored components ----------------------------------------------------
@@ -683,6 +707,61 @@ def test_solve_builds_one_twin_core(monkeypatch):
     assert rep.decision == "colorable"
     # built once, on the false-twin quotient: the blowup's bare 7-cycle
     assert calls == [7]
+
+
+def test_solve_walks_one_transversal_per_core(monkeypatch):
+    # the class check and the anchor search share the core's one odd-cycle
+    # transversal, and an empty one stands in for a bipartite test
+    calls = []
+
+    def counted(g):
+        calls.append(g.vertex_count())
+        return odd_cycle_transversal(g)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("bipartition called")
+
+    monkeypatch.setattr(solver, "odd_cycle_transversal", counted)
+    monkeypatch.setattr(patterns, "odd_cycle_transversal", counted)
+    monkeypatch.setattr(graph, "bipartition", refused)
+    monkeypatch.setattr(patterns, "bipartition", refused)
+    g = cycle_blowup([2, 3, 1, 2, 1, 2, 1])
+    rep = solve(g, witness=True)
+    assert rep.decision == "colorable"
+    assert calls == [7]
+
+    # several components: each is anchored on the cycle it gets alone, and
+    # the path's part of the transversal is empty, so it is not searched
+    anchors = []
+    searches = []
+    real = solver._run_anchored
+    real_search = patterns.find_induced_cycle
+
+    def recorded(comp_graph, cycle, stats):
+        anchors.append(tuple(cycle))
+        return real(comp_graph, cycle, stats)
+
+    def searched(g, k, trans=None):
+        searches.append((min(g.vertices()), k))
+        return real_search(g, k, trans)
+
+    monkeypatch.setattr(solver, "_run_anchored", recorded)
+    monkeypatch.setattr(patterns, "find_induced_cycle", searched)
+    second = (8, 10, 12, 14, 9, 11, 13)
+    g = Graph.from_edges(range(1, 19), [(i, i % 7 + 1) for i in range(1, 8)]
+                         + list(zip(second, second[1:] + second[:1]))
+                         + [(15, 16), (16, 17), (17, 18)])
+    # two disjoint 7-cycles hold an induced 2P4
+    rep = solve(g, witness=True, assume_class=True)
+    assert rep.decision == "colorable"
+    assert rep.stats["components_anchored_7"] == 2
+    assert rep.stats["components_plain"] == 1
+    assert searches == [(1, 7), (8, 7)]
+    whole, anchors[:] = anchors[:], []
+    for comp in connected_components(g):
+        alone = solve(induced_subgraph(g, comp), witness=True, assume_class=True)
+        assert alone.witness == {v: rep.witness[v] for v in comp}
+    assert whole == anchors == [(1, 2, 3, 4, 5, 6, 7), (8, 10, 12, 14, 9, 11, 13)]
 
 
 def test_solve_colors_the_false_twin_quotient():
