@@ -13,21 +13,23 @@ color depends on vertices that outlive it appends a replay record instead
 assembly seeds the color map and processes the records in reverse order of
 creation.
 
-F1 of the solver holds by construction, so no rule rechecks it: no live
-palette holds the color of a colored neighbor, and no edge between two
-colored vertices is monochromatic.  Every palette starts full and only
-shrinks (rule 4 intersects, cut reduction keeps a subset).  commit_color
-takes only a color of the vertex's own palette, which has already lost
-the color of every neighbor colored before it, and strikes that color
-from the palette of every live neighbor.  Edges are never added, so both
-properties hold for as long as the two ends stay in the graph.  This
-follows the module's rule: check the answer, not each step.  `solver`
-verifies every witness on the whole input, so no step rechecks what it
-builds or what its callers guarantee; the docstrings say why each holds.
+F1 of the solver holds by construction, so no rule rechecks it: every live
+palette holds two or three colors and lacks the color of each colored
+neighbor, and no edge between two colored vertices is monochromatic.
+Every palette starts full and only shrinks.  A palette reaches one color
+in two places only, rule 4 and cut reduction, and each commits it there.
+commit_color runs `propagate`, which colors every vertex its strikes leave
+one color and reports a clash rather than leave a palette empty.  Edges are
+never added, so these properties hold for as long as the two ends stay in
+the graph.  This follows the module's rule: check the answer, not each
+step.  `solver` verifies every witness on the whole input, so no step
+rechecks what it builds or what its callers guarantee; the docstrings say
+why each holds.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable
 
 from . import cograph
@@ -118,7 +120,7 @@ class Instance:
     palettes holds exactly the live uncolored vertices.  colors holds every
     settled color: committed vertices, and the vertices of regions solved
     on the spot and removed.  A committed vertex stays in the graph only
-    when it was committed with keep (the anchor cycle).
+    when it is on the anchor cycle, anchor_order.
     """
 
     def __init__(self, g: Graph, stats: Stats):
@@ -150,28 +152,27 @@ class Instance:
     def metric(self) -> tuple[int, int]:
         return (self.g.vertex_count(), sum(len(p) for p in self.palettes.values()))
 
-    def commit_color(self, v: int, color: int, keep: bool = False) -> None:
-        """Color v and propagate to neighbor palettes.
+    def commit_color(self, v: int, color: int) -> bool:
+        """Color v, then every vertex this leaves one color, by `propagate`.
 
-        v leaves the graph unless keep is set; anchors stay so later
-        structural stages can see their adjacency.  Every caller passes a
-        color of v's palette: rule 1 its last one, the anchor roots a proper
-        coloring of an induced cycle on a fresh clone, the single-anchor
-        stage one of the clone's copy, and `try_color` a tested plan.
+        Each vertex it colors leaves the graph, except the anchors, which
+        stay so later structural stages can see their adjacency.  Returns
+        False on a clash: v holds another color or lacks this one, or a
+        palette would run empty.  The branch then has no coloring with v
+        colored so, and its caller drops it half committed.
         """
-        self.colors[v] = color
-        del self.palettes[v]
-        for w in self.g._adj[v]:
-            if w in self.palettes and color in self.palettes[w]:
-                self.palettes[w] = self.palettes[w] - {color}
-        if not keep:
-            self.g.remove_vertex(v)
-
-    def try_color(self, v: int, color: int) -> bool:
-        """Commit a planned color; False when the plan is already infeasible."""
-        if v not in self.palettes or color not in self.palettes[v]:
+        live = len(self.palettes)
+        if not propagate(self.g._adj, self.palettes, self.colors, v, color, []):
+            self.stats.bump("rule_empty_palette")
             return False
-        self.commit_color(v, color)
+        # propagate adds each vertex it colors to the end of colors
+        forced = 0
+        for w in islice(reversed(self.colors), live - len(self.palettes)):
+            if w not in self.anchor_order:
+                self.g.remove_vertex(w)
+                forced += w != v
+        if forced:
+            self.stats.bump("rule_singleton_color", forced)
         return True
 
     def delete_recorded(self, v: int, record) -> None:
@@ -219,7 +220,9 @@ _FIRED = "fired"
 
 
 def run_fixpoint(inst: Instance) -> str:
-    """Apply the seven basic rules by priority until none fires.
+    """Apply rules 3 to 7 by priority until none fires.
+
+    Forced colors need no rule: commit_color propagates them as they arise.
 
     Every firing pass strictly shrinks (live vertices, total palette size)
     lexicographically; asserted to guarantee termination.
@@ -241,23 +244,6 @@ def _one_pass(inst: Instance) -> str:
             # only anchored vertices left, properly colored by F1
             inst.remove_region(inst.g.vertices())
         return SOLVED
-
-    # rule 1: every singleton palette commits its color, in ascending id
-    # order; a commit can empty a later singleton, which is then left to
-    # rule 2 in the next pass
-    singles = sorted(v for v, p in inst.palettes.items() if len(p) == 1)
-    if singles:
-        for v in singles:
-            if len(inst.palettes[v]) == 1:
-                (c,) = inst.palettes[v]
-                inst.commit_color(v, c)
-                inst.stats.bump("rule_singleton_color")
-        return _FIRED
-
-    # rule 2: empty palette rejects the branch
-    if any(not p for p in inst.palettes.values()):
-        inst.stats.bump("rule_empty_palette")
-        return REJECTED
 
     # rule 3: more colors than neighbors -> vertex always colorable later
     if _prune_low_degree(inst):
@@ -310,8 +296,9 @@ def _diamond_pass(inst: Instance):
     Candidate pairs are the nonadjacent common neighbors of each edge; in
     any 3-coloring the two edge endpoints use two colors, so both common
     neighbors are forced to the remaining one and their palettes must agree.
-    Edges are walked in ascending order, and an edge with fewer than two
-    common neighbors holds no pair.
+    An intersection of one color commits both to it.  Edges are walked in
+    ascending order, and an edge with fewer than two common neighbors holds
+    no pair.
     """
     adj = inst.g._adj
     for u in sorted(adj):
@@ -331,13 +318,14 @@ def _diamond_pass(inst: Instance):
                     if py == pyp:
                         continue
                     inter = py & pyp
-                    if not inter:
-                        inst.stats.bump("rule_diamond")
-                        return REJECTED
-                    for z in (y, yp):
-                        if z in inst.palettes and inst.palettes[z] != inter:
-                            inst.palettes[z] = inter
                     inst.stats.bump("rule_diamond")
+                    if not inter:
+                        return REJECTED
+                    if len(inter) == 1:
+                        (c,) = inter
+                        ok = all(inst.commit_color(z, c) for z in (y, yp))
+                        return _FIRED if ok else REJECTED
+                    inst.palettes[y] = inst.palettes[yp] = inter
                     return _FIRED
     return None
 
@@ -492,8 +480,9 @@ def cut_reduction(inst: Instance, w: int, root: cograph.Cotree) -> str:
     rejected.  A free color extends: w keeps it alone, since any coloring
     of the graph can switch w to it.  Otherwise w keeps the colors that
     extend.  C - w is deleted, and one record keyed by w stores the
-    extension of each color w kept.  Returns _FIRED or REJECTED.  w is C's
-    only border vertex, as `solver._component_cases` has found.
+    extension of each color w kept; a lone kept color is then committed.
+    Returns _FIRED or REJECTED, the latter also when that commit clashes.
+    w is C's only border vertex, as `solver._component_cases` has found.
     """
     c_ids = set(root.leaves())
     rest = c_ids - {w}
@@ -514,7 +503,11 @@ def cut_reduction(inst: Instance, w: int, root: cograph.Cotree) -> str:
             break
     if not kept:
         return REJECTED
-    inst.palettes[w] = frozenset(kept)
+    # C - w goes first, so a commit of w strikes no color inside it
     inst.remove_region(rest)
     inst.replay.append(RecKeyedDrop(w, kept))
+    if len(kept) == 1:
+        (c,) = kept
+        return _FIRED if inst.commit_color(w, c) else REJECTED
+    inst.palettes[w] = frozenset(kept)
     return _FIRED

@@ -50,8 +50,8 @@ component, verified as a whole.
 
 The ladder rechecks nothing the fixpoint implies.  It runs only on C7, at
 a CONTINUE fixpoint, and rests on three facts that hold on any graph.
-F1: each live uncolored palette has 2 or 3 colors (rules 1 and 2) and
-lacks every colored neighbor's color (commit_color strikes it, palettes
+F1: each live uncolored palette has 2 or 3 colors and lacks every colored
+neighbor's color (every commit propagates what it forces, and palettes
 only shrink); the anchors are the only colored vertices left.  F2: branch
 graphs only lose vertices and palettes only shrink, so a vertex relevant
 with a given support at a descendant was so at every ancestor.  F3: two
@@ -152,9 +152,10 @@ def solve(
     start = perf_counter()
     stats = Stats()
     copies = false_twins(g)
+    h = g   # read, never changed: the anchored runs change clones only
     if copies:
         stats.bump("false_twins", len(copies))
-    h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
+        h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
     core = twin_core(h)
     trans = odd_cycle_transversal(core)
     if not assume_class:
@@ -273,10 +274,11 @@ def _run_anchored(comp_graph, cycle, stats):
 
     These are the 21 (C7) or 85 (C9) orbit representatives of the cycle's
     proper colorings under renaming the colors.  Each root commits its
-    anchor colors, which stay in the graph.  The winning branch's settled
-    colors and replay records hold its witness.  Returns that branch, or
-    None when every representative is rejected, and then so is every
-    proper anchor coloring.
+    anchor colors, which stay in the graph; a root whose commits clash is a
+    rejected branch.  The winning branch's settled colors and replay
+    records hold its witness.  Returns that branch, or None when every
+    representative is rejected, and then so is every proper anchor
+    coloring.
 
     The first representative runs unchecked, since a colorable component
     usually wins on it.  Once it is rejected, each later one first goes
@@ -294,9 +296,8 @@ def _run_anchored(comp_graph, cycle, stats):
             stats.bump("anchor_colorings_skipped")
             continue
         child = base.clone()
-        for v, c in zip(cycle, col):
-            child.commit_color(v, c, keep=True)
-        winner = _dfs(child, stats)
+        ok = all(child.commit_color(v, c) for v, c in zip(cycle, col))
+        winner = _dfs(child if ok else None, stats)
         if winner is not None:
             return winner
     return None
@@ -346,7 +347,7 @@ def _dfs(root, stats):
         inst = stack.pop()
         stats.bump("branches")
         if inst is None:
-            # a branch whose planned colors were already infeasible
+            # a branch whose commits clashed
             continue
         out, kids = _advance(inst)
         if out == "solved":
@@ -514,10 +515,8 @@ def _branch_single_anchor(inst, view):
         inst.stats.bump("stage_single_anchor")
         kids = []
         for c in sorted(inst.palettes[z]):
-            # c comes from the clone's own copy of z's palette, so it commits
             child = inst.clone()
-            child.commit_color(z, c)
-            kids.append(child)
+            kids.append(child if child.commit_color(z, c) else None)
         return kids
     return None
 
@@ -555,7 +554,7 @@ def _branch_opposing_pair(inst, view):
 
         def spawn(plan):
             child = inst.clone()
-            ok = all(child.try_color(v, c) for v, c in plan)
+            ok = all(child.commit_color(v, c) for v, c in plan)
             child.post_checks.append((i, j))
             kids.append(child if ok else None)
 

@@ -307,8 +307,8 @@ def test_two_color_rule_matches_oracle():
                 palettes[v] = frozenset(rng.sample((1, 2, 3), 2))
         g = Graph.from_edges(range(1, n + 1), edges)
         inst = Instance(g.copy(), Stats())
-        for a in anchors:
-            inst.commit_color(a, acolor[a], keep=True)
+        inst.anchor_order = tuple(anchors)
+        inst.colors.update(acolor)
         inst.palettes = dict(palettes)
         verdict = None
         for comp in connected_components(g):

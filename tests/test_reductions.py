@@ -64,7 +64,7 @@ def inst_feasible(inst):
 def test_commit_color_propagates():
     g = path_graph(3)
     inst = make_instance(g)
-    inst.commit_color(2, 1)
+    assert inst.commit_color(2, 1)
     assert inst.colors == {2: 1}
     assert 2 not in inst.palettes
     assert not inst.g.has_vertex(2)  # not anchored, so removed
@@ -75,36 +75,45 @@ def test_commit_color_propagates():
 def test_commit_color_keep_anchors():
     g = path_graph(2)
     inst = make_instance(g)
-    inst.commit_color(1, 2, keep=True)
+    inst.anchor_order = (1,)
+    assert inst.commit_color(1, 2)
     assert inst.g.has_vertex(1) and inst.g.has_edge(1, 2)
     assert inst.colors == {1: 2}
 
 
-def test_singleton_rule():
-    inst = make_instance(path_graph(2), {1: {2}})
-    assert _one_pass(inst) == "fired"
+def test_commit_color_colors_a_forced_neighbor():
+    inst = make_instance(path_graph(2), {2: {2, 3}})
+    assert inst.commit_color(1, 2)
+    assert inst.colors == {1: 2, 2: 3}
+    assert not inst.palettes and not inst.g.vertex_count()
     assert inst.stats.get("rule_singleton_color") == 1
-    assert inst.palettes[2] == frozenset((1, 3))
 
 
-def test_singleton_rule_commits_every_singleton_in_one_pass():
-    # 1 and 3 commit; 2 ends empty after 1 takes color 2, so it is skipped
-    # and left to the empty-palette rule; 5 and 7 commit as well
-    inst = make_instance(path_graph(7), {1: {2}, 2: {2}, 3: {1}, 5: {3}, 7: {3}})
-    assert _one_pass(inst) == "fired"
-    assert inst.colors == {1: 2, 3: 1, 5: 3, 7: 3}
-    assert inst.stats.get("rule_singleton_color") == 4
-    assert inst.palettes[2] == frozenset()
-    assert inst.palettes[4] == frozenset((2,))
-    assert _one_pass(inst) == "fired"  # 4 became a singleton meanwhile
-    assert inst.colors[4] == 2
-    assert _one_pass(inst) == REJECTED
+def test_commit_color_colors_a_forced_chain_in_one_call():
+    # each vertex of the path is left one color by its predecessor, so one
+    # commit at an end colors all of them, with no fixpoint pass
+    n = 1000
+    g = path_graph(n)
+    inst = make_instance(g, {v: {1, 2} for v in g.vertices()})
+    assert inst.commit_color(1, 1)
+    assert inst.colors == {v: 2 - v % 2 for v in g.vertices()}
+    assert not inst.palettes and not inst.g.vertex_count()
+    assert inst.stats.get("rule_singleton_color") == n - 1
+    assert inst.stats.get("rule_empty_palette") == 0
 
 
-def test_empty_palette_rejects():
-    inst = make_instance(path_graph(4), {2: set()})
-    # vertex 1 has degree 1 < 3 colors; empty palette outranks it
-    assert _one_pass(inst) == REJECTED
+def test_commit_color_clash_returns_false():
+    # an odd cycle on two colors: the forced colors meet and clash
+    g = cycle_graph(999)
+    inst = make_instance(g, {v: {1, 2} for v in g.vertices()})
+    assert not inst.commit_color(1, 1)
+    assert inst.stats.get("rule_empty_palette") == 1
+    assert inst.stats.get("rule_singleton_color") == 0
+
+
+def test_commit_color_rejects_a_color_its_palette_lacks():
+    inst = make_instance(path_graph(3), {2: {2, 3}})
+    assert not inst.commit_color(2, 1)
     assert inst.stats.get("rule_empty_palette") == 1
 
 
@@ -140,6 +149,16 @@ def test_diamond_intersects_palettes():
     inst = make_instance(diamond_graph(), {3: {1, 2}})
     assert _diamond_pass(inst) == "fired"
     assert inst.palettes[3] == inst.palettes[4] == frozenset((1, 2))
+    assert inst.stats.get("rule_diamond") == 1
+
+
+def test_diamond_commits_a_one_color_intersection():
+    # 3 and 4 can share only 2, so both take it and leave the graph
+    inst = make_instance(diamond_graph(), {3: {1, 2}, 4: {2, 3}})
+    assert _diamond_pass(inst) == "fired"
+    assert inst.colors == {3: 2, 4: 2}
+    assert set(inst.g.vertices()) == {1, 2}
+    assert inst.palettes[1] == inst.palettes[2] == frozenset((1, 3))
     assert inst.stats.get("rule_diamond") == 1
 
 
@@ -195,13 +214,14 @@ def naive_diamond_pass(inst):
                 if py == pyp:
                     continue
                 inter = py & pyp
-                if not inter:
-                    inst.stats.bump("rule_diamond")
-                    return REJECTED
-                for z in (y, yp):
-                    if z in inst.palettes and inst.palettes[z] != inter:
-                        inst.palettes[z] = inter
                 inst.stats.bump("rule_diamond")
+                if not inter:
+                    return REJECTED
+                if len(inter) == 1:
+                    (c,) = inter
+                    ok = inst.commit_color(y, c) and inst.commit_color(yp, c)
+                    return "fired" if ok else REJECTED
+                inst.palettes[y] = inst.palettes[yp] = inter
                 return "fired"
     return None
 
@@ -241,11 +261,12 @@ def rule_instance(i):
                 g.add_edge(t, w)
     inst = make_instance(g, {v: rng.sample((1, 2, 3), rng.randint(1, 3)) for v in g.vertices()})
     for v in rng.sample(g.vertices(), rng.randint(0, 2)):
-        if not inst.palettes[v]:
+        if not inst.palettes.get(v):
             continue
         c = rng.choice(sorted(inst.palettes[v]))
         if all(inst.colors.get(w) != c for w in g.neighbors(v)):
-            inst.commit_color(v, c, keep=True)
+            inst.anchor_order += (v,)
+            inst.commit_color(v, c)
     return inst
 
 
@@ -413,8 +434,9 @@ def test_anchored_branches_record_only_dependent_colors():
                 break
         for coloring in _proper_cycle_colorings(k):
             inst = make_instance(g)
-            for v, c in zip(cycle, coloring):
-                inst.commit_color(v, c, keep=True)
+            inst.anchor_order = tuple(cycle)
+            if not all(inst.commit_color(v, c) for v, c in zip(cycle, coloring)):
+                continue
             out = run_fixpoint(inst)
             assert all(isinstance(rec, dependent) for rec in inst.replay)
             records += len(inst.replay)
@@ -448,8 +470,8 @@ def test_cut_reduction_keeps_a_free_color_alone():
     inst = border_instance([(11, 12), (11, 13)], {11: FULL, 12: FULL, 13: FULL})
     assert cut(inst, 11, (11, 12, 13)) == "fired"
     assert inst.stats.get("op_cut_reduction") == 1
-    assert set(inst.g.vertices()) == {1, 2, 11}
-    assert inst.palettes[11] == frozenset((2,))
+    assert set(inst.g.vertices()) == {1, 2}
+    assert inst.colors[11] == 2
     (rec,) = inst.replay
     assert rec.key == 11 and rec.extensions == {2: {12: 1, 13: 1}}
     assert run_fixpoint(inst) == SOLVED
@@ -461,7 +483,7 @@ def test_cut_reduction_forced_color():
     # 12 and 13 pin 11 to 1, which its outside neighbors can take too
     inst = border_instance([(11, 12), (11, 13)], {11: FULL, 12: {2}, 13: {3}})
     assert cut(inst, 11, (11, 12, 13)) == "fired"
-    assert inst.palettes[11] == frozenset((1,))
+    assert inst.colors[11] == 1
     assert inst.replay[-1].extensions == {1: {12: 2, 13: 3}}
     assert run_fixpoint(inst) == SOLVED
     assert inst.colors[11] == 1 and inst.colors[1] == inst.colors[2] == 3

@@ -376,9 +376,8 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches():
         answers = []
         for col in colorings:
             child = base.clone()
-            for v, c in zip(cycle, col):
-                child.commit_color(v, c, keep=True)
-            won = solver._dfs(child, stats)
+            ok = all(child.commit_color(v, c) for v, c in zip(cycle, col))
+            won = solver._dfs(child if ok else None, stats)
             answers.append(refutes(col))
             if answers[-1]:
                 assert won is None
@@ -425,9 +424,8 @@ def test_anchor_branch_verdicts_are_constant_on_color_orbits():
         verdicts = {}
         for col in full:
             child = base.clone()
-            for v, c in zip(cycle, col):
-                child.commit_color(v, c, keep=True)
-            verdicts[col] = solver._dfs(child, stats) is not None
+            ok = all(child.commit_color(v, c) for v, c in zip(cycle, col))
+            verdicts[col] = solver._dfs(child if ok else None, stats) is not None
         by_orbit = {}
         for col, won in verdicts.items():
             # the renaming that sends col to its orbit's least member
@@ -558,10 +556,9 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
                 if any(col[i] == col[i - 1] for i in range(len(cycle))):
                     continue
                 child = base.clone()
-                for v, c in zip(cycle, col):
-                    child.commit_color(v, c, keep=True)
+                ok = all(child.commit_color(v, c) for v, c in zip(cycle, col))
                 path.clear()
-                solver._dfs(child, base.stats)
+                solver._dfs(child if ok else None, base.stats)
     assert seen["analyzed"] >= 3700 and seen["single"] >= 1800
     assert seen["pair"] >= 700 and seen["one pair"] >= 1100
     assert seen["cut"] >= 1100 and seen["rule 6"] >= 12000
@@ -788,6 +785,45 @@ def test_solve_colors_the_false_twin_quotient():
         assert rep.witness is None if expected is None else verify_coloring(g, rep.witness)
     # of the edge and three isolated vertices, the edge and one are solved
     assert rep.stats["components_plain"] == 2
+
+
+def test_solve_leaves_its_input_unchanged():
+    # a twin-free input is its own quotient, so solve works on it in place:
+    # anchored and plain, with and without twins, its adjacency stays as it was
+    twin_free = next(g for g in map(c7_gadget, range(40)) if not false_twins(g))
+    cases = (
+        (twin_free, "components_anchored_7"),
+        (cycle_blowup([3, 2, 4, 2, 3, 2, 5]), "components_anchored_7"),
+        (cycle_graph(8), "components_plain"),
+    )
+    for g, kind in cases:
+        before = {v: set(nbrs) for v, nbrs in g._adj.items()}
+        rep = solve(g, witness=True)
+        assert rep.decision == "colorable" and rep.stats[kind] == 1
+        assert verify_coloring(g, rep.witness)
+        assert g._adj == before
+    assert "false_twins" in solve(cases[1][0]).stats
+    assert "false_twins" not in solve(twin_free).stats
+
+
+def test_every_firing_pass_leaves_two_or_three_colors(monkeypatch):
+    # F1 by construction: commit_color colors whatever a palette's last
+    # color forces, so no fixpoint pass leaves a palette of one color or none
+    real = reductions._one_pass
+    fired = 0
+
+    def checked(inst):
+        nonlocal fired
+        out = real(inst)
+        if out == "fired":
+            fired += 1
+            assert all(len(p) >= 2 for p in inst.palettes.values())
+        return out
+
+    monkeypatch.setattr(reductions, "_one_pass", checked)
+    for g in [c7_gadget(s) for s in range(300)] + [c9_gadget(s) for s in range(100)]:
+        solve(g)
+    assert fired > 300
 
 
 # -- report shape and modes -------------------------------------------------
