@@ -78,20 +78,23 @@ representatives are also the first colorings of that order, so a
 colorable component runs exactly the branches the full enumeration runs,
 up to the same winner and witness; only a rejection stops sooner.
 
-Once the first representative is rejected, the later ones are checked
-before they run, by forward checking (Haralick & Elliott 1980):
-`reductions.propagate` commits a prefix of the anchor coloring, striking
-each committed color from the neighbors' palettes, and every palette this
-leaves one color; an empty palette or a clash refutes the prefix.  Prefixes
-are checked shortest first, a shared one is propagated once, and a refuted
-one skips every representative that extends it.  Every propagation step is
-forced, so a refuted prefix has no extending 3-coloring of the component.
-A skipped representative's full branch could then only have been rejected,
-since a branch wins only on a witness that is verified; out of class it
-might instead have raised, and skipping it removes that refusal, never a
-verdict.  The representatives that survive run in the same order, through
-the same DFS from the unreduced component, so verdicts and witnesses are
-those of running them all.
+Every representative is checked before it runs, by forward checking
+(Haralick & Elliott 1980): `reductions.propagate` commits a prefix of the
+anchor coloring, striking each committed color from the neighbors'
+palettes, and every palette this leaves one color; an empty palette or a
+clash refutes the prefix.  Prefixes are checked shortest first, a shared
+one is propagated once, and a refuted one skips every representative that
+extends it.  Every propagation step is forced, so a refuted prefix has no
+extending 3-coloring of the component.  A skipped representative's full
+branch could then only have been rejected, since a branch wins only on a
+witness that is verified; out of class it might instead have raised, and
+skipping it removes that refusal, never a verdict.  The representatives
+that survive run in the same order.  Each root is the propagated state
+minus its colored non-anchors: propagation that meets no clash reaches
+one fixpoint whatever the order of its steps, so a root has the palettes,
+colors and graph that committing its anchors one at a time on the
+unreduced component leaves, and verdicts and witnesses are those of
+running them all.
 
 Deleted vertices re-enter the final coloring through the settled colors
 and replay records the reduction engine collects.
@@ -233,9 +236,9 @@ def _solve_component(g, core, trans, comp, stats):
     is empty: the part is then bipartite and holds no odd cycle.  Otherwise
     `patterns.find_induced_cycle` tries only the roots up to the largest
     vertex of the transversal.  The anchored run and the plain colorer work
-    on the whole component of g and never change it: `_run_anchored` and
-    `_prefix_refuter` only read it and change clones, and `_backtrack_color`
-    keeps its palettes and colors apart."""
+    on the whole component of g and never change it: `_run_anchored` only
+    reads it and changes clones, and `_backtrack_color` keeps its palettes
+    and colors apart."""
     if len(comp) < len(g):
         g = induced_subgraph(g, comp)
         core = induced_subgraph(core, [v for v in comp if v in core])
@@ -273,72 +276,50 @@ def _run_anchored(comp_graph, cycle, stats):
     """Run a DFS from each anchor coloring that begins (1, 2) in turn.
 
     These are the 21 (C7) or 85 (C9) orbit representatives of the cycle's
-    proper colorings under renaming the colors.  Each root commits its
-    anchor colors, which stay in the graph; a root whose commits clash is a
-    rejected branch.  The winning branch's settled colors and replay
+    proper colorings under renaming the colors.  None runs unchecked:
+    base's palettes and colors hold a prefix of anchor colors, which
+    `propagate` extends and `undo` cuts back to the prefix the next
+    coloring shares.  A coloring with a refuted prefix is skipped, and so is
+    each later one with the last refuted prefix (the module docstring says
+    why the answer stays the same).  A root is the propagated state minus
+    its colored non-anchors, the state that committing its anchors on an
+    unreduced clone leaves.  The winning branch's settled colors and replay
     records hold its witness.  Returns that branch, or None when every
     representative is rejected, and then so is every proper anchor
     coloring.
-
-    The first representative runs unchecked, since a colorable component
-    usually wins on it.  Once it is rejected, each later one first goes
-    through `_prefix_refuter`, which propagates only where it differs from
-    the one before; one with a refuted prefix is skipped unrun (the module
-    docstring says why the answer stays the same).
     """
     base = Instance(comp_graph, stats)
-    base.anchor_order = tuple(cycle)
+    anchors = base.anchor_order = tuple(cycle)
+    adj, palettes, colors = comp_graph._adj, base.palettes, base.colors
     colorings = _proper_cycle_colorings(len(cycle))
     stats.bump("anchor_colorings", len(colorings))
-    refutes = _prefix_refuter(comp_graph, cycle)
-    for i, col in enumerate(colorings):
-        if i and refutes(col):
+    trail: list = []
+    marks = [0]   # the trail length with each applied prefix, from the empty one
+    refuted = ()
+    for col in colorings:
+        if refuted and col[:len(refuted)] == refuted:
             stats.bump("anchor_colorings_skipped")
             continue
-        child = base.clone()
-        ok = all(child.commit_color(v, c) for v, c in zip(cycle, col))
-        winner = _dfs(child if ok else None, stats)
-        if winner is not None:
-            return winner
-    return None
-
-
-def _prefix_refuter(g, cycle):
-    """A test of anchor colorings: True when `propagate` on g refutes one
-    of the coloring's prefixes.
-
-    A prefix colors the first anchors of the cycle.  The last propagated
-    prefix stays applied and is undone only back to the one the next
-    coloring shares, so shorter prefixes are checked first.  The last
-    refuted prefix, the shortest of its coloring, settles those after it.
-    """
-    adj = g._adj
-    palettes = {v: ALL_COLORS for v in adj}
-    colors: dict[int, int] = {}
-    trail: list = []
-    applied: list = []   # the colors of the applied prefix
-    marks = [0]   # the trail length with each prefix applied, from the empty one
-    refuted = None
-
-    def refutes(col):
-        nonlocal refuted
-        if refuted is not None and col[:len(refuted)] == refuted:
-            return True
+        # an applied anchor holds its color
         d = 0
-        while d < len(applied) and applied[d] == col[d]:
+        while d < len(marks) - 1 and colors[cycle[d]] == col[d]:
             d += 1
         undo(palettes, colors, trail, marks[d])
-        del applied[d:], marks[d + 1:]
+        del marks[d + 1:]
         for i in range(d, len(col)):
             if not propagate(adj, palettes, colors, cycle[i], col[i], trail):
                 undo(palettes, colors, trail, marks[-1])
                 refuted = col[:i + 1]
-                return True
-            applied.append(col[i])
+                stats.bump("anchor_colorings_skipped")
+                break
             marks.append(len(trail))
-        return False
-
-    return refutes
+        else:
+            root = base.clone()
+            root.remove_region([v for v in colors if v not in anchors])
+            winner = _dfs(root, stats)
+            if winner is not None:
+                return winner
+    return None
 
 
 def _dfs(root, stats):
@@ -347,7 +328,7 @@ def _dfs(root, stats):
         inst = stack.pop()
         stats.bump("branches")
         if inst is None:
-            # a branch whose commits clashed
+            # a stage's child whose commits clashed
             continue
         out, kids = _advance(inst)
         if out == "solved":

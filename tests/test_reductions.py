@@ -401,18 +401,39 @@ def test_fixpoint_continue_on_stubborn_graph():
     assert inst.g.vertex_count() == 10
 
 
-def test_fixpoint_metric_strictly_decreases():
-    for i in range(40):
-        g = erdos_renyi(8, 0.3, split_seed(61, i))
-        inst = make_instance(g)
-        prev = inst.metric()
-        while True:
-            out = _one_pass(inst)
-            if out != "fired":
+def anchored_roots(graphs):
+    """Each gadget with an instance per anchor coloring whose commits do
+    not clash."""
+    for g in graphs:
+        for k in (7, 9):
+            cycle = find_induced_cycle(g, k)
+            if cycle is not None:
                 break
-            cur = inst.metric()
+        for coloring in _proper_cycle_colorings(k):
+            inst = make_instance(g)
+            inst.anchor_order = tuple(cycle)
+            if all(inst.commit_color(v, c) for v, c in zip(cycle, coloring)):
+                yield g, inst
+
+
+def test_fixpoint_metric_strictly_decreases():
+    # run_fixpoint ends because every firing pass deletes a vertex or
+    # shrinks a palette: (live vertices, total palette size) drops
+    def metric(inst):
+        return (inst.g.vertex_count(), sum(len(p) for p in inst.palettes.values()))
+
+    insts = [make_instance(erdos_renyi(8, 0.3, split_seed(61, i))) for i in range(40)]
+    gadgets = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
+    insts += [inst for _, inst in anchored_roots(gadgets)]
+    fired = 0
+    for inst in insts:
+        prev = metric(inst)
+        while _one_pass(inst) == "fired":
+            cur = metric(inst)
             assert cur < prev
             prev = cur
+            fired += 1
+    assert fired > 0
 
 
 def test_keyed_drop_replay():
@@ -427,22 +448,14 @@ def test_anchored_branches_record_only_dependent_colors():
     # deletions whose color depends on another vertex
     dependent = (RecDegree, RecDominated, RecKeyedDrop)
     records = solved = 0
-    for g in [c7_gadget(s) for s in range(6)] + [c9_gadget(s) for s in range(3)]:
-        for k in (7, 9):
-            cycle = find_induced_cycle(g, k)
-            if cycle is not None:
-                break
-        for coloring in _proper_cycle_colorings(k):
-            inst = make_instance(g)
-            inst.anchor_order = tuple(cycle)
-            if not all(inst.commit_color(v, c) for v, c in zip(cycle, coloring)):
-                continue
-            out = run_fixpoint(inst)
-            assert all(isinstance(rec, dependent) for rec in inst.replay)
-            records += len(inst.replay)
-            if out == SOLVED:
-                assert verify_coloring(g, inst.assemble_witness(g.vertices()))
-                solved += 1
+    gadgets = [c7_gadget(s) for s in range(6)] + [c9_gadget(s) for s in range(3)]
+    for g, inst in anchored_roots(gadgets):
+        out = run_fixpoint(inst)
+        assert all(isinstance(rec, dependent) for rec in inst.replay)
+        records += len(inst.replay)
+        if out == SOLVED:
+            assert verify_coloring(g, inst.assemble_witness(g.vertices()))
+            solved += 1
     assert records > 0 and solved > 0
 
 

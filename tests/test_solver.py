@@ -319,9 +319,9 @@ REFUTATION_BLOWUPS = (
 
 
 def test_anchored_refutations_reject_every_anchor_branch():
-    # every orbit representative of the anchor colorings is rejected: the
-    # first by its branch, and every later one by singleton propagation on
-    # a prefix, without a branch
+    # every orbit representative of the anchor colorings, the first
+    # included, is refuted by singleton propagation on a prefix, without a
+    # branch
     for sizes, cliques, n, count in REFUTATION_BLOWUPS:
         g = cycle_blowup(sizes, cliques=cliques)
         assert g.vertex_count() == n
@@ -331,8 +331,8 @@ def test_anchored_refutations_reject_every_anchor_branch():
         assert rep.witness is None
         assert rep.stats[f"components_anchored_{len(sizes)}"] == 1
         assert rep.stats["anchor_colorings"] == count
-        assert rep.stats["branches"] == 1
-        assert rep.stats["anchor_colorings_skipped"] == count - 1
+        assert rep.stats["branches"] == 0
+        assert rep.stats["anchor_colorings_skipped"] == count
 
 
 def _relabeled_c7_gadgets():
@@ -349,54 +349,70 @@ def _relabeled_c7_gadgets():
     return out
 
 
-def test_refuted_anchor_prefixes_only_skip_rejected_branches():
-    # run every representative as its own branch, the way solve would run
-    # it on the false-twin quotient: a representative whose prefix the
-    # propagation refutes is rejected by its branch too, and solve's
-    # witness is the first winner's
+def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
+    # record the root of each anchor coloring that propagates in full, with
+    # every root's DFS made to reject so that solve checks them all: each
+    # root equals its anchor commits on a clone of the unreduced quotient,
+    # a coloring solve skips is rejected by that full branch too, and
+    # solve's witness is the first winner's
     graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
     graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
     graphs += _relabeled_c7_gadgets()
+    dfs = solver._dfs
+    roots = []
+
+    def recorded(root, stats):
+        # the DFS changes its root, so keep what it starts from
+        start = (dict(root.palettes), dict(root.colors), root.g.copy()._adj)
+        roots.append(start + (dfs(root, stats),))
+        return None
+
     refuted_seen = refuted_colorable = 0
     for g in graphs:
         copies = false_twins(g)
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
         assert len(connected_components(h)) == 1
-        core = twin_core(h)
         for k in (7, 9):
-            cycle = patterns.find_induced_cycle(core, k)
+            cycle = patterns.find_induced_cycle(twin_core(h), k)
             if cycle is not None:
                 break
-        stats = Stats()
-        base = Instance(h, stats)
+        base = Instance(h, Stats())
         base.anchor_order = tuple(cycle)
-        refutes = solver._prefix_refuter(h, cycle)
-        colorings = _proper_cycle_colorings(k)
-        first = None
-        answers = []
-        for col in colorings:
+
+        def full_branch(col):
             child = base.clone()
             ok = all(child.commit_color(v, c) for v, c in zip(cycle, col))
-            won = solver._dfs(child if ok else None, stats)
-            answers.append(refutes(col))
-            if answers[-1]:
-                assert won is None
-            if won is not None and first is None:
+            return child if ok else None
+
+        roots.clear()
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_dfs", recorded)
+            every = solve(g)
+        ran = []
+        first = None
+        for palettes, colors, adj, won in roots:
+            col = tuple(colors[v] for v in cycle)
+            ran.append(col)
+            committed = full_branch(col)
+            assert palettes == committed.palettes
+            assert colors == committed.colors
+            assert adj == committed.g._adj
+            if first is None and won is not None:
                 first = won.assemble_witness(h.vertices())
-        # the refuter keeps its last propagated prefix applied: in reverse
-        # order it undoes other prefixes, and must answer the same
-        backwards = solver._prefix_refuter(h, cycle)
-        assert [backwards(col) for col in reversed(colorings)] == answers[::-1]
-        refuted = sum(answers)
+        skipped = [col for col in _proper_cycle_colorings(k) if col not in ran]
+        assert every.stats.get("anchor_colorings_skipped", 0) == len(skipped)
+        for col in skipped:
+            child = full_branch(col)
+            assert child is None or dfs(child, Stats()) is None
         rep = solve(g, witness=True)
         if first is None:
             assert rep.decision == "not_colorable"
         else:
-            refuted_colorable += refuted
+            refuted_colorable += len(skipped)
             for v, rep_v in copies.items():
                 first[v] = first[rep_v]
             assert rep.witness == first
-        refuted_seen += refuted
+        refuted_seen += len(skipped)
     # every representative of both blowups, and 11 of each of 11 gadgets
     assert refuted_seen - refuted_colorable == 21 + 85
     assert refuted_colorable >= 100
