@@ -334,10 +334,9 @@ def find_nonbipartite_neighborhood(g: Graph):
     class, so that case raises ClassViolationError with a 2P4 witness cut
     from the cycle.
 
-    `solver.solve` calls this on its false-twin quotient, where no two
-    vertices share an open neighborhood, so each neighborhood is scanned
-    once.  On a graph with false twins a copy repeats its representative's
-    scan, which comes first and so has already passed.
+    `solver.solve` calls this on the 3-core of its false-twin quotient.  On
+    a graph with false twins a copy repeats its representative's scan,
+    which comes first and so has already passed.
     """
     for v in g.vertices():
         nv = g._adj[v]

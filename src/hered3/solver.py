@@ -1,37 +1,59 @@
 """Decision pipeline for 3-coloring within the supported graph class.
 
-Up front the solver rejects two certificates that rule out any 3-coloring
-regardless of class membership: a vertex whose neighborhood contains an
-odd cycle (the vertex plus the cycle forms an odd wheel), and then an
-induced complement-of-C7.  The cheap neighborhood check goes first, since
-on dense inputs the co-C7 search is the slow one.  A graph that holds both
-is refused either way, only under the other counter; out of class, under
-assume_class, a neighborhood holding an odd hole of length 11 or more now
-raises its ClassViolationError ahead of the co-C7.  Each connected
-component is then solved independently.
+`solve` works in this order: the false-twin quotient h, the class check
+on h's twin core, the peel of h to its 3-core P, the two preflight
+certificates on P, then each connected component of P on its own.  The
+vertices peeled off and the false twins left out are colored last, and
+the coloring is verified on the whole input.
 
-All of this runs on the false-twin quotient h: the subgraph induced by the
-vertices that have no smaller false twin (`graph.false_twins`; false
-twins have equal open neighborhoods).  Each copy left out takes the color
-of its class's least vertex, and the coloring is verified on the whole
-input.  This is sound: h is an induced subgraph, so it stays in class,
-and a graph whose part h has no 3-coloring has none; a copy is not
-adjacent to its representative and has the same neighbors, so every edge
-stays proper.  h itself has no false twins.
+h is the subgraph induced by the vertices that have no smaller false twin
+(`graph.false_twins`; false twins have equal open neighborhoods).  Each
+copy left out takes the color of its class's least vertex.  This is
+sound: h is an induced subgraph, so it stays in class, and a graph whose
+part h has no 3-coloring has none; a copy is not adjacent to its
+representative and has the same neighbors, so every edge stays proper.  h
+itself has no false twins.
 
-The searches for patterns without twins run on the twin core of h
-(`graph.twin_core`, computed once per solve): the class check, the co-C7
-preflight and each component's search for its anchor cycle.  The core
+The class check runs on the twin core of h (`graph.twin_core`).  The core
 does not depend on the order of the deletions and keeps the least id of
-each twin class, so it is the twin core of the whole input too: each
-search gives the verdict it gives on the input, and the anchor cycle is
-the same one.  The odd-neighborhood preflight runs on h, not on the core,
-because K4 has true twins.  It picks the vertex and kind it picks on the
-input: a copy's neighborhood is its representative's, which comes first,
-and a shortest odd cycle in a neighborhood holds no two false twins, so
-swapping each copy on it for its representative gives one of the same
-length in h.  The anchored runs, the fixpoint, the stages and witness
-replay also work on h.
+each twin class, so it is the twin core of the whole input too, and the
+check gives the verdict it gives on the input.
+
+P is what is left of h after deleting vertices of degree at most 2 until
+none is left (Matula & Beck 1983).  A vertex of degree at most 2 has a
+free color once its neighbors are colored, so h is 3-colorable exactly
+when P is: P is an induced subgraph, and a coloring of P extends to the
+peeled vertices in the reverse of their deletion order, since each sees
+at most two colored neighbors, those left when it was deleted.  P is an
+induced subgraph of h, so it stays in class.  When nothing is left, the
+colors of the peel are the whole answer, and no preflight, anchor search
+or colorer runs.
+
+Up front, on P, the solver rejects two certificates that rule out any
+3-coloring regardless of class membership: a vertex whose neighborhood
+contains an odd cycle (the vertex plus the cycle forms an odd wheel), and
+then an induced complement-of-C7.  The cheap neighborhood check goes
+first, since on dense inputs the co-C7 search is the slow one.  A graph
+that holds both is refused either way, only under the other counter; out
+of class, under assume_class, a neighborhood holding an odd hole of length
+11 or more raises its ClassViolationError ahead of the co-C7.  Every
+certificate has minimum degree 3 or more (K4 and the rim of an odd wheel
+3, its hub and co-C7 more), and a subgraph of minimum degree 3 is never
+peeled: its first vertex to go would still have three neighbors.  So P
+holds every certificate h holds, with the same vertex and the same
+shortest odd cycle length in its neighborhood, and the verdict and the
+preflight counter are those of h.  The odd-neighborhood check runs on P
+itself, because K4 has true twins.  It picks the vertex and kind it picks
+on the input: a copy's neighborhood is its representative's, which comes
+first, and a shortest odd cycle in a neighborhood holds no two false
+twins, so swapping each copy on it for its representative gives one of
+the same length in h.
+
+The co-C7 preflight and each component's search for its anchor cycle run
+on the twin core of P; when nothing is peeled, P is h and its core is the
+one the class check used.  Neither pattern has twins, so each search
+gives the verdict it gives on P.  The anchored runs, the fixpoint, the
+stages and witness replay work on P.
 
 A component containing an induced 7-cycle is anchored on that cycle: the
 21 proper colorings of the anchor that begin (1, 2) are enumerated, one
@@ -145,12 +167,15 @@ def solve(
 ) -> SolveReport:
     """Decide 3-colorability of g by building and verifying a coloring.
 
-    witness only decides whether that coloring goes on the report, and
+    witness only decides whether that coloring goes on the report.
     stats["false_twins"] counts the vertices left out of the solve as copies
-    of a smaller false twin (see the module docstring).  Raises
-    ClassViolationError when the input is outside the supported class,
-    unless assume_class skips the membership check; on such input the
-    structural stages may then fail loudly.
+    of a smaller false twin, and stats["peeled"] the vertices of the
+    quotient outside its 3-core, colored after it.  The 3-core decides the
+    answer, and it holds every K4, odd wheel and co-C7 certificate of the
+    input, since each has minimum degree 3 (see the module docstring).
+    Raises ClassViolationError when the input is outside the supported
+    class, unless assume_class skips the membership check; on such input
+    the structural stages may then fail loudly.
     """
     start = perf_counter()
     stats = Stats()
@@ -159,31 +184,84 @@ def solve(
     if copies:
         stats.bump("false_twins", len(copies))
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
-    core = twin_core(h)
-    trans = odd_cycle_transversal(core)
+    core = trans = None
     if not assume_class:
+        core = twin_core(h)
+        trans = odd_cycle_transversal(core)
         offending = patterns.check_core(core, trans)
         if offending is not None:
             raise ClassViolationError(offending)
 
-    odd = patterns.find_nonbipartite_neighborhood(h)
-    if odd is not None:
-        stats.bump("preflight_odd_neighborhood_" + odd.kind)
-        return _report("not_colorable", None, stats, start)
-    if patterns.find_co_c7(core) is not None:
-        stats.bump("preflight_co_c7")
-        return _report("not_colorable", None, stats, start)
-
+    order = _peel_order(h._adj)
+    if order:
+        stats.bump("peeled", len(order))
     coloring: dict[int, int] = {}
-    for comp in connected_components(h):
-        cmap = _solve_component(h, core, trans, comp, stats)
-        if cmap is None:
+    if len(order) < len(h):
+        p = h
+        if order:
+            peeled = set(order)
+            p = induced_subgraph(h, [v for v in h._adj if v not in peeled])
+            core = None
+        if core is None:
+            core = twin_core(p)
+            trans = odd_cycle_transversal(core)
+        coloring = _color_graph(p, core, trans, stats)
+        if coloring is None:
             return _report("not_colorable", None, stats, start)
-        coloring.update(cmap)
+    adj = h._adj
+    for v in reversed(order):
+        # at most two neighbors are colored: those left when v was peeled
+        coloring[v] = min(ALL_COLORS - {coloring.get(w) for w in adj[v]})
     for v, rep in copies.items():
         coloring[v] = coloring[rep]
     _verify_witness(g, coloring)
     return _report("colorable", coloring if witness else None, stats, start)
+
+
+def _peel_order(adj) -> list[int]:
+    """The vertices outside the 3-core, in an order of deletion.
+
+    Each vertex, when its turn comes, has at most two neighbors that are
+    not yet deleted: those later in the order or in the core.  The order is
+    a list that grows as it is walked, seeded with the vertices of degree
+    at most 2 in adj's order (Matula & Beck 1983).  deg holds the degree
+    left to each vertex a deletion has touched, so a graph of minimum
+    degree 3 costs one scan of the degrees.
+    """
+    order = [v for v, nbrs in adj.items() if len(nbrs) < 3]
+    gone = set(order)
+    deg: dict[int, int] = {}
+    for v in order:
+        for w in adj[v]:
+            if w not in gone:
+                d = deg[w] = deg.get(w, len(adj[w])) - 1
+                if d < 3:
+                    gone.add(w)
+                    order.append(w)
+    return order
+
+
+def _color_graph(p, core, trans, stats):
+    """A 3-coloring of p, or None when it has none.
+
+    core is p's twin core and trans an odd-cycle transversal of it.  The
+    preflights come first, then each connected component is solved on its
+    own (see the module docstring).  `solve` passes the quotient's 3-core;
+    `testkit.solve_unpeeled` passes the whole quotient."""
+    odd = patterns.find_nonbipartite_neighborhood(p)
+    if odd is not None:
+        stats.bump("preflight_odd_neighborhood_" + odd.kind)
+        return None
+    if patterns.find_co_c7(core) is not None:
+        stats.bump("preflight_co_c7")
+        return None
+    coloring: dict[int, int] = {}
+    for comp in connected_components(p):
+        cmap = _solve_component(p, core, trans, comp, stats)
+        if cmap is None:
+            return None
+        coloring.update(cmap)
+    return coloring
 
 
 def _report(decision, witness_map, stats, start) -> SolveReport:

@@ -14,8 +14,16 @@ from itertools import combinations
 from random import Random
 
 from . import patterns, solver
-from .errors import GenerationError
-from .graph import Graph, connected_components
+from .errors import ClassViolationError, GenerationError
+from .graph import (
+    Graph,
+    connected_components,
+    false_twins,
+    induced_subgraph,
+    odd_cycle_transversal,
+    twin_core,
+)
+from .reductions import Stats
 
 ALL = (1, 2, 3)
 
@@ -583,6 +591,38 @@ class FuzzReport:
                 f"{len(self.mismatches)} mismatches, "
                 f"{len(self.violations)} invariant violations "
                 f"({self.elapsed:.1f}s)")
+
+
+def solve_unpeeled(g: Graph, *, witness: bool = True,
+                   assume_class: bool = False) -> solver.SolveReport:
+    """`solver.solve` minus its 3-core peel; the witness is on by default.
+
+    The preflights, the anchor search, the anchored runs, the stages and
+    the plain colorer run on the whole false-twin quotient, where `solve`
+    runs them on its 3-core.  On most generated inputs that core is empty,
+    so the tests that pin a stage, an anchor count or a plain component
+    pin them here; past the peel the code path is `solve`'s own.
+    """
+    start = time.perf_counter()
+    stats = Stats()
+    copies = false_twins(g)
+    h = g
+    if copies:
+        stats.bump("false_twins", len(copies))
+        h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
+    core = twin_core(h)
+    trans = odd_cycle_transversal(core)
+    if not assume_class:
+        offending = patterns.check_core(core, trans)
+        if offending is not None:
+            raise ClassViolationError(offending)
+    coloring = solver._color_graph(h, core, trans, stats)
+    if coloring is None:
+        return solver._report("not_colorable", None, stats, start)
+    for v, rep in copies.items():
+        coloring[v] = coloring[rep]
+    solver._verify_witness(g, coloring)
+    return solver._report("colorable", coloring if witness else None, stats, start)
 
 
 def _case_record(g, note):

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from hered3 import cli
+from hered3.errors import StageAssertionError
 from hered3.formats import format_edge_list, parse_edge_list
 from hered3.patterns import check_class, find_induced_cycle
-from hered3.testkit import erdos_renyi, split_seed, verify_coloring
+from hered3.testkit import erdos_renyi, solve_unpeeled, split_seed, verify_coloring
 
 SCHEMA = json.loads((Path(cli.__file__).parent / "report_schema.json").read_text())
 
@@ -148,28 +149,59 @@ def test_solve_assume_class(write, capsys):
     assert out.splitlines()[0] == "colorable"
 
 
+# a waived draft of tests/test_acceptance.py's gate 5 (number 2108 of
+# Random(505)): out of class (induced C5) and 3-colorable, and its 3-core
+# holds the anchor cycle and the partial outer neighbor the stages refuse
+STAGE_REFUSAL = ("1 2, 1 7, 1 11, 2 3, 2 10, 3 4, 3 11, 4 5, 4 9, 5 6, 5 8, 6 7, 6 9, "
+                 "7 10, 8 10, 8 13, 8 17, 9 12, 9 16, 10 12, 10 13, 10 15, 11 16, "
+                 "12 17, 14 17, 16 17")
+
+
+def assert_waived_solve_answers(capsys, path):
+    """solve --assume-class --witness exits 0 with a verified witness."""
+    code, out, err = run(capsys, "solve", path, "--assume-class", "--witness")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "colorable"
+    doc = parse_edge_list(Path(path).read_text())
+    by_label = {label: int(color) for _, label, color in map(str.split, lines[1:])}
+    assert verify_coloring(doc.graph, {v: by_label[lab] for v, lab in doc.labels.items()})
+    return doc
+
+
 def test_solve_stage_refusal_is_an_error(write, capsys):
     # out of class (induced C5) and 3-colorable; with the scan waived the
     # stage ladder refuses the shape, which must not read as "not colorable"
-    g = erdos_renyi(16, 0.15, split_seed(9, 1209))
-    path = write("er.edges", format_edge_list(g))
+    path = write("draft.edges", "\n".join(STAGE_REFUSAL.split(", ")) + "\n")
     code, out, err = run(capsys, "solve", path, "--assume-class")
     assert code == 3
     assert out == ""
     assert err == "error: partial outer neighbor outside its allowed shape\n"
+    # the input this test used before: the stages refuse it on the unpeeled
+    # quotient, and solve peels its quotient whole and colors it
+    g = erdos_renyi(16, 0.15, split_seed(9, 1209))
+    with pytest.raises(StageAssertionError, match="^partial outer neighbor outside its allowed shape$"):
+        solve_unpeeled(g, assume_class=True)
+    path = write("er.edges", format_edge_list(g))
+    doc = assert_waived_solve_answers(capsys, path)
+    code, report, _ = run_json(capsys, "solve", path, "--assume-class", "--json")
+    assert code == 0
+    assert report["stats"]["peeled"] == doc.graph.vertex_count() - report["stats"].get("false_twins", 0)
 
 
 def test_solve_waived_two_part_border_is_a_stage_refusal(write, capsys):
-    # colorable, with an induced 2P4; the relevant component behind the
-    # anchor meets the rim at two nonadjacent vertices
+    # colorable, with an induced 2P4; on the unpeeled quotient the relevant
+    # component behind the anchor meets the rim at two nonadjacent vertices,
+    # a stage refusal, and solve peels the quotient whole and exits 0
     edges = ("1 2, 1 7, 1 13, 1 14, 2 3, 2 15, 2 16, 3 4, 3 13, 3 14, 4 5, 5 6, "
              "6 7, 7 16, 8 11, 8 12, 8 13, 9 11, 9 12, 9 14, 10 11, 10 12, "
              "11 12, 13 15, 14 16")
     path = write("border.edges", "\n".join(edges.split(", ")) + "\n")
-    code, out, err = run(capsys, "solve", path, "--assume-class")
-    assert code == 3
-    assert out == ""
-    assert err == "error: relevant component behind a disconnected border\n"
+    doc = assert_waived_solve_answers(capsys, path)
+    with pytest.raises(StageAssertionError, match="^relevant component behind a disconnected border$"):
+        solve_unpeeled(doc.graph, assume_class=True)
+    code, report, _ = run_json(capsys, "solve", path, "--assume-class", "--json")
+    assert code == 0 and report["stats"]["peeled"] == 16
 
 
 def test_solve_palette_annotations_warn(write, capsys):

@@ -2,6 +2,10 @@
 
 Decisions are checked against the exhaustive oracle in testkit, and the
 stats counters pin down which route of the pipeline produced each verdict.
+`solve` peels its quotient to the 3-core first, and on most inputs here
+nothing is left; the pins of the anchored runs, the stages and the plain
+colorer run on `testkit.solve_unpeeled`, which runs the same route on the
+whole quotient, and `solve`'s own answer on the same input is checked too.
 """
 
 import sys
@@ -35,13 +39,30 @@ from hered3.testkit import (
     crown_graph,
     cycle_blowup,
     cycle_graph,
+    erdos_renyi,
     naive_in_class,
     named_graph,
     oracle_list3color,
     path_graph,
+    solve_unpeeled,
     split_seed,
     verify_coloring,
 )
+
+
+def oracle_solve(g, assume_class=False):
+    """solve(g) with a witness, its verdict the oracle's and its witness
+    verified."""
+    rep = solve(g, witness=True, assume_class=assume_class)
+    want = oracle_list3color(g)
+    assert rep.decision == ("not_colorable" if want is None else "colorable")
+    assert rep.witness is None if want is None else verify_coloring(g, rep.witness)
+    return rep
+
+
+def quotient_size(g, rep):
+    """The vertex count of the false-twin quotient that rep solved."""
+    return g.vertex_count() - rep.stats.get("false_twins", 0)
 
 
 def wheel(k):
@@ -156,14 +177,20 @@ def test_bipartite_components_skip_the_anchor_search(monkeypatch):
 
     monkeypatch.setattr(patterns, "find_induced_cycle", recorded)
     for g in (crown_graph(6), cycle_graph(8)):
-        rep = solve(g, witness=True)
+        rep = solve_unpeeled(g)
         assert rep.decision == "colorable"
         assert rep.stats["components_plain"] == 1
         assert verify_coloring(g, rep.witness)
     assert calls == []
-    rep = solve(cycle_graph(7))
+    rep = solve_unpeeled(cycle_graph(7))
     assert rep.stats["components_anchored_7"] == 1
     assert calls == [5, 7]
+    # solve: S_6 is its own 3-core, and a cycle peels away whole, so its
+    # only search is the class check's C5
+    calls.clear()
+    for g, peeled in ((crown_graph(6), 0), (cycle_graph(8), 8), (cycle_graph(7), 7)):
+        assert oracle_solve(g).stats.get("peeled", 0) == peeled
+    assert calls == [5]
 
 
 def test_co_c7_preflight_skips_roots_with_independent_neighbourhoods(monkeypatch):
@@ -215,12 +242,13 @@ def test_out_of_class_input_raises_with_witness():
 
 
 def test_out_of_class_inputs_solve_under_waiver():
-    for g in (cycle_graph(5), named_graph("petersen")):
-        rep = solve(g, witness=True, assume_class=True)
+    for g, peeled in ((cycle_graph(5), 5), (named_graph("petersen"), 0)):
+        rep = solve_unpeeled(g, assume_class=True)
         assert rep.decision == "colorable"
         assert rep.witness is not None
         assert verify_coloring(g, rep.witness)
         assert rep.stats["components_plain"] == 1
+        assert oracle_solve(g, assume_class=True).stats.get("peeled", 0) == peeled
 
 
 def test_waiver_on_uncolorable_input_stays_honest():
@@ -278,23 +306,28 @@ def test_seven_cycle_enumerates_all_anchor_colorings():
     # one anchor branch per orbit of the 126 proper colorings under the
     # six color permutations
     g = cycle_graph(7)
-    rep = solve(g, witness=True)
+    rep = solve_unpeeled(g)
     assert rep.decision == "colorable"
     assert rep.witness is not None
     assert verify_coloring(g, rep.witness)
     assert rep.stats["anchor_colorings"] == 21
     assert rep.stats["components_anchored_7"] == 1
+    # solve peels the cycle whole and searches no anchor
+    rep = oracle_solve(g)
+    assert rep.stats["peeled"] == 7 and "anchor_colorings" not in rep.stats
 
 
 def test_nine_cycle_enumerates_all_anchor_colorings():
     # one anchor branch per orbit of the 510 proper colorings
     g = cycle_graph(9)
-    rep = solve(g, witness=True)
+    rep = solve_unpeeled(g)
     assert rep.decision == "colorable"
     assert verify_coloring(g, rep.witness)
     assert rep.stats["anchor_colorings"] == 85
     assert rep.stats["components_anchored_9"] == 1
     assert rep.stats["branches"] >= 1
+    rep = oracle_solve(g)
+    assert rep.stats["peeled"] == 9 and "anchor_colorings" not in rep.stats
 
 
 def test_anchor_colorings_are_built_once_in_lexicographic_order():
@@ -351,10 +384,11 @@ def _relabeled_c7_gadgets():
 
 def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
     # record the root of each anchor coloring that propagates in full, with
-    # every root's DFS made to reject so that solve checks them all: each
-    # root equals its anchor commits on a clone of the unreduced quotient,
-    # a coloring solve skips is rejected by that full branch too, and
-    # solve's witness is the first winner's
+    # every root's DFS made to reject so that the unpeeled route checks them
+    # all: each root equals its anchor commits on a clone of the unreduced
+    # quotient, a coloring it skips is rejected by that full branch too,
+    # and its witness is the first winner's.  solve itself peels each
+    # colorable gadget whole and runs each blowup, its own 3-core, as is
     graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
     graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
     graphs += _relabeled_c7_gadgets()
@@ -387,7 +421,7 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
         roots.clear()
         with monkeypatch.context() as m:
             m.setattr(solver, "_dfs", recorded)
-            every = solve(g)
+            every = solve_unpeeled(g)
         ran = []
         first = None
         for palettes, colors, adj, won in roots:
@@ -404,7 +438,7 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
         for col in skipped:
             child = full_branch(col)
             assert child is None or dfs(child, Stats()) is None
-        rep = solve(g, witness=True)
+        rep = solve_unpeeled(g)
         if first is None:
             assert rep.decision == "not_colorable"
         else:
@@ -413,6 +447,8 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
                 first[v] = first[rep_v]
             assert rep.witness == first
         refuted_seen += len(skipped)
+        whole = oracle_solve(g)
+        assert whole.stats.get("peeled", 0) == (0 if first is None else len(h))
     # every representative of both blowups, and 11 of each of 11 gadgets
     assert refuted_seen - refuted_colorable == 21 + 85
     assert refuted_colorable >= 100
@@ -606,10 +642,11 @@ def test_rimmed_cycle_routes_through_expected_stages():
     # rotation 0 keeps both rims on opposing anchor pairs; rotations 1..3
     # make the solver anchor a different 7-cycle and the surviving rim
     # class faces a lone full-palette vertex
+    # on the unpeeled quotient; solve peels each one whole
     for r in range(7):
         g = rimmed_seven_cycle(r)
         assert check_class(g) is None
-        rep = solve(g, witness=True)
+        rep = solve_unpeeled(g)
         want = oracle_list3color(g)
         assert (rep.decision == "colorable") == (want is not None)
         if rep.decision == "colorable":
@@ -619,6 +656,7 @@ def test_rimmed_cycle_routes_through_expected_stages():
         elif r in (1, 2, 3):
             assert rep.stats["stage_component_cases"] >= 1
             assert rep.stats["case_border_single_vertex"] >= 1
+        assert oracle_solve(g).stats["peeled"] == 12
 
 
 def test_generated_anchored_graphs_match_oracle():
@@ -640,16 +678,20 @@ def test_generated_anchored_graphs_match_oracle():
 
 def test_cut_reduction_witnesses_cover_exactly_the_input():
     # the region behind the border vertex is colored only by replay; the
-    # witness must hold the input's vertices and nothing else
+    # witness must hold the input's vertices and nothing else.  solve peels
+    # these gadgets whole, so its witness holds them by the peel
     cut = 0
     for seed in range(40):
         g = c7_gadget(seed)
-        rep = solve(g, witness=True)
+        whole = oracle_solve(g)
+        assert set(whole.witness) == set(g.vertices()), seed
+        rep = solve_unpeeled(g)
         if not rep.stats.get("op_cut_reduction"):
             continue
         cut += 1
         assert set(rep.witness) == set(g.vertices()), seed
         assert verify_coloring(g, rep.witness)
+        assert whole.stats["peeled"] == quotient_size(g, whole)
     assert cut >= 15
 
 
@@ -667,7 +709,7 @@ def test_anchored_branch_graphs_are_induced_subgraphs(monkeypatch):
     for seed in range(40):
         g = c7_gadget(seed)
         seen.clear()
-        solve(g)
+        solve_unpeeled(g)
         assert seen, seed
         for h in seen:
             assert set(h.vertices()) <= set(g.vertices()), seed
@@ -687,8 +729,12 @@ def test_waived_border_of_two_parts_is_a_stage_refusal():
     assert oracle_list3color(g) is not None
     with pytest.raises(ClassViolationError):
         solve(g)
+    with pytest.raises(ClassViolationError):
+        solve_unpeeled(g)
     with pytest.raises(StageAssertionError, match="behind a disconnected border"):
-        solve(g, assume_class=True)
+        solve_unpeeled(g, assume_class=True)
+    # solve peels it whole: the refusal becomes an answer
+    assert oracle_solve(g, assume_class=True).stats["peeled"] == 16
 
 
 def test_waived_c9_branch_the_fixpoint_leaves_open_is_a_stage_refusal():
@@ -701,8 +747,12 @@ def test_waived_c9_branch_the_fixpoint_leaves_open_is_a_stage_refusal():
     assert oracle_list3color(g) is not None
     with pytest.raises(ClassViolationError):
         solve(g)
+    with pytest.raises(ClassViolationError):
+        solve_unpeeled(g)
     with pytest.raises(StageAssertionError, match="fixpoint did not fully resolve a C9 branch"):
-        solve(g, assume_class=True)
+        solve_unpeeled(g, assume_class=True)
+    # solve peels it whole: the refusal becomes an answer
+    assert oracle_solve(g, assume_class=True).stats["peeled"] == 13
 
 
 def test_solve_builds_one_twin_core(monkeypatch):
@@ -743,8 +793,9 @@ def test_solve_walks_one_transversal_per_core(monkeypatch):
     assert rep.decision == "colorable"
     assert calls == [7]
 
-    # several components: each is anchored on the cycle it gets alone, and
-    # the path's part of the transversal is empty, so it is not searched
+    # several components, unpeeled: each is anchored on the cycle it gets
+    # alone, and the path's part of the transversal is empty, so it is not
+    # searched
     anchors = []
     searches = []
     real = solver._run_anchored
@@ -765,16 +816,21 @@ def test_solve_walks_one_transversal_per_core(monkeypatch):
                          + list(zip(second, second[1:] + second[:1]))
                          + [(15, 16), (16, 17), (17, 18)])
     # two disjoint 7-cycles hold an induced 2P4
-    rep = solve(g, witness=True, assume_class=True)
+    rep = solve_unpeeled(g, assume_class=True)
     assert rep.decision == "colorable"
     assert rep.stats["components_anchored_7"] == 2
     assert rep.stats["components_plain"] == 1
     assert searches == [(1, 7), (8, 7)]
     whole, anchors[:] = anchors[:], []
     for comp in connected_components(g):
-        alone = solve(induced_subgraph(g, comp), witness=True, assume_class=True)
+        alone = solve_unpeeled(induced_subgraph(g, comp), assume_class=True)
         assert alone.witness == {v: rep.witness[v] for v in comp}
     assert whole == anchors == [(1, 2, 3, 4, 5, 6, 7), (8, 10, 12, 14, 9, 11, 13)]
+    # solve peels all three components whole and searches nothing
+    searches.clear()
+    anchors.clear()
+    assert oracle_solve(g, assume_class=True).stats["peeled"] == 18
+    assert searches == [] and anchors == []
 
 
 def test_solve_colors_the_false_twin_quotient():
@@ -799,13 +855,16 @@ def test_solve_colors_the_false_twin_quotient():
         assert rep.stats["false_twins"] == copies
         assert rep.decision == ("colorable" if expected is not None else "not_colorable")
         assert rep.witness is None if expected is None else verify_coloring(g, rep.witness)
-    # of the edge and three isolated vertices, the edge and one are solved
-    assert rep.stats["components_plain"] == 2
+    # of the edge and three isolated vertices, the edge and one are solved:
+    # peeled by solve, as two plain components on the unpeeled quotient
+    assert rep.stats["peeled"] == 3
+    assert solve_unpeeled(g).stats["components_plain"] == 2
 
 
 def test_solve_leaves_its_input_unchanged():
     # a twin-free input is its own quotient, so solve works on it in place:
-    # anchored and plain, with and without twins, its adjacency stays as it was
+    # anchored and plain, with and without twins, peeled or not, its
+    # adjacency stays as it was; the anchored and plain routes run unpeeled
     twin_free = next(g for g in map(c7_gadget, range(40)) if not false_twins(g))
     cases = (
         (twin_free, "components_anchored_7"),
@@ -814,10 +873,21 @@ def test_solve_leaves_its_input_unchanged():
     )
     for g, kind in cases:
         before = {v: set(nbrs) for v, nbrs in g._adj.items()}
-        rep = solve(g, witness=True)
+        rep = solve_unpeeled(g)
         assert rep.decision == "colorable" and rep.stats[kind] == 1
         assert verify_coloring(g, rep.witness)
         assert g._adj == before
+        rep = oracle_solve(g)
+        assert rep.stats["peeled"] == quotient_size(g, rep)
+        assert g._adj == before
+    # a refutation blowup is its own 3-core, so solve runs the anchored
+    # route on the input itself
+    sizes, cliques, _, _ = REFUTATION_BLOWUPS[0]
+    g = cycle_blowup(sizes, cliques=cliques)
+    before = {v: set(nbrs) for v, nbrs in g._adj.items()}
+    rep = oracle_solve(g)
+    assert rep.stats["components_anchored_7"] == 1 and "peeled" not in rep.stats
+    assert g._adj == before
     assert "false_twins" in solve(cases[1][0]).stats
     assert "false_twins" not in solve(twin_free).stats
 
@@ -838,8 +908,179 @@ def test_every_firing_pass_leaves_two_or_three_colors(monkeypatch):
 
     monkeypatch.setattr(reductions, "_one_pass", checked)
     for g in [c7_gadget(s) for s in range(300)] + [c9_gadget(s) for s in range(100)]:
-        solve(g)
+        solve_unpeeled(g)
     assert fired > 300
+
+
+# -- the 3-core peel -----------------------------------------------------------
+
+def naive_3_core(g):
+    """The 3-core by deleting one vertex of degree at most 2 at a time."""
+    keep = set(g.vertices())
+    while True:
+        low = [v for v in sorted(keep) if len(g.neighbors(v) & keep) < 3]
+        if not low:
+            return keep
+        keep.discard(low[0])
+
+
+def test_peel_order_leaves_the_3_core():
+    # the order holds every vertex outside the 3-core once, and each has at
+    # most two neighbors later in it or in the core
+    rng = Random(77)
+    nonempty = 0
+    for i in range(400):
+        g = erdos_renyi(rng.randint(0, 24), rng.choice((0.1, 0.2, 0.3)), split_seed(77, i))
+        order = solver._peel_order(g._adj)
+        core = naive_3_core(g)
+        assert len(order) == len(set(order)) and set(order) == set(g.vertices()) - core
+        for pos, v in enumerate(order):
+            assert len(g.neighbors(v) & (core | set(order[pos + 1:]))) <= 2
+        nonempty += bool(core)
+    assert nonempty >= 50
+
+
+def test_empty_3_core_runs_no_preflight_search_or_colorer(monkeypatch):
+    # the quotient of a gadget or a blowup peels away whole: solve colors it
+    # back with no preflight, anchor search, anchored run or colorer, and
+    # under the waiver it builds no twin core either
+    # built first: the generators run class checks of their own
+    graphs = [c7_gadget(s) for s in range(20)] + [c9_gadget(s) for s in range(10)]
+    graphs += [cycle_blowup([2, 3, 1, 2, 1, 2, 1]), complete_bipartite(9, 21)]
+    calls = []
+
+    def recorded(mod, name):
+        real = getattr(mod, name)
+
+        def run(*args, **kwargs):
+            calls.append((name, args[1] if name == "find_induced_cycle" else None))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, run)
+
+    for name in ("find_induced_cycle", "find_co_c7", "find_nonbipartite_neighborhood"):
+        recorded(patterns, name)
+    for name in ("_run_anchored", "_backtrack_color", "twin_core"):
+        recorded(solver, name)
+    for g in graphs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # K_{9,21} for the oracle
+            rep = oracle_solve(g)
+        assert rep.stats["peeled"] == quotient_size(g, rep)
+        # the class check builds the twin core and searches it for a C5
+        assert {c for c in calls if c != ("find_induced_cycle", 5)} <= {("twin_core", None)}
+        calls.clear()
+        rep = solve(g, witness=True, assume_class=True)
+        assert rep.decision == "colorable" and verify_coloring(g, rep.witness)
+        assert calls == []
+
+
+def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
+    # a refutation blowup's quotient is its own 3-core: _solve_component gets
+    # the quotient, its twin core and its transversal, the objects solve
+    # built, with no copy and no second core
+    built = {"twin_core": [], "odd_cycle_transversal": []}
+    handed = []
+
+    def recorded(name):
+        real = getattr(solver, name)
+
+        def run(g):
+            built[name].append(real(g))
+            return built[name][-1]
+        monkeypatch.setattr(solver, name, run)
+
+    recorded("twin_core")
+    recorded("odd_cycle_transversal")
+    real = solver._solve_component
+
+    def component(g, core, trans, comp, stats):
+        handed.append((g, core, trans))
+        return real(g, core, trans, comp, stats)
+
+    monkeypatch.setattr(solver, "_solve_component", component)
+    for sizes, cliques, _, _ in REFUTATION_BLOWUPS:
+        g = cycle_blowup(sizes, cliques=cliques)
+        assert not false_twins(g)
+        for assume_class in (False, True):
+            built["twin_core"].clear()
+            built["odd_cycle_transversal"].clear()
+            handed.clear()
+            rep = solve(g, assume_class=assume_class)
+            assert rep.decision == "not_colorable" and "peeled" not in rep.stats
+            (core,), (trans,) = built["twin_core"], built["odd_cycle_transversal"]
+            assert len(handed) == 1
+            assert handed[0][0] is g and handed[0][1] is core and handed[0][2] is trans
+
+
+def with_pendant_trees(g, rng, count):
+    """g with count new vertices, each joined to one vertex before it."""
+    for _ in range(count):
+        v = g.add_vertex()
+        g.add_edge(v, rng.choice([u for u in g.vertices() if u != v]))
+    return g
+
+
+def test_preflight_certificates_survive_the_peel():
+    # K4, an odd wheel and co-C7 have minimum degree 3 or more, so each lies
+    # in the 3-core and the preflight finds it there under the same counter
+    # as on the unpeeled quotient
+    rng = Random(31)
+    cases = (("k4", "preflight_odd_neighborhood_k4"), ("w5", "preflight_odd_neighborhood_c5"),
+             ("w7", "preflight_odd_neighborhood_c7"), ("co_c7", "preflight_co_c7"))
+    for _ in range(10):
+        for name, counter in cases:
+            base = wheel(int(name[1])) if name[0] == "w" else named_graph(name)
+            trees = rng.randint(1, 12)
+            g = with_pendant_trees(base, rng, trees)
+            rep = solve(g, witness=True, assume_class=True)
+            assert rep.decision == "not_colorable" and rep.witness is None
+            assert rep.stats[counter] == 1
+            assert rep.stats["peeled"] == trees - rep.stats.get("false_twins", 0)
+            unpeeled = solve_unpeeled(g, assume_class=True).stats
+            assert {k: v for k, v in unpeeled.items() if k.startswith("preflight")} == {counter: 1}
+
+
+def test_a_long_path_colors_back_without_recursion():
+    # the peel and the color-back are loops: a 20,000-vertex path, which
+    # holds an induced 2P4, peels whole under the waiver
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        g = path_graph(20_000)
+        rep = solve(g, witness=True, assume_class=True)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old)
+    assert rep.decision == "colorable" and verify_coloring(g, rep.witness)
+    assert rep.stats["peeled"] == 20_000
+
+
+def test_random_graphs_match_the_oracle_through_the_peel():
+    # 2,000 erdos_renyi graphs with and without the waiver: in class, solve
+    # gives the oracle's verdict and a verified witness; out of class it
+    # raises without the waiver and answers or refuses a stage with it
+    rng = Random(2024)
+    in_class = refuted = peeled_some = core_left = refused = 0
+    for i in range(2000):
+        g = erdos_renyi(rng.randint(5, 16), rng.choice((0.15, 0.25, 0.4)), split_seed(2024, i))
+        member = check_class(g) is None
+        if member:
+            in_class += 1
+            rep = oracle_solve(g)
+        else:
+            with pytest.raises(ClassViolationError):
+                solve(g)
+            try:
+                rep = oracle_solve(g, assume_class=True)
+            except StageAssertionError:
+                refused += 1
+                continue
+        refuted += rep.decision == "not_colorable"
+        peeled = rep.stats.get("peeled", 0)
+        peeled_some += peeled > 0
+        core_left += peeled < quotient_size(g, rep)
+    assert in_class >= 900 and refuted >= 300
+    assert peeled_some >= 1500 and core_left >= 500 and refused <= 20
 
 
 # -- report shape and modes -------------------------------------------------
@@ -875,15 +1116,19 @@ def test_large_plain_components_get_a_witness():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
+        # the colorer on the unpeeled quotient, and solve, which peels
+        # each quotient whole (K_{30,30,30}'s is a triangle)
         for g in (star, tripartite, big_star, path_graph(6)):
             assert check_class(g) is None
-            t0 = time.perf_counter()
-            rep = solve(g, witness=True)
-            took = time.perf_counter() - t0
-            assert rep.decision == "colorable"
-            assert rep.stats["components_plain"] == 1
-            assert verify_coloring(g, rep.witness)
-            assert took < 5, f"{g.vertex_count()} vertices: {took:.2f}s"
+            for run in (solve_unpeeled, solve):
+                t0 = time.perf_counter()
+                rep = run(g, witness=True)
+                took = time.perf_counter() - t0
+                assert rep.decision == "colorable"
+                assert verify_coloring(g, rep.witness)
+                assert took < 5, f"{g.vertex_count()} vertices: {took:.2f}s"
+            assert solve_unpeeled(g).stats["components_plain"] == 1
+            assert rep.stats["peeled"] == quotient_size(g, rep)
         assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(old)
@@ -919,12 +1164,16 @@ def test_plain_component_that_needs_backtracking():
     assert check_class(g) is None
     assert _dsatur_without_undo(g) is None
     assert oracle_list3color(g) is not None
-    rep = solve(g, witness=True)
+    rep = solve_unpeeled(g)
     assert rep.decision == "colorable"
     assert rep.stats["components_plain"] == 1
     assert verify_coloring(g, rep.witness)
     assert rep.witness == {1: 1, 2: 2, 3: 3, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 1,
                            11: 1, 12: 1}
+    # solve peels six vertices and colors the 3-core of six as a plain
+    # component
+    rep = oracle_solve(g)
+    assert rep.stats["peeled"] == 6 and rep.stats["components_plain"] == 1
 
 
 def test_cograph_component_rule_fires_in_a_solve():
@@ -946,11 +1195,14 @@ def test_cograph_component_rule_fires_in_a_solve():
     assert check_class(g) is None
     assert naive_in_class(g)
     assert oracle_list3color(g) is not None
-    rep = solve(g, witness=True)
+    rep = solve_unpeeled(g)
     assert rep.decision == "colorable"
     assert rep.stats["components_anchored_7"] == 1
     assert rep.stats["rule_cograph_component"] >= 1
     assert verify_coloring(g, rep.witness)
+    # solve peels the cycle and keeps x and the bowtie, a plain component
+    rep = oracle_solve(g)
+    assert rep.stats["peeled"] == 7 and rep.stats["components_plain"] == 1
 
 
 def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeypatch):
@@ -970,11 +1222,13 @@ def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeyp
         built.append(within)
         return cotree(g, within)
 
-    # built first: the generator's class check builds cotrees of its own
+    # built first: the generator's class check builds cotrees of its own;
+    # solve peels the gadget whole and runs rule 7 on nothing
     g = c7_gadget(0)
+    assert oracle_solve(g).stats["peeled"] == g.vertex_count()
     monkeypatch.setattr(reductions, "_cograph_component", counted_rule7)
     monkeypatch.setattr(cograph, "cotree_or_failure", counted_cotree)
-    rep = solve(g, witness=True, assume_class=True)
+    rep = solve_unpeeled(g, assume_class=True)
     assert rep.decision == "colorable"
     assert verify_coloring(g, rep.witness)
     assert calls == [(True, 0)]
@@ -1026,7 +1280,7 @@ def test_stages_build_no_cotree_of_their_own(monkeypatch):
     cuts = pairs = 0
     for g in [c7_gadget(seed) for seed in range(40)] + [rimmed_seven_cycle(r) for r in range(4)]:
         advances.clear()
-        rep = solve(g, witness=True, assume_class=True)
+        rep = solve_unpeeled(g, assume_class=True)
         if not rep.stats.get("op_cut_reduction") and not rep.stats.get("stage_opposing_pairs"):
             continue
         cuts += bool(rep.stats.get("op_cut_reduction"))
@@ -1104,10 +1358,12 @@ def test_disconnected_components_combine():
     edges = [(i, (i + 1) % 7) for i in range(7)]
     edges += [(7, 8), (8, 9), (7, 9)]
     g = Graph.from_edges(range(11), edges)
-    rep = solve(g, witness=True)
-    assert rep.decision == "colorable"
-    assert verify_coloring(g, rep.witness)
-    assert set(rep.witness) == set(range(11))
+    for rep in (solve_unpeeled(g), oracle_solve(g)):
+        assert rep.decision == "colorable"
+        assert verify_coloring(g, rep.witness)
+        assert set(rep.witness) == set(range(11))
+    assert rep.stats["peeled"] == 11
+    rep = solve_unpeeled(g)
     assert rep.stats["components_anchored_7"] == 1
     assert rep.stats["components_plain"] == 2
 
