@@ -176,6 +176,8 @@ def _cmd_generate(args) -> int:
 def _cmd_fuzz(args) -> int:
     if args.budget < 1:
         raise InputError("--budget must be a positive number of cases")
+    if args.sizes is not None and args.kind != "erdos-renyi":
+        raise InputError(f"--sizes applies to --kind erdos-renyi only, not {args.kind}")
     try:
         sizes = tuple(int(t) for t in (args.sizes or "8,10,12,14,16").split(",") if t)
     except ValueError as exc:
@@ -183,10 +185,12 @@ def _cmd_fuzz(args) -> int:
     if not sizes or any(n < 1 for n in sizes):
         raise InputError("--sizes needs one or more positive entries")
     generator = None
-    if args.kind == "c7-gadget":
-        generator = testkit.c7_gadget
-    elif args.kind == "c9-gadget":
-        generator = testkit.c9_gadget
+    if args.kind != "erdos-renyi":
+        # the gadget kinds size themselves; a bare gadget peels away whole,
+        # so each one is thickened with its own seed, which often keeps its
+        # anchor cycle, and with it the stages, in the 3-core
+        gadget = testkit.c7_gadget if args.kind == "c7-gadget" else testkit.c9_gadget
+        generator = lambda seed: testkit.thicken(gadget(seed), seed)
     rep = testkit.differential_fuzz(args.budget, args.seed, sizes=sizes,
                                     generator=generator)
     report = {
@@ -270,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=200, help="number of cases")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", default=None,
-                   help="comma-separated vertex counts (default 8,10,12,14,16)")
+                   help="comma-separated vertex counts for --kind erdos-renyi "
+                        "(default 8,10,12,14,16)")
     p.add_argument("--kind", choices=("erdos-renyi", "c7-gadget", "c9-gadget"),
                    default="erdos-renyi")
     p.add_argument("--artifact-dir", default=".",

@@ -205,9 +205,18 @@ def solve(
         if core is None:
             core = twin_core(p)
             trans = odd_cycle_transversal(core)
-        coloring = _color_graph(p, core, trans, stats)
-        if coloring is None:
+        odd = patterns.find_nonbipartite_neighborhood(p)
+        if odd is not None:
+            stats.bump("preflight_odd_neighborhood_" + odd.kind)
             return _report("not_colorable", None, stats, start)
+        if patterns.find_co_c7(core) is not None:
+            stats.bump("preflight_co_c7")
+            return _report("not_colorable", None, stats, start)
+        for comp in connected_components(p):
+            cmap = _solve_component(p, core, trans, comp, stats)
+            if cmap is None:
+                return _report("not_colorable", None, stats, start)
+            coloring.update(cmap)
     adj = h._adj
     for v in reversed(order):
         # at most two neighbors are colored: those left when v was peeled
@@ -239,29 +248,6 @@ def _peel_order(adj) -> list[int]:
                     gone.add(w)
                     order.append(w)
     return order
-
-
-def _color_graph(p, core, trans, stats):
-    """A 3-coloring of p, or None when it has none.
-
-    core is p's twin core and trans an odd-cycle transversal of it.  The
-    preflights come first, then each connected component is solved on its
-    own (see the module docstring).  `solve` passes the quotient's 3-core;
-    `testkit.solve_unpeeled` passes the whole quotient."""
-    odd = patterns.find_nonbipartite_neighborhood(p)
-    if odd is not None:
-        stats.bump("preflight_odd_neighborhood_" + odd.kind)
-        return None
-    if patterns.find_co_c7(core) is not None:
-        stats.bump("preflight_co_c7")
-        return None
-    coloring: dict[int, int] = {}
-    for comp in connected_components(p):
-        cmap = _solve_component(p, core, trans, comp, stats)
-        if cmap is None:
-            return None
-        coloring.update(cmap)
-    return coloring
 
 
 def _report(decision, witness_map, stats, start) -> SolveReport:

@@ -14,16 +14,8 @@ from itertools import combinations
 from random import Random
 
 from . import patterns, solver
-from .errors import ClassViolationError, GenerationError
-from .graph import (
-    Graph,
-    connected_components,
-    false_twins,
-    induced_subgraph,
-    odd_cycle_transversal,
-    twin_core,
-)
-from .reductions import Stats
+from .errors import GenerationError
+from .graph import Graph, connected_components
 
 ALL = (1, 2, 3)
 
@@ -542,6 +534,42 @@ def c9_gadget(seed: int) -> Graph:
     raise GenerationError("no in-class 9-cycle gadget found for this seed")
 
 
+_THICKEN_STEPS = 60
+
+
+def thicken(g: Graph, seed: int) -> Graph:
+    """A copy of g grown toward minimum degree 3, staying in class.
+
+    Each of up to 60 steps picks a vertex v of degree below 3 and either
+    joins it to a random non-neighbour or adds a new vertex joined to v
+    and to two random other vertices.  A step is kept only if the graph
+    stays in class and no neighbourhood holds an odd cycle, so the result
+    passes both checks whenever g does.  `solver.solve` peels a plain
+    gadget whole; a thickened one often keeps a 3-core that the anchor
+    search, the fixpoint and the stages run on.
+    """
+    rng = Random(seed)
+    h = g.copy()
+    for _ in range(_THICKEN_STEPS):
+        low = [v for v in h.vertices() if h.degree(v) < 3]
+        # on four or more vertices, v has a non-neighbour and three others
+        if not low or len(h) < 4:
+            break
+        v = rng.choice(low)
+        others = [w for w in h.vertices() if w != v]
+        trial = h.copy()
+        if rng.random() < 0.5:
+            trial.add_edge(v, rng.choice([w for w in others if w not in h.neighbors(v)]))
+        else:
+            x = trial.add_vertex()
+            for w in (v, *rng.sample(others, 2)):
+                trial.add_edge(x, w)
+        if (patterns.check_class(trial) is None
+                and patterns.find_nonbipartite_neighborhood(trial) is None):
+            h = trial
+    return h
+
+
 def cograph_composite(n: int, seed: int) -> Graph:
     """Large benchmark graph: a 7-cycle spine with blob attachments.
 
@@ -591,38 +619,6 @@ class FuzzReport:
                 f"{len(self.mismatches)} mismatches, "
                 f"{len(self.violations)} invariant violations "
                 f"({self.elapsed:.1f}s)")
-
-
-def solve_unpeeled(g: Graph, *, witness: bool = True,
-                   assume_class: bool = False) -> solver.SolveReport:
-    """`solver.solve` minus its 3-core peel; the witness is on by default.
-
-    The preflights, the anchor search, the anchored runs, the stages and
-    the plain colorer run on the whole false-twin quotient, where `solve`
-    runs them on its 3-core.  On most generated inputs that core is empty,
-    so the tests that pin a stage, an anchor count or a plain component
-    pin them here; past the peel the code path is `solve`'s own.
-    """
-    start = time.perf_counter()
-    stats = Stats()
-    copies = false_twins(g)
-    h = g
-    if copies:
-        stats.bump("false_twins", len(copies))
-        h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
-    core = twin_core(h)
-    trans = odd_cycle_transversal(core)
-    if not assume_class:
-        offending = patterns.check_core(core, trans)
-        if offending is not None:
-            raise ClassViolationError(offending)
-    coloring = solver._color_graph(h, core, trans, stats)
-    if coloring is None:
-        return solver._report("not_colorable", None, stats, start)
-    for v, rep in copies.items():
-        coloring[v] = coloring[rep]
-    solver._verify_witness(g, coloring)
-    return solver._report("colorable", coloring if witness else None, stats, start)
 
 
 def _case_record(g, note):

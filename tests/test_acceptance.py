@@ -22,7 +22,7 @@ from hered3.reductions import (
     _one_pass,
     _two_sat_component,
 )
-from hered3.solver import _proper_cycle_colorings, solve
+from hered3.solver import _proper_cycle_colorings, _run_anchored, solve
 from hered3.testkit import (
     apex_crown,
     c7_gadget,
@@ -38,8 +38,8 @@ from hered3.testkit import (
     erdos_renyi,
     named_graph,
     oracle_list3color,
-    solve_unpeeled,
     split_seed,
+    thicken,
     verify_coloring,
 )
 
@@ -96,32 +96,34 @@ def _oracle_checked(g, rep, what):
 
 
 def test_anchored_gadgets_cover_every_stage_family():
-    # the stages run on the unpeeled quotient (testkit.solve_unpeeled):
-    # solve peels every gadget's quotient whole, and each answer of both
-    # routes is the oracle's
+    # solve peels every gadget's quotient whole; thickened with its own
+    # seed, a gadget often keeps a 3-core that the anchor search, the
+    # anchored runs and the stages work on.  Every answer is the oracle's, and in
+    # class no stage refuses (a StageAssertionError fails the gate)
     stage_keys = ("stage_single_anchor", "stage_opposing_pairs",
                   "stage_component_cases", "case_border_single_vertex",
-                  "op_cut_reduction")
+                  "op_cut_reduction", "components_anchored_9")
     totals = dict.fromkeys(stage_keys, 0)
+    anchored = 0
     start = time.monotonic()
-    for seed in range(1000):
-        g = c7_gadget(seed)
-        assert g.vertex_count() <= 20, f"c7 seed {seed} oversized"
-        rep = _oracle_checked(g, solve(g, witness=True), f"c7 seed {seed}")
-        assert rep.stats["peeled"] == g.vertex_count() - rep.stats.get("false_twins", 0)
-        rep = _oracle_checked(g, solve_unpeeled(g), f"c7 seed {seed} unpeeled")
-        for k in stage_keys:
-            totals[k] += rep.stats.get(k, 0)
-    for seed in range(1000):
-        g = c9_gadget(seed)
-        rep = _oracle_checked(g, solve(g, witness=True), f"c9 seed {seed}")
-        assert rep.stats["peeled"] == g.vertex_count() - rep.stats.get("false_twins", 0)
-        _oracle_checked(g, solve_unpeeled(g), f"c9 seed {seed} unpeeled")
+    for make in (c7_gadget, c9_gadget):
+        for seed in range(1000):
+            g = make(seed)
+            what = f"{make.__name__}({seed})"
+            assert g.vertex_count() <= 20, f"{what} oversized"
+            rep = _oracle_checked(g, solve(g, witness=True), what)
+            assert rep.stats["peeled"] == g.vertex_count() - rep.stats.get("false_twins", 0)
+            g = thicken(g, seed)
+            rep = _oracle_checked(g, solve(g, witness=True), f"{what} thickened")
+            anchored += "anchor_colorings" in rep.stats
+            for k in stage_keys:
+                totals[k] += rep.stats.get(k, 0)
     for k in stage_keys:
-        assert totals[k] >= 1, f"{k} never fired across 1000 directed instances"
+        assert totals[k] >= 1, f"{k} never fired across 2000 thickened gadgets"
     elapsed = time.monotonic() - start
-    print(f"PASS anchored coverage: 1000+1000 gadgets, zero mismatches, "
-          f"stage firings {totals} on the unpeeled quotients in {elapsed:.1f}s")
+    print(f"PASS anchored coverage: 1000+1000 gadgets and their thickenings, zero "
+          f"mismatches, {anchored} thickenings anchored, stage firings {totals} "
+          f"in {elapsed:.1f}s")
 
 
 # -- gate 4: exact anchor enumeration counts ------------------------------------
@@ -131,8 +133,10 @@ def test_anchor_enumeration_counts_are_exact():
     # colorings under the six color permutations; their images under those
     # permutations must tile the full set, so no coloring goes unrepresented
     for k, reps, full in ((7, 21, 126), (9, 85, 510)):
-        # on the unpeeled cycle; solve peels it whole
-        got = solve_unpeeled(cycle_graph(k)).stats["anchor_colorings"]
+        # on the anchored layer: solve peels the cycle whole
+        stats = Stats()
+        assert _run_anchored(cycle_graph(k), tuple(range(1, k + 1)), stats) is not None
+        got = stats.get("anchor_colorings")
         assert got == reps
         assert solve(cycle_graph(k)).stats["peeled"] == k
         proper = {c for c in product((1, 2, 3), repeat=k)
@@ -175,12 +179,12 @@ def test_stage_ladder_safety_net():
     # branch shape raises StageAssertionError, which fails this gate in
     # class.  Out of class, solved under assume_class, every rule is still
     # sound and every split exhaustive, so the answer must be right unless
-    # the stages refuse the shape.  Each draft is solved by solve and on
-    # the unpeeled quotient, where the anchored runs and the stages see the
-    # whole draft; solve sees only its 3-core.
+    # the stages refuse the shape.  solve peels every in-class draft to a
+    # 3-core without an anchor cycle; some out-of-class drafts keep one,
+    # and those run the anchored route
     rng = Random(505)
     drafts = in_class = anchored = refuted = 0
-    waived = waived_refusals = peeled_refusals = 0
+    waived = waived_refusals = 0
     start = time.monotonic()
     while in_class < 2000:
         drafts += 1
@@ -188,41 +192,34 @@ def test_stage_ladder_safety_net():
         if check_class(g) is not None:
             if waived < 1500:
                 waived += 1
-                for run in (solve, solve_unpeeled):
-                    try:
-                        rep = run(g, witness=True, assume_class=True)
-                    except StageAssertionError:
-                        if run is solve:
-                            peeled_refusals += 1
-                        else:
-                            waived_refusals += 1
-                        continue
-                    _oracle_checked(g, rep, f"draft {drafts} {run.__name__}")
+                try:
+                    rep = solve(g, witness=True, assume_class=True)
+                except StageAssertionError:
+                    waived_refusals += 1
+                    continue
+                _oracle_checked(g, rep, f"draft {drafts} waived")
+                anchored += rep.stats.get("components_anchored_7", 0)
             continue
         in_class += 1
         rep = _oracle_checked(g, solve(g, witness=True), f"draft {drafts}")
         refuted += rep.decision == "not_colorable"
-        rep = _oracle_checked(g, solve_unpeeled(g), f"draft {drafts} unpeeled")
-        anchored += rep.stats.get("components_anchored_7", 0)
-    assert anchored >= 1500 and refuted >= 50
+    assert anchored >= 50 and refuted >= 50
     assert waived == 1500 and waived - waived_refusals >= 1400
-    assert peeled_refusals <= waived_refusals
     elapsed = time.monotonic() - start
     print(f"PASS stage-ladder safety net: {in_class} in-class drafts of {drafts} "
-          f"({anchored} anchored unpeeled, {refuted} not colorable) agree with the "
-          f"oracle; {waived - waived_refusals} of {waived} out-of-class drafts too, "
-          f"{waived_refusals} refused unpeeled and {peeled_refusals} by solve, "
-          f"in {elapsed:.1f}s")
+          f"({refuted} not colorable) agree with the oracle; "
+          f"{waived - waived_refusals} of {waived} out-of-class drafts too "
+          f"({anchored} anchored), {waived_refusals} refused, in {elapsed:.1f}s")
 
 
 def test_waived_drafts_reach_the_stages_through_the_peel():
     # two out-of-class drafts of Random(505), numbered from 0 in the order
     # drawn, whose quotient keeps a 3-core that the anchored stages run on.
     # Draft 2715 (18 vertices) is not colorable and fires the single-anchor
-    # stage through solve: of 9,395 answered solves of c7 and c9 gadgets
-    # and 6,000 drafts, the only stage firing that survives the peel.
-    # Draft 2108 (17 vertices) is colorable and is refused at a partial
-    # outer neighbor both ways; it is the CLI's stage-refusal input
+    # stage through solve: of 9,395 answered solves of unthickened c7 and
+    # c9 gadgets and 6,000 drafts, the only stage firing that survives the
+    # peel.  Draft 2108 (17 vertices) is colorable and is refused at a
+    # partial outer neighbor; it is the CLI's stage-refusal input
     rng = Random(505)
     drafts = [_rimmed_c7_draft(rng) for _ in range(2716)]
     g = drafts[2715]
@@ -234,18 +231,16 @@ def test_waived_drafts_reach_the_stages_through_the_peel():
     assert rep.decision == "not_colorable"
     assert rep.stats["peeled"] == 3 and rep.stats["components_anchored_7"] == 1
     assert rep.stats["stage_single_anchor"] == 1
-    assert solve_unpeeled(g, assume_class=True).stats["stage_single_anchor"] >= 1
 
     g = drafts[2108]
     assert g.vertex_count() == 17 and check_class(g) is not None
     assert oracle_list3color(g) is not None
-    for run in (solve, solve_unpeeled):
-        try:
-            run(g, witness=True, assume_class=True)
-        except StageAssertionError as err:
-            assert str(err) == "partial outer neighbor outside its allowed shape"
-        else:
-            raise AssertionError(f"{run.__name__} answered draft 2108")
+    try:
+        solve(g, witness=True, assume_class=True)
+    except StageAssertionError as err:
+        assert str(err) == "partial outer neighbor outside its allowed shape"
+    else:
+        raise AssertionError("solve answered draft 2108")
 
 
 # -- gate 6: single reduction steps preserve colorability -------------------------

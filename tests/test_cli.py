@@ -7,11 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from hered3 import cli
+from hered3 import cli, solver
 from hered3.errors import StageAssertionError
 from hered3.formats import format_edge_list, parse_edge_list
 from hered3.patterns import check_class, find_induced_cycle
-from hered3.testkit import erdos_renyi, solve_unpeeled, split_seed, verify_coloring
+from hered3.reductions import Stats
+from hered3.testkit import erdos_renyi, split_seed, verify_coloring
 
 SCHEMA = json.loads((Path(cli.__file__).parent / "report_schema.json").read_text())
 
@@ -177,11 +178,12 @@ def test_solve_stage_refusal_is_an_error(write, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: partial outer neighbor outside its allowed shape\n"
-    # the input this test used before: the stages refuse it on the unpeeled
-    # quotient, and solve peels its quotient whole and colors it
+    # the input this test used before: the stages refuse it when the
+    # anchored layer runs on the whole graph, and solve peels its quotient
+    # whole and colors it
     g = erdos_renyi(16, 0.15, split_seed(9, 1209))
     with pytest.raises(StageAssertionError, match="^partial outer neighbor outside its allowed shape$"):
-        solve_unpeeled(g, assume_class=True)
+        solver._run_anchored(g, find_induced_cycle(g, 7), Stats())
     path = write("er.edges", format_edge_list(g))
     doc = assert_waived_solve_answers(capsys, path)
     code, report, _ = run_json(capsys, "solve", path, "--assume-class", "--json")
@@ -190,16 +192,17 @@ def test_solve_stage_refusal_is_an_error(write, capsys):
 
 
 def test_solve_waived_two_part_border_is_a_stage_refusal(write, capsys):
-    # colorable, with an induced 2P4; on the unpeeled quotient the relevant
-    # component behind the anchor meets the rim at two nonadjacent vertices,
-    # a stage refusal, and solve peels the quotient whole and exits 0
+    # colorable, with an induced 2P4; when the anchored layer runs on the
+    # whole graph, the relevant component behind the anchor meets the rim at
+    # two nonadjacent vertices, a stage refusal, and solve peels the
+    # quotient whole and exits 0
     edges = ("1 2, 1 7, 1 13, 1 14, 2 3, 2 15, 2 16, 3 4, 3 13, 3 14, 4 5, 5 6, "
              "6 7, 7 16, 8 11, 8 12, 8 13, 9 11, 9 12, 9 14, 10 11, 10 12, "
              "11 12, 13 15, 14 16")
     path = write("border.edges", "\n".join(edges.split(", ")) + "\n")
     doc = assert_waived_solve_answers(capsys, path)
     with pytest.raises(StageAssertionError, match="^relevant component behind a disconnected border$"):
-        solve_unpeeled(doc.graph, assume_class=True)
+        solver._run_anchored(doc.graph, find_induced_cycle(doc.graph, 7), Stats())
     code, report, _ = run_json(capsys, "solve", path, "--assume-class", "--json")
     assert code == 0 and report["stats"]["peeled"] == 16
 
@@ -407,21 +410,35 @@ def test_fuzz_clean_run(tmp_path, capsys):
     assert "6 cases" in out
 
 
-def test_fuzz_gadget_generator(tmp_path, capsys):
+def test_fuzz_gadget_generator(tmp_path, capsys, monkeypatch):
+    # each gadget is thickened with its own seed, so its 3-core often keeps
+    # the anchor cycle and the fuzz reaches the stages; this is CI's run
+    calls = []
+    real = solver._branch_single_anchor
+
+    def counted(inst, view):
+        calls.append(inst)
+        return real(inst, view)
+
+    monkeypatch.setattr(solver, "_branch_single_anchor", counted)
     code, report, _ = run_json(
-        capsys, "fuzz", "--budget", "8", "--seed", "0", "--kind", "c7-gadget",
+        capsys, "fuzz", "--budget", "300", "--seed", "5", "--kind", "c7-gadget",
         "--artifact-dir", str(tmp_path), "--json")
-    assert code == 0
-    assert report["detail"]["in_class"] == 8
+    assert code == 0 and report["decision"] == "fuzz_clean"
+    assert report["detail"]["in_class"] == 300
+    assert calls
 
 
 def test_fuzz_sizes_must_be_integers(tmp_path, capsys):
-    # exit 1 would read as "the fuzzer found a mismatch"
-    for sizes in ("8,x", "8,0", ","):
-        code, out, err = run(capsys, "fuzz", "--budget", "2", "--sizes", sizes,
+    # exit 1 would read as "the fuzzer found a mismatch"; a gadget kind
+    # sizes itself, so --sizes with one would be ignored
+    for flags in (("--sizes", "8,x"), ("--sizes", "8,0"), ("--sizes", ","),
+                  ("--kind", "c7-gadget", "--sizes", "9999999"),
+                  ("--kind", "c9-gadget", "--sizes", "9999999")):
+        code, out, err = run(capsys, "fuzz", "--budget", "2", *flags,
                              "--artifact-dir", str(tmp_path))
-        assert (code, out) == (3, ""), sizes
-        assert err.startswith("error: --sizes "), sizes
+        assert (code, out) == (3, ""), flags
+        assert err.startswith("error: --sizes "), flags
 
 
 def test_fuzz_budget_must_be_positive(tmp_path, capsys):

@@ -2,10 +2,13 @@
 
 Decisions are checked against the exhaustive oracle in testkit, and the
 stats counters pin down which route of the pipeline produced each verdict.
-`solve` peels its quotient to the 3-core first, and on most inputs here
-nothing is left; the pins of the anchored runs, the stages and the plain
-colorer run on `testkit.solve_unpeeled`, which runs the same route on the
-whole quotient, and `solve`'s own answer on the same input is checked too.
+`solve` peels its quotient to the 3-core first, and a plain gadget or cycle
+peels away whole.  So a pin of the route through the anchored runs, the
+stages or the plain colorer solves a gadget thickened by
+`testkit.thicken`, whose 3-core holds the anchor cycle, or a graph of
+minimum degree 3.  A pin of one layer on a fixed input that the peel
+removes calls that layer directly: `solver._run_anchored`,
+`solver._solve_component` or `solver._backtrack_color`.
 """
 
 import sys
@@ -44,8 +47,8 @@ from hered3.testkit import (
     named_graph,
     oracle_list3color,
     path_graph,
-    solve_unpeeled,
     split_seed,
+    thicken,
     verify_coloring,
 )
 
@@ -58,6 +61,45 @@ def oracle_solve(g, assume_class=False):
     assert rep.decision == ("not_colorable" if want is None else "colorable")
     assert rep.witness is None if want is None else verify_coloring(g, rep.witness)
     return rep
+
+
+def thickened(seed, decorate=True):
+    """c7_gadget(seed, decorate) thickened with the same seed."""
+    return thicken(c7_gadget(seed, decorate), seed)
+
+
+# seeds of thickened(seed) whose solve fires the stage: every one is
+# colorable, and each component case is a cut reduction behind a
+# one-vertex border
+SINGLE_ANCHOR_SEEDS = (20, 28, 101, 128, 159, 181, 204, 249, 268, 282, 322, 347)
+OPPOSING_PAIR_SEEDS = (9, 448, 623, 1087, 1120, 1134, 1165)
+COMPONENT_CASE_SEEDS = (254, 345, 422, 680, 777, 819, 832, 844, 1005, 1088, 1193)
+STAGE_SEEDS = SINGLE_ANCHOR_SEEDS + OPPOSING_PAIR_SEEDS + COMPONENT_CASE_SEEDS
+
+
+def solve_component(g, stats):
+    """`solver._solve_component` on the whole of a connected g, with its
+    twin core and that core's odd-cycle transversal."""
+    core = twin_core(g)
+    return solver._solve_component(g, core, odd_cycle_transversal(core), set(g.vertices()), stats)
+
+
+def run_anchored(g, k=7):
+    """`solver._run_anchored` on the whole of a connected g, anchored on its
+    first induced k-cycle: its stats and the winning branch's witness, or
+    None when every branch is rejected."""
+    stats = Stats()
+    won = solver._run_anchored(g, patterns.find_induced_cycle(g, k), stats)
+    return stats, None if won is None else won.assemble_witness(g.vertices())
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side, each one's ids shifted past the last's."""
+    edges, shift = [], 0
+    for h in graphs:
+        edges += [(u + shift, w + shift) for u, w in h.edges()]
+        shift += max(h.vertices())
+    return Graph.from_edges(range(1, shift + 1), edges)
 
 
 def quotient_size(g, rep):
@@ -168,6 +210,8 @@ def test_odd_neighborhood_check_runs_before_co_c7(monkeypatch):
 
 def test_bipartite_components_skip_the_anchor_search(monkeypatch):
     # a bipartite component has no odd cycle, so no C7 or C9 is sought in it
+    # (the thickening runs class checks of its own, so it comes first)
+    anchored = thickened(2)
     calls = []
     real = patterns.find_induced_cycle
 
@@ -176,20 +220,25 @@ def test_bipartite_components_skip_the_anchor_search(monkeypatch):
         return real(g, k, trans)
 
     monkeypatch.setattr(patterns, "find_induced_cycle", recorded)
-    for g in (crown_graph(6), cycle_graph(8)):
-        rep = solve_unpeeled(g)
-        assert rep.decision == "colorable"
-        assert rep.stats["components_plain"] == 1
-        assert verify_coloring(g, rep.witness)
+    # S_6 and the cube S_4 are their own 3-cores; C8 peels away whole, so
+    # the component layer takes it directly
+    for g in (crown_graph(6), crown_graph(4)):
+        rep = oracle_solve(g)
+        assert "peeled" not in rep.stats and rep.stats["components_plain"] == 1
+    g = cycle_graph(8)
+    stats = Stats()
+    assert verify_coloring(g, solve_component(g, stats))
+    assert stats.to_dict() == {"components_plain": 1}
     assert calls == []
-    rep = solve_unpeeled(cycle_graph(7))
-    assert rep.stats["components_anchored_7"] == 1
+    # a thickened gadget's 3-core is anchored on its 7-cycle after the
+    # class check's C5 search; a cycle peels away whole, so its only
+    # search is that C5
+    rep = oracle_solve(anchored)
+    assert rep.stats["components_anchored_7"] == 1 and "peeled" not in rep.stats
     assert calls == [5, 7]
-    # solve: S_6 is its own 3-core, and a cycle peels away whole, so its
-    # only search is the class check's C5
     calls.clear()
-    for g, peeled in ((crown_graph(6), 0), (cycle_graph(8), 8), (cycle_graph(7), 7)):
-        assert oracle_solve(g).stats.get("peeled", 0) == peeled
+    for g, peeled in ((cycle_graph(8), 8), (cycle_graph(7), 7)):
+        assert oracle_solve(g).stats["peeled"] == peeled
     assert calls == [5]
 
 
@@ -242,13 +291,16 @@ def test_out_of_class_input_raises_with_witness():
 
 
 def test_out_of_class_inputs_solve_under_waiver():
+    # the Petersen graph is its own 3-core and a plain component; C5 peels
+    # away whole, and the component layer colors it as a plain one
     for g, peeled in ((cycle_graph(5), 5), (named_graph("petersen"), 0)):
-        rep = solve_unpeeled(g, assume_class=True)
+        rep = oracle_solve(g, assume_class=True)
         assert rep.decision == "colorable"
-        assert rep.witness is not None
-        assert verify_coloring(g, rep.witness)
-        assert rep.stats["components_plain"] == 1
-        assert oracle_solve(g, assume_class=True).stats.get("peeled", 0) == peeled
+        assert rep.stats.get("peeled", 0) == peeled
+        assert rep.stats.get("components_plain", 0) == (not peeled)
+        stats = Stats()
+        assert verify_coloring(g, solve_component(g, stats))
+        assert stats.to_dict() == {"components_plain": 1}
 
 
 def test_waiver_on_uncolorable_input_stays_honest():
@@ -304,29 +356,36 @@ def test_witness_check_names_the_least_fault_in_any_adjacency_order():
 
 def test_seven_cycle_enumerates_all_anchor_colorings():
     # one anchor branch per orbit of the 126 proper colorings under the
-    # six color permutations
+    # six color permutations; on the bare cycle through the anchored layer,
+    # and through solve on a thickened gadget's 3-core
     g = cycle_graph(7)
-    rep = solve_unpeeled(g)
+    stats, witness = run_anchored(g)
+    assert verify_coloring(g, witness)
+    assert stats.get("anchor_colorings") == 21
+    g = thickened(20)
+    rep = oracle_solve(g)
     assert rep.decision == "colorable"
-    assert rep.witness is not None
-    assert verify_coloring(g, rep.witness)
     assert rep.stats["anchor_colorings"] == 21
     assert rep.stats["components_anchored_7"] == 1
-    # solve peels the cycle whole and searches no anchor
-    rep = oracle_solve(g)
+    # solve peels the bare cycle whole and searches no anchor
+    rep = oracle_solve(cycle_graph(7))
     assert rep.stats["peeled"] == 7 and "anchor_colorings" not in rep.stats
 
 
 def test_nine_cycle_enumerates_all_anchor_colorings():
-    # one anchor branch per orbit of the 510 proper colorings
+    # one anchor branch per orbit of the 510 proper colorings; a thickened
+    # 9-cycle gadget whose 3-core has no induced 7-cycle
     g = cycle_graph(9)
-    rep = solve_unpeeled(g)
+    stats, witness = run_anchored(g, 9)
+    assert verify_coloring(g, witness)
+    assert stats.get("anchor_colorings") == 85 and stats.get("branches") >= 1
+    g = thicken(c9_gadget(433), 433)
+    rep = oracle_solve(g)
     assert rep.decision == "colorable"
-    assert verify_coloring(g, rep.witness)
     assert rep.stats["anchor_colorings"] == 85
     assert rep.stats["components_anchored_9"] == 1
     assert rep.stats["branches"] >= 1
-    rep = oracle_solve(g)
+    rep = oracle_solve(cycle_graph(9))
     assert rep.stats["peeled"] == 9 and "anchor_colorings" not in rep.stats
 
 
@@ -383,12 +442,13 @@ def _relabeled_c7_gadgets():
 
 
 def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
-    # record the root of each anchor coloring that propagates in full, with
-    # every root's DFS made to reject so that the unpeeled route checks them
-    # all: each root equals its anchor commits on a clone of the unreduced
-    # quotient, a coloring it skips is rejected by that full branch too,
-    # and its witness is the first winner's.  solve itself peels each
-    # colorable gadget whole and runs each blowup, its own 3-core, as is
+    # the anchored layer on each false-twin quotient: record the root of
+    # each anchor coloring that propagates in full, with every root's DFS
+    # made to reject so that all of them run.  Each root equals its anchor
+    # commits on a clone of the unreduced quotient, a coloring it skips is
+    # rejected by that full branch too, and the witness is the first
+    # winner's.  solve itself peels each colorable gadget whole and runs
+    # each blowup, its own 3-core, as is
     graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
     graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
     graphs += _relabeled_c7_gadgets()
@@ -419,9 +479,10 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
             return child if ok else None
 
         roots.clear()
+        every = Stats()
         with monkeypatch.context() as m:
             m.setattr(solver, "_dfs", recorded)
-            every = solve_unpeeled(g)
+            solver._run_anchored(h, cycle, every)
         ran = []
         first = None
         for palettes, colors, adj, won in roots:
@@ -434,18 +495,16 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
             if first is None and won is not None:
                 first = won.assemble_witness(h.vertices())
         skipped = [col for col in _proper_cycle_colorings(k) if col not in ran]
-        assert every.stats.get("anchor_colorings_skipped", 0) == len(skipped)
+        assert every.get("anchor_colorings_skipped") == len(skipped)
         for col in skipped:
             child = full_branch(col)
             assert child is None or dfs(child, Stats()) is None
-        rep = solve_unpeeled(g)
+        won = solver._run_anchored(h, cycle, Stats())
         if first is None:
-            assert rep.decision == "not_colorable"
+            assert won is None
         else:
             refuted_colorable += len(skipped)
-            for v, rep_v in copies.items():
-                first[v] = first[rep_v]
-            assert rep.witness == first
+            assert won.assemble_witness(h.vertices()) == first
         refuted_seen += len(skipped)
         whole = oracle_solve(g)
         assert whole.stats.get("peeled", 0) == (0 if first is None else len(h))
@@ -641,22 +700,35 @@ def test_anchored_cycles_with_pendant_tails():
 def test_rimmed_cycle_routes_through_expected_stages():
     # rotation 0 keeps both rims on opposing anchor pairs; rotations 1..3
     # make the solver anchor a different 7-cycle and the surviving rim
-    # class faces a lone full-palette vertex
-    # on the unpeeled quotient; solve peels each one whole
+    # class faces a lone full-palette vertex.  solve peels each one whole,
+    # so the anchored layer takes them directly
     for r in range(7):
         g = rimmed_seven_cycle(r)
         assert check_class(g) is None
-        rep = solve_unpeeled(g)
+        stats, witness = run_anchored(g)
         want = oracle_list3color(g)
-        assert (rep.decision == "colorable") == (want is not None)
-        if rep.decision == "colorable":
-            assert verify_coloring(g, rep.witness)
+        assert (witness is not None) == (want is not None)
+        if witness is not None:
+            assert verify_coloring(g, witness)
         if r == 0:
-            assert rep.stats["stage_opposing_pairs"] >= 1
+            assert stats.get("stage_opposing_pairs") >= 1
         elif r in (1, 2, 3):
-            assert rep.stats["stage_component_cases"] >= 1
-            assert rep.stats["case_border_single_vertex"] >= 1
+            assert stats.get("stage_component_cases") >= 1
+            assert stats.get("case_border_single_vertex") >= 1
         assert oracle_solve(g).stats["peeled"] == 12
+    # the pinned thickened gadgets keep their anchor cycle in the 3-core,
+    # and solve fires each one's stage with the oracle's verdict
+    for seeds, key in ((SINGLE_ANCHOR_SEEDS, "stage_single_anchor"),
+                       (OPPOSING_PAIR_SEEDS, "stage_opposing_pairs"),
+                       (COMPONENT_CASE_SEEDS, "stage_component_cases")):
+        for seed in seeds:
+            g = thickened(seed)
+            rep = oracle_solve(g)
+            assert rep.decision == "colorable" and rep.stats[key] >= 1, (key, seed)
+            assert rep.stats["components_anchored_7"] == 1
+            if key == "stage_component_cases":
+                assert rep.stats["case_border_single_vertex"] == rep.stats[key]
+                assert rep.stats["op_cut_reduction"] >= 1
 
 
 def test_generated_anchored_graphs_match_oracle():
@@ -679,20 +751,19 @@ def test_generated_anchored_graphs_match_oracle():
 def test_cut_reduction_witnesses_cover_exactly_the_input():
     # the region behind the border vertex is colored only by replay; the
     # witness must hold the input's vertices and nothing else.  solve peels
-    # these gadgets whole, so its witness holds them by the peel
-    cut = 0
+    # the plain gadgets whole, so its witness holds them by the peel
     for seed in range(40):
         g = c7_gadget(seed)
         whole = oracle_solve(g)
         assert set(whole.witness) == set(g.vertices()), seed
-        rep = solve_unpeeled(g)
-        if not rep.stats.get("op_cut_reduction"):
-            continue
-        cut += 1
-        assert set(rep.witness) == set(g.vertices()), seed
-        assert verify_coloring(g, rep.witness)
         assert whole.stats["peeled"] == quotient_size(g, whole)
-    assert cut >= 15
+    cut = 0
+    for seed in STAGE_SEEDS:
+        g = thickened(seed)
+        rep = oracle_solve(g)
+        assert set(rep.witness) == set(g.vertices()), seed
+        cut += bool(rep.stats.get("op_cut_reduction"))
+    assert cut >= len(COMPONENT_CASE_SEEDS)
 
 
 def test_anchored_branch_graphs_are_induced_subgraphs(monkeypatch):
@@ -705,11 +776,11 @@ def test_anchored_branch_graphs_are_induced_subgraphs(monkeypatch):
         seen.append(inst.g.copy())
         return reductions.run_fixpoint(inst)
 
+    graphs = [thickened(s) for s in STAGE_SEEDS]
     monkeypatch.setattr(solver, "run_fixpoint", recorded)
-    for seed in range(40):
-        g = c7_gadget(seed)
+    for seed, g in zip(STAGE_SEEDS, graphs):
         seen.clear()
-        solve_unpeeled(g)
+        oracle_solve(g)
         assert seen, seed
         for h in seen:
             assert set(h.vertices()) <= set(g.vertices()), seed
@@ -718,9 +789,9 @@ def test_anchored_branch_graphs_are_induced_subgraphs(monkeypatch):
 
 
 def test_waived_border_of_two_parts_is_a_stage_refusal():
-    # colorable and out of class (an induced 2P4): with the scan waived the
-    # relevant component meets the rim at two nonadjacent vertices, a shape
-    # the stages refuse by name
+    # colorable and out of class (an induced 2P4): anchored on its first
+    # 7-cycle, the relevant component meets the rim at two nonadjacent
+    # vertices, a shape the stages refuse by name
     g = Graph.from_edges(range(1, 17), [
         (1, 2), (1, 7), (1, 13), (1, 14), (2, 3), (2, 15), (2, 16), (3, 4),
         (3, 13), (3, 14), (4, 5), (5, 6), (6, 7), (7, 16), (8, 11), (8, 12),
@@ -729,28 +800,27 @@ def test_waived_border_of_two_parts_is_a_stage_refusal():
     assert oracle_list3color(g) is not None
     with pytest.raises(ClassViolationError):
         solve(g)
-    with pytest.raises(ClassViolationError):
-        solve_unpeeled(g)
+    assert not false_twins(g)
     with pytest.raises(StageAssertionError, match="behind a disconnected border"):
-        solve_unpeeled(g, assume_class=True)
+        run_anchored(g)
     # solve peels it whole: the refusal becomes an answer
     assert oracle_solve(g, assume_class=True).stats["peeled"] == 16
 
 
 def test_waived_c9_branch_the_fixpoint_leaves_open_is_a_stage_refusal():
     # colorable and out of class (an induced 2P4): a 9-cycle with two rim
-    # vertices joined through a diamond; with the scan waived the fixpoint
-    # leaves a branch open, and a 9-cycle anchor has no stage for it
+    # vertices joined through a diamond and no induced 7-cycle; anchored on
+    # the 9-cycle, the fixpoint leaves a branch open, and a 9-cycle anchor
+    # has no stage for it
     g = Graph.from_edges(range(1, 14), [
         (1, 2), (1, 9), (2, 3), (3, 4), (3, 11), (4, 5), (5, 6), (6, 7), (7, 8),
         (7, 10), (8, 9), (10, 12), (10, 13), (11, 12), (11, 13), (12, 13)])
     assert oracle_list3color(g) is not None
     with pytest.raises(ClassViolationError):
         solve(g)
-    with pytest.raises(ClassViolationError):
-        solve_unpeeled(g)
+    assert not false_twins(g) and patterns.find_induced_cycle(g, 7) is None
     with pytest.raises(StageAssertionError, match="fixpoint did not fully resolve a C9 branch"):
-        solve_unpeeled(g, assume_class=True)
+        run_anchored(g, 9)
     # solve peels it whole: the refusal becomes an answer
     assert oracle_solve(g, assume_class=True).stats["peeled"] == 13
 
@@ -774,15 +844,23 @@ def test_solve_builds_one_twin_core(monkeypatch):
 
 def test_solve_walks_one_transversal_per_core(monkeypatch):
     # the class check and the anchor search share the core's one odd-cycle
-    # transversal, and an empty one stands in for a bipartite test
+    # transversal, and an empty one stands in for a bipartite test (built
+    # first: the thickening runs checks of its own)
+    several = disjoint_union(thickened(2), thickened(3), crown_graph(4))
     calls = []
 
     def counted(g):
         calls.append(g.vertex_count())
         return odd_cycle_transversal(g)
 
-    def refused(*args, **kwargs):
-        raise AssertionError("bipartition called")
+    real_bipartition = graph.bipartition
+
+    def refused(g, within=None):
+        # the odd-neighborhood preflight 2-colors each neighborhood; no
+        # check 2-colors a whole core
+        if within is None:
+            raise AssertionError("bipartition called on a whole graph")
+        return real_bipartition(g, within)
 
     monkeypatch.setattr(solver, "odd_cycle_transversal", counted)
     monkeypatch.setattr(patterns, "odd_cycle_transversal", counted)
@@ -793,9 +871,10 @@ def test_solve_walks_one_transversal_per_core(monkeypatch):
     assert rep.decision == "colorable"
     assert calls == [7]
 
-    # several components, unpeeled: each is anchored on the cycle it gets
-    # alone, and the path's part of the transversal is empty, so it is not
-    # searched
+    # several components of one 3-core: each is anchored on the cycle it
+    # gets alone, and the cube's part of the transversal is empty, so it is
+    # not searched
+    g = several
     anchors = []
     searches = []
     real = solver._run_anchored
@@ -811,22 +890,24 @@ def test_solve_walks_one_transversal_per_core(monkeypatch):
 
     monkeypatch.setattr(solver, "_run_anchored", recorded)
     monkeypatch.setattr(patterns, "find_induced_cycle", searched)
+    # two components that each hold an induced P4 form an induced 2P4
+    rep = solve(g, witness=True, assume_class=True)
+    assert rep.decision == "colorable" and "peeled" not in rep.stats
+    assert verify_coloring(g, rep.witness)
+    assert rep.stats["components_anchored_7"] == 2
+    assert rep.stats["components_plain"] == 1
+    assert searches == [(1, 7), (15, 7)]
+    whole, anchors[:] = anchors[:], []
+    for comp in connected_components(g):
+        alone = solve(induced_subgraph(g, comp), witness=True, assume_class=True)
+        assert alone.witness == {v: rep.witness[v] for v in comp}
+    assert whole == anchors == [(1, 2, 3, 4, 8, 6, 7), (15, 16, 17, 22, 19, 20, 21)]
+    # two 7-cycles and a path: solve peels all three components whole and
+    # searches nothing
     second = (8, 10, 12, 14, 9, 11, 13)
     g = Graph.from_edges(range(1, 19), [(i, i % 7 + 1) for i in range(1, 8)]
                          + list(zip(second, second[1:] + second[:1]))
                          + [(15, 16), (16, 17), (17, 18)])
-    # two disjoint 7-cycles hold an induced 2P4
-    rep = solve_unpeeled(g, assume_class=True)
-    assert rep.decision == "colorable"
-    assert rep.stats["components_anchored_7"] == 2
-    assert rep.stats["components_plain"] == 1
-    assert searches == [(1, 7), (8, 7)]
-    whole, anchors[:] = anchors[:], []
-    for comp in connected_components(g):
-        alone = solve_unpeeled(induced_subgraph(g, comp), assume_class=True)
-        assert alone.witness == {v: rep.witness[v] for v in comp}
-    assert whole == anchors == [(1, 2, 3, 4, 5, 6, 7), (8, 10, 12, 14, 9, 11, 13)]
-    # solve peels all three components whole and searches nothing
     searches.clear()
     anchors.clear()
     assert oracle_solve(g, assume_class=True).stats["peeled"] == 18
@@ -855,30 +936,32 @@ def test_solve_colors_the_false_twin_quotient():
         assert rep.stats["false_twins"] == copies
         assert rep.decision == ("colorable" if expected is not None else "not_colorable")
         assert rep.witness is None if expected is None else verify_coloring(g, rep.witness)
-    # of the edge and three isolated vertices, the edge and one are solved:
-    # peeled by solve, as two plain components on the unpeeled quotient
+    # of the edge and three isolated vertices, the edge and one are solved,
+    # both peeled, and the copies take the color of their representative
     assert rep.stats["peeled"] == 3
-    assert solve_unpeeled(g).stats["components_plain"] == 2
+    assert rep.witness[3] == rep.witness[4] == rep.witness[5]
 
 
 def test_solve_leaves_its_input_unchanged():
     # a twin-free input is its own quotient, so solve works on it in place:
     # anchored and plain, with and without twins, peeled or not, its
-    # adjacency stays as it was; the anchored and plain routes run unpeeled
+    # adjacency stays as it was.  Thickened gadgets, twin-free and with
+    # two false twins and some vertices outside the 3-core, and S_6 run the
+    # anchored and plain routes; the rest peel away whole
     twin_free = next(g for g in map(c7_gadget, range(40)) if not false_twins(g))
     cases = (
-        (twin_free, "components_anchored_7"),
-        (cycle_blowup([3, 2, 4, 2, 3, 2, 5]), "components_anchored_7"),
-        (cycle_graph(8), "components_plain"),
+        (thickened(2), "components_anchored_7", 0),
+        (thickened(26), "components_anchored_7", 3),
+        (crown_graph(6), "components_plain", 0),
+        (twin_free, None, twin_free.vertex_count()),
+        (cycle_blowup([3, 2, 4, 2, 3, 2, 5]), None, 7),
+        (cycle_graph(8), None, 8),
     )
-    for g, kind in cases:
+    for g, kind, peeled in cases:
         before = {v: set(nbrs) for v, nbrs in g._adj.items()}
-        rep = solve_unpeeled(g)
-        assert rep.decision == "colorable" and rep.stats[kind] == 1
-        assert verify_coloring(g, rep.witness)
-        assert g._adj == before
         rep = oracle_solve(g)
-        assert rep.stats["peeled"] == quotient_size(g, rep)
+        assert rep.decision == "colorable" and rep.stats.get("peeled", 0) == peeled
+        assert kind is None or rep.stats[kind] == 1
         assert g._adj == before
     # a refutation blowup is its own 3-core, so solve runs the anchored
     # route on the input itself
@@ -888,8 +971,8 @@ def test_solve_leaves_its_input_unchanged():
     rep = oracle_solve(g)
     assert rep.stats["components_anchored_7"] == 1 and "peeled" not in rep.stats
     assert g._adj == before
-    assert "false_twins" in solve(cases[1][0]).stats
-    assert "false_twins" not in solve(twin_free).stats
+    assert "false_twins" in solve(cases[1][0]).stats and "false_twins" in solve(cases[4][0]).stats
+    assert "false_twins" not in solve(cases[0][0]).stats and "false_twins" not in solve(twin_free).stats
 
 
 def test_every_firing_pass_leaves_two_or_three_colors(monkeypatch):
@@ -906,9 +989,11 @@ def test_every_firing_pass_leaves_two_or_three_colors(monkeypatch):
             assert all(len(p) >= 2 for p in inst.palettes.values())
         return out
 
+    # on the anchored layer: solve peels these gadgets whole
+    graphs = [(c7_gadget(s), 7) for s in range(300)] + [(c9_gadget(s), 9) for s in range(100)]
     monkeypatch.setattr(reductions, "_one_pass", checked)
-    for g in [c7_gadget(s) for s in range(300)] + [c9_gadget(s) for s in range(100)]:
-        solve_unpeeled(g)
+    for g, k in graphs:
+        run_anchored(g, k)
     assert fired > 300
 
 
@@ -1022,8 +1107,8 @@ def with_pendant_trees(g, rng, count):
 
 def test_preflight_certificates_survive_the_peel():
     # K4, an odd wheel and co-C7 have minimum degree 3 or more, so each lies
-    # in the 3-core and the preflight finds it there under the same counter
-    # as on the unpeeled quotient
+    # in the 3-core and the preflight finds it there under the counter its
+    # search gives on the whole graph
     rng = Random(31)
     cases = (("k4", "preflight_odd_neighborhood_k4"), ("w5", "preflight_odd_neighborhood_c5"),
              ("w7", "preflight_odd_neighborhood_c7"), ("co_c7", "preflight_co_c7"))
@@ -1034,10 +1119,13 @@ def test_preflight_certificates_survive_the_peel():
             g = with_pendant_trees(base, rng, trees)
             rep = solve(g, witness=True, assume_class=True)
             assert rep.decision == "not_colorable" and rep.witness is None
-            assert rep.stats[counter] == 1
+            assert {k: v for k, v in rep.stats.items() if k.startswith("preflight")} == {counter: 1}
             assert rep.stats["peeled"] == trees - rep.stats.get("false_twins", 0)
-            unpeeled = solve_unpeeled(g, assume_class=True).stats
-            assert {k: v for k, v in unpeeled.items() if k.startswith("preflight")} == {counter: 1}
+            odd = patterns.find_nonbipartite_neighborhood(g)
+            if odd is None:
+                assert counter == "preflight_co_c7" and patterns.find_co_c7(twin_core(g)) is not None
+            else:
+                assert counter == "preflight_odd_neighborhood_" + odd.kind
 
 
 def test_a_long_path_colors_back_without_recursion():
@@ -1116,18 +1204,22 @@ def test_large_plain_components_get_a_witness():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        # the colorer on the unpeeled quotient, and solve, which peels
-        # each quotient whole (K_{30,30,30}'s is a triangle)
+        # the component layer on the whole graph, one plain component, and
+        # solve, which peels each quotient whole (K_{30,30,30}'s is a
+        # triangle)
         for g in (star, tripartite, big_star, path_graph(6)):
             assert check_class(g) is None
-            for run in (solve_unpeeled, solve):
+            stats = Stats()
+            for run in (lambda g: solve_component(g, stats),
+                        lambda g: solve(g, witness=True).witness):
                 t0 = time.perf_counter()
-                rep = run(g, witness=True)
+                coloring = run(g)
                 took = time.perf_counter() - t0
-                assert rep.decision == "colorable"
-                assert verify_coloring(g, rep.witness)
+                assert verify_coloring(g, coloring)
                 assert took < 5, f"{g.vertex_count()} vertices: {took:.2f}s"
-            assert solve_unpeeled(g).stats["components_plain"] == 1
+            assert stats.to_dict() == {"components_plain": 1}
+            rep = solve(g)
+            assert rep.decision == "colorable"
             assert rep.stats["peeled"] == quotient_size(g, rep)
         assert sys.getrecursionlimit() == 1000
     finally:
@@ -1164,12 +1256,14 @@ def test_plain_component_that_needs_backtracking():
     assert check_class(g) is None
     assert _dsatur_without_undo(g) is None
     assert oracle_list3color(g) is not None
-    rep = solve_unpeeled(g)
-    assert rep.decision == "colorable"
-    assert rep.stats["components_plain"] == 1
-    assert verify_coloring(g, rep.witness)
-    assert rep.witness == {1: 1, 2: 2, 3: 3, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 1,
-                           11: 1, 12: 1}
+    # solve peels half of it, so the component layer takes it whole
+    stats = Stats()
+    witness = solve_component(g, stats)
+    assert stats.to_dict() == {"components_plain": 1}
+    assert verify_coloring(g, witness)
+    assert witness == {1: 1, 2: 2, 3: 3, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 1,
+                       11: 1, 12: 1}
+    assert solver._backtrack_color(g) == witness
     # solve peels six vertices and colors the 3-core of six as a plain
     # component
     rep = oracle_solve(g)
@@ -1195,11 +1289,11 @@ def test_cograph_component_rule_fires_in_a_solve():
     assert check_class(g) is None
     assert naive_in_class(g)
     assert oracle_list3color(g) is not None
-    rep = solve_unpeeled(g)
-    assert rep.decision == "colorable"
-    assert rep.stats["components_anchored_7"] == 1
-    assert rep.stats["rule_cograph_component"] >= 1
-    assert verify_coloring(g, rep.witness)
+    # on the component layer: solve peels the cycle away
+    stats = Stats()
+    assert verify_coloring(g, solve_component(g, stats))
+    assert stats.get("components_anchored_7") == 1
+    assert stats.get("rule_cograph_component") >= 1
     # solve peels the cycle and keeps x and the bowtie, a plain component
     rep = oracle_solve(g)
     assert rep.stats["peeled"] == 7 and rep.stats["components_plain"] == 1
@@ -1223,14 +1317,14 @@ def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeyp
         return cotree(g, within)
 
     # built first: the generator's class check builds cotrees of its own;
-    # solve peels the gadget whole and runs rule 7 on nothing
+    # solve peels the gadget whole and runs rule 7 on nothing, so the
+    # anchored layer takes it
     g = c7_gadget(0)
     assert oracle_solve(g).stats["peeled"] == g.vertex_count()
     monkeypatch.setattr(reductions, "_cograph_component", counted_rule7)
     monkeypatch.setattr(cograph, "cotree_or_failure", counted_cotree)
-    rep = solve_unpeeled(g, assume_class=True)
-    assert rep.decision == "colorable"
-    assert verify_coloring(g, rep.witness)
+    _, witness = run_anchored(g)
+    assert verify_coloring(g, witness)
     assert calls == [(True, 0)]
     # the P4-freeness check of the one outer component at the stage ladder
     assert len(built) == 1
@@ -1239,7 +1333,10 @@ def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeyp
 def test_stages_build_no_cotree_of_their_own(monkeypatch):
     # within one _advance, cotrees are built only by rule 7's P4-free test
     # inside the fixpoint and by _analyze, one per outer component;
-    # cut_reduction and the pair stage work from the cotrees _analyze kept
+    # cut_reduction and the pair stage work from the cotrees _analyze kept;
+    # the thickened gadgets are built first, since their class checks build
+    # cotrees of their own
+    graphs = [thickened(seed) for seed in STAGE_SEEDS]
     where = ["solve"]
     built = []     # per cotree build: the innermost layer it ran in
     advances = []  # per _advance call: {layer: cotrees built}
@@ -1278,9 +1375,9 @@ def test_stages_build_no_cotree_of_their_own(monkeypatch):
     monkeypatch.setattr(solver, "_analyze", counted_analyze)
     monkeypatch.setattr(solver, "_advance", counted_advance)
     cuts = pairs = 0
-    for g in [c7_gadget(seed) for seed in range(40)] + [rimmed_seven_cycle(r) for r in range(4)]:
+    for g in graphs:
         advances.clear()
-        rep = solve_unpeeled(g, assume_class=True)
+        rep = solve(g, witness=True, assume_class=True)
         if not rep.stats.get("op_cut_reduction") and not rep.stats.get("stage_opposing_pairs"):
             continue
         cuts += bool(rep.stats.get("op_cut_reduction"))
@@ -1289,7 +1386,7 @@ def test_stages_build_no_cotree_of_their_own(monkeypatch):
         for counts, comps in advances:
             assert counts.get("advance", 0) == 0, (counts, comps)
             assert counts.get("analyze", 0) == comps, (counts, comps)
-    assert cuts >= 15 and pairs >= 1
+    assert cuts >= len(COMPONENT_CASE_SEEDS) and pairs >= len(OPPOSING_PAIR_SEEDS)
 
 
 def connected_cograph(rng, size):
@@ -1355,15 +1452,21 @@ def test_trivial_graphs():
 
 
 def test_disconnected_components_combine():
+    # a 7-cycle, a triangle and an isolated vertex peel away whole
     edges = [(i, (i + 1) % 7) for i in range(7)]
     edges += [(7, 8), (8, 9), (7, 9)]
     g = Graph.from_edges(range(11), edges)
-    for rep in (solve_unpeeled(g), oracle_solve(g)):
-        assert rep.decision == "colorable"
-        assert verify_coloring(g, rep.witness)
-        assert set(rep.witness) == set(range(11))
+    rep = oracle_solve(g)
+    assert set(rep.witness) == set(range(11))
     assert rep.stats["peeled"] == 11
-    rep = solve_unpeeled(g)
+    # a thickened gadget, the cube S_4 and S_5 are one 3-core of three
+    # components, one anchored and two plain; two components that each
+    # hold an induced P4 form an induced 2P4, hence the waiver
+    g = disjoint_union(thickened(2), crown_graph(4), crown_graph(5))
+    rep = solve(g, witness=True, assume_class=True)
+    assert rep.decision == "colorable" and "peeled" not in rep.stats
+    assert verify_coloring(g, rep.witness)
+    assert set(rep.witness) == set(g.vertices())
     assert rep.stats["components_anchored_7"] == 1
     assert rep.stats["components_plain"] == 2
 

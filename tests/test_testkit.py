@@ -8,7 +8,7 @@ is known independently of any code here: a cycle on n vertices has
 import pytest
 
 from hered3 import testkit
-from hered3.graph import Graph, bipartition, false_twins, twin_core
+from hered3.graph import Graph, bipartition, false_twins, induced_subgraph, twin_core
 from hered3.patterns import check_class, find_induced_cycle
 from hered3.testkit import (
     apex_crown,
@@ -29,6 +29,7 @@ from hered3.testkit import (
     named_graph,
     oracle_list3color,
     split_seed,
+    thicken,
     verify_coloring,
 )
 
@@ -159,6 +160,31 @@ def test_c7_gadgets_keep_their_guarantees():
         assert g.vertex_count() <= 20, f"seed {seed} too large"
         assert check_class(g) is None
         assert find_induced_cycle(g, 7) is not None
+
+
+def test_thickened_gadgets_stay_in_class():
+    # each kept step leaves the graph in class with every neighbourhood
+    # bipartite; checked here by subset enumeration and by 2-list-coloring
+    # each neighbourhood with the oracle
+    def shape(g):
+        return g.vertices(), list(g.edges())
+
+    checked = 0
+    for make, seeds in ((c7_gadget, range(24)), (c9_gadget, range(12))):
+        for seed in seeds:
+            g = make(seed)
+            before = shape(g)
+            h = thicken(g, seed)
+            assert shape(g) == before
+            assert shape(thicken(g, seed)) == shape(h)
+            assert set(g.edges()) <= set(h.edges())
+            if h.vertex_count() <= 16:
+                checked += 1
+                assert naive_in_class(h), (make.__name__, seed)
+            for v in h.vertices():
+                nbhd = induced_subgraph(h, h.neighbors(v))
+                assert oracle_list3color(nbhd, dict.fromkeys(nbhd.vertices(), {1, 2})) is not None
+    assert checked >= 30
 
 
 def test_c9_gadgets_keep_their_guarantees():
