@@ -551,20 +551,24 @@ def thicken(g: Graph, seed: int) -> Graph:
     rng = Random(seed)
     h = g.copy()
     for _ in range(_THICKEN_STEPS):
-        low = [v for v in h.vertices() if h.degree(v) < 3]
+        low = [v for v in h.vertices() if len(h._adj[v]) < 3]
         # on four or more vertices, v has a non-neighbour and three others
         if not low or len(h) < 4:
             break
         v = rng.choice(low)
         others = [w for w in h.vertices() if w != v]
         trial = h.copy()
+        hub = v
         if rng.random() < 0.5:
             trial.add_edge(v, rng.choice([w for w in others if w not in h.neighbors(v)]))
         else:
-            x = trial.add_vertex()
+            hub = trial.add_vertex()
             for w in (v, *rng.sample(others, 2)):
-                trial.add_edge(x, w)
-        if (patterns.check_class(trial) is None
+                trial.add_edge(hub, w)
+        # a C5 the step makes runs through hub; that cheap test rejects
+        # most steps before the full check
+        if (not patterns._has_c5(trial._adj, (hub,))
+                and patterns.check_class(trial) is None
                 and patterns.find_nonbipartite_neighborhood(trial) is None):
             h = trial
     return h

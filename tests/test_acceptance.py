@@ -12,8 +12,15 @@ from random import Random
 
 from hered3 import cograph
 from hered3.errors import StageAssertionError
-from hered3.graph import Graph, connected_components
-from hered3.patterns import check_class
+from hered3.graph import (
+    Graph,
+    connected_components,
+    false_twins,
+    induced_subgraph,
+    odd_cycle_transversal,
+    twin_core,
+)
+from hered3.patterns import check_class, find_nonbipartite_neighborhood
 from hered3.reductions import (
     REJECTED,
     SOLVED,
@@ -22,7 +29,7 @@ from hered3.reductions import (
     _one_pass,
     _two_sat_component,
 )
-from hered3.solver import _proper_cycle_colorings, _run_anchored, solve
+from hered3.solver import _proper_cycle_colorings, _run_anchored, _solve_component, solve
 from hered3.testkit import (
     apex_crown,
     c7_gadget,
@@ -174,17 +181,44 @@ def _rimmed_c7_draft(rng):
     return g
 
 
+def _layer_checked(g, colorable, what):
+    """Run `solver._solve_component` on each component of g's whole
+    false-twin quotient, check its answer against colorable, the oracle's
+    verdict, and return the number of components anchored on a 7-cycle.
+
+    solve runs that layer on the quotient's 3-core, which holds no anchor
+    cycle for most drafts.  A neighbourhood with an odd cycle is ruled out
+    first, as solve's preflight does: the layer assumes there is none."""
+    h = induced_subgraph(g, [v for v in g.vertices() if v not in false_twins(g)])
+    if find_nonbipartite_neighborhood(h) is not None:
+        assert not colorable, what
+        return 0
+    core = twin_core(h)
+    trans = odd_cycle_transversal(core)
+    stats = Stats()
+    coloring = {}
+    for comp in connected_components(h):
+        cmap = _solve_component(h, core, trans, comp, stats)
+        if cmap is None:
+            assert not colorable, what
+            return stats.get("components_anchored_7")
+        coloring.update(cmap)
+    assert colorable and verify_coloring(h, coloring), what
+    return stats.get("components_anchored_7")
+
+
 def test_stage_ladder_safety_net():
     # the stage ladder keeps only the stages some input reaches; any other
     # branch shape raises StageAssertionError, which fails this gate in
     # class.  Out of class, solved under assume_class, every rule is still
     # sound and every split exhaustive, so the answer must be right unless
     # the stages refuse the shape.  solve peels every in-class draft to a
-    # 3-core without an anchor cycle; some out-of-class drafts keep one,
-    # and those run the anchored route
+    # 3-core without an anchor cycle, so each draft is also solved by the
+    # per-component layer on its whole quotient (_layer_checked), where the
+    # anchored runs and the stages see the whole draft
     rng = Random(505)
     drafts = in_class = anchored = refuted = 0
-    waived = waived_refusals = 0
+    waived = waived_refusals = peeled_refusals = peeled_anchored = 0
     start = time.monotonic()
     while in_class < 2000:
         drafts += 1
@@ -195,21 +229,31 @@ def test_stage_ladder_safety_net():
                 try:
                     rep = solve(g, witness=True, assume_class=True)
                 except StageAssertionError:
+                    peeled_refusals += 1
+                    colorable = oracle_list3color(g) is not None
+                else:
+                    _oracle_checked(g, rep, f"draft {drafts} solve")
+                    colorable = rep.decision == "colorable"
+                    peeled_anchored += rep.stats.get("components_anchored_7", 0)
+                try:
+                    _layer_checked(g, colorable, f"draft {drafts} layer")
+                except StageAssertionError:
                     waived_refusals += 1
-                    continue
-                _oracle_checked(g, rep, f"draft {drafts} waived")
-                anchored += rep.stats.get("components_anchored_7", 0)
             continue
         in_class += 1
         rep = _oracle_checked(g, solve(g, witness=True), f"draft {drafts}")
         refuted += rep.decision == "not_colorable"
-    assert anchored >= 50 and refuted >= 50
+        anchored += _layer_checked(g, rep.decision == "colorable", f"draft {drafts} layer")
+    assert anchored >= 1500 and refuted >= 50
     assert waived == 1500 and waived - waived_refusals >= 1400
+    assert peeled_refusals <= waived_refusals and peeled_anchored >= 50
     elapsed = time.monotonic() - start
     print(f"PASS stage-ladder safety net: {in_class} in-class drafts of {drafts} "
-          f"({refuted} not colorable) agree with the oracle; "
-          f"{waived - waived_refusals} of {waived} out-of-class drafts too "
-          f"({anchored} anchored), {waived_refusals} refused, in {elapsed:.1f}s")
+          f"({anchored} anchored on the layer, {refuted} not colorable) agree "
+          f"with the oracle; {waived - waived_refusals} of {waived} out-of-class "
+          f"drafts too, {waived_refusals} refused on the layer and "
+          f"{peeled_refusals} by solve ({peeled_anchored} anchored), "
+          f"in {elapsed:.1f}s")
 
 
 def test_waived_drafts_reach_the_stages_through_the_peel():

@@ -412,21 +412,21 @@ def test_fuzz_clean_run(tmp_path, capsys):
 
 def test_fuzz_gadget_generator(tmp_path, capsys, monkeypatch):
     # each gadget is thickened with its own seed, so its 3-core often keeps
-    # the anchor cycle and the fuzz reaches the stages; this is CI's run
-    calls = []
-    real = solver._branch_single_anchor
+    # the anchor cycle and the fuzz reaches the single-anchor stage and the
+    # cut reduction; this is CI's run
+    calls = dict.fromkeys(("_branch_single_anchor", "cut_reduction"), 0)
+    for name in calls:
+        def counted(*args, name=name, real=getattr(solver, name)):
+            calls[name] += 1
+            return real(*args)
 
-    def counted(inst, view):
-        calls.append(inst)
-        return real(inst, view)
-
-    monkeypatch.setattr(solver, "_branch_single_anchor", counted)
+        monkeypatch.setattr(solver, name, counted)
     code, report, _ = run_json(
         capsys, "fuzz", "--budget", "300", "--seed", "5", "--kind", "c7-gadget",
         "--artifact-dir", str(tmp_path), "--json")
     assert code == 0 and report["decision"] == "fuzz_clean"
     assert report["detail"]["in_class"] == 300
-    assert calls
+    assert all(calls.values()), calls
 
 
 def test_fuzz_sizes_must_be_integers(tmp_path, capsys):

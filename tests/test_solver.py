@@ -63,9 +63,9 @@ def oracle_solve(g, assume_class=False):
     return rep
 
 
-def thickened(seed, decorate=True):
-    """c7_gadget(seed, decorate) thickened with the same seed."""
-    return thicken(c7_gadget(seed, decorate), seed)
+def thickened(seed):
+    """c7_gadget(seed) thickened with the same seed."""
+    return thicken(c7_gadget(seed), seed)
 
 
 # seeds of thickened(seed) whose solve fires the stage: every one is
