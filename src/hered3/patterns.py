@@ -75,19 +75,24 @@ def find_induced_2p4(g: Graph, trans=None):
     and never when the odd-cycle transversal `trans` of g (computed when
     not given) is empty: adjacent b and c of a bipartite graph share no
     neighbour.
-    One call tests each vertex set once, with `cograph.cotree_or_failure`
-    unless it is four vertices that are not a P4.  The first hit, written so that
-    a < d, is the first part; the second is the least P4 of the set the
-    cotree test reports.
+    The decision `_has_2p4` runs first, in no order, and the ordered scan
+    runs only when it finds a 2P4, so a graph without one pays for no
+    sorting.  The two share one memo: a call tests each vertex set once,
+    with `cograph.cotree_or_failure` unless it is four vertices, which are
+    tested for a P4 on their degrees.  The first hit of the scan, written
+    so that a < d, is the first part; the second is the least P4 of the set
+    the cotree test reports.
     """
     n = g.vertex_count()
     if n < 8:
         return None
     if trans is None:
         trans = odd_cycle_transversal(g)
+    seen: dict[frozenset, frozenset | None] = {}
+    if not _has_2p4(g, trans, seen):
+        return None
     adj = g._adj
     verts = set(adj)
-    seen: dict[frozenset, frozenset | None] = {}
     for b in sorted(adj):
         nb = adj[b]
         for c in sorted(w for w in nb if w > b):
@@ -113,15 +118,65 @@ def find_induced_2p4(g: Graph, trans=None):
                     if bad is not None:
                         first = (a, b, c, d) if a < d else (d, c, b, a)
                         return _two_p4(g, first, bad)
-    return None
+    raise AssertionError("2P4 decision without a hit of the scan")
+
+
+def _has_2p4(g: Graph, trans, seen) -> bool:
+    """Whether g holds a 2P4: the scan of `find_induced_2p4`, with its
+    prunes, over each edge b < c and each a and d as the sets yield them.
+
+    A rest of four vertices holds a P4 exactly when it is one; a larger rest
+    gets its cotree test's failure set memoised in `seen`, which the
+    ordered scan then reads.
+    """
+    adj = g._adj
+    n = len(adj)
+    verts = set(adj)
+    for b, nb in adj.items():
+        for c in nb:
+            if c < b:
+                continue
+            nc = adj[c]
+            free = n - len(nb) - len(nc)
+            if free < 4 and (not trans or free + len(nb & nc) < 4):
+                continue
+            far = verts - nb - nc
+            ends = nc - nb
+            ends.discard(b)
+            for a in nb - nc:
+                if a == c:
+                    continue
+                na = adj[a]
+                far_a = far - na
+                if len(far_a) < 4:
+                    continue
+                for d in ends - na:
+                    rest = far_a - adj[d]
+                    if len(rest) == 4:
+                        if _is_p4(adj, rest):
+                            return True
+                    elif len(rest) > 4:
+                        rest = frozenset(rest)
+                        if rest not in seen:
+                            seen[rest] = cograph.cotree_or_failure(g, rest)[1]
+                        if seen[rest] is not None:
+                            return True
+    return False
+
+
+def _is_p4(adj, quad) -> bool:
+    """Whether four vertices induce a P4: degrees 1, 1, 2, 2 (the other
+    graphs with three edges, a triangle plus a vertex and a star, have
+    degrees 0, 2, 2, 2 and 1, 1, 1, 3)."""
+    return sorted(len(adj[v] & quad) for v in quad) == [1, 1, 2, 2]
 
 
 def _non_cograph_part(g: Graph, part: frozenset):
     """The cotree test's failure set for `part`, or None for a cograph.
 
-    Four vertices that are not a P4 (degrees 1, 1, 2, 2) are a cograph, so
-    such a set is settled without building a cotree."""
-    if len(part) == 4 and sorted(len(g._adj[v] & part) for v in part) != [1, 1, 2, 2]:
+    Four vertices that are not a P4 are a cograph, so such a set is settled
+    without building a cotree."""
+    if len(part) == 4 and not _is_p4(g._adj, part):
         return None
     return cograph.cotree_or_failure(g, part)[1]
 
@@ -384,9 +439,11 @@ def check_class(g: Graph):
     vertex, the first hit on the core is the same P4, and the first part
     of a 2P4 witness is the one found on g; the second part may differ.
 
-    The certificates of `check_core` (a bipartite core, two cliques) and
-    the transversal bound on the C5 roots only skip work that finds
-    nothing, so they change no witness.  The README gives measured costs.
+    The certificates of `check_core` (a bipartite core, two cliques), the
+    transversal bound on the C5 roots and the order-free decisions that
+    run before the C5 and 2P4 scans only skip work that finds nothing, so
+    they change no witness.  The core is built in passes that each delete
+    one kind of twin.  The README gives measured costs.
     """
     return check_core(twin_core(g))
 

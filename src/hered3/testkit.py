@@ -15,7 +15,7 @@ from random import Random
 
 from . import patterns, solver
 from .errors import GenerationError
-from .graph import Graph, connected_components
+from .graph import Graph, connected_components, induced_subgraph
 
 ALL = (1, 2, 3)
 
@@ -200,6 +200,35 @@ def reference_induced_cycle(g: Graph, k: int):
         got = extend([v0])
         if got is not None:
             return got
+    return None
+
+
+def reference_2p4_first_part(g: Graph):
+    """The first part of a 2P4 in the scan order of
+    `patterns.find_induced_2p4`, or None when g has no 2P4.
+
+    A plain search over the induced P4s a-b-c-d by their middle edge b < c,
+    in ascending (b, c, a, d) order, testing one pair for an edge at a
+    time.  The first P4 whose outside, the vertices that see none of
+    a, b, c, d, holds an induced P4 (`naive_has_p4`) is returned with its
+    smaller end first.
+    """
+    verts = g.vertices()
+    for b in verts:
+        for c in g.sorted_neighbors(b):
+            if c < b:
+                continue
+            for a in g.sorted_neighbors(b):
+                if a == c or g.has_edge(a, c):
+                    continue
+                for d in g.sorted_neighbors(c):
+                    if d == b or g.has_edge(d, a) or g.has_edge(d, b):
+                        continue
+                    path = (a, b, c, d)
+                    outside = [v for v in verts if v not in path
+                               and not any(g.has_edge(v, u) for u in path)]
+                    if naive_has_p4(induced_subgraph(g, outside)):
+                        return path if a < d else path[::-1]
     return None
 
 

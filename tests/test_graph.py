@@ -17,6 +17,7 @@ from hered3.graph import (
     twin_core,
 )
 from hered3.testkit import (
+    cograph_composite,
     complete_bipartite,
     cycle_blowup,
     erdos_renyi,
@@ -223,22 +224,35 @@ def naive_twin_core(g):
         keep -= drop
 
 
+def planted_twin_graph(i):
+    """A small random graph on random ids with up to five planted twins."""
+    rng = Random(split_seed(61, i))
+    base = erdos_renyi(rng.randint(1, 10), rng.choice((0.2, 0.5, 0.8)), split_seed(62, i))
+    twins = rng.randint(0, 5)
+    # random ids, so that a planted twin is as often the smaller one
+    ids = iter(rng.sample(range(1, 40), len(base) + twins))
+    name = {v: next(ids) for v in base.vertices()}
+    g = Graph.from_edges(name.values(), ((name[u], name[w]) for u, w in base.edges()))
+    for _ in range(twins):
+        v = rng.choice(g.vertices())
+        t = g.add_vertex(next(ids))
+        for w in list(g.neighbors(v)):
+            g.add_edge(t, w)
+        if rng.random() < 0.5:
+            g.add_edge(t, v)
+    return g
+
+
 def test_twin_core_matches_rounds_of_pairwise_tests():
-    for i in range(300):
-        rng = Random(split_seed(61, i))
-        base = erdos_renyi(rng.randint(1, 10), rng.choice((0.2, 0.5, 0.8)), split_seed(62, i))
-        twins = rng.randint(0, 5)
-        # random ids, so that a planted twin is as often the smaller one
-        ids = iter(rng.sample(range(1, 40), len(base) + twins))
-        name = {v: next(ids) for v in base.vertices()}
-        g = Graph.from_edges(name.values(), ((name[u], name[w]) for u, w in base.edges()))
-        for _ in range(twins):
-            v = rng.choice(g.vertices())
-            t = g.add_vertex(next(ids))
-            for w in list(g.neighbors(v)):
-                g.add_edge(t, w)
-            if rng.random() < 0.5:
-                g.add_edge(t, v)
+    # in cograph_composite, deleting false twins makes true twins and back;
+    # a threshold graph's twins form one pair at a time; and a hub with two
+    # pendant neighbours leaves, once one pendant goes, a true-twin edge
+    hub = Graph.from_edges(edges=((1, 2), (1, 3)))
+    assert twin_core(hub).vertices() == [1]
+    graphs = [planted_twin_graph(i) for i in range(300)]
+    graphs += [cograph_composite(7 + i, split_seed(63, i)) for i in range(30)]
+    graphs += [threshold_graph(40), hub]
+    for i, g in enumerate(graphs):
         core = twin_core(g)
         assert adjacency(core) == adjacency(naive_twin_core(g)), i
         # each copy maps to the least vertex with its open neighbourhood
@@ -246,7 +260,7 @@ def test_twin_core_matches_rounds_of_pairwise_tests():
         for v in g.vertices():
             least = min(u for u in g.vertices() if g.neighbors(u) == g.neighbors(v))
             assert copies.get(v, v) == least, i
-        # one round leaves no false twins, and the same twin core
+        # one pass leaves no false twins, and the same twin core
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
         assert false_twins(h) == {}, i
         assert adjacency(twin_core(h)) == adjacency(core), i

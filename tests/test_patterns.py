@@ -277,6 +277,39 @@ def test_detectors_against_naive_enumeration():
     assert 0 < hits["c7"]
 
 
+def test_2p4_witness_is_the_first_hit_of_the_reference_order():
+    # find_induced_2p4 decides first, in no order, and scans in order only
+    # on a yes: a decision that misses a 2P4 answers None where the plain
+    # reference finds one, and the scan must still return the reference's
+    # first part.  naive_has_2p4 is quartic, so it checks the reference
+    # itself up to 18 vertices
+    sample = [erdos_renyi(8 + i % 19, (0.1, 0.2, 0.3, 0.45, 0.6)[i % 5], split_seed(73, i))
+              for i in range(880)]
+    sample += [relabeled(two_block_graph(i), split_seed(74, i)) for i in range(60)]
+    sample += [twin_core(testkit.cograph_composite(20 + i % 60, split_seed(75, i)))
+               for i in range(60)]
+    # 2P4 itself, where each middle edge has exactly four vertices outside
+    # N(b) | N(c), the least the count lets through
+    two_p4 = Graph.from_edges(edges=((1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)))
+    sample += [relabeled(two_p4, split_seed(76, i)) for i in range(10)]
+    hits = 0
+    for i, g in enumerate(sample):
+        got = find_induced_2p4(g)
+        first = testkit.reference_2p4_first_part(g)
+        assert (got is None) == (first is None), i
+        if len(g) <= 18:
+            assert (first is not None) == naive_has_2p4(g), i
+        if got is None:
+            continue
+        hits += 1
+        assert got.parts[0] == first, i
+        one, two = got.parts
+        assert_induced_path(g, one)
+        assert_induced_path(g, two)
+        assert not any(u == w or g.has_edge(u, w) for u in one for w in two), i
+    assert 100 < hits < len(sample) - 100, hits
+
+
 def test_scans_match_the_reference_search():
     # the set-based cycle scans return the reference search's canonical
     # cycle, and the middle-edge 2P4 scan finds a 2P4 exactly when one
