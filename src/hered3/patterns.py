@@ -1,8 +1,9 @@
 """Detectors for the induced subgraphs that drive the case analysis.
 
-Every finder returns vertex tuples in a deterministic order (ascending
-scan with canonical tie-breaking) and self-verifies its witness before
-returning it.
+Every finder returns the canonical witness, the first hit of an ascending
+scan with canonical tie-breaking, and self-verifies it before returning it.
+The 2P4 search reaches the same hit without sorting: it walks the sets
+unordered and keeps the least hit.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ def find_induced_p4(g: Graph, within=None):
 def find_induced_2p4(g: Graph, trans=None):
     """Two induced P4s with no edges between them, or None.
 
-    A P4 a-b-c-d is scanned through its middle edge, b < c, in the order
-    (b, c, a, d): a in N(b) - N[c], then d in N(c) - N[b] - N(a).  A 2P4
+    A P4 a-b-c-d is scanned through its middle edge, b < c, as (b, c, a, d):
+    a in N(b) - N[c], then d in N(c) - N[b] - N(a).  A 2P4
     through it exists exactly when the vertices outside N[{a, b, c, d}]
     are not a cograph, and they lie in X = V - N[b] - N[c] = V - N(b) - N(c),
     so an edge whose X has fewer than four vertices is skipped whole, on
@@ -75,66 +76,28 @@ def find_induced_2p4(g: Graph, trans=None):
     and never when the odd-cycle transversal `trans` of g (computed when
     not given) is empty: adjacent b and c of a bipartite graph share no
     neighbour.
-    The decision `_has_2p4` runs first, in no order, and the ordered scan
-    runs only when it finds a 2P4, so a graph without one pays for no
-    sorting.  The two share one memo: a call tests each vertex set once,
-    with `cograph.cotree_or_failure` unless it is four vertices, which are
-    tested for a P4 on their degrees.  The first hit of the scan, written
-    so that a < d, is the first part; the second is the least P4 of the set
-    the cotree test reports.
+    The sets are walked in whatever order they iterate, with no sorting,
+    and the scan keeps its least hit in (b, c, a, d) order, skipping every
+    tuple that cannot beat it: the hit an ascending scan would meet first.
+    A rest of four vertices is tested for a P4 on its degrees, and is its
+    own failure set when it is one; a larger rest is tested once per call
+    with `cograph.cotree_or_failure`.  The hit, written so that a < d, is
+    the first part; the second is the least P4 of its rest's failure set.
     """
     n = g.vertex_count()
     if n < 8:
         return None
     if trans is None:
         trans = odd_cycle_transversal(g)
+    adj = g._adj
+    verts = set(adj)
     seen: dict[frozenset, frozenset | None] = {}
-    if not _has_2p4(g, trans, seen):
-        return None
-    adj = g._adj
-    verts = set(adj)
-    for b in sorted(adj):
-        nb = adj[b]
-        for c in sorted(w for w in nb if w > b):
-            nc = adj[c]
-            free = n - len(nb) - len(nc)
-            if free < 4 and (not trans or free + len(nb & nc) < 4):
-                continue
-            far = verts - nb - nc
-            ends = nc - nb
-            ends.discard(b)
-            for a in sorted(nb - nc - {c}):
-                na = adj[a]
-                far_a = far - na
-                if len(far_a) < 4:
-                    continue
-                for d in sorted(ends - na):
-                    rest = frozenset(far_a - adj[d])
-                    if len(rest) < 4:
-                        continue
-                    if rest not in seen:
-                        seen[rest] = _non_cograph_part(g, rest)
-                    bad = seen[rest]
-                    if bad is not None:
-                        first = (a, b, c, d) if a < d else (d, c, b, a)
-                        return _two_p4(g, first, bad)
-    raise AssertionError("2P4 decision without a hit of the scan")
-
-
-def _has_2p4(g: Graph, trans, seen) -> bool:
-    """Whether g holds a 2P4: the scan of `find_induced_2p4`, with its
-    prunes, over each edge b < c and each a and d as the sets yield them.
-
-    A rest of four vertices holds a P4 exactly when it is one; a larger rest
-    gets its cotree test's failure set memoised in `seen`, which the
-    ordered scan then reads.
-    """
-    adj = g._adj
-    n = len(adj)
-    verts = set(adj)
+    best = bad = None
     for b, nb in adj.items():
+        if best is not None and b > best[0]:
+            continue
         for c in nb:
-            if c < b:
+            if c < b or best is not None and (b, c) > best[:2]:
                 continue
             nc = adj[c]
             free = n - len(nb) - len(nc)
@@ -144,24 +107,36 @@ def _has_2p4(g: Graph, trans, seen) -> bool:
             ends = nc - nb
             ends.discard(b)
             for a in nb - nc:
-                if a == c:
+                if a == c or best is not None and (b, c, a) > best[:3]:
                     continue
                 na = adj[a]
                 far_a = far - na
                 if len(far_a) < 4:
                     continue
                 for d in ends - na:
+                    if best is not None and (b, c, a, d) > best:
+                        continue
                     rest = far_a - adj[d]
                     if len(rest) == 4:
-                        if _is_p4(adj, rest):
-                            return True
+                        hit = rest if _is_p4(adj, rest) else None
                     elif len(rest) > 4:
                         rest = frozenset(rest)
                         if rest not in seen:
                             seen[rest] = cograph.cotree_or_failure(g, rest)[1]
-                        if seen[rest] is not None:
-                            return True
-    return False
+                        hit = seen[rest]
+                    else:
+                        continue
+                    if hit is not None:
+                        best, bad = (b, c, a, d), hit
+    if best is None:
+        return None
+    b, c, a, d = best
+    first = (a, b, c, d) if a < d else (d, c, b, a)
+    _verify_induced(g, "path", first, (1,))
+    second = find_induced_p4(g, within=bad)
+    if second is None or any(adj[u].intersection(second) for u in first):
+        raise AssertionError(f"bad 2p4 witness {first} {second}")
+    return PatternWitness("2p4", (first, second))
 
 
 def _is_p4(adj, quad) -> bool:
@@ -169,27 +144,6 @@ def _is_p4(adj, quad) -> bool:
     graphs with three edges, a triangle plus a vertex and a star, have
     degrees 0, 2, 2, 2 and 1, 1, 1, 3)."""
     return sorted(len(adj[v] & quad) for v in quad) == [1, 1, 2, 2]
-
-
-def _non_cograph_part(g: Graph, part: frozenset):
-    """The cotree test's failure set for `part`, or None for a cograph.
-
-    Four vertices that are not a P4 are a cograph, so such a set is settled
-    without building a cotree."""
-    if len(part) == 4 and not _is_p4(g._adj, part):
-        return None
-    return cograph.cotree_or_failure(g, part)[1]
-
-
-def _two_p4(g: Graph, first, bad):
-    _verify_induced(g, "path", first, (1,))
-    second = find_induced_p4(g, within=bad)
-    if second is None:
-        raise AssertionError("non-cograph set without a P4")
-    for u in first:
-        if g._adj[u].intersection(second):
-            raise AssertionError("2P4 parts touch")
-    return PatternWitness("2p4", (first, second))
 
 
 def find_induced_cycle(g: Graph, k: int, trans=None):
@@ -440,10 +394,11 @@ def check_class(g: Graph):
     of a 2P4 witness is the one found on g; the second part may differ.
 
     The certificates of `check_core` (a bipartite core, two cliques), the
-    transversal bound on the C5 roots and the order-free decisions that
-    run before the C5 and 2P4 scans only skip work that finds nothing, so
-    they change no witness.  The core is built in passes that each delete
-    one kind of twin.  The README gives measured costs.
+    transversal bound on the C5 roots and the order-free C5 decision that
+    runs before the C5 scan only skip work that finds nothing, and the 2P4
+    scan skips only tuples that come after its least hit, so they change
+    no witness.  The core is built in passes that each delete one kind of
+    twin.  The README gives measured costs.
     """
     return check_core(twin_core(g))
 

@@ -12,7 +12,7 @@ from hered3.errors import StageAssertionError
 from hered3.formats import format_edge_list, parse_edge_list
 from hered3.patterns import check_class, find_induced_cycle
 from hered3.reductions import Stats
-from hered3.testkit import erdos_renyi, split_seed, verify_coloring
+from hered3.testkit import cograph_composite, erdos_renyi, split_seed, verify_coloring
 
 SCHEMA = json.loads((Path(cli.__file__).parent / "report_schema.json").read_text())
 
@@ -304,6 +304,17 @@ def test_check_class(write, capsys):
     assert code == 2
     assert report["decision"] == "class_violation"
     assert report["class_witness"]["kind"] == "c5"
+
+    # a composite with blobs on five spine vertices holds a 2P4, and the
+    # witness is the least hit of the (b, c, a, d) scan on its labels
+    composite = write("composite.edges", format_edge_list(cograph_composite(60, 1)))
+    code, out, _ = run(capsys, "check-class", composite)
+    assert code == 2
+    assert out.strip() == "class violation: induced 2p4 on 7 1 2 15 27 4 5 31"
+    code, report, _ = run_json(capsys, "check-class", composite, "--json")
+    assert code == 2
+    assert report["class_witness"] == {
+        "kind": "2p4", "vertices": ["7", "1", "2", "15", "27", "4", "5", "31"]}
 
 
 # -- count-colorings --------------------------------------------------------------

@@ -278,9 +278,9 @@ def test_detectors_against_naive_enumeration():
 
 
 def test_2p4_witness_is_the_first_hit_of_the_reference_order():
-    # find_induced_2p4 decides first, in no order, and scans in order only
-    # on a yes: a decision that misses a 2P4 answers None where the plain
-    # reference finds one, and the scan must still return the reference's
+    # find_induced_2p4 walks the sets unordered and keeps its least hit: a
+    # prune that skips a hit answers None where the plain reference finds
+    # one, or keeps a later hit, and the kept hit must be the reference's
     # first part.  naive_has_2p4 is quartic, so it checks the reference
     # itself up to 18 vertices
     sample = [erdos_renyi(8 + i % 19, (0.1, 0.2, 0.3, 0.45, 0.6)[i % 5], split_seed(73, i))

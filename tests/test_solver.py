@@ -1297,6 +1297,15 @@ def test_cograph_component_rule_fires_in_a_solve():
     # solve peels the cycle and keeps x and the bowtie, a plain component
     rep = oracle_solve(g)
     assert rep.stats["peeled"] == 7 and rep.stats["components_plain"] == 1
+    # thickened, it keeps a 3-core that holds the cycle, so solve itself
+    # anchors it and fires rule 7 (24 of seeds 0-399 do; 45 is another)
+    h = thicken(g, 20)
+    assert h.vertex_count() == 14
+    assert naive_in_class(h)
+    rep = oracle_solve(h)
+    assert rep.decision == "colorable"
+    assert rep.stats["components_anchored_7"] == 1
+    assert rep.stats["rule_cograph_component"] == 1
 
 
 def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeypatch):
