@@ -54,7 +54,7 @@ def _base_report(command: str, doc: GraphDocument) -> dict:
     report = {
         "command": command,
         "input": {
-            "source": getattr(doc, "source", "<generated>"),
+            "source": doc.source,
             "format": doc.format,
             "vertices": doc.graph.vertex_count(),
             "edges": doc.graph.edge_count(),
@@ -67,7 +67,7 @@ def _base_report(command: str, doc: GraphDocument) -> dict:
 
 
 def _emit(args, report: dict, text_lines: list) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:

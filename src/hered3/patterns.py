@@ -2,8 +2,10 @@
 
 Every finder returns the canonical witness, the first hit of an ascending
 scan with canonical tie-breaking, and self-verifies it before returning it.
-The 2P4 search reaches the same hit without sorting: it walks the sets
-unordered and keeps the least hit.
+Every induced cycle, the C5 of the class check as well as the C7 and C9
+anchors, comes from one depth-first path grower.  The 2P4 search reaches
+the same hit without sorting: it walks the sets unordered and keeps the
+least hit.
 """
 
 from __future__ import annotations
@@ -165,16 +167,12 @@ def find_induced_cycle(g: Graph, k: int, trans=None):
     the vertices not yet used as a root.
     When it finds none, there is no C5; otherwise the canonical scan runs.
 
-    A canonical 5-cycle v0-a-x-y-b is sought by neighbour pairs: for each
-    non-adjacent pair a < b in N(v0) above v0, an edge from
-    X = N(a) - N(b) - N[v0] to Y = N(b) - N(a) - N[v0], both above v0.  The
-    least (x, y, b) of the first a that has one is the canonical cycle.
-
-    Longer and even cycles grow a path v0, v1, ... in ascending order.  A
-    vertex may follow path[i - 1] when it avoids N(v0) and N[path[j]] for
-    every 1 <= j <= i - 2; the last one must instead be a neighbour of v0
-    above v1.  Those closed neighbourhoods are kept as one blocked set,
-    grown by one union per step.
+    One path grower serves every k: from each root v0 it grows a path
+    v0, v1, ... in ascending order.  A vertex may follow path[i - 1] when it
+    avoids N(v0) and N[path[j]] for every 1 <= j <= i - 2; the last one
+    must instead be a neighbour of v0 above v1.  Those closed
+    neighbourhoods are kept as one blocked set, grown by one union per
+    step.
     """
     if k < 4:
         raise ValueError("use explicit triangle checks for k=3")
@@ -187,12 +185,10 @@ def find_induced_cycle(g: Graph, k: int, trans=None):
         if not trans or (k == 5 and not _has_c5(adj, trans)):
             return None
         last = trans[-1]
-    above = set(adj)
     for v0 in sorted(adj):
         if last is not None and v0 > last:
             break
-        above.discard(v0)
-        got = _find_c5(adj, v0, above) if k == 5 else _find_long_cycle(adj, v0, k)
+        got = _find_long_cycle(adj, v0, k)
         if got is not None:
             _verify_induced(g, "cycle", got, (1, k - 1))
             return got
@@ -233,37 +229,6 @@ def _has_c5(adj, trans):
                 if ys and any(not adj[x].isdisjoint(ys) for x in xs - nb):
                     return True
     return False
-
-
-def _find_c5(adj, v0, above):
-    """The canonical C5 whose least vertex is v0, or None; `above` holds
-    the vertices above v0."""
-    n0 = adj[v0]
-    out = above - n0
-    up = sorted(n0 & above)
-    for i, a in enumerate(up):
-        na = adj[a]
-        xs = na & out
-        if not xs:
-            continue
-        best = None
-        for b in up[i + 1:]:
-            if b in na:
-                continue
-            nb = adj[b]
-            ys = (nb & out) - na
-            if not ys:
-                continue
-            for x in sorted(xs - nb):
-                hit = adj[x] & ys
-                if hit:
-                    got = (x, min(hit), b)
-                    if best is None or got < best:
-                        best = got
-                    break
-        if best is not None:
-            return (v0, a) + best
-    return None
 
 
 def _find_long_cycle(adj, v0, k):

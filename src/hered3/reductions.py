@@ -29,6 +29,7 @@ why each holds.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import islice
 from typing import Iterable
 
@@ -89,28 +90,6 @@ class RecKeyedDrop:
         coloring.update(self.extensions[coloring[self.key]])
 
 
-# -- stats ------------------------------------------------------------------
-
-
-class Stats:
-    """Flat counter bag shared by all branch instances of one solve call."""
-
-    def __init__(self) -> None:
-        self.counters: dict[str, int] = {}
-
-    def bump(self, key: str, by: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + by
-
-    def get(self, key: str) -> int:
-        return self.counters.get(key, 0)
-
-    def reductions_total(self) -> int:
-        return sum(n for k, n in self.counters.items() if k.startswith("rule_") or k.startswith("op_"))
-
-    def to_dict(self) -> dict:
-        return dict(sorted(self.counters.items()))
-
-
 # -- instance ---------------------------------------------------------------
 
 
@@ -123,7 +102,7 @@ class Instance:
     when it is on the anchor cycle, anchor_order.
     """
 
-    def __init__(self, g: Graph, stats: Stats):
+    def __init__(self, g: Graph, stats: Counter):
         self.g = g
         self.palettes: dict[int, frozenset] = {v: ALL_COLORS for v in g.vertices()}
         self.colors: dict[int, int] = {}
@@ -160,7 +139,7 @@ class Instance:
         """
         live = len(self.palettes)
         if not propagate(self.g._adj, self.palettes, self.colors, v, color, []):
-            self.stats.bump("rule_empty_palette")
+            self.stats["rule_empty_palette"] += 1
             return False
         # propagate adds each vertex it colors to the end of colors
         forced = 0
@@ -169,7 +148,7 @@ class Instance:
                 self.g.remove_vertex(w)
                 forced += w != v
         if forced:
-            self.stats.bump("rule_singleton_color", forced)
+            self.stats["rule_singleton_color"] += forced
         return True
 
     def delete_recorded(self, v: int, record) -> None:
@@ -283,7 +262,7 @@ def _prune_low_degree(inst: Instance) -> bool:
             # a deletion only lowers degrees, so every candidate still qualifies
             rec = RecDegree(v, inst.palettes[v], tuple(sorted(adj[v])))
             inst.delete_recorded(v, rec)
-            inst.stats.bump("rule_degree_prune")
+            inst.stats["rule_degree_prune"] += 1
             fired = True
 
 
@@ -315,7 +294,7 @@ def _diamond_pass(inst: Instance):
                     if py == pyp:
                         continue
                     inter = py & pyp
-                    inst.stats.bump("rule_diamond")
+                    inst.stats["rule_diamond"] += 1
                     if not inter:
                         return REJECTED
                     if len(inter) == 1:
@@ -350,7 +329,7 @@ def _domination_pass(inst: Instance) -> bool:
         for yp in sorted(cands):
             if inst.eff_palette(yp) <= pal:
                 inst.delete_recorded(y, RecDominated(y, yp))
-                inst.stats.bump("rule_domination")
+                inst.stats["rule_domination"] += 1
                 fired = True
                 break
     return fired
@@ -421,7 +400,7 @@ def _two_sat_component(inst: Instance, comp: set):
     unc = sorted(v for v in comp if v in pal)
     if any(len(pal[v]) != 2 for v in unc):
         return None
-    inst.stats.bump("rule_two_sat_component")
+    inst.stats["rule_two_sat_component"] += 1
     adj = inst.g._adj
     left = {v: pal[v] for v in unc}
     solved: dict[int, int] = {}
@@ -455,7 +434,7 @@ def _cograph_component(inst: Instance, comp: set):
         return None
     eff = {v: inst.eff_palette(v) for v in comp}
     solved = cograph.list3color(root, eff)
-    inst.stats.bump("rule_cograph_component")
+    inst.stats["rule_cograph_component"] += 1
     if solved is None:
         return REJECTED
     solved = {v: c for v, c in solved.items() if v in inst.palettes}
@@ -483,7 +462,7 @@ def cut_reduction(inst: Instance, w: int, root: cograph.Cotree) -> str:
     """
     c_ids = set(root.leaves())
     rest = c_ids - {w}
-    inst.stats.bump("op_cut_reduction")
+    inst.stats["op_cut_reduction"] += 1
     taken = set()
     for u in inst.g._adj[w] - c_ids:
         taken |= inst.eff_palette(u)

@@ -124,7 +124,7 @@ and replay records the reduction engine collects.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -145,7 +145,6 @@ from .reductions import (
     REJECTED,
     SOLVED,
     Instance,
-    Stats,
     cut_reduction,
     propagate,
     run_fixpoint,
@@ -178,11 +177,11 @@ def solve(
     the structural stages may then fail loudly.
     """
     start = perf_counter()
-    stats = Stats()
+    stats = Counter()
     copies = false_twins(g)
     h = g   # read, never changed: the anchored runs change clones only
     if copies:
-        stats.bump("false_twins", len(copies))
+        stats["false_twins"] += len(copies)
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
     core = trans = None
     if not assume_class:
@@ -194,7 +193,7 @@ def solve(
 
     order = _peel_order(h._adj)
     if order:
-        stats.bump("peeled", len(order))
+        stats["peeled"] += len(order)
     coloring: dict[int, int] = {}
     if len(order) < len(h):
         p = h
@@ -207,10 +206,10 @@ def solve(
             trans = odd_cycle_transversal(core)
         odd = patterns.find_nonbipartite_neighborhood(p)
         if odd is not None:
-            stats.bump("preflight_odd_neighborhood_" + odd.kind)
+            stats["preflight_odd_neighborhood_" + odd.kind] += 1
             return _report("not_colorable", None, stats, start)
         if patterns.find_co_c7(core) is not None:
-            stats.bump("preflight_co_c7")
+            stats["preflight_co_c7"] += 1
             return _report("not_colorable", None, stats, start)
         for comp in connected_components(p):
             cmap = _solve_component(p, core, trans, comp, stats)
@@ -251,9 +250,9 @@ def _peel_order(adj) -> list[int]:
 
 
 def _report(decision, witness_map, stats, start) -> SolveReport:
-    out = stats.to_dict()
+    out = dict(sorted(stats.items()))
     out.setdefault("branches", 0)
-    out["reductions"] = stats.reductions_total()
+    out["reductions"] = sum(n for k, n in stats.items() if k.startswith(("rule_", "op_")))
     out["millis"] = round((perf_counter() - start) * 1000, 3)
     return SolveReport(decision, witness_map, out)
 
@@ -311,10 +310,10 @@ def _solve_component(g, core, trans, comp, stats):
         for k in (7, 9):
             cyc = patterns.find_induced_cycle(core, k, trans)
             if cyc is not None:
-                stats.bump(f"components_anchored_{k}")
+                stats[f"components_anchored_{k}"] += 1
                 won = _run_anchored(g, cyc, stats)
                 return None if won is None else won.assemble_witness(comp)
-    stats.bump("components_plain")
+    stats["components_plain"] += 1
     return _backtrack_color(g)
 
 
@@ -356,13 +355,13 @@ def _run_anchored(comp_graph, cycle, stats):
     anchors = base.anchor_order = tuple(cycle)
     adj, palettes, colors = comp_graph._adj, base.palettes, base.colors
     colorings = _proper_cycle_colorings(len(cycle))
-    stats.bump("anchor_colorings", len(colorings))
+    stats["anchor_colorings"] += len(colorings)
     trail: list = []
     marks = [0]   # the trail length with each applied prefix, from the empty one
     refuted = ()
     for col in colorings:
         if refuted and col[:len(refuted)] == refuted:
-            stats.bump("anchor_colorings_skipped")
+            stats["anchor_colorings_skipped"] += 1
             continue
         # an applied anchor holds its color
         d = 0
@@ -374,7 +373,7 @@ def _run_anchored(comp_graph, cycle, stats):
             if not propagate(adj, palettes, colors, cycle[i], col[i], trail):
                 undo(palettes, colors, trail, marks[-1])
                 refuted = col[:i + 1]
-                stats.bump("anchor_colorings_skipped")
+                stats["anchor_colorings_skipped"] += 1
                 break
             marks.append(len(trail))
         else:
@@ -390,7 +389,7 @@ def _dfs(root, stats):
     stack = [root]
     while stack:
         inst = stack.pop()
-        stats.bump("branches")
+        stats["branches"] += 1
         if inst is None:
             # a stage's child whose commits clashed
             continue
@@ -557,7 +556,7 @@ def _branch_single_anchor(inst, view):
         if not members:
             continue
         z = max(members, key=lambda x: (len(view.outer_nbrs[x]), -x))
-        inst.stats.bump("stage_single_anchor")
+        inst.stats["stage_single_anchor"] += 1
         kids = []
         for c in sorted(inst.palettes[z]):
             child = inst.clone()
@@ -614,7 +613,7 @@ def _branch_opposing_pair(inst, view):
                     spawn(plan + list(zip(dom, combo)))
             else:
                 spawn(plan)
-        inst.stats.bump("stage_opposing_pairs")
+        inst.stats["stage_opposing_pairs"] += 1
         return kids
     return None
 
@@ -648,12 +647,12 @@ def _component_cases(inst, view):
     idx = view.comp_relevant.index(True)
     comp = view.comps[idx]
     border = {v for v in comp if not g._adj[v] <= comp}
-    inst.stats.bump("stage_component_cases")
+    inst.stats["stage_component_cases"] += 1
     if len(border) != 1:
         shape = ("disconnected" if len(connected_components(g, within=border)) > 1
                  else "single-edge" if len(border) == 2 else "three-or-more-vertex")
         raise StageAssertionError(f"relevant component behind a {shape} border")
-    inst.stats.bump("case_border_single_vertex")
+    inst.stats["case_border_single_vertex"] += 1
     (w,) = border
     return cut_reduction(inst, w, view.cotrees[idx])
 

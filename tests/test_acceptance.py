@@ -7,6 +7,7 @@ line with the measured numbers.  A failing gate is a plain test failure.
 
 import math
 import time
+from collections import Counter
 from itertools import combinations, permutations, product
 from random import Random
 
@@ -25,7 +26,6 @@ from hered3.reductions import (
     REJECTED,
     SOLVED,
     Instance,
-    Stats,
     _one_pass,
     _two_sat_component,
 )
@@ -141,9 +141,9 @@ def test_anchor_enumeration_counts_are_exact():
     # permutations must tile the full set, so no coloring goes unrepresented
     for k, reps, full in ((7, 21, 126), (9, 85, 510)):
         # on the anchored layer: solve peels the cycle whole
-        stats = Stats()
+        stats = Counter()
         assert _run_anchored(cycle_graph(k), tuple(range(1, k + 1)), stats) is not None
-        got = stats.get("anchor_colorings")
+        got = stats["anchor_colorings"]
         assert got == reps
         assert solve(cycle_graph(k)).stats["peeled"] == k
         proper = {c for c in product((1, 2, 3), repeat=k)
@@ -195,16 +195,16 @@ def _layer_checked(g, colorable, what):
         return 0
     core = twin_core(h)
     trans = odd_cycle_transversal(core)
-    stats = Stats()
+    stats = Counter()
     coloring = {}
     for comp in connected_components(h):
         cmap = _solve_component(h, core, trans, comp, stats)
         if cmap is None:
             assert not colorable, what
-            return stats.get("components_anchored_7")
+            return stats["components_anchored_7"]
         coloring.update(cmap)
     assert colorable and verify_coloring(h, coloring), what
-    return stats.get("components_anchored_7")
+    return stats["components_anchored_7"]
 
 
 def test_stage_ladder_safety_net():
@@ -305,7 +305,7 @@ def test_reduction_steps_preserve_colorability():
         assert instances < 3000, "reduction sampler starved"
         n = rng.randint(4, 12)
         g = erdos_renyi(n, rng.choice((0.2, 0.35, 0.5)), rng.getrandbits(32))
-        inst = Instance(g, Stats())
+        inst = Instance(g, Counter())
         for v in list(inst.palettes):
             if rng.random() < 0.4:
                 inst.palettes[v] = frozenset(
@@ -346,7 +346,7 @@ def test_two_color_rule_matches_oracle():
             if rng.random() < p:
                 g.add_edge(a, b)
         palettes = {v: frozenset(rng.sample((1, 2, 3), 2)) for v in range(1, n + 1)}
-        inst = Instance(g.copy(), Stats())
+        inst = Instance(g.copy(), Counter())
         inst.palettes = dict(palettes)
         verdict = _two_sat_component(inst, set(g.vertices()))
         want = oracle_list3color(g, palettes)
@@ -389,7 +389,7 @@ def test_two_color_rule_matches_oracle():
             else:
                 palettes[v] = frozenset(rng.sample((1, 2, 3), 2))
         g = Graph.from_edges(range(1, n + 1), edges)
-        inst = Instance(g.copy(), Stats())
+        inst = Instance(g.copy(), Counter())
         inst.anchor_order = tuple(anchors)
         inst.colors.update(acolor)
         inst.palettes = dict(palettes)

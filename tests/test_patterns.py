@@ -311,9 +311,9 @@ def test_2p4_witness_is_the_first_hit_of_the_reference_order():
 
 
 def test_scans_match_the_reference_search():
-    # the set-based cycle scans return the reference search's canonical
-    # cycle, and the middle-edge 2P4 scan finds a 2P4 exactly when one
-    # exists, with the same first part on the graph as on its twin core
+    # the path-growing cycle scan returns the reference search's canonical
+    # cycle for every k, and the middle-edge 2P4 scan finds a 2P4 exactly
+    # when one exists, with the same first part on the graph as on its twin core
     hits = {5: 0, 7: 0, 9: 0, "2p4": 0}
     total = 1500
     for i in range(total):
@@ -330,6 +330,17 @@ def test_scans_match_the_reference_search():
             assert find_induced_2p4(twin_core(g)).parts[0] == found.parts[0], i
             hits["2p4"] += 1
     assert all(10 < h < total - 10 for h in hits.values()), hits
+    # sparse graphs of 30 to 60 vertices, where the canonical C5 is often
+    # rooted above the least vertex
+    found = rooted_above = 0
+    for i in range(60):
+        g = erdos_renyi(30 + i % 31, (0.05, 0.08, 0.12)[i % 3], split_seed(62, i))
+        got = find_induced_cycle(g, 5)
+        assert got == reference_induced_cycle(g, 5), i
+        if got is not None:
+            found += 1
+            rooted_above += got[0] > min(g.vertices())
+    assert 40 < found < 60 and rooted_above > 10, (found, rooted_above)
 
 
 def test_bipartite_core_skips_the_c5_scan(monkeypatch):

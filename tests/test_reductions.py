@@ -1,6 +1,7 @@
 """Palette reduction rules, replay records, and the cut reduction."""
 
 import time
+from collections import Counter
 from random import Random
 
 import pytest
@@ -17,7 +18,6 @@ from hered3.reductions import (
     RecDegree,
     RecDominated,
     RecKeyedDrop,
-    Stats,
     _cograph_component,
     _diamond_pass,
     _domination_pass,
@@ -47,7 +47,7 @@ FULL = ALL_COLORS
 
 
 def make_instance(g, palettes=None):
-    inst = Instance(g.copy(), Stats())
+    inst = Instance(g.copy(), Counter())
     if palettes:
         for v, p in palettes.items():
             inst.palettes[v] = frozenset(p)
@@ -86,7 +86,7 @@ def test_commit_color_colors_a_forced_neighbor():
     assert inst.commit_color(1, 2)
     assert inst.colors == {1: 2, 2: 3}
     assert not inst.palettes and not inst.g.vertex_count()
-    assert inst.stats.get("rule_singleton_color") == 1
+    assert inst.stats["rule_singleton_color"] == 1
 
 
 def test_commit_color_colors_a_forced_chain_in_one_call():
@@ -98,8 +98,8 @@ def test_commit_color_colors_a_forced_chain_in_one_call():
     assert inst.commit_color(1, 1)
     assert inst.colors == {v: 2 - v % 2 for v in g.vertices()}
     assert not inst.palettes and not inst.g.vertex_count()
-    assert inst.stats.get("rule_singleton_color") == n - 1
-    assert inst.stats.get("rule_empty_palette") == 0
+    assert inst.stats["rule_singleton_color"] == n - 1
+    assert inst.stats["rule_empty_palette"] == 0
 
 
 def test_commit_color_clash_returns_false():
@@ -107,21 +107,21 @@ def test_commit_color_clash_returns_false():
     g = cycle_graph(999)
     inst = make_instance(g, {v: {1, 2} for v in g.vertices()})
     assert not inst.commit_color(1, 1)
-    assert inst.stats.get("rule_empty_palette") == 1
-    assert inst.stats.get("rule_singleton_color") == 0
+    assert inst.stats["rule_empty_palette"] == 1
+    assert inst.stats["rule_singleton_color"] == 0
 
 
 def test_commit_color_rejects_a_color_its_palette_lacks():
     inst = make_instance(path_graph(3), {2: {2, 3}})
     assert not inst.commit_color(2, 1)
-    assert inst.stats.get("rule_empty_palette") == 1
+    assert inst.stats["rule_empty_palette"] == 1
 
 
 def test_degree_prune():
     g = Graph.from_edges([1], [])
     inst = make_instance(g)
     assert _one_pass(inst) == "fired"
-    assert inst.stats.get("rule_degree_prune") == 1
+    assert inst.stats["rule_degree_prune"] == 1
     assert not inst.g.has_vertex(1)
     rec = inst.replay[-1]
     assert isinstance(rec, RecDegree)
@@ -149,7 +149,7 @@ def test_diamond_intersects_palettes():
     inst = make_instance(diamond_graph(), {3: {1, 2}})
     assert _diamond_pass(inst) == "fired"
     assert inst.palettes[3] == inst.palettes[4] == frozenset((1, 2))
-    assert inst.stats.get("rule_diamond") == 1
+    assert inst.stats["rule_diamond"] == 1
 
 
 def test_diamond_commits_a_one_color_intersection():
@@ -159,7 +159,7 @@ def test_diamond_commits_a_one_color_intersection():
     assert inst.colors == {3: 2, 4: 2}
     assert set(inst.g.vertices()) == {1, 2}
     assert inst.palettes[1] == inst.palettes[2] == frozenset((1, 3))
-    assert inst.stats.get("rule_diamond") == 1
+    assert inst.stats["rule_diamond"] == 1
 
 
 def test_diamond_skips_equal_palettes():
@@ -180,7 +180,7 @@ def test_domination_deletes():
     assert _domination_pass(inst)
     assert not inst.g.has_vertex(3)
     assert inst.g.vertex_count() == 3
-    assert inst.stats.get("rule_domination") == 1
+    assert inst.stats["rule_domination"] == 1
     rec = next(r for r in inst.replay if isinstance(r, RecDominated))
     assert rec.v == 3 and rec.dominator == 1
     coloring = {1: 2}
@@ -214,7 +214,7 @@ def naive_diamond_pass(inst):
                 if py == pyp:
                     continue
                 inter = py & pyp
-                inst.stats.bump("rule_diamond")
+                inst.stats["rule_diamond"] += 1
                 if not inter:
                     return REJECTED
                 if len(inter) == 1:
@@ -242,7 +242,7 @@ def naive_domination_pass(inst):
             if not ny <= inst.g.neighbors(yp):
                 continue
             inst.delete_recorded(y, RecDominated(y, yp))
-            inst.stats.bump("rule_domination")
+            inst.stats["rule_domination"] += 1
             fired = True
             break
     return fired
@@ -273,7 +273,7 @@ def rule_instance(i):
 def rule_state(inst, out):
     replay = [(type(r).__name__, *(getattr(r, a) for a in r.__slots__)) for r in inst.replay]
     adjacency = {v: sorted(inst.g.neighbors(v)) for v in inst.g.vertices()}
-    return out, dict(inst.palettes), dict(inst.colors), replay, inst.stats.to_dict(), adjacency
+    return out, dict(inst.palettes), dict(inst.colors), replay, dict(inst.stats), adjacency
 
 
 @pytest.mark.parametrize("rule,naive,key", [
@@ -285,8 +285,8 @@ def test_set_based_rule_scans_match_the_naive_walks(rule, naive, key):
     for i in range(500):
         fast, slow = rule_instance(i), rule_instance(i)
         assert rule_state(fast, rule(fast)) == rule_state(slow, naive(slow)), i
-        fired += fast.stats.get(key) > 0
-        anchored += bool(fast.colors) and fast.stats.get(key) > 0
+        fired += fast.stats[key] > 0
+        anchored += bool(fast.colors) and fast.stats[key] > 0
     assert fired > 300 and anchored > 150
 
 
@@ -330,7 +330,7 @@ def test_two_sat_component_solves():
     # no neighborhood contains another, so only the 2-SAT rule can act
     inst = make_instance(cycle_graph(6), {v: {1, 2} for v in range(1, 7)})
     assert run_fixpoint(inst) == SOLVED
-    assert inst.stats.get("rule_two_sat_component") >= 1
+    assert inst.stats["rule_two_sat_component"] >= 1
     witness = inst.assemble_witness(range(1, 7))
     assert verify_coloring(cycle_graph(6), witness)
     assert all(witness[v] in (1, 2) for v in range(1, 7))
@@ -339,7 +339,7 @@ def test_two_sat_component_solves():
 def test_two_sat_component_rejects():
     inst = make_instance(complete_graph(3), {v: {1, 2} for v in range(1, 4)})
     assert run_fixpoint(inst) == REJECTED
-    assert inst.stats.get("rule_two_sat_component") == 1
+    assert inst.stats["rule_two_sat_component"] == 1
 
 
 def test_two_color_rule_retries_a_clashing_color():
@@ -357,7 +357,7 @@ def test_two_color_rule_keeps_a_try_that_leaves_vertices_undecided():
     inst = make_instance(path_graph(4), {1: {1, 2}, 2: {2, 3}, 3: {2, 3}, 4: {2, 3}})
     assert _two_sat_component(inst, {1, 2, 3, 4}) == "fired"
     assert inst.colors == {1: 1, 2: 2, 3: 3, 4: 2}
-    assert inst.stats.get("rule_two_sat_component") == 1
+    assert inst.stats["rule_two_sat_component"] == 1
 
 
 def test_two_color_rule_stays_linear_on_a_large_star():
@@ -482,7 +482,7 @@ def test_cut_reduction_keeps_a_free_color_alone():
     # alone: every coloring of the graph can switch 11 to 2
     inst = border_instance([(11, 12), (11, 13)], {11: FULL, 12: FULL, 13: FULL})
     assert cut(inst, 11, (11, 12, 13)) == "fired"
-    assert inst.stats.get("op_cut_reduction") == 1
+    assert inst.stats["op_cut_reduction"] == 1
     assert set(inst.g.vertices()) == {1, 2}
     assert inst.colors[11] == 2
     (rec,) = inst.replay

@@ -14,6 +14,7 @@ removes calls that layer directly: `solver._run_anchored`,
 import sys
 import time
 import warnings
+from collections import Counter
 from itertools import combinations, product
 from random import Random
 
@@ -31,7 +32,7 @@ from hered3.graph import (
     twin_core,
 )
 from hered3.patterns import check_class
-from hered3.reductions import ALL_COLORS, Instance, Stats
+from hered3.reductions import ALL_COLORS, Instance
 from hered3.solver import _proper_cycle_colorings, solve
 from hered3.testkit import (
     c7_gadget,
@@ -88,7 +89,7 @@ def run_anchored(g, k=7):
     """`solver._run_anchored` on the whole of a connected g, anchored on its
     first induced k-cycle: its stats and the winning branch's witness, or
     None when every branch is rejected."""
-    stats = Stats()
+    stats = Counter()
     won = solver._run_anchored(g, patterns.find_induced_cycle(g, k), stats)
     return stats, None if won is None else won.assemble_witness(g.vertices())
 
@@ -226,9 +227,9 @@ def test_bipartite_components_skip_the_anchor_search(monkeypatch):
         rep = oracle_solve(g)
         assert "peeled" not in rep.stats and rep.stats["components_plain"] == 1
     g = cycle_graph(8)
-    stats = Stats()
+    stats = Counter()
     assert verify_coloring(g, solve_component(g, stats))
-    assert stats.to_dict() == {"components_plain": 1}
+    assert dict(stats) == {"components_plain": 1}
     assert calls == []
     # a thickened gadget's 3-core is anchored on its 7-cycle after the
     # class check's C5 search; a cycle peels away whole, so its only
@@ -298,9 +299,9 @@ def test_out_of_class_inputs_solve_under_waiver():
         assert rep.decision == "colorable"
         assert rep.stats.get("peeled", 0) == peeled
         assert rep.stats.get("components_plain", 0) == (not peeled)
-        stats = Stats()
+        stats = Counter()
         assert verify_coloring(g, solve_component(g, stats))
-        assert stats.to_dict() == {"components_plain": 1}
+        assert dict(stats) == {"components_plain": 1}
 
 
 def test_waiver_on_uncolorable_input_stays_honest():
@@ -361,7 +362,7 @@ def test_seven_cycle_enumerates_all_anchor_colorings():
     g = cycle_graph(7)
     stats, witness = run_anchored(g)
     assert verify_coloring(g, witness)
-    assert stats.get("anchor_colorings") == 21
+    assert stats["anchor_colorings"] == 21
     g = thickened(20)
     rep = oracle_solve(g)
     assert rep.decision == "colorable"
@@ -378,7 +379,7 @@ def test_nine_cycle_enumerates_all_anchor_colorings():
     g = cycle_graph(9)
     stats, witness = run_anchored(g, 9)
     assert verify_coloring(g, witness)
-    assert stats.get("anchor_colorings") == 85 and stats.get("branches") >= 1
+    assert stats["anchor_colorings"] == 85 and stats["branches"] >= 1
     g = thicken(c9_gadget(433), 433)
     rep = oracle_solve(g)
     assert rep.decision == "colorable"
@@ -470,7 +471,7 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
             cycle = patterns.find_induced_cycle(twin_core(h), k)
             if cycle is not None:
                 break
-        base = Instance(h, Stats())
+        base = Instance(h, Counter())
         base.anchor_order = tuple(cycle)
 
         def full_branch(col):
@@ -479,7 +480,7 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
             return child if ok else None
 
         roots.clear()
-        every = Stats()
+        every = Counter()
         with monkeypatch.context() as m:
             m.setattr(solver, "_dfs", recorded)
             solver._run_anchored(h, cycle, every)
@@ -495,11 +496,11 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
             if first is None and won is not None:
                 first = won.assemble_witness(h.vertices())
         skipped = [col for col in _proper_cycle_colorings(k) if col not in ran]
-        assert every.get("anchor_colorings_skipped") == len(skipped)
+        assert every["anchor_colorings_skipped"] == len(skipped)
         for col in skipped:
             child = full_branch(col)
-            assert child is None or dfs(child, Stats()) is None
-        won = solver._run_anchored(h, cycle, Stats())
+            assert child is None or dfs(child, Counter()) is None
+        won = solver._run_anchored(h, cycle, Counter())
         if first is None:
             assert won is None
         else:
@@ -529,7 +530,7 @@ def test_anchor_branch_verdicts_are_constant_on_color_orbits():
                 break
         full = [c for c in product((1, 2, 3), repeat=k)
                 if all(c[i] != c[i - 1] for i in range(k))]
-        stats = Stats()
+        stats = Counter()
         base = Instance(g, stats)
         base.anchor_order = tuple(cycle)
         verdicts = {}
@@ -661,7 +662,7 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
             core = twin_core(run_on)
             cycle = (patterns.find_induced_cycle(core, 7)
                      or patterns.find_induced_cycle(core, 9))
-            base = Instance(run_on, Stats())
+            base = Instance(run_on, Counter())
             base.anchor_order = tuple(cycle)
             for col in product((1, 2, 3), repeat=len(cycle)):
                 if any(col[i] == col[i - 1] for i in range(len(cycle))):
@@ -711,10 +712,10 @@ def test_rimmed_cycle_routes_through_expected_stages():
         if witness is not None:
             assert verify_coloring(g, witness)
         if r == 0:
-            assert stats.get("stage_opposing_pairs") >= 1
+            assert stats["stage_opposing_pairs"] >= 1
         elif r in (1, 2, 3):
-            assert stats.get("stage_component_cases") >= 1
-            assert stats.get("case_border_single_vertex") >= 1
+            assert stats["stage_component_cases"] >= 1
+            assert stats["case_border_single_vertex"] >= 1
         assert oracle_solve(g).stats["peeled"] == 12
     # the pinned thickened gadgets keep their anchor cycle in the 3-core,
     # and solve fires each one's stage with the oracle's verdict
@@ -1209,7 +1210,7 @@ def test_large_plain_components_get_a_witness():
         # triangle)
         for g in (star, tripartite, big_star, path_graph(6)):
             assert check_class(g) is None
-            stats = Stats()
+            stats = Counter()
             for run in (lambda g: solve_component(g, stats),
                         lambda g: solve(g, witness=True).witness):
                 t0 = time.perf_counter()
@@ -1217,7 +1218,7 @@ def test_large_plain_components_get_a_witness():
                 took = time.perf_counter() - t0
                 assert verify_coloring(g, coloring)
                 assert took < 5, f"{g.vertex_count()} vertices: {took:.2f}s"
-            assert stats.to_dict() == {"components_plain": 1}
+            assert dict(stats) == {"components_plain": 1}
             rep = solve(g)
             assert rep.decision == "colorable"
             assert rep.stats["peeled"] == quotient_size(g, rep)
@@ -1257,9 +1258,9 @@ def test_plain_component_that_needs_backtracking():
     assert _dsatur_without_undo(g) is None
     assert oracle_list3color(g) is not None
     # solve peels half of it, so the component layer takes it whole
-    stats = Stats()
+    stats = Counter()
     witness = solve_component(g, stats)
-    assert stats.to_dict() == {"components_plain": 1}
+    assert dict(stats) == {"components_plain": 1}
     assert verify_coloring(g, witness)
     assert witness == {1: 1, 2: 2, 3: 3, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 1,
                        11: 1, 12: 1}
@@ -1290,10 +1291,10 @@ def test_cograph_component_rule_fires_in_a_solve():
     assert naive_in_class(g)
     assert oracle_list3color(g) is not None
     # on the component layer: solve peels the cycle away
-    stats = Stats()
+    stats = Counter()
     assert verify_coloring(g, solve_component(g, stats))
-    assert stats.get("components_anchored_7") == 1
-    assert stats.get("rule_cograph_component") >= 1
+    assert stats["components_anchored_7"] == 1
+    assert stats["rule_cograph_component"] >= 1
     # solve peels the cycle and keeps x and the bowtie, a plain component
     rep = oracle_solve(g)
     assert rep.stats["peeled"] == 7 and rep.stats["components_plain"] == 1
