@@ -23,11 +23,11 @@ class GraphDocument:
         return self.labels.get(v, str(v))
 
 
-def sniff_format(text: str) -> str:
+def sniff_format(text: str, lines: list[str] | None = None) -> str:
     """DIMACS when the first line past blank and c lines is a problem line
-    (p plus 3 tokens) or an edge line (e plus 2); an edge-list line has 1 or
-    2 tokens, so everything else is an edge list, even with a label c."""
-    for raw in text.splitlines():
+    (p plus 3 tokens) or an edge line (e plus 2), else an edge list (1 or 2
+    tokens a line), even with a label c.  lines is text.splitlines()."""
+    for raw in text.splitlines() if lines is None else lines:
         parts = raw.split()
         if parts and parts[0] != "c":
             dimacs = (parts[0], len(parts)) in (("p", 4), ("e", 3))
@@ -36,23 +36,26 @@ def sniff_format(text: str) -> str:
 
 
 def parse_graph(text: str, fmt: str | None = None) -> GraphDocument:
-    fmt = fmt or sniff_format(text)
+    """One line split serves the format sniff and the reader."""
+    lines = text.splitlines()
+    fmt = fmt or sniff_format(text, lines)
     if fmt == "dimacs_col":
-        return parse_dimacs(text)
+        return parse_dimacs(text, lines)
     if fmt == "edge_list":
-        return parse_edge_list(text)
+        return parse_edge_list(text, lines)
     raise ParseError(f"unknown graph format: {fmt}")
 
 
 # -- DIMACS col ---------------------------------------------------------------
 
 
-def parse_dimacs(text: str) -> GraphDocument:
+def parse_dimacs(text: str, lines: list[str] | None = None) -> GraphDocument:
+    lines = text.splitlines() if lines is None else lines
     g = Graph()
     doc = GraphDocument("dimacs_col", g)
     declared = None
     seen_edges = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -113,28 +116,32 @@ def format_dimacs(g: Graph, comments: tuple = ()) -> str:
 # -- labeled edge list --------------------------------------------------------
 
 
-def parse_edge_list(text: str) -> GraphDocument:
+def parse_edge_list(text: str, lines: list[str] | None = None) -> GraphDocument:
     """Ids 1, 2, ... in order of first appearance of each label.
 
-    A known label is one dict lookup; `new` runs only for a label's first
-    appearance.  Ids start at 1, so a missing label is the only false
-    lookup.
+    A text without "#" or ":" skips the per-line comment and palette tests.
+    Ids start at 1, so a missing label is the only false lookup, and an
+    edge whose second label is new needs no self-loop or duplicate test.
     """
+    lines = text.splitlines() if lines is None else lines
     g = Graph()
     doc = GraphDocument("edge_list", g)
     adj = g._adj
+    labels = doc.labels
     by_label: dict[str, int] = {}
     known = by_label.get
+    comments = "#" in text
+    palettes = ":" in text
 
     def new(label: str) -> int:
-        v = by_label[label] = len(by_label) + 1
+        v = by_label[label] = len(adj) + 1
         adj[v] = set()
-        doc.labels[v] = label
+        labels[v] = label
         return v
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0] if "#" in raw else raw
-        if ":" in line:
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0] if comments and "#" in raw else raw
+        if palettes and ":" in line:
             # palette annotation: "<label>: <color> <color>..."
             name, _, rest = line.partition(":")
             name = name.strip()
@@ -151,16 +158,23 @@ def parse_edge_list(text: str) -> GraphDocument:
         parts = line.split()
         if len(parts) == 2:
             a, b = parts
-            if a == b:
+            u = known(a)
+            if not u:
+                u = by_label[a] = len(adj) + 1
+                adj[u] = set()
+                labels[u] = a
+            v = known(b)
+            if not v:
+                v = by_label[b] = len(adj) + 1
+                adj[v] = set()
+                labels[v] = b
+            elif v == u:
                 raise ParseError(f"self-loop at {a!r}", line_no=line_no)
-            u = known(a) or new(a)
-            v = known(b) or new(b)
-            nu = adj[u]
-            if v in nu:
+            elif v in adj[u]:
                 doc.warnings.append(f"line {line_no}: duplicate edge {a} {b} ignored")
-            else:
-                nu.add(v)
-                adj[v].add(u)
+                continue
+            adj[u].add(v)
+            adj[v].add(u)
         elif len(parts) == 1:
             if parts[0] not in by_label:
                 new(parts[0])

@@ -127,8 +127,9 @@ class Graph:
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph induced by `keep`, preserving vertex ids and the id counter."""
     keep_set = set(keep)
-    for v in keep_set:
-        g._check(v)
+    if not g._adj.keys() >= keep_set:
+        for v in keep_set:
+            g._check(v)
     sub = Graph()
     sub._adj = {v: g._adj[v] & keep_set for v in keep_set}
     sub._next_id = g._next_id
@@ -158,10 +159,10 @@ def false_twins(g: Graph) -> dict[int, int]:
     otherwise r is in N[u] = N[v] (r is kept, and not x), so v is in
     N[r] = N[x].  Either way v ~ x, against the choice of u.
     """
-    return _copies(g._adj, closed=False)
+    return _copies(g._adj, False, sorted(g._adj))
 
 
-def twin_core(g: Graph) -> Graph:
+def twin_core(g: Graph, copies: dict[int, int] | None = None) -> Graph:
     """The induced subgraph left when twins are deleted, to a fixpoint.
 
     u and v are false twins when N(u) = N(v) and true twins when
@@ -171,7 +172,8 @@ def twin_core(g: Graph) -> Graph:
     class, repeated until nothing changes, and the order of the deletions
     does not matter.  A pattern without twins (C5, C7, C9, 2P4, co-C7) is
     an induced subgraph of g exactly when it is one of the core.  Ids and
-    the id counter are kept, as in `induced_subgraph`.
+    the id counter are kept, as in `induced_subgraph`.  copies, when
+    given, is `false_twins(g)`, and stands in for the first pass.
 
     Passes alternate between the kinds: false twins (open neighbourhoods),
     then true twins (closed ones), then false again, each deleting every
@@ -179,20 +181,30 @@ def twin_core(g: Graph) -> Graph:
     no twins of that kind (see `false_twins`), so once a pass after the
     first deletes nothing, the graph has no twins of either kind.
 
-    A pass is one grouping by one key per vertex, O(n + m).  A deletion can
-    make new twins, so a threshold graph, whose twin pairs form one at a
-    time, takes a pass per vertex: `threshold_graph(600)` takes about
-    1.1 s (3.4 s when every round built both keys for every vertex).  The
-    first pass reads g's sets and the copy keeps only what it spares; later
-    passes delete in place.
+    From the third pass on, every twin pair was made by the previous
+    pass's deletions, and it holds the representative r of a vertex x that
+    pass deleted: x saw exactly one of the pair, say u, and not v.  If x
+    and r were true twins and u is not r, then u ~ r, so v ~ r and v ~ x.
+    If they were false twins, u ~ r, and v, if not r, sees r in
+    N[u] = N[v], so v ~ x.  Twins have equal degree, so such a pass keys
+    only the vertices of a representative's degree.
+
+    A threshold graph, whose twin pairs form one at a time, takes a pass
+    per vertex, each keying a few vertices.  The first pass reads g's sets;
+    the copy, made in ascending order so that its filters are too, keeps
+    only what it spares, and later passes delete in place.
     """
-    drop = _copies(g._adj, closed=False)
-    adj = {v: nbrs.difference(drop) for v, nbrs in g._adj.items() if v not in drop}
+    order = sorted(g._adj)
+    drop = _copies(g._adj, False, order) if copies is None else copies
+    adj = {v: g._adj[v].difference(drop) for v in order if v not in drop}
     closed = True
-    while drop := _copies(adj, closed):
+    keyed = adj
+    while drop := _copies(adj, closed, keyed):
         for v in drop:
             for w in adj.pop(v):
                 adj[w].discard(v)
+        degrees = {len(adj[r]) for r in drop.values()}
+        keyed = [v for v, nbrs in adj.items() if len(nbrs) in degrees]
         closed = not closed
     core = Graph()
     core._adj = adj
@@ -200,24 +212,24 @@ def twin_core(g: Graph) -> Graph:
     return core
 
 
-def _copies(adj, closed: bool) -> dict[int, int]:
-    """Each vertex whose open neighbourhood (closed, with `closed`) equals
-    that of a smaller vertex, mapped to the least such vertex.
+def _copies(adj, closed: bool, keyed) -> dict[int, int]:
+    """Each vertex of keyed (ascending) whose open neighbourhood (closed,
+    with `closed`) equals a smaller one's, mapped to the least such vertex.
 
     A closed key is built by adding v to its own set and taking it out
     again, one new set instead of three; only `twin_core`'s own sets get
     closed passes."""
     least: dict[frozenset, int] = {}
+    first = least.setdefault
     copies = {}
-    for v in sorted(adj):
+    for v in keyed:
         nv = adj[v]
         if closed:
             nv.add(v)
-            key = frozenset(nv)
+            rep = first(frozenset(nv), v)
             nv.discard(v)
         else:
-            key = frozenset(nv)
-        rep = least.setdefault(key, v)
+            rep = first(frozenset(nv), v)
         if rep != v:
             copies[v] = rep
     return copies

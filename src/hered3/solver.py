@@ -17,7 +17,9 @@ itself has no false twins.
 The class check runs on the twin core of h (`graph.twin_core`).  The core
 does not depend on the order of the deletions and keeps the least id of
 each twin class, so it is the twin core of the whole input too, and the
-check gives the verdict it gives on the input.
+check gives the verdict it gives on the input.  It is built from the
+input and the solver's one false-twin pass, whose copies stand in for the
+core's own first pass.
 
 P is what is left of h after deleting vertices of degree at most 2 until
 none is left (Matula & Beck 1983).  A vertex of degree at most 2 has a
@@ -185,7 +187,7 @@ def solve(
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
     core = trans = None
     if not assume_class:
-        core = twin_core(h)
+        core = twin_core(g, copies)
         trans = odd_cycle_transversal(core)
         offending = patterns.check_core(core, trans)
         if offending is not None:
@@ -217,9 +219,11 @@ def solve(
                 return _report("not_colorable", None, stats, start)
             coloring.update(cmap)
     adj = h._adj
+    get = coloring.get
     for v in reversed(order):
         # at most two neighbors are colored: those left when v was peeled
-        coloring[v] = min(ALL_COLORS - {coloring.get(w) for w in adj[v]})
+        used = set(map(get, adj[v]))
+        coloring[v] = 1 if 1 not in used else 2 if 2 not in used else 3
     for v, rep in copies.items():
         coloring[v] = coloring[rep]
     _verify_witness(g, coloring)

@@ -1,5 +1,7 @@
 """Parser and serializer tests for both supported graph formats."""
 
+from random import Random
+
 import pytest
 
 from hered3.errors import ParseError
@@ -129,6 +131,9 @@ def test_parse_edge_list_palettes():
 
 @pytest.mark.parametrize("text,line_no,needle", [
     ("a a\n", 1, "self-loop"),
+    # a self-loop on a new label and on a known one
+    ("x\ty\nz z\n", 2, "self-loop at 'z'"),
+    ("b c\n\nc c\n", 3, "self-loop at 'c'"),
     ("a b c\n", 1, "one or two tokens"),
     ("ok\n: 1 2\n", 2, "malformed palette"),
     ("a b: 1\n", 1, "malformed palette"),
@@ -209,3 +214,107 @@ def test_format_edge_list_round_trip():
 
 def test_format_edge_list_empty():
     assert format_edge_list(Graph()) == ""
+
+
+def test_parse_edge_list_colon_in_a_comment_is_no_palette():
+    doc = parse_edge_list("a b # see: x\n")
+    assert doc.labels == {1: "a", 2: "b"}
+    assert sorted(doc.graph.edges()) == [(1, 2)]
+    assert doc.palettes == {}
+
+
+def document(doc):
+    """A parse result as plain data: labels in id order, adjacency and
+    palettes by label, warnings."""
+    name = doc.labels
+    assert list(name) == list(range(1, len(name) + 1))
+    assert doc.graph.vertices() == list(name)
+    return (doc.format, list(name.values()),
+            {name[v]: {name[w] for w in doc.graph.neighbors(v)} for v in name},
+            {name[v]: colors for v, colors in doc.palettes.items()},
+            doc.warnings)
+
+
+SEPARATORS = ("\n", "\r\n", "\r", "\x0c")
+
+
+def test_every_line_separator_gives_the_same_document():
+    lines = ["# header", "b a", "", "c b # note: x", "a: 3 1", "\t", "a b", "d"]
+    docs = [document(parse_graph(sep.join(lines) + sep)) for sep in SEPARATORS]
+    assert docs[0] == (
+        "edge_list", ["b", "a", "c", "d"],
+        {"b": {"a", "c"}, "a": {"b"}, "c": {"b"}, "d": set()},
+        {"a": (1, 3)}, ["line 7: duplicate edge a b ignored"])
+    assert docs == [docs[0]] * len(SEPARATORS)
+
+
+def test_dimacs_is_sniffed_past_blank_and_comment_lines_with_every_separator():
+    for sep in SEPARATORS:
+        text = sep.join(["", "c a path", "  ", "p edge 3 2", "e 1 2", "e 2 3"]) + sep
+        assert sniff_format(text) == "dimacs_col", repr(sep)
+        doc = parse_graph(text)
+        assert doc.format == "dimacs_col" and sorted(doc.graph.edges()) == [(1, 2), (2, 3)]
+
+
+def reference_edge_list(text):
+    """A plain line loop over a well-formed edge list, for the differential
+    test: labels in order of first appearance, adjacency and palettes by
+    label, and the duplicate-edge warnings."""
+    labels, adj, palettes, warnings = [], {}, {}, []
+
+    def see(label):
+        if label not in adj:
+            labels.append(label)
+            adj[label] = set()
+
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#")[0]
+        if ":" in line:
+            name, rest = line.split(":")
+            see(name.strip())
+            palettes[name.strip()] = tuple(sorted({int(t) for t in rest.split()}))
+            continue
+        parts = line.split()
+        for label in parts:
+            see(label)
+        if len(parts) == 2:
+            a, b = parts
+            if b in adj[a]:
+                warnings.append(f"line {line_no}: duplicate edge {a} {b} ignored")
+            adj[a].add(b)
+            adj[b].add(a)
+    return "edge_list", labels, adj, palettes, warnings
+
+
+def random_edge_list(rng):
+    """Edges, reversed and repeated edges, isolated labels, comments, blank
+    lines and palettes, with runs of spaces and tabs."""
+    pool = [f"v{i}" for i in range(rng.randint(1, 12))] + ["c", "e", "p"]
+    edges = []
+    lines = []
+    for _ in range(rng.randint(0, 30)):
+        kind = rng.random()
+        if kind < 0.4 or (kind < 0.55 and not edges):
+            a, b = rng.sample(pool, 2)
+            edges.append((a, b))
+            lines.append(a + rng.choice(" \t") + b)
+        elif kind < 0.55:
+            a, b = rng.choice(edges)
+            lines.append(f" {b}  {a}" if rng.random() < 0.5 else f"{a} {b}")
+        elif kind < 0.65:
+            lines.append(f"\t{rng.choice(pool)} ")
+        elif kind < 0.75:
+            lines.append(rng.choice(["# a comment", "", "  ", "\t#"]))
+        elif kind < 0.85:
+            colors = " ".join(rng.choice("123") for _ in range(rng.randint(1, 4)))
+            lines.append(f"{rng.choice(pool)}: {colors}")
+        else:
+            lines[-1:] = [line + " # note: " + rng.choice(pool) for line in lines[-1:]]
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def test_edge_list_reader_matches_a_plain_line_loop():
+    rng = Random(2011)
+    for i in range(300):
+        text = random_edge_list(rng)
+        assert document(parse_graph(text, "edge_list")) == reference_edge_list(text), (i, text)

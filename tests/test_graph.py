@@ -89,6 +89,8 @@ def test_induced_subgraph():
     h = induced_subgraph(g, [0, 1, 2, 4])
     assert h.vertices() == [0, 1, 2, 4]
     assert sorted(h.edges()) == [(0, 1), (0, 4), (1, 2)]
+    with pytest.raises(InputError, match="unknown vertex 9"):
+        induced_subgraph(g, [0, 9, 1])
 
 
 def test_connected_components():
@@ -243,15 +245,20 @@ def planted_twin_graph(i):
     return g
 
 
-def test_twin_core_matches_rounds_of_pairwise_tests():
+def twin_corpus():
     # in cograph_composite, deleting false twins makes true twins and back;
-    # a threshold graph's twins form one pair at a time; and a hub with two
-    # pendant neighbours leaves, once one pendant goes, a true-twin edge
-    hub = Graph.from_edges(edges=((1, 2), (1, 3)))
-    assert twin_core(hub).vertices() == [1]
+    # a threshold graph's twins form one pair at a time, so from the third
+    # pass on each pass keys only a few vertices; and a hub with two pendant
+    # neighbours leaves, once one pendant goes, a true-twin edge
     graphs = [planted_twin_graph(i) for i in range(300)]
     graphs += [cograph_composite(7 + i, split_seed(63, i)) for i in range(30)]
-    graphs += [threshold_graph(40), hub]
+    graphs += [threshold_graph(40), threshold_graph(200)]
+    return graphs + [Graph.from_edges(edges=((1, 2), (1, 3)))]
+
+
+def test_twin_core_matches_rounds_of_pairwise_tests():
+    graphs = twin_corpus()
+    assert twin_core(graphs[-1]).vertices() == [1]
     for i, g in enumerate(graphs):
         core = twin_core(g)
         assert adjacency(core) == adjacency(naive_twin_core(g)), i
@@ -265,3 +272,12 @@ def test_twin_core_matches_rounds_of_pairwise_tests():
         assert false_twins(h) == {}, i
         assert adjacency(twin_core(h)) == adjacency(core), i
         assert core.add_vertex() == g.add_vertex()
+
+
+def test_twin_core_takes_the_false_twin_pass_it_is_given():
+    for i, g in enumerate(twin_corpus()):
+        before = adjacency(g)
+        core = twin_core(g, false_twins(g))
+        assert adjacency(core) == adjacency(twin_core(g)), i
+        assert adjacency(g) == before, i
+        assert core.add_vertex() == g.add_vertex(), i

@@ -827,20 +827,33 @@ def test_waived_c9_branch_the_fixpoint_leaves_open_is_a_stage_refusal():
 
 
 def test_solve_builds_one_twin_core(monkeypatch):
-    # the class scans run on the core solve already has, not on a second one
+    # the class scans run on the core solve already has, not on a second
+    # one, and the core takes solve's false-twin pass as its first pass
     calls = []
+    open_passes = []
 
-    def counted(g):
-        calls.append(g.vertex_count())
-        return twin_core(g)
+    def counted(g, copies=None):
+        core = twin_core(g, copies)
+        calls.append(core.vertex_count())
+        return core
+
+    real_copies = graph._copies
+
+    def grouped(adj, closed, *rest):
+        if not closed:
+            open_passes.append(len(adj))
+        return real_copies(adj, closed, *rest)
 
     monkeypatch.setattr(solver, "twin_core", counted)
     monkeypatch.setattr(patterns, "twin_core", counted)
+    monkeypatch.setattr(graph, "_copies", grouped)
     g = cycle_blowup([2, 3, 1, 2, 1, 2, 1])
     rep = solve(g, witness=True)
     assert rep.decision == "colorable"
-    # built once, on the false-twin quotient: the blowup's bare 7-cycle
+    # built once: the blowup's bare 7-cycle
     assert calls == [7]
+    # one grouping by open neighbourhood, over the whole input
+    assert open_passes == [12]
 
 
 def test_solve_walks_one_transversal_per_core(monkeypatch):
@@ -1070,8 +1083,8 @@ def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
     def recorded(name):
         real = getattr(solver, name)
 
-        def run(g):
-            built[name].append(real(g))
+        def run(g, *rest):
+            built[name].append(real(g, *rest))
             return built[name][-1]
         monkeypatch.setattr(solver, name, run)
 
