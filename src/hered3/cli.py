@@ -30,7 +30,9 @@ def _read_document(args) -> GraphDocument:
 
     Both are read as bytes and decoded strictly, so an undecodable input
     is a ParseError whatever the locale or the interpreter's UTF-8 mode.
-    No command reads palette annotations, so they draw a warning.
+    One leading byte-order mark is dropped after the decode, so a decode
+    error still names its byte offset in the file.  No command reads
+    palette annotations, so they draw a warning.
     """
     if args.path == "-":
         data = sys.stdin.buffer.read()
@@ -42,6 +44,7 @@ def _read_document(args) -> GraphDocument:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source}: not UTF-8 text (byte {exc.start})") from exc
+    text = text.removeprefix("\ufeff")
     fmt = None if args.format == "auto" else args.format
     doc = formats.parse_graph(text, fmt)
     doc.source = source

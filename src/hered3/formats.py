@@ -153,7 +153,9 @@ def parse_edge_list(text: str, lines: list[str] | None = None) -> GraphDocument:
                 colors = tuple(sorted({int(t) for t in rest.split()}))
             except ValueError:
                 raise ParseError(f"malformed palette line: {raw!r}", line_no=line_no)
-            if not colors or any(c not in (1, 2, 3) for c in colors):
+            if not colors:
+                raise ParseError(f"empty palette: {raw!r}", line_no=line_no)
+            if any(c not in (1, 2, 3) for c in colors):
                 raise ParseError(f"palette outside 1..3: {raw!r}", line_no=line_no)
             doc.palettes[known(name) or new(name)] = colors
             continue

@@ -186,20 +186,17 @@ def _is_p4(nbr, quad) -> bool:
     return degrees == [1, 1, 2, 2]
 
 
-def find_induced_cycle(g: Graph, k: int, trans=None):
+def find_induced_cycle(g: Graph, k: int):
     """First induced k-cycle in canonical order, or None.
 
     Canonical form: the cycle's smallest vertex v0 first, then the
     lexicographically least (v1, ..., v_{k-1}) with v1 < v_{k-1}.
 
-    For odd k the roots are bounded by an odd-cycle transversal T
+    For odd k the roots are bounded by an odd-cycle transversal T of g
     (`graph.odd_cycle_transversal`): g - T is bipartite, so every odd
     cycle meets T, and a cycle whose least vertex is v0 holds some t >= v0.
     So the root loop stops once v0 > max(T), and an empty T (g bipartite)
-    answers None with no root at all.  A caller that already holds T for g
-    passes it as trans; otherwise it is computed here.  `check_core` and
-    the solver compute it once per core and skip the call when it is empty,
-    so only direct callers meet that case.
+    answers None before any mask is built.
     For k = 5 a decision runs first: each C5 is rooted at its least
     T-vertex, so T is walked in ascending order and each t searches only
     the vertices not yet used as a root.
@@ -217,9 +214,7 @@ def find_induced_cycle(g: Graph, k: int, trans=None):
     adj = g._adj
     last = None
     if k % 2:
-        if trans is None:
-            trans = odd_cycle_transversal(g)
-        trans = sorted(trans)
+        trans = sorted(odd_cycle_transversal(g))
         if not trans or (k == 5 and not _has_c5(adj, trans)):
             return None
         last = trans[-1]
@@ -448,14 +443,10 @@ def check_class(g: Graph):
     return check_core(twin_core(g))
 
 
-def check_core(core: Graph, trans=None):
+def check_core(core: Graph):
     """The C5 scan, then the 2P4 scan, of `check_class`, run on `core` as
     given.  The verdict holds for any graph; a caller that has already built
     a twin core passes it here and gets the witness `check_class` argues.
-    trans is an odd-cycle transversal of core
-    (`graph.odd_cycle_transversal`) for the C5 scan: a caller that holds
-    one passes it, and otherwise it is built here, after the two-clique
-    test, which needs none.
 
     A core whose complement is bipartite (two cliques) is in class, and
     answers None with no scan: C5 is self-complementary and odd, so an
@@ -463,20 +454,15 @@ def check_core(core: Graph, trans=None):
     of 2P4 is the join of two P4s, which holds a triangle.  Two cliques of
     a and n - a vertices hold at least n(n - 2)/4 edges, the least at
     a = n/2, so a core with fewer edges skips the complement's search on
-    one count.  A core with an empty transversal is bipartite and has no
-    odd cycle, so it skips the C5 scan; on any other core the C5 scan tries
-    only the roots that `find_induced_cycle` bounds by the transversal.
+    one count.
     """
     adj = core._adj
     n = len(adj)
     if 2 * sum(map(len, adj.values())) >= n * (n - 2) and _co_bipartite(adj):
         return None
-    if trans is None:
-        trans = odd_cycle_transversal(core)
-    if trans:
-        c5 = find_induced_cycle(core, 5, trans)
-        if c5 is not None:
-            return PatternWitness("c5", (c5,))
+    c5 = find_induced_cycle(core, 5)
+    if c5 is not None:
+        return PatternWitness("c5", (c5,))
     return find_induced_2p4(core)
 
 

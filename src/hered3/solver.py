@@ -139,7 +139,6 @@ from .graph import (
     connected_components,
     false_twins,
     induced_subgraph,
-    odd_cycle_transversal,
     twin_core,
 )
 from .reductions import (
@@ -185,11 +184,10 @@ def solve(
     if copies:
         stats["false_twins"] += len(copies)
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
-    core = trans = None
+    core = None
     if not assume_class:
         core = twin_core(g, copies)
-        trans = odd_cycle_transversal(core)
-        offending = patterns.check_core(core, trans)
+        offending = patterns.check_core(core)
         if offending is not None:
             raise ClassViolationError(offending)
 
@@ -205,7 +203,6 @@ def solve(
             core = None
         if core is None:
             core = twin_core(p)
-            trans = odd_cycle_transversal(core)
         odd = patterns.find_nonbipartite_neighborhood(p)
         if odd is not None:
             stats["preflight_odd_neighborhood_" + odd.kind] += 1
@@ -214,7 +211,7 @@ def solve(
             stats["preflight_co_c7"] += 1
             return _report("not_colorable", None, stats, start)
         for comp in connected_components(p):
-            cmap = _solve_component(p, core, trans, comp, stats)
+            cmap = _solve_component(p, core, comp, stats)
             if cmap is None:
                 return _report("not_colorable", None, stats, start)
             coloring.update(cmap)
@@ -288,35 +285,24 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 
 
-def _solve_component(g, core, trans, comp, stats):
+def _solve_component(g, core, comp, stats):
     """The 3-coloring of the component comp of g, or None when it has none.
 
-    core is g's twin core and trans an odd-cycle transversal of it.  When
-    comp is all of g, all three are used as given.  Otherwise they are cut
-    down to comp: the induced subgraphs of g and of the core, and
-    trans & comp.  That is the transversal of the core's part:
-    `graph.odd_cycle_transversal` searches each component from its least
-    vertex, as it would the part alone, and the part is empty or one
-    component of the core, since deleting a twin keeps the rest connected.
-
-    The anchor cycle is sought on the core's part, unless its transversal
-    is empty: the part is then bipartite and holds no odd cycle.  Otherwise
-    `patterns.find_induced_cycle` tries only the roots up to the largest
-    vertex of the transversal.  The anchored run and the plain colorer work
-    on the whole component of g and never change it: `_run_anchored` only
+    core is g's twin core.  When comp is all of g, both are used as given;
+    otherwise both are cut down to comp.  The anchor cycle is sought on
+    the core's part, and the anchored run and the plain colorer work on
+    the whole component of g and never change it: `_run_anchored` only
     reads it and changes clones, and `_backtrack_color` keeps its palettes
     and colors apart."""
     if len(comp) < len(g):
         g = induced_subgraph(g, comp)
         core = induced_subgraph(core, [v for v in comp if v in core])
-        trans = trans & comp
-    if trans:
-        for k in (7, 9):
-            cyc = patterns.find_induced_cycle(core, k, trans)
-            if cyc is not None:
-                stats[f"components_anchored_{k}"] += 1
-                won = _run_anchored(g, cyc, stats)
-                return None if won is None else won.assemble_witness(comp)
+    for k in (7, 9):
+        cyc = patterns.find_induced_cycle(core, k)
+        if cyc is not None:
+            stats[f"components_anchored_{k}"] += 1
+            won = _run_anchored(g, cyc, stats)
+            return None if won is None else won.assemble_witness(comp)
     stats["components_plain"] += 1
     return _backtrack_color(g)
 

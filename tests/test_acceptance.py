@@ -18,7 +18,6 @@ from hered3.graph import (
     connected_components,
     false_twins,
     induced_subgraph,
-    odd_cycle_transversal,
     twin_core,
 )
 from hered3.patterns import check_class, find_nonbipartite_neighborhood
@@ -195,11 +194,10 @@ def _layer_checked(g, colorable, what):
         assert not colorable, what
         return 0
     core = twin_core(h)
-    trans = odd_cycle_transversal(core)
     stats = Counter()
     coloring = {}
     for comp in connected_components(h):
-        cmap = _solve_component(h, core, trans, comp, stats)
+        cmap = _solve_component(h, core, comp, stats)
         if cmap is None:
             assert not colorable, what
             return stats["components_anchored_7"]

@@ -285,6 +285,27 @@ def test_undecodable_input_is_a_parse_error(tmp_path, capsys, monkeypatch):
     assert err == "error: <stdin>: not UTF-8 text (byte 6)\n"
 
 
+def test_a_leading_byte_order_mark_is_no_part_of_a_token(tmp_path, capsys, monkeypatch):
+    # DIMACS is still sniffed and the first label of an edge list keeps its
+    # name, from a file and from stdin; a decode error past the mark still
+    # gives its byte offset in the input
+    bom = b"\xef\xbb\xbf"
+    dimacs = "p edge 3 2\ne 1 2\ne 2 3\n"
+    for text, fmt, labels in ((dimacs, "dimacs_col", ["1", "2", "3"]),
+                              (C7_LETTERS, "edge_list", list("abcdefg"))):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(bom + text.encode())
+        for source in (str(path), "-"):
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bom + text.encode())))
+            code, report, _ = run_json(capsys, "solve", source, "--witness", "--json")
+            assert code == 0 and report["input"]["format"] == fmt, source
+            assert sorted(report["witness"]) == labels, source
+    path.write_bytes(bom + b"1 2\n2 \xff3\n")
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {path}: not UTF-8 text (byte 9)\n"
+
+
 def test_format_override_can_fail_parse(write, capsys):
     path = write("c7.edges", C7_LETTERS)
     code, _, err = run(capsys, "solve", path, "--format", "dimacs_col")

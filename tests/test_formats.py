@@ -143,7 +143,8 @@ def test_parse_edge_list_palettes():
     ("a b: 1\n", 1, "malformed palette"),
     ("a: one\n", 1, "malformed palette"),
     ("a: 4\n", 1, "outside 1..3"),
-    ("a:\n", 1, "outside 1..3"),
+    ("a:\n", 1, "empty palette"),
+    ("b c\nb: \t# none\n", 2, "empty palette"),
 ])
 def test_parse_edge_list_errors(text, line_no, needle):
     with pytest.raises(ParseError) as err:

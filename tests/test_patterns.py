@@ -458,21 +458,24 @@ def test_scans_match_the_reference_search():
 
 
 def test_bipartite_core_skips_the_c5_scan(monkeypatch):
-    calls = []
-    real = patterns.find_induced_cycle
-
-    def recorded(g, k, trans=None):
-        calls.append(k)
-        return real(g, k, trans)
-
-    monkeypatch.setattr(patterns, "find_induced_cycle", recorded)
+    # a bipartite graph has no odd cycle: an odd-length search on it builds
+    # no mask, runs no C5 decision and grows no root
+    work = []
+    for name in ("_masks", "_has_c5", "_find_long_cycle"):
+        real = getattr(patterns, name)
+        monkeypatch.setattr(patterns, name,
+                            lambda *args, _real=real, _name=name: work.append(_name) or _real(*args))
     for g in (testkit.crown_graph(6), cycle_graph(10), path_graph(9)):
         core = twin_core(g)
-        check_core(core, odd_cycle_transversal(core))
-    assert calls == []
+        assert all(find_induced_cycle(core, k) is None for k in (5, 7, 9))
+        assert work == []
+        # the 2P4 scan that follows builds masks of its own
+        check_core(core)
+        assert "_has_c5" not in work and "_find_long_cycle" not in work
+        work.clear()
     g = cycle_graph(5)
-    assert check_core(g, odd_cycle_transversal(g)).kind == "c5"
-    assert calls == [5]
+    assert check_core(g).kind == "c5"
+    assert work == ["_has_c5", "_masks", "_find_long_cycle"]
 
 
 def toggled_co_bipartite(i):
@@ -542,10 +545,10 @@ def test_core_of_two_cliques_needs_no_scan(monkeypatch):
         sides = (range(1, a + 1), range(a + 1, a + b + 1))
         g = Graph.from_edges(range(1, a + b + 1),
                              [(u, w) for side in sides for u in side for w in side if u < w])
-        assert check_core(g, odd_cycle_transversal(g)) is None
+        assert check_core(g) is None
     assert calls == []
     g = testkit.co_bipartite(60, 0.3, 3)
-    assert check_core(g, odd_cycle_transversal(g)) is None
+    assert check_core(g) is None
     assert calls == []
     # one missing edge inside a side leaves the complement with a triangle
     # (the missing pair and a vertex of the other side that sees neither
@@ -555,7 +558,7 @@ def test_core_of_two_cliques_needs_no_scan(monkeypatch):
                 and any(not g.has_edge(u, x) and not g.has_edge(w, x) for x in range(31, 61)))
     g.neighbors(u).discard(w)
     g.neighbors(w).discard(u)
-    check_core(g, odd_cycle_transversal(g))
+    check_core(g)
     assert calls[:1] == ["find_induced_cycle"]
 
 

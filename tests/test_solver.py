@@ -28,7 +28,6 @@ from hered3.graph import (
     connected_components,
     false_twins,
     induced_subgraph,
-    odd_cycle_transversal,
     twin_core,
 )
 from hered3.patterns import check_class
@@ -80,9 +79,8 @@ STAGE_SEEDS = SINGLE_ANCHOR_SEEDS + OPPOSING_PAIR_SEEDS + COMPONENT_CASE_SEEDS
 
 def solve_component(g, stats):
     """`solver._solve_component` on the whole of a connected g, with its
-    twin core and that core's odd-cycle transversal."""
-    core = twin_core(g)
-    return solver._solve_component(g, core, odd_cycle_transversal(core), set(g.vertices()), stats)
+    twin core."""
+    return solver._solve_component(g, twin_core(g), set(g.vertices()), stats)
 
 
 def run_anchored(g, k=7):
@@ -92,6 +90,41 @@ def run_anchored(g, k=7):
     stats = Counter()
     won = solver._run_anchored(g, patterns.find_induced_cycle(g, k), stats)
     return stats, None if won is None else won.assemble_witness(g.vertices())
+
+
+def cycle_search_work(monkeypatch):
+    """A list that records, in order, the work of the induced-cycle search
+    below `patterns.find_induced_cycle`: a set of vertices for each mask
+    build (the 2P4 scan and the odd-neighbourhood check build masks too),
+    "c5" for each C5 decision and (v0, k) for each root v0 the path grower
+    tries."""
+    work = []
+    real_masks, real_c5, real_grow = patterns._masks, patterns._has_c5, patterns._find_long_cycle
+    order = []
+
+    def masks(adj):
+        built = real_masks(adj)
+        order[:] = built[0]
+        work.append(set(adj))
+        return built
+
+    def has_c5(adj, trans):
+        work.append("c5")
+        return real_c5(adj, trans)
+
+    def grow(nbr, r0, k):
+        work.append((order[r0], k))
+        return real_grow(nbr, r0, k)
+
+    monkeypatch.setattr(patterns, "_masks", masks)
+    monkeypatch.setattr(patterns, "_has_c5", has_c5)
+    monkeypatch.setattr(patterns, "_find_long_cycle", grow)
+    return work
+
+
+def searched(work):
+    """The C5 decisions and grown roots of a `cycle_search_work` list."""
+    return [w for w in work if not isinstance(w, set)]
 
 
 def disjoint_union(*graphs):
@@ -210,37 +243,35 @@ def test_odd_neighborhood_check_runs_before_co_c7(monkeypatch):
 
 
 def test_bipartite_components_skip_the_anchor_search(monkeypatch):
-    # a bipartite component has no odd cycle, so no C7 or C9 is sought in it
-    # (the thickening runs class checks of its own, so it comes first)
+    # a bipartite core or component has no odd cycle: neither the class
+    # check's C5 search nor the C7/C9 anchor search decides anything or
+    # grows a root in it (the thickening runs class checks of its own, so
+    # it comes first)
     anchored = thickened(2)
-    calls = []
-    real = patterns.find_induced_cycle
-
-    def recorded(g, k, trans=None):
-        calls.append(k)
-        return real(g, k, trans)
-
-    monkeypatch.setattr(patterns, "find_induced_cycle", recorded)
+    work = cycle_search_work(monkeypatch)
     # S_6 and the cube S_4 are their own 3-cores; C8 peels away whole, so
-    # the component layer takes it directly
+    # the component layer takes it directly, and builds no mask either
     for g in (crown_graph(6), crown_graph(4)):
         rep = oracle_solve(g)
         assert "peeled" not in rep.stats and rep.stats["components_plain"] == 1
+    assert searched(work) == []
+    work.clear()
     g = cycle_graph(8)
     stats = Counter()
     assert verify_coloring(g, solve_component(g, stats))
     assert dict(stats) == {"components_plain": 1}
-    assert calls == []
+    assert work == []
     # a thickened gadget's 3-core is anchored on its 7-cycle after the
-    # class check's C5 search; a cycle peels away whole, so its only
-    # search is that C5
+    # class check's C5 decision finds none; a cycle peels away whole, so
+    # its only search is that decision, and C8 has none
     rep = oracle_solve(anchored)
     assert rep.stats["components_anchored_7"] == 1 and "peeled" not in rep.stats
-    assert calls == [5, 7]
-    calls.clear()
+    done = searched(work)
+    assert done[0] == "c5" and len(done) > 1 and {k for _, k in done[1:]} == {7}
+    work.clear()
     for g, peeled in ((cycle_graph(8), 8), (cycle_graph(7), 7)):
         assert oracle_solve(g).stats["peeled"] == peeled
-    assert calls == [5]
+    assert searched(work) == ["c5"]
 
 
 def test_co_c7_preflight_skips_roots_with_independent_neighbourhoods(monkeypatch):
@@ -856,17 +887,12 @@ def test_solve_builds_one_twin_core(monkeypatch):
     assert open_passes == [12]
 
 
-def test_solve_walks_one_transversal_per_core(monkeypatch):
-    # the class check and the anchor search share the core's one odd-cycle
-    # transversal, and an empty one stands in for a bipartite test (built
-    # first: the thickening runs checks of its own)
+def test_solve_searches_each_component_of_a_core_alone(monkeypatch):
+    # each component of a 3-core is anchored on the cycle it gets alone,
+    # and a bipartite one gets no mask and no root (built first: the
+    # thickening runs checks of its own)
     several = disjoint_union(thickened(2), thickened(3), crown_graph(4))
-    calls = []
-
-    def counted(g):
-        calls.append(g.vertex_count())
-        return odd_cycle_transversal(g)
-
+    cube = max(connected_components(several), key=max)
     real_bipartition = graph.bipartition
 
     def refused(g, within=None):
@@ -876,40 +902,33 @@ def test_solve_walks_one_transversal_per_core(monkeypatch):
             raise AssertionError("bipartition called on a whole graph")
         return real_bipartition(g, within)
 
-    monkeypatch.setattr(solver, "odd_cycle_transversal", counted)
-    monkeypatch.setattr(patterns, "odd_cycle_transversal", counted)
     monkeypatch.setattr(graph, "bipartition", refused)
     g = cycle_blowup([2, 3, 1, 2, 1, 2, 1])
     rep = solve(g, witness=True)
     assert rep.decision == "colorable"
-    assert calls == [7]
 
-    # several components of one 3-core: each is anchored on the cycle it
-    # gets alone, and the cube's part of the transversal is empty, so it is
-    # not searched
     g = several
     anchors = []
-    searches = []
     real = solver._run_anchored
-    real_search = patterns.find_induced_cycle
 
     def recorded(comp_graph, cycle, stats):
         anchors.append(tuple(cycle))
         return real(comp_graph, cycle, stats)
 
-    def searched(g, k, trans=None):
-        searches.append((min(g.vertices()), k))
-        return real_search(g, k, trans)
-
     monkeypatch.setattr(solver, "_run_anchored", recorded)
-    monkeypatch.setattr(patterns, "find_induced_cycle", searched)
+    work = cycle_search_work(monkeypatch)
     # two components that each hold an induced P4 form an induced 2P4
     rep = solve(g, witness=True, assume_class=True)
     assert rep.decision == "colorable" and "peeled" not in rep.stats
     assert verify_coloring(g, rep.witness)
     assert rep.stats["components_anchored_7"] == 2
     assert rep.stats["components_plain"] == 1
-    assert searches == [(1, 7), (15, 7)]
+    # the only masks over the cube are the preflight's, over the whole graph
+    assert [m for m in work if isinstance(m, set) and m & cube] == [set(g.vertices())]
+    # 7-roots are grown in both gadgets, the second from vertex 15 on
+    roots = searched(work)
+    assert {k for _, k in roots} == {7} and {v for v, _ in roots} & cube == set()
+    assert {v < 15 for v, _ in roots} == {True, False}
     whole, anchors[:] = anchors[:], []
     for comp in connected_components(g):
         alone = solve(induced_subgraph(g, comp), witness=True, assume_class=True)
@@ -921,10 +940,10 @@ def test_solve_walks_one_transversal_per_core(monkeypatch):
     g = Graph.from_edges(range(1, 19), [(i, i % 7 + 1) for i in range(1, 8)]
                          + list(zip(second, second[1:] + second[:1]))
                          + [(15, 16), (16, 17), (17, 18)])
-    searches.clear()
+    work.clear()
     anchors.clear()
     assert oracle_solve(g, assume_class=True).stats["peeled"] == 18
-    assert searches == [] and anchors == []
+    assert work == [] and anchors == []
 
 
 def test_solve_colors_the_false_twin_quotient():
@@ -1074,40 +1093,34 @@ def test_empty_3_core_runs_no_preflight_search_or_colorer(monkeypatch):
 
 def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
     # a refutation blowup's quotient is its own 3-core: _solve_component gets
-    # the quotient, its twin core and its transversal, the objects solve
-    # built, with no copy and no second core
-    built = {"twin_core": [], "odd_cycle_transversal": []}
+    # the quotient and its twin core, the objects solve built, with no copy
+    # and no second core
+    built = []
     handed = []
+    real_core = solver.twin_core
 
-    def recorded(name):
-        real = getattr(solver, name)
+    def recorded(g, *rest):
+        built.append(real_core(g, *rest))
+        return built[-1]
 
-        def run(g, *rest):
-            built[name].append(real(g, *rest))
-            return built[name][-1]
-        monkeypatch.setattr(solver, name, run)
-
-    recorded("twin_core")
-    recorded("odd_cycle_transversal")
+    monkeypatch.setattr(solver, "twin_core", recorded)
     real = solver._solve_component
 
-    def component(g, core, trans, comp, stats):
-        handed.append((g, core, trans))
-        return real(g, core, trans, comp, stats)
+    def component(g, core, comp, stats):
+        handed.append((g, core))
+        return real(g, core, comp, stats)
 
     monkeypatch.setattr(solver, "_solve_component", component)
     for sizes, cliques, _, _ in REFUTATION_BLOWUPS:
         g = cycle_blowup(sizes, cliques=cliques)
         assert not false_twins(g)
         for assume_class in (False, True):
-            built["twin_core"].clear()
-            built["odd_cycle_transversal"].clear()
+            built.clear()
             handed.clear()
             rep = solve(g, assume_class=assume_class)
             assert rep.decision == "not_colorable" and "peeled" not in rep.stats
-            (core,), (trans,) = built["twin_core"], built["odd_cycle_transversal"]
-            assert len(handed) == 1
-            assert handed[0][0] is g and handed[0][1] is core and handed[0][2] is trans
+            (core,) = built
+            assert len(handed) == 1 and handed[0][0] is g and handed[0][1] is core
 
 
 def with_pendant_trees(g, rng, count):
