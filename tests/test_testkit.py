@@ -8,10 +8,11 @@ is known independently of any code here: a cycle on n vertices has
 import pytest
 
 from hered3 import testkit
-from hered3.graph import Graph, bipartition, false_twins, induced_subgraph, twin_core
+from hered3.graph import Graph, false_twins, induced_subgraph, twin_core
 from hered3.patterns import check_class, find_induced_cycle
 from hered3.testkit import (
     apex_crown,
+    bipartition,
     c7_gadget,
     c9_gadget,
     co_bipartite,
@@ -99,6 +100,15 @@ def test_named_graph_catalog():
     assert named_graph("p4").vertex_count() == 4
     with pytest.raises(ValueError):
         named_graph("noitagenseciohc")
+
+
+def test_bipartition():
+    assert bipartition(cycle_graph(4)) is not None
+    assert bipartition(cycle_graph(5)) is None
+    sides = bipartition(Graph.from_edges(range(3), [(0, 1), (1, 2)]))
+    assert sides == ({0, 2}, {1})
+    # restricted view ignores odd structure outside
+    assert bipartition(cycle_graph(5), within=[1, 2, 3]) is not None
 
 
 def test_erdos_renyi_is_seeded():
