@@ -11,9 +11,10 @@ the path grower) and the odd-neighbourhood check run on one int bitmask
 per vertex, built per call by `_masks`: bit i stands for the vertex of
 rank i in ascending id order, so a mask walked from its lowest bit gives
 its vertices in ascending order with no sorting, and a set operation is
-one int operation.  The masks are private to these scans; the graph's
-adjacency sets stay the only stored adjacency, and only the co-C7 search,
-the P4 enumeration and the two-clique test work on them.
+one int operation.  The solver's forward check of anchor colorings
+builds them too, with `_masks`.  No mask outlives its call: the graph's
+adjacency sets stay the only stored adjacency, and here only the co-C7
+search, the P4 enumeration and the two-clique test work on them.
 """
 
 from __future__ import annotations

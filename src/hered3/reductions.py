@@ -1,8 +1,10 @@
 """Palette propagation rules, replay-based witness records, and the one
 structural operation the stage ladder uses (cut reduction).  Rule 6 colors
-a component whose palettes all have two colors by `propagate`, shared with
-the solver, each vertex trying one color and on a clash the other.  Rule 7
-and cut reduction color a P4-free region from a cotree built once for it.
+a component whose palettes all have two colors by `propagate`, each vertex
+trying one color and on a clash the other; the solver's plain colorer uses
+`propagate` too, and its forward check of anchor colorings runs the same
+rule on bitmasks, by `propagate_masks`.  Rule 7 and cut reduction color a
+P4-free region from a cotree built once for it.
 
 An Instance owns a working graph plus per-vertex palettes.  Rules either
 settle colors, shrink palettes, or delete vertices.  A settled color goes
@@ -367,6 +369,83 @@ def propagate(adj, palettes, colors, v, c, trail) -> bool:
                 # pushed once: its palette can only run empty from here
                 todo.append((w, min(left)))
     return True
+
+
+# the two color indexes other than each one
+_OTHERS = ((1, 2), (0, 2), (0, 1))
+
+# the palette of each 3-bit set of color indexes
+_PALETTES = tuple(frozenset(c + 1 for c in range(3) if code >> c & 1) for code in range(8))
+
+
+def propagate_masks(nbr, state, b, i):
+    """`propagate` on per-color bitmasks: color the vertex of bit b with
+    color i + 1, then every vertex this leaves a single color.
+
+    nbr holds each vertex's neighborhood as an int, as `patterns._masks`
+    builds it.  state is six ints: for each color, the uncolored vertices
+    in play whose palette holds it, then for each color the vertices
+    colored with it.  Returns the six ints after the step, in a new list,
+    or None where `propagate` returns False: the vertex holds another
+    color or lacks this one, or a palette runs empty.
+
+    The rule is `propagate`'s: a colored vertex strikes its color from its
+    neighbors' palettes, and a palette left one color colors its vertex.
+    Here all the vertices waiting for color c are colored at once, so a
+    strike of c that finds one of them, a neighbor of another, empties its
+    palette, as `propagate` finds when it colors the first.  Propagation
+    reaches one fixpoint whatever the order of its steps, or meets a clash
+    in every order, so both kernels end in the same state.
+    """
+    s = list(state)
+    if not b & (s[0] | s[1] | s[2]):
+        return state if s[3 + i] & b else None
+    if not s[i] & b:
+        return None
+    # the vertex's palette becomes its one color, and it waits to be colored
+    j, l = _OTHERS[i]
+    s[j] &= ~b
+    s[l] &= ~b
+    todo = b
+    c = i
+    while True:
+        new = todo & s[c]
+        todo ^= new
+        hit = 0
+        m = new
+        while m:
+            low = m & -m
+            hit |= nbr[low.bit_length() - 1]
+            m ^= low
+        hit &= s[c]
+        s[c] &= ~(hit | new)
+        s[3 + c] |= new
+        j, l = _OTHERS[c]
+        if hit & ~(s[j] | s[l]):
+            return None
+        todo |= hit & (s[j] ^ s[l])
+        if not todo:
+            return s
+        c = 0 if todo & s[0] else 1 if todo & s[1] else 2
+
+
+def read_masks(order, state) -> tuple[dict, dict]:
+    """The palettes and the colors that the six ints of `propagate_masks`
+    hold; order lists the vertex of each bit, ascending."""
+    can1, can2, can3, col1, col2, col3 = state
+    palettes: dict[int, frozenset] = {}
+    colors: dict[int, int] = {}
+    for r, v in enumerate(order):
+        code = (can1 >> r & 1) | (can2 >> r & 1) << 1 | (can3 >> r & 1) << 2
+        if code:
+            palettes[v] = _PALETTES[code]
+        elif col1 >> r & 1:
+            colors[v] = 1
+        elif col2 >> r & 1:
+            colors[v] = 2
+        elif col3 >> r & 1:
+            colors[v] = 3
+    return palettes, colors
 
 
 def undo(palettes, colors, trail, mark: int) -> None:

@@ -103,13 +103,16 @@ colorable component runs exactly the branches the full enumeration runs,
 up to the same winner and witness; only a rejection stops sooner.
 
 Every representative is checked before it runs, by forward checking
-(Haralick & Elliott 1980): `reductions.propagate` commits a prefix of the
-anchor coloring, striking each committed color from the neighbors'
+(Haralick & Elliott 1980): `reductions.propagate_masks` commits a prefix
+of the anchor coloring, striking each committed color from the neighbors'
 palettes, and every palette this leaves one color; an empty palette or a
-clash refutes the prefix.  Prefixes are checked shortest first, a shared
-one is propagated once, and a refuted one skips every representative that
-extends it.  Every propagation step is forced, so a refuted prefix has no
-extending 3-coloring of the component.  A skipped representative's full
+clash refutes the prefix.  It runs the rule of `reductions.propagate` on
+per-color bitmasks of the component.  The prefixes form a tree, walked
+depth first in the representatives' order, so a shared prefix is
+propagated once, and a refuted one is left with every representative that
+extends it skipped, their number counted in closed form.  Every
+propagation step is forced, so a refuted prefix has no extending
+3-coloring of the component.  A skipped representative's full
 branch could then only have been rejected, since a branch wins only on a
 witness that is verified; out of class it might instead have raised, and
 skipping it removes that refusal, never a verdict.  The representatives
@@ -128,7 +131,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from time import perf_counter
 
@@ -148,6 +150,8 @@ from .reductions import (
     Instance,
     cut_reduction,
     propagate,
+    propagate_masks,
+    read_masks,
     run_fixpoint,
     undo,
 )
@@ -307,72 +311,79 @@ def _solve_component(g, core, comp, stats):
     return _backtrack_color(g)
 
 
-@lru_cache(maxsize=None)
-def _proper_cycle_colorings(k: int) -> tuple[tuple, ...]:
-    """The proper 3-colorings of an odd k-cycle that begin (1, 2),
-    lexicographic; built once per k.
+def _extensions(k: int, d: int, last: int) -> int:
+    """The proper colorings of a k-cycle that extend a proper coloring of
+    its first d >= 2 vertices ending in color last.
 
-    They are the least members of the orbits of all proper colorings under
-    the six color permutations, one per orbit: 21 of 126 for k = 7, 85 of
-    510 for k = 9 (see the module docstring for why one per orbit
-    suffices).  Proper colorings of the path grow from (1, 2) one vertex
-    at a time, each extended in color order, which keeps the list sorted;
-    the cycle's closing edge filters it last.
+    The rest of the cycle, closed by its edge back to vertex 0 of color 1,
+    is a walk of k - d + 1 steps on the triangle K3 from last to 1, and
+    there are (2^m + 2(-1)^m) / 3 such walks of m steps back to their
+    start and (2^m - (-1)^m) / 3 to each other vertex.  From (1, 2) there
+    are 21 for k = 7 and 85 for k = 9: the orbit representatives.
     """
-    walks = [(1, 2)]
-    for _ in range(k - 2):
-        walks = [w + (c,) for w in walks for c in (1, 2, 3) if c != w[-1]]
-    return tuple(w for w in walks if w[-1] != w[0])
+    m = k - d + 1
+    return (2 ** m + (2 if last == 1 else -1) * (-1) ** m) // 3
 
 
 def _run_anchored(comp_graph, cycle, stats):
     """Run a DFS from each anchor coloring that begins (1, 2) in turn.
 
     These are the 21 (C7) or 85 (C9) orbit representatives of the cycle's
-    proper colorings under renaming the colors.  None runs unchecked:
-    base's palettes and colors hold a prefix of anchor colors, which
-    `propagate` extends and `undo` cuts back to the prefix the next
-    coloring shares.  A coloring with a refuted prefix is skipped, and so is
-    each later one with the last refuted prefix (the module docstring says
-    why the answer stays the same).  A root is the propagated state minus
-    its colored non-anchors, the state that committing its anchors on an
-    unreduced clone leaves.  The winning branch's settled colors and replay
-    records hold its witness.  Returns that branch, or None when every
-    representative is rejected, and then so is every proper anchor
+    proper colorings under renaming the colors, in lexicographic order.
+    None runs unchecked: a depth-first walk of their prefix tree commits
+    anchor 0 with color 1, anchor 1 with 2, and each later anchor with
+    each color in ascending order that differs from its predecessor's (and,
+    for the last anchor, from color 1), by `propagate_masks` on the
+    component's rank masks.  Each prefix's six masks are kept for its
+    children, so a shared prefix is propagated once.  A refuted prefix is
+    left, and every representative under it is skipped at once (the
+    module docstring says why the answer stays the same).  A surviving
+    representative's root is a clone of base holding the palettes and
+    colors read off its masks, minus its colored non-anchors: the state
+    that committing its anchors on an unreduced clone leaves.  base is
+    built at the first survivor.  The winning branch's settled colors and
+    replay records hold its witness.  Returns that branch, or None when
+    every representative is rejected, and then so is every proper anchor
     coloring.
     """
-    base = Instance(comp_graph, stats)
-    anchors = base.anchor_order = tuple(cycle)
-    adj, palettes, colors = comp_graph._adj, base.palettes, base.colors
-    colorings = _proper_cycle_colorings(len(cycle))
-    stats["anchor_colorings"] += len(colorings)
-    trail: list = []
-    marks = [0]   # the trail length with each applied prefix, from the empty one
-    refuted = ()
-    for col in colorings:
-        if refuted and col[:len(refuted)] == refuted:
-            stats["anchor_colorings_skipped"] += 1
-            continue
-        # an applied anchor holds its color
-        d = 0
-        while d < len(marks) - 1 and colors[cycle[d]] == col[d]:
-            d += 1
-        undo(palettes, colors, trail, marks[d])
-        del marks[d + 1:]
-        for i in range(d, len(col)):
-            if not propagate(adj, palettes, colors, cycle[i], col[i], trail):
-                undo(palettes, colors, trail, marks[-1])
-                refuted = col[:i + 1]
-                stats["anchor_colorings_skipped"] += 1
-                break
-            marks.append(len(trail))
+    anchors = tuple(cycle)
+    k = len(anchors)
+    order, nbr = patterns._masks(comp_graph._adj)
+    rank = {v: i for i, v in enumerate(order)}
+    bits = [1 << rank[v] for v in anchors]
+    every = (1 << len(order)) - 1
+    total = _extensions(k, 2, 2)
+    stats["anchor_colorings"] += total
+    state = propagate_masks(nbr, (every, every, every, 0, 0, 0), bits[0], 0)
+    state = state and propagate_masks(nbr, state, bits[1], 1)
+    if state is None:
+        stats["anchor_colorings_skipped"] += total
+        return None
+    base = winner = None
+    skipped = 0
+    # (anchor, color, masks of the prefix before it); popped in walk order
+    stack = [(2, 3, state), (2, 1, state)]
+    while stack and winner is None:
+        d, c, state = stack.pop()
+        state = propagate_masks(nbr, state, bits[d], c - 1)
+        if state is None:
+            skipped += _extensions(k, d + 1, c)
+        elif d + 1 < k:
+            for n in (3, 2, 1):
+                # the last anchor is also a neighbor of anchor 0, of color 1
+                if n != c and (n != 1 or d + 2 < k):
+                    stack.append((d + 1, n, state))
         else:
+            if base is None:
+                base = Instance(comp_graph, stats)
+                base.anchor_order = anchors
+            base.palettes, base.colors = read_masks(order, state)
             root = base.clone()
-            root.remove_region([v for v in colors if v not in anchors])
+            root.remove_region([v for v in root.colors if v not in anchors])
             winner = _dfs(root, stats)
-            if winner is not None:
-                return winner
-    return None
+    if skipped:
+        stats["anchor_colorings_skipped"] += skipped
+    return winner
 
 
 def _dfs(root, stats):

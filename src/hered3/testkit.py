@@ -11,6 +11,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 
@@ -129,6 +130,24 @@ def count_proper_3colorings(g: Graph) -> int:
     assign: dict[int, int] = {}
     go(0)
     return total
+
+
+@lru_cache(maxsize=None)
+def proper_cycle_colorings(k: int) -> tuple[tuple, ...]:
+    """The proper 3-colorings of an odd k-cycle that begin (1, 2),
+    lexicographic; built once per k.
+
+    They are the least members of the orbits of all proper colorings under
+    the six color permutations, one per orbit: 21 of 126 for k = 7, 85 of
+    510 for k = 9.  The solver walks them as a prefix tree without listing
+    them; this list is the tests' reference.  Proper colorings of the path
+    grow from (1, 2) one vertex at a time, each extended in color order,
+    which keeps the list sorted; the cycle's closing edge filters it last.
+    """
+    walks = [(1, 2)]
+    for _ in range(k - 2):
+        walks = [w + (c,) for w in walks for c in ALL if c != w[-1]]
+    return tuple(w for w in walks if w[-1] != w[0])
 
 
 def naive_has_p4(g: Graph) -> bool:

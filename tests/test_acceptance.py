@@ -28,7 +28,7 @@ from hered3.reductions import (
     _one_pass,
     _two_sat_component,
 )
-from hered3.solver import _proper_cycle_colorings, _run_anchored, _solve_component, solve
+from hered3.solver import _run_anchored, _solve_component, solve
 from hered3.testkit import (
     apex_crown,
     c7_gadget,
@@ -45,6 +45,7 @@ from hered3.testkit import (
     erdos_renyi,
     named_graph,
     oracle_list3color,
+    proper_cycle_colorings,
     split_seed,
     thicken,
     verify_coloring,
@@ -149,7 +150,7 @@ def test_anchor_enumeration_counts_are_exact():
         proper = {c for c in product((1, 2, 3), repeat=k)
                   if all(c[i] != c[i - 1] for i in range(k))}
         assert len(proper) == count_proper_3colorings(cycle_graph(k)) == full
-        cols = _proper_cycle_colorings(k)
+        cols = proper_cycle_colorings(k)
         images = [{tuple(pi[c - 1] for c in col) for col in cols}
                   for pi in permutations((1, 2, 3))]
         assert sum(map(len, images)) == len(set().union(*images))

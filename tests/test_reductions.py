@@ -28,7 +28,6 @@ from hered3.reductions import (
     run_fixpoint,
     undo,
 )
-from hered3.solver import _proper_cycle_colorings
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
@@ -39,6 +38,7 @@ from hered3.testkit import (
     oracle_list3color,
     path_graph,
     petersen_graph,
+    proper_cycle_colorings,
     split_seed,
     verify_coloring,
 )
@@ -409,7 +409,7 @@ def anchored_roots(graphs):
             cycle = find_induced_cycle(g, k)
             if cycle is not None:
                 break
-        for coloring in _proper_cycle_colorings(k):
+        for coloring in proper_cycle_colorings(k):
             inst = make_instance(g)
             inst.anchor_order = tuple(cycle)
             if all(inst.commit_color(v, c) for v, c in zip(cycle, coloring)):

@@ -32,7 +32,7 @@ from hered3.graph import (
 )
 from hered3.patterns import check_class
 from hered3.reductions import ALL_COLORS, Instance
-from hered3.solver import _proper_cycle_colorings, solve
+from hered3.solver import solve
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
@@ -47,6 +47,7 @@ from hered3.testkit import (
     named_graph,
     oracle_list3color,
     path_graph,
+    proper_cycle_colorings,
     split_seed,
     thicken,
     verify_coloring,
@@ -394,6 +395,9 @@ def test_seven_cycle_enumerates_all_anchor_colorings():
     stats, witness = run_anchored(g)
     assert verify_coloring(g, witness)
     assert stats["anchor_colorings"] == 21
+    # the first representative wins, so the counter of skipped ones stays
+    # off the report
+    assert "anchor_colorings_skipped" not in stats
     g = thickened(20)
     rep = oracle_solve(g)
     assert rep.decision == "colorable"
@@ -426,12 +430,24 @@ def test_anchor_colorings_are_built_once_in_lexicographic_order():
     # part of the answer; each orbit of six is represented by its least
     # member, the one that begins (1, 2)
     for k in (7, 9):
-        cols = _proper_cycle_colorings(k)
+        cols = proper_cycle_colorings(k)
         assert list(cols) == sorted(set(cols))
         assert all(c[i] != c[i - 1] for c in cols for i in range(k))
         assert all(c[:2] == (1, 2) for c in cols)
         assert 6 * len(cols) == count_proper_3colorings(cycle_graph(k))
-        assert _proper_cycle_colorings(k) is cols
+        assert proper_cycle_colorings(k) is cols
+
+
+def test_refuted_prefixes_skip_the_representatives_under_them():
+    # a refuted prefix adds the representatives that extend it to
+    # anchor_colorings_skipped in one step; a clash at anchor 0 or 1
+    # refutes (1, 2), which all of them extend
+    for k, reps in ((7, 21), (9, 85)):
+        cols = proper_cycle_colorings(k)
+        assert solver._extensions(k, 2, 2) == len(cols) == reps
+        for prefix in {col[:d] for col in cols for d in range(2, k + 1)}:
+            under = sum(col[:len(prefix)] == prefix for col in cols)
+            assert solver._extensions(k, len(prefix), prefix[-1]) == under
 
 
 # C7 and C9 blowups with two-vertex clique classes at every other position:
@@ -526,7 +542,7 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
             assert adj == committed.g._adj
             if first is None and won is not None:
                 first = won.assemble_witness(h.vertices())
-        skipped = [col for col in _proper_cycle_colorings(k) if col not in ran]
+        skipped = [col for col in proper_cycle_colorings(k) if col not in ran]
         assert every["anchor_colorings_skipped"] == len(skipped)
         for col in skipped:
             child = full_branch(col)
@@ -543,6 +559,44 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
     # every representative of both blowups, and 11 of each of 11 gadgets
     assert refuted_seen - refuted_colorable == 21 + 85
     assert refuted_colorable >= 100
+
+
+def test_mask_propagation_matches_dict_propagation():
+    # the forward check commits anchor prefixes by `propagate_masks` on the
+    # component's rank masks; on every prefix of every representative,
+    # whether the walk reaches it or not, it refutes exactly when
+    # `reductions.propagate` does, and otherwise holds the same palettes
+    # and colors
+    graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
+    graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
+    graphs += _relabeled_c7_gadgets()
+    refuted = accepted = 0
+    for g in graphs:
+        copies = false_twins(g)
+        h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
+        for k in (7, 9):
+            cycle = patterns.find_induced_cycle(twin_core(h), k)
+            if cycle is not None:
+                break
+        order, nbr = patterns._masks(h._adj)
+        bit = {v: 1 << i for i, v in enumerate(order)}
+        every = (1 << len(order)) - 1
+        prefixes = {col[:d] for col in proper_cycle_colorings(k) for d in range(1, k + 1)}
+        for prefix in sorted(prefixes):
+            palettes = {v: ALL_COLORS for v in h._adj}
+            colors = {}
+            state = (every, every, every, 0, 0, 0)
+            for v, c in zip(cycle, prefix):
+                ok = reductions.propagate(h._adj, palettes, colors, v, c, [])
+                state = reductions.propagate_masks(nbr, state, bit[v], c - 1)
+                assert ok == (state is not None), (g.edges(), prefix)
+                if not ok:
+                    refuted += 1
+                    break
+            else:
+                assert reductions.read_masks(order, state) == (palettes, colors)
+                accepted += 1
+    assert refuted >= 400 and accepted >= 5000, (refuted, accepted)
 
 
 def test_anchor_branch_verdicts_are_constant_on_color_orbits():
