@@ -104,15 +104,10 @@ def parse_dimacs(text: str, lines: list[str] | None = None) -> GraphDocument:
     return doc
 
 
-def format_dimacs(g: Graph, comments: tuple = ()) -> str:
-    verts = g.vertices()
-    index = {v: i + 1 for i, v in enumerate(verts)}
-    lines = [f"c {c}" for c in comments]
-    edges = list(g.edges())
-    lines.append(f"p edge {len(verts)} {len(edges)}")
-    for u, v in edges:
-        lines.append(f"e {index[u]} {index[v]}")
-    return "\n".join(lines) + "\n"
+def format_dimacs(g: Graph) -> str:
+    index = {v: i + 1 for i, v in enumerate(g.vertices())}
+    edges = [f"e {index[u]} {index[v]}" for u, v in g.edges()]
+    return "\n".join([f"p edge {len(index)} {len(edges)}", *edges]) + "\n"
 
 
 # -- labeled edge list --------------------------------------------------------
@@ -188,20 +183,8 @@ def parse_edge_list(text: str, lines: list[str] | None = None) -> GraphDocument:
     return doc
 
 
-def format_edge_list(g: Graph, labels: dict | None = None,
-                     palettes: dict | None = None) -> str:
-    labels = labels or {}
-
-    def name(v):
-        return str(labels.get(v, v))
-
-    lines = []
-    isolated = [v for v in g.vertices() if not g.neighbors(v)]
-    for u, v in g.edges():
-        lines.append(f"{name(u)} {name(v)}")
-    for v in isolated:
-        lines.append(name(v))
-    if palettes:
-        for v in sorted(palettes):
-            lines.append(f"{name(v)}: " + " ".join(str(c) for c in sorted(palettes[v])))
+def format_edge_list(g: Graph) -> str:
+    """The edges, then the isolated vertices, one line each, by id."""
+    lines = [f"{u} {v}" for u, v in g.edges()]
+    lines += (str(v) for v in g.vertices() if not g.neighbors(v))
     return "\n".join(lines) + ("\n" if lines else "")

@@ -8,13 +8,14 @@ depth-first path grower.
 
 The 2P4 scan, the odd-cycle searches (the transversal, the C5 decision and
 the path grower) and the odd-neighbourhood check run on one int bitmask
-per vertex, built per call by `_masks`: bit i stands for the vertex of
-rank i in ascending id order, so a mask walked from its lowest bit gives
-its vertices in ascending order with no sorting, and a set operation is
-one int operation.  The solver's forward check of anchor colorings
-builds them too, with `_masks`.  No mask outlives its call: the graph's
-adjacency sets stay the only stored adjacency, and here only the co-C7
-search, the P4 enumeration and the two-clique test work on them.
+per vertex, built by `_masks`: bit i stands for the vertex of rank i in
+ascending id order, so a mask walked from its lowest bit gives its
+vertices in ascending order with no sorting, and a set operation is one
+int operation.  Each of those finders takes an optional index: the masks
+of `_index` and a vertex set, which `_cut` narrows.  It searches the
+subgraph that set induces, and as ranks follow ids in every induced
+subgraph, it returns what it returns on that subgraph built on its own.
+Only the co-C7 search and the P4 enumeration read the adjacency sets.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import combinations
 
 from . import cograph
 from .errors import ClassViolationError
-from .graph import Graph, induced_subgraph, twin_core
+from .graph import Graph, twin_core
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,35 @@ def _masks(adj):
     return order, nbr
 
 
+def _index(g: Graph):
+    """(order, nbr, keep): the rank masks of `_masks` over all of g, and
+    the mask keep of the vertices a search reads, here all of them."""
+    order, nbr = _masks(g._adj)
+    return order, nbr, (1 << len(order)) - 1
+
+
+def _cut(index, keep):
+    """The index cut to the vertices of the mask keep, within its own: they
+    keep their neighbours in keep, and any other vertex has none, so no
+    scan takes it as a root or a path vertex."""
+    order, nbr, whole = index
+    if keep == whole:
+        return index
+    cut = [0] * len(nbr)
+    rest = keep
+    while rest:
+        i = (rest & -rest).bit_length() - 1
+        rest ^= 1 << i
+        cut[i] = nbr[i] & keep
+    return order, cut, keep
+
+
 def _ids(order, mask) -> list[int]:
     """The vertices of mask, ascending."""
     return [v for i, v in enumerate(order) if mask >> i & 1]
 
 
-def find_induced_2p4(g: Graph):
+def find_induced_2p4(g: Graph, index=None):
     """Two induced P4s with no edges between them, or None.
 
     A P4 a-b-c-d is scanned through its middle edge, b < c, as (b, c, a, d):
@@ -114,10 +138,11 @@ def find_induced_2p4(g: Graph):
     with `cograph.cotree_or_failure`.  The hit, written so that a < d, is
     the first part; the second is the least P4 of its rest's failure set.
     """
-    if g.vertex_count() < 8:
+    order, nbr, keep = index or _index(g)
+    if keep.bit_count() < 8:
         return None
     adj = g._adj
-    found = _least_2p4_hit(g, *_masks(adj))
+    found = _least_2p4_hit(g, order, nbr, keep)
     if found is None:
         return None
     (a, b, c, d), bad = found
@@ -129,11 +154,10 @@ def find_induced_2p4(g: Graph):
     return PatternWitness("2p4", (first, second))
 
 
-def _least_2p4_hit(g, order, nbr):
-    """The first (b, c, a, d) of the scan that `find_induced_2p4` describes,
-    as ids in P4 order a, b, c, d, with the failure set of its rest."""
-    n = len(order)
-    full = (1 << n) - 1
+def _least_2p4_hit(g, order, nbr, full):
+    """The first (b, c, a, d) of the scan that `find_induced_2p4` describes
+    on the vertices of full, as ids a, b, c, d, with its rest's failure set."""
+    n = full.bit_count()
     seen: dict[int, frozenset | None] = {}   # rest mask -> failure set
     for b, nb in enumerate(nbr):
         cs = nb >> b + 1 << b + 1
@@ -189,7 +213,7 @@ def _is_p4(nbr, quad) -> bool:
     return degrees == [1, 1, 2, 2]
 
 
-def find_induced_cycle(g: Graph, k: int):
+def find_induced_cycle(g: Graph, k: int, index=None):
     """First induced k-cycle in canonical order, or None.
 
     Canonical form: the cycle's smallest vertex v0 first, then the
@@ -212,9 +236,8 @@ def find_induced_cycle(g: Graph, k: int):
     """
     if k < 4:
         raise ValueError("use explicit triangle checks for k=3")
-    order, nbr = _masks(g._adj)
-    full = (1 << len(order)) - 1
-    got = _least_cycle(nbr, _odd_transversal(nbr, full) if k % 2 else full, k)
+    order, nbr, keep = index or _index(g)
+    got = _least_cycle(nbr, _odd_transversal(nbr, keep) if k % 2 else keep, k, keep)
     if got is None:
         return None
     got = tuple(order[i] for i in got)
@@ -222,16 +245,19 @@ def find_induced_cycle(g: Graph, k: int):
     return got
 
 
-def _least_cycle(nbr, trans, k):
+def _least_cycle(nbr, trans, k, keep):
     """The canonical induced k-cycle on the masks nbr, as ranks, or None:
-    the root loop of `find_induced_cycle`, with roots up to max(trans).
-    Every k-cycle must hold a vertex of trans; an empty trans answers None,
+    the root loop of `find_induced_cycle`, over the vertices of keep up to
+    max(trans).  Every k-cycle must hold a vertex of trans; an empty trans answers None,
     and for k = 5 `_has_c5` decides first.  k = 3 gives the least triangle.
     """
     if not trans or (k == 5 and not _has_c5(nbr, trans)):
         return None
-    for r0 in range(trans.bit_length()):
-        got = _find_long_cycle(nbr, r0, k)
+    roots = keep & (1 << trans.bit_length()) - 1
+    while roots:
+        low = roots & -roots
+        roots ^= low
+        got = _find_long_cycle(nbr, low.bit_length() - 1, k)
         if got is not None:
             return got
     return None
@@ -397,7 +423,7 @@ def find_co_c7(g: Graph):
     return None
 
 
-def find_nonbipartite_neighborhood(g: Graph):
+def find_nonbipartite_neighborhood(g: Graph, index=None):
     """First vertex v (ascending) whose neighborhood holds an odd cycle.
 
     Returns a PatternWitness: kind k4 for v and the least triangle of N(v),
@@ -419,8 +445,8 @@ def find_nonbipartite_neighborhood(g: Graph):
     a graph with false twins a copy repeats its representative's scan,
     which comes first and so has already passed.
     """
-    adj = g._adj
-    order, nbr = _masks(adj)
+    index = index or _index(g)
+    order, nbr, _ = index
     for v, nv in zip(order, nbr):
         # an odd cycle needs three vertices
         if nv.bit_count() < 3 or not (trans := _odd_transversal(nbr, nv)):
@@ -437,11 +463,11 @@ def find_nonbipartite_neighborhood(g: Graph):
             keep |= grown
             front |= grown
         for k in (3, 5, 7, 9):
-            cyc = _least_cycle(cut, trans, k)
+            cyc = _least_cycle(cut, trans, k, keep)
             if cyc is not None:
                 break
         else:
-            raise ClassViolationError(find_induced_2p4(induced_subgraph(g, adj[v])))
+            raise ClassViolationError(find_induced_2p4(g, _cut(index, nv)))
         cyc = tuple(order[i] for i in cyc)
         if k == 3:
             part = (v, *cyc)
@@ -489,42 +515,22 @@ def check_core(core: Graph):
     """The C5 scan, then the 2P4 scan, of `check_class`, run on `core` as
     given.  The verdict holds for any graph; a caller that has already built
     a twin core passes it here and gets the witness `check_class` argues.
+    Both scans, and the test below, read one index of the core.
 
-    A core whose complement is bipartite (two cliques) is in class, and
-    answers None with no scan: C5 is self-complementary and odd, so an
-    induced C5 would be an odd cycle of the complement, and the complement
-    of 2P4 is the join of two P4s, which holds a triangle.  Two cliques of
-    a and n - a vertices hold at least n(n - 2)/4 edges, the least at
-    a = n/2, so a core with fewer edges skips the complement's search on
-    one count.
+    A core whose complement is bipartite (two cliques: the complement's
+    masks have an empty `_odd_transversal`) is in class, and answers None
+    with no scan: C5 is self-complementary and odd, so an induced C5 would
+    be an odd cycle of the complement, and the complement of 2P4 is the
+    join of two P4s, which holds a triangle.  Two cliques of a and n - a
+    vertices hold at least n(n - 2)/4 edges, the least at a = n/2, so a
+    core with fewer edges skips that test on one count.
     """
-    adj = core._adj
-    n = len(adj)
-    if 2 * sum(map(len, adj.values())) >= n * (n - 2) and _co_bipartite(adj):
+    index = order, nbr, full = _index(core)
+    n = len(order)
+    if (2 * sum(map(len, core._adj.values())) >= n * (n - 2)
+            and not _odd_transversal([full ^ m ^ 1 << i for i, m in enumerate(nbr)], full)):
         return None
-    c5 = find_induced_cycle(core, 5)
+    c5 = find_induced_cycle(core, 5, index)
     if c5 is not None:
         return PatternWitness("c5", (c5,))
-    return find_induced_2p4(core)
-
-
-def _co_bipartite(adj) -> bool:
-    """Whether the complement of the graph is bipartite.
-
-    A breadth-first search of the complement, layer by layer: the next
-    layer is what the unreached vertices miss of the current one, and the
-    complement is bipartite exactly when no layer holds one of its edges,
-    a pair of vertices not adjacent here.
-    """
-    unseen = set(adj)
-    while unseen:
-        layer = {unseen.pop()}
-        while layer:
-            nxt: set[int] = set()
-            for u in layer:
-                if len(layer - adj[u]) > 1:
-                    return False
-                nxt |= unseen - adj[u]
-            unseen -= nxt
-            layer = nxt
-    return True
+    return find_induced_2p4(core, index)

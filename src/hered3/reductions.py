@@ -435,16 +435,16 @@ def read_masks(order, state) -> tuple[dict, dict]:
     can1, can2, can3, col1, col2, col3 = state
     palettes: dict[int, frozenset] = {}
     colors: dict[int, int] = {}
-    for r, v in enumerate(order):
-        code = (can1 >> r & 1) | (can2 >> r & 1) << 1 | (can3 >> r & 1) << 2
+    held = can1 | can2 | can3 | col1 | col2 | col3
+    while held:
+        low = held & -held
+        held ^= low
+        v = order[low.bit_length() - 1]
+        code = bool(can1 & low) | bool(can2 & low) << 1 | bool(can3 & low) << 2
         if code:
             palettes[v] = _PALETTES[code]
-        elif col1 >> r & 1:
-            colors[v] = 1
-        elif col2 >> r & 1:
-            colors[v] = 2
-        elif col3 >> r & 1:
-            colors[v] = 3
+        else:
+            colors[v] = 1 if col1 & low else 2 if col2 & low else 3
     return palettes, colors
 
 

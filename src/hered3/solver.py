@@ -53,7 +53,8 @@ the same length in h.
 
 The co-C7 preflight and each component's search for its anchor cycle run
 on the twin core of P; when nothing is peeled, P is h and its core is the
-one the class check used.  Neither pattern has twins, so each search
+one the class check used; the anchor searches read P's rank masks cut to
+that core.  Neither pattern has twins, so each search
 gives the verdict it gives on P.  The anchored runs, the fixpoint, the
 stages and witness replay work on P.
 
@@ -129,6 +130,7 @@ and replay records the reduction engine collects.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from itertools import product
@@ -177,6 +179,8 @@ def solve(
     quotient outside its 3-core, colored after it.  The 3-core decides the
     answer, and it holds every K4, odd wheel and co-C7 certificate of the
     input, since each has minimum degree 3 (see the module docstring).
+    The 3-core's rank masks are built once, and every search on it reads
+    them cut to the vertices it needs (`patterns._cut`).
     Raises ClassViolationError when the input is outside the supported
     class, unless assume_class skips the membership check; on such input
     the structural stages may then fail loudly.
@@ -207,15 +211,19 @@ def solve(
             core = None
         if core is None:
             core = twin_core(p)
-        odd = patterns.find_nonbipartite_neighborhood(p)
+        index = patterns._index(p)
+        odd = patterns.find_nonbipartite_neighborhood(p, index)
         if odd is not None:
             stats["preflight_odd_neighborhood_" + odd.kind] += 1
             return _report("not_colorable", None, stats, start)
         if patterns.find_co_c7(core) is not None:
             stats["preflight_co_c7"] += 1
             return _report("not_colorable", None, stats, start)
+        rank = {v: i for i, v in enumerate(index[0])}
+        in_core = sum(1 << rank[v] for v in core._adj)
         for comp in connected_components(p):
-            cmap = _solve_component(p, core, comp, stats)
+            cut = patterns._cut(index, sum(1 << rank[v] for v in comp))
+            cmap = _solve_component(p, cut, comp, in_core, stats)
             if cmap is None:
                 return _report("not_colorable", None, stats, start)
             coloring.update(cmap)
@@ -289,26 +297,23 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 
 
-def _solve_component(g, core, comp, stats):
-    """The 3-coloring of the component comp of g, or None when it has none.
+def _solve_component(p, index, comp, in_core, stats):
+    """The 3-coloring of the component comp of p, or None when it has none.
 
-    core is g's twin core.  When comp is all of g, both are used as given;
-    otherwise both are cut down to comp.  The anchor cycle is sought on
-    the core's part, and the anchored run and the plain colorer work on
-    the whole component of g and never change it: `_run_anchored` only
-    reads it and changes clones, and `_backtrack_color` keeps its palettes
-    and colors apart."""
-    if len(comp) < len(g):
-        g = induced_subgraph(g, comp)
-        core = induced_subgraph(core, [v for v in comp if v in core])
+    index is p's index cut to comp, and in_core the mask of p's twin core.
+    The anchor cycle is sought on the index cut to the core's part, and the
+    anchored run reads the index; the plain colorer gets comp as a graph.
+    Neither changes p: `_run_anchored` changes clones only, and
+    `_backtrack_color` keeps its palettes and colors apart."""
+    core = patterns._cut(index, index[2] & in_core)
     for k in (7, 9):
-        cyc = patterns.find_induced_cycle(core, k)
+        cyc = patterns.find_induced_cycle(p, k, core)
         if cyc is not None:
             stats[f"components_anchored_{k}"] += 1
-            won = _run_anchored(g, cyc, stats)
+            won = _run_anchored(p, index, cyc, stats)
             return None if won is None else won.assemble_witness(comp)
     stats["components_plain"] += 1
-    return _backtrack_color(g)
+    return _backtrack_color(p if len(comp) == len(p) else induced_subgraph(p, comp))
 
 
 def _extensions(k: int, d: int, last: int) -> int:
@@ -325,7 +330,7 @@ def _extensions(k: int, d: int, last: int) -> int:
     return (2 ** m + (2 if last == 1 else -1) * (-1) ** m) // 3
 
 
-def _run_anchored(comp_graph, cycle, stats):
+def _run_anchored(p, index, cycle, stats):
     """Run a DFS from each anchor coloring that begins (1, 2) in turn.
 
     These are the 21 (C7) or 85 (C9) orbit representatives of the cycle's
@@ -333,25 +338,23 @@ def _run_anchored(comp_graph, cycle, stats):
     None runs unchecked: a depth-first walk of their prefix tree commits
     anchor 0 with color 1, anchor 1 with 2, and each later anchor with
     each color in ascending order that differs from its predecessor's (and,
-    for the last anchor, from color 1), by `propagate_masks` on the
-    component's rank masks.  Each prefix's six masks are kept for its
-    children, so a shared prefix is propagated once.  A refuted prefix is
-    left, and every representative under it is skipped at once (the
+    for the last anchor, from color 1), by `propagate_masks` on index, p's
+    rank masks cut to the component.  Each prefix's six masks are kept for
+    its children, so a shared prefix is propagated once.  A refuted prefix
+    is left, and every representative under it is skipped at once (the
     module docstring says why the answer stays the same).  A surviving
     representative's root is a clone of base holding the palettes and
     colors read off its masks, minus its colored non-anchors: the state
-    that committing its anchors on an unreduced clone leaves.  base is
-    built at the first survivor.  The winning branch's settled colors and
-    replay records hold its witness.  Returns that branch, or None when
-    every representative is rejected, and then so is every proper anchor
-    coloring.
+    that committing its anchors on an unreduced clone leaves.  base, on a
+    copy of the component, is built at the first survivor.  The winning
+    branch's settled colors and replay records hold its witness.  Returns
+    that branch, or None when every representative is rejected, and then
+    so is every proper anchor coloring.
     """
     anchors = tuple(cycle)
     k = len(anchors)
-    order, nbr = patterns._masks(comp_graph._adj)
-    rank = {v: i for i, v in enumerate(order)}
-    bits = [1 << rank[v] for v in anchors]
-    every = (1 << len(order)) - 1
+    order, nbr, every = index
+    bits = [1 << bisect_left(order, v) for v in anchors]
     total = _extensions(k, 2, 2)
     stats["anchor_colorings"] += total
     state = propagate_masks(nbr, (every, every, every, 0, 0, 0), bits[0], 0)
@@ -374,10 +377,12 @@ def _run_anchored(comp_graph, cycle, stats):
                 if n != c and (n != 1 or d + 2 < k):
                     stack.append((d + 1, n, state))
         else:
+            palettes, colors = read_masks(order, state)
             if base is None:
-                base = Instance(comp_graph, stats)
+                # each vertex of the component has a palette or a color
+                base = Instance(induced_subgraph(p, [*palettes, *colors]), stats)
                 base.anchor_order = anchors
-            base.palettes, base.colors = read_masks(order, state)
+            base.palettes, base.colors = palettes, colors
             root = base.clone()
             root.remove_region([v for v in root.colors if v not in anchors])
             winner = _dfs(root, stats)

@@ -20,7 +20,7 @@ from hered3.graph import (
     induced_subgraph,
     twin_core,
 )
-from hered3.patterns import check_class, find_nonbipartite_neighborhood
+from hered3.patterns import _cut, _index, check_class, find_nonbipartite_neighborhood
 from hered3.reductions import (
     REJECTED,
     SOLVED,
@@ -143,7 +143,8 @@ def test_anchor_enumeration_counts_are_exact():
     for k, reps, full in ((7, 21, 126), (9, 85, 510)):
         # on the anchored layer: solve peels the cycle whole
         stats = Counter()
-        assert _run_anchored(cycle_graph(k), tuple(range(1, k + 1)), stats) is not None
+        g = cycle_graph(k)
+        assert _run_anchored(g, _index(g), tuple(range(1, k + 1)), stats) is not None
         got = stats["anchor_colorings"]
         assert got == reps
         assert solve(cycle_graph(k)).stats["peeled"] == k
@@ -194,11 +195,13 @@ def _layer_checked(g, colorable, what):
     if find_nonbipartite_neighborhood(h) is not None:
         assert not colorable, what
         return 0
-    core = twin_core(h)
+    index = _index(h)
+    bit = {v: 1 << i for i, v in enumerate(index[0])}
+    in_core = sum(bit[v] for v in twin_core(h).vertices())
     stats = Counter()
     coloring = {}
     for comp in connected_components(h):
-        cmap = _solve_component(h, core, comp, stats)
+        cmap = _solve_component(h, _cut(index, sum(bit[v] for v in comp)), comp, in_core, stats)
         if cmap is None:
             assert not colorable, what
             return stats["components_anchored_7"]

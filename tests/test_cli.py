@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hered3 import cli, solver
+from hered3 import cli, patterns, solver
 from hered3.errors import StageAssertionError
 from hered3.formats import format_edge_list, parse_edge_list
 from hered3.patterns import check_class, find_induced_cycle
@@ -183,7 +183,7 @@ def test_solve_stage_refusal_is_an_error(write, capsys):
     # whole and colors it
     g = erdos_renyi(16, 0.15, split_seed(9, 1209))
     with pytest.raises(StageAssertionError, match="^partial outer neighbor outside its allowed shape$"):
-        solver._run_anchored(g, find_induced_cycle(g, 7), Counter())
+        solver._run_anchored(g, patterns._index(g), find_induced_cycle(g, 7), Counter())
     path = write("er.edges", format_edge_list(g))
     doc = assert_waived_solve_answers(capsys, path)
     code, report, _ = run_json(capsys, "solve", path, "--assume-class", "--json")
@@ -202,7 +202,8 @@ def test_solve_waived_two_part_border_is_a_stage_refusal(write, capsys):
     path = write("border.edges", "\n".join(edges.split(", ")) + "\n")
     doc = assert_waived_solve_answers(capsys, path)
     with pytest.raises(StageAssertionError, match="^relevant component behind a disconnected border$"):
-        solver._run_anchored(doc.graph, find_induced_cycle(doc.graph, 7), Counter())
+        g = doc.graph
+        solver._run_anchored(g, patterns._index(g), find_induced_cycle(g, 7), Counter())
     code, report, _ = run_json(capsys, "solve", path, "--assume-class", "--json")
     assert code == 0 and report["stats"]["peeled"] == 16
 

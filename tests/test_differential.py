@@ -1,0 +1,39 @@
+"""Smoke test of tools/differential.py on a 20-input slice of its corpus."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "differential.py"
+
+
+def differential(*args):
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_differential_of_a_tree_with_itself(tmp_path):
+    out = tmp_path / "run.jsonl"
+    done = differential("--src", ROOT, "--out", out, "--limit", 20)
+    assert done.returncode == 0, done.stderr
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(records) == 20
+    # the slice takes the families in turn
+    assert len({r["id"].split("/")[0] for r in records}) >= 5
+    assert all(set(r) == {"id", "input", "class", "cycles", "odd", "solve"} for r in records)
+    same = differential("--compare", out, out)
+    assert same.returncode == 0, same.stdout
+    assert "solve: 0 differ" in same.stdout
+
+    # one doctored field: the comparison names it and fails, unless it is
+    # left out of --same
+    records[7]["odd"] = ["raise", "ClassViolationError", "doctored", None]
+    doctored = tmp_path / "doctored.jsonl"
+    doctored.write_text("".join(json.dumps(r) + "\n" for r in records))
+    done = differential("--compare", out, doctored)
+    assert done.returncode == 1
+    assert f"odd: 1 differ ({records[7]['id']})" in done.stdout
+    assert done.stdout.splitlines()[-1] == "differing fields: odd"
+    assert differential("--compare", out, doctored, "--same", "class,solve").returncode == 0

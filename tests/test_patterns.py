@@ -295,10 +295,10 @@ def shuffled(g, seed):
     return Graph.from_edges(verts, edges), image
 
 
-def odd_witness(g):
+def odd_witness(g, index=None):
     """The odd-neighbourhood witness of g, raised or returned, or None."""
     try:
-        return find_nonbipartite_neighborhood(g)
+        return find_nonbipartite_neighborhood(g, index)
     except ClassViolationError as exc:
         return exc.witness
 
@@ -314,9 +314,9 @@ def test_odd_neighbourhood_check_matches_the_bipartition_reference(monkeypatch):
     searched = []
     real = patterns._least_cycle
 
-    def recorded(nbr, trans, k):
+    def recorded(nbr, trans, k, keep):
         searched.append((k, [i for i, m in enumerate(nbr) if m]))
-        return real(nbr, trans, k)
+        return real(nbr, trans, k, keep)
 
     monkeypatch.setattr(patterns, "_least_cycle", recorded)
     kinds = {"none": 0, "k4": 0, "c5": 0, "c7": 0, "c9": 0, "2p4": 0}
@@ -357,6 +357,41 @@ def test_odd_neighbourhood_check_matches_the_bipartition_reference(monkeypatch):
         kinds[kind] += 1
     assert all(n >= 10 for n in kinds.values()), kinds
     assert 400 < kinds["none"] < 1600, kinds
+
+
+def test_a_cut_index_searches_the_subgraph_it_keeps():
+    # a finder handed `_cut(_index(g), keep)` searches the subgraph that
+    # keep induces, and returns what it returns on that subgraph built as a
+    # graph of its own: ranks follow ids in both.  keep is a random set of
+    # vertices; a planted odd wheel, W11 and W13 among them, is kept whole,
+    # so the odd-neighbourhood check on the cut raises from a 2P4 scan of
+    # the hub's neighbourhood, cut once more
+    hits = {"2p4": 0, "cycle": 0, "odd": 0, "raised": 0}
+    for i in range(600):
+        rng = Random(split_seed(94, i))
+        g = erdos_renyi(16 + i % 17, (0.1, 0.15, 0.22, 0.3)[i % 4], split_seed(95, i))
+        wheel = set()
+        k = (0, 3, 5, 7, 11, 13)[i % 6]
+        if k:
+            # the hub and rim: plant_wheel's first draw from the same seed
+            wheel = set(Random(split_seed(96, i)).sample(g.vertices(), k + 1))
+            plant_wheel(g, Random(split_seed(96, i)), k)
+        ids = [v for v in g.vertices() if v in wheel or rng.random() < 0.7]
+        index = patterns._index(g)
+        cut = patterns._cut(index, sum(1 << r for r, v in enumerate(index[0]) if v in ids))
+        sub = induced_subgraph(g, ids)
+        got = find_induced_2p4(g, cut)
+        assert got == find_induced_2p4(sub), i
+        hits["2p4"] += got is not None
+        for k in (5, 7, 9):
+            got = find_induced_cycle(g, k, cut)
+            assert got == find_induced_cycle(sub, k), (i, k)
+            hits["cycle"] += got is not None
+        got = odd_witness(g, cut)
+        assert got == odd_witness(sub), i
+        hits["odd"] += got is not None
+        hits["raised"] += got is not None and got.kind == "2p4"
+    assert all(n >= 40 for n in hits.values()), hits
 
 
 def test_mask_scans_place_bits_by_rank_not_id():
@@ -596,13 +631,20 @@ def test_bipartite_core_skips_the_c5_scan(monkeypatch):
         core = twin_core(g)
         assert all(find_induced_cycle(core, k) is None for k in (5, 7, 9))
         assert work == ["_masks"] * 3
-        # the 2P4 scan that follows builds masks of its own
+        # check_core builds one index, which its C5 and 2P4 scans share
         check_core(core)
+        assert work.count("_masks") == 4
         assert "_has_c5" not in work and "_find_long_cycle" not in work
         work.clear()
     g = cycle_graph(5)
     assert check_core(g).kind == "c5"
     assert work == ["_masks", "_has_c5", "_find_long_cycle"]
+
+
+def complement(g):
+    """The complement of g, on g's ids."""
+    return Graph.from_edges(g.vertices(), [(u, w) for u, w in combinations(g.vertices(), 2)
+                                           if not g.has_edge(u, w)])
 
 
 def toggled_co_bipartite(i):
@@ -648,7 +690,7 @@ def test_transversal_rooted_scans_match_the_reference():
         in_class = naive_in_class(g)
         assert (check_class(g) is None) == in_class, i
         big_t = trans.bit_count() >= 2
-        two_cliques = patterns._co_bipartite(g._adj)
+        two_cliques = bipartition(complement(g)) is not None
         if two_cliques:
             # the edge count check_core tests before the search
             n = len(g)
@@ -688,6 +730,17 @@ def test_core_of_two_cliques_needs_no_scan(monkeypatch):
     g.neighbors(w).discard(u)
     check_core(g)
     assert calls[:1] == ["find_induced_cycle"]
+    # the scans are skipped exactly when the complement is bipartite, by a
+    # breadth-first reference on the complement itself
+    skipped = 0
+    for i in range(300):
+        g = toggled_co_bipartite(i)
+        calls.clear()
+        check_core(g)
+        two_cliques = bipartition(complement(g)) is not None
+        assert (calls == []) == two_cliques, i
+        skipped += two_cliques
+    assert 50 < skipped < 250, skipped
 
 
 def small_graph(n, p, rng, plant, flip):

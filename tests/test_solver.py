@@ -40,6 +40,7 @@ from hered3.testkit import (
     complete_bipartite,
     count_proper_3colorings,
     crown_graph,
+    crown_plus,
     cycle_blowup,
     cycle_graph,
     erdos_renyi,
@@ -81,7 +82,10 @@ STAGE_SEEDS = SINGLE_ANCHOR_SEEDS + OPPOSING_PAIR_SEEDS + COMPONENT_CASE_SEEDS
 def solve_component(g, stats):
     """`solver._solve_component` on the whole of a connected g, with its
     twin core."""
-    return solver._solve_component(g, twin_core(g), set(g.vertices()), stats)
+    index = patterns._index(g)
+    core = twin_core(g)
+    in_core = sum(1 << i for i, v in enumerate(index[0]) if core.has_vertex(v))
+    return solver._solve_component(g, index, set(g.vertices()), in_core, stats)
 
 
 def run_anchored(g, k=7):
@@ -89,7 +93,7 @@ def run_anchored(g, k=7):
     first induced k-cycle: its stats and the winning branch's witness, or
     None when every branch is rejected."""
     stats = Counter()
-    won = solver._run_anchored(g, patterns.find_induced_cycle(g, k), stats)
+    won = solver._run_anchored(g, patterns._index(g), patterns.find_induced_cycle(g, k), stats)
     return stats, None if won is None else won.assemble_witness(g.vertices())
 
 
@@ -530,7 +534,7 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
         every = Counter()
         with monkeypatch.context() as m:
             m.setattr(solver, "_dfs", recorded)
-            solver._run_anchored(h, cycle, every)
+            solver._run_anchored(h, patterns._index(h), cycle, every)
         ran = []
         first = None
         for palettes, colors, adj, won in roots:
@@ -547,7 +551,7 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
         for col in skipped:
             child = full_branch(col)
             assert child is None or dfs(child, Counter()) is None
-        won = solver._run_anchored(h, cycle, Counter())
+        won = solver._run_anchored(h, patterns._index(h), cycle, Counter())
         if first is None:
             assert won is None
         else:
@@ -950,9 +954,9 @@ def test_solve_searches_each_component_of_a_core_alone(monkeypatch):
     anchors = []
     real = solver._run_anchored
 
-    def recorded(comp_graph, cycle, stats):
+    def recorded(p, index, cycle, stats):
         anchors.append(tuple(cycle))
-        return real(comp_graph, cycle, stats)
+        return real(p, index, cycle, stats)
 
     monkeypatch.setattr(solver, "_run_anchored", recorded)
     work = cycle_search_work(monkeypatch)
@@ -962,13 +966,15 @@ def test_solve_searches_each_component_of_a_core_alone(monkeypatch):
     assert verify_coloring(g, rep.witness)
     assert rep.stats["components_anchored_7"] == 2
     assert rep.stats["components_plain"] == 1
-    # the masks over the cube are the preflight's, over the whole graph,
-    # and those of its own C7 and C9 searches, over the cube alone
-    assert [m for m in work if isinstance(m, set) and m & cube] == [set(g.vertices()), cube, cube]
-    # 7-roots are grown in both gadgets, the second from vertex 15 on
+    # one mask build, over the whole 3-core, serves the preflight and the
+    # C7 and C9 searches of every component, the cube's among them
+    assert [m for m in work if isinstance(m, set)] == [set(g.vertices())]
+    # 7-roots are grown in both gadgets, the second from vertex 15 on; each
+    # search roots only in its own component, so no root is grown twice
     roots = searched(work)
     assert {k for _, k in roots} == {7} and {v for v, _ in roots} & cube == set()
     assert {v < 15 for v, _ in roots} == {True, False}
+    assert len(set(roots)) == len(roots)
     whole, anchors[:] = anchors[:], []
     for comp in connected_components(g):
         alone = solve(induced_subgraph(g, comp), witness=True, assume_class=True)
@@ -1133,8 +1139,8 @@ def test_empty_3_core_runs_no_preflight_search_or_colorer(monkeypatch):
 
 def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
     # a refutation blowup's quotient is its own 3-core: _solve_component gets
-    # the quotient and its twin core, the objects solve built, with no copy
-    # and no second core
+    # the quotient, the index over all of it and the mask of its twin core,
+    # the core solve built, with no copy and no second core
     built = []
     handed = []
     real_core = solver.twin_core
@@ -1146,9 +1152,9 @@ def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
     monkeypatch.setattr(solver, "twin_core", recorded)
     real = solver._solve_component
 
-    def component(g, core, comp, stats):
-        handed.append((g, core))
-        return real(g, core, comp, stats)
+    def component(g, index, comp, in_core, stats):
+        handed.append((g, index, in_core))
+        return real(g, index, comp, in_core, stats)
 
     monkeypatch.setattr(solver, "_solve_component", component)
     for sizes, cliques, _, _ in REFUTATION_BLOWUPS:
@@ -1160,7 +1166,114 @@ def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
             rep = solve(g, assume_class=assume_class)
             assert rep.decision == "not_colorable" and "peeled" not in rep.stats
             (core,) = built
-            assert len(handed) == 1 and handed[0][0] is g and handed[0][1] is core
+            assert len(handed) == 1 and handed[0][0] is g
+            order, nbr, keep = handed[0][1]
+            assert order == g.vertices() and keep == (1 << len(g)) - 1
+            assert handed[0][2] == sum(1 << i for i, v in enumerate(order) if core.has_vertex(v))
+
+
+def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
+    # check_class builds the rank masks of its twin core once, for its C5
+    # and 2P4 scans; solve builds them once more, over the 3-core, and the
+    # preflight, the anchor search of every component and the forward check
+    # read them cut to the vertices they need.  Inputs: the refutation
+    # blowups, a thickened gadget anchored on a 7-cycle, S_20³ and, under
+    # the waiver (it holds a 2P4), a 3-core of three components (built
+    # first: the thickening runs checks of its own)
+    graphs = [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
+    graphs += [thickened(SINGLE_ANCHOR_SEEDS[0]), crown_plus(20)]
+    union = disjoint_union(thickened(2), thickened(3), crown_graph(4))
+    builds = []
+    real = patterns._masks
+
+    def masks(adj):
+        builds.append(len(adj))
+        return real(adj)
+
+    monkeypatch.setattr(patterns, "_masks", masks)
+    for g in graphs:
+        builds.clear()
+        check_class(g)
+        assert builds == [len(twin_core(g))]
+        builds.clear()
+        rep = solve(g, witness=True)
+        core = len(g) - rep.stats.get("false_twins", 0) - rep.stats.get("peeled", 0)
+        assert builds == [len(twin_core(g)), core] and core > 0
+    builds.clear()
+    rep = solve(union, witness=True, assume_class=True)
+    assert rep.stats["components_plain"] == 1 and "peeled" not in rep.stats
+    assert builds == [len(union)]
+
+
+def sparse_shuffled(g, seed):
+    """g moved onto ascending sparse ids, its vertices and its edges (each
+    end first at random) inserted in a seeded random order, with the map
+    from old ids to new."""
+    rng = Random(seed)
+    image = {v: 1000 * k + rng.randrange(1000) for k, v in enumerate(g.vertices(), 1)}
+    verts = list(image.values())
+    rng.shuffle(verts)
+    edges = [(image[u], image[w])[::rng.choice((1, -1))] for u, w in g.edges()]
+    rng.shuffle(edges)
+    return Graph.from_edges(verts, edges), image
+
+
+def planted_wheel(k, extra, rng):
+    """The wheel W_k with `extra` more vertices, each joined to three
+    earlier ones at random, so that the 3-core keeps them."""
+    g = wheel(k)
+    for _ in range(extra):
+        v = g.add_vertex()
+        for w in rng.sample(range(1, v), 3):
+            g.add_edge(v, w)
+    return g
+
+
+def test_solve_reports_follow_the_ids():
+    # the searches read masks whose ranks follow the ids, in the quotient
+    # as in any part of it, so an order-preserving relabelling, inserted in
+    # shuffled order, gives the same decision and stats, the mapped class
+    # witness and the mapped witness of any class violation raised (or the
+    # same stage refusal, out of class).  The coloring is left out: the
+    # peel seeds in insertion order
+    rng = Random(57)
+    cases = [(thickened(s), False) for s in range(400)]
+    cases += [(thicken(c9_gadget(s), s), False) for s in range(100)]
+    cases += [(cycle_blowup(sizes, cliques=cl), False) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
+    cases += [(crown_plus(n), False) for n in (4, 5, 8, 12)]
+    cases += [(erdos_renyi(8 + i % 25, (0.1, 0.15, 0.25)[i % 3], split_seed(58, i)), True)
+              for i in range(180)]
+    cases += [(planted_wheel(k, extra, rng), assume) for k in (11, 13) for extra in (0, 4, 8)
+              for assume in (False, True)]
+
+    def mapped(w, image):
+        return None if w is None else (w.kind, tuple(tuple(image[v] for v in part)
+                                                     for part in w.parts))
+
+    def report(g, assume, image):
+        try:
+            rep = solve(g, witness=True, assume_class=assume)
+        except ClassViolationError as exc:
+            return "raised", mapped(exc.witness, image)
+        except StageAssertionError as exc:
+            return "refused", str(exc)
+        return rep.decision, {k: v for k, v in rep.stats.items() if k != "millis"}
+
+    seen = Counter()
+    for i, (g, assume) in enumerate(cases):
+        h, image = sparse_shuffled(g, split_seed(59, i))
+        same = {v: v for v in h.vertices()}
+        assert mapped(check_class(h), same) == mapped(check_class(g), image), i
+        got = report(g, assume, image)
+        assert report(h, assume, same) == got, i
+        seen[got[0] + " waived" * assume] += 1
+        if got[0] in ("colorable", "not_colorable"):
+            seen.update(k for k in got[1] if k.startswith(("components_", "preflight_")))
+    # under the waiver W11 and W13 raise from the odd-neighbourhood check,
+    # whose 2P4 scan reads the masks cut to the hub's neighbourhood
+    assert seen["raised"] >= 5 and seen["raised waived"] >= 3, seen
+    assert seen["not_colorable"] + seen["not_colorable waived"] >= 10, seen
+    assert seen["components_anchored_7"] >= 20 and seen["components_plain"] >= 10, seen
 
 
 def with_pendant_trees(g, rng, count):

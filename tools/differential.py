@@ -1,0 +1,227 @@
+"""Differential run of hered3 over a fixed corpus, and a comparison of two runs.
+
+    python tools/differential.py --src DIR --out FILE [--limit N]
+    python tools/differential.py --compare A B [--same FIELD,...]
+
+The first form imports hered3 from DIR/src (and the benchmark's
+instance families from DIR/bench), so DIR can be any checkout, such as a
+parent tree unpacked from `git archive`.  It writes one JSON line per
+input of the corpus, with these fields:
+
+- id: the input's name in the corpus
+- input: a digest of the graph's vertices and edges
+- class: the `check_class` witness, or null
+- cycles: `find_induced_cycle(twin_core(g), k)` for k = 5, 7 and 9
+- odd: the odd-neighbourhood witness, or the error it raises
+- solve: `solve(witness=True, assume_class=...)`, as the decision, the
+  witness items in order and the stats without `millis`, or the
+  exception's type, message and witness
+
+A witness is [kind, parts]; an error is ["raise", type, message,
+witness or null].  --limit N takes N inputs, one family after another in
+turn, in place of the whole corpus.
+
+The second form reads two such files, prints for each field the number
+of inputs on which it differs and the first ids that differ, and exits 1
+when a field named in --same (all of them by default) differs anywhere.
+
+Only the standard library is used, so the script runs wherever the
+package does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+from itertools import chain, islice, zip_longest
+from pathlib import Path
+from random import Random
+from types import SimpleNamespace
+
+FIELDS = ("input", "class", "cycles", "odd", "solve")
+BENCH_SEEDS = (3, 5)
+GADGETS = 600
+RANDOM_GRAPHS = 600
+CROWN_SIZES = (3, 4, 5, 8, 20)
+WHEELS = range(3, 16, 2)
+WHEEL_EXTRAS = (0, 6, 12)
+WHEEL_SEEDS = 6
+
+
+def load(src: Path):
+    """Import hered3 (and the bench's workloads, if present) from src."""
+    sys.path[:0] = [str(src / "src"), str(src / "bench")]
+    import hered3
+    from hered3 import formats, graph, patterns, testkit
+
+    if Path(hered3.__file__).resolve().parent != (src / "src" / "hered3").resolve():
+        raise SystemExit(f"hered3 was imported from {hered3.__file__}, not {src}")
+    try:
+        import workloads
+    except ModuleNotFoundError:
+        workloads = None
+    return SimpleNamespace(hered3=hered3, formats=formats, graph=graph, patterns=patterns,
+                           testkit=testkit, workloads=workloads)
+
+
+def planted_wheel(k: int, extra: int, seed: int, graph):
+    """The wheel W_k (rim 1..k, hub k + 1) with `extra` more vertices, each
+    joined to three earlier vertices at random, so that nothing peels."""
+    rng = Random(seed)
+    edges = [(i, i % k + 1) for i in range(1, k + 1)] + [(i, k + 1) for i in range(1, k + 1)]
+    for v in range(k + 2, k + 2 + extra):
+        edges += [(v, w) for w in rng.sample(range(1, v), 3)]
+    return graph.Graph.from_edges(range(1, k + 2 + extra), edges)
+
+
+def corpus(m):
+    """The families of the corpus, each an iterator of
+    (id, graph, assume_class)."""
+    testkit = m.testkit
+
+    def bench():
+        if m.workloads is None:
+            return
+        for seed in BENCH_SEEDS:
+            for name in ("refute", "blowups", "composite", "gadgets"):
+                for i, case in enumerate(m.workloads.build(name, seed)):
+                    g = m.formats.parse_graph(case.text).graph
+                    yield f"bench/{name}/{seed}/{i}", g, case.assume_class
+
+    def gadgets(kind, make):
+        for s in range(GADGETS):
+            g = make(s)
+            yield f"{kind}/{s}/plain", g, False
+            yield f"{kind}/{s}/thick", testkit.thicken(g, s), False
+
+    def random_graphs():
+        for i in range(RANDOM_GRAPHS):
+            g = testkit.erdos_renyi(5 + i % 36, (0.08, 0.12, 0.18, 0.25, 0.35, 0.5)[i % 6],
+                                    testkit.split_seed(41, i))
+            for assume in (False, True):
+                yield f"er/{i}/{'assume' if assume else 'check'}", g, assume
+
+    def crowns():
+        for n in CROWN_SIZES:
+            for name in ("crown_plus", "apex_crown"):
+                g = getattr(testkit, name)(n)
+                for assume in (False, True):
+                    yield f"{name}/{n}/{'assume' if assume else 'check'}", g, assume
+
+    def wheels():
+        for k in WHEELS:
+            for extra in WHEEL_EXTRAS:
+                for s in range(WHEEL_SEEDS):
+                    g = planted_wheel(k, extra, testkit.split_seed(43, k, extra, s), m.graph)
+                    for assume in (False, True):
+                        yield f"wheel/{k}/{extra}/{s}/{'assume' if assume else 'check'}", g, assume
+
+    return [wheels(), crowns(), random_graphs(), gadgets("c7", testkit.c7_gadget),
+            gadgets("c9", testkit.c9_gadget), bench()]
+
+
+def round_robin(families):
+    """One input of each family in turn, until all are spent."""
+    done = object()
+    for row in zip_longest(*families, fillvalue=done):
+        yield from (item for item in row if item is not done)
+
+
+def pattern(w):
+    """A PatternWitness, a vertex tuple, or None, as JSON."""
+    if w is None:
+        return None
+    if hasattr(w, "kind"):
+        return [w.kind, [list(part) for part in w.parts]]
+    return list(w)
+
+
+def raised(exc):
+    return ["raise", type(exc).__name__, str(exc), pattern(getattr(exc, "witness", None))]
+
+
+def record(m, name, g, assume):
+    out = {"id": name}
+    edges = ";".join(f"{u},{w}" for u, w in g.edges())
+    digest = f"{','.join(map(str, g.vertices()))}|{edges}"
+    out["input"] = hashlib.sha256(digest.encode()).hexdigest()[:16]
+    try:
+        out["class"] = pattern(m.patterns.check_class(g))
+    except Exception as exc:
+        out["class"] = raised(exc)
+    core = m.graph.twin_core(g)
+    out["cycles"] = [pattern(m.patterns.find_induced_cycle(core, k)) for k in (5, 7, 9)]
+    try:
+        out["odd"] = pattern(m.patterns.find_nonbipartite_neighborhood(g))
+    except Exception as exc:
+        out["odd"] = raised(exc)
+    try:
+        rep = m.hered3.solve(g, witness=True, assume_class=assume)
+        stats = {k: v for k, v in rep.stats.items() if k != "millis"}
+        witness = None if rep.witness is None else [list(kv) for kv in rep.witness.items()]
+        out["solve"] = [rep.decision, witness, stats]
+    except Exception as exc:
+        out["solve"] = raised(exc)
+    return out
+
+
+def run(src: Path, out: Path, limit: int | None) -> int:
+    m = load(src)
+    families = corpus(m)
+    inputs = chain(*families) if limit is None else islice(round_robin(families), limit)
+    count = 0
+    with open(out, "w") as fh:
+        for name, g, assume in inputs:
+            fh.write(json.dumps(record(m, name, g, assume)) + "\n")
+            count += 1
+    print(f"{count} records written to {out}")
+    return 0
+
+
+def compare(a: Path, b: Path, same) -> int:
+    with open(a) as fa, open(b) as fb:
+        left = [json.loads(line) for line in fa]
+        right = [json.loads(line) for line in fb]
+    diffs = {f: [] for f in ("id",) + FIELDS}
+    for i, (x, y) in enumerate(zip_longest(left, right, fillvalue={})):
+        name = x.get("id", y.get("id", f"line {i + 1}"))
+        for f in diffs:
+            if x.get(f) != y.get(f):
+                diffs[f].append(name)
+    print(f"{len(left)} records in {a}, {len(right)} in {b}")
+    failed = []
+    for f, names in diffs.items():
+        first = ", ".join(names[:5]) + (", ..." if len(names) > 5 else "")
+        print(f"{f}: {len(names)} differ" + (f" ({first})" if names else ""))
+        if names and (f == "id" or f in same):
+            failed.append(f)
+    if failed:
+        print("differing fields: " + ", ".join(failed))
+        return 1
+    return 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--src", type=Path, help="checkout whose src/hered3 is run")
+    ap.add_argument("--out", type=Path, help="JSON lines file to write")
+    ap.add_argument("--limit", type=int, help="take this many inputs, families in turn")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    ap.add_argument("--same", default=",".join(FIELDS),
+                    help="comma-separated fields that must not differ (default: all)")
+    args = ap.parse_args(argv)
+    if args.compare:
+        same = set(filter(None, args.same.split(",")))
+        unknown = same - set(FIELDS)
+        if unknown:
+            ap.error(f"unknown fields: {', '.join(sorted(unknown))}")
+        return compare(*args.compare, same)
+    if args.src is None or args.out is None:
+        ap.error("give --src and --out, or --compare A B")
+    return run(args.src.resolve(), args.out, args.limit)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
