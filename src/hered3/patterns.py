@@ -214,12 +214,12 @@ def _is_p4(nbr, quad) -> bool:
 
 
 def find_induced_cycle(g: Graph, k: int, index=None):
-    """First induced k-cycle in canonical order, or None.
+    """First induced k-cycle in canonical order, or None, for odd k >= 5.
 
     Canonical form: the cycle's smallest vertex v0 first, then the
     lexicographically least (v1, ..., v_{k-1}) with v1 < v_{k-1}.
 
-    For odd k the roots are bounded by the odd-cycle transversal T of
+    The roots are bounded by the odd-cycle transversal T of
     `_odd_transversal`: g - T is bipartite, so every odd cycle meets T, and
     a cycle whose least vertex is v0 holds some t >= v0.  So the root loop
     stops once v0 > max(T), and an empty T (g bipartite) answers None with
@@ -234,10 +234,10 @@ def find_induced_cycle(g: Graph, k: int, index=None):
     neighbourhoods are kept as one blocked mask, grown by one OR per step,
     and the candidates come from the masks of `_masks` lowest bit first.
     """
-    if k < 4:
-        raise ValueError("use explicit triangle checks for k=3")
+    if k < 5 or not k % 2:
+        raise ValueError(f"find_induced_cycle takes an odd k of 5 or more, not {k}")
     order, nbr, keep = index or _index(g)
-    got = _least_cycle(nbr, _odd_transversal(nbr, keep) if k % 2 else keep, k, keep)
+    got = _least_cycle(nbr, _odd_transversal(nbr, keep), k, keep)
     if got is None:
         return None
     got = tuple(order[i] for i in got)

@@ -1,10 +1,10 @@
 """Palette propagation rules, replay-based witness records, and the one
 structural operation the stage ladder uses (cut reduction).  Rule 6 colors
 a component whose palettes all have two colors by `propagate`, each vertex
-trying one color and on a clash the other; the solver's plain colorer uses
-`propagate` too, and its forward check of anchor colorings runs the same
-rule on bitmasks, by `propagate_masks`.  Rule 7 and cut reduction color a
-P4-free region from a cotree built once for it.
+trying one color and on a clash the other.  The solver's plain colorer and
+its forward check of anchor colorings run the same rule on bitmasks, by
+`propagate_masks`.  Rule 7 and cut reduction color a P4-free region from
+a cotree built once for it.
 
 An Instance owns a working graph plus per-vertex palettes.  Rules either
 settle colors, shrink palettes, or delete vertices.  A settled color goes

@@ -68,10 +68,10 @@ branch the ladder cannot handle raises StageAssertionError naming its
 shape, never a verdict.  A component with an induced 9-cycle but no
 7-cycle is anchored the same way (85 of 510 colorings), and the fixpoint
 alone must settle every branch.  A component with neither anchor cycle is
-colored by saturation-ordered backtracking; in class, once the preflight
-has passed, it is perfect with clique number at most 3, so the colorer
-succeeds.  A colorable answer always rests on a coloring of every
-component, verified as a whole.
+colored by saturation-ordered backtracking on P's rank masks; in class,
+once the preflight has passed, it is perfect with clique number at most
+3, so the colorer succeeds.  A colorable answer always rests on a
+coloring of every component, verified as a whole.
 
 The ladder rechecks nothing the fixpoint implies.  It runs only on C7, at
 a CONTINUE fixpoint, and rests on three facts that hold on any graph.
@@ -117,12 +117,12 @@ propagation step is forced, so a refuted prefix has no extending
 branch could then only have been rejected, since a branch wins only on a
 witness that is verified; out of class it might instead have raised, and
 skipping it removes that refusal, never a verdict.  The representatives
-that survive run in the same order.  Each root is the propagated state
-minus its colored non-anchors: propagation that meets no clash reaches
-one fixpoint whatever the order of its steps, so a root has the palettes,
-colors and graph that committing its anchors one at a time on the
-unreduced component leaves, and verdicts and witnesses are those of
-running them all.
+that survive run in the same order.  Each root is read off its masks,
+on the graph its palettes and anchors induce: propagation that meets no
+clash reaches one fixpoint whatever the order of its steps, so a root has
+the palettes, colors and graph that committing its anchors one at a time
+on the unreduced component leaves, and verdicts and witnesses are those
+of running them all.
 
 Deleted vertices re-enter the final coloring through the settled colors
 and replay records the reduction engine collects.
@@ -151,11 +151,9 @@ from .reductions import (
     SOLVED,
     Instance,
     cut_reduction,
-    propagate,
     propagate_masks,
     read_masks,
     run_fixpoint,
-    undo,
 )
 
 @dataclass
@@ -179,8 +177,9 @@ def solve(
     quotient outside its 3-core, colored after it.  The 3-core decides the
     answer, and it holds every K4, odd wheel and co-C7 certificate of the
     input, since each has minimum degree 3 (see the module docstring).
-    The 3-core's rank masks are built once, and every search on it reads
-    them cut to the vertices it needs (`patterns._cut`).
+    The 3-core's rank masks are built once, and every search on it and the
+    plain colorer read them cut to the vertices they need (`patterns._cut`).
+    The order of the witness's items is not specified.
     Raises ClassViolationError when the input is outside the supported
     class, unless assume_class skips the membership check; on such input
     the structural stages may then fail loudly.
@@ -302,9 +301,9 @@ def _solve_component(p, index, comp, in_core, stats):
 
     index is p's index cut to comp, and in_core the mask of p's twin core.
     The anchor cycle is sought on the index cut to the core's part, and the
-    anchored run reads the index; the plain colorer gets comp as a graph.
-    Neither changes p: `_run_anchored` changes clones only, and
-    `_backtrack_color` keeps its palettes and colors apart."""
+    anchored run and the plain colorer read the index.  Neither changes p:
+    `_run_anchored` builds each root on a new graph, and `_backtrack_color`
+    works on masks only."""
     core = patterns._cut(index, index[2] & in_core)
     for k in (7, 9):
         cyc = patterns.find_induced_cycle(p, k, core)
@@ -313,7 +312,7 @@ def _solve_component(p, index, comp, in_core, stats):
             won = _run_anchored(p, index, cyc, stats)
             return None if won is None else won.assemble_witness(comp)
     stats["components_plain"] += 1
-    return _backtrack_color(p if len(comp) == len(p) else induced_subgraph(p, comp))
+    return _backtrack_color(index)
 
 
 def _extensions(k: int, d: int, last: int) -> int:
@@ -343,10 +342,9 @@ def _run_anchored(p, index, cycle, stats):
     its children, so a shared prefix is propagated once.  A refuted prefix
     is left, and every representative under it is skipped at once (the
     module docstring says why the answer stays the same).  A surviving
-    representative's root is a clone of base holding the palettes and
-    colors read off its masks, minus its colored non-anchors: the state
-    that committing its anchors on an unreduced clone leaves.  base, on a
-    copy of the component, is built at the first survivor.  The winning
+    representative's root holds the palettes and colors read off its
+    masks, on the graph its palettes and anchors induce in p: the state
+    that committing its anchors on an unreduced copy leaves.  The winning
     branch's settled colors and replay records hold its witness.  Returns
     that branch, or None when every representative is rejected, and then
     so is every proper anchor coloring.
@@ -362,7 +360,7 @@ def _run_anchored(p, index, cycle, stats):
     if state is None:
         stats["anchor_colorings_skipped"] += total
         return None
-    base = winner = None
+    winner = None
     skipped = 0
     # (anchor, color, masks of the prefix before it); popped in walk order
     stack = [(2, 3, state), (2, 1, state)]
@@ -378,13 +376,8 @@ def _run_anchored(p, index, cycle, stats):
                     stack.append((d + 1, n, state))
         else:
             palettes, colors = read_masks(order, state)
-            if base is None:
-                # each vertex of the component has a palette or a color
-                base = Instance(induced_subgraph(p, [*palettes, *colors]), stats)
-                base.anchor_order = anchors
-            base.palettes, base.colors = palettes, colors
-            root = base.clone()
-            root.remove_region([v for v in root.colors if v not in anchors])
+            root = Instance(induced_subgraph(p, [*palettes, *anchors]), stats)
+            root.palettes, root.colors, root.anchor_order = palettes, colors, anchors
             winner = _dfs(root, stats)
     if skipped:
         stats["anchor_colorings_skipped"] += skipped
@@ -666,34 +659,38 @@ def _component_cases(inst, view):
 # -- plain components ---------------------------------------------------------
 
 
-def _backtrack_color(g) -> dict | None:
+def _backtrack_color(index) -> dict | None:
     """Exact 3-coloring by saturation-ordered backtracking, or None.
 
-    The next vertex has the fewest palette colors, then the highest degree,
-    then the lowest id (DSatur order), and `propagate` tries its colors in
-    ascending order and colors what each forces.  On a connected bipartite
-    graph this order never needs a third color, so it never backtracks
-    there.  The choice points and their trail marks sit on an explicit
-    stack, so depth does not meet the recursion limit.
+    index is p's rank masks cut to one component.  The next vertex has the
+    fewest palette colors, then the highest degree, then the lowest id
+    (DSatur order).  Its colors are tried in ascending order, and
+    `reductions.propagate_masks` colors what each forces.  On a connected
+    bipartite graph this order never needs a third color, so it never
+    backtracks there.  Each try is stacked with the masks it starts from,
+    so a retry undoes nothing and depth does not meet the recursion limit.
     """
-    adj = g._adj
-    palettes = {v: ALL_COLORS for v in adj}
-    colors: dict[int, int] = {}
-    trail: list = []
-    stack = []   # (vertex, iterator over the colors it has left, trail mark)
-    while palettes:
-        v = min(palettes, key=lambda u: (len(palettes[u]), -len(adj[u]), u))
-        stack.append((v, iter(sorted(palettes[v])), len(trail)))
-        # give the newest choice point its next color; one that has tried
-        # them all is dropped, and its parent moves on
-        while stack:
-            v, left, mark = stack[-1]
-            undo(palettes, colors, trail, mark)
-            c = next(left, None)
-            if c is None:
-                stack.pop()
-            elif propagate(adj, palettes, colors, v, c, trail):
-                break
-        else:
-            return None
-    return colors
+    order, nbr, keep = index
+    # the ranks the component spans, shifted down so that its masks stay short
+    lo, hi = (keep & -keep).bit_length() - 1, keep.bit_length()
+    order, nbr, keep = order[lo:hi], [m >> lo for m in nbr[lo:hi]], keep >> lo
+    by_degree = {}   # degree -> the mask of its ranks, some outside keep, never picked
+    for i, m in enumerate(nbr):
+        by_degree[m.bit_count()] = by_degree.get(m.bit_count(), 0) | 1 << i
+    tiers = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    state = (keep, keep, keep, 0, 0, 0)
+    stack = []   # (bit of a vertex, color index, masks before it); popped in try order
+    while True:
+        a, b, c = state[:3]
+        pick = (a & b | a & c | b & c) & ~(a & b & c) or a | b | c
+        if not pick:
+            return read_masks(order, state)[1]
+        best = next(pick & t for t in tiers if pick & t)
+        best &= -best
+        stack += [(best, i, state) for i in (2, 1, 0) if state[i] & best]
+        state = None
+        while state is None:
+            if not stack:
+                return None
+            bit, i, before = stack.pop()
+            state = propagate_masks(nbr, before, bit, i)

@@ -22,7 +22,16 @@ def test_differential_of_a_tree_with_itself(tmp_path):
     assert len(records) == 20
     # the slice takes the families in turn
     assert len({r["id"].split("/")[0] for r in records}) >= 5
-    assert all(set(r) == {"id", "input", "class", "cycles", "odd", "solve"} for r in records)
+    assert all(set(r) == {"id", "input", "class", "cycles", "odd", "solve", "witness_order"}
+               for r in records)
+    # the witness is kept as items sorted by id, its order apart
+    for r in records:
+        witness = r["solve"][1] if r["solve"][0] == "colorable" else None
+        if witness is None:
+            assert r["witness_order"] is None, r["id"]
+        else:
+            assert witness == sorted(witness), r["id"]
+            assert sorted(r["witness_order"]) == [v for v, _ in witness], r["id"]
     same = differential("--compare", out, out)
     assert same.returncode == 0, same.stdout
     assert "solve: 0 differ" in same.stdout
@@ -37,3 +46,14 @@ def test_differential_of_a_tree_with_itself(tmp_path):
     assert f"odd: 1 differ ({records[7]['id']})" in done.stdout
     assert done.stdout.splitlines()[-1] == "differing fields: odd"
     assert differential("--compare", out, doctored, "--same", "class,solve").returncode == 0
+
+    # a reordered witness differs in witness_order alone
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    moved = next(r for r in records if r["witness_order"] and len(r["witness_order"]) > 1)
+    moved["witness_order"].reverse()
+    doctored.write_text("".join(json.dumps(r) + "\n" for r in records))
+    done = differential("--compare", out, doctored)
+    assert done.returncode == 1
+    assert f"witness_order: 1 differ ({moved['id']})" in done.stdout
+    assert "solve: 0 differ" in done.stdout
+    assert done.stdout.splitlines()[-1] == "differing fields: witness_order"

@@ -104,14 +104,15 @@ def test_find_induced_2p4():
 
 
 def test_find_induced_cycle():
-    for k in (4, 5, 6, 7, 9):
+    for k in (5, 7, 9):
         got = find_induced_cycle(cycle_graph(k), k)
         assert got is not None
         assert_induced_cycle(cycle_graph(k), got)
     assert find_induced_cycle(cycle_graph(6), 5) is None
     assert find_induced_cycle(complete_graph(5), 5) is None
-    with pytest.raises(ValueError):
-        find_induced_cycle(cycle_graph(4), 3)
+    for k in (3, 4, 6):
+        with pytest.raises(ValueError):
+            find_induced_cycle(cycle_graph(k), k)
 
 
 def test_find_induced_cycle_canonical_order():

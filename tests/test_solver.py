@@ -603,6 +603,49 @@ def test_mask_propagation_matches_dict_propagation():
     assert refuted >= 400 and accepted >= 5000, (refuted, accepted)
 
 
+# the seeds below 1,500 whose thicken(c9_gadget(seed), seed) keeps a
+# C9-anchored component in its 3-core
+C9_ANCHORED_SEEDS = (433, 562, 626, 694, 789)
+
+
+def test_anchored_roots_equal_anchors_committed_one_at_a_time(monkeypatch):
+    # each surviving representative's root is read off its masks in one
+    # step; it must hold the graph, palettes and colors that committing
+    # its anchors one at a time by `commit_color` on the whole component
+    # leaves
+    real_run = solver._run_anchored
+    runs = []
+
+    def run(p, index, cycle, stats):
+        runs.append((p, index, []))
+        return real_run(p, index, cycle, stats)
+
+    def dfs(root, stats):
+        runs[-1][2].append(root)
+        return None   # reject, so every representative that survives runs
+
+    monkeypatch.setattr(solver, "_run_anchored", run)
+    monkeypatch.setattr(solver, "_dfs", dfs)
+    graphs = [thickened(s) for s in range(40)]
+    graphs += [thicken(c9_gadget(s), s) for s in C9_ANCHORED_SEEDS]
+    roots = {7: 0, 9: 0}
+    for g in graphs:
+        runs.clear()
+        solve(g)
+        for p, (order, _, keep), found in runs:
+            comp = induced_subgraph(p, patterns._ids(order, keep))
+            for root in found:
+                want = Instance(comp.copy(), Counter())
+                want.anchor_order = root.anchor_order
+                for v in root.anchor_order:
+                    assert want.commit_color(v, root.colors[v]), g.edges()
+                assert root.g._adj == want.g._adj, g.edges()
+                assert root.palettes == want.palettes, g.edges()
+                assert root.colors == want.colors, g.edges()
+                roots[len(root.anchor_order)] += 1
+    assert roots[7] >= 150 and roots[9] >= 40, roots
+
+
 def test_anchor_branch_verdicts_are_constant_on_color_orbits():
     # the solver branches only on colorings that begin (1, 2); that is sound
     # because renaming the colors of an anchor coloring keeps its verdict,
@@ -1425,13 +1468,64 @@ def _dsatur_without_undo(g):
     return assign
 
 
+def backtracking_graph():
+    """A plain component on which the colorer's first choices dead-end."""
+    edges = ("1-2 1-3 1-4 1-7 1-9 2-8 2-9 2-11 2-12 3-4 3-7 3-10 3-12 "
+             "5-6 5-12 7-8 7-10 7-12 8-12")
+    return Graph.from_edges(range(1, 13), [tuple(map(int, e.split("-"))) for e in edges.split()])
+
+
+def reference_backtrack_color(g):
+    """The plain colorer on the set kernel: DSatur order, each vertex's
+    colors tried in ascending order by `reductions.propagate`, and a trail
+    that `reductions.undo` rewinds on a retry."""
+    adj = g._adj
+    palettes = {v: ALL_COLORS for v in adj}
+    colors = {}
+    trail = []
+    stack = []   # (vertex, iterator over the colors it has left, trail mark)
+    while palettes:
+        v = min(palettes, key=lambda u: (len(palettes[u]), -len(adj[u]), u))
+        stack.append((v, iter(sorted(palettes[v])), len(trail)))
+        while stack:
+            v, left, mark = stack[-1]
+            reductions.undo(palettes, colors, trail, mark)
+            c = next(left, None)
+            if c is None:
+                stack.pop()
+            elif reductions.propagate(adj, palettes, colors, v, c, trail):
+                break
+        else:
+            return None
+    return colors
+
+
+def test_mask_colorer_matches_the_set_colorer():
+    # `_backtrack_color` runs on a component's cut index by
+    # `propagate_masks`; it returns the coloring, or the None, of the set
+    # kernel's colorer on that component as a graph, backtracking or not
+    graphs = [backtracking_graph()]
+    graphs += [erdos_renyi(5 + i % 56, (0.05, 0.1, 0.15, 0.2, 0.3)[i % 5], split_seed(37, i))
+               for i in range(400)]
+    seen = Counter()
+    for g in graphs:
+        index = patterns._index(g)
+        rank = {v: i for i, v in enumerate(index[0])}
+        for comp in connected_components(g):
+            cut = patterns._cut(index, sum(1 << rank[v] for v in comp))
+            got = solver._backtrack_color(cut)
+            sub = induced_subgraph(g, comp)
+            assert got == reference_backtrack_color(sub), g.edges()
+            seen["none" if got is None else "colored"] += 1
+            seen["backtracked"] += got is not None and _dsatur_without_undo(sub) is None
+    assert seen["none"] >= 150 and seen["colored"] >= 900 and seen["backtracked"] >= 5, seen
+
+
 def test_plain_component_that_needs_backtracking():
     # the colorer's first choices dead-end here, so it must undo some of
     # them; the coloring it then returns is pinned, since its choice order
     # (DSatur, colors ascending) decides every plain component's witness
-    edges = ("1-2 1-3 1-4 1-7 1-9 2-8 2-9 2-11 2-12 3-4 3-7 3-10 3-12 "
-             "5-6 5-12 7-8 7-10 7-12 8-12")
-    g = Graph.from_edges(range(1, 13), [tuple(map(int, e.split("-"))) for e in edges.split()])
+    g = backtracking_graph()
     assert check_class(g) is None
     assert _dsatur_without_undo(g) is None
     assert oracle_list3color(g) is not None
@@ -1442,7 +1536,7 @@ def test_plain_component_that_needs_backtracking():
     assert verify_coloring(g, witness)
     assert witness == {1: 1, 2: 2, 3: 3, 4: 2, 5: 2, 6: 1, 7: 2, 8: 3, 9: 3, 10: 1,
                        11: 1, 12: 1}
-    assert solver._backtrack_color(g) == witness
+    assert solver._backtrack_color(patterns._index(g)) == witness
     # solve peels six vertices and colors the 3-core of six as a plain
     # component
     rep = oracle_solve(g)

@@ -14,8 +14,11 @@ input of the corpus, with these fields:
 - cycles: `find_induced_cycle(twin_core(g), k)` for k = 5, 7 and 9
 - odd: the odd-neighbourhood witness, or the error it raises
 - solve: `solve(witness=True, assume_class=...)`, as the decision, the
-  witness items in order and the stats without `millis`, or the
+  witness items sorted by id and the stats without `millis`, or the
   exception's type, message and witness
+- witness_order: the ids of that witness in the order of its items, or
+  null; so a change that reorders a witness without changing its colors
+  differs here and not in solve
 
 A witness is [kind, parts]; an error is ["raise", type, message,
 witness or null].  --limit N takes N inputs, one family after another in
@@ -40,7 +43,7 @@ from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
-FIELDS = ("input", "class", "cycles", "odd", "solve")
+FIELDS = ("input", "class", "cycles", "odd", "solve", "witness_order")
 BENCH_SEEDS = (3, 5)
 GADGETS = 600
 RANDOM_GRAPHS = 600
@@ -157,10 +160,14 @@ def record(m, name, g, assume):
         out["odd"] = pattern(m.patterns.find_nonbipartite_neighborhood(g))
     except Exception as exc:
         out["odd"] = raised(exc)
+    out["witness_order"] = None
     try:
         rep = m.hered3.solve(g, witness=True, assume_class=assume)
         stats = {k: v for k, v in rep.stats.items() if k != "millis"}
-        witness = None if rep.witness is None else [list(kv) for kv in rep.witness.items()]
+        witness = None
+        if rep.witness is not None:
+            witness = [list(kv) for kv in sorted(rep.witness.items())]
+            out["witness_order"] = list(rep.witness)
         out["solve"] = [rep.decision, witness, stats]
     except Exception as exc:
         out["solve"] = raised(exc)
