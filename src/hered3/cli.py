@@ -4,16 +4,20 @@ Subcommands: solve, check-class, generate, fuzz, count-colorings.
 Exit codes: 0 colorable/ok, 1 not colorable (or failing fuzz run),
 2 class violation, 3 usage or parse error, or a stage refusal under
 --assume-class.
+
+Start-up is part of every run's wall time, so this module imports only what
+solve and check-class need: `testkit` loads on first use, in the three
+commands that call it (count-colorings, generate, fuzz), and `json` only
+when --json is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
-from . import formats, patterns, testkit
+from . import formats, patterns
 from .errors import (ClassViolationError, GenerationError, InputError, ParseError,
                      StageAssertionError)
 from .formats import GraphDocument
@@ -71,6 +75,7 @@ def _base_report(command: str, doc: GraphDocument) -> dict:
 
 def _emit(args, report: dict, text_lines: list) -> None:
     if args.json:
+        import json
         json.dump(report, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
     else:
@@ -130,6 +135,7 @@ def _cmd_count(args) -> int:
     if doc.graph.vertex_count() > 20:
         raise InputError("count-colorings is limited to 20 vertices")
     report = _base_report("count-colorings", doc)
+    from . import testkit
     n = testkit.count_proper_3colorings(doc.graph)
     report["decision"] = "count"
     report["count"] = n
@@ -138,6 +144,7 @@ def _cmd_count(args) -> int:
 
 
 def _generate_graph(args):
+    from . import testkit
     kind = args.kind
     if kind == "erdos-renyi":
         if args.n is None or args.p is None:
@@ -187,6 +194,7 @@ def _cmd_fuzz(args) -> int:
         raise InputError("--sizes entries must be integers") from exc
     if not sizes or any(n < 1 for n in sizes):
         raise InputError("--sizes needs one or more positive entries")
+    from . import testkit
     generator = None
     if args.kind != "erdos-renyi":
         # the gadget kinds size themselves; a bare gadget peels away whole,

@@ -2,22 +2,29 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import ParseError
 from .graph import Graph
 
 
-@dataclass
 class GraphDocument:
-    """A parsed input graph plus the labeling needed to answer in kind."""
+    """A parsed input graph plus the labeling needed to answer in kind.
 
-    format: str                      # "dimacs_col" | "edge_list"
-    graph: Graph
-    labels: dict = field(default_factory=dict)      # vertex id -> display label
-    palettes: dict = field(default_factory=dict)    # vertex id -> tuple of colors
-    warnings: list = field(default_factory=list)
-    source: str = "<memory>"
+    A plain slotted class, not a dataclass, so importing hered3 does not
+    load `dataclasses`; each document gets its own labels, palettes and
+    warnings when they are not given.
+    """
+
+    __slots__ = ("format", "graph", "labels", "palettes", "warnings", "source")
+
+    def __init__(self, format: str, graph: Graph, labels: dict | None = None,
+                 palettes: dict | None = None, warnings: list | None = None,
+                 source: str = "<memory>") -> None:
+        self.format = format            # "dimacs_col" | "edge_list"
+        self.graph = graph
+        self.labels = {} if labels is None else labels        # vertex id -> display label
+        self.palettes = {} if palettes is None else palettes  # vertex id -> tuple of colors
+        self.warnings = [] if warnings is None else warnings
+        self.source = source
 
     def label(self, v) -> str:
         return self.labels.get(v, str(v))

@@ -20,16 +20,15 @@ Only the co-C7 search and the P4 enumeration read the adjacency sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import cograph
 from .errors import ClassViolationError
 from .graph import Graph, twin_core
 
 
-@dataclass(frozen=True)
-class PatternWitness:
+class PatternWitness(NamedTuple):
     """An induced forbidden pattern: kind plus one vertex tuple per part."""
 
     kind: str

@@ -132,7 +132,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from itertools import product
 from time import perf_counter
 
@@ -156,11 +155,17 @@ from .reductions import (
     run_fixpoint,
 )
 
-@dataclass
+
 class SolveReport:
-    decision: str               # "colorable" | "not_colorable"
-    witness: dict | None        # vertex -> color, when asked for and colorable
-    stats: dict
+    """The answer of one solve.  A plain slotted class: cheaper to build than
+    a NamedTuple, and it keeps `dataclasses` out of the package's imports."""
+
+    __slots__ = ("decision", "witness", "stats")
+
+    def __init__(self, decision: str, witness: dict | None, stats: dict) -> None:
+        self.decision = decision    # "colorable" | "not_colorable"
+        self.witness = witness      # vertex -> color, when asked for and colorable
+        self.stats = stats
 
 
 def solve(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from random import Random
@@ -700,14 +699,19 @@ def cograph_composite(n: int, seed: int) -> Graph:
 # -- differential fuzzing -----------------------------------------------------
 
 
-@dataclass
 class FuzzReport:
-    cases: int = 0
-    in_class: int = 0
-    mismatches: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
-    witness_checked: int = 0
-    elapsed: float = 0.0
+    __slots__ = ("cases", "in_class", "mismatches", "violations",
+                 "witness_checked", "elapsed")
+
+    def __init__(self, cases: int = 0, in_class: int = 0,
+                 mismatches: list | None = None, violations: list | None = None,
+                 witness_checked: int = 0, elapsed: float = 0.0) -> None:
+        self.cases = cases
+        self.in_class = in_class
+        self.mismatches = [] if mismatches is None else mismatches
+        self.violations = [] if violations is None else violations
+        self.witness_checked = witness_checked
+        self.elapsed = elapsed
 
     @property
     def ok(self) -> bool:

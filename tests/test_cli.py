@@ -2,6 +2,7 @@
 
 import io
 import json
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -481,3 +482,37 @@ def test_fuzz_budget_must_be_positive(tmp_path, capsys):
                              "--artifact-dir", str(tmp_path))
         assert (code, out) == (3, ""), budget
         assert err.startswith("error: --budget "), budget
+
+
+IMPORT_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+seen = set(sys.modules)
+
+def added():
+    global seen
+    new = set(sys.modules) - seen
+    seen |= new
+    return " ".join(sorted(new))
+
+import hered3
+print(added())
+import hered3.cli
+print(added())
+hered3.cli.main(["generate", "--kind", "named", "--name", "c7"])
+print(added())
+"""
+
+
+def test_solve_and_check_class_do_not_load_testkit():
+    # start-up is part of every run's wall time: the package imports no
+    # dataclasses (it drags in inspect, ast and dis), and the command line
+    # loads testkit only in the commands that call it
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE.format(src=src)],
+                         capture_output=True, text=True, check=True).stdout
+    package, front_end, *graph, generated = out.splitlines()
+    assert not {"dataclasses", "inspect"} & set(package.split()), package
+    assert "hered3.testkit" not in front_end.split(), front_end
+    assert graph, out
+    assert "hered3.testkit" in generated.split(), generated

@@ -6,6 +6,7 @@ import pytest
 
 from hered3.errors import ParseError
 from hered3.formats import (
+    GraphDocument,
     format_dimacs,
     format_edge_list,
     parse_dimacs,
@@ -326,3 +327,16 @@ def test_edge_list_reader_matches_a_plain_line_loop():
         text = random_edge_list(rng)
         # auto-sniffed: a "#" comment is cut before the sniff counts tokens
         assert document(parse_graph(text)) == reference_edge_list(text), (i, text)
+
+
+def test_graph_documents_keep_their_own_defaults():
+    g = Graph()
+    a, b = GraphDocument("edge_list", g), GraphDocument("edge_list", g)
+    a.labels[1] = "x"
+    a.palettes[1] = (1, 2)
+    a.warnings.append("w")
+    assert (b.labels, b.palettes, b.warnings, b.source) == ({}, {}, [], "<memory>")
+    doc = GraphDocument(format="dimacs_col", graph=g, labels={1: "y"},
+                        source="in.col")
+    assert (doc.format, doc.graph, doc.label(1), doc.label(2), doc.source) == (
+        "dimacs_col", g, "y", "2", "in.col")

@@ -846,3 +846,14 @@ def test_k4_detection_against_naive():
 def test_pattern_witness_vertices():
     w = PatternWitness("2p4", ((0, 1, 2, 3), (4, 5, 6, 7)))
     assert w.vertices() == [0, 1, 2, 3, 4, 5, 6, 7]
+
+
+def test_pattern_witness_is_an_immutable_value():
+    w = PatternWitness(kind="c5", parts=((1, 2, 3, 4, 5),))
+    assert repr(w) == "PatternWitness(kind='c5', parts=((1, 2, 3, 4, 5),))"
+    assert w == PatternWitness("c5", ((1, 2, 3, 4, 5),))
+    assert w != PatternWitness("c5", ((1, 2, 3, 5, 4),))
+    assert hash(w) == hash(PatternWitness("c5", ((1, 2, 3, 4, 5),)))
+    assert len({w, PatternWitness("c5", ((1, 2, 3, 4, 5),))}) == 1
+    with pytest.raises(AttributeError):
+        w.kind = "c7"

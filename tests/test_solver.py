@@ -1752,3 +1752,10 @@ def test_disconnected_components_combine():
     assert rep.stats["components_anchored_7"] == 1
     assert rep.stats["components_plain"] == 2
 
+
+
+def test_solve_report_fields():
+    rep = solver.SolveReport(decision="colorable", witness={1: 1}, stats={"branches": 0})
+    assert (rep.decision, rep.witness, rep.stats) == ("colorable", {1: 1}, {"branches": 0})
+    rep = solver.SolveReport("not_colorable", None, {})
+    assert (rep.decision, rep.witness, rep.stats) == ("not_colorable", None, {})
