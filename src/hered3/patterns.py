@@ -6,20 +6,20 @@ Every cycle witness, the C5 of the class check, the C7 and C9 anchors and
 the triangle or odd hole of the odd-neighbourhood check, comes from one
 depth-first path grower.
 
-The 2P4 scan, the odd-cycle searches (the transversal, the C5 decision and
-the path grower) and the odd-neighbourhood check run on one int bitmask
-per vertex, built by `_masks`: bit i stands for the vertex of rank i in
-ascending id order, so a mask walked from its lowest bit gives its
-vertices in ascending order with no sorting, and a set operation is one
-int operation.  Each of those finders takes an optional index: the masks
-of `_index` and a vertex set, which `_cut` narrows.  It searches the
-subgraph that set induces, and as ranks follow ids in every induced
-subgraph, it returns what it returns on that subgraph built on its own.
-Only the co-C7 search and the P4 enumeration read the adjacency sets.
+Every search runs on one int bitmask per vertex, built by `_masks`: bit
+i stands for the vertex of rank i in ascending id order, so a mask
+walked from its lowest bit gives its vertices in ascending order with no
+sorting, and a set operation is one int operation.  Each finder takes an
+optional index: the masks of `_index` and a vertex set, which `_cut`
+narrows.  It searches the subgraph that set induces, and as ranks follow
+ids in every induced subgraph, it returns what it returns on that
+subgraph built on its own.  Past `_index`, only the witness checks, the
+cotree test and one edge count read the adjacency sets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
 
@@ -46,32 +46,6 @@ def _verify_induced(g: Graph, kind: str, seq, gaps) -> None:
     for i, j in combinations(range(len(seq)), 2):
         if (seq[j] in g._adj[seq[i]]) != (j - i in gaps):
             raise AssertionError(f"bad {kind} witness {tuple(seq)}")
-
-
-def iter_induced_p4s(g: Graph, within=None):
-    """All induced P4s as canonical tuples (a,b,c,d) with a < d, lex order."""
-    adj = g._adj
-    verts = g.vertices() if within is None else sorted(within)
-    vset = set(verts)
-    for a in verts:
-        na = adj[a]
-        for b in sorted(na & vset):
-            nb = adj[b]
-            # set differences drop chord candidates in bulk, not one test each
-            for c in sorted((nb & vset) - na):
-                if c == a:
-                    continue
-                for d in sorted((adj[c] & vset) - na - nb):
-                    if d > a:
-                        yield (a, b, c, d)
-
-
-def find_induced_p4(g: Graph, within=None):
-    """Lexicographically least induced 4-vertex path (a,b,c,d), a < d."""
-    path = next(iter_induced_p4s(g, within), None)
-    if path is not None:
-        _verify_induced(g, "path", path, (1,))
-    return path
 
 
 def _masks(adj):
@@ -101,19 +75,22 @@ def _index(g: Graph):
 
 
 def _cut(index, keep):
-    """The index cut to the vertices of the mask keep, within its own: they
-    keep their neighbours in keep, and any other vertex has none, so no
-    scan takes it as a root or a path vertex."""
+    """The index cut to the vertices of the mask keep, within its own, and
+    shifted down to the ranks keep spans: they keep their neighbours in
+    keep, and any other vertex has none, so no scan takes it as a root."""
     order, nbr, whole = index
     if keep == whole:
         return index
-    cut = [0] * len(nbr)
+    lo, hi = max((keep & -keep).bit_length() - 1, 0), keep.bit_length()
+    keep >>= lo
+    cut = [0] * (hi - lo)
     rest = keep
     while rest:
         i = (rest & -rest).bit_length() - 1
         rest ^= 1 << i
-        cut[i] = nbr[i] & keep
-    return order, cut, keep
+        # shifting first keeps each operation to the width of the span
+        cut[i] = nbr[lo + i] >> lo & keep
+    return order[lo:hi], cut, keep
 
 
 def _ids(order, mask) -> list[int]:
@@ -135,29 +112,29 @@ def find_induced_2p4(g: Graph, index=None):
     A rest of four vertices is tested for a P4 on its degrees, and is its
     own failure set when it is one; a larger rest is tested once per call
     with `cograph.cotree_or_failure`.  The hit, written so that a < d, is
-    the first part; the second is the least P4 of its rest's failure set.
+    the first part; the second is the first P4 of its rest's failure set.
     """
     order, nbr, keep = index or _index(g)
     if keep.bit_count() < 8:
         return None
-    adj = g._adj
     found = _least_2p4_hit(g, order, nbr, keep)
     if found is None:
         return None
     (a, b, c, d), bad = found
-    first = (a, b, c, d) if a < d else (d, c, b, a)
-    _verify_induced(g, "path", first, (1,))
-    second = find_induced_p4(g, within=bad)
-    if second is None or any(adj[u].intersection(second) for u in first):
+    first = tuple(order[i] for i in ((a, b, c, d) if a < d else (d, c, b, a)))
+    second = tuple(order[i] for i in next(_p4s(nbr, bad), ()))
+    for part in (first, second):
+        _verify_induced(g, "path", part, (1,))
+    if len(second) != 4 or any(g._adj[u].intersection(second) for u in first):
         raise AssertionError(f"bad 2p4 witness {first} {second}")
     return PatternWitness("2p4", (first, second))
 
 
 def _least_2p4_hit(g, order, nbr, full):
     """The first (b, c, a, d) of the scan that `find_induced_2p4` describes
-    on the vertices of full, as ids a, b, c, d, with its rest's failure set."""
+    on the vertices of full, as ranks, with the mask of its rest's failure set."""
     n = full.bit_count()
-    seen: dict[int, frozenset | None] = {}   # rest mask -> failure set
+    seen: dict[int, int] = {}   # rest mask -> failure set mask, 0 for a cograph
     for b, nb in enumerate(nbr):
         cs = nb >> b + 1 << b + 1
         while cs:
@@ -185,17 +162,45 @@ def _least_2p4_hit(g, order, nbr, full):
                     rest = far_a & ~nbr[dbit.bit_length() - 1]
                     size = rest.bit_count()
                     if size == 4:
-                        bad = _ids(order, rest) if _is_p4(nbr, rest) else None
+                        bad = rest if _is_p4(nbr, rest) else 0
                     elif size > 4:
                         if rest not in seen:
-                            seen[rest] = cograph.cotree_or_failure(g, _ids(order, rest))[1]
+                            failed = cograph.cotree_or_failure(g, _ids(order, rest))[1] or ()
+                            seen[rest] = sum(1 << bisect_left(order, v) for v in failed)
                         bad = seen[rest]
                     else:
                         continue
-                    if bad is not None:
-                        a, d = abit.bit_length() - 1, dbit.bit_length() - 1
-                        return (order[a], order[b], order[c], order[d]), bad
+                    if bad:
+                        return (abit.bit_length() - 1, b, c, dbit.bit_length() - 1), bad
     return None
+
+
+def _p4s(nbr, within):
+    """The induced P4s (a, b, c, d) of the vertices of the mask within, as
+    ranks with a < d, in lexicographic order: b in N(a), c in N(b) - N[a]
+    and d in N(c) - N(a) - N(b) above a, each walked from its lowest bit."""
+    rest = within
+    while rest:
+        abit = rest & -rest
+        rest ^= abit
+        a = abit.bit_length() - 1
+        bs = na = nbr[a] & within
+        # rest now holds the vertices above a
+        far = rest & ~na
+        while bs:
+            b = (bs & -bs).bit_length() - 1
+            bs ^= 1 << b
+            nb = nbr[b] & within
+            far_b = far & ~nb
+            cs = nb & ~na & ~abit if far_b else 0
+            while cs:
+                c = (cs & -cs).bit_length() - 1
+                cs ^= 1 << c
+                ds = nbr[c] & far_b
+                while ds:
+                    dbit = ds & -ds
+                    ds ^= dbit
+                    yield a, b, c, dbit.bit_length() - 1
 
 
 def _is_p4(nbr, quad) -> bool:
@@ -380,7 +385,7 @@ def _find_long_cycle(nbr, r0, k):
     return None
 
 
-def find_co_c7(g: Graph):
+def find_co_c7(g: Graph, index=None):
     """An induced complement-of-C7, as the complement cycle order, or None.
 
     In the complement cycle order u0..u6 (u_i ~ u_j unless i and j are
@@ -392,31 +397,31 @@ def find_co_c7(g: Graph):
     N(a) & N(c) & N(d) - N(b) - N[u0] and u6 in
     N(a) & N(b) & N(d) - N(c) - N[u0] gives (u0, u1, b, d, a, c, u6).
     The reflection i -> -i fixes u0, swaps u1 with u6 and reverses the
-    path, so the one orientation of each P4 that `iter_induced_p4s` yields
-    is enough.  co-C7 is vertex-transitive, so u0 can be the pattern's
-    least vertex: the search stays above u0.
+    path, so the one orientation of each P4 that `_p4s` yields is enough.
+    co-C7 is vertex-transitive, so u0 can be the pattern's least vertex:
+    the search stays above u0.
     """
-    adj = g._adj
-    verts = g.vertices()
-    for i, u0 in enumerate(verts):
-        n0 = adj[u0]
-        up = {v for v in n0 if v > u0}
+    order, nbr, keep = index or _index(g)
+    for r0, n0 in enumerate(nbr):
         # u0 is the least pattern vertex: 4 neighbours and 2 non-neighbours above it
-        if len(up) < 4 or len(verts) - 1 - i - len(up) < 2:
+        if (n0 >> r0 + 1).bit_count() < 4:
             continue
-        # u0 sees an induced P4 above it, so an independent `up` has none
-        if all(adj[v].isdisjoint(up) for v in up):
+        rest = keep >> r0 + 1 << r0 + 1
+        far = rest & ~n0
+        if far.bit_count() < 2:
             continue
-        for a, b, c, d in iter_induced_p4s(g, within=up):
-            na, nb, nc = adj[a], adj[b], adj[c]
-            outer = {v for v in (na & adj[d]) - n0 if v > u0}
-            p6 = (outer & nb) - nc
-            if not p6:
-                continue
-            for u1 in sorted((outer & nc) - nb):
-                ends = adj[u1] & p6
+        for a, b, c, d in _p4s(nbr, n0 & rest):
+            nb, nc = nbr[b], nbr[c]
+            outer = nbr[a] & nbr[d] & far
+            p6 = outer & nb & ~nc
+            u1s = outer & nc & ~nb if p6 else 0
+            while u1s:
+                u1 = u1s & -u1s
+                u1s ^= u1
+                ends = nbr[u1.bit_length() - 1] & p6
                 if ends:
-                    got = (u0, u1, b, d, a, c, min(ends))
+                    u6 = (ends & -ends).bit_length() - 1
+                    got = tuple(order[i] for i in (r0, u1.bit_length() - 1, b, d, a, c, u6))
                     _verify_induced(g, "co-C7", got, (2, 3, 4, 5))
                     return got
     return None
@@ -444,8 +449,7 @@ def find_nonbipartite_neighborhood(g: Graph, index=None):
     a graph with false twins a copy repeats its representative's scan,
     which comes first and so has already passed.
     """
-    index = index or _index(g)
-    order, nbr, _ = index
+    order, nbr, _ = index = index or _index(g)
     for v, nv in zip(order, nbr):
         # an odd cycle needs three vertices
         if nv.bit_count() < 3 or not (trans := _odd_transversal(nbr, nv)):

@@ -52,11 +52,10 @@ twins, so swapping each copy on it for its representative gives one of
 the same length in h.
 
 The co-C7 preflight and each component's search for its anchor cycle run
-on the twin core of P; when nothing is peeled, P is h and its core is the
-one the class check used; the anchor searches read P's rank masks cut to
-that core.  Neither pattern has twins, so each search
-gives the verdict it gives on P.  The anchored runs, the fixpoint, the
-stages and witness replay work on P.
+on the twin core of P, reading P's rank masks cut to it; when nothing is
+peeled, P is h and its core is the one the class check used.  Neither
+pattern has twins, so each search gives the verdict it gives on P.  The
+anchored runs, the fixpoint, the stages and witness replay work on P.
 
 A component containing an induced 7-cycle is anchored on that cycle: the
 21 proper colorings of the anchor that begin (1, 2) are enumerated, one
@@ -220,14 +219,15 @@ def solve(
         if odd is not None:
             stats["preflight_odd_neighborhood_" + odd.kind] += 1
             return _report("not_colorable", None, stats, start)
-        if patterns.find_co_c7(core) is not None:
-            stats["preflight_co_c7"] += 1
-            return _report("not_colorable", None, stats, start)
         rank = {v: i for i, v in enumerate(index[0])}
         in_core = sum(1 << rank[v] for v in core._adj)
+        if patterns.find_co_c7(p, patterns._cut(index, in_core)) is not None:
+            stats["preflight_co_c7"] += 1
+            return _report("not_colorable", None, stats, start)
         for comp in connected_components(p):
-            cut = patterns._cut(index, sum(1 << rank[v] for v in comp))
-            cmap = _solve_component(p, cut, comp, in_core, stats)
+            keep = sum(1 << rank[v] for v in comp)
+            cut, core_cut = patterns._cut(index, keep), patterns._cut(index, keep & in_core)
+            cmap = _solve_component(p, cut, core_cut, comp, stats)
             if cmap is None:
                 return _report("not_colorable", None, stats, start)
             coloring.update(cmap)
@@ -301,15 +301,14 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 
 
-def _solve_component(p, index, comp, in_core, stats):
+def _solve_component(p, index, core, comp, stats):
     """The 3-coloring of the component comp of p, or None when it has none.
 
-    index is p's index cut to comp, and in_core the mask of p's twin core.
-    The anchor cycle is sought on the index cut to the core's part, and the
-    anchored run and the plain colorer read the index.  Neither changes p:
+    index is p's index cut to comp, and core is it cut to comp's part of
+    p's twin core.  The anchor cycle is sought on core, and the anchored
+    run and the plain colorer read index.  Neither changes p:
     `_run_anchored` builds each root on a new graph, and `_backtrack_color`
     works on masks only."""
-    core = patterns._cut(index, index[2] & in_core)
     for k in (7, 9):
         cyc = patterns.find_induced_cycle(p, k, core)
         if cyc is not None:
@@ -676,9 +675,6 @@ def _backtrack_color(index) -> dict | None:
     so a retry undoes nothing and depth does not meet the recursion limit.
     """
     order, nbr, keep = index
-    # the ranks the component spans, shifted down so that its masks stay short
-    lo, hi = (keep & -keep).bit_length() - 1, keep.bit_length()
-    order, nbr, keep = order[lo:hi], [m >> lo for m in nbr[lo:hi]], keep >> lo
     by_degree = {}   # degree -> the mask of its ranks, some outside keep, never picked
     for i, m in enumerate(nbr):
         by_degree[m.bit_count()] = by_degree.get(m.bit_count(), 0) | 1 << i

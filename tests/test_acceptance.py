@@ -201,7 +201,9 @@ def _layer_checked(g, colorable, what):
     stats = Counter()
     coloring = {}
     for comp in connected_components(h):
-        cmap = _solve_component(h, _cut(index, sum(bit[v] for v in comp)), comp, in_core, stats)
+        # a component may have no core vertex: its core cut is then empty
+        keep = sum(bit[v] for v in comp)
+        cmap = _solve_component(h, _cut(index, keep), _cut(index, keep & in_core), comp, stats)
         if cmap is None:
             assert not colorable, what
             return stats["components_anchored_7"]

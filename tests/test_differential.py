@@ -22,8 +22,13 @@ def test_differential_of_a_tree_with_itself(tmp_path):
     assert len(records) == 20
     # the slice takes the families in turn
     assert len({r["id"].split("/")[0] for r in records}) >= 5
-    assert all(set(r) == {"id", "input", "class", "cycles", "odd", "solve", "witness_order"}
-               for r in records)
+    assert all(set(r) == {"id", "input", "class", "cycles", "odd", "co_c7", "solve",
+                          "witness_order"} for r in records)
+    # the co-C7 family is in the slice, and the named co-C7 is refused by
+    # the co-C7 preflight
+    named = next(r for r in records if r["id"] == "co_c7/named")
+    assert named["co_c7"] == [1, 7, 6, 5, 4, 3, 2], named
+    assert named["solve"][0] == "not_colorable" and named["solve"][2]["preflight_co_c7"] == 1
     # the witness is kept as items sorted by id, its order apart
     for r in records:
         witness = r["solve"][1] if r["solve"][0] == "colorable" else None

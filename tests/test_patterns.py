@@ -15,9 +15,7 @@ from hered3.patterns import (
     find_co_c7,
     find_induced_2p4,
     find_induced_cycle,
-    find_induced_p4,
     find_nonbipartite_neighborhood,
-    iter_induced_p4s,
 )
 from hered3 import testkit
 from hered3.testkit import (
@@ -54,39 +52,61 @@ def assert_induced_cycle(g, cyc):
             assert g.has_edge(cyc[i], cyc[j]) == expect, (cyc, i, j)
 
 
-def test_find_induced_p4_basics():
-    assert find_induced_p4(path_graph(3)) is None
-    got = find_induced_p4(path_graph(4))
-    assert_induced_path(path_graph(4), got)
+def p4s(g, within=None):
+    """`patterns._p4s` on the index of g, over within (all of g by
+    default), as id tuples in the order it yields them."""
+    order, nbr, keep = patterns._index(g)
+    if within is not None:
+        keep = sum(1 << i for i, v in enumerate(order) if v in within)
+    return [tuple(order[i] for i in p) for p in patterns._p4s(nbr, keep)]
+
+
+def exhaustive_p4s(g, within=None):
+    """Every induced P4 (a, b, c, d) of g[within] with a < d, sorted."""
+    verts = sorted(g.vertices() if within is None else within)
+    return sorted(p for p in permutations(verts, 4) if p[0] < p[3]
+                  and all(g.has_edge(p[i], p[j]) == (j == i + 1)
+                          for i, j in combinations(range(4), 2)))
+
+
+def test_p4s_basics():
+    assert p4s(path_graph(3)) == []
+    assert p4s(path_graph(4)) == [(1, 2, 3, 4)]
     # the square contains no induced P4
-    assert find_induced_p4(cycle_graph(4)) is None
-    got = find_induced_p4(cycle_graph(5))
-    assert_induced_path(cycle_graph(5), got)
+    assert p4s(cycle_graph(4)) == []
+    got = p4s(cycle_graph(5))
+    assert len(got) == 5 and got[0] == (1, 2, 3, 4)
+    for path in got:
+        assert_induced_path(cycle_graph(5), path)
 
 
-def test_find_induced_p4_within():
+def test_p4s_within():
     g = path_graph(6)
-    assert find_induced_p4(g, within=[1, 2, 3]) is None
-    got = find_induced_p4(g, within=[3, 4, 5, 6])
-    assert got is not None and set(got) == {3, 4, 5, 6}
+    assert p4s(g, within=[1, 2, 3]) == []
+    assert p4s(g, within=[3, 4, 5, 6]) == [(3, 4, 5, 6)]
+    # a vertex outside within breaks the path it would carry
+    assert p4s(g, within=[1, 2, 3, 5, 6]) == []
 
 
-def test_iter_induced_p4s_exhaustive():
+def test_p4s_exhaustive():
     g = path_graph(5)
-    quads = {frozenset(p) for p in iter_induced_p4s(g)}
-    assert quads == {frozenset({1, 2, 3, 4}), frozenset({2, 3, 4, 5})}
+    assert p4s(g) == [(1, 2, 3, 4), (2, 3, 4, 5)]
 
 
-def test_find_induced_p4_is_the_first_enumerated():
+def test_p4s_match_an_exhaustive_list():
+    # each induced P4 once, with its smaller end first, in lexicographic
+    # order, over all of g or a random subset of it
     rng = Random(2024)
+    hits = 0
     for i in range(150):
         g = erdos_renyi(6 + i % 9, (0.2, 0.35, 0.5)[i % 3], split_seed(7, i))
         within = rng.sample(g.vertices(), rng.randint(1, g.vertex_count()))
-        for sub in (None, within):
-            first = next(iter_induced_p4s(g, sub), None)
-            assert find_induced_p4(g, sub) == first
-            if sub is not None and first is not None:
-                assert set(first) <= set(sub)
+        got = p4s(g)
+        assert got == exhaustive_p4s(g), i
+        assert bool(got) == naive_has_p4(g), i
+        assert p4s(g, within) == exhaustive_p4s(g, within), i
+        hits += bool(got)
+    assert 30 < hits < 140, hits
 
 
 def test_find_induced_2p4():
@@ -366,8 +386,10 @@ def test_a_cut_index_searches_the_subgraph_it_keeps():
     # graph of its own: ranks follow ids in both.  keep is a random set of
     # vertices; a planted odd wheel, W11 and W13 among them, is kept whole,
     # so the odd-neighbourhood check on the cut raises from a 2P4 scan of
-    # the hub's neighbourhood, cut once more
-    hits = {"2p4": 0, "cycle": 0, "odd": 0, "raised": 0}
+    # the hub's neighbourhood, cut once more.  The cut is shifted down to
+    # the ranks keep spans.  co-C7 is rare in these graphs, so its search is
+    # also run on small dense graphs, most with a planted co-C7
+    hits = {"2p4": 0, "cycle": 0, "odd": 0, "raised": 0, "co_c7": 0}
     for i in range(600):
         rng = Random(split_seed(94, i))
         g = erdos_renyi(16 + i % 17, (0.1, 0.15, 0.22, 0.3)[i % 4], split_seed(95, i))
@@ -380,7 +402,10 @@ def test_a_cut_index_searches_the_subgraph_it_keeps():
         ids = [v for v in g.vertices() if v in wheel or rng.random() < 0.7]
         index = patterns._index(g)
         cut = patterns._cut(index, sum(1 << r for r, v in enumerate(index[0]) if v in ids))
+        assert cut[0] == [v for v in g.vertices() if ids[0] <= v <= ids[-1]], i
+        assert len(cut[1]) == cut[2].bit_length() == len(cut[0]) and cut[2] & 1, i
         sub = induced_subgraph(g, ids)
+        assert find_co_c7(g, cut) == find_co_c7(sub), i
         got = find_induced_2p4(g, cut)
         assert got == find_induced_2p4(sub), i
         hits["2p4"] += got is not None
@@ -392,6 +417,19 @@ def test_a_cut_index_searches_the_subgraph_it_keeps():
         assert got == odd_witness(sub), i
         hits["odd"] += got is not None
         hits["raised"] += got is not None and got.kind == "2p4"
+    for i in range(300):
+        rng = Random(split_seed(97, i))
+        g = relabeled(small_graph(9 + i % 4, 0.6, rng, i % 3 > 0, i % 3 == 2), split_seed(98, i))
+        ids = [v for v in g.vertices() if rng.random() < 0.9]
+        index = patterns._index(g)
+        cut = patterns._cut(index, sum(1 << r for r, v in enumerate(index[0]) if v in ids))
+        got = find_co_c7(g, cut)
+        assert got == find_co_c7(induced_subgraph(g, ids)), i
+        hits["co_c7"] += got is not None
+    # an empty cut holds nothing
+    empty = patterns._cut(index, 0)
+    assert empty == ([], [], 0) and find_co_c7(g, empty) is None
+    assert find_induced_cycle(g, 5, empty) is None and find_induced_2p4(g, empty) is None
     assert all(n >= 40 for n in hits.values()), hits
 
 
@@ -455,7 +493,7 @@ def test_detectors_against_naive_enumeration():
     sample += [two_block_graph(i) for i in range(30)]
     sample += [testkit.c7_gadget(i, decorate=False) for i in range(5)]
     for g in sample:
-        assert (find_induced_p4(g) is not None) == naive_has_p4(g)
+        assert bool(p4s(g)) == naive_has_p4(g)
         assert (find_induced_2p4(g) is not None) == naive_has_2p4(g)
         assert (find_induced_cycle(g, 5) is not None) == naive_has_cycle(g, 5)
         assert (find_induced_cycle(g, 7) is not None) == naive_has_cycle(g, 7)

@@ -85,7 +85,8 @@ def solve_component(g, stats):
     index = patterns._index(g)
     core = twin_core(g)
     in_core = sum(1 << i for i, v in enumerate(index[0]) if core.has_vertex(v))
-    return solver._solve_component(g, index, set(g.vertices()), in_core, stats)
+    return solver._solve_component(g, index, patterns._cut(index, in_core),
+                                   set(g.vertices()), stats)
 
 
 def run_anchored(g, k=7):
@@ -105,6 +106,7 @@ def cycle_search_work(monkeypatch):
     tries."""
     work = []
     real_masks, real_c5, real_grow = patterns._masks, patterns._has_c5, patterns._find_long_cycle
+    real_cycle = patterns.find_induced_cycle
     order = []
 
     def masks(adj):
@@ -112,6 +114,12 @@ def cycle_search_work(monkeypatch):
         order[:] = built[0]
         work.append(set(adj))
         return built
+
+    def cycle(g, k, index=None):
+        # a cut index is shifted down to its span: a rank is one of its order
+        if index is not None:
+            order[:] = index[0]
+        return real_cycle(g, k, index)
 
     def has_c5(nbr, trans):
         work.append("c5")
@@ -124,6 +132,7 @@ def cycle_search_work(monkeypatch):
     monkeypatch.setattr(patterns, "_masks", masks)
     monkeypatch.setattr(patterns, "_has_c5", has_c5)
     monkeypatch.setattr(patterns, "_find_long_cycle", grow)
+    monkeypatch.setattr(patterns, "find_induced_cycle", cycle)
     return work
 
 
@@ -228,13 +237,14 @@ def test_co_c7_preflight_with_a_planted_twin():
 def test_odd_neighborhood_check_runs_before_co_c7(monkeypatch):
     # a co-bipartite graph holds a K4 as soon as a side has four vertices;
     # the neighborhood check finds it at once, and the co-C7 search, which
-    # would scan every vertex's dense neighborhood first, never runs
+    # would scan every vertex's dense neighborhood first, never runs; it
+    # runs on the 3-core's masks cut to its twin core
     calls = []
     real = patterns.find_co_c7
 
-    def counting(g):
-        calls.append(g.vertex_count())
-        return real(g)
+    def counting(g, index=None):
+        calls.append(index[2].bit_count())
+        return real(g, index)
 
     monkeypatch.setattr(patterns, "find_co_c7", counting)
     g = co_bipartite(60, 0.5, 7)
@@ -280,22 +290,27 @@ def test_bipartite_components_skip_the_anchor_search(monkeypatch):
 
 
 def test_co_c7_preflight_skips_roots_with_independent_neighbourhoods(monkeypatch):
-    # a co-C7's least vertex sees an induced P4 above it, so on a
-    # triangle-free graph the preflight lists no P4 in any neighbourhood
-    calls = []
-    real = patterns.iter_induced_p4s
+    # a co-C7's least vertex sees an induced P4 above it; on a
+    # triangle-free graph every neighbourhood is independent, and the P4
+    # enumeration yields nothing, since no first vertex has a neighbour in it
+    listed = []
+    real = patterns._p4s
 
-    def recorded(g, within=None):
-        calls.append(within)
-        return real(g, within)
+    def recorded(nbr, within):
+        listed.append(list(real(nbr, within)))
+        return iter(listed[-1])
 
-    monkeypatch.setattr(patterns, "iter_induced_p4s", recorded)
+    monkeypatch.setattr(patterns, "_p4s", recorded)
     rep = solve(crown_graph(100))
     assert rep.decision == "colorable"
-    assert calls == []
+    # the roots are S_100's vertices 1-99: 100 has one non-neighbour above
+    # it, and a vertex of the other side no neighbour
+    assert len(listed) == 99 and not any(listed)
+    listed.clear()
     rep = solve(named_graph("co_c7"))
     assert rep.stats["preflight_co_c7"] == 1
-    assert len(calls) == 1
+    # N(1) above 1 is the path 5-3-6-4, as ranks
+    assert listed == [[(3, 5, 2, 4)]]
 
 
 def test_odd_wheels_rejected_by_neighborhood_check():
@@ -1195,9 +1210,9 @@ def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
     monkeypatch.setattr(solver, "twin_core", recorded)
     real = solver._solve_component
 
-    def component(g, index, comp, in_core, stats):
-        handed.append((g, index, in_core))
-        return real(g, index, comp, in_core, stats)
+    def component(g, index, core, comp, stats):
+        handed.append((g, index, core))
+        return real(g, index, core, comp, stats)
 
     monkeypatch.setattr(solver, "_solve_component", component)
     for sizes, cliques, _, _ in REFUTATION_BLOWUPS:
@@ -1212,7 +1227,8 @@ def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
             assert len(handed) == 1 and handed[0][0] is g
             order, nbr, keep = handed[0][1]
             assert order == g.vertices() and keep == (1 << len(g)) - 1
-            assert handed[0][2] == sum(1 << i for i, v in enumerate(order) if core.has_vertex(v))
+            # the least vertex is in the core, so the core's cut is not shifted
+            assert handed[0][2][2] == sum(1 << i for i, v in enumerate(order) if core.has_vertex(v))
 
 
 def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):

@@ -13,6 +13,8 @@ input of the corpus, with these fields:
 - class: the `check_class` witness, or null
 - cycles: `find_induced_cycle(twin_core(g), k)` for k = 5, 7 and 9
 - odd: the odd-neighbourhood witness, or the error it raises
+- co_c7: `find_co_c7(twin_core(g))`, the co-C7 in complement cycle order,
+  or null
 - solve: `solve(witness=True, assume_class=...)`, as the decision, the
   witness items sorted by id and the stats without `millis`, or the
   exception's type, message and witness
@@ -43,7 +45,7 @@ from pathlib import Path
 from random import Random
 from types import SimpleNamespace
 
-FIELDS = ("input", "class", "cycles", "odd", "solve", "witness_order")
+FIELDS = ("input", "class", "cycles", "odd", "co_c7", "solve", "witness_order")
 BENCH_SEEDS = (3, 5)
 GADGETS = 600
 RANDOM_GRAPHS = 600
@@ -51,6 +53,10 @@ CROWN_SIZES = (3, 4, 5, 8, 20)
 WHEELS = range(3, 16, 2)
 WHEEL_EXTRAS = (0, 6, 12)
 WHEEL_SEEDS = 6
+CO_C7_HOSTS = 40
+CO_BIPARTITE_SIZES = (6, 7, 10, 14)
+CO_BIPARTITE_PS = (0.2, 0.4, 0.6)
+CO_BIPARTITE_SEEDS = 3
 
 
 def load(src: Path):
@@ -77,6 +83,22 @@ def planted_wheel(k: int, extra: int, seed: int, graph):
     for v in range(k + 2, k + 2 + extra):
         edges += [(v, w) for w in rng.sample(range(1, v), 3)]
     return graph.Graph.from_edges(range(1, k + 2 + extra), edges)
+
+
+def planted_co_c7(g, ties: int, seed: int):
+    """g with a co-C7 added on seven new vertices, each joined to `ties`
+    random old ones."""
+    rng = Random(seed)
+    old = g.vertices()
+    new = [g.add_vertex() for _ in range(7)]
+    for i in range(7):
+        # the complement of the 7-cycle new[0], ..., new[6]
+        for j in range(i + 2, 7 if i else 6):
+            g.add_edge(new[i], new[j])
+    for v in new:
+        for w in rng.sample(old, ties):
+            g.add_edge(v, w)
+    return g
 
 
 def corpus(m):
@@ -121,7 +143,23 @@ def corpus(m):
                     for assume in (False, True):
                         yield f"wheel/{k}/{extra}/{s}/{'assume' if assume else 'check'}", g, assume
 
-    return [wheels(), crowns(), random_graphs(), gadgets("c7", testkit.c7_gadget),
+    def co_c7s():
+        # co-C7 is in class; a composite is not, and under assume_class most
+        # planted ones are refused by the co-C7 preflight
+        yield "co_c7/named", testkit.co_c7_graph(), False
+        for s in range(CO_C7_HOSTS):
+            host = testkit.cograph_composite(20 + 5 * (s % 8), s)
+            g = planted_co_c7(host, 1 + s % 3, testkit.split_seed(47, s))
+            for assume in (False, True):
+                yield f"co_c7/planted/{s}/{'assume' if assume else 'check'}", g, assume
+        # in class and dense: two cliques, with a K4 from eight vertices on
+        for n in CO_BIPARTITE_SIZES:
+            for p in CO_BIPARTITE_PS:
+                for s in range(CO_BIPARTITE_SEEDS):
+                    g = testkit.co_bipartite(n, p, testkit.split_seed(48, n, s))
+                    yield f"co_bipartite/{n}/{p}/{s}", g, False
+
+    return [wheels(), crowns(), co_c7s(), random_graphs(), gadgets("c7", testkit.c7_gadget),
             gadgets("c9", testkit.c9_gadget), bench()]
 
 
@@ -160,6 +198,7 @@ def record(m, name, g, assume):
         out["odd"] = pattern(m.patterns.find_nonbipartite_neighborhood(g))
     except Exception as exc:
         out["odd"] = raised(exc)
+    out["co_c7"] = pattern(m.patterns.find_co_c7(core))
     out["witness_order"] = None
     try:
         rep = m.hered3.solve(g, witness=True, assume_class=assume)
