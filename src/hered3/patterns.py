@@ -13,17 +13,15 @@ sorting, and a set operation is one int operation.  Each finder takes an
 optional index: the masks of `_index` and a vertex set, which `_cut`
 narrows.  It searches the subgraph that set induces, and as ranks follow
 ids in every induced subgraph, it returns what it returns on that
-subgraph built on its own.  Past `_index`, only the witness checks, the
-cotree test and one edge count read the adjacency sets.
+subgraph built on its own.  Past `_index`, only the witness checks read
+the adjacency sets.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations
 from typing import NamedTuple
 
-from . import cograph
 from .errors import ClassViolationError
 from .graph import Graph, twin_core
 
@@ -93,36 +91,30 @@ def _cut(index, keep):
     return order[lo:hi], cut, keep
 
 
-def _ids(order, mask) -> list[int]:
-    """The vertices of mask, ascending."""
-    return [v for i, v in enumerate(order) if mask >> i & 1]
-
-
 def find_induced_2p4(g: Graph, index=None):
     """Two induced P4s with no edges between them, or None.
 
     A P4 a-b-c-d is scanned through its middle edge, b < c, as (b, c, a, d):
     a in N(b) - N[c], then d in N(c) - N[b] - N(a).  A 2P4 through it exists
-    exactly when the vertices outside N[{a, b, c, d}] are not a cograph, and
-    they lie in X = V - N[b] - N[c] = V - N(b) - N(c), so an edge whose X
-    has fewer than four vertices is skipped whole.
+    exactly when the rest, the vertices outside N[{a, b, c, d}], holds an
+    induced P4, and the rest lies in X = V - N[b] - N[c] = V - N(b) - N(c),
+    so an edge whose X has fewer than four vertices is skipped whole.
     The scan runs on the neighbourhood masks of `_masks` and walks every
     mask from its lowest bit, so it meets the tuples in ascending
     (b, c, a, d) order and its first hit is the least.
-    A rest of four vertices is tested for a P4 on its degrees, and is its
-    own failure set when it is one; a larger rest is tested once per call
-    with `cograph.cotree_or_failure`.  The hit, written so that a < d, is
-    the first part; the second is the first P4 of its rest's failure set.
+    A rest of four vertices is tested for a P4 on its degrees; a larger
+    rest by whether `_p4s` yields one, once per rest.  The hit, written so
+    that a < d, is the first part; the second is the least P4 of its rest.
     """
     order, nbr, keep = index or _index(g)
     if keep.bit_count() < 8:
         return None
-    found = _least_2p4_hit(g, order, nbr, keep)
+    found = _least_2p4_hit(nbr, keep)
     if found is None:
         return None
-    (a, b, c, d), bad = found
+    (a, b, c, d), rest = found
     first = tuple(order[i] for i in ((a, b, c, d) if a < d else (d, c, b, a)))
-    second = tuple(order[i] for i in next(_p4s(nbr, bad), ()))
+    second = tuple(order[i] for i in next(_p4s(nbr, rest), ()))
     for part in (first, second):
         _verify_induced(g, "path", part, (1,))
     if len(second) != 4 or any(g._adj[u].intersection(second) for u in first):
@@ -130,11 +122,11 @@ def find_induced_2p4(g: Graph, index=None):
     return PatternWitness("2p4", (first, second))
 
 
-def _least_2p4_hit(g, order, nbr, full):
+def _least_2p4_hit(nbr, full):
     """The first (b, c, a, d) of the scan that `find_induced_2p4` describes
-    on the vertices of full, as ranks, with the mask of its rest's failure set."""
+    on the vertices of full, as ranks, with the mask of its rest."""
     n = full.bit_count()
-    seen: dict[int, int] = {}   # rest mask -> failure set mask, 0 for a cograph
+    seen: dict[int, bool] = {}   # rest mask -> whether it holds a P4
     for b, nb in enumerate(nbr):
         cs = nb >> b + 1 << b + 1
         while cs:
@@ -162,16 +154,15 @@ def _least_2p4_hit(g, order, nbr, full):
                     rest = far_a & ~nbr[dbit.bit_length() - 1]
                     size = rest.bit_count()
                     if size == 4:
-                        bad = rest if _is_p4(nbr, rest) else 0
+                        hit = _is_p4(nbr, rest)
                     elif size > 4:
                         if rest not in seen:
-                            failed = cograph.cotree_or_failure(g, _ids(order, rest))[1] or ()
-                            seen[rest] = sum(1 << bisect_left(order, v) for v in failed)
-                        bad = seen[rest]
+                            seen[rest] = next(_p4s(nbr, rest), None) is not None
+                        hit = seen[rest]
                     else:
                         continue
-                    if bad:
-                        return (abit.bit_length() - 1, b, c, dbit.bit_length() - 1), bad
+                    if hit:
+                        return (abit.bit_length() - 1, b, c, dbit.bit_length() - 1), rest
     return None
 
 
@@ -496,13 +487,14 @@ def check_class(g: Graph):
     in u's place on an induced cycle gives one that comes earlier in
     canonical order.  So the first C5 of `find_induced_cycle` on g is on
     the core and is the one returned.  For a 2P4, a hit of
-    `find_induced_2p4` is a P4 P whose outside, V - N[P], is not a
-    cograph.  Putting v in u's place on P leaves N[P] unchanged and moves
-    the hit earlier in the scan's (b, c, a, d) order, and a deletion
-    outside N[P] leaves the outside a non-cograph (a P4 in it through u
-    goes through v instead).  So the first hit on g avoids every deleted
-    vertex, the first hit on the core is the same P4, and the first part
-    of a 2P4 witness is the one found on g; the second part may differ.
+    `find_induced_2p4` is a P4 P whose outside, V - N[P], holds a P4.
+    Putting v in u's place on P leaves N[P] unchanged and moves the hit
+    earlier in the scan's (b, c, a, d) order, and a deletion outside N[P]
+    leaves a P4 in the outside (one through u goes through v instead).  So
+    the first hit on g avoids every deleted vertex and the first hit on the
+    core is the same P4.  The second part is the least P4 of the outside,
+    and a P4 there through u comes after the one with v in u's place, so
+    the least avoids u too: the whole 2P4 witness is the one found on g.
 
     The certificates of `check_core` (a bipartite core, two cliques), the
     transversal bound on the C5 roots and the order-free C5 decision that
@@ -530,7 +522,7 @@ def check_core(core: Graph):
     """
     index = order, nbr, full = _index(core)
     n = len(order)
-    if (2 * sum(map(len, core._adj.values())) >= n * (n - 2)
+    if (2 * sum(m.bit_count() for m in nbr) >= n * (n - 2)
             and not _odd_transversal([full ^ m ^ 1 << i for i, m in enumerate(nbr)], full)):
         return None
     c5 = find_induced_cycle(core, 5, index)

@@ -20,8 +20,9 @@ def test_differential_of_a_tree_with_itself(tmp_path):
     assert done.returncode == 0, done.stderr
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 20
-    # the slice takes the families in turn
+    # the slice takes the families in turn, the last of them the 2P4 rests
     assert len({r["id"].split("/")[0] for r in records}) >= 5
+    assert [r["id"] for r in records if r["id"].startswith("rest/")] == ["rest/0", "rest/1"]
     assert all(set(r) == {"id", "input", "class", "cycles", "odd", "co_c7", "solve",
                           "witness_order"} for r in records)
     # the co-C7 family is in the slice, and the named co-C7 is refused by

@@ -7,7 +7,7 @@ import pytest
 
 from hered3.errors import ClassViolationError
 from hered3.graph import Graph, connected_components, induced_subgraph, twin_core
-from hered3 import patterns
+from hered3 import cograph, patterns
 from hered3.patterns import (
     PatternWitness,
     check_class,
@@ -546,10 +546,85 @@ def test_2p4_witness_is_the_first_hit_of_the_reference_order():
     assert 100 < hits < len(sample) - 100, hits
 
 
+def composite_cores():
+    """The twin cores of the bench's `composite` graphs at seeds 5 and 7,
+    under their own ids and under a shuffled labeling, as the bench sends
+    them."""
+    cores = []
+    for seed in (5, 7):
+        for r in range(18):
+            g = testkit.cograph_composite(250, split_seed(seed, 41, r, 0))
+            cores += [twin_core(g), twin_core(relabeled(g, split_seed(seed, 40, r)))]
+    return cores
+
+
+def least_p4_outside(g, part):
+    """The least induced P4 (a, b, c, d) with a < d among the vertices of g
+    that see none of part, found by listing their 4-subsets, or None."""
+    near = set(part).union(*(g.neighbors(v) for v in part))
+    best = None
+    for quad in combinations([v for v in g.vertices() if v not in near], 4):
+        if sum(g.has_edge(u, w) for u, w in combinations(quad, 2)) != 3:
+            continue
+        for p in permutations(quad):
+            if p[0] < p[3] and all(g.has_edge(p[i], p[j]) == (j == i + 1)
+                                   for i, j in combinations(range(4), 2)):
+                best = p if best is None else min(best, p)
+    return best
+
+
+def test_2p4_second_part_is_the_least_p4_of_its_rest():
+    # the second part of a 2P4 witness is the least induced P4 outside
+    # N[first part] of the core, whichever P4 of the rest the scan's test
+    # meets first; random graphs of 12 to 20 vertices give rests with
+    # several P4s
+    def checked(g):
+        got = check_class(g)
+        if got is None or got.kind != "2p4":
+            return False
+        first, second = got.parts
+        assert second == least_p4_outside(twin_core(g), first), got
+        assert find_induced_2p4(g) == got, got
+        return True
+
+    sample = [erdos_renyi(12 + i % 9, (0.10, 0.14, 0.18, 0.22)[i % 4], split_seed(78, i))
+              for i in range(1800)]
+    hits = sum(map(checked, sample))
+    assert 300 <= hits < len(sample) - 300, hits
+    assert all(map(checked, composite_cores()))
+    # a rest of 11 vertices whose least P4 is not the first one a cotree's
+    # depth-first walk meets (that gave (16, 4, 12, 18))
+    got = check_class(erdos_renyi(19, 0.14, 809294379))
+    assert got == PatternWitness("2p4", ((1, 7, 2, 3), (6, 5, 15, 11)))
+
+
+def test_the_class_check_builds_no_cotree(monkeypatch):
+    # every rest of the 2P4 scan is tested on the masks, so neither the
+    # class check nor the scan on its own calls the set-based cotree
+    def refuse(*args, **kwargs):
+        raise AssertionError("the class check built a cotree")
+
+    monkeypatch.setattr(cograph, "cotree_or_failure", refuse)
+    cores = composite_cores()
+    found = [g for g in (erdos_renyi(12 + i % 9, 0.14, split_seed(79, i)) for i in range(500))
+             if find_induced_2p4(g) is not None][:100]
+    thick = [testkit.thicken(make(s), s) for make in (testkit.c7_gadget, testkit.c9_gadget)
+             for s in range(20)]
+    assert len(found) == 100
+    for g in cores + found + thick:
+        check_class(g)
+        find_induced_2p4(g)
+    # a composite core's 2P4 hit has a rest of more than four vertices,
+    # the rests the scan once handed to the cotree
+    for g in cores:
+        first = check_class(g).parts[0]
+        assert len(g) - len(set(first).union(*(g.neighbors(v) for v in first))) > 4
+
+
 def test_scans_match_the_reference_search():
     # the path-growing cycle scan returns the reference search's canonical
     # cycle for every k, and the middle-edge 2P4 scan finds a 2P4 exactly
-    # when one exists, with the same first part on the graph as on its twin core
+    # when one exists, with the same witness on the graph as on its twin core
     hits = {5: 0, 7: 0, 9: 0, "2p4": 0}
     total = 1500
     for i in range(total):
@@ -563,7 +638,7 @@ def test_scans_match_the_reference_search():
         found = find_induced_2p4(g)
         assert (found is not None) == naive_has_2p4(g), i
         if found is not None:
-            assert find_induced_2p4(twin_core(g)).parts[0] == found.parts[0], i
+            assert find_induced_2p4(twin_core(g)) == found, i
             hits["2p4"] += 1
     assert all(10 < h < total - 10 for h in hits.values()), hits
     # sparse graphs of 30 to 60 vertices, where the canonical C5 is often
@@ -582,7 +657,8 @@ def test_scans_match_the_reference_search():
 def odd_transversal(g):
     """The `_odd_transversal` of all of g, as a set of ids."""
     order, nbr = patterns._masks(g._adj)
-    return set(patterns._ids(order, patterns._odd_transversal(nbr, (1 << len(order)) - 1)))
+    trans = patterns._odd_transversal(nbr, (1 << len(order)) - 1)
+    return {v for i, v in enumerate(order) if trans >> i & 1}
 
 
 def test_odd_transversal():

@@ -648,7 +648,7 @@ def test_anchored_roots_equal_anchors_committed_one_at_a_time(monkeypatch):
         runs.clear()
         solve(g)
         for p, (order, _, keep), found in runs:
-            comp = induced_subgraph(p, patterns._ids(order, keep))
+            comp = induced_subgraph(p, [v for i, v in enumerate(order) if keep >> i & 1])
             for root in found:
                 want = Instance(comp.copy(), Counter())
                 want.anchor_order = root.anchor_order

@@ -49,6 +49,7 @@ FIELDS = ("input", "class", "cycles", "odd", "co_c7", "solve", "witness_order")
 BENCH_SEEDS = (3, 5)
 GADGETS = 600
 RANDOM_GRAPHS = 600
+REST_GRAPHS = 2000
 CROWN_SIZES = (3, 4, 5, 8, 20)
 WHEELS = range(3, 16, 2)
 WHEEL_EXTRAS = (0, 6, 12)
@@ -128,6 +129,14 @@ def corpus(m):
             for assume in (False, True):
                 yield f"er/{i}/{'assume' if assume else 'check'}", g, assume
 
+    def rests():
+        # sparse enough that the rest of a 2P4's first part often holds
+        # several P4s, so the second part shows which of them is named
+        for i in range(REST_GRAPHS):
+            g = testkit.erdos_renyi(12 + i % 9, (0.10, 0.14, 0.18, 0.22)[i % 4],
+                                    testkit.split_seed(41, i))
+            yield f"rest/{i}", g, False
+
     def crowns():
         for n in CROWN_SIZES:
             for name in ("crown_plus", "apex_crown"):
@@ -160,7 +169,7 @@ def corpus(m):
                     yield f"co_bipartite/{n}/{p}/{s}", g, False
 
     return [wheels(), crowns(), co_c7s(), random_graphs(), gadgets("c7", testkit.c7_gadget),
-            gadgets("c9", testkit.c9_gadget), bench()]
+            gadgets("c9", testkit.c9_gadget), bench(), rests()]
 
 
 def round_robin(families):
