@@ -6,7 +6,7 @@ Every cycle witness, the C5 of the class check, the C7 and C9 anchors and
 the triangle or odd hole of the odd-neighbourhood check, comes from one
 depth-first path grower.
 
-Every search runs on one int bitmask per vertex, built by `_masks`: bit
+Every search runs on one int bitmask per vertex, built by `_index`: bit
 i stands for the vertex of rank i in ascending id order, so a mask
 walked from its lowest bit gives its vertices in ascending order with no
 sorting, and a set operation is one int operation.  Each finder takes an
@@ -46,14 +46,16 @@ def _verify_induced(g: Graph, kind: str, seq, gaps) -> None:
             raise AssertionError(f"bad {kind} witness {tuple(seq)}")
 
 
-def _masks(adj):
-    """The vertices in ascending order and, for each, its neighbourhood as
-    an int: bit i stands for the vertex of rank i in that order, so a mask
-    has one bit per vertex whatever the ids are.
+def _index(g: Graph):
+    """(order, nbr, keep): the vertices of g in ascending order, for each
+    its neighbourhood as an int, and the mask keep of the vertices a search
+    reads, here all of them.  Bit i stands for the vertex of rank i in that
+    order, so a mask has one bit per vertex whatever the ids are.
 
     The scans below walk a mask from its lowest bit, inline: `low = m & -m`
     isolates that bit, `m ^= low` clears it and `low.bit_length() - 1` is
     its rank.  `m >> i + 1 << i + 1` keeps the bits of m above rank i."""
+    adj = g._adj
     order = sorted(adj)
     bit = {v: 1 << i for i, v in enumerate(order)}
     nbr = []
@@ -62,14 +64,21 @@ def _masks(adj):
         for w in adj[v]:
             m |= bit[w]
         nbr.append(m)
-    return order, nbr
-
-
-def _index(g: Graph):
-    """(order, nbr, keep): the rank masks of `_masks` over all of g, and
-    the mask keep of the vertices a search reads, here all of them."""
-    order, nbr = _masks(g._adj)
     return order, nbr, (1 << len(order)) - 1
+
+
+def _reach(nbr, seeds, within) -> int:
+    """The vertices of the mask within joined to the mask seeds by a path
+    inside within, seeds included; left holds those not reached yet."""
+    front = seeds
+    left = within & ~seeds
+    while front:
+        low = front & -front
+        front ^= low
+        grown = nbr[low.bit_length() - 1] & left
+        left ^= grown
+        front |= grown
+    return seeds | within ^ left
 
 
 def _cut(index, keep):
@@ -99,7 +108,7 @@ def find_induced_2p4(g: Graph, index=None):
     exactly when the rest, the vertices outside N[{a, b, c, d}], holds an
     induced P4, and the rest lies in X = V - N[b] - N[c] = V - N(b) - N(c),
     so an edge whose X has fewer than four vertices is skipped whole.
-    The scan runs on the neighbourhood masks of `_masks` and walks every
+    The scan runs on the neighbourhood masks of `_index` and walks every
     mask from its lowest bit, so it meets the tuples in ascending
     (b, c, a, d) order and its first hit is the least.
     A rest of four vertices is tested for a P4 on its degrees; a larger
@@ -227,7 +236,7 @@ def find_induced_cycle(g: Graph, k: int, index=None):
     avoids N(v0) and N[path[j]] for every 1 <= j <= i - 2; the last one
     must instead be a neighbour of v0 above v1.  Those closed
     neighbourhoods are kept as one blocked mask, grown by one OR per step,
-    and the candidates come from the masks of `_masks` lowest bit first.
+    and the candidates come from the masks of `_index` lowest bit first.
     """
     if k < 5 or not k % 2:
         raise ValueError(f"find_induced_cycle takes an odd k of 5 or more, not {k}")
@@ -344,7 +353,7 @@ def _has_c5(nbr, trans) -> bool:
 
 def _find_long_cycle(nbr, r0, k):
     """The canonical induced k-cycle rooted at rank r0, as ranks, or None:
-    the path grower of `find_induced_cycle` on the masks of `_masks`."""
+    the path grower of `find_induced_cycle` on the masks of `_index`."""
     n0 = nbr[r0]
     # a vertex after v1 lies above v0 and outside N(v0)
     inner = ~(n0 | ((2 << r0) - 1))
@@ -428,13 +437,14 @@ def find_nonbipartite_neighborhood(g: Graph, index=None):
     witness follows the ids and not the order of set iteration.
 
     Each neighborhood is tested for a non-empty odd-cycle transversal T of
-    `_odd_transversal` on the masks of `_masks`.  Every odd cycle meets T,
+    `_odd_transversal` on the masks of `_index`.  Every odd cycle meets T,
     so the grower runs on the first failing N(v) cut to its components
-    that meet T, with its roots bounded by T.  A shortest odd cycle is
-    chordless, so when no induced C3, C5, C7 or C9 is found, N(v) holds an
-    odd hole of 11 or more vertices; its vertices 1-4 and 6-9 form a 2P4,
-    so the graph is outside the class, and that case raises
-    ClassViolationError with the least 2P4 of N(v).
+    that meet T, walked from T by `_reach`, with its roots bounded by T.
+    The grower and `_has_c5` mask away every vertex outside that cut.  A
+    shortest odd cycle is chordless, so when no induced C3, C5, C7 or C9 is
+    found, N(v) holds an odd hole of 11 or more vertices; its vertices 1-4
+    and 6-9 form a 2P4, so the graph is outside the class, and that case
+    raises ClassViolationError with the least 2P4 of N(v).
 
     `solver.solve` calls this on the 3-core of its false-twin quotient.  On
     a graph with false twins a copy repeats its representative's scan,
@@ -445,17 +455,9 @@ def find_nonbipartite_neighborhood(g: Graph, index=None):
         # an odd cycle needs three vertices
         if nv.bit_count() < 3 or not (trans := _odd_transversal(nbr, nv)):
             continue
-        # the masks of N(v) cut to its components that meet T, found from T
-        cut = [0] * len(nbr)
-        keep = front = trans
-        while front:
-            low = front & -front
-            front ^= low
-            i = low.bit_length() - 1
-            cut[i] = nbr[i] & nv
-            grown = cut[i] & ~keep
-            keep |= grown
-            front |= grown
+        # the masks cut to the components of N(v) that meet T
+        keep = _reach(nbr, trans, nv)
+        cut = [m & keep for m in nbr]
         for k in (3, 5, 7, 9):
             cyc = _least_cycle(cut, trans, k, keep)
             if cyc is not None:

@@ -382,7 +382,7 @@ def propagate_masks(nbr, state, b, i):
     """`propagate` on per-color bitmasks: color the vertex of bit b with
     color i + 1, then every vertex this leaves a single color.
 
-    nbr holds each vertex's neighborhood as an int, as `patterns._masks`
+    nbr holds each vertex's neighborhood as an int, as `patterns._index`
     builds it.  state is six ints: for each color, the uncolored vertices
     in play whose palette holds it, then for each color the vertices
     colored with it.  Returns the six ints after the step, in a new list,

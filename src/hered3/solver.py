@@ -136,13 +136,7 @@ from time import perf_counter
 
 from . import cograph, patterns
 from .errors import ClassViolationError, StageAssertionError
-from .graph import (
-    Graph,
-    connected_components,
-    false_twins,
-    induced_subgraph,
-    twin_core,
-)
+from .graph import Graph, connected_components, false_twins, induced_subgraph, twin_core
 from .reductions import (
     ALL_COLORS,
     REJECTED,
@@ -181,8 +175,9 @@ def solve(
     quotient outside its 3-core, colored after it.  The 3-core decides the
     answer, and it holds every K4, odd wheel and co-C7 certificate of the
     input, since each has minimum degree 3 (see the module docstring).
-    The 3-core's rank masks are built once, and every search on it and the
-    plain colorer read them cut to the vertices they need (`patterns._cut`).
+    The 3-core's rank masks are built once, one walk of them splits it into
+    components (`patterns._reach`), and every search on it and the plain
+    colorer read them cut to the vertices they need (`patterns._cut`).
     The order of the witness's items is not specified.
     Raises ClassViolationError when the input is outside the supported
     class, unless assume_class skips the membership check; on such input
@@ -219,15 +214,16 @@ def solve(
         if odd is not None:
             stats["preflight_odd_neighborhood_" + odd.kind] += 1
             return _report("not_colorable", None, stats, start)
-        rank = {v: i for i, v in enumerate(index[0])}
-        in_core = sum(1 << rank[v] for v in core._adj)
+        in_core = sum(1 << i for i, v in enumerate(index[0]) if v in core._adj)
         if patterns.find_co_c7(p, patterns._cut(index, in_core)) is not None:
             stats["preflight_co_c7"] += 1
             return _report("not_colorable", None, stats, start)
-        for comp in connected_components(p):
-            keep = sum(1 << rank[v] for v in comp)
+        rest = index[2]
+        while rest:
+            keep = patterns._reach(index[1], rest & -rest, rest)
+            rest ^= keep
             cut, core_cut = patterns._cut(index, keep), patterns._cut(index, keep & in_core)
-            cmap = _solve_component(p, cut, core_cut, comp, stats)
+            cmap = _solve_component(p, cut, core_cut, stats)
             if cmap is None:
                 return _report("not_colorable", None, stats, start)
             coloring.update(cmap)
@@ -301,20 +297,22 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
                 raise AssertionError(f"witness colors edge {v},{w} monochromatically")
 
 
-def _solve_component(p, index, core, comp, stats):
-    """The 3-coloring of the component comp of p, or None when it has none.
+def _solve_component(p, index, core, stats):
+    """The 3-coloring of a component of p, or None when it has none.
 
-    index is p's index cut to comp, and core is it cut to comp's part of
-    p's twin core.  The anchor cycle is sought on core, and the anchored
-    run and the plain colorer read index.  Neither changes p:
-    `_run_anchored` builds each root on a new graph, and `_backtrack_color`
-    works on masks only."""
+    index is p's index cut to the component, and core is it cut to its part
+    of p's twin core.  The anchor cycle is sought on core, and the anchored
+    run and the plain colorer read index; an anchored witness takes its ids
+    off index.  Neither changes p: `_run_anchored` builds each root on a
+    new graph, and `_backtrack_color` works on masks only."""
     for k in (7, 9):
         cyc = patterns.find_induced_cycle(p, k, core)
         if cyc is not None:
             stats[f"components_anchored_{k}"] += 1
             won = _run_anchored(p, index, cyc, stats)
-            return None if won is None else won.assemble_witness(comp)
+            order, _, keep = index
+            return None if won is None else won.assemble_witness(
+                v for i, v in enumerate(order) if keep >> i & 1)
     stats["components_plain"] += 1
     return _backtrack_color(index)
 

@@ -660,7 +660,7 @@ def thicken(g: Graph, seed: int) -> Graph:
                 trial.add_edge(hub, w)
         # a C5 the step makes runs through hub; that cheap test rejects
         # most steps before the full check
-        order, nbr = patterns._masks(trial._adj)
+        order, nbr, _ = patterns._index(trial)
         if (not patterns._has_c5(nbr, 1 << order.index(hub))
                 and patterns.check_class(trial) is None
                 and patterns.find_nonbipartite_neighborhood(trial) is None):

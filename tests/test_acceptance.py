@@ -203,7 +203,7 @@ def _layer_checked(g, colorable, what):
     for comp in connected_components(h):
         # a component may have no core vertex: its core cut is then empty
         keep = sum(bit[v] for v in comp)
-        cmap = _solve_component(h, _cut(index, keep), _cut(index, keep & in_core), comp, stats)
+        cmap = _solve_component(h, _cut(index, keep), _cut(index, keep & in_core), stats)
         if cmap is None:
             assert not colorable, what
             return stats["components_anchored_7"]

@@ -20,9 +20,17 @@ def test_differential_of_a_tree_with_itself(tmp_path):
     assert done.returncode == 0, done.stderr
     records = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(records) == 20
-    # the slice takes the families in turn, the last of them the 2P4 rests
+    # the slice takes the families in turn, the last two of them the
+    # disjoint unions and the 2P4 rests
     assert len({r["id"].split("/")[0] for r in records}) >= 5
     assert [r["id"] for r in records if r["id"].startswith("rest/")] == ["rest/0", "rest/1"]
+    unions = [r for r in records if r["id"].startswith("union/")]
+    assert [r["id"] for r in unions] == ["union/0/check", "union/0/assume"]
+    # two members that hold a P4 each make a 2P4: the check refuses the
+    # union, and only the waived half is solved
+    assert all(r["class"][0] == "2p4" for r in unions)
+    assert unions[0]["solve"][:2] == ["raise", "ClassViolationError"]
+    assert unions[1]["solve"][0] == "colorable"
     assert all(set(r) == {"id", "input", "class", "cycles", "odd", "co_c7", "solve",
                           "witness_order"} for r in records)
     # the co-C7 family is in the slice, and the named co-C7 is refused by

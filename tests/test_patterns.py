@@ -336,7 +336,10 @@ def test_odd_neighbourhood_check_matches_the_bipartition_reference(monkeypatch):
     real = patterns._least_cycle
 
     def recorded(nbr, trans, k, keep):
-        searched.append((k, [i for i, m in enumerate(nbr) if m]))
+        kept = [i for i in range(len(nbr)) if keep >> i & 1]
+        # a kept vertex keeps its neighbours in the cut and no others
+        assert all(not nbr[i] & ~keep for i in kept)
+        searched.append((k, kept))
         return real(nbr, trans, k, keep)
 
     monkeypatch.setattr(patterns, "_least_cycle", recorded)
@@ -656,8 +659,8 @@ def test_scans_match_the_reference_search():
 
 def odd_transversal(g):
     """The `_odd_transversal` of all of g, as a set of ids."""
-    order, nbr = patterns._masks(g._adj)
-    trans = patterns._odd_transversal(nbr, (1 << len(order)) - 1)
+    order, nbr, keep = patterns._index(g)
+    trans = patterns._odd_transversal(nbr, keep)
     return {v for i, v in enumerate(order) if trans >> i & 1}
 
 
@@ -709,6 +712,33 @@ def test_odd_transversal_leaves_a_bipartite_graph():
     assert sizes == {0, 1, 2, 3}
 
 
+def test_reach_matches_the_components_of_a_set_search():
+    # `_reach(nbr, seeds, within)` is the union of the components of the
+    # subgraph that within induces that hold a seed: the set search of
+    # `connected_components` gives the same, on the whole index and on a
+    # cut of it, whose ranks are shifted to its span
+    shapes = {"none": 0, "part": 0, "all": 0}
+    for i in range(300):
+        # one stream per graph, so no shift of i repeats another's
+        rng = Random(split_seed(79, 1, i))
+        g = erdos_renyi(4 + i % 25, (0.04, 0.08, 0.15, 0.3)[i % 4], rng.getrandbits(64))
+        index = patterns._index(g)
+        n = len(index[0])
+        cut = patterns._cut(index, rng.getrandbits(n) | 1 << rng.randrange(n))
+        for order, nbr, keep in (index, cut):
+            within = keep & rng.getrandbits(len(order))
+            seeds = within & rng.getrandbits(len(order)) & rng.getrandbits(len(order))
+
+            def ids(mask):
+                return {v for j, v in enumerate(order) if mask >> j & 1}
+
+            got = patterns._reach(nbr, seeds, within)
+            comps = connected_components(g, within=ids(within))
+            assert ids(got) == set().union(*(c for c in comps if c & ids(seeds))), i
+            shapes["none" if not seeds else "all" if got == within else "part"] += 1
+    assert min(shapes.values()) > 50, shapes
+
+
 def test_c5_decision_from_one_vertex_finds_the_c5s_through_it():
     # `testkit.thicken` hands `_has_c5` the mask of one vertex t to ask
     # whether an induced C5 runs through t; brute force over the 5-sets
@@ -717,7 +747,7 @@ def test_c5_decision_from_one_vertex_finds_the_c5s_through_it():
     for i in range(300):
         g = erdos_renyi(8 + i % 9, (0.15, 0.25, 0.35, 0.5)[i % 4], split_seed(77, i))
         t = Random(split_seed(78, i)).choice(g.vertices())
-        order, nbr = patterns._masks(g._adj)
+        order, nbr, _ = patterns._index(g)
         got = patterns._has_c5(nbr, 1 << order.index(t))
         others = [v for v in g.vertices() if v != t]
         want = False
@@ -738,22 +768,22 @@ def test_bipartite_core_skips_the_c5_scan(monkeypatch):
     # its masks and an empty transversal, and runs no C5 decision and grows
     # no root
     work = []
-    for name in ("_masks", "_has_c5", "_find_long_cycle"):
+    for name in ("_index", "_has_c5", "_find_long_cycle"):
         real = getattr(patterns, name)
         monkeypatch.setattr(patterns, name,
                             lambda *args, _real=real, _name=name: work.append(_name) or _real(*args))
     for g in (testkit.crown_graph(6), cycle_graph(10), path_graph(9)):
         core = twin_core(g)
         assert all(find_induced_cycle(core, k) is None for k in (5, 7, 9))
-        assert work == ["_masks"] * 3
+        assert work == ["_index"] * 3
         # check_core builds one index, which its C5 and 2P4 scans share
         check_core(core)
-        assert work.count("_masks") == 4
+        assert work.count("_index") == 4
         assert "_has_c5" not in work and "_find_long_cycle" not in work
         work.clear()
     g = cycle_graph(5)
     assert check_core(g).kind == "c5"
-    assert work == ["_masks", "_has_c5", "_find_long_cycle"]
+    assert work == ["_index", "_has_c5", "_find_long_cycle"]
 
 
 def complement(g):
@@ -799,8 +829,8 @@ def test_transversal_rooted_scans_match_the_reference():
             found += got is not None
             if k == 5:
                 # the decision alone, which a false "yes" would only slow
-                order, nbr = patterns._masks(g._adj)
-                trans = patterns._odd_transversal(nbr, (1 << len(order)) - 1)
+                order, nbr, keep = patterns._index(g)
+                trans = patterns._odd_transversal(nbr, keep)
                 assert patterns._has_c5(nbr, trans) == (got is not None), i
         in_class = naive_in_class(g)
         assert (check_class(g) is None) == in_class, i

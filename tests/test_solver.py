@@ -85,8 +85,7 @@ def solve_component(g, stats):
     index = patterns._index(g)
     core = twin_core(g)
     in_core = sum(1 << i for i, v in enumerate(index[0]) if core.has_vertex(v))
-    return solver._solve_component(g, index, patterns._cut(index, in_core),
-                                   set(g.vertices()), stats)
+    return solver._solve_component(g, index, patterns._cut(index, in_core), stats)
 
 
 def run_anchored(g, k=7):
@@ -105,14 +104,14 @@ def cycle_search_work(monkeypatch):
     "c5" for each C5 decision and (v0, k) for each root v0 the path grower
     tries."""
     work = []
-    real_masks, real_c5, real_grow = patterns._masks, patterns._has_c5, patterns._find_long_cycle
+    real_index, real_c5, real_grow = patterns._index, patterns._has_c5, patterns._find_long_cycle
     real_cycle = patterns.find_induced_cycle
     order = []
 
-    def masks(adj):
-        built = real_masks(adj)
+    def index(g):
+        built = real_index(g)
         order[:] = built[0]
-        work.append(set(adj))
+        work.append(set(g.vertices()))
         return built
 
     def cycle(g, k, index=None):
@@ -129,7 +128,7 @@ def cycle_search_work(monkeypatch):
         work.append((order[r0], k))
         return real_grow(nbr, r0, k)
 
-    monkeypatch.setattr(patterns, "_masks", masks)
+    monkeypatch.setattr(patterns, "_index", index)
     monkeypatch.setattr(patterns, "_has_c5", has_c5)
     monkeypatch.setattr(patterns, "_find_long_cycle", grow)
     monkeypatch.setattr(patterns, "find_induced_cycle", cycle)
@@ -597,9 +596,8 @@ def test_mask_propagation_matches_dict_propagation():
             cycle = patterns.find_induced_cycle(twin_core(h), k)
             if cycle is not None:
                 break
-        order, nbr = patterns._masks(h._adj)
+        order, nbr, every = patterns._index(h)
         bit = {v: 1 << i for i, v in enumerate(order)}
-        every = (1 << len(order)) - 1
         prefixes = {col[:d] for col in proper_cycle_colorings(k) for d in range(1, k + 1)}
         for prefix in sorted(prefixes):
             palettes = {v: ALL_COLORS for v in h._adj}
@@ -1050,6 +1048,49 @@ def test_solve_searches_each_component_of_a_core_alone(monkeypatch):
     assert work == [] and anchors == []
 
 
+def interleaved(*graphs):
+    """The graphs side by side, vertex j of graph i (in ascending order)
+    taking id len(graphs) * j + i + 1, so the parts' ids interleave."""
+    image = [{v: len(graphs) * j + i + 1 for j, v in enumerate(h.vertices())}
+             for i, h in enumerate(graphs)]
+    return Graph.from_edges(sorted(v for m in image for v in m.values()),
+                            [(m[u], m[w]) for h, m in zip(graphs, image) for u, w in h.edges()])
+
+
+def test_solve_splits_its_3_core_with_one_walk_of_the_masks(monkeypatch):
+    # the components of the 3-core come from `patterns._reach` on its rank
+    # masks, so solve calls no set search for them: not on refutation
+    # blowups built as the bench's `refute` cases (free classes of one to
+    # three vertices, ids shuffled), and not, under the waiver, on three
+    # S_4³ with interleaved ids (a P4 in each of two makes a 2P4), each
+    # part colored as it is alone
+    def refused(*args, **kwargs):
+        raise AssertionError("solve split its 3-core with a set search")
+
+    rng = Random(44)
+    blowups = []
+    for s in range(4):
+        for sizes, cliques, _, _ in REFUTATION_BLOWUPS:
+            sizes = [2 if i in cliques else rng.choice((1, 2, 3)) for i in range(len(sizes))]
+            blowups.append(sparse_shuffled(cycle_blowup(sizes, cliques=cliques), s)[0])
+    union = interleaved(crown_plus(4), crown_plus(4), crown_plus(4))
+    parts = connected_components(union)
+    assert [sorted(c)[:3] for c in parts] == [[1, 4, 7], [2, 5, 8], [3, 6, 9]]
+    monkeypatch.setattr(solver, "connected_components", refused)
+    for g in blowups:
+        for assume_class in (False, True):
+            rep = solve(g, assume_class=assume_class)
+            assert rep.decision == "not_colorable" and rep.stats["anchor_colorings_skipped"] > 0
+    rep = solve(union, witness=True, assume_class=True)
+    assert rep.decision == "colorable" and verify_coloring(union, rep.witness)
+    assert rep.stats["components_plain"] == 3 and "peeled" not in rep.stats
+    for comp in parts:
+        alone = solve(induced_subgraph(union, comp), witness=True, assume_class=True)
+        assert alone.witness == {v: rep.witness[v] for v in comp}
+    with pytest.raises(ClassViolationError):
+        solve(union)
+
+
 def test_solve_colors_the_false_twin_quotient():
     # a vertex with a smaller false twin is left out of the solve and takes
     # the color of the least vertex of its class
@@ -1210,9 +1251,9 @@ def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
     monkeypatch.setattr(solver, "twin_core", recorded)
     real = solver._solve_component
 
-    def component(g, index, core, comp, stats):
+    def component(g, index, core, stats):
         handed.append((g, index, core))
-        return real(g, index, core, comp, stats)
+        return real(g, index, core, stats)
 
     monkeypatch.setattr(solver, "_solve_component", component)
     for sizes, cliques, _, _ in REFUTATION_BLOWUPS:
@@ -1243,13 +1284,13 @@ def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
     graphs += [thickened(SINGLE_ANCHOR_SEEDS[0]), crown_plus(20)]
     union = disjoint_union(thickened(2), thickened(3), crown_graph(4))
     builds = []
-    real = patterns._masks
+    real = patterns._index
 
-    def masks(adj):
-        builds.append(len(adj))
-        return real(adj)
+    def index(g):
+        builds.append(len(g))
+        return real(g)
 
-    monkeypatch.setattr(patterns, "_masks", masks)
+    monkeypatch.setattr(patterns, "_index", index)
     for g in graphs:
         builds.clear()
         check_class(g)

@@ -58,6 +58,8 @@ CO_C7_HOSTS = 40
 CO_BIPARTITE_SIZES = (6, 7, 10, 14)
 CO_BIPARTITE_PS = (0.2, 0.4, 0.6)
 CO_BIPARTITE_SEEDS = 3
+UNIONS = 200
+UNION_POOL = {"c7": 60, "c9": 30, "refute": 30}
 
 
 def load(src: Path):
@@ -100,6 +102,20 @@ def planted_co_c7(g, ties: int, seed: int):
         for w in rng.sample(old, ties):
             g.add_edge(v, w)
     return g
+
+
+def interleaved_union(members, rng: Random, graph):
+    """The disjoint union of the members, relabelled onto 1..n so that the
+    members' ids interleave at random while each member keeps the order of
+    its own ids."""
+    tags = [j for j, h in enumerate(members) for _ in range(len(h))]
+    rng.shuffle(tags)
+    slots = [[] for _ in members]
+    for new, j in enumerate(tags, 1):
+        slots[j].append(new)
+    image = [dict(zip(h.vertices(), ids)) for h, ids in zip(members, slots)]
+    edges = [(m[u], m[w]) for h, m in zip(members, image) for u, w in h.edges()]
+    return graph.Graph.from_edges(range(1, len(tags) + 1), edges)
 
 
 def corpus(m):
@@ -168,8 +184,26 @@ def corpus(m):
                     g = testkit.co_bipartite(n, p, testkit.split_seed(48, n, s))
                     yield f"co_bipartite/{n}/{p}/{s}", g, False
 
+    def unions():
+        # two or three members, each a thickened gadget or a bench refute
+        # blowup, so that the 3-core often has several components; a P4 in
+        # each of two members makes a 2P4, so most unions are out of class
+        # and only their assume_class solve reaches the components
+        pool = {kind: [testkit.thicken(make(s), s) for s in range(UNION_POOL[kind])]
+                for kind, make in (("c7", testkit.c7_gadget), ("c9", testkit.c9_gadget))}
+        if m.workloads is not None:
+            cases = m.workloads.build("refute", BENCH_SEEDS[0])[:UNION_POOL["refute"]]
+            pool["refute"] = [m.formats.parse_graph(case.text).graph for case in cases]
+        kinds = [kind for kind in ("c7", "c7", "c9", "refute") if kind in pool]
+        for i in range(UNIONS):
+            rng = Random(testkit.split_seed(49, 0, i))
+            members = [rng.choice(pool[rng.choice(kinds)]) for _ in range(2 + i % 2)]
+            g = interleaved_union(members, rng, m.graph)
+            for assume in (False, True):
+                yield f"union/{i}/{'assume' if assume else 'check'}", g, assume
+
     return [wheels(), crowns(), co_c7s(), random_graphs(), gadgets("c7", testkit.c7_gadget),
-            gadgets("c9", testkit.c9_gadget), bench(), rests()]
+            gadgets("c9", testkit.c9_gadget), bench(), unions(), rests()]
 
 
 def round_robin(families):
