@@ -3,7 +3,8 @@
 Subcommands: solve, check-class, generate, fuzz, count-colorings.
 Exit codes: 0 colorable/ok, 1 not colorable (or failing fuzz run),
 2 class violation, 3 usage or parse error, or a stage refusal under
---assume-class.
+--assume-class.  The input's text decides its format (`formats.parse_graph`);
+no option overrides the sniff.
 
 Start-up is part of every run's wall time, so this module imports only what
 solve and check-class need: `testkit` loads on first use, in the three
@@ -35,8 +36,9 @@ def _read_document(args) -> GraphDocument:
     Both are read as bytes and decoded strictly, so an undecodable input
     is a ParseError whatever the locale or the interpreter's UTF-8 mode.
     One leading byte-order mark is dropped after the decode, so a decode
-    error still names its byte offset in the file.  No command reads
-    palette annotations, so they draw a warning.
+    error still names its byte offset in the file.  The text is sniffed as
+    DIMACS or as an edge list; an edge-list line with ":" outside its
+    comment, such as the palette annotation `a: 1 3`, is a ParseError.
     """
     if args.path == "-":
         data = sys.stdin.buffer.read()
@@ -49,11 +51,8 @@ def _read_document(args) -> GraphDocument:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{source}: not UTF-8 text (byte {exc.start})") from exc
     text = text.removeprefix("\ufeff")
-    fmt = None if args.format == "auto" else args.format
-    doc = formats.parse_graph(text, fmt)
+    doc = formats.parse_graph(text)
     doc.source = source
-    if doc.palettes:
-        doc.warnings.append(f"palette annotations are ignored by {args.command}")
     return doc
 
 
@@ -239,9 +238,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _add_input_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("path", help="input graph file, or - for stdin")
-    p.add_argument("--format", choices=("auto", "dimacs_col", "edge_list"),
-                   default="auto", help="input format (default: sniff)")
+    p.add_argument("path", help="input graph file, or - for stdin; DIMACS or edge list")
     p.add_argument("--json", action="store_true", help="emit a JSON report")
 
 

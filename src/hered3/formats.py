@@ -10,19 +10,17 @@ class GraphDocument:
     """A parsed input graph plus the labeling needed to answer in kind.
 
     A plain slotted class, not a dataclass, so importing hered3 does not
-    load `dataclasses`; each document gets its own labels, palettes and
-    warnings when they are not given.
+    load `dataclasses`; each document gets its own labels and warnings when
+    they are not given.
     """
 
-    __slots__ = ("format", "graph", "labels", "palettes", "warnings", "source")
+    __slots__ = ("format", "graph", "labels", "warnings", "source")
 
     def __init__(self, format: str, graph: Graph, labels: dict | None = None,
-                 palettes: dict | None = None, warnings: list | None = None,
-                 source: str = "<memory>") -> None:
+                 warnings: list | None = None, source: str = "<memory>") -> None:
         self.format = format            # "dimacs_col" | "edge_list"
         self.graph = graph
-        self.labels = {} if labels is None else labels        # vertex id -> display label
-        self.palettes = {} if palettes is None else palettes  # vertex id -> tuple of colors
+        self.labels = {} if labels is None else labels  # vertex id -> display label
         self.warnings = [] if warnings is None else warnings
         self.source = source
 
@@ -30,29 +28,36 @@ class GraphDocument:
         return self.labels.get(v, str(v))
 
 
+def _no_data(line: str) -> bool:
+    """Whether a stripped line carries no data: it is blank, or it starts
+    with c, a DIMACS comment."""
+    return not line or line[0] == "c"
+
+
 def sniff_format(text: str, lines: list[str] | None = None) -> str:
-    """DIMACS when the first line past blank and c lines is a problem line
-    (p plus 3 tokens) or an edge line (e plus 2), else an edge list (1 or 2
-    tokens a line), even with a label c.  Tokens are counted with a "#"
-    comment cut off, as the edge-list reader cuts it, so `p # a b` is an
-    edge.  lines is text.splitlines()."""
+    """DIMACS when the first line that carries data, by `_no_data` once a
+    "#" comment is cut off as the edge-list reader cuts it, is a problem
+    line (p plus 3 tokens) or an edge line (e plus 2), else an edge list (1
+    or 2 tokens a line).  So `p # a b` is a lone vertex, and no text that
+    one reader accepts is sniffed to the other: an accepted DIMACS text
+    has its problem line first, and no edge-list line has 3 or 4 tokens.
+    lines is text.splitlines()."""
     for raw in text.splitlines() if lines is None else lines:
-        parts = raw.split("#", 1)[0].split()
-        if parts and parts[0] != "c":
+        line = raw.split("#", 1)[0].strip()
+        if not _no_data(line):
+            parts = line.split()
             dimacs = (parts[0], len(parts)) in (("p", 4), ("e", 3))
             return "dimacs_col" if dimacs else "edge_list"
     return "edge_list"
 
 
-def parse_graph(text: str, fmt: str | None = None) -> GraphDocument:
-    """One line split serves the format sniff and the reader."""
+def parse_graph(text: str) -> GraphDocument:
+    """Read text in the format `sniff_format` names; one line split serves
+    the sniff and the reader."""
     lines = text.splitlines()
-    fmt = fmt or sniff_format(text, lines)
-    if fmt == "dimacs_col":
+    if sniff_format(text, lines) == "dimacs_col":
         return parse_dimacs(text, lines)
-    if fmt == "edge_list":
-        return parse_edge_list(text, lines)
-    raise ParseError(f"unknown graph format: {fmt}")
+    return parse_edge_list(text, lines)
 
 
 # -- DIMACS col ---------------------------------------------------------------
@@ -66,7 +71,7 @@ def parse_dimacs(text: str, lines: list[str] | None = None) -> GraphDocument:
     seen_edges = 0
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("c"):
+        if _no_data(line):
             continue
         parts = line.split()
         if parts[0] == "p":
@@ -123,9 +128,12 @@ def format_dimacs(g: Graph) -> str:
 def parse_edge_list(text: str, lines: list[str] | None = None) -> GraphDocument:
     """Ids 1, 2, ... in order of first appearance of each label.
 
-    A text without "#" or ":" skips the per-line comment and palette tests.
-    Ids start at 1, so a missing label is the only false lookup, and an
-    edge whose second label is new needs no self-loop or duplicate test.
+    A line that holds ":" outside its "#" comment is refused, so that a
+    palette annotation such as `a: 1 3` is never read as an edge between
+    labels `a:` and `1`.  A text without "#" or ":" skips the per-line
+    comment and colon tests.  Ids start at 1, so a missing label is the
+    only false lookup, and an edge whose second label is new needs no
+    self-loop or duplicate test.
     """
     lines = text.splitlines() if lines is None else lines
     g = Graph()
@@ -135,32 +143,12 @@ def parse_edge_list(text: str, lines: list[str] | None = None) -> GraphDocument:
     by_label: dict[str, int] = {}
     known = by_label.get
     comments = "#" in text
-    palettes = ":" in text
-
-    def new(label: str) -> int:
-        v = by_label[label] = len(adj) + 1
-        adj[v] = set()
-        labels[v] = label
-        return v
+    colons = ":" in text
 
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0] if comments and "#" in raw else raw
-        if palettes and ":" in line:
-            # palette annotation: "<label>: <color> <color>..."
-            name, _, rest = line.partition(":")
-            name = name.strip()
-            if not name or len(name.split()) != 1:
-                raise ParseError(f"malformed palette line: {raw!r}", line_no=line_no)
-            try:
-                colors = tuple(sorted({int(t) for t in rest.split()}))
-            except ValueError:
-                raise ParseError(f"malformed palette line: {raw!r}", line_no=line_no)
-            if not colors:
-                raise ParseError(f"empty palette: {raw!r}", line_no=line_no)
-            if any(c not in (1, 2, 3) for c in colors):
-                raise ParseError(f"palette outside 1..3: {raw!r}", line_no=line_no)
-            doc.palettes[known(name) or new(name)] = colors
-            continue
+        if colons and ":" in line:
+            raise ParseError(f"':' outside a comment: {raw!r}", line_no=line_no)
         parts = line.split()
         if len(parts) == 2:
             a, b = parts
@@ -182,8 +170,11 @@ def parse_edge_list(text: str, lines: list[str] | None = None) -> GraphDocument:
             adj[u].add(v)
             adj[v].add(u)
         elif len(parts) == 1:
-            if parts[0] not in by_label:
-                new(parts[0])
+            a = parts[0]
+            if a not in by_label:
+                u = by_label[a] = len(adj) + 1
+                adj[u] = set()
+                labels[u] = a
         elif parts:
             raise ParseError(f"expected one or two tokens: {raw!r}", line_no=line_no)
     g._next_id = len(adj) + 1

@@ -218,9 +218,8 @@ def run_fixpoint(inst: Instance) -> str:
 
 def _one_pass(inst: Instance) -> str:
     if not inst.palettes:
-        if inst.g.vertex_count():
-            # only anchored vertices left, properly colored by F1
-            inst.remove_region(inst.g.vertices())
+        # only anchored vertices left, properly colored by F1; nothing
+        # reads a solved branch's graph
         return SOLVED
 
     # rule 3: more colors than neighbors -> vertex always colorable later

@@ -209,26 +209,26 @@ def test_solve_waived_two_part_border_is_a_stage_refusal(write, capsys):
     assert code == 0 and report["stats"]["peeled"] == 16
 
 
-def test_solve_palette_annotations_warn(write, capsys):
-    path = write("annotated.edges", "a b\nb c\na: 1\n")
-    code, _, err = run(capsys, "solve", path)
-    assert code == 0
-    assert "palette annotations are ignored by solve" in err
-
-    code, report, _ = run_json(capsys, "solve", path, "--json")
-    assert any("palette annotations" in w for w in report["warnings"])
-
-
-def test_palette_annotations_warn_in_check_class_and_count(write, capsys):
-    # count-colorings counts plain 3-colorings: 12 on this path, where the
-    # palette of a would allow 8
+def test_palette_lines_are_refused_by_every_reading_command(write, capsys):
+    # no command reads palette annotations: the line is a parse error that
+    # names it, not an edge between "a:" and "1", so count-colorings never
+    # prints the 12 plain colorings of a path whose palettes allow 8
     path = write("annotated.edges", "a b\nb c\na: 1 2\n")
-    for argv, want in ((("count-colorings", path), "12"), (("check-class", path), "in class")):
-        code, out, err = run(capsys, *argv)
-        assert (code, out.strip()) == (0, want)
-        assert err == f"warning: palette annotations are ignored by {argv[0]}\n"
-        code, report, _ = run_json(capsys, *argv, "--json")
-        assert report["warnings"] == [f"palette annotations are ignored by {argv[0]}"]
+    for command in ("solve", "check-class", "count-colorings"):
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (3, ""), command
+        assert err == "error: line 3: ':' outside a comment: 'a: 1 2'\n", command
+
+
+def test_the_text_decides_its_format(write, capsys):
+    # the sniff skips the lines the DIMACS reader skips, `comment:` too,
+    # and no option overrides it
+    path = write("path.col", "comment: a path\np edge 2 1\ne 1 2\n")
+    code, out, _ = run(capsys, "solve", path)
+    assert (code, out.strip()) == (0, "colorable")
+    for command in ("solve", "check-class", "count-colorings"):
+        code, _, _ = run(capsys, command, path, "--format", "dimacs_col")
+        assert code == 3, command
 
 
 def test_solve_reads_stdin(write, capsys, monkeypatch):
@@ -306,13 +306,6 @@ def test_a_leading_byte_order_mark_is_no_part_of_a_token(tmp_path, capsys, monke
     code, out, err = run(capsys, "solve", str(path))
     assert (code, out) == (3, "")
     assert err == f"error: {path}: not UTF-8 text (byte 9)\n"
-
-
-def test_format_override_can_fail_parse(write, capsys):
-    path = write("c7.edges", C7_LETTERS)
-    code, _, err = run(capsys, "solve", path, "--format", "dimacs_col")
-    assert code == 3
-    assert "error: line 1" in err
 
 
 # -- check-class ----------------------------------------------------------------

@@ -38,8 +38,45 @@ def test_sniff_format():
 def test_parse_graph_dispatch():
     assert parse_graph("1 2\n").format == "edge_list"
     assert parse_graph("p edge 2 1\ne 1 2\n").format == "dimacs_col"
+
+
+# Texts that one reader accepts, with the reader: DIMACS behind c,
+# `comment:` and `cx` lines, and edge lists whose first label is c, p, e or
+# cat, or that hold "#" comments
+ACCEPTED = [
+    ("c a path\np edge 2 1\ne 1 2\n", "dimacs_col"),
+    ("comment: a path\np edge 2 1\ne 1 2\n", "dimacs_col"),
+    ("cx\n  c\tindented\n\np edge 3 1\nc between\ne 2 3\n", "dimacs_col"),
+    ("cat: p edge 9 9\n\tcomment # x\np edge 1 0\n", "dimacs_col"),
+    ("c d\nd e\n", "edge_list"),
+    ("c\ne\n", "edge_list"),
+    ("p q\nq r\n", "edge_list"),
+    ("p # a b\na b\nb c\n", "edge_list"),
+    ("e # x\nx y\n", "edge_list"),
+    ("e f\nf g\n", "edge_list"),
+    ("cat dog\np edge\n", "edge_list"),
+    ("cat\ne 1 # 2\n", "edge_list"),
+    ("# p edge 2 1\n# e 1 2\na b # note: x\n", "edge_list"),
+    ("  # c\n\ncat c\n", "edge_list"),
+    ("c d\n", "edge_list"),
+    ("", "edge_list"),
+]
+READERS = {"dimacs_col": parse_dimacs, "edge_list": parse_edge_list}
+
+
+@pytest.mark.parametrize("text,fmt", ACCEPTED)
+def test_accepted_texts_are_sniffed_to_their_reader(text, fmt):
+    # the sniff skips the lines parse_dimacs skips, so no text that one
+    # reader accepts is sniffed to the other, and parse_graph gives the
+    # document that reader gives
+    other, = set(READERS) - {fmt}
     with pytest.raises(ParseError):
-        parse_graph("1 2\n", fmt="adjacency_matrix")
+        READERS[other](text)
+    want = READERS[fmt](text)
+    assert sniff_format(text) == fmt
+    got = parse_graph(text)
+    assert (got.format, got.labels, sorted(got.graph.edges()), got.warnings) == (
+        want.format, want.labels, sorted(want.graph.edges()), want.warnings)
 
 
 # -- DIMACS -------------------------------------------------------------------
@@ -126,11 +163,17 @@ def test_parse_edge_list_assigns_ids_in_first_seen_order():
 
 
 def test_parse_edge_list_palettes():
-    doc = parse_edge_list("a b\na: 3 1\nfresh: 2 2\n")
-    ids = {lab: v for v, lab in doc.labels.items()}
-    assert doc.palettes[ids["a"]] == (1, 3)
-    assert doc.palettes[ids["fresh"]] == (2,)
-    assert "b" in ids and ids["b"] not in doc.palettes
+    # a palette annotation is refused with its line number, also where it
+    # would read as labels, and never as an edge between "a:" and "1"
+    for line in ("a: 1 3", "a: 1", "fresh: 2", "a b: 1", "new: 3 2", "last:1#c",
+                 ": 1 2", "a: one", "a: 4", "a:", "b: \t# none"):
+        for text in ("a b\n" + line + "\n", "a b\n" + line + "\nb c\n"):
+            with pytest.raises(ParseError) as err:
+                parse_edge_list(text)
+            assert err.value.line_no == 2
+            assert str(err.value) == f"line 2: ':' outside a comment: {line!r}"
+            with pytest.raises(ParseError, match="^line 2: "):
+                parse_graph(text)
 
 
 @pytest.mark.parametrize("text,line_no,needle", [
@@ -139,12 +182,6 @@ def test_parse_edge_list_palettes():
     ("x\ty\nz z\n", 2, "self-loop at 'z'"),
     ("b c\n\nc c\n", 3, "self-loop at 'c'"),
     ("a b c\n", 1, "one or two tokens"),
-    ("ok\n: 1 2\n", 2, "malformed palette"),
-    ("a b: 1\n", 1, "malformed palette"),
-    ("a: one\n", 1, "malformed palette"),
-    ("a: 4\n", 1, "outside 1..3"),
-    ("a:\n", 1, "empty palette"),
-    ("b c\nb: \t# none\n", 2, "empty palette"),
 ])
 def test_parse_edge_list_errors(text, line_no, needle):
     with pytest.raises(ParseError) as err:
@@ -182,15 +219,6 @@ def test_parse_edge_list_reversed_duplicate_edge():
     ]
 
 
-def test_parse_edge_list_palette_for_a_new_label_takes_the_next_id():
-    doc = parse_edge_list("a b\nnew: 3 2\nb new\nlast:1#c\n")
-    assert doc.labels == {1: "a", 2: "b", 3: "new", 4: "last"}
-    assert doc.palettes == {3: (2, 3), 4: (1,)}
-    assert sorted(doc.graph.edges()) == [(1, 2), (2, 3)]
-    assert not doc.graph.neighbors(4)
-    assert doc.graph.add_vertex() == 5
-
-
 def test_parse_edge_list_error_line_numbers_count_comments_and_blanks():
     with pytest.raises(ParseError) as err:
         parse_edge_list("# c\n\na b\n\t\nb\tb  # loop\n")
@@ -206,18 +234,16 @@ def test_format_edge_list_round_trip():
     g = Graph.from_edges(range(1, 5), [(1, 2), (2, 3)])
     text = format_edge_list(g)
     assert text == "1 2\n2 3\n4\n"
-    # the writer writes ids only; labels and palette lines are written
-    # here, for the parser to read
+    # the writer writes ids only; labels are written here, for the parser
+    # to read
     labels = {"1": "left", "2": "mid", "3": "right", "4": "lone"}
     named = "".join(" ".join(labels[t] for t in line.split()) + "\n" for line in text.splitlines())
-    doc = parse_edge_list(named + "mid: 1 2\nlone: 3\n")
+    doc = parse_edge_list(named)
     back = {lab: v for v, lab in doc.labels.items()}
     assert set(back) == {"left", "mid", "right", "lone"}
     assert doc.graph.has_edge(back["left"], back["mid"])
     assert doc.graph.has_edge(back["mid"], back["right"])
     assert not doc.graph.neighbors(back["lone"])
-    assert doc.palettes[back["mid"]] == (1, 2)
-    assert doc.palettes[back["lone"]] == (3,)
 
 
 def test_format_edge_list_empty():
@@ -228,18 +254,17 @@ def test_parse_edge_list_colon_in_a_comment_is_no_palette():
     doc = parse_edge_list("a b # see: x\n")
     assert doc.labels == {1: "a", 2: "b"}
     assert sorted(doc.graph.edges()) == [(1, 2)]
-    assert doc.palettes == {}
+    assert doc.warnings == []
 
 
 def document(doc):
-    """A parse result as plain data: labels in id order, adjacency and
-    palettes by label, warnings."""
+    """A parse result as plain data: labels in id order, adjacency by
+    label, warnings."""
     name = doc.labels
     assert list(name) == list(range(1, len(name) + 1))
     assert doc.graph.vertices() == list(name)
     return (doc.format, list(name.values()),
             {name[v]: {name[w] for w in doc.graph.neighbors(v)} for v in name},
-            {name[v]: colors for v, colors in doc.palettes.items()},
             doc.warnings)
 
 
@@ -247,12 +272,12 @@ SEPARATORS = ("\n", "\r\n", "\r", "\x0c")
 
 
 def test_every_line_separator_gives_the_same_document():
-    lines = ["# header", "b a", "", "c b # note: x", "a: 3 1", "\t", "a b", "d"]
+    lines = ["# header", "b a", "", "c b # note: x", "\t", "a b", "d"]
     docs = [document(parse_graph(sep.join(lines) + sep)) for sep in SEPARATORS]
     assert docs[0] == (
         "edge_list", ["b", "a", "c", "d"],
         {"b": {"a", "c"}, "a": {"b"}, "c": {"b"}, "d": set()},
-        {"a": (1, 3)}, ["line 7: duplicate edge a b ignored"])
+        ["line 6: duplicate edge a b ignored"])
     assert docs == [docs[0]] * len(SEPARATORS)
 
 
@@ -266,9 +291,9 @@ def test_dimacs_is_sniffed_past_blank_and_comment_lines_with_every_separator():
 
 def reference_edge_list(text):
     """A plain line loop over a well-formed edge list, for the differential
-    test: labels in order of first appearance, adjacency and palettes by
-    label, and the duplicate-edge warnings."""
-    labels, adj, palettes, warnings = [], {}, {}, []
+    test: labels in order of first appearance, adjacency by label, and the
+    duplicate-edge warnings."""
+    labels, adj, warnings = [], {}, []
 
     def see(label):
         if label not in adj:
@@ -276,13 +301,7 @@ def reference_edge_list(text):
             adj[label] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#")[0]
-        if ":" in line:
-            name, rest = line.split(":")
-            see(name.strip())
-            palettes[name.strip()] = tuple(sorted({int(t) for t in rest.split()}))
-            continue
-        parts = line.split()
+        parts = raw.split("#")[0].split()
         for label in parts:
             see(label)
         if len(parts) == 2:
@@ -291,13 +310,13 @@ def reference_edge_list(text):
                 warnings.append(f"line {line_no}: duplicate edge {a} {b} ignored")
             adj[a].add(b)
             adj[b].add(a)
-    return "edge_list", labels, adj, palettes, warnings
+    return "edge_list", labels, adj, warnings
 
 
 def random_edge_list(rng):
-    """Edges, reversed and repeated edges, isolated labels, comments, blank
-    lines and palettes, with runs of spaces and tabs."""
-    pool = [f"v{i}" for i in range(rng.randint(1, 12))] + ["c", "e", "p"]
+    """Edges, reversed and repeated edges, isolated labels, comments and
+    blank lines, with runs of spaces and tabs."""
+    pool = [f"v{i}" for i in range(rng.randint(1, 12))] + ["c", "e", "p", "cat"]
     edges = []
     lines = []
     for _ in range(rng.randint(0, 30)):
@@ -313,9 +332,6 @@ def random_edge_list(rng):
             lines.append(f"\t{rng.choice(pool)} ")
         elif kind < 0.75:
             lines.append(rng.choice(["# a comment", "", "  ", "\t#"]))
-        elif kind < 0.85:
-            colors = " ".join(rng.choice("123") for _ in range(rng.randint(1, 4)))
-            lines.append(f"{rng.choice(pool)}: {colors}")
         else:
             lines[-1:] = [line + " # note: " + rng.choice(pool) for line in lines[-1:]]
     return "\n".join(lines) + rng.choice(["", "\n"])
@@ -333,9 +349,8 @@ def test_graph_documents_keep_their_own_defaults():
     g = Graph()
     a, b = GraphDocument("edge_list", g), GraphDocument("edge_list", g)
     a.labels[1] = "x"
-    a.palettes[1] = (1, 2)
     a.warnings.append("w")
-    assert (b.labels, b.palettes, b.warnings, b.source) == ({}, {}, [], "<memory>")
+    assert (b.labels, b.warnings, b.source) == ({}, [], "<memory>")
     doc = GraphDocument(format="dimacs_col", graph=g, labels={1: "y"},
                         source="in.col")
     assert (doc.format, doc.graph, doc.label(1), doc.label(2), doc.source) == (

@@ -584,11 +584,12 @@ def test_mask_propagation_matches_dict_propagation():
     # component's rank masks; on every prefix of every representative,
     # whether the walk reaches it or not, it refutes exactly when
     # `reductions.propagate` does, and otherwise holds the same palettes
-    # and colors
+    # and colors; and a commit of a color that an uncolored vertex's palette
+    # lacks is refused by both
     graphs = [c7_gadget(s) for s in range(40)] + [c9_gadget(s) for s in range(6)]
     graphs += [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
     graphs += _relabeled_c7_gadgets()
-    refuted = accepted = 0
+    refuted = accepted = lacking = 0
     for g in graphs:
         copies = false_twins(g)
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
@@ -613,7 +614,14 @@ def test_mask_propagation_matches_dict_propagation():
             else:
                 assert reductions.read_masks(order, state) == (palettes, colors)
                 accepted += 1
-    assert refuted >= 400 and accepted >= 5000, (refuted, accepted)
+                for v, palette in palettes.items():
+                    for c in ALL_COLORS - palette:
+                        assert not reductions.propagate(h._adj, palettes, colors, v, c, [])
+                        assert reductions.propagate_masks(nbr, state, bit[v], c - 1) is None
+                        lacking += 1
+                # a refused commit changes nothing
+                assert reductions.read_masks(order, state) == (palettes, colors)
+    assert refuted >= 400 and accepted >= 5000 and lacking >= 10000, (refuted, accepted, lacking)
 
 
 # the seeds below 1,500 whose thicken(c9_gadget(seed), seed) keeps a
