@@ -148,7 +148,8 @@ def parse_edge_list(text: str, lines: list[str] | None = None) -> GraphDocument:
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0] if comments and "#" in raw else raw
         if colons and ":" in line:
-            raise ParseError(f"':' outside a comment: {raw!r}", line_no=line_no)
+            raise ParseError(f"':' outside a comment (palette annotations are not read): {raw!r}",
+                             line_no=line_no)
         parts = line.split()
         if len(parts) == 2:
             a, b = parts

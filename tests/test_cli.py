@@ -209,15 +209,27 @@ def test_solve_waived_two_part_border_is_a_stage_refusal(write, capsys):
     assert code == 0 and report["stats"]["peeled"] == 16
 
 
-def test_palette_lines_are_refused_by_every_reading_command(write, capsys):
+def test_solve_palette_annotations_warn(write, capsys):
     # no command reads palette annotations: the line is a parse error that
-    # names it, not an edge between "a:" and "1", so count-colorings never
-    # prints the 12 plain colorings of a path whose palettes allow 8
+    # names it and says so, not an edge between "a:" and "1"
+    path = write("annotated.edges", "a b\nb c\na: 1\n")
+    for argv in (("solve", path), ("solve", path, "--json")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == ("error: line 3: ':' outside a comment "
+                       "(palette annotations are not read): 'a: 1'\n")
+
+
+def test_palette_annotations_warn_in_check_class_and_count(write, capsys):
+    # count-colorings never prints the 12 plain 3-colorings of this path,
+    # where the palette of a would allow 8
     path = write("annotated.edges", "a b\nb c\na: 1 2\n")
-    for command in ("solve", "check-class", "count-colorings"):
-        code, out, err = run(capsys, command, path)
-        assert (code, out) == (3, ""), command
-        assert err == "error: line 3: ':' outside a comment: 'a: 1 2'\n", command
+    for argv in (("count-colorings", path), ("check-class", path),
+                 ("count-colorings", path, "--json"), ("check-class", path, "--json")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == ("error: line 3: ':' outside a comment "
+                       "(palette annotations are not read): 'a: 1 2'\n"), argv
 
 
 def test_the_text_decides_its_format(write, capsys):

@@ -171,7 +171,8 @@ def test_parse_edge_list_palettes():
             with pytest.raises(ParseError) as err:
                 parse_edge_list(text)
             assert err.value.line_no == 2
-            assert str(err.value) == f"line 2: ':' outside a comment: {line!r}"
+            assert str(err.value) == (
+                f"line 2: ':' outside a comment (palette annotations are not read): {line!r}")
             with pytest.raises(ParseError, match="^line 2: "):
                 parse_graph(text)
 
@@ -182,6 +183,16 @@ def test_parse_edge_list_palettes():
     ("x\ty\nz z\n", 2, "self-loop at 'z'"),
     ("b c\n\nc c\n", 3, "self-loop at 'c'"),
     ("a b c\n", 1, "one or two tokens"),
+    # the palette forms that drew their own errors when palettes were read;
+    # each id names its form, and each line is now refused for its ':'
+    *(pytest.param(text, line_no, "':' outside a comment", id=form) for text, line_no, form in (
+        ("ok\n: 1 2\n", 2, "ok\n: 1 2\n-2-malformed palette"),
+        ("a b: 1\n", 1, "a b: 1\n-1-malformed palette"),
+        ("a: one\n", 1, "a: one\n-1-malformed palette"),
+        ("a: 4\n", 1, "a: 4\n-1-outside 1..3"),
+        ("a:\n", 1, "a:\n-1-empty palette"),
+        ("b c\nb: \t# none\n", 2, "b c\nb: \t# none\n-2-empty palette"),
+    )),
 ])
 def test_parse_edge_list_errors(text, line_no, needle):
     with pytest.raises(ParseError) as err:
@@ -217,6 +228,23 @@ def test_parse_edge_list_reversed_duplicate_edge():
         "line 4: duplicate edge y x ignored",
         "line 5: duplicate edge y x ignored",
     ]
+
+
+def test_parse_edge_list_palette_for_a_new_label_is_refused():
+    # a palette line gives its label no id: the text is refused at the
+    # first such line, and with the annotations in comments the labels take
+    # ids in order of their first edge or lone line
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("a b\nnew: 3 2\nb new\nlast:1#c\n")
+    assert err.value.line_no == 2
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("a b\nb new\nlast:1#c\n")
+    assert err.value.line_no == 3
+    doc = parse_edge_list("a b\n# new: 3 2\nb new\nlast #:1\n")
+    assert doc.labels == {1: "a", 2: "b", 3: "new", 4: "last"}
+    assert sorted(doc.graph.edges()) == [(1, 2), (2, 3)]
+    assert not doc.graph.neighbors(4)
+    assert doc.graph.add_vertex() == 5
 
 
 def test_parse_edge_list_error_line_numbers_count_comments_and_blanks():
