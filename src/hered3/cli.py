@@ -15,6 +15,7 @@ when --json is set.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -73,13 +74,21 @@ def _base_report(command: str, doc: GraphDocument) -> dict:
 
 
 def _emit(args, report: dict, text_lines: list) -> None:
-    if args.json:
-        import json
-        json.dump(report, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for line in text_lines:
-            print(line)
+    """Write the report.  A closed stdout (`| head -c 1`) ends it quietly:
+    stdout goes to the null device, and the command keeps its exit code."""
+    try:
+        if args.json:
+            import json
+            json.dump(report, sys.stdout, indent=2, sort_keys=True)
+            sys.stdout.write("\n")
+        else:
+            for line in text_lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     for w in report.get("warnings", ()):
         print(f"warning: {w}", file=sys.stderr)
 

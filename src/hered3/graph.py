@@ -259,31 +259,3 @@ def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[
         comps.append(comp)
     return comps
 
-
-def complement_components(g: Graph, within: Iterable[int] | None = None) -> list[set[int]]:
-    """Connected components of the complement, without materializing it.
-
-    Uses the standard unvisited-set BFS so the cost stays near-linear in
-    the size of the original graph even when the complement is dense.
-    """
-    verts = set(g._adj) if within is None else set(within)
-    for v in verts:
-        g._check(v)
-    unvisited = set(verts)
-    comps: list[set[int]] = []
-    while unvisited:
-        start = min(unvisited)
-        unvisited.discard(start)
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            reach = unvisited - g._adj[u]
-            unvisited &= g._adj[u]
-            for w in reach:
-                comp.add(w)
-                queue.append(w)
-        comps.append(comp)
-    comps.sort(key=min)
-    return comps
-

@@ -46,16 +46,23 @@ def _verify_induced(g: Graph, kind: str, seq, gaps) -> None:
             raise AssertionError(f"bad {kind} witness {tuple(seq)}")
 
 
-def _index(g: Graph):
+def _index(g: Graph, within=None):
     """(order, nbr, keep): the vertices of g in ascending order, for each
     its neighbourhood as an int, and the mask keep of the vertices a search
     reads, here all of them.  Bit i stands for the vertex of rank i in that
     order, so a mask has one bit per vertex whatever the ids are.
 
+    The finders here read a whole graph's index, which `_cut` narrows;
+    `cograph.cotree_or_failure` passes a vertex set, within, and reads the
+    index of the subgraph it induces.
+
     The scans below walk a mask from its lowest bit, inline: `low = m & -m`
     isolates that bit, `m ^= low` clears it and `low.bit_length() - 1` is
     its rank.  `m >> i + 1 << i + 1` keeps the bits of m above rank i."""
     adj = g._adj
+    if within is not None:
+        within = set(within)
+        adj = {v: g.neighbors(v) & within for v in within}
     order = sorted(adj)
     bit = {v: 1 << i for i, v in enumerate(order)}
     nbr = []

@@ -507,8 +507,8 @@ def _cograph_component(inst: Instance, comp: set):
     # the anchor cycle, an induced C7 or C9, holds an induced P4
     if inst.anchor_order and comp.issuperset(inst.anchor_order):
         return None
-    root, bad = cograph.cotree_or_failure(inst.g, comp)
-    if bad is not None:
+    root = cograph.cotree_or_failure(inst.g, comp)
+    if root is None:
         return None
     eff = {v: inst.eff_palette(v) for v in comp}
     solved = cograph.list3color(root, eff)

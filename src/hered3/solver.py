@@ -489,8 +489,8 @@ def _analyze(inst) -> _View:
     cotrees = []
     comp_relevant = []
     for c in comps:
-        root, bad = cograph.cotree_or_failure(g, c)
-        if bad is not None:
+        root = cograph.cotree_or_failure(g, c)
+        if root is None:
             raise StageAssertionError("outer component is not P4-free")
         cotrees.append(root)
         comp_relevant.append(any(len(inst.palettes[v]) == 3 for v in c))

@@ -444,8 +444,7 @@ def test_cograph_coloring_matches_brute_force():
         g = _random_cograph(rng, rng.randint(1, 8))
         palettes = {v: frozenset(rng.sample((1, 2, 3), rng.randint(1, 3)))
                     for v in g.vertices()}
-        root, _ = cograph.cotree_or_failure(g)
-        got = cograph.list3color(root, palettes)
+        got = cograph.list3color(cograph.cotree_or_failure(g), palettes)
         want = oracle_list3color(g, palettes)
         assert (got is None) == (want is None), f"case {case}"
         if got is None:

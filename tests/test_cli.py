@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -521,3 +522,29 @@ def test_solve_and_check_class_do_not_load_testkit():
     assert "hered3.testkit" not in front_end.split(), front_end
     assert graph, out
     assert "hered3.testkit" in generated.split(), generated
+
+
+def test_a_closed_stdout_ends_a_command_quietly(tmp_path):
+    # a reader that leaves early (`| head -c 1`) or before any output: the
+    # large graph fails mid-write, the small one and the witness at the
+    # exit flush.  Each keeps the exit code it has with a reader, and
+    # prints nothing to stderr
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    composite = tmp_path / "composite.edges"
+    composite.write_text(format_edge_list(cograph_composite(250, 1)))
+    commands = [
+        ["generate", "--kind", "erdos-renyi", "--n", "400", "--p", "0.5", "--seed", "1"],
+        ["generate", "--kind", "cograph-composite", "--n", "250", "--seed", "1"],
+        ["solve", str(composite), "--assume-class", "--witness"],
+    ]
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv in commands:
+        argv = [sys.executable, "-m", "hered3.cli", *argv]
+        want = subprocess.run(argv, capture_output=True, env=env)
+        assert want.stdout and not want.stderr, argv
+        for _ in range(5):
+            with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  env=env) as proc:
+                proc.stdout.close()
+                err = proc.stderr.read()
+            assert (proc.returncode, err) == (want.returncode, b""), argv

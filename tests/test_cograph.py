@@ -1,12 +1,15 @@
 """Cotree recognition and palette-respecting 3-coloring of cographs."""
 
 import sys
+import time
 from pathlib import Path
 from random import Random
 
+import pytest
 
 from hered3 import cograph
-from hered3.graph import Graph
+from hered3.errors import InputError
+from hered3.graph import Graph, induced_subgraph
 from hered3.testkit import (
     complete_graph,
     cycle_graph,
@@ -39,13 +42,12 @@ def random_cograph(seed, size=8):
 
 
 def p4_free(g, within=None):
-    return cograph.cotree_or_failure(g, within)[1] is None
+    return cograph.cotree_or_failure(g, within) is not None
 
 
 def color(g, palettes, within=None):
     """list3color on the cotree of g, or of its subgraph on within."""
-    root, _ = cograph.cotree_or_failure(g, within)
-    return cograph.list3color(root, palettes)
+    return cograph.list3color(cograph.cotree_or_failure(g, within), palettes)
 
 
 def test_is_p4_free():
@@ -63,26 +65,85 @@ def test_is_p4_free_matches_naive():
 
 
 def test_cotree_or_failure():
-    root, bad = cograph.cotree_or_failure(cycle_graph(4))
-    assert bad is None
+    root = cograph.cotree_or_failure(cycle_graph(4))
     assert sorted(root.leaves()) == [1, 2, 3, 4]
-    root, bad = cograph.cotree_or_failure(path_graph(4))
-    assert root is None
-    assert len(bad) >= 4
+    assert cograph.cotree_or_failure(path_graph(4)) is None
+    # a vertex missing from the graph is an input error, not a failure
+    with pytest.raises(InputError):
+        cograph.cotree_or_failure(path_graph(4), [1, 2, 9])
 
 
 def test_cotree_on_random_cographs():
     for i in range(40):
         g = random_cograph(split_seed(32, i))
-        root, bad = cograph.cotree_or_failure(g)
-        assert bad is None
+        root = cograph.cotree_or_failure(g)
         assert sorted(root.leaves()) == g.vertices()
+
+
+def leaf_sets(root):
+    """Node -> the set of its leaves, children before parents."""
+    below = {}
+    for node in reversed(root.nodes()):
+        below[node] = ({node.vertex} if node.kind == "leaf"
+                       else set().union(*(below[c] for c in node.children)))
+    return below
+
+
+def test_cotree_shape_on_random_vertex_sets():
+    # a root exactly when the subset is P4-free; its leaves are the subset;
+    # two leaves are adjacent exactly when their lowest common ancestor, the
+    # node where they part, is a join; no node has a child of its own kind;
+    # and children come in ascending order of least leaf
+    rng = Random(4545)
+    graphs = [erdos_renyi(16, p, split_seed(45, i)) for i, p in enumerate((0.2, 0.4, 0.6, 0.8))]
+    graphs += [random_cograph(split_seed(46, i), size=16) for i in range(4)]
+    graphs.append(threshold_graph(40))
+    roots = 0
+    for case in range(600):
+        g = graphs[case % len(graphs)]
+        within = rng.sample(g.vertices(), rng.randint(1, 10))
+        root = cograph.cotree_or_failure(g, within)
+        assert (root is None) == naive_has_p4(induced_subgraph(g, within))
+        if root is None:
+            continue
+        roots += 1
+        below = leaf_sets(root)
+        assert len(root.leaves()) == len(within) and below[root] == set(within)
+        for node in root.nodes():
+            if node.kind == "leaf":
+                continue
+            kids = node.children
+            assert len(kids) >= 2 and all(c.kind != node.kind for c in kids)
+            least = [min(below[c]) for c in kids]
+            assert least == sorted(least)
+            for i, a in enumerate(kids):
+                for b in kids[i + 1:]:
+                    for u in below[a]:
+                        assert all((w in g.neighbors(u)) == (node.kind == "join")
+                                   for w in below[b])
+    assert 200 < roots < 600
+
+
+def test_deep_cotree_time_grows_quadratically():
+    # a threshold graph's cotree is as deep as the graph is large, and each
+    # level walks the masks of what is left: doubling n should cost about
+    # 4.3 times as much, where a component search over every level's whole
+    # part costs n * m, about 8.6 times.  Best of 3 thread times, the two
+    # sizes interleaved, so a busy machine slows both alike
+    small, large = threshold_graph(300), threshold_graph(600)
+    best = {300: float("inf"), 600: float("inf")}
+    for _ in range(3):
+        for n, g in ((300, small), (600, large)):
+            start = time.thread_time()
+            cograph.cotree_or_failure(g)
+            best[n] = min(best[n], time.thread_time() - start)
+    assert best[600] <= 6 * best[300], best
 
 
 def test_list3color_trivial_cases():
     g = Graph()
     # an empty graph has no cotree, so there is nothing to color
-    assert cograph.cotree_or_failure(g) == (None, None)
+    assert cograph.cotree_or_failure(g) is None
     v = g.add_vertex()
     got = color(g, {v: frozenset((2,))})
     assert got == {v: 2}
@@ -134,7 +195,7 @@ def test_list3color_against_oracle():
 def test_cotree_shape_smoke():
     # join of two singletons is one edge
     g = complete_graph(2)
-    root, _ = cograph.cotree_or_failure(g)
+    root = cograph.cotree_or_failure(g)
     assert root.kind == "join"
     kinds = {child.kind for child in root.children}
     assert kinds == {"leaf"}
@@ -145,8 +206,7 @@ def test_deep_cotree_leaves_the_recursion_limit_alone():
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        root, bad = cograph.cotree_or_failure(g)
-        assert bad is None
+        root = cograph.cotree_or_failure(g)
         depth, node = 0, root
         while node.kind != "leaf":
             node = max(node.children, key=lambda c: len(c.children))

@@ -7,7 +7,6 @@ import pytest
 from hered3.errors import InputError
 from hered3.graph import (
     Graph,
-    complement_components,
     connected_components,
     false_twins,
     induced_subgraph,
@@ -96,15 +95,6 @@ def test_connected_components():
     assert sorted(map(sorted, comps)) == [[0, 1, 2], [3], [4, 5]]
     within = connected_components(g, within=[0, 2, 4, 5])
     assert sorted(map(sorted, within)) == [[0], [2], [4, 5]]
-
-
-def test_complement_components():
-    # two disjoint edges: the complement is C4, hence one block
-    g = Graph.from_edges(range(4), [(0, 1), (2, 3)])
-    assert complement_components(g) == [{0, 1, 2, 3}]
-    # a join splits in the complement
-    k22 = Graph.from_edges(range(4), [(0, 2), (0, 3), (1, 2), (1, 3)])
-    assert sorted(map(sorted, complement_components(k22))) == [[0, 1], [2, 3]]
 
 
 def adjacency(g):

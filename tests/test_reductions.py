@@ -473,8 +473,7 @@ def border_instance(region_edges, region_palettes, outside_palette=(1, 3)):
 
 def cut(inst, w, region):
     """cut_reduction on the cotree of the region."""
-    root, _ = cograph.cotree_or_failure(inst.g, region)
-    return cut_reduction(inst, w, root)
+    return cut_reduction(inst, w, cograph.cotree_or_failure(inst.g, region))
 
 
 def test_cut_reduction_keeps_a_free_color_alone():
@@ -538,8 +537,8 @@ def test_cut_reduction_preserves_list_colorability():
             for v in region[j + 1:]:
                 if rng.random() < 0.5:
                     g.add_edge(u, v)
-        root, bad = cograph.cotree_or_failure(g, region)
-        if bad is not None:
+        root = cograph.cotree_or_failure(g, region)
+        if root is None:
             continue
         for x in rng.sample(outside.vertices(), rng.randint(1, 2)):
             g.add_edge(x, region[0])

@@ -1287,26 +1287,44 @@ def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
     # read them cut to the vertices they need.  Inputs: the refutation
     # blowups, a thickened gadget anchored on a 7-cycle, S_20³ and, under
     # the waiver (it holds a 2P4), a 3-core of three components (built
-    # first: the thickening runs checks of its own)
+    # first: the thickening runs checks of its own).  A cotree is built on
+    # the masks of its own vertex set: those builds are counted apart, one
+    # per cotree call, and none comes from anywhere else
     graphs = [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
     graphs += [thickened(SINGLE_ANCHOR_SEEDS[0]), crown_plus(20)]
     union = disjoint_union(thickened(2), thickened(3), crown_graph(4))
-    builds = []
-    real = patterns._index
+    builds = []    # the sizes of the whole-graph builds
+    subsets = []   # the vertex sets of the other builds
+    cotrees = []   # the vertex sets of the cotree calls
+    real, cotree = patterns._index, cograph.cotree_or_failure
 
-    def index(g):
-        builds.append(len(g))
-        return real(g)
+    def index(g, within=None):
+        if within is None:
+            builds.append(len(g))
+        else:
+            subsets.append(within)
+        return real(g, within)
+
+    def counted_cotree(g, within=None):
+        cotrees.append(within)
+        return cotree(g, within)
 
     monkeypatch.setattr(patterns, "_index", index)
+    monkeypatch.setattr(cograph, "cotree_or_failure", counted_cotree)
+    cotree_sets = 0
     for g in graphs:
         builds.clear()
         check_class(g)
         assert builds == [len(twin_core(g))]
         builds.clear()
+        subsets.clear()
+        cotrees.clear()
         rep = solve(g, witness=True)
         core = len(g) - rep.stats.get("false_twins", 0) - rep.stats.get("peeled", 0)
         assert builds == [len(twin_core(g)), core] and core > 0
+        assert subsets == cotrees
+        cotree_sets += len(subsets)
+    assert cotree_sets > 0
     builds.clear()
     rep = solve(union, witness=True, assume_class=True)
     assert rep.stats["components_plain"] == 1 and "peeled" not in rep.stats
@@ -1663,7 +1681,6 @@ def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeyp
         built.append(within)
         return cotree(g, within)
 
-    # built first: the generator's class check builds cotrees of its own;
     # solve peels the gadget whole and runs rule 7 on nothing, so the
     # anchored layer takes it
     g = c7_gadget(0)
@@ -1680,9 +1697,7 @@ def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeyp
 def test_stages_build_no_cotree_of_their_own(monkeypatch):
     # within one _advance, cotrees are built only by rule 7's P4-free test
     # inside the fixpoint and by _analyze, one per outer component;
-    # cut_reduction and the pair stage work from the cotrees _analyze kept;
-    # the thickened gadgets are built first, since their class checks build
-    # cotrees of their own
+    # cut_reduction and the pair stage work from the cotrees _analyze kept
     graphs = [thickened(seed) for seed in STAGE_SEEDS]
     where = ["solve"]
     built = []     # per cotree build: the innermost layer it ran in
@@ -1773,9 +1788,7 @@ def test_dominating_set_reads_the_cotree():
     universal = pairs = 0
     for _ in range(400):
         g = connected_cograph(rng, rng.randint(4, 10))
-        root, bad = cograph.cotree_or_failure(g)
-        assert bad is None
-        dom = solver._dominating_set(root)
+        dom = solver._dominating_set(cograph.cotree_or_failure(g))
         assert 1 <= len(dom) <= 2
         assert set(dom).union(*(g.neighbors(v) for v in dom)) == set(g.vertices())
         want = naive_dominating_set(g, g.vertices())
