@@ -64,9 +64,12 @@ def parse_graph(text: str) -> GraphDocument:
 
 
 def parse_dimacs(text: str, lines: list[str] | None = None) -> GraphDocument:
+    """Vertices 1..n, read into the adjacency sets: an endpoint is in range
+    when it is a key, an edge a duplicate when one end's set holds the other."""
     lines = text.splitlines() if lines is None else lines
     g = Graph()
     doc = GraphDocument("dimacs_col", g)
+    adj = g._adj
     declared = None
     seen_edges = 0
     for line_no, raw in enumerate(lines, start=1):
@@ -85,8 +88,8 @@ def parse_dimacs(text: str, lines: list[str] | None = None) -> GraphDocument:
                 raise ParseError(f"malformed problem line: {line!r}", line_no=line_no)
             if n < 0 or declared < 0:
                 raise ParseError(f"malformed problem line: {line!r}", line_no=line_no)
-            for v in range(1, n + 1):
-                g.add_vertex(v)
+            adj.update((v, set()) for v in range(1, n + 1))
+            g._next_id = n + 1
         elif parts[0] == "e":
             if declared is None:
                 raise ParseError("edge before problem line", line_no=line_no)
@@ -98,12 +101,14 @@ def parse_dimacs(text: str, lines: list[str] | None = None) -> GraphDocument:
                 raise ParseError(f"malformed edge line: {line!r}", line_no=line_no)
             if u == v:
                 raise ParseError(f"self-loop at vertex {u}", line_no=line_no)
-            if not (g.has_vertex(u) and g.has_vertex(v)):
+            nu, nv = adj.get(u), adj.get(v)
+            if nu is None or nv is None:
                 raise ParseError(f"edge endpoint out of range: {line!r}", line_no=line_no)
-            if g.has_edge(u, v):
+            if v in nu:
                 doc.warnings.append(f"line {line_no}: duplicate edge {u} {v} ignored")
             else:
-                g.add_edge(u, v)
+                nu.add(v)
+                nv.add(u)
                 seen_edges += 1
         else:
             raise ParseError(f"unrecognized line: {line!r}", line_no=line_no)
@@ -112,7 +117,7 @@ def parse_dimacs(text: str, lines: list[str] | None = None) -> GraphDocument:
     if seen_edges != declared:
         doc.warnings.append(
             f"problem line declares {declared} edges, file has {seen_edges}")
-    doc.labels = {v: str(v) for v in g.vertices()}
+    doc.labels = {v: str(v) for v in adj}
     return doc
 
 

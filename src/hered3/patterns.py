@@ -52,9 +52,9 @@ def _index(g: Graph, within=None):
     reads, here all of them.  Bit i stands for the vertex of rank i in that
     order, so a mask has one bit per vertex whatever the ids are.
 
-    The finders here read a whole graph's index, which `_cut` narrows;
-    `cograph.cotree_or_failure` passes a vertex set, within, and reads the
-    index of the subgraph it induces.
+    The finders here read a graph's index, which `_cut` narrows; a vertex
+    set, within, gives the index of the subgraph it induces: `solver.solve`
+    builds one per component, `cograph.cotree_or_failure` one per cotree.
 
     The scans below walk a mask from its lowest bit, inline: `low = m & -m`
     isolates that bit, `m ^= low` clears it and `low.bit_length() - 1` is
@@ -89,22 +89,13 @@ def _reach(nbr, seeds, within) -> int:
 
 
 def _cut(index, keep):
-    """The index cut to the vertices of the mask keep, within its own, and
-    shifted down to the ranks keep spans: they keep their neighbours in
-    keep, and any other vertex has none, so no scan takes it as a root."""
+    """The index cut to the vertices of the mask keep, within its own, in
+    the index's order: they keep their neighbours in keep, and any other
+    vertex has none, so no scan takes it as a root."""
     order, nbr, whole = index
     if keep == whole:
         return index
-    lo, hi = max((keep & -keep).bit_length() - 1, 0), keep.bit_length()
-    keep >>= lo
-    cut = [0] * (hi - lo)
-    rest = keep
-    while rest:
-        i = (rest & -rest).bit_length() - 1
-        rest ^= 1 << i
-        # shifting first keeps each operation to the width of the span
-        cut[i] = nbr[lo + i] >> lo & keep
-    return order[lo:hi], cut, keep
+    return order, [m & keep if keep >> i & 1 else 0 for i, m in enumerate(nbr)], keep
 
 
 def find_induced_2p4(g: Graph, index=None):
@@ -453,9 +444,10 @@ def find_nonbipartite_neighborhood(g: Graph, index=None):
     and 6-9 form a 2P4, so the graph is outside the class, and that case
     raises ClassViolationError with the least 2P4 of N(v).
 
-    `solver.solve` calls this on the 3-core of its false-twin quotient.  On
-    a graph with false twins a copy repeats its representative's scan,
-    which comes first and so has already passed.
+    `solver.solve` calls this on each component of the 3-core of its
+    false-twin quotient, each with the component's own index.  On a graph
+    with false twins a copy repeats its representative's scan, which comes
+    first and so has already passed.
     """
     order, nbr, _ = index = index or _index(g)
     for v, nv in zip(order, nbr):

@@ -2,9 +2,9 @@
 
 `solve` works in this order: the false-twin quotient h, the class check
 on h's twin core, the peel of h to its 3-core P, the two preflight
-certificates on P, then each connected component of P on its own.  The
-vertices peeled off and the false twins left out are colored last, and
-the coloring is verified on the whole input.
+certificates on every component of P, then each component on its own.
+The vertices peeled off and the false twins left out are colored last,
+and the coloring is verified on the whole input.
 
 h is the subgraph induced by the vertices that have no smaller false twin
 (`graph.false_twins`; false twins have equal open neighborhoods).  Each
@@ -31,13 +31,14 @@ induced subgraph of h, so it stays in class.  When nothing is left, the
 colors of the peel are the whole answer, and no preflight, anchor search
 or colorer runs.
 
-Up front, on P, the solver rejects two certificates that rule out any
-3-coloring regardless of class membership: a vertex whose neighborhood
-contains an odd cycle (the vertex plus the cycle forms an odd wheel), and
-then an induced complement-of-C7.  The cheap neighborhood check goes
-first, since on dense inputs the co-C7 search is the slow one.  A graph
-that holds both is refused either way, only under the other counter; out
-of class, under assume_class, a neighborhood holding an odd hole of length
+Up front, before any anchor search, the solver rejects two certificates
+that rule out any 3-coloring regardless of class membership: a vertex
+whose neighborhood contains an odd cycle (the vertex plus the cycle forms
+an odd wheel), sought in each component of P in turn, and then an induced
+complement-of-C7, sought likewise.  The cheap neighborhood check goes first,
+since on dense inputs the co-C7 search is the slow one.  A graph that
+holds both is refused either way, only under the other counter; out of
+class, under assume_class, a neighborhood holding an odd hole of length
 11 or more raises its ClassViolationError ahead of the co-C7.  Every
 certificate has minimum degree 3 or more (K4 and the rim of an odd wheel
 3, its hub and co-C7 more), and a subgraph of minimum degree 3 is never
@@ -45,17 +46,19 @@ peeled: its first vertex to go would still have three neighbors.  So P
 holds every certificate h holds, with the same vertex and the same
 shortest odd cycle length in its neighborhood, and the verdict and the
 preflight counter are those of h.  The odd-neighborhood check runs on P
-itself, because K4 has true twins.  It picks the vertex and kind it picks
-on the input: a copy's neighborhood is its representative's, which comes
-first, and a shortest odd cycle in a neighborhood holds no two false
-twins, so swapping each copy on it for its representative gives one of
-the same length in h.
+itself, because K4 has true twins.  The first component of P, by least
+vertex, that holds such a vertex decides the counter, and in it the check
+picks the vertex and kind it picks on the input: a copy's neighborhood is
+its representative's, which comes first, and a shortest odd cycle in a
+neighborhood holds no two false twins, so swapping each copy on it for
+its representative gives one of the same length in h.
 
 The co-C7 preflight and each component's search for its anchor cycle run
-on the twin core of P, reading P's rank masks cut to it; when nothing is
-peeled, P is h and its core is the one the class check used.  Neither
-pattern has twins, so each search gives the verdict it gives on P.  The
-anchored runs, the fixpoint, the stages and witness replay work on P.
+on the twin core of P, reading the component's rank masks cut to it; when
+nothing is peeled, P is h and its core is the one the class check used.
+Neither pattern has twins, so each search gives the verdict it gives on
+P.  The anchored runs, the fixpoint, the stages and witness replay work
+on P.
 
 A component containing an induced 7-cycle is anchored on that cycle: the
 21 proper colorings of the anchor that begin (1, 2) are enumerated, one
@@ -67,7 +70,7 @@ branch the ladder cannot handle raises StageAssertionError naming its
 shape, never a verdict.  A component with an induced 9-cycle but no
 7-cycle is anchored the same way (85 of 510 colorings), and the fixpoint
 alone must settle every branch.  A component with neither anchor cycle is
-colored by saturation-ordered backtracking on P's rank masks; in class,
+colored by saturation-ordered backtracking on its rank masks; in class,
 once the preflight has passed, it is perfect with clique number at most
 3, so the colorer succeeds.  A colorable answer always rests on a
 coloring of every component, verified as a whole.
@@ -175,9 +178,8 @@ def solve(
     quotient outside its 3-core, colored after it.  The 3-core decides the
     answer, and it holds every K4, odd wheel and co-C7 certificate of the
     input, since each has minimum degree 3 (see the module docstring).
-    The 3-core's rank masks are built once, one walk of them splits it into
-    components (`patterns._reach`), and every search on it and the plain
-    colorer read them cut to the vertices they need (`patterns._cut`).
+    Each component of the 3-core gets its own rank masks, and every search
+    on it and the plain colorer read them cut as they need (`patterns._cut`).
     The order of the witness's items is not specified.
     Raises ClassViolationError when the input is outside the supported
     class, unless assume_class skips the membership check; on such input
@@ -209,21 +211,21 @@ def solve(
             core = None
         if core is None:
             core = twin_core(p)
-        index = patterns._index(p)
-        odd = patterns.find_nonbipartite_neighborhood(p, index)
-        if odd is not None:
-            stats["preflight_odd_neighborhood_" + odd.kind] += 1
-            return _report("not_colorable", None, stats, start)
-        in_core = sum(1 << i for i, v in enumerate(index[0]) if v in core._adj)
-        if patterns.find_co_c7(p, patterns._cut(index, in_core)) is not None:
+        comps = connected_components(p)
+        # a connected 3-core is indexed whole, with no vertex set to meet
+        indexes = [patterns._index(p, comp if len(comps) > 1 else None) for comp in comps]
+        for index in indexes:
+            odd = patterns.find_nonbipartite_neighborhood(p, index)
+            if odd is not None:
+                stats["preflight_odd_neighborhood_" + odd.kind] += 1
+                return _report("not_colorable", None, stats, start)
+        core_cuts = [patterns._cut(index, sum(1 << i for i, v in enumerate(index[0])
+                                              if v in core._adj)) for index in indexes]
+        if any(patterns.find_co_c7(p, cut) is not None for cut in core_cuts):
             stats["preflight_co_c7"] += 1
             return _report("not_colorable", None, stats, start)
-        rest = index[2]
-        while rest:
-            keep = patterns._reach(index[1], rest & -rest, rest)
-            rest ^= keep
-            cut, core_cut = patterns._cut(index, keep), patterns._cut(index, keep & in_core)
-            cmap = _solve_component(p, cut, core_cut, stats)
+        for index, core_cut in zip(indexes, core_cuts):
+            cmap = _solve_component(p, index, core_cut, stats)
             if cmap is None:
                 return _report("not_colorable", None, stats, start)
             coloring.update(cmap)
@@ -300,8 +302,8 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
 def _solve_component(p, index, core, stats):
     """The 3-coloring of a component of p, or None when it has none.
 
-    index is p's index cut to the component, and core is it cut to its part
-    of p's twin core.  The anchor cycle is sought on core, and the anchored
+    index is the component's own index, and core is it cut to its part of
+    p's twin core.  The anchor cycle is sought on core, and the anchored
     run and the plain colorer read index; an anchored witness takes its ids
     off index.  Neither changes p: `_run_anchored` builds each root on a
     new graph, and `_backtrack_color` works on masks only."""
@@ -310,9 +312,7 @@ def _solve_component(p, index, core, stats):
         if cyc is not None:
             stats[f"components_anchored_{k}"] += 1
             won = _run_anchored(p, index, cyc, stats)
-            order, _, keep = index
-            return None if won is None else won.assemble_witness(
-                v for i, v in enumerate(order) if keep >> i & 1)
+            return None if won is None else won.assemble_witness(index[0])
     stats["components_plain"] += 1
     return _backtrack_color(index)
 
@@ -339,8 +339,8 @@ def _run_anchored(p, index, cycle, stats):
     None runs unchecked: a depth-first walk of their prefix tree commits
     anchor 0 with color 1, anchor 1 with 2, and each later anchor with
     each color in ascending order that differs from its predecessor's (and,
-    for the last anchor, from color 1), by `propagate_masks` on index, p's
-    rank masks cut to the component.  Each prefix's six masks are kept for
+    for the last anchor, from color 1), by `propagate_masks` on index, the
+    component's own rank masks.  Each prefix's six masks are kept for
     its children, so a shared prefix is propagated once.  A refuted prefix
     is left, and every representative under it is skipped at once (the
     module docstring says why the answer stays the same).  A surviving
@@ -664,9 +664,9 @@ def _component_cases(inst, view):
 def _backtrack_color(index) -> dict | None:
     """Exact 3-coloring by saturation-ordered backtracking, or None.
 
-    index is p's rank masks cut to one component.  The next vertex has the
-    fewest palette colors, then the highest degree, then the lowest id
-    (DSatur order).  Its colors are tried in ascending order, and
+    index is one component's rank masks, maybe cut to it.  The next vertex
+    has the fewest palette colors, then the highest degree, then the lowest
+    id (DSatur order).  Its colors are tried in ascending order, and
     `reductions.propagate_masks` colors what each forces.  On a connected
     bipartite graph this order never needs a third color, so it never
     backtracks there.  Each try is stacked with the masks it starts from,

@@ -195,15 +195,15 @@ def _layer_checked(g, colorable, what):
     if find_nonbipartite_neighborhood(h) is not None:
         assert not colorable, what
         return 0
-    index = _index(h)
-    bit = {v: 1 << i for i, v in enumerate(index[0])}
-    in_core = sum(bit[v] for v in twin_core(h).vertices())
+    in_core = twin_core(h)._adj
     stats = Counter()
     coloring = {}
     for comp in connected_components(h):
-        # a component may have no core vertex: its core cut is then empty
-        keep = sum(bit[v] for v in comp)
-        cmap = _solve_component(h, _cut(index, keep), _cut(index, keep & in_core), stats)
+        # each component on its own index, as solve builds them; a component
+        # may have no core vertex: its core cut is then empty
+        index = _index(h, comp)
+        core = _cut(index, sum(1 << i for i, v in enumerate(index[0]) if v in in_core))
+        cmap = _solve_component(h, index, core, stats)
         if cmap is None:
             assert not colorable, what
             return stats["components_anchored_7"]

@@ -150,6 +150,89 @@ def test_format_dimacs_reindexes_and_round_trips():
     assert sorted(doc.graph.edges()) == [(1, 2), (2, 4)]
 
 
+def reference_parse_dimacs(text):
+    """The DIMACS reader on the `Graph` API, four calls an edge line, each
+    checking both ends: the reference for `parse_dimacs`, which fills the
+    adjacency sets directly."""
+    g = Graph()
+    doc = GraphDocument("dimacs_col", g)
+    declared = None
+    seen_edges = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] == "c":
+            continue
+        parts = line.split()
+        if parts[0] == "p":
+            if declared is not None:
+                raise ParseError("duplicate problem line", line_no=line_no)
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ParseError(f"malformed problem line: {line!r}", line_no=line_no)
+            try:
+                n, declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise ParseError(f"malformed problem line: {line!r}", line_no=line_no)
+            if n < 0 or declared < 0:
+                raise ParseError(f"malformed problem line: {line!r}", line_no=line_no)
+            for v in range(1, n + 1):
+                g.add_vertex(v)
+        elif parts[0] == "e":
+            if declared is None:
+                raise ParseError("edge before problem line", line_no=line_no)
+            if len(parts) != 3:
+                raise ParseError(f"malformed edge line: {line!r}", line_no=line_no)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"malformed edge line: {line!r}", line_no=line_no)
+            if u == v:
+                raise ParseError(f"self-loop at vertex {u}", line_no=line_no)
+            if not (g.has_vertex(u) and g.has_vertex(v)):
+                raise ParseError(f"edge endpoint out of range: {line!r}", line_no=line_no)
+            if g.has_edge(u, v):
+                doc.warnings.append(f"line {line_no}: duplicate edge {u} {v} ignored")
+            else:
+                g.add_edge(u, v)
+                seen_edges += 1
+        else:
+            raise ParseError(f"unrecognized line: {line!r}", line_no=line_no)
+    if declared is None:
+        raise ParseError("missing problem line")
+    if seen_edges != declared:
+        doc.warnings.append(
+            f"problem line declares {declared} edges, file has {seen_edges}")
+    doc.labels = {v: str(v) for v in g.vertices()}
+    return doc
+
+
+def test_dimacs_reader_matches_the_graph_api_reader():
+    # format_dimacs of random graphs, some edge lines repeated (either way
+    # round), some isolated vertices and some miscounts: the reader on the adjacency sets
+    # gives the reference's adjacency, id counter, labels and warnings
+    duplicated = 0
+    for i in range(200):
+        rng = Random(i)
+        n = rng.randrange(0, 30)
+        g = Graph.from_edges(range(1, n + 1), [(u, w) for u in range(1, n + 1)
+                                               for w in range(u + 1, n + 1) if rng.random() < 0.2])
+        lines = format_dimacs(g).splitlines()
+        for line in lines[1:]:
+            if rng.random() < 0.15:
+                _, u, w = line.split()
+                lines.insert(rng.randrange(lines.index(line) + 1, len(lines) + 1),
+                             f"e {u} {w}" if rng.random() < 0.5 else f"e {w} {u}")
+                duplicated += 1
+        if i % 5 == 0:
+            # a problem line that miscounts the edges is warned of
+            lines[0] = f"p edge {n} {len(lines)}"
+        text = "\n".join(lines) + "\n"
+        got, want = parse_dimacs(text), reference_parse_dimacs(text)
+        assert got.graph._adj == want.graph._adj and got.graph._next_id == want.graph._next_id, i
+        assert got.labels == want.labels and got.warnings == want.warnings, i
+        assert list(got.labels) == list(want.labels), i
+    assert duplicated > 100
+
+
 # -- edge list ----------------------------------------------------------------
 
 def test_parse_edge_list_assigns_ids_in_first_seen_order():

@@ -389,9 +389,10 @@ def test_a_cut_index_searches_the_subgraph_it_keeps():
     # graph of its own: ranks follow ids in both.  keep is a random set of
     # vertices; a planted odd wheel, W11 and W13 among them, is kept whole,
     # so the odd-neighbourhood check on the cut raises from a 2P4 scan of
-    # the hub's neighbourhood, cut once more.  The cut is shifted down to
-    # the ranks keep spans.  co-C7 is rare in these graphs, so its search is
-    # also run on small dense graphs, most with a planted co-C7
+    # the hub's neighbourhood, cut once more.  The cut keeps the index's
+    # order and length, and every row outside keep is 0.  co-C7 is rare in
+    # these graphs, so its search is also run on small dense graphs, most
+    # with a planted co-C7
     hits = {"2p4": 0, "cycle": 0, "odd": 0, "raised": 0, "co_c7": 0}
     for i in range(600):
         rng = Random(split_seed(94, i))
@@ -405,8 +406,8 @@ def test_a_cut_index_searches_the_subgraph_it_keeps():
         ids = [v for v in g.vertices() if v in wheel or rng.random() < 0.7]
         index = patterns._index(g)
         cut = patterns._cut(index, sum(1 << r for r, v in enumerate(index[0]) if v in ids))
-        assert cut[0] == [v for v in g.vertices() if ids[0] <= v <= ids[-1]], i
-        assert len(cut[1]) == cut[2].bit_length() == len(cut[0]) and cut[2] & 1, i
+        assert cut[0] == index[0] and len(cut[1]) == len(index[1]), i
+        assert all(cut[2] >> r & 1 or not m for r, m in enumerate(cut[1])), i
         sub = induced_subgraph(g, ids)
         assert find_co_c7(g, cut) == find_co_c7(sub), i
         got = find_induced_2p4(g, cut)
@@ -431,7 +432,7 @@ def test_a_cut_index_searches_the_subgraph_it_keeps():
         hits["co_c7"] += got is not None
     # an empty cut holds nothing
     empty = patterns._cut(index, 0)
-    assert empty == ([], [], 0) and find_co_c7(g, empty) is None
+    assert empty == (index[0], [0] * len(index[1]), 0) and find_co_c7(g, empty) is None
     assert find_induced_cycle(g, 5, empty) is None and find_induced_2p4(g, empty) is None
     assert all(n >= 40 for n in hits.values()), hits
 
@@ -716,7 +717,7 @@ def test_reach_matches_the_components_of_a_set_search():
     # `_reach(nbr, seeds, within)` is the union of the components of the
     # subgraph that within induces that hold a seed: the set search of
     # `connected_components` gives the same, on the whole index and on a
-    # cut of it, whose ranks are shifted to its span
+    # cut of it
     shapes = {"none": 0, "part": 0, "all": 0}
     for i in range(300):
         # one stream per graph, so no shift of i repeats another's

@@ -13,6 +13,7 @@ removes calls that layer directly: `solver._run_anchored`,
 
 import sys
 import time
+import tracemalloc
 import warnings
 from collections import Counter
 from itertools import combinations, product
@@ -99,23 +100,23 @@ def run_anchored(g, k=7):
 
 def cycle_search_work(monkeypatch):
     """A list that records, in order, the work of the induced-cycle search
-    below `patterns.find_induced_cycle`: a set of vertices for each mask
-    build (the 2P4 scan and the odd-neighbourhood check build masks too),
-    "c5" for each C5 decision and (v0, k) for each root v0 the path grower
-    tries."""
+    below `patterns.find_induced_cycle`: the vertex set of each mask build
+    (the 2P4 scan and the odd-neighbourhood check build masks too, and a
+    component of a 3-core is built on its own), "c5" for each C5 decision
+    and (v0, k) for each root v0 the path grower tries."""
     work = []
     real_index, real_c5, real_grow = patterns._index, patterns._has_c5, patterns._find_long_cycle
     real_cycle = patterns.find_induced_cycle
     order = []
 
-    def index(g):
-        built = real_index(g)
+    def index(g, within=None):
+        built = real_index(g, within)
         order[:] = built[0]
-        work.append(set(g.vertices()))
+        work.append(set(g.vertices()) if within is None else set(within))
         return built
 
     def cycle(g, k, index=None):
-        # a cut index is shifted down to its span: a rank is one of its order
+        # a rank is a position in the order of the index searched
         if index is not None:
             order[:] = index[0]
         return real_cycle(g, k, index)
@@ -1030,9 +1031,9 @@ def test_solve_searches_each_component_of_a_core_alone(monkeypatch):
     assert verify_coloring(g, rep.witness)
     assert rep.stats["components_anchored_7"] == 2
     assert rep.stats["components_plain"] == 1
-    # one mask build, over the whole 3-core, serves the preflight and the
-    # C7 and C9 searches of every component, the cube's among them
-    assert [m for m in work if isinstance(m, set)] == [set(g.vertices())]
+    # one mask build per component, over its own vertices, serves its
+    # preflight and its C7 and C9 searches, the cube's among them
+    assert [m for m in work if isinstance(m, set)] == connected_components(g)
     # 7-roots are grown in both gadgets, the second from vertex 15 on; each
     # search roots only in its own component, so no root is grown twice
     roots = searched(work)
@@ -1065,15 +1066,19 @@ def interleaved(*graphs):
                             [(m[u], m[w]) for h, m in zip(graphs, image) for u, w in h.edges()])
 
 
-def test_solve_splits_its_3_core_with_one_walk_of_the_masks(monkeypatch):
-    # the components of the 3-core come from `patterns._reach` on its rank
-    # masks, so solve calls no set search for them: not on refutation
-    # blowups built as the bench's `refute` cases (free classes of one to
-    # three vertices, ids shuffled), and not, under the waiver, on three
-    # S_4³ with interleaved ids (a P4 in each of two makes a 2P4), each
-    # part colored as it is alone
-    def refused(*args, **kwargs):
-        raise AssertionError("solve split its 3-core with a set search")
+def test_solve_builds_one_index_per_component_of_its_3_core(monkeypatch):
+    # solve builds the rank masks of each component of its 3-core from that
+    # component's vertex set, one build each, and a connected 3-core whole:
+    # so on refutation blowups built as the bench's `refute` cases (free
+    # classes of one to three vertices, ids shuffled), and, under the
+    # waiver, on three S_4³ with interleaved ids (a P4 in each of two makes
+    # a 2P4), each part colored as it is alone
+    builds = []   # the vertex set of each build
+    real = patterns._index
+
+    def index(g, within=None):
+        builds.append(set(g.vertices()) if within is None else set(within))
+        return real(g, within)
 
     rng = Random(44)
     blowups = []
@@ -1084,19 +1089,63 @@ def test_solve_splits_its_3_core_with_one_walk_of_the_masks(monkeypatch):
     union = interleaved(crown_plus(4), crown_plus(4), crown_plus(4))
     parts = connected_components(union)
     assert [sorted(c)[:3] for c in parts] == [[1, 4, 7], [2, 5, 8], [3, 6, 9]]
-    monkeypatch.setattr(solver, "connected_components", refused)
+    monkeypatch.setattr(patterns, "_index", index)
     for g in blowups:
-        for assume_class in (False, True):
-            rep = solve(g, assume_class=assume_class)
-            assert rep.decision == "not_colorable" and rep.stats["anchor_colorings_skipped"] > 0
+        builds.clear()
+        rep = solve(g, assume_class=True)
+        assert rep.decision == "not_colorable" and rep.stats["anchor_colorings_skipped"] > 0
+        # a blowup's quotient is its 3-core, one component
+        kept = set(g.vertices()) - set(false_twins(g))
+        assert "peeled" not in rep.stats and builds == [kept]
+        builds.clear()
+        assert solve(g).decision == "not_colorable"
+        # the class check's build of the twin core comes first
+        assert builds == [set(twin_core(g).vertices()), kept]
+    builds.clear()
     rep = solve(union, witness=True, assume_class=True)
     assert rep.decision == "colorable" and verify_coloring(union, rep.witness)
     assert rep.stats["components_plain"] == 3 and "peeled" not in rep.stats
+    assert builds == parts
     for comp in parts:
         alone = solve(induced_subgraph(union, comp), witness=True, assume_class=True)
         assert alone.witness == {v: rep.witness[v] for v in comp}
     with pytest.raises(ClassViolationError):
         solve(union)
+
+
+def test_solve_memory_grows_linearly_in_the_components():
+    # each component of a 3-core has masks as wide as itself, not as the
+    # whole core, so twice the disjoint cubes (S_4) take about twice the
+    # peak memory: 2.0 here, where masks as wide as the core took 3.5
+    cube = crown_graph(4)
+    peaks = []
+    for m in (1000, 2000):
+        g = disjoint_union(*[cube] * m)
+        tracemalloc.start()
+        try:
+            rep = solve(g, witness=True, assume_class=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.decision == "colorable" and rep.stats["components_plain"] == m
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
+def test_every_component_passes_the_preflights_before_any_anchor_search():
+    # a thickened gadget, anchored on its 7-cycle when alone, beside a K4
+    # whose ids come after the gadget's and then before them: the K4's
+    # odd-neighbourhood certificate refuses the solve either way, before
+    # any component is searched for its anchor
+    gadget = thickened(2)
+    assert solve(gadget).stats["components_anchored_7"] == 1
+    k4 = Graph.from_edges(range(1, 5), combinations(range(1, 5), 2))
+    for g in (disjoint_union(gadget, k4), disjoint_union(k4, gadget)):
+        for assume_class in (False, True):
+            rep = solve(g, assume_class=assume_class)
+            assert rep.decision == "not_colorable"
+            del rep.stats["millis"]
+            assert rep.stats == {"preflight_odd_neighborhood_k4": 1, "branches": 0,
+                                 "reductions": 0}
 
 
 def test_solve_colors_the_false_twin_quotient():
@@ -1276,20 +1325,21 @@ def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
             assert len(handed) == 1 and handed[0][0] is g
             order, nbr, keep = handed[0][1]
             assert order == g.vertices() and keep == (1 << len(g)) - 1
-            # the least vertex is in the core, so the core's cut is not shifted
             assert handed[0][2][2] == sum(1 << i for i, v in enumerate(order) if core.has_vertex(v))
 
 
 def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
     # check_class builds the rank masks of its twin core once, for its C5
-    # and 2P4 scans; solve builds them once more, over the 3-core, and the
-    # preflight, the anchor search of every component and the forward check
-    # read them cut to the vertices they need.  Inputs: the refutation
-    # blowups, a thickened gadget anchored on a 7-cycle, S_20³ and, under
-    # the waiver (it holds a 2P4), a 3-core of three components (built
-    # first: the thickening runs checks of its own).  A cotree is built on
-    # the masks of its own vertex set: those builds are counted apart, one
-    # per cotree call, and none comes from anywhere else
+    # and 2P4 scans; solve builds them once more for each component of its
+    # 3-core, a connected 3-core whole and a component of several from its
+    # vertex set, and the preflights, the anchor search and the forward
+    # check read them cut to the vertices they need.  Inputs: the
+    # refutation blowups, a thickened gadget anchored on a 7-cycle and S_20³,
+    # each with a connected 3-core, and, under the waiver (it holds a 2P4),
+    # a 3-core of three components (built first: the thickening runs checks
+    # of its own).  A cotree is built on the masks of its own vertex set:
+    # those builds are counted apart, one per cotree call, and none comes
+    # from anywhere else
     graphs = [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
     graphs += [thickened(SINGLE_ANCHOR_SEEDS[0]), crown_plus(20)]
     union = disjoint_union(thickened(2), thickened(3), crown_graph(4))
@@ -1326,9 +1376,13 @@ def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
         cotree_sets += len(subsets)
     assert cotree_sets > 0
     builds.clear()
+    subsets.clear()
+    cotrees.clear()
+    comps = connected_components(union)
     rep = solve(union, witness=True, assume_class=True)
     assert rep.stats["components_plain"] == 1 and "peeled" not in rep.stats
-    assert builds == [len(union)]
+    # every component is built before the first cotree call
+    assert builds == [] and subsets == comps + cotrees
 
 
 def sparse_shuffled(g, seed):
