@@ -23,6 +23,7 @@ from . import formats, patterns
 from .errors import (ClassViolationError, GenerationError, InputError, ParseError,
                      StageAssertionError)
 from .formats import GraphDocument
+from .graph import Graph
 from .solver import solve
 
 EXIT_OK = 0
@@ -212,13 +213,8 @@ def _cmd_fuzz(args) -> int:
         generator = lambda seed: testkit.thicken(gadget(seed), seed)
     rep = testkit.differential_fuzz(args.budget, args.seed, sizes=sizes,
                                     generator=generator)
-    report = {
-        "command": "fuzz",
-        "input": {"source": f"fuzz:{args.kind}", "format": "edge_list",
-                  "vertices": 0, "edges": 0},
-        "stats": {"branches": 0, "reductions": 0,
-                  "millis": round(rep.elapsed * 1000, 3)},
-    }
+    report = _base_report("fuzz", GraphDocument("edge_list", Graph(), source=f"fuzz:{args.kind}"))
+    report["stats"]["millis"] = round(rep.elapsed * 1000, 3)
     bad = rep.mismatches + rep.violations
     report["decision"] = "fuzz_clean" if not bad else "fuzz_mismatch"
     report["detail"] = {
@@ -313,10 +309,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, InputError, GenerationError, StageAssertionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ParseError, InputError, GenerationError, StageAssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,14 +6,14 @@ its forward check of anchor colorings run the same rule on bitmasks, by
 `propagate_masks`.  Rule 7 and cut reduction color a P4-free region from
 a cotree built once for it.
 
-An Instance owns a working graph plus per-vertex palettes.  Rules either
-settle colors, shrink palettes, or delete vertices.  A settled color goes
-straight into the instance's color map: a committed vertex, and every
-vertex of a region whose coloring was solved on the spot.  A deletion whose
-color depends on vertices that outlive it appends a replay record instead
-(low degree, domination, or a cut region keyed by its border vertex).  Witness
-assembly seeds the color map and processes the records in reverse order of
-creation.
+An Instance owns a working graph plus per-vertex palettes, and a branch
+root is built whole, its anchors colored.  Rules either settle colors,
+shrink palettes, or delete vertices.  A settled color goes straight into
+the instance's color map: a committed vertex, and every vertex of a region
+whose coloring was solved on the spot.  A deletion whose color depends on
+vertices that outlive it appends a replay record instead (low degree,
+domination, or a cut region keyed by its border vertex).  Witness assembly
+seeds the color map and processes the records in reverse order of creation.
 
 F1 of the solver holds by construction, so no rule rechecks it: every live
 palette holds two or three colors and lacks the color of each colored
@@ -100,18 +100,19 @@ class Instance:
 
     palettes holds exactly the live uncolored vertices.  colors holds every
     settled color: committed vertices, and the vertices of regions solved
-    on the spot and removed.  A committed vertex stays in the graph only
-    when it is on the anchor cycle, anchor_order.
+    on the spot and removed.  A root comes in whole: g holds its uncolored
+    vertices and its anchor cycle, anchor_order, the only colored vertices
+    left in g.
     """
 
-    def __init__(self, g: Graph, stats: Counter):
+    def __init__(self, g: Graph, palettes: dict, colors: dict, anchor_order: tuple,
+                 stats: Counter):
         self.g = g
-        self.palettes: dict[int, frozenset] = {v: ALL_COLORS for v in g.vertices()}
-        self.colors: dict[int, int] = {}
+        self.palettes = palettes
+        self.colors = colors
         self.replay: list = []
         self.stats = stats
-        # branch bookkeeping used by the anchored pipeline
-        self.anchor_order: tuple = ()
+        self.anchor_order = anchor_order
         self.post_checks: list = []
 
     def clone(self) -> "Instance":
@@ -133,8 +134,8 @@ class Instance:
     def commit_color(self, v: int, color: int) -> bool:
         """Color v, then every vertex this leaves one color, by `propagate`.
 
-        Each vertex it colors leaves the graph, except the anchors, which
-        stay so later structural stages can see their adjacency.  Returns
+        Each vertex it colors leaves the graph; a root's anchors are
+        colored already, so they stay for the structural stages.  Returns
         False on a clash: v holds another color or lacks this one, or a
         palette would run empty.  The branch then has no coloring with v
         colored so, and its caller drops it half committed.
@@ -143,14 +144,12 @@ class Instance:
         if not propagate(self.g._adj, self.palettes, self.colors, v, color, []):
             self.stats["rule_empty_palette"] += 1
             return False
-        # propagate adds each vertex it colors to the end of colors
-        forced = 0
-        for w in islice(reversed(self.colors), live - len(self.palettes)):
-            if w not in self.anchor_order:
-                self.g.remove_vertex(w)
-                forced += w != v
-        if forced:
-            self.stats["rule_singleton_color"] += forced
+        # propagate adds each vertex it colors to the end of colors, v first
+        new = live - len(self.palettes)
+        for w in islice(reversed(self.colors), new):
+            self.g.remove_vertex(w)
+        if new > 1:
+            self.stats["rule_singleton_color"] += new - 1
         return True
 
     def delete_recorded(self, v: int, record) -> None:
@@ -159,8 +158,8 @@ class Instance:
         self.g.remove_vertex(v)
         self.replay.append(record)
 
-    def remove_region(self, verts: Iterable[int], solved: dict | None = None) -> None:
-        """Delete verts; solved settles the colors of the uncolored ones.
+    def remove_region(self, verts: Iterable[int]) -> None:
+        """Delete verts from the graph and the palettes.
 
         An edge inside the region goes with its endpoints' adjacency
         entries, so only edges leaving the region cost a discard.
@@ -171,8 +170,6 @@ class Instance:
             self.palettes.pop(v, None)
             for u in adj.pop(v) - region:
                 adj[u].discard(v)
-        if solved:
-            self.colors.update(solved)
 
     def assemble_witness(self, original_vertices: Iterable[int]) -> dict:
         """Run the replay log backwards into a full coloring.
@@ -459,10 +456,11 @@ def _two_sat_component(inst: Instance, comp: set):
     """Rule 6: list-color a component whose live palettes all have two colors.
 
     Each undecided vertex, in ascending id order, tries its smaller color,
-    then its other one, by `propagate` on a copy of the palettes: a neighbor
-    whose palette holds the tried color must take its other color.  A try
-    that meets a clash is undone, since every coloring that gives the vertex
-    that color has the same clash.  A try that ends without a clash is kept:
+    then its other one, by `propagate` on the branch's own palettes and
+    colors: a neighbor whose palette holds the tried color must take its
+    other color.  A try that meets a clash is undone to its mark on the one
+    trail, since every coloring that gives the vertex that color has the
+    same clash.  A try that ends without a clash is kept:
     an undecided vertex has no decided neighbor whose color its palette
     holds, or that color would have forced it, so the undecided vertices
     keep their whole palettes and no constraint to a decided vertex, and
@@ -472,7 +470,8 @@ def _two_sat_component(inst: Instance, comp: set):
     tries, so it is O(n * m), not linear: a try that walks a long chain to a
     clash leaves it for the next vertex to walk again (a comb of k = 2,000
     teeth takes about 7 s).  The coloring is proper, and by F1 no live
-    palette holds a colored vertex's color.
+    palette holds a colored vertex's color.  comp is a whole component, so
+    a try strikes no palette outside it; a rejected branch keeps its tries.
     """
     pal = inst.palettes
     unc = sorted(v for v in comp if v in pal)
@@ -480,19 +479,18 @@ def _two_sat_component(inst: Instance, comp: set):
         return None
     inst.stats["rule_two_sat_component"] += 1
     adj = inst.g._adj
-    left = {v: pal[v] for v in unc}
-    solved: dict[int, int] = {}
+    trail: list = []
     for v in unc:
-        if v in solved:
+        if v not in pal:
             continue
+        mark = len(trail)
         for c in sorted(pal[v]):
-            trail: list = []
-            if propagate(adj, left, solved, v, c, trail):
+            if propagate(adj, pal, inst.colors, v, c, trail):
                 break
-            undo(left, solved, trail, 0)
+            undo(pal, inst.colors, trail, mark)
         else:
             return REJECTED
-    inst.remove_region(comp, solved)
+    inst.remove_region(comp)
     return _FIRED
 
 
@@ -502,7 +500,7 @@ def _cograph_component(inst: Instance, comp: set):
     comp is a whole component, so every neighbor of a solved vertex is in
     it, and `cograph.list3color` colors it properly from these palettes; a
     colored vertex's palette is its own color, so the edges to it are
-    proper too.
+    proper too, and merging the coloring rewrites that color unchanged.
     """
     # the anchor cycle, an induced C7 or C9, holds an induced P4
     if inst.anchor_order and comp.issuperset(inst.anchor_order):
@@ -515,8 +513,8 @@ def _cograph_component(inst: Instance, comp: set):
     inst.stats["rule_cograph_component"] += 1
     if solved is None:
         return REJECTED
-    solved = {v: c for v, c in solved.items() if v in inst.palettes}
-    inst.remove_region(comp, solved)
+    inst.colors.update(solved)
+    inst.remove_region(comp)
     return _FIRED
 
 

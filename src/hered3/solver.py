@@ -122,9 +122,9 @@ skipping it removes that refusal, never a verdict.  The representatives
 that survive run in the same order.  Each root is read off its masks,
 on the graph its palettes and anchors induce: propagation that meets no
 clash reaches one fixpoint whatever the order of its steps, so a root has
-the palettes, colors and graph that committing its anchors one at a time
-on the unreduced component leaves, and verdicts and witnesses are those
-of running them all.
+the palettes and colors that committing its anchors one at a time on the
+unreduced component leaves, on that component's uncolored vertices and
+anchors, and verdicts and witnesses are those of running them all.
 
 Deleted vertices re-enter the final coloring through the settled colors
 and replay records the reduction engine collects.
@@ -344,12 +344,12 @@ def _run_anchored(p, index, cycle, stats):
     its children, so a shared prefix is propagated once.  A refuted prefix
     is left, and every representative under it is skipped at once (the
     module docstring says why the answer stays the same).  A surviving
-    representative's root holds the palettes and colors read off its
-    masks, on the graph its palettes and anchors induce in p: the state
-    that committing its anchors on an unreduced copy leaves.  The winning
-    branch's settled colors and replay records hold its witness.  Returns
-    that branch, or None when every representative is rejected, and then
-    so is every proper anchor coloring.
+    representative's root is built whole from the palettes and colors read
+    off its masks, on the graph its palettes and anchors induce in p: the
+    state that committing its anchors on an unreduced copy leaves, anchors
+    kept.  The winning branch's settled colors and replay records hold its
+    witness.  Returns that branch, or None when every representative is
+    rejected, and then so is every proper anchor coloring.
     """
     anchors = tuple(cycle)
     k = len(anchors)
@@ -378,8 +378,8 @@ def _run_anchored(p, index, cycle, stats):
                     stack.append((d + 1, n, state))
         else:
             palettes, colors = read_masks(order, state)
-            root = Instance(induced_subgraph(p, [*palettes, *anchors]), stats)
-            root.palettes, root.colors, root.anchor_order = palettes, colors, anchors
+            root = Instance(induced_subgraph(p, [*palettes, *anchors]), palettes, colors,
+                            anchors, stats)
             winner = _dfs(root, stats)
     if skipped:
         stats["anchor_colorings_skipped"] += skipped
@@ -446,14 +446,16 @@ def _analyze(inst) -> _View:
     every component, so each one holds the anchor cycle or is not P4-free,
     and either way holds an induced P4; P4s in two components would form
     an induced 2P4.  Out of class, a component without the anchors holds
-    only outer vertices and is not P4-free, so the outer-component check
-    below refuses the branch, unless a check before it does.
+    only outer vertices and is not P4-free, so the outer-set check below
+    refuses the branch, unless a check before it does.
 
-    Every root sets anchor_order.  By F1 no full palette touches the
+    Every root holds its anchors.  By F1 no full palette touches the
     cycle, and since rule 6 spared the one component, some palette is full,
-    so an outer component is relevant; the graph is connected and the rim
-    separates it from the anchors, so some rim vertex is relevant.  The
-    cotree that shows an outer component P4-free is kept for the stages.
+    so the outer set is not empty and an outer component is relevant; the
+    graph is connected and the rim separates it from the anchors, so some
+    rim vertex is relevant.  One cotree splits the outer set: a P4 lies in
+    one component, and a union root's children are the components' own
+    cotrees, in ascending order of least vertex, kept for the stages.
     """
     g = inst.g
     anchors = inst.anchor_order
@@ -481,19 +483,16 @@ def _analyze(inst) -> _View:
         if not ok:
             raise StageAssertionError("rim vertex touches the anchor cycle in a forbidden shape")
 
-    comps = [frozenset(c) for c in connected_components(g, within=outer)]
+    root = cograph.cotree_or_failure(g, outer)
+    if root is None:
+        raise StageAssertionError("outer component is not P4-free")
+    cotrees = root.children if root.kind == cograph.UNION else [root]
+    comps = [frozenset(t.leaves()) for t in cotrees]
     comp_of = {}
     for idx, c in enumerate(comps):
         for v in c:
             comp_of[v] = idx
-    cotrees = []
-    comp_relevant = []
-    for c in comps:
-        root = cograph.cotree_or_failure(g, c)
-        if root is None:
-            raise StageAssertionError("outer component is not P4-free")
-        cotrees.append(root)
-        comp_relevant.append(any(len(inst.palettes[v]) == 3 for v in c))
+    comp_relevant = [any(len(inst.palettes[v]) == 3 for v in c) for c in comps]
 
     adj_comps = {}
     outer_nbrs = {}

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from random import Random
 
-from . import patterns, solver
+from . import patterns, reductions, solver
 from .errors import GenerationError
 from .graph import Graph, connected_components, induced_subgraph
 
@@ -147,6 +147,22 @@ def proper_cycle_colorings(k: int) -> tuple[tuple, ...]:
     for _ in range(k - 2):
         walks = [w + (c,) for w in walks for c in ALL if c != w[-1]]
     return tuple(w for w in walks if w[-1] != w[0])
+
+
+def committed_root(g: Graph, palettes: dict, anchors, coloring, stats):
+    """The branch root of an anchor coloring, built by commits one at a time.
+
+    Each anchor takes its color by `Instance.commit_color` on a clone of g
+    with these palettes, in order; the graph is then rebuilt on the
+    vertices left uncolored plus the anchors, as `solver._run_anchored`
+    builds a root.  None when a commit clashes.  Its palettes and colors
+    are the reference a root read off the forward check's masks must equal.
+    """
+    work = reductions.Instance(g.copy(), dict(palettes), {}, (), stats)
+    if not all(work.commit_color(v, c) for v, c in zip(anchors, coloring)):
+        return None
+    return reductions.Instance(induced_subgraph(g, [*work.palettes, *anchors]),
+                               work.palettes, work.colors, tuple(anchors), stats)
 
 
 def naive_has_p4(g: Graph) -> bool:

@@ -22,6 +22,7 @@ from hered3.graph import (
 )
 from hered3.patterns import _cut, _index, check_class, find_nonbipartite_neighborhood
 from hered3.reductions import (
+    ALL_COLORS,
     REJECTED,
     SOLVED,
     Instance,
@@ -107,10 +108,15 @@ def test_anchored_gadgets_cover_every_stage_family():
     # solve peels every gadget's quotient whole; thickened with its own
     # seed, a gadget often keeps a 3-core that the anchor search, the
     # anchored runs and the stages work on.  Every answer is the oracle's, and in
-    # class no stage refuses (a StageAssertionError fails the gate)
+    # class no stage refuses (a StageAssertionError fails the gate).  Every
+    # fixpoint rule fires too, but rule 7 (`rule_cograph_component`), which
+    # fires in none of them: test_cograph_component_rule_fires_in_a_solve
+    # pins it on a thickened bowtie
     stage_keys = ("stage_single_anchor", "stage_opposing_pairs",
                   "stage_component_cases", "case_border_single_vertex",
-                  "op_cut_reduction", "components_anchored_9")
+                  "op_cut_reduction", "components_anchored_9",
+                  "rule_degree_prune", "rule_diamond", "rule_domination",
+                  "rule_two_sat_component", "rule_singleton_color", "rule_empty_palette")
     totals = dict.fromkeys(stage_keys, 0)
     anchored = 0
     start = time.monotonic()
@@ -310,11 +316,9 @@ def test_reduction_steps_preserve_colorability():
         assert instances < 3000, "reduction sampler starved"
         n = rng.randint(4, 12)
         g = erdos_renyi(n, rng.choice((0.2, 0.35, 0.5)), rng.getrandbits(32))
-        inst = Instance(g, Counter())
-        for v in list(inst.palettes):
-            if rng.random() < 0.4:
-                inst.palettes[v] = frozenset(
-                    rng.sample((1, 2, 3), rng.randint(1, 3)))
+        palettes = {v: frozenset(rng.sample((1, 2, 3), rng.randint(1, 3)))
+                    if rng.random() < 0.4 else ALL_COLORS for v in g.vertices()}
+        inst = Instance(g, palettes, {}, (), Counter())
         before = _live_feasible(inst)
         while True:
             out = _one_pass(inst)
@@ -351,8 +355,7 @@ def test_two_color_rule_matches_oracle():
             if rng.random() < p:
                 g.add_edge(a, b)
         palettes = {v: frozenset(rng.sample((1, 2, 3), 2)) for v in range(1, n + 1)}
-        inst = Instance(g.copy(), Counter())
-        inst.palettes = dict(palettes)
+        inst = Instance(g.copy(), dict(palettes), {}, (), Counter())
         verdict = _two_sat_component(inst, set(g.vertices()))
         want = oracle_list3color(g, palettes)
         assert (verdict == REJECTED) == (want is None), f"case {case}"
@@ -364,8 +367,8 @@ def test_two_color_rule_matches_oracle():
         assert all(inst.colors[v] in palettes[v] for v in g.vertices()), f"case {case}"
     assert solved > 1000 and rejected > 1000
 
-    # anchored cases: one to three vertices are committed with keep first,
-    # in a proper coloring, as the anchors are; each neighbour's two-color
+    # anchored cases: one to three vertices are colored up front, in a
+    # proper coloring, as a root's anchors are; each neighbour's two-color
     # palette lacks its color (F1), so an edge to a second anchor color is
     # dropped; the rule runs on each component, as _one_pass runs it
     rng = Random(708)
@@ -394,10 +397,7 @@ def test_two_color_rule_matches_oracle():
             else:
                 palettes[v] = frozenset(rng.sample((1, 2, 3), 2))
         g = Graph.from_edges(range(1, n + 1), edges)
-        inst = Instance(g.copy(), Counter())
-        inst.anchor_order = tuple(anchors)
-        inst.colors.update(acolor)
-        inst.palettes = dict(palettes)
+        inst = Instance(g.copy(), dict(palettes), dict(acolor), tuple(anchors), Counter())
         verdict = None
         for comp in connected_components(g):
             verdict = _two_sat_component(inst, comp)

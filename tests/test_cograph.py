@@ -9,7 +9,7 @@ import pytest
 
 from hered3 import cograph
 from hered3.errors import InputError
-from hered3.graph import Graph, induced_subgraph
+from hered3.graph import Graph, connected_components, induced_subgraph
 from hered3.testkit import (
     complete_graph,
     cycle_graph,
@@ -89,16 +89,34 @@ def leaf_sets(root):
     return below
 
 
+def shape(root):
+    """The nodes of a cotree in preorder: kind, vertex and child count."""
+    return [(node.kind, node.vertex, len(node.children)) for node in root.nodes()]
+
+
+def split_matches_components(g, within, root):
+    """Whether root, the cotree of within, is a union, and if so, whether
+    its children are the cotrees of within's components built alone, node
+    by node and in order: `solver._analyze` splits its outer set so."""
+    if root.kind != cograph.UNION:
+        return False
+    alone = [shape(cograph.cotree_or_failure(g, c)) for c in connected_components(g, within)]
+    assert [shape(kid) for kid in root.children] == alone
+    return True
+
+
 def test_cotree_shape_on_random_vertex_sets():
     # a root exactly when the subset is P4-free; its leaves are the subset;
     # two leaves are adjacent exactly when their lowest common ancestor, the
     # node where they part, is a join; no node has a child of its own kind;
-    # and children come in ascending order of least leaf
+    # children come in ascending order of least leaf; and a union's
+    # children are its components' cotrees.  Random sets of sparse graphs
+    # add P4-free sets of many components
     rng = Random(4545)
     graphs = [erdos_renyi(16, p, split_seed(45, i)) for i, p in enumerate((0.2, 0.4, 0.6, 0.8))]
     graphs += [random_cograph(split_seed(46, i), size=16) for i in range(4)]
     graphs.append(threshold_graph(40))
-    roots = 0
+    roots = unions = 0
     for case in range(600):
         g = graphs[case % len(graphs)]
         within = rng.sample(g.vertices(), rng.randint(1, 10))
@@ -121,7 +139,18 @@ def test_cotree_shape_on_random_vertex_sets():
                     for u in below[a]:
                         assert all((w in g.neighbors(u)) == (node.kind == "join")
                                    for w in below[b])
+        unions += split_matches_components(g, within, root)
     assert 200 < roots < 600
+    sparse = [erdos_renyi(40, p, split_seed(47, i)) for i, p in enumerate((0.03, 0.06, 0.1))]
+    for case in range(600):
+        g = sparse[case % len(sparse)]
+        within = rng.sample(g.vertices(), rng.randint(2, 24))
+        root = cograph.cotree_or_failure(g, within)
+        assert (root is None) == naive_has_p4(induced_subgraph(g, within))
+        if root is not None:
+            roots += 1
+            unions += split_matches_components(g, within, root)
+    assert unions > 400, (roots, unions)
 
 
 def test_deep_cotree_time_grows_quadratically():

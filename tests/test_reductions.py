@@ -2,6 +2,7 @@
 
 import time
 from collections import Counter
+from itertools import product
 from random import Random
 
 import pytest
@@ -31,6 +32,7 @@ from hered3.reductions import (
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
+    committed_root,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -47,11 +49,11 @@ FULL = ALL_COLORS
 
 
 def make_instance(g, palettes=None):
-    inst = Instance(g.copy(), Counter())
-    if palettes:
-        for v, p in palettes.items():
-            inst.palettes[v] = frozenset(p)
-    return inst
+    """An instance on a copy of g with no anchors: full palettes, each
+    overridden by any given one."""
+    full = {v: FULL for v in g.vertices()}
+    full.update((v, frozenset(p)) for v, p in (palettes or {}).items())
+    return Instance(g.copy(), full, {}, (), Counter())
 
 
 def inst_feasible(inst):
@@ -70,15 +72,6 @@ def test_commit_color_propagates():
     assert not inst.g.has_vertex(2)  # not anchored, so removed
     assert inst.palettes[1] == frozenset((2, 3))
     assert inst.palettes[3] == frozenset((2, 3))
-
-
-def test_commit_color_keep_anchors():
-    g = path_graph(2)
-    inst = make_instance(g)
-    inst.anchor_order = (1,)
-    assert inst.commit_color(1, 2)
-    assert inst.g.has_vertex(1) and inst.g.has_edge(1, 2)
-    assert inst.colors == {1: 2}
 
 
 def test_commit_color_colors_a_forced_neighbor():
@@ -249,8 +242,12 @@ def naive_domination_pass(inst):
 
 
 def rule_instance(i):
-    """A random graph with planted dominators, random palettes, and up to
-    two anchor vertices kept in the graph with a committed color."""
+    """A random graph with planted dominators, random palettes, and one or
+    two anchor vertices kept in the graph with a committed color, as a
+    root holds them.  Up to ten random anchor sets are tried, each with its
+    colorings in random order, and the first root whose commits do not
+    clash is kept; with random palettes most clash.  When all do, the
+    instance has no anchors."""
     rng = Random(split_seed(66, i))
     g = erdos_renyi(rng.randint(4, 14), rng.choice((0.3, 0.5, 0.7)), split_seed(67, i))
     for _ in range(rng.randint(0, 3)):
@@ -259,15 +256,17 @@ def rule_instance(i):
         for w in list(g.neighbors(v)) + rng.sample(g.vertices()[:-1], 1):
             if w != t and not g.has_edge(t, w):
                 g.add_edge(t, w)
-    inst = make_instance(g, {v: rng.sample((1, 2, 3), rng.randint(1, 3)) for v in g.vertices()})
-    for v in rng.sample(g.vertices(), rng.randint(0, 2)):
-        if not inst.palettes.get(v):
-            continue
-        c = rng.choice(sorted(inst.palettes[v]))
-        if all(inst.colors.get(w) != c for w in g.neighbors(v)):
-            inst.anchor_order += (v,)
-            inst.commit_color(v, c)
-    return inst
+    palettes = {v: frozenset(rng.sample((1, 2, 3), rng.randint(1, 3))) for v in g.vertices()}
+    m = rng.randint(1, 2)
+    for _ in range(10):
+        anchors = rng.sample(g.vertices(), m)
+        colorings = list(product(*(sorted(palettes[v]) for v in anchors)))
+        rng.shuffle(colorings)
+        for coloring in colorings:
+            root = committed_root(g, palettes, anchors, coloring, Counter())
+            if root is not None:
+                return root
+    return make_instance(g, palettes)
 
 
 def rule_state(inst, out):
@@ -402,17 +401,17 @@ def test_fixpoint_continue_on_stubborn_graph():
 
 
 def anchored_roots(graphs):
-    """Each gadget with an instance per anchor coloring whose commits do
-    not clash."""
+    """Each gadget with its root per anchor coloring whose commits do not
+    clash."""
     for g in graphs:
         for k in (7, 9):
             cycle = find_induced_cycle(g, k)
             if cycle is not None:
                 break
+        full = {v: FULL for v in g.vertices()}
         for coloring in proper_cycle_colorings(k):
-            inst = make_instance(g)
-            inst.anchor_order = tuple(cycle)
-            if all(inst.commit_color(v, c) for v, c in zip(cycle, coloring)):
+            inst = committed_root(g, full, cycle, coloring, Counter())
+            if inst is not None:
                 yield g, inst
 
 

@@ -32,12 +32,13 @@ from hered3.graph import (
     twin_core,
 )
 from hered3.patterns import check_class
-from hered3.reductions import ALL_COLORS, Instance
+from hered3.reductions import ALL_COLORS
 from hered3.solver import solve
 from hered3.testkit import (
     c7_gadget,
     c9_gadget,
     co_bipartite,
+    committed_root,
     complete_bipartite,
     count_proper_3colorings,
     crown_graph,
@@ -537,13 +538,10 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
             cycle = patterns.find_induced_cycle(twin_core(h), k)
             if cycle is not None:
                 break
-        base = Instance(h, Counter())
-        base.anchor_order = tuple(cycle)
+        full = {v: ALL_COLORS for v in h.vertices()}
 
         def full_branch(col):
-            child = base.clone()
-            ok = all(child.commit_color(v, c) for v, c in zip(cycle, col))
-            return child if ok else None
+            return committed_root(h, full, cycle, col, Counter())
 
         roots.clear()
         every = Counter()
@@ -632,9 +630,9 @@ C9_ANCHORED_SEEDS = (433, 562, 626, 694, 789)
 
 def test_anchored_roots_equal_anchors_committed_one_at_a_time(monkeypatch):
     # each surviving representative's root is read off its masks in one
-    # step; it must hold the graph, palettes and colors that committing
-    # its anchors one at a time by `commit_color` on the whole component
-    # leaves
+    # step; it must hold the palettes and colors that committing its
+    # anchors one at a time by `commit_color` on the whole component
+    # leaves, on the graph of its uncolored vertices and anchors
     real_run = solver._run_anchored
     runs = []
 
@@ -657,10 +655,10 @@ def test_anchored_roots_equal_anchors_committed_one_at_a_time(monkeypatch):
         for p, (order, _, keep), found in runs:
             comp = induced_subgraph(p, [v for i, v in enumerate(order) if keep >> i & 1])
             for root in found:
-                want = Instance(comp.copy(), Counter())
-                want.anchor_order = root.anchor_order
-                for v in root.anchor_order:
-                    assert want.commit_color(v, root.colors[v]), g.edges()
+                anchors = root.anchor_order
+                want = committed_root(comp, {v: ALL_COLORS for v in comp.vertices()}, anchors,
+                                      [root.colors[v] for v in anchors], Counter())
+                assert want is not None, g.edges()
                 assert root.g._adj == want.g._adj, g.edges()
                 assert root.palettes == want.palettes, g.edges()
                 assert root.colors == want.colors, g.edges()
@@ -685,13 +683,11 @@ def test_anchor_branch_verdicts_are_constant_on_color_orbits():
         full = [c for c in product((1, 2, 3), repeat=k)
                 if all(c[i] != c[i - 1] for i in range(k))]
         stats = Counter()
-        base = Instance(g, stats)
-        base.anchor_order = tuple(cycle)
+        palettes = {v: ALL_COLORS for v in g.vertices()}
         verdicts = {}
         for col in full:
-            child = base.clone()
-            ok = all(child.commit_color(v, c) for v, c in zip(cycle, col))
-            verdicts[col] = solver._dfs(child if ok else None, stats) is not None
+            child = committed_root(g, palettes, cycle, col, stats)
+            verdicts[col] = solver._dfs(child, stats) is not None
         by_orbit = {}
         for col, won in verdicts.items():
             # the renaming that sends col to its orbit's least member
@@ -816,15 +812,13 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
             core = twin_core(run_on)
             cycle = (patterns.find_induced_cycle(core, 7)
                      or patterns.find_induced_cycle(core, 9))
-            base = Instance(run_on, Counter())
-            base.anchor_order = tuple(cycle)
+            palettes = {v: ALL_COLORS for v in run_on.vertices()}
+            stats = Counter()
             for col in product((1, 2, 3), repeat=len(cycle)):
                 if any(col[i] == col[i - 1] for i in range(len(cycle))):
                     continue
-                child = base.clone()
-                ok = all(child.commit_color(v, c) for v, c in zip(cycle, col))
                 path.clear()
-                solver._dfs(child if ok else None, base.stats)
+                solver._dfs(committed_root(run_on, palettes, cycle, col, stats), stats)
     assert seen["analyzed"] >= 3700 and seen["single"] >= 1800
     assert seen["pair"] >= 700 and seen["one pair"] >= 1100
     assert seen["cut"] >= 1100 and seen["rule 6"] >= 12000
@@ -1750,13 +1744,14 @@ def test_cograph_component_rule_builds_no_cotree_of_the_anchor_component(monkeyp
 
 def test_stages_build_no_cotree_of_their_own(monkeypatch):
     # within one _advance, cotrees are built only by rule 7's P4-free test
-    # inside the fixpoint and by _analyze, one per outer component;
-    # cut_reduction and the pair stage work from the cotrees _analyze kept
+    # inside the fixpoint and by _analyze, one per call whatever the number
+    # of outer components; cut_reduction and the pair stage work from the
+    # cotrees _analyze kept
     graphs = [thickened(seed) for seed in STAGE_SEEDS]
     where = ["solve"]
     built = []     # per cotree build: the innermost layer it ran in
     advances = []  # per _advance call: {layer: cotrees built}
-    analysed = []  # per _advance call: outer components analysed
+    analysed = []  # per _advance call: _analyze calls
     cotree = cograph.cotree_or_failure
     fixpoint, analyze, advance = solver.run_fixpoint, solver._analyze, solver._advance
 
@@ -1774,9 +1769,8 @@ def test_stages_build_no_cotree_of_their_own(monkeypatch):
         return run
 
     def counted_analyze(inst):
-        view = layer("analyze", analyze)(inst)
-        analysed[-1] += len(view.comps)
-        return view
+        analysed[-1] += 1
+        return layer("analyze", analyze)(inst)
 
     def counted_advance(inst):
         before = len(built)
@@ -1799,9 +1793,9 @@ def test_stages_build_no_cotree_of_their_own(monkeypatch):
         cuts += bool(rep.stats.get("op_cut_reduction"))
         pairs += bool(rep.stats.get("stage_opposing_pairs"))
         assert verify_coloring(g, rep.witness)
-        for counts, comps in advances:
-            assert counts.get("advance", 0) == 0, (counts, comps)
-            assert counts.get("analyze", 0) == comps, (counts, comps)
+        for counts, calls in advances:
+            assert counts.get("advance", 0) == 0, (counts, calls)
+            assert counts.get("analyze", 0) == calls, (counts, calls)
     assert cuts >= len(COMPONENT_CASE_SEEDS) and pairs >= len(OPPOSING_PAIR_SEEDS)
 
 
