@@ -54,7 +54,8 @@ def _index(g: Graph, within=None):
 
     The finders here read a graph's index, which `_cut` narrows; a vertex
     set, within, gives the index of the subgraph it induces: `solver.solve`
-    builds one per component, `cograph.cotree_or_failure` one per cotree.
+    builds one per component of a split 3-core, `cograph.cotree_or_failure`
+    one per cotree.
 
     The scans below walk a mask from its lowest bit, inline: `low = m & -m`
     isolates that bit, `m ^= low` clears it and `low.bit_length() - 1` is
@@ -445,9 +446,11 @@ def find_nonbipartite_neighborhood(g: Graph, index=None):
     raises ClassViolationError with the least 2P4 of N(v).
 
     `solver.solve` calls this on each component of the 3-core of its
-    false-twin quotient, each with the component's own index.  On a graph
-    with false twins a copy repeats its representative's scan, which comes
-    first and so has already passed.
+    false-twin quotient, each with the component's own index.  When that
+    3-core is the whole class-checked quotient and connected, the index is
+    the quotient's, the one the class check read cut to its twin core.  On
+    a graph with false twins a copy repeats its representative's scan,
+    which comes first and so has already passed.
     """
     order, nbr, _ = index = index or _index(g)
     for v, nv in zip(order, nbr):
@@ -507,11 +510,14 @@ def check_class(g: Graph):
     return check_core(twin_core(g))
 
 
-def check_core(core: Graph):
+def check_core(core: Graph, index=None):
     """The C5 scan, then the 2P4 scan, of `check_class`, run on `core` as
     given.  The verdict holds for any graph; a caller that has already built
     a twin core passes it here and gets the witness `check_class` argues.
-    Both scans, and the test below, read one index of the core.
+    Both scans, and the test below, read one index of the core: index when
+    given, an index whose keep is the core (a wider graph's, cut to it by
+    `_cut`, as `solver.solve` passes), else the core's own.  As for the
+    finders, the answer is the one on the core's own index.
 
     A core whose complement is bipartite (two cliques: the complement's
     masks have an empty `_odd_transversal`) is in class, and answers None
@@ -521,10 +527,11 @@ def check_core(core: Graph):
     vertices hold at least n(n - 2)/4 edges, the least at a = n/2, so a
     core with fewer edges skips that test on one count.
     """
-    index = order, nbr, full = _index(core)
-    n = len(order)
+    _, nbr, keep = index = index or _index(core)
+    n = keep.bit_count()
     if (2 * sum(m.bit_count() for m in nbr) >= n * (n - 2)
-            and not _odd_transversal([full ^ m ^ 1 << i for i, m in enumerate(nbr)], full)):
+            and not _odd_transversal([keep ^ m ^ 1 << i if keep >> i & 1 else 0
+                                      for i, m in enumerate(nbr)], keep)):
         return None
     c5 = find_induced_cycle(core, 5, index)
     if c5 is not None:

@@ -1,8 +1,9 @@
 """Decision pipeline for 3-coloring within the supported graph class.
 
-`solve` works in this order: the false-twin quotient h, the class check
-on h's twin core, the peel of h to its 3-core P, the two preflight
-certificates on every component of P, then each component on its own.
+`solve` works in this order: the false-twin quotient h, the order of the
+peel of h to its 3-core P, the class check on h's twin core, the two
+preflight certificates on every component of P, then each component on
+its own.
 The vertices peeled off and the false twins left out are colored last,
 and the coloring is verified on the whole input.
 
@@ -19,7 +20,10 @@ does not depend on the order of the deletions and keeps the least id of
 each twin class, so it is the twin core of the whole input too, and the
 check gives the verdict it gives on the input.  It is built from the
 input and the solver's one false-twin pass, whose copies stand in for the
-core's own first pass.
+core's own first pass.  When the peel deletes nothing, the check reads
+h's rank masks (`patterns._index`) cut to the core (`patterns._cut`),
+which `patterns.check_core` answers as it answers the core's own; any
+other check builds the core's own.
 
 P is what is left of h after deleting vertices of degree at most 2 until
 none is left (Matula & Beck 1983).  A vertex of degree at most 2 has a
@@ -58,7 +62,12 @@ on the twin core of P, reading the component's rank masks cut to it; when
 nothing is peeled, P is h and its core is the one the class check used.
 Neither pattern has twins, so each search gives the verdict it gives on
 P.  The anchored runs, the fixpoint, the stages and witness replay work
-on P.
+on P.  When the class check read h's masks, P is h, and a walk of them
+from the least vertex (`patterns._reach`) that reaches every vertex shows
+P connected: P is then solved on those masks and their cut, with no
+split and no second build.  Any other P is split by
+`graph.connected_components`, and each component gets its own masks,
+built from its vertex set when there are several.
 
 A component containing an induced 7-cycle is anchored on that cycle: the
 21 proper colorings of the anchor that begin (1, 2) are enumerated, one
@@ -180,6 +189,8 @@ def solve(
     input, since each has minimum degree 3 (see the module docstring).
     Each component of the 3-core gets its own rank masks, and every search
     on it and the plain colorer read them cut as they need (`patterns._cut`).
+    When the peel deletes nothing, the class check reads the quotient's
+    masks cut to its twin core, and a connected 3-core keeps them.
     The order of the witness's items is not specified.
     Raises ClassViolationError when the input is outside the supported
     class, unless assume_class skips the membership check; on such input
@@ -192,16 +203,21 @@ def solve(
     if copies:
         stats["false_twins"] += len(copies)
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
-    core = None
-    if not assume_class:
-        core = twin_core(g, copies)
-        offending = patterns.check_core(core)
-        if offending is not None:
-            raise ClassViolationError(offending)
-
     order = _peel_order(h._adj)
     if order:
         stats["peeled"] += len(order)
+    core = whole = None
+    if not assume_class:
+        core = twin_core(g, copies)
+        core_cut = None
+        if not order:
+            # the 3-core is h: the check reads h's index cut to the core
+            whole = patterns._index(h)
+            core_cut = _core_cut(whole, core)
+        offending = patterns.check_core(core, core_cut)
+        if offending is not None:
+            raise ClassViolationError(offending)
+
     coloring: dict[int, int] = {}
     if len(order) < len(h):
         p = h
@@ -211,21 +227,24 @@ def solve(
             core = None
         if core is None:
             core = twin_core(p)
-        comps = connected_components(p)
-        # a connected 3-core is indexed whole, with no vertex set to meet
-        indexes = [patterns._index(p, comp if len(comps) > 1 else None) for comp in comps]
-        for index in indexes:
+        if whole is not None and patterns._reach(whole[1], 1, whole[2]) == whole[2]:
+            # connected: the check's index and cut serve the solve
+            parts = [(whole, core_cut)]
+        else:
+            comps = connected_components(p)
+            # a connected 3-core is indexed whole, with no vertex set to meet
+            indexes = [patterns._index(p, comp if len(comps) > 1 else None) for comp in comps]
+            parts = [(index, _core_cut(index, core)) for index in indexes]
+        for index, _ in parts:
             odd = patterns.find_nonbipartite_neighborhood(p, index)
             if odd is not None:
                 stats["preflight_odd_neighborhood_" + odd.kind] += 1
                 return _report("not_colorable", None, stats, start)
-        core_cuts = [patterns._cut(index, sum(1 << i for i, v in enumerate(index[0])
-                                              if v in core._adj)) for index in indexes]
-        if any(patterns.find_co_c7(p, cut) is not None for cut in core_cuts):
+        if any(patterns.find_co_c7(p, cut) is not None for _, cut in parts):
             stats["preflight_co_c7"] += 1
             return _report("not_colorable", None, stats, start)
-        for index, core_cut in zip(indexes, core_cuts):
-            cmap = _solve_component(p, index, core_cut, stats)
+        for index, cut in parts:
+            cmap = _solve_component(p, index, cut, stats)
             if cmap is None:
                 return _report("not_colorable", None, stats, start)
             coloring.update(cmap)
@@ -239,6 +258,11 @@ def solve(
         coloring[v] = coloring[rep]
     _verify_witness(g, coloring)
     return _report("colorable", coloring if witness else None, stats, start)
+
+
+def _core_cut(index, core):
+    """index cut to the vertices of the twin core `core` that it holds."""
+    return patterns._cut(index, sum(1 << i for i, v in enumerate(index[0]) if v in core._adj))
 
 
 def _peel_order(adj) -> list[int]:

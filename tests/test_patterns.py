@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from hered3.errors import ClassViolationError
-from hered3.graph import Graph, connected_components, induced_subgraph, twin_core
+from hered3.graph import Graph, connected_components, false_twins, induced_subgraph, twin_core
 from hered3 import cograph, patterns
 from hered3.patterns import (
     PatternWitness,
@@ -785,6 +785,63 @@ def test_bipartite_core_skips_the_c5_scan(monkeypatch):
     g = cycle_graph(5)
     assert check_core(g).kind == "c5"
     assert work == ["_index", "_has_c5", "_find_long_cycle"]
+
+
+def test_a_cut_of_a_wider_index_checks_the_core(monkeypatch):
+    # check_core on its core cut out of a wider index, the whole input's or
+    # its false-twin quotient's, as solve passes it, gives the witness or
+    # None it gives on the core's own index.  Inputs, each with twins added
+    # on shuffled ids so that the cut keeps fewer vertices than its index:
+    # refutation blowups and S_n³ (in class), co-bipartite graphs (two
+    # cliques, so no scan runs on the cut either, even when few edges cross
+    # between them and the core's edges are near the n(n - 2)/4 that the
+    # test asks of its n vertices) and random graphs whose witness is a C5
+    # or a 2P4
+    calls = []
+    for name in ("find_induced_cycle", "find_induced_2p4"):
+        real = getattr(patterns, name)
+        monkeypatch.setattr(patterns, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+    rng = Random(48)
+    inputs = [("in", testkit.cycle_blowup([2 if i in cl else rng.choice((1, 2, 3))
+                                           for i in range(k)], cliques=cl))
+              for k, cl in ((7, (0, 2, 4)), (9, (0, 2, 4, 6))) for _ in range(4)]
+    inputs += [("in", testkit.crown_plus(n)) for n in (4, 8, 20)]
+    inputs += [("two_cliques", testkit.co_bipartite(n, p, seed))
+               for n, p, seed in ((12, 0.3, 1), (30, 0.5, 2), (60, 0.3, 3), (30, 0.9, 4))]
+    random = [erdos_renyi(12 + i % 5, (0.1, 0.2)[i % 2], split_seed(48, i)) for i in range(60)]
+    inputs += [("out", g) for g in random if check_class(g) is not None]
+    kinds = {"in": 0, "two_cliques": 0, "c5": 0, "2p4": 0}
+    for family, g in inputs:
+        wide = g.copy()
+        for _ in range(1 + rng.randrange(3)):
+            v = rng.choice(wide.vertices())
+            u = wide.add_vertex()
+            # a false twin of v, or a true one
+            for w in wide.neighbors(v) | ({v} if rng.random() < 0.5 else set()):
+                wide.add_edge(u, w)
+        wide = relabeled(wide, rng.randrange(1 << 30))
+        core = twin_core(wide)
+        calls.clear()
+        want = check_core(core)
+        scans = calls[:]
+        copies = false_twins(wide)
+        quotient = induced_subgraph(wide, [v for v in wide.vertices() if v not in copies])
+        for h in (wide, quotient):
+            index = patterns._index(h)
+            keep = sum(1 << i for i, v in enumerate(index[0]) if core.has_vertex(v))
+            assert h is quotient or keep != index[2]
+            calls.clear()
+            assert check_core(core, patterns._cut(index, keep)) == want, family
+            assert calls == scans
+        if family == "out":
+            assert want is not None
+            kinds[want.kind] += 1
+        else:
+            assert want is None
+            kinds[family] += 1
+            assert (scans == []) == (family == "two_cliques")
+    assert all(n >= 3 for n in kinds.values()), kinds
 
 
 def complement(g):

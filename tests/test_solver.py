@@ -1064,9 +1064,11 @@ def test_solve_builds_one_index_per_component_of_its_3_core(monkeypatch):
     # solve builds the rank masks of each component of its 3-core from that
     # component's vertex set, one build each, and a connected 3-core whole:
     # so on refutation blowups built as the bench's `refute` cases (free
-    # classes of one to three vertices, ids shuffled), and, under the
-    # waiver, on three S_4³ with interleaved ids (a P4 in each of two makes
-    # a 2P4), each part colored as it is alone
+    # classes of one to three vertices, ids shuffled), whose quotient is
+    # their 3-core, and, under the waiver, on three S_4³ with interleaved ids
+    # (a P4 in each of two makes a 2P4), each part colored as it is alone.
+    # The class check of an unpeeled quotient reads the quotient's build,
+    # cut to the twin core, so a checked blowup builds once too
     builds = []   # the vertex set of each build
     real = patterns._index
 
@@ -1093,8 +1095,7 @@ def test_solve_builds_one_index_per_component_of_its_3_core(monkeypatch):
         assert "peeled" not in rep.stats and builds == [kept]
         builds.clear()
         assert solve(g).decision == "not_colorable"
-        # the class check's build of the twin core comes first
-        assert builds == [set(twin_core(g).vertices()), kept]
+        assert builds == [kept] and len(twin_core(g)) < len(kept)
     builds.clear()
     rep = solve(union, witness=True, assume_class=True)
     assert rep.decision == "colorable" and verify_coloring(union, rep.witness)
@@ -1140,6 +1141,34 @@ def test_every_component_passes_the_preflights_before_any_anchor_search():
             del rep.stats["millis"]
             assert rep.stats == {"preflight_odd_neighborhood_k4": 1, "branches": 0,
                                  "reductions": 0}
+
+
+def test_a_disconnected_unpeeled_core_is_split_after_the_class_check(monkeypatch):
+    # the C7 refutation blowup beside a K4, the blowup's ids first: in
+    # class, with no false twins and nothing to peel, so the class check
+    # reads the quotient's one build, cut to the twin core; the 3-core has
+    # two components, so solve then builds one index per component from its
+    # vertex set, as it does for any split core, and the K4's certificate
+    # refuses the solve before any anchor search
+    builds = []   # the vertex set of each build
+    real = patterns._index
+
+    def index(g, within=None):
+        builds.append(set(g.vertices()) if within is None else set(within))
+        return real(g, within)
+
+    blowup = cycle_blowup([2, 1, 2, 1, 2, 1, 1], cliques=(0, 2, 4))
+    k4 = Graph.from_edges(range(1, 5), combinations(range(1, 5), 2))
+    g = disjoint_union(blowup, k4)
+    assert naive_in_class(g) and not false_twins(g) and not solver._peel_order(g._adj)
+    comps = connected_components(g)
+    assert [len(c) for c in comps] == [len(blowup), 4]
+    monkeypatch.setattr(patterns, "_index", index)
+    rep = solve(g)
+    assert rep.decision == "not_colorable"
+    del rep.stats["millis"]
+    assert rep.stats == {"preflight_odd_neighborhood_k4": 1, "branches": 0, "reductions": 0}
+    assert builds == [set(g.vertices()), *comps]
 
 
 def test_solve_colors_the_false_twin_quotient():
@@ -1327,15 +1356,20 @@ def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
     # and 2P4 scans; solve builds them once more for each component of its
     # 3-core, a connected 3-core whole and a component of several from its
     # vertex set, and the preflights, the anchor search and the forward
-    # check read them cut to the vertices they need.  Inputs: the
-    # refutation blowups, a thickened gadget anchored on a 7-cycle and S_20³,
-    # each with a connected 3-core, and, under the waiver (it holds a 2P4),
-    # a 3-core of three components (built first: the thickening runs checks
-    # of its own).  A cotree is built on the masks of its own vertex set:
-    # those builds are counted apart, one per cotree call, and none comes
-    # from anywhere else
+    # check read them cut to the vertices they need.  When the peel deletes
+    # nothing and the 3-core is connected, solve's class check reads that
+    # one build cut to the twin core, so the whole solve builds once;
+    # otherwise the check builds the twin core's masks first.  Inputs, each
+    # with a connected 3-core: the refutation blowups, a thickened gadget
+    # anchored on a 7-cycle and S_20³, unpeeled, and a thickened gadget
+    # anchored on a 7-cycle whose quotient loses three vertices to the
+    # peel; and, under the waiver (it holds a 2P4), a 3-core of three
+    # components (built first: the thickening runs checks of its own).  A
+    # cotree is built on the masks of its own vertex set: those builds are
+    # counted apart, one per cotree call, and none comes from anywhere else
     graphs = [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
-    graphs += [thickened(SINGLE_ANCHOR_SEEDS[0]), crown_plus(20)]
+    peeled = thickened(26)
+    graphs += [thickened(SINGLE_ANCHOR_SEEDS[0]), crown_plus(20), peeled]
     union = disjoint_union(thickened(2), thickened(3), crown_graph(4))
     builds = []    # the sizes of the whole-graph builds
     subsets = []   # the vertex sets of the other builds
@@ -1365,7 +1399,11 @@ def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
         cotrees.clear()
         rep = solve(g, witness=True)
         core = len(g) - rep.stats.get("false_twins", 0) - rep.stats.get("peeled", 0)
-        assert builds == [len(twin_core(g)), core] and core > 0
+        if g is peeled:
+            assert rep.stats["peeled"] == 3 and builds == [len(twin_core(g)), core]
+        else:
+            assert "peeled" not in rep.stats and builds == [core]
+        assert core > 0
         assert subsets == cotrees
         cotree_sets += len(subsets)
     assert cotree_sets > 0

@@ -50,7 +50,7 @@ BENCH_SEEDS = (3, 5)
 GADGETS = 600
 RANDOM_GRAPHS = 600
 REST_GRAPHS = 2000
-CROWN_SIZES = (3, 4, 5, 8, 20)
+CROWN_SIZES = (3, 4, 5, 8, 20, 40, 60)
 WHEELS = range(3, 16, 2)
 WHEEL_EXTRAS = (0, 6, 12)
 WHEEL_SEEDS = 6
