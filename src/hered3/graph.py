@@ -175,6 +175,11 @@ def twin_core(g: Graph, copies: dict[int, int] | None = None) -> Graph:
     the id counter are kept, as in `induced_subgraph`.  copies, when
     given, is `false_twins(g)`, and stands in for the first pass.
 
+    `patterns.check_class` calls it, and so does `solver.solve` for the
+    class check of a quotient that its peel cuts down, passing copies.
+    Where `solve` already holds a graph's rank masks, `patterns._twin_cut`
+    finds the same vertices on them instead.
+
     Passes alternate between the kinds: false twins (open neighbourhoods),
     then true twins (closed ones), then false again, each deleting every
     vertex with a smaller twin of its kind.  One pass of either kind leaves

@@ -99,6 +99,95 @@ def _cut(index, keep):
     return order, [m & keep if keep >> i & 1 else 0 for i, m in enumerate(nbr)], keep
 
 
+def _twin_cut(index):
+    """The index cut (`_cut`) to the twin core of the graph it holds: the
+    vertices that `graph.twin_core` keeps, found on the masks.
+
+    A pass keys each vertex it reads by its neighbourhood within keep, an
+    int: `nbr[i] & keep`, with the vertex's own bit for a closed one.  It
+    deletes every vertex whose key a smaller rank has, so it keeps the least
+    rank, and so the least id, of each class.  The kinds alternate, closed
+    first, until a pass after the first deletes nothing; the core does not
+    depend on the order of the deletions, so it is `twin_core`'s, which
+    starts with open ones.  The first two passes read every vertex, since
+    each may meet twins that were there from the start.  From the third on,
+    every twin pair was made by the previous pass's deletions and holds one
+    of its representatives (`graph.twin_core`), so a pass reads only the
+    vertices of a representative's degree.
+
+    Those are found on bit-sliced degree counters, built at the third pass:
+    planes[k] is the mask of the vertices whose degree within keep has bit
+    k set.  A deletion takes one off each of its neighbours' counts, with a
+    borrow that ripples up the planes, and the vertices of degree d are one
+    AND per plane.  So a threshold graph, which takes a pass per vertex,
+    costs a few mask operations per pass, not one per vertex.
+    """
+    order, nbr, keep = index
+    drop, _ = _twin_pass(nbr, keep, keep, True)
+    keep ^= drop
+    drop, reps = _twin_pass(nbr, keep, keep, False)
+    closed = True
+    planes = None
+    while drop:
+        keep ^= drop
+        if planes is None:
+            planes = _degree_planes(nbr, keep)
+        else:
+            while drop:
+                low = drop & -drop
+                drop ^= low
+                borrow = nbr[low.bit_length() - 1] & keep
+                for k, plane in enumerate(planes):
+                    planes[k] = plane ^ borrow
+                    borrow &= ~plane
+                    if not borrow:
+                        break
+        keyed = 0
+        for d in {(nbr[r] & keep).bit_count() for r in reps}:
+            same = keep
+            for k, plane in enumerate(planes):
+                same &= plane if d >> k & 1 else ~plane
+            keyed |= same
+        drop, reps = _twin_pass(nbr, keep, keyed, closed)
+        closed = not closed
+    return _cut(index, keep)
+
+
+def _twin_pass(nbr, keep, keyed, closed):
+    """(drop, reps): the mask of the vertices of keyed whose neighbourhood
+    within keep (closed, with `closed`) a smaller rank of keyed has, and the
+    ranks of the least of each such class."""
+    least: dict[int, int] = {}
+    first = least.setdefault
+    drop = 0
+    reps = set()
+    while keyed:
+        low = keyed & -keyed
+        keyed ^= low
+        i = low.bit_length() - 1
+        rep = first(nbr[i] & keep | low if closed else nbr[i] & keep, i)
+        if rep != i:
+            drop |= low
+            reps.add(rep)
+    return drop, reps
+
+
+def _degree_planes(nbr, keep) -> list[int]:
+    """The bit-sliced degrees of the vertices of keep within keep: bit k of
+    a vertex's degree is its bit in the k-th mask."""
+    planes: list[int] = []
+    rest = keep
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = (nbr[low.bit_length() - 1] & keep).bit_count()
+        planes += [0] * (d.bit_length() - len(planes))
+        for k in range(d.bit_length()):
+            if d >> k & 1:
+                planes[k] |= low
+    return planes
+
+
 def find_induced_2p4(g: Graph, index=None):
     """Two induced P4s with no edges between them, or None.
 
@@ -515,9 +604,12 @@ def check_core(core: Graph, index=None):
     given.  The verdict holds for any graph; a caller that has already built
     a twin core passes it here and gets the witness `check_class` argues.
     Both scans, and the test below, read one index of the core: index when
-    given, an index whose keep is the core (a wider graph's, cut to it by
-    `_cut`, as `solver.solve` passes), else the core's own.  As for the
-    finders, the answer is the one on the core's own index.
+    given, an index whose keep is the core (a wider graph's, cut to it, as
+    `solver.solve` passes the quotient's `_twin_cut`), else the core's own.
+    As for the finders, the answer is the one on the core's own index.
+    With an index, core only verifies the witness, so any graph that
+    induces the core with the same ids will do, such as the graph the
+    index was built on.
 
     A core whose complement is bipartite (two cliques: the complement's
     masks have an empty `_odd_transversal`) is in class, and answers None

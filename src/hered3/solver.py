@@ -15,15 +15,17 @@ part h has no 3-coloring has none; a copy is not adjacent to its
 representative and has the same neighbors, so every edge stays proper.  h
 itself has no false twins.
 
-The class check runs on the twin core of h (`graph.twin_core`).  The core
-does not depend on the order of the deletions and keeps the least id of
-each twin class, so it is the twin core of the whole input too, and the
-check gives the verdict it gives on the input.  It is built from the
-input and the solver's one false-twin pass, whose copies stand in for the
-core's own first pass.  When the peel deletes nothing, the check reads
-h's rank masks (`patterns._index`) cut to the core (`patterns._cut`),
-which `patterns.check_core` answers as it answers the core's own; any
-other check builds the core's own.
+The class check runs on the twin core of h.  The core does not depend on
+the order of the deletions and keeps the least id of each twin class, so
+it is the twin core of the whole input too, and the check gives the
+verdict it gives on the input.  When the peel deletes nothing, the check
+reads h's rank masks (`patterns._index`) cut to the core on the masks
+themselves (`patterns._twin_cut`), which `patterns.check_core` answers as
+it answers the core's own, with h to verify its witness.  When the peel
+deletes vertices, the check builds the core on sets (`graph.twin_core`),
+from the input and the solver's one false-twin pass, whose copies stand
+in for the core's own first pass, and then the core's own masks: h's
+masks grow with the square of h, the core's only with the core.
 
 P is what is left of h after deleting vertices of degree at most 2 until
 none is left (Matula & Beck 1983).  A vertex of degree at most 2 has a
@@ -58,16 +60,18 @@ neighborhood holds no two false twins, so swapping each copy on it for
 its representative gives one of the same length in h.
 
 The co-C7 preflight and each component's search for its anchor cycle run
-on the twin core of P, reading the component's rank masks cut to it; when
-nothing is peeled, P is h and its core is the one the class check used.
-Neither pattern has twins, so each search gives the verdict it gives on
-P.  The anchored runs, the fixpoint, the stages and witness replay work
-on P.  When the class check read h's masks, P is h, and a walk of them
-from the least vertex (`patterns._reach`) that reaches every vertex shows
-P connected: P is then solved on those masks and their cut, with no
-split and no second build.  Any other P is split by
+on the component's twin core, its rank masks cut by `patterns._twin_cut`.
+Twins in two components of P would both be isolated, and P has none, so
+these cores make up the twin core of P; when nothing is peeled, P is h
+and its core is the one the class check used.  Neither pattern has
+twins, so each search gives the verdict it gives on P.  The anchored
+runs, the fixpoint, the stages and witness replay work on P.  When the
+class check read h's masks, P is h, and a walk of them from the least
+vertex (`patterns._reach`) that reaches every vertex shows P connected:
+P is then solved on those masks and their twin cut, with no split and
+no second build of either.  Any other P is split by
 `graph.connected_components`, and each component gets its own masks,
-built from its vertex set when there are several.
+built from its vertex set when there are several, and their twin cut.
 
 A component containing an induced 7-cycle is anchored on that cycle: the
 21 proper colorings of the anchor that begin (1, 2) are enumerated, one
@@ -188,9 +192,12 @@ def solve(
     answer, and it holds every K4, odd wheel and co-C7 certificate of the
     input, since each has minimum degree 3 (see the module docstring).
     Each component of the 3-core gets its own rank masks, and every search
-    on it and the plain colorer read them cut as they need (`patterns._cut`).
-    When the peel deletes nothing, the class check reads the quotient's
-    masks cut to its twin core, and a connected 3-core keeps them.
+    on it and the plain colorer read them cut as they need (`patterns._cut`);
+    its twin core is such a cut (`patterns._twin_cut`).  When the peel
+    deletes nothing, the class check reads the quotient's masks cut to its
+    twin core, and a connected 3-core keeps both.  Only the class check of
+    a quotient the peel cuts down builds a twin core on sets
+    (`graph.twin_core`).
     The order of the witness's items is not specified.
     Raises ClassViolationError when the input is outside the supported
     class, unless assume_class skips the membership check; on such input
@@ -206,15 +213,15 @@ def solve(
     order = _peel_order(h._adj)
     if order:
         stats["peeled"] += len(order)
-    core = whole = None
+    whole = cut = None
     if not assume_class:
-        core = twin_core(g, copies)
-        core_cut = None
-        if not order:
-            # the 3-core is h: the check reads h's index cut to the core
+        if order:
+            offending = patterns.check_core(twin_core(g, copies))
+        else:
+            # the 3-core is h: the check reads h's index cut to its twin core
             whole = patterns._index(h)
-            core_cut = _core_cut(whole, core)
-        offending = patterns.check_core(core, core_cut)
+            cut = patterns._twin_cut(whole)
+            offending = patterns.check_core(h, cut)
         if offending is not None:
             raise ClassViolationError(offending)
 
@@ -224,17 +231,14 @@ def solve(
         if order:
             peeled = set(order)
             p = induced_subgraph(h, [v for v in h._adj if v not in peeled])
-            core = None
-        if core is None:
-            core = twin_core(p)
         if whole is not None and patterns._reach(whole[1], 1, whole[2]) == whole[2]:
             # connected: the check's index and cut serve the solve
-            parts = [(whole, core_cut)]
+            parts = [(whole, cut)]
         else:
             comps = connected_components(p)
             # a connected 3-core is indexed whole, with no vertex set to meet
             indexes = [patterns._index(p, comp if len(comps) > 1 else None) for comp in comps]
-            parts = [(index, _core_cut(index, core)) for index in indexes]
+            parts = [(index, patterns._twin_cut(index)) for index in indexes]
         for index, _ in parts:
             odd = patterns.find_nonbipartite_neighborhood(p, index)
             if odd is not None:
@@ -258,11 +262,6 @@ def solve(
         coloring[v] = coloring[rep]
     _verify_witness(g, coloring)
     return _report("colorable", coloring if witness else None, stats, start)
-
-
-def _core_cut(index, core):
-    """index cut to the vertices of the twin core `core` that it holds."""
-    return patterns._cut(index, sum(1 << i for i, v in enumerate(index[0]) if v in core._adj))
 
 
 def _peel_order(adj) -> list[int]:
@@ -326,11 +325,11 @@ def _verify_witness(g: Graph, coloring: dict) -> None:
 def _solve_component(p, index, core, stats):
     """The 3-coloring of a component of p, or None when it has none.
 
-    index is the component's own index, and core is it cut to its part of
-    p's twin core.  The anchor cycle is sought on core, and the anchored
-    run and the plain colorer read index; an anchored witness takes its ids
-    off index.  Neither changes p: `_run_anchored` builds each root on a
-    new graph, and `_backtrack_color` works on masks only."""
+    index is the component's own index, and core is it cut to the
+    component's twin core.  The anchor cycle is sought on core, and the
+    anchored run and the plain colorer read index; an anchored witness
+    takes its ids off index.  Neither changes p: `_run_anchored` builds
+    each root on a new graph, and `_backtrack_color` works on masks only."""
     for k in (7, 9):
         cyc = patterns.find_induced_cycle(p, k, core)
         if cyc is not None:

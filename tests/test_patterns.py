@@ -740,6 +740,53 @@ def test_reach_matches_the_components_of_a_set_search():
     assert min(shapes.values()) > 50, shapes
 
 
+def test_twin_cut_keeps_the_vertices_of_the_twin_core(monkeypatch):
+    # `_twin_cut` keeps on the masks the vertices that `graph.twin_core`, the
+    # reference, keeps: on random graphs with false and true twins added and
+    # isolated vertices among them, on the masks of a random vertex set
+    # (`_index(g, within)`), on that set cut out of the whole index, and on
+    # threshold graphs, whose twin pairs form one pass at a time.  Both
+    # first passes must read every vertex: a second pass that read only
+    # the vertices of a representative's degree misses twins the input had
+    passes = []
+    real = patterns._twin_pass
+
+    def counted(*args):
+        passes[-1] += 1
+        return real(*args)
+
+    monkeypatch.setattr(patterns, "_twin_pass", counted)
+
+    def kept(index):
+        passes.append(0)
+        order, _, keep = patterns._twin_cut(index)
+        return {v for i, v in enumerate(order) if keep >> i & 1}
+
+    for i in range(600):
+        rng = Random(split_seed(80, 1, i))
+        g = erdos_renyi(rng.randint(1, 18), rng.choice((0.05, 0.2, 0.5, 0.8)), rng.getrandbits(64))
+        for _ in range(rng.randrange(5)):
+            v = rng.choice(g.vertices())
+            u = g.add_vertex()
+            # a false twin of v, or a true one
+            for w in g.neighbors(v) | ({v} if rng.random() < 0.5 else set()):
+                g.add_edge(u, w)
+        assert kept(patterns._index(g)) == set(twin_core(g).vertices()), i
+        within = {v for v in g.vertices() if rng.random() < 0.7}
+        want = set(twin_core(induced_subgraph(g, within)).vertices())
+        assert kept(patterns._index(g, within)) == want, i
+        index = patterns._index(g)
+        keep = sum(1 << j for j, v in enumerate(index[0]) if v in within)
+        assert kept(patterns._cut(index, keep)) == want, i
+    # every input takes the two full passes, and the degree-keyed ones ran
+    assert min(passes) == 2 and sum(n > 3 for n in passes) > 50
+    for n in (3, 10, 40, 120):
+        g = testkit.threshold_graph(n)
+        passes.clear()
+        assert kept(patterns._index(g)) == set(twin_core(g).vertices()) == {1}, n
+        assert passes[0] >= n - 1, n
+
+
 def test_c5_decision_from_one_vertex_finds_the_c5s_through_it():
     # `testkit.thicken` hands `_has_c5` the mask of one vertex t to ask
     # whether an induced C5 runs through t; brute force over the 5-sets

@@ -1126,6 +1126,26 @@ def test_solve_memory_grows_linearly_in_the_components():
     assert peaks[1] <= 2.5 * peaks[0], peaks
 
 
+def test_the_class_check_of_a_peeled_quotient_grows_linearly():
+    # a quotient that the peel cuts down is class-checked on its twin core,
+    # built on sets, and on the core's masks, not on the quotient's masks,
+    # which grow with its square.  Disjoint triangles peel whole and their
+    # core is one vertex, so twice the triangles take about twice the peak
+    # memory: 2.0 here, where the check on the quotient's masks took 3.5
+    triangle = Graph.from_edges(range(1, 4), combinations(range(1, 4), 2))
+    peaks = []
+    for m in (1000, 2000):
+        g = disjoint_union(*[triangle] * m)
+        tracemalloc.start()
+        try:
+            rep = solve(g, witness=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert rep.decision == "colorable" and rep.stats["peeled"] == 3 * m
+    assert peaks[1] <= 2.5 * peaks[0], peaks
+
+
 def test_every_component_passes_the_preflights_before_any_anchor_search():
     # a thickened gadget, anchored on its 7-cycle when alone, beside a K4
     # whose ids come after the gadget's and then before them: the K4's
@@ -1318,37 +1338,38 @@ def test_empty_3_core_runs_no_preflight_search_or_colorer(monkeypatch):
 
 def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
     # a refutation blowup's quotient is its own 3-core: _solve_component gets
-    # the quotient, the index over all of it and the mask of its twin core,
-    # the core solve built, with no copy and no second core
-    built = []
+    # the quotient and the index over all of it, cut on its masks to the
+    # vertices of its twin core, with no copy and no core built on sets
     handed = []
-    real_core = solver.twin_core
 
-    def recorded(g, *rest):
-        built.append(real_core(g, *rest))
-        return built[-1]
+    def refused(*args):
+        raise AssertionError("a twin core was built on sets")
 
-    monkeypatch.setattr(solver, "twin_core", recorded)
     real = solver._solve_component
 
     def component(g, index, core, stats):
         handed.append((g, index, core))
         return real(g, index, core, stats)
 
-    monkeypatch.setattr(solver, "_solve_component", component)
+    cases = []   # (blowup, its twin core's vertices), built before the patch
     for sizes, cliques, _, _ in REFUTATION_BLOWUPS:
         g = cycle_blowup(sizes, cliques=cliques)
         assert not false_twins(g)
+        cases.append((g, set(twin_core(g).vertices())))
+    monkeypatch.setattr(solver, "_solve_component", component)
+    for mod in (graph, patterns, solver):
+        monkeypatch.setattr(mod, "twin_core", refused)
+    for g, core in cases:
         for assume_class in (False, True):
-            built.clear()
             handed.clear()
             rep = solve(g, assume_class=assume_class)
             assert rep.decision == "not_colorable" and "peeled" not in rep.stats
-            (core,) = built
             assert len(handed) == 1 and handed[0][0] is g
             order, nbr, keep = handed[0][1]
             assert order == g.vertices() and keep == (1 << len(g)) - 1
-            assert handed[0][2][2] == sum(1 << i for i, v in enumerate(order) if core.has_vertex(v))
+            cut = handed[0][2][2]
+            assert {v for i, v in enumerate(order) if cut >> i & 1} == core
+            assert len(core) < len(g)
 
 
 def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
