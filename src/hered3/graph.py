@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -162,7 +161,7 @@ def false_twins(g: Graph) -> dict[int, int]:
     return _copies(g._adj, False, sorted(g._adj))
 
 
-def twin_core(g: Graph, copies: dict[int, int] | None = None) -> Graph:
+def twin_core(g: Graph) -> Graph:
     """The induced subgraph left when twins are deleted, to a fixpoint.
 
     u and v are false twins when N(u) = N(v) and true twins when
@@ -172,13 +171,11 @@ def twin_core(g: Graph, copies: dict[int, int] | None = None) -> Graph:
     class, repeated until nothing changes, and the order of the deletions
     does not matter.  A pattern without twins (C5, C7, C9, 2P4, co-C7) is
     an induced subgraph of g exactly when it is one of the core.  Ids and
-    the id counter are kept, as in `induced_subgraph`.  copies, when
-    given, is `false_twins(g)`, and stands in for the first pass.
+    the id counter are kept, as in `induced_subgraph`.
 
-    `patterns.check_class` calls it, and so does `solver.solve` for the
-    class check of a quotient that its peel cuts down, passing copies.
-    Where `solve` already holds a graph's rank masks, `patterns._twin_cut`
-    finds the same vertices on them instead.
+    `patterns.check_class` calls it.  `solver.solve` holds the rank masks
+    of each component of its quotient, and `patterns._twin_cut` finds the
+    same vertices on them instead.
 
     Passes alternate between the kinds: false twins (open neighbourhoods),
     then true twins (closed ones), then false again, each deleting every
@@ -200,7 +197,7 @@ def twin_core(g: Graph, copies: dict[int, int] | None = None) -> Graph:
     only what it spares, and later passes delete in place.
     """
     order = sorted(g._adj)
-    drop = _copies(g._adj, False, order) if copies is None else copies
+    drop = _copies(g._adj, False, order)
     adj = {v: g._adj[v].difference(drop) for v in order if v not in drop}
     closed = True
     keyed = adj
@@ -244,23 +241,27 @@ def connected_components(g: Graph, within: Iterable[int] | None = None) -> list[
     """Connected components ordered by their smallest contained vertex id.
 
     With `within`, components of the induced subgraph on that vertex set.
+    A stack walk adds to a component each vertex's neighbours not in it yet.
     """
-    verts = g._adj if within is None else set(within)
+    adj = g._adj
+    keep = None if within is None else set(within)
+    if keep is not None and not adj.keys() >= keep:
+        for v in keep:
+            g._check(v)
     seen: set[int] = set()
     comps: list[set[int]] = []
-    for start in sorted(verts):
+    for start in sorted(adj if keep is None else keep):
         if start in seen:
             continue
-        g._check(start)
         comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g._adj[u]:
-                if w in verts and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
+        stack = [start]
+        while stack:
+            new = adj[stack.pop()] - comp
+            if keep is not None:
+                new &= keep
+            if new:
+                comp |= new
+                stack += new
         seen |= comp
         comps.append(comp)
     return comps
-

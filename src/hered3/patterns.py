@@ -54,8 +54,9 @@ def _index(g: Graph, within=None):
 
     The finders here read a graph's index, which `_cut` narrows; a vertex
     set, within, gives the index of the subgraph it induces: `solver.solve`
-    builds one per component of a split 3-core, `cograph.cotree_or_failure`
-    one per cotree.
+    builds one per component of its quotient, and one per component of its
+    3-core that is not a whole component of the quotient, and
+    `cograph.cotree_or_failure` one per cotree.
 
     The scans below walk a mask from its lowest bit, inline: `low = m & -m`
     isolates that bit, `m ^= low` clears it and `low.bit_length() - 1` is
@@ -210,8 +211,15 @@ def find_induced_2p4(g: Graph, index=None):
     if found is None:
         return None
     (a, b, c, d), rest = found
-    first = tuple(order[i] for i in ((a, b, c, d) if a < d else (d, c, b, a)))
-    second = tuple(order[i] for i in next(_p4s(nbr, rest), ()))
+    return _2p4_witness(g, tuple(order[i] for i in (a, b, c, d)),
+                        tuple(order[i] for i in next(_p4s(nbr, rest), ())))
+
+
+def _2p4_witness(g: Graph, first, second) -> PatternWitness:
+    """The 2P4 witness of the P4 first = (a, b, c, d), written so that
+    a < d, and the P4 second, verified on g."""
+    if first[0] > first[3]:
+        first = first[::-1]
     for part in (first, second):
         _verify_induced(g, "path", part, (1,))
     if len(second) != 4 or any(g._adj[u].intersection(second) for u in first):
@@ -260,6 +268,28 @@ def _least_2p4_hit(nbr, full):
                         continue
                     if hit:
                         return (abit.bit_length() - 1, b, c, dbit.bit_length() - 1), rest
+    return None
+
+
+def _least_p4(nbr):
+    """The first (b, c, a, d) of the scan that `find_induced_2p4` describes,
+    as ranks, when every P4 is a hit: the least induced P4 a-b-c-d in that
+    order, or None."""
+    for b, nb in enumerate(nbr):
+        cs = nb >> b + 1 << b + 1
+        while cs:
+            cbit = cs & -cs
+            cs ^= cbit
+            nc = nbr[cbit.bit_length() - 1]
+            ends = nc & ~nb & ~(1 << b)
+            starts = nb & ~nc & ~cbit
+            while starts:
+                abit = starts & -starts
+                starts ^= abit
+                ds = ends & ~nbr[abit.bit_length() - 1]
+                if ds:
+                    return (b, cbit.bit_length() - 1, abit.bit_length() - 1,
+                            (ds & -ds).bit_length() - 1)
     return None
 
 
@@ -535,11 +565,11 @@ def find_nonbipartite_neighborhood(g: Graph, index=None):
     raises ClassViolationError with the least 2P4 of N(v).
 
     `solver.solve` calls this on each component of the 3-core of its
-    false-twin quotient, each with the component's own index.  When that
-    3-core is the whole class-checked quotient and connected, the index is
-    the quotient's, the one the class check read cut to its twin core.  On
-    a graph with false twins a copy repeats its representative's scan,
-    which comes first and so has already passed.
+    false-twin quotient, each with the component's own index.  When the
+    component is a whole component of the quotient, that index is the one
+    the class check read cut to its twin core.  On a graph with false twins
+    a copy repeats its representative's scan, which comes first and so has
+    already passed.
     """
     order, nbr, _ = index = index or _index(g)
     for v, nv in zip(order, nbr):
@@ -605,7 +635,8 @@ def check_core(core: Graph, index=None):
     a twin core passes it here and gets the witness `check_class` argues.
     Both scans, and the test below, read one index of the core: index when
     given, an index whose keep is the core (a wider graph's, cut to it, as
-    `solver.solve` passes the quotient's `_twin_cut`), else the core's own.
+    `check_components` passes a component's `_twin_cut`), else the core's
+    own.
     As for the finders, the answer is the one on the core's own index.
     With an index, core only verifies the witness, so any graph that
     induces the core with the same ids will do, such as the graph the
@@ -629,3 +660,53 @@ def check_core(core: Graph, index=None):
     if c5 is not None:
         return PatternWitness("c5", (c5,))
     return find_induced_2p4(core, index)
+
+
+def check_components(g: Graph, cuts):
+    """The witness `check_class` gives on a graph, or None, read off the
+    twin cores of its components that hold an induced P4.
+
+    cuts holds one index per such component, in ascending order of least
+    vertex, cut to the component's twin core (`_twin_cut`).  As in
+    `check_core`, g only verifies the witness: any graph that induces each
+    core with the same ids will do.  A component holds a P4 exactly when
+    its core keeps two or more vertices: a P4 has no twins, and every
+    cograph on two or more vertices has a pair of twins (Corneil, Lerchs &
+    Stewart Burlingham 1981), so a cograph's core is one vertex.  A
+    component with no P4 holds no C5 either, and adds nothing.
+
+    A C5 or a P4 lies in one component, and two P4s in two components form
+    an induced 2P4.  So the graph is in class exactly when every component
+    is C5-free, at most one holds a P4, and that one is 2P4-free.  Twins in
+    two components are isolated vertices, so the twin core of the graph is
+    these cores and at most one isolated vertex, and the witness is the
+    one `check_class` finds on that core:
+
+    - One core: `check_core` on it, since the scans' hits and rests on the
+      whole core are its own.
+    - Several, C5: the least C5 over the cores.  A canonical cycle starts
+      at its least vertex, so the least is the canonical one of the graph.
+    - Several, 2P4: the rest of any P4 holds every other core, so every P4
+      is a hit of the 2P4 scan.  The first part is the least P4 in the
+      scan's (b, c, a, d) order over the cores, and the second part the
+      least P4 of that P4's rest, over every core.
+    """
+    if len(cuts) < 2:
+        return check_core(g, cuts[0]) if cuts else None
+    c5s = [c5 for cut in cuts if (c5 := find_induced_cycle(g, 5, cut)) is not None]
+    if c5s:
+        return PatternWitness("c5", (min(c5s),))
+    hits = []
+    for j, (order, nbr, _) in enumerate(cuts):
+        ranks = _least_p4(nbr)
+        hits.append((tuple(order[r] for r in ranks), j, ranks))
+    (b, c, a, d), j, ranks = min(hits)
+    seconds = []
+    for i, (order, nbr, keep) in enumerate(cuts):
+        if i == j:
+            for r in ranks:
+                keep &= ~(nbr[r] | 1 << r)
+        p4 = next(_p4s(nbr, keep), None)
+        if p4 is not None:
+            seconds.append(tuple(order[r] for r in p4))
+    return _2p4_witness(g, (a, b, c, d), min(seconds))

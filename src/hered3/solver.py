@@ -15,17 +15,18 @@ part h has no 3-coloring has none; a copy is not adjacent to its
 representative and has the same neighbors, so every edge stays proper.  h
 itself has no false twins.
 
-The class check runs on the twin core of h.  The core does not depend on
-the order of the deletions and keeps the least id of each twin class, so
-it is the twin core of the whole input too, and the check gives the
-verdict it gives on the input.  When the peel deletes nothing, the check
-reads h's rank masks (`patterns._index`) cut to the core on the masks
-themselves (`patterns._twin_cut`), which `patterns.check_core` answers as
-it answers the core's own, with h to verify its witness.  When the peel
-deletes vertices, the check builds the core on sets (`graph.twin_core`),
-from the input and the solver's one false-twin pass, whose copies stand
-in for the core's own first pass, and then the core's own masks: h's
-masks grow with the square of h, the core's only with the core.
+The class check and the split of P take one path.  h is split once by
+`graph.connected_components`, and each component of four or more
+vertices (a smaller one holds no P4, C5 or 3-core) gets its rank masks
+(`patterns._index`, of all of h when h is connected) and their cut to its
+twin core (`patterns._twin_cut`).  Twins in two components are isolated,
+so these cores make up the twin core of h but for isolated vertices, and
+a twin core keeps the least id of each twin class whatever the order of
+its deletions, so h's is the input's: `patterns.check_components` on the
+cores gives the check's verdict and witness on the input.  A component
+of P that is a whole component of h keeps its masks and cut, and any
+other gets masks of its own vertex set.  Under assume_class nothing is
+checked, and a quotient that peels whole walks no components.
 
 P is what is left of h after deleting vertices of degree at most 2 until
 none is left (Matula & Beck 1983).  A vertex of degree at most 2 has a
@@ -60,18 +61,10 @@ neighborhood holds no two false twins, so swapping each copy on it for
 its representative gives one of the same length in h.
 
 The co-C7 preflight and each component's search for its anchor cycle run
-on the component's twin core, its rank masks cut by `patterns._twin_cut`.
-Twins in two components of P would both be isolated, and P has none, so
-these cores make up the twin core of P; when nothing is peeled, P is h
-and its core is the one the class check used.  Neither pattern has
-twins, so each search gives the verdict it gives on P.  The anchored
-runs, the fixpoint, the stages and witness replay work on P.  When the
-class check read h's masks, P is h, and a walk of them from the least
-vertex (`patterns._reach`) that reaches every vertex shows P connected:
-P is then solved on those masks and their twin cut, with no split and
-no second build of either.  Any other P is split by
-`graph.connected_components`, and each component gets its own masks,
-built from its vertex set when there are several, and their twin cut.
+on the component's twin core.  P has no isolated vertex, so these cores
+make up the twin core of P, and neither pattern has twins, so each
+search gives the verdict it gives on P.  The searches, the anchored runs
+and witness replay read h, which induces P with the same ids.
 
 A component containing an induced 7-cycle is anchored on that cycle: the
 21 proper colorings of the anchor that begin (1, 2) are enumerated, one
@@ -152,7 +145,7 @@ from time import perf_counter
 
 from . import cograph, patterns
 from .errors import ClassViolationError, StageAssertionError
-from .graph import Graph, connected_components, false_twins, induced_subgraph, twin_core
+from .graph import Graph, connected_components, false_twins, induced_subgraph
 from .reductions import (
     ALL_COLORS,
     REJECTED,
@@ -191,13 +184,11 @@ def solve(
     quotient outside its 3-core, colored after it.  The 3-core decides the
     answer, and it holds every K4, odd wheel and co-C7 certificate of the
     input, since each has minimum degree 3 (see the module docstring).
-    Each component of the 3-core gets its own rank masks, and every search
-    on it and the plain colorer read them cut as they need (`patterns._cut`);
-    its twin core is such a cut (`patterns._twin_cut`).  When the peel
-    deletes nothing, the class check reads the quotient's masks cut to its
-    twin core, and a connected 3-core keeps both.  Only the class check of
-    a quotient the peel cuts down builds a twin core on sets
-    (`graph.twin_core`).
+    Each component of the quotient gets its own rank masks, cut to its twin
+    core for the class check (`patterns.check_components`); a component of
+    the 3-core keeps them or, when the peel cut its component down, gets
+    its own, and every search on it reads them cut as it needs
+    (`patterns._cut`).
     The order of the witness's items is not specified.
     Raises ClassViolationError when the input is outside the supported
     class, unless assume_class skips the membership check; on such input
@@ -213,45 +204,49 @@ def solve(
     order = _peel_order(h._adj)
     if order:
         stats["peeled"] += len(order)
-    whole = cut = None
-    if not assume_class:
-        if order:
-            offending = patterns.check_core(twin_core(g, copies))
-        else:
-            # the 3-core is h: the check reads h's index cut to its twin core
-            whole = patterns._index(h)
-            cut = patterns._twin_cut(whole)
-            offending = patterns.check_core(h, cut)
+    parts = []   # (index, twin cut) of each component of the 3-core
+    if not assume_class or len(order) < len(h):
+        peeled = set(order)
+        split = set()   # the 3-core's vertices in components of h the peel cuts down
+        held = []       # the twin cuts of the components of h that hold a P4
+        comps = connected_components(h)
+        for comp in comps:
+            if len(comp) < 4:
+                continue   # no P4, no C5 and no 3-core
+            cut_down = not peeled.isdisjoint(comp)
+            if cut_down:
+                split |= comp - peeled
+                if assume_class:
+                    continue
+            # a connected h is indexed whole, with no vertex set to meet
+            index = patterns._index(h, comp if len(comps) > 1 else None)
+            cut = patterns._twin_cut(index)
+            if cut[2] & cut[2] - 1:
+                held.append(cut)
+            if not cut_down:
+                parts.append((index, cut))
+        offending = None if assume_class else patterns.check_components(h, held)
         if offending is not None:
             raise ClassViolationError(offending)
-
-    coloring: dict[int, int] = {}
-    if len(order) < len(h):
-        p = h
-        if order:
-            peeled = set(order)
-            p = induced_subgraph(h, [v for v in h._adj if v not in peeled])
-        if whole is not None and patterns._reach(whole[1], 1, whole[2]) == whole[2]:
-            # connected: the check's index and cut serve the solve
-            parts = [(whole, cut)]
-        else:
-            comps = connected_components(p)
-            # a connected 3-core is indexed whole, with no vertex set to meet
-            indexes = [patterns._index(p, comp if len(comps) > 1 else None) for comp in comps]
-            parts = [(index, patterns._twin_cut(index)) for index in indexes]
-        for index, _ in parts:
-            odd = patterns.find_nonbipartite_neighborhood(p, index)
-            if odd is not None:
-                stats["preflight_odd_neighborhood_" + odd.kind] += 1
-                return _report("not_colorable", None, stats, start)
-        if any(patterns.find_co_c7(p, cut) is not None for _, cut in parts):
-            stats["preflight_co_c7"] += 1
+        if split:
+            for comp in connected_components(h, within=split):
+                index = patterns._index(h, comp)
+                parts.append((index, patterns._twin_cut(index)))
+            parts.sort(key=lambda part: part[0][0][0])
+    for index, _ in parts:
+        odd = patterns.find_nonbipartite_neighborhood(h, index)
+        if odd is not None:
+            stats["preflight_odd_neighborhood_" + odd.kind] += 1
             return _report("not_colorable", None, stats, start)
-        for index, cut in parts:
-            cmap = _solve_component(p, index, cut, stats)
-            if cmap is None:
-                return _report("not_colorable", None, stats, start)
-            coloring.update(cmap)
+    if any(patterns.find_co_c7(h, cut) is not None for _, cut in parts):
+        stats["preflight_co_c7"] += 1
+        return _report("not_colorable", None, stats, start)
+    coloring: dict[int, int] = {}
+    for index, cut in parts:
+        cmap = _solve_component(h, index, cut, stats)
+        if cmap is None:
+            return _report("not_colorable", None, stats, start)
+        coloring.update(cmap)
     adj = h._adj
     get = coloring.get
     for v in reversed(order):
@@ -326,10 +321,12 @@ def _solve_component(p, index, core, stats):
     """The 3-coloring of a component of p, or None when it has none.
 
     index is the component's own index, and core is it cut to the
-    component's twin core.  The anchor cycle is sought on core, and the
-    anchored run and the plain colorer read index; an anchored witness
-    takes its ids off index.  Neither changes p: `_run_anchored` builds
-    each root on a new graph, and `_backtrack_color` works on masks only."""
+    component's twin core; p is any graph that induces the component with
+    the same ids, such as the quotient of `solve`.  The anchor cycle is
+    sought on core, and the anchored run and the plain colorer read index;
+    an anchored witness takes its ids off index.  Neither changes p:
+    `_run_anchored` builds each root on a new graph, and `_backtrack_color`
+    works on masks only."""
     for k in (7, 9):
         cyc = patterns.find_induced_cycle(p, k, core)
         if cyc is not None:

@@ -95,6 +95,12 @@ def test_connected_components():
     assert sorted(map(sorted, comps)) == [[0, 1, 2], [3], [4, 5]]
     within = connected_components(g, within=[0, 2, 4, 5])
     assert sorted(map(sorted, within)) == [[0], [2], [4, 5]]
+    # ordered by least vertex, whatever the order of the ids' insertion
+    g = Graph.from_edges([5, 3, 0, 4, 1, 2], [(5, 0), (3, 4), (1, 2), (2, 5)])
+    assert connected_components(g) == [{0, 1, 2, 5}, {3, 4}]
+    assert connected_components(g, within=(5, 4, 2, 0)) == [{0, 2, 5}, {4}]
+    with pytest.raises(InputError, match="unknown vertex 9"):
+        connected_components(g, within=[0, 9, 1])
 
 
 def adjacency(g):
@@ -188,11 +194,3 @@ def test_twin_core_matches_rounds_of_pairwise_tests():
         assert adjacency(twin_core(h)) == adjacency(core), i
         assert core.add_vertex() == g.add_vertex()
 
-
-def test_twin_core_takes_the_false_twin_pass_it_is_given():
-    for i, g in enumerate(twin_corpus()):
-        before = adjacency(g)
-        core = twin_core(g, false_twins(g))
-        assert adjacency(core) == adjacency(twin_core(g)), i
-        assert adjacency(g) == before, i
-        assert core.add_vertex() == g.add_vertex(), i

@@ -8,6 +8,7 @@ import pytest
 from hered3.errors import ClassViolationError
 from hered3.graph import Graph, connected_components, false_twins, induced_subgraph, twin_core
 from hered3 import cograph, patterns
+from hered3.solver import solve
 from hered3.patterns import (
     PatternWitness,
     check_class,
@@ -738,6 +739,54 @@ def test_reach_matches_the_components_of_a_set_search():
             assert ids(got) == set().union(*(c for c in comps if c & ids(seeds))), i
             shapes["none" if not seeds else "all" if got == within else "part"] += 1
     assert min(shapes.values()) > 50, shapes
+
+
+def shuffled_union(members, rng):
+    """The disjoint union of the members on the ids 1..n, shuffled across
+    the members, and vertices and edges inserted in a random order."""
+    ids = list(range(1, sum(map(len, members)) + 1))
+    rng.shuffle(ids)
+    image, edges = {}, []
+    for j, h in enumerate(members):
+        image[j] = {v: ids.pop() for v in h.vertices()}
+        edges += [(image[j][u], image[j][w]) for u, w in h.edges()]
+    verts = [v for m in image.values() for v in m.values()]
+    rng.shuffle(verts)
+    rng.shuffle(edges)
+    return Graph.from_edges(verts, edges)
+
+
+def test_the_class_check_of_components_matches_the_whole_core():
+    # `check_components` on the twin cuts of the components that keep two
+    # or more vertices gives the witness of `check_core(twin_core(g))`, the
+    # reference, and a class-checked `solve` raises the one `check_class`
+    # gives, on unions of 2-5 random graphs of 1-9 vertices, ids shuffled
+    # across them.  Many unions hold a C5, and many a 2P4 whose parts lie
+    # in two components, which no one component's scan finds
+    shapes = {"c5": 0, "2p4 across": 0}
+    for i in range(2400):
+        rng = Random(split_seed(83, i))
+        members = [erdos_renyi(rng.randint(1, 9), rng.choice((0.3, 0.45, 0.6)),
+                               rng.getrandbits(64)) for _ in range(rng.randint(2, 5))]
+        g = shuffled_union(members, rng)
+        cuts = []
+        for comp in connected_components(g):
+            cut = patterns._twin_cut(patterns._index(g, comp))
+            if cut[2] & cut[2] - 1:
+                cuts.append(cut)
+        got = patterns.check_components(g, cuts)
+        assert got == check_core(twin_core(g)), i
+        try:
+            solve(g)
+            raised = None
+        except ClassViolationError as exc:
+            raised = exc.witness
+        assert raised == check_class(g), i
+        if got is not None and got.kind == "c5":
+            shapes["c5"] += 1
+        elif got is not None and len(cuts) > 1:
+            shapes["2p4 across"] += 1
+    assert min(shapes.values()) > 300, shapes
 
 
 def test_twin_cut_keeps_the_vertices_of_the_twin_core(monkeypatch):

@@ -975,33 +975,49 @@ def test_waived_c9_branch_the_fixpoint_leaves_open_is_a_stage_refusal():
 
 
 def test_solve_builds_one_twin_core(monkeypatch):
-    # the class scans run on the core solve already has, not on a second
-    # one, and the core takes solve's false-twin pass as its first pass
+    # the class scans run on the one twin core solve cuts on the masks of
+    # its quotient's one component, with no core built on sets, and the
+    # input is grouped by open neighbourhood once, by solve's false-twin pass
     calls = []
     open_passes = []
+    builds = []   # the vertex set of each mask build
+    cuts = []     # the vertices each twin cut keeps
 
-    def counted(g, copies=None):
-        core = twin_core(g, copies)
-        calls.append(core.vertex_count())
-        return core
+    def counted(g):
+        calls.append(g)
+        return twin_core(g)
 
-    real_copies = graph._copies
+    real_copies, real_index, real_cut = graph._copies, patterns._index, patterns._twin_cut
 
     def grouped(adj, closed, *rest):
         if not closed:
             open_passes.append(len(adj))
         return real_copies(adj, closed, *rest)
 
-    monkeypatch.setattr(solver, "twin_core", counted)
+    def index(g, within=None):
+        builds.append(set(g.vertices()) if within is None else set(within))
+        return real_index(g, within)
+
+    def twin_cut(index):
+        cut = real_cut(index)
+        cuts.append({v for i, v in enumerate(cut[0]) if cut[2] >> i & 1})
+        return cut
+
+    monkeypatch.setattr(graph, "twin_core", counted)
     monkeypatch.setattr(patterns, "twin_core", counted)
     monkeypatch.setattr(graph, "_copies", grouped)
+    monkeypatch.setattr(patterns, "_index", index)
+    monkeypatch.setattr(patterns, "_twin_cut", twin_cut)
     g = cycle_blowup([2, 3, 1, 2, 1, 2, 1])
     rep = solve(g, witness=True)
     assert rep.decision == "colorable"
-    # built once: the blowup's bare 7-cycle
-    assert calls == [7]
+    assert calls == []
     # one grouping by open neighbourhood, over the whole input
     assert open_passes == [12]
+    # built and cut once: the blowup's bare 7-cycle, which peels whole
+    cycle = set(g.vertices()) - set(false_twins(g))
+    assert rep.stats["peeled"] == len(cycle) == 7
+    assert builds == cuts == [cycle]
 
 
 def test_solve_searches_each_component_of_a_core_alone(monkeypatch):
@@ -1127,23 +1143,79 @@ def test_solve_memory_grows_linearly_in_the_components():
 
 
 def test_the_class_check_of_a_peeled_quotient_grows_linearly():
-    # a quotient that the peel cuts down is class-checked on its twin core,
-    # built on sets, and on the core's masks, not on the quotient's masks,
-    # which grow with its square.  Disjoint triangles peel whole and their
-    # core is one vertex, so twice the triangles take about twice the peak
-    # memory: 2.0 here, where the check on the quotient's masks took 3.5
+    # the class check reads one index per component of the quotient, as
+    # wide as its component, not one over the whole quotient, which grows
+    # with its square; a component of fewer than 4 vertices gets none.  So
+    # twice the components take about twice the peak memory, on disjoint
+    # triangles, which peel whole (2.0 here, where an index of the whole
+    # quotient took 3.5), on disjoint K4s, refused by the preflight, and on
+    # disjoint cubes (S_4), whose P4s form a 2P4 (2.0 for both, where an
+    # index of the whole quotient took 3.6 and 3.8)
     triangle = Graph.from_edges(range(1, 4), combinations(range(1, 4), 2))
+    k4 = Graph.from_edges(range(1, 5), combinations(range(1, 5), 2))
+    for part in (triangle, k4, crown_graph(4)):
+        peaks = []
+        for m in (1000, 2000):
+            g = disjoint_union(*[part] * m)
+            tracemalloc.start()
+            try:
+                try:
+                    rep = solve(g, witness=True)
+                except ClassViolationError as exc:
+                    rep = exc
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            if part is triangle:
+                assert rep.decision == "colorable" and rep.stats["peeled"] == 3 * m
+            elif part is k4:
+                assert rep.decision == "not_colorable"
+                assert rep.stats["preflight_odd_neighborhood_k4"] == 1
+            else:
+                assert rep.witness.kind == "2p4"
+        assert peaks[1] <= 2.5 * peaks[0], (len(part), peaks)
+
+
+def k4_star(m):
+    """A hub, vertex 1, joined by a path of length 2 to one vertex of each
+    of m K4s."""
+    edges = []
+    for base in range(2, 5 * m + 2, 5):
+        edges += [(1, base), (base, base + 1)]
+        edges += combinations(range(base + 1, base + 5), 2)
+    return Graph.from_edges(range(1, 5 * m + 2), edges)
+
+
+def test_a_connected_quotient_split_into_many_3_core_parts_grows_linearly(monkeypatch):
+    # a K4 star is connected and peels its hub and paths, so its 3-core is
+    # m K4s inside one component of the quotient: each K4 gets an index
+    # built from its own vertex set, not a cut of an index of the whole
+    # quotient, and twice the K4s take about twice the peak memory (2.0
+    # here).  The waiver skips the class check: the input's twin core is
+    # a spider, whose 2P4 scan is cubic
+    builds = []   # the vertex set of each build
+    real = patterns._index
+
+    def index(g, within=None):
+        builds.append(set(g.vertices()) if within is None else set(within))
+        return real(g, within)
+
     peaks = []
     for m in (1000, 2000):
-        g = disjoint_union(*[triangle] * m)
+        g = k4_star(m)
         tracemalloc.start()
         try:
-            rep = solve(g, witness=True)
+            rep = solve(g, witness=True, assume_class=True)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert rep.decision == "colorable" and rep.stats["peeled"] == 3 * m
+        assert rep.decision == "not_colorable" and rep.stats["peeled"] == m + 1
+        assert rep.stats["preflight_odd_neighborhood_k4"] == 1
     assert peaks[1] <= 2.5 * peaks[0], peaks
+    monkeypatch.setattr(patterns, "_index", index)
+    g = k4_star(5)
+    assert solve(g, assume_class=True).decision == "not_colorable"
+    assert builds == [set(range(base + 1, base + 5)) for base in range(2, 27, 5)]
 
 
 def test_every_component_passes_the_preflights_before_any_anchor_search():
@@ -1165,11 +1237,13 @@ def test_every_component_passes_the_preflights_before_any_anchor_search():
 
 def test_a_disconnected_unpeeled_core_is_split_after_the_class_check(monkeypatch):
     # the C7 refutation blowup beside a K4, the blowup's ids first: in
-    # class, with no false twins and nothing to peel, so the class check
-    # reads the quotient's one build, cut to the twin core; the 3-core has
-    # two components, so solve then builds one index per component from its
-    # vertex set, as it does for any split core, and the K4's certificate
-    # refuses the solve before any anchor search
+    # class, with no false twins and nothing to peel.  solve splits the
+    # quotient once and builds one index per component from its vertex set;
+    # the class check reads the blowup's, cut to its twin core (the K4's
+    # core is one vertex, so it holds no P4), and each component of the
+    # 3-core, a whole component of the quotient, reuses its index, so
+    # nothing is built after the check.  The K4's certificate refuses the
+    # solve before any anchor search
     builds = []   # the vertex set of each build
     real = patterns._index
 
@@ -1188,7 +1262,7 @@ def test_a_disconnected_unpeeled_core_is_split_after_the_class_check(monkeypatch
     assert rep.decision == "not_colorable"
     del rep.stats["millis"]
     assert rep.stats == {"preflight_odd_neighborhood_k4": 1, "branches": 0, "reductions": 0}
-    assert builds == [set(g.vertices()), *comps]
+    assert builds == comps
 
 
 def test_solve_colors_the_false_twin_quotient():
@@ -1305,7 +1379,7 @@ def test_peel_order_leaves_the_3_core():
 def test_empty_3_core_runs_no_preflight_search_or_colorer(monkeypatch):
     # the quotient of a gadget or a blowup peels away whole: solve colors it
     # back with no preflight, anchor search, anchored run or colorer, and
-    # under the waiver it builds no twin core either
+    # under the waiver it walks no components and builds no index either
     # built first: the generators run class checks of their own
     graphs = [c7_gadget(s) for s in range(20)] + [c9_gadget(s) for s in range(10)]
     graphs += [cycle_blowup([2, 3, 1, 2, 1, 2, 1]), complete_bipartite(9, 21)]
@@ -1321,15 +1395,18 @@ def test_empty_3_core_runs_no_preflight_search_or_colorer(monkeypatch):
 
     for name in ("find_induced_cycle", "find_co_c7", "find_nonbipartite_neighborhood"):
         recorded(patterns, name)
-    for name in ("_run_anchored", "_backtrack_color", "twin_core"):
+    for name in ("_run_anchored", "_backtrack_color", "connected_components"):
         recorded(solver, name)
+    recorded(patterns, "_index")
     for g in graphs:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)   # K_{9,21} for the oracle
             rep = oracle_solve(g)
         assert rep.stats["peeled"] == quotient_size(g, rep)
-        # the class check builds the twin core and searches it for a C5
-        assert {c for c in calls if c != ("find_induced_cycle", 5)} <= {("twin_core", None)}
+        # the class check splits the quotient, indexes its components and
+        # searches their twin cores for a C5
+        assert {c for c in calls if c != ("find_induced_cycle", 5)} <= {
+            ("connected_components", None), ("_index", None)}
         calls.clear()
         rep = solve(g, witness=True, assume_class=True)
         assert rep.decision == "colorable" and verify_coloring(g, rep.witness)
@@ -1357,7 +1434,7 @@ def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
         assert not false_twins(g)
         cases.append((g, set(twin_core(g).vertices())))
     monkeypatch.setattr(solver, "_solve_component", component)
-    for mod in (graph, patterns, solver):
+    for mod in (graph, patterns):
         monkeypatch.setattr(mod, "twin_core", refused)
     for g, core in cases:
         for assume_class in (False, True):
@@ -1374,20 +1451,22 @@ def test_a_quotient_of_minimum_degree_3_is_solved_as_it_is(monkeypatch):
 
 def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
     # check_class builds the rank masks of its twin core once, for its C5
-    # and 2P4 scans; solve builds them once more for each component of its
-    # 3-core, a connected 3-core whole and a component of several from its
-    # vertex set, and the preflights, the anchor search and the forward
-    # check read them cut to the vertices they need.  When the peel deletes
-    # nothing and the 3-core is connected, solve's class check reads that
-    # one build cut to the twin core, so the whole solve builds once;
-    # otherwise the check builds the twin core's masks first.  Inputs, each
-    # with a connected 3-core: the refutation blowups, a thickened gadget
-    # anchored on a 7-cycle and S_20³, unpeeled, and a thickened gadget
-    # anchored on a 7-cycle whose quotient loses three vertices to the
-    # peel; and, under the waiver (it holds a 2P4), a 3-core of three
-    # components (built first: the thickening runs checks of its own).  A
-    # cotree is built on the masks of its own vertex set: those builds are
-    # counted apart, one per cotree call, and none comes from anywhere else
+    # and 2P4 scans.  solve builds them once for each component of its
+    # quotient, a connected quotient whole and a component of several from
+    # its vertex set, and its class check reads them cut to the twin core;
+    # a component of the 3-core that is a whole component of the quotient
+    # reuses them, and the preflights, the anchor search and the forward
+    # check read them cut to the vertices they need.  A component of the
+    # 3-core that is only part of its quotient's component gets one more
+    # build, from its vertex set.  Inputs, each with a connected quotient
+    # and 3-core: the refutation blowups, a thickened gadget anchored on a
+    # 7-cycle and S_20³, unpeeled, so the whole solve builds once, and a
+    # thickened gadget anchored on a 7-cycle whose quotient loses three
+    # vertices to the peel; and, under the waiver (it holds a 2P4), a
+    # 3-core of three components (built first: the thickening runs checks
+    # of its own).  A cotree is built on the masks of its own vertex set:
+    # those builds are counted apart, one per cotree call, and none comes
+    # from anywhere else
     graphs = [cycle_blowup(sizes, cliques=cl) for sizes, cl, _, _ in REFUTATION_BLOWUPS]
     peeled = thickened(26)
     graphs += [thickened(SINGLE_ANCHOR_SEEDS[0]), crown_plus(20), peeled]
@@ -1421,7 +1500,8 @@ def test_one_mask_build_per_class_check_and_per_solve(monkeypatch):
         rep = solve(g, witness=True)
         core = len(g) - rep.stats.get("false_twins", 0) - rep.stats.get("peeled", 0)
         if g is peeled:
-            assert rep.stats["peeled"] == 3 and builds == [len(twin_core(g)), core]
+            assert rep.stats["peeled"] == 3 and builds == [core + 3]
+            assert len(subsets.pop(0)) == core
         else:
             assert "peeled" not in rep.stats and builds == [core]
         assert core > 0

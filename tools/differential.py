@@ -60,6 +60,8 @@ CO_BIPARTITE_PS = (0.2, 0.4, 0.6)
 CO_BIPARTITE_SEEDS = 3
 UNIONS = 200
 UNION_POOL = {"c7": 60, "c9": 30, "refute": 30}
+K4_STARS = (3, 5, 10, 20)
+RANDOM_UNIONS = 600
 
 
 def load(src: Path):
@@ -102,6 +104,16 @@ def planted_co_c7(g, ties: int, seed: int):
         for w in rng.sample(old, ties):
             g.add_edge(v, w)
     return g
+
+
+def k4_star(k: int, graph):
+    """A hub, vertex 1, joined by a path of length 2 to one vertex of each
+    of k K4s: connected, with a 3-core of k components."""
+    edges = []
+    for base in range(2, 5 * k + 2, 5):
+        edges += [(1, base), (base, base + 1)]
+        edges += [(u, w) for u in range(base + 1, base + 5) for w in range(u + 1, base + 5)]
+    return graph.Graph.from_edges(range(1, 5 * k + 2), edges)
 
 
 def interleaved_union(members, rng: Random, graph):
@@ -202,8 +214,24 @@ def corpus(m):
             for assume in (False, True):
                 yield f"union/{i}/{'assume' if assume else 'check'}", g, assume
 
+    def stars():
+        for k in K4_STARS:
+            yield f"k4_star/{k}", k4_star(k, m.graph), False
+
+    def random_unions():
+        # 2-5 small random graphs side by side, ids interleaved: many hold
+        # a C5, or a 2P4 whose two parts lie in two components
+        for i in range(RANDOM_UNIONS):
+            rng = Random(testkit.split_seed(53, i))
+            members = [testkit.erdos_renyi(rng.randint(1, 9), rng.choice((0.3, 0.45, 0.6)),
+                                           rng.getrandbits(64)) for _ in range(rng.randint(2, 5))]
+            g = interleaved_union(members, rng, m.graph)
+            for assume in (False, True):
+                yield f"er_union/{i}/{'assume' if assume else 'check'}", g, assume
+
     return [wheels(), crowns(), co_c7s(), random_graphs(), gadgets("c7", testkit.c7_gadget),
-            gadgets("c9", testkit.c9_gadget), bench(), unions(), rests()]
+            gadgets("c9", testkit.c9_gadget), bench(), unions(), rests(), stars(),
+            random_unions()]
 
 
 def round_robin(families):
