@@ -136,9 +136,11 @@ def parse_edge_list(text: str, lines: list[str] | None = None) -> GraphDocument:
     A line that holds ":" outside its "#" comment is refused, so that a
     palette annotation such as `a: 1 3` is never read as an edge between
     labels `a:` and `1`.  A text without "#" or ":" skips the per-line
-    comment and colon tests.  Ids start at 1, so a missing label is the
-    only false lookup, and an edge whose second label is new needs no
-    self-loop or duplicate test.
+    comment and colon tests.  A line is unpacked into its two labels with
+    no token count taken; the ValueError of any other count leads to the
+    lone vertex, the blank line or the refusal.  Ids start at 1, so a
+    missing label is the only false lookup, and an edge whose second label
+    is new needs no self-loop or duplicate test.
     """
     lines = text.splitlines() if lines is None else lines
     g = Graph()
@@ -155,34 +157,38 @@ def parse_edge_list(text: str, lines: list[str] | None = None) -> GraphDocument:
         if colons and ":" in line:
             raise ParseError(f"':' outside a comment (palette annotations are not read): {raw!r}",
                              line_no=line_no)
-        parts = line.split()
-        if len(parts) == 2:
-            a, b = parts
-            u = known(a)
-            if not u:
-                u = by_label[a] = len(adj) + 1
-                adj[u] = set()
-                labels[u] = a
-            v = known(b)
-            if not v:
-                v = by_label[b] = len(adj) + 1
-                adj[v] = set()
-                labels[v] = b
-            elif v == u:
-                raise ParseError(f"self-loop at {a!r}", line_no=line_no)
-            elif v in adj[u]:
-                doc.warnings.append(f"line {line_no}: duplicate edge {a} {b} ignored")
-                continue
-            adj[u].add(v)
-            adj[v].add(u)
-        elif len(parts) == 1:
-            a = parts[0]
-            if a not in by_label:
-                u = by_label[a] = len(adj) + 1
-                adj[u] = set()
-                labels[u] = a
-        elif parts:
-            raise ParseError(f"expected one or two tokens: {raw!r}", line_no=line_no)
+        try:
+            a, b = line.split()
+        except ValueError:
+            parts = line.split()
+            if len(parts) == 1:
+                a = parts[0]
+                if a not in by_label:
+                    u = by_label[a] = len(adj) + 1
+                    adj[u] = set()
+                    labels[u] = a
+            elif parts:
+                raise ParseError(f"expected one or two tokens: {raw!r}", line_no=line_no) from None
+            continue
+        u = known(a)
+        if u:
+            nu = adj[u]
+        else:
+            u = by_label[a] = len(adj) + 1
+            nu = adj[u] = set()
+            labels[u] = a
+        v = known(b)
+        if not v:
+            v = by_label[b] = len(adj) + 1
+            adj[v] = set()
+            labels[v] = b
+        elif v == u:
+            raise ParseError(f"self-loop at {a!r}", line_no=line_no)
+        elif v in nu:
+            doc.warnings.append(f"line {line_no}: duplicate edge {a} {b} ignored")
+            continue
+        nu.add(v)
+        adj[v].add(u)
     g._next_id = len(adj) + 1
     return doc
 

@@ -229,9 +229,25 @@ def _2p4_witness(g: Graph, first, second) -> PatternWitness:
 
 def _least_2p4_hit(nbr, full):
     """The first (b, c, a, d) of the scan that `find_induced_2p4` describes
-    on the vertices of full, as ranks, with the mask of its rest."""
+    on the vertices of full, as ranks, with the mask of its rest.
+
+    A rest lies in the start's far_a, which lies in the edge's far, and
+    P4-containment is hereditary.  So before the first rest of five or
+    more vertices that the memo has not seen, the edge's far, and then the
+    start's far_a, is tested once through the same memo, and the edge or
+    the start is skipped when its set holds no P4: a skipped rest holds no
+    hit, so the first hit stays the first.  On a spider every rest is a
+    set of disjoint edges, and the edge's far answers for all of them.
+    """
     n = full.bit_count()
-    seen: dict[int, bool] = {}   # rest mask -> whether it holds a P4
+    seen: dict[int, bool] = {}   # mask -> whether it holds a P4
+
+    def holds_p4(mask):
+        hit = seen.get(mask)
+        if hit is None:
+            hit = seen[mask] = next(_p4s(nbr, mask), None) is not None
+        return hit
+
     for b, nb in enumerate(nbr):
         cs = nb >> b + 1 << b + 1
         while cs:
@@ -243,6 +259,7 @@ def _least_2p4_hit(nbr, full):
             if near.bit_count() > n - 4:
                 continue
             far = full & ~near
+            far_p4 = None   # whether far holds a P4, once a rest asks
             ends = nc & ~nb & ~(1 << b)
             starts = nb & ~nc & ~cbit
             while starts:
@@ -252,6 +269,7 @@ def _least_2p4_hit(nbr, full):
                 far_a = far & ~na
                 if far_a.bit_count() < 4:
                     continue
+                far_a_p4 = None
                 ds = ends & ~na
                 while ds:
                     dbit = ds & -ds
@@ -262,8 +280,12 @@ def _least_2p4_hit(nbr, full):
                         hit = _is_p4(nbr, rest)
                     elif size > 4:
                         if rest not in seen:
-                            seen[rest] = next(_p4s(nbr, rest), None) is not None
-                        hit = seen[rest]
+                            if far_p4 is None and not (far_p4 := holds_p4(far)):
+                                starts = 0
+                                break
+                            if far_a_p4 is None and not (far_a_p4 := holds_p4(far_a)):
+                                break
+                        hit = holds_p4(rest)
                     else:
                         continue
                     if hit:

@@ -248,11 +248,21 @@ def solve(
             return _report("not_colorable", None, stats, start)
         coloring.update(cmap)
     adj = h._adj
-    get = coloring.get
+    # the vertices colored 1 and 2 so far: v takes the least color that no
+    # colored neighbor has, and at most two neighbors are colored, those
+    # left when v was peeled
+    ones = {v for v, c in coloring.items() if c == 1}
+    twos = {v for v, c in coloring.items() if c == 2}
     for v in reversed(order):
-        # at most two neighbors are colored: those left when v was peeled
-        used = set(map(get, adj[v]))
-        coloring[v] = 1 if 1 not in used else 2 if 2 not in used else 3
+        nbrs = adj[v]
+        if ones.isdisjoint(nbrs):
+            ones.add(v)
+            coloring[v] = 1
+        elif twos.isdisjoint(nbrs):
+            twos.add(v)
+            coloring[v] = 2
+        else:
+            coloring[v] = 3
     for v, rep in copies.items():
         coloring[v] = coloring[rep]
     _verify_witness(g, coloring)

@@ -515,6 +515,27 @@ def threshold_graph(n: int) -> Graph:
     return g
 
 
+def spider(k: int, leg: int) -> Graph:
+    """The spider Sp_k: a hub, vertex 1, and k legs, each a path of leg
+    vertices hung from it by its first vertex; leg j holds the ids
+    2 + j * leg onwards.
+
+    A tree, so it has no C5.  With legs of at most 3 vertices it is in
+    class: a P4 off the hub lies in one leg, which is too short, so every
+    P4 holds the hub and no two are disjoint.  Its rests in the 2P4 scan
+    are sets of disjoint edges, one rest for each two legs.
+    """
+    g = Graph()
+    hub = g.add_vertex()
+    for _ in range(k):
+        prev = hub
+        for _ in range(leg):
+            v = g.add_vertex()
+            g.add_edge(prev, v)
+            prev = v
+    return g
+
+
 def named_graph(name: str) -> Graph:
     name = name.lower()
     if name == "petersen":

@@ -266,6 +266,7 @@ def test_parse_edge_list_palettes():
     ("x\ty\nz z\n", 2, "self-loop at 'z'"),
     ("b c\n\nc c\n", 3, "self-loop at 'c'"),
     ("a b c\n", 1, "one or two tokens"),
+    ("a b\n\nc d e f\n", 3, "expected one or two tokens: 'c d e f'"),
     # the palette forms that drew their own errors when palettes were read;
     # each id names its form, and each line is now refused for its ':'
     *(pytest.param(text, line_no, "':' outside a comment", id=form) for text, line_no, form in (

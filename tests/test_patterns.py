@@ -518,6 +518,17 @@ def test_detectors_against_naive_enumeration():
     assert 0 < hits["c7"]
 
 
+def spider_plus(k, leg, seed):
+    """A spider with one more edge between the ends of two of its legs,
+    under shuffled ids: a C5 with legs of 2, and with legs of 3 a C7 that
+    the P4 of a third leg and the hub make a 2P4 with."""
+    rng = Random(seed)
+    g = testkit.spider(k, leg)
+    i, j = rng.sample(range(k), 2)
+    g.add_edge(1 + (i + 1) * leg, 1 + (j + 1) * leg)
+    return relabeled(g, seed)
+
+
 def test_2p4_witness_is_the_first_hit_of_the_reference_order():
     # find_induced_2p4 walks the sets unordered and keeps its least hit: a
     # prune that skips a hit answers None where the plain reference finds
@@ -533,6 +544,12 @@ def test_2p4_witness_is_the_first_hit_of_the_reference_order():
     # N(b) | N(c), the least the count lets through
     two_p4 = Graph.from_edges(edges=((1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8)))
     sample += [relabeled(two_p4, split_seed(76, i)) for i in range(10)]
+    # the scan skips an edge or a start whose far set holds no P4: sparse
+    # graphs give rests of five or more vertices, and spiders with one
+    # leg-end edge give hits under an edge's far set of most of the graph
+    sample += [erdos_renyi(20 + i % 11, (0.08, 0.1, 0.13)[i % 3], split_seed(81, i))
+               for i in range(200)]
+    sample += [spider_plus(3 + i % 6, 2 + i // 6 % 2, split_seed(82, i)) for i in range(120)]
     hits = 0
     for i, g in enumerate(sample):
         got = find_induced_2p4(g)
@@ -601,6 +618,30 @@ def test_2p4_second_part_is_the_least_p4_of_its_rest():
     # depth-first walk meets (that gave (16, 4, 12, 18))
     got = check_class(erdos_renyi(19, 0.14, 809294379))
     assert got == PatternWitness("2p4", ((1, 7, 2, 3), (6, 5, 15, 11)))
+
+
+def test_spider_rests_are_ruled_out_by_their_p4_free_supersets(monkeypatch):
+    # every rest of a spider's 2P4 scan is a set of disjoint edges, one for
+    # each two legs; the edge's far set holds no P4, so one test of it
+    # skips the edge's k or so rests.  The check makes at most 2k P4 tests
+    # (k with legs of 2, 2k with legs of 3), where testing each rest made
+    # k^2 / 2 to k^2
+    calls = []
+    real = patterns._p4s
+
+    def p4s(nbr, within):
+        calls.append(within)
+        return real(nbr, within)
+
+    monkeypatch.setattr(patterns, "_p4s", p4s)
+    for leg in (2, 3):
+        for k in (20, 40):
+            del calls[:]
+            assert check_class(testkit.spider(k, leg)) is None
+            assert len(calls) <= 2 * k, (k, leg, len(calls))
+    del calls[:]
+    assert check_class(testkit.spider(200, 3)) is None
+    assert len(calls) <= 400, len(calls)
 
 
 def test_the_class_check_builds_no_cotree(monkeypatch):

@@ -61,6 +61,8 @@ CO_BIPARTITE_SEEDS = 3
 UNIONS = 200
 UNION_POOL = {"c7": 60, "c9": 30, "refute": 30}
 K4_STARS = (3, 5, 10, 20)
+SPIDERS = (3, 5, 10, 25)
+SPIDER_LEGS = (2, 3)
 RANDOM_UNIONS = 600
 
 
@@ -114,6 +116,20 @@ def k4_star(k: int, graph):
         edges += [(1, base), (base, base + 1)]
         edges += [(u, w) for u in range(base + 1, base + 5) for w in range(u + 1, base + 5)]
     return graph.Graph.from_edges(range(1, 5 * k + 2), edges)
+
+
+def spider(k: int, leg: int, graph, plus: bool):
+    """A hub, vertex 1, and k legs of leg vertices each, leg j on the ids
+    2 + j * leg onwards; with plus, one more edge joins the ends of the
+    first and the last leg.  Built here, as `testkit.spider` builds it
+    without the edge, so that a tree older than that function runs it."""
+    edges = []
+    for j in range(k):
+        path = [1, *range(2 + j * leg, 2 + (j + 1) * leg)]
+        edges += zip(path, path[1:])
+    if plus:
+        edges.append((1 + leg, 1 + k * leg))
+    return graph.Graph.from_edges(range(1, k * leg + 2), edges)
 
 
 def interleaved_union(members, rng: Random, graph):
@@ -217,6 +233,15 @@ def corpus(m):
     def stars():
         for k in K4_STARS:
             yield f"k4_star/{k}", k4_star(k, m.graph), False
+        # trees in class whose 2P4 scan meets one rest for each two legs;
+        # the leg-end edge closes a C5 (legs of 2) or a C7 that the hub and
+        # a third leg make a 2P4 with (legs of 3)
+        for k in SPIDERS:
+            for leg in SPIDER_LEGS:
+                yield f"spider/{k}/{leg}", spider(k, leg, m.graph, False), False
+                g = spider(k, leg, m.graph, True)
+                for assume in (False, True):
+                    yield f"spider/{k}/{leg}/plus/{'assume' if assume else 'check'}", g, assume
 
     def random_unions():
         # 2-5 small random graphs side by side, ids interleaved: many hold
