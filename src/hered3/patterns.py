@@ -9,8 +9,8 @@ depth-first path grower.
 Every search runs on one int bitmask per vertex, built by `_index`: bit
 i stands for the vertex of rank i in ascending id order, so a mask
 walked from its lowest bit gives its vertices in ascending order with no
-sorting, and a set operation is one int operation.  Each finder takes an
-optional index: the masks of `_index` and a vertex set, which `_cut`
+sorting, and a set operation is one int operation.  Each finder takes its
+caller's index: the masks of `_index` and a vertex set, which `_cut`
 narrows.  It searches the subgraph that set induces, and as ranks follow
 ids in every induced subgraph, it returns what it returns on that
 subgraph built on its own.  Past `_index`, only the witness checks read
@@ -52,11 +52,13 @@ def _index(g: Graph, within=None):
     reads, here all of them.  Bit i stands for the vertex of rank i in that
     order, so a mask has one bit per vertex whatever the ids are.
 
-    The finders here read a graph's index, which `_cut` narrows; a vertex
-    set, within, gives the index of the subgraph it induces: `solver.solve`
-    builds one per component of its quotient, and one per component of its
-    3-core that is not a whole component of the quotient, and
-    `cograph.cotree_or_failure` one per cotree.
+    The finders here take their caller's index, which `_cut` narrows, and
+    build none; a vertex set, within, gives the index of the subgraph it
+    induces.  Indexes are built where a graph enters a stage: `check_class`
+    builds one of its twin core, `solver.solve` one per component of its
+    quotient and one per component of its 3-core that is not a whole
+    component of the quotient, and `cograph.cotree_or_failure` one per
+    cotree.
 
     The scans below walk a mask from its lowest bit, inline: `low = m & -m`
     isolates that bit, `m ^= low` clears it and `low.bit_length() - 1` is
@@ -189,7 +191,7 @@ def _degree_planes(nbr, keep) -> list[int]:
     return planes
 
 
-def find_induced_2p4(g: Graph, index=None):
+def find_induced_2p4(g: Graph, index):
     """Two induced P4s with no edges between them, or None.
 
     A P4 a-b-c-d is scanned through its middle edge, b < c, as (b, c, a, d):
@@ -204,7 +206,7 @@ def find_induced_2p4(g: Graph, index=None):
     rest by whether `_p4s` yields one, once per rest.  The hit, written so
     that a < d, is the first part; the second is the least P4 of its rest.
     """
-    order, nbr, keep = index or _index(g)
+    order, nbr, keep = index
     if keep.bit_count() < 8:
         return None
     found = _least_2p4_hit(nbr, keep)
@@ -357,7 +359,7 @@ def _is_p4(nbr, quad) -> bool:
     return degrees == [1, 1, 2, 2]
 
 
-def find_induced_cycle(g: Graph, k: int, index=None):
+def find_induced_cycle(g: Graph, k: int, index):
     """First induced k-cycle in canonical order, or None, for odd k >= 5.
 
     Canonical form: the cycle's smallest vertex v0 first, then the
@@ -380,7 +382,7 @@ def find_induced_cycle(g: Graph, k: int, index=None):
     """
     if k < 5 or not k % 2:
         raise ValueError(f"find_induced_cycle takes an odd k of 5 or more, not {k}")
-    order, nbr, keep = index or _index(g)
+    order, nbr, keep = index
     got = _least_cycle(nbr, _odd_transversal(nbr, keep), k, keep)
     if got is None:
         return None
@@ -525,7 +527,7 @@ def _find_long_cycle(nbr, r0, k):
     return None
 
 
-def find_co_c7(g: Graph, index=None):
+def find_co_c7(g: Graph, index):
     """An induced complement-of-C7, as the complement cycle order, or None.
 
     In the complement cycle order u0..u6 (u_i ~ u_j unless i and j are
@@ -541,7 +543,7 @@ def find_co_c7(g: Graph, index=None):
     co-C7 is vertex-transitive, so u0 can be the pattern's least vertex:
     the search stays above u0.
     """
-    order, nbr, keep = index or _index(g)
+    order, nbr, keep = index
     for r0, n0 in enumerate(nbr):
         # u0 is the least pattern vertex: 4 neighbours and 2 non-neighbours above it
         if (n0 >> r0 + 1).bit_count() < 4:
@@ -567,7 +569,7 @@ def find_co_c7(g: Graph, index=None):
     return None
 
 
-def find_nonbipartite_neighborhood(g: Graph, index=None):
+def find_nonbipartite_neighborhood(g: Graph, index):
     """First vertex v (ascending) whose neighborhood holds an odd cycle.
 
     Returns a PatternWitness: kind k4 for v and the least triangle of N(v),
@@ -576,24 +578,25 @@ def find_nonbipartite_neighborhood(g: Graph, index=None):
     path grower of `find_induced_cycle`, through `_least_cycle`, so the
     witness follows the ids and not the order of set iteration.
 
-    Each neighborhood is tested for a non-empty odd-cycle transversal T of
-    `_odd_transversal` on the masks of `_index`.  Every odd cycle meets T,
-    so the grower runs on the first failing N(v) cut to its components
-    that meet T, walked from T by `_reach`, with its roots bounded by T.
-    The grower and `_has_c5` mask away every vertex outside that cut.  A
-    shortest odd cycle is chordless, so when no induced C3, C5, C7 or C9 is
-    found, N(v) holds an odd hole of 11 or more vertices; its vertices 1-4
-    and 6-9 form a 2P4, so the graph is outside the class, and that case
-    raises ClassViolationError with the least 2P4 of N(v).
+    index is the caller's: the masks of `_index`, of g or of the part of g
+    to search, cut or not.  Each neighborhood is tested on them for a
+    non-empty odd-cycle transversal T of `_odd_transversal`.  Every odd
+    cycle meets T, so the grower runs on the first failing N(v) cut to its
+    components that meet T, walked from T by `_reach`, with its roots
+    bounded by T.  The grower and `_has_c5` mask away every vertex outside
+    that cut.  A shortest odd cycle is chordless, so when no induced C3,
+    C5, C7 or C9 is found, N(v) holds an odd hole of 11 or more vertices;
+    its vertices 1-4 and 6-9 form a 2P4, so the graph is outside the class,
+    and that case raises ClassViolationError with the least 2P4 of N(v).
 
     `solver.solve` calls this on each component of the 3-core of its
-    false-twin quotient, each with the component's own index.  When the
-    component is a whole component of the quotient, that index is the one
-    the class check read cut to its twin core.  On a graph with false twins
-    a copy repeats its representative's scan, which comes first and so has
-    already passed.
+    false-twin quotient, each with the component's own index, not cut to
+    its twin core, since K4 has true twins.  When the component is a whole
+    component of the quotient, that index is the one whose twin cut the
+    class check read.  On a graph with false twins a copy repeats its
+    representative's scan, which comes first and so has already passed.
     """
-    order, nbr, _ = index = index or _index(g)
+    order, nbr, _ = index
     for v, nv in zip(order, nbr):
         # an odd cycle needs three vertices
         if nv.bit_count() < 3 or not (trans := _odd_transversal(nbr, nv)):
@@ -641,80 +644,77 @@ def check_class(g: Graph):
     and a P4 there through u comes after the one with v in u's place, so
     the least avoids u too: the whole 2P4 witness is the one found on g.
 
-    The certificates of `check_core` (a bipartite core, two cliques), the
-    transversal bound on the C5 roots and the order-free C5 decision that
-    runs before the C5 scan only skip work that finds nothing, and the 2P4
-    scan stops at its first hit in ascending order, so they change no
-    witness.  The core is built in passes that each delete one kind of
-    twin.  The README gives measured costs.
+    The scans read one index of the whole core, passed to
+    `check_components` as its lone index.  The certificates (fewer than two
+    vertices, a bipartite core, two cliques), the transversal bound on the
+    C5 roots and the order-free C5 decision that runs before the C5 scan
+    only skip work that finds nothing, and the 2P4 scan stops at its first
+    hit in ascending order, so they change no witness.  The core is built
+    in passes that each delete one kind of twin.  The README gives measured
+    costs.
     """
-    return check_core(twin_core(g))
-
-
-def check_core(core: Graph, index=None):
-    """The C5 scan, then the 2P4 scan, of `check_class`, run on `core` as
-    given.  The verdict holds for any graph; a caller that has already built
-    a twin core passes it here and gets the witness `check_class` argues.
-    Both scans, and the test below, read one index of the core: index when
-    given, an index whose keep is the core (a wider graph's, cut to it, as
-    `check_components` passes a component's `_twin_cut`), else the core's
-    own.
-    As for the finders, the answer is the one on the core's own index.
-    With an index, core only verifies the witness, so any graph that
-    induces the core with the same ids will do, such as the graph the
-    index was built on.
-
-    A core whose complement is bipartite (two cliques: the complement's
-    masks have an empty `_odd_transversal`) is in class, and answers None
-    with no scan: C5 is self-complementary and odd, so an induced C5 would
-    be an odd cycle of the complement, and the complement of 2P4 is the
-    join of two P4s, which holds a triangle.  Two cliques of a and n - a
-    vertices hold at least n(n - 2)/4 edges, the least at a = n/2, so a
-    core with fewer edges skips that test on one count.
-    """
-    _, nbr, keep = index = index or _index(core)
-    n = keep.bit_count()
-    if (2 * sum(m.bit_count() for m in nbr) >= n * (n - 2)
-            and not _odd_transversal([keep ^ m ^ 1 << i if keep >> i & 1 else 0
-                                      for i, m in enumerate(nbr)], keep)):
-        return None
-    c5 = find_induced_cycle(core, 5, index)
-    if c5 is not None:
-        return PatternWitness("c5", (c5,))
-    return find_induced_2p4(core, index)
+    core = twin_core(g)
+    return check_components(core, [_index(core)])
 
 
 def check_components(g: Graph, cuts):
-    """The witness `check_class` gives on a graph, or None, read off the
-    twin cores of its components that hold an induced P4.
+    """The witness `check_class` gives on a graph, or None, read off
+    indexes of its twin core: either one index of the whole core, or one
+    per component of the graph, each cut to the component's twin core
+    (`_twin_cut`), in ascending order of least vertex.  g only verifies the
+    witness: any graph that induces each core with the same ids will do,
+    such as the graph the indexes were built on.
 
-    cuts holds one index per such component, in ascending order of least
-    vertex, cut to the component's twin core (`_twin_cut`).  As in
-    `check_core`, g only verifies the witness: any graph that induces each
-    core with the same ids will do.  A component holds a P4 exactly when
-    its core keeps two or more vertices: a P4 has no twins, and every
-    cograph on two or more vertices has a pair of twins (Corneil, Lerchs &
-    Stewart Burlingham 1981), so a cograph's core is one vertex.  A
-    component with no P4 holds no C5 either, and adds nothing.
+    An index that keeps fewer than two vertices holds no P4, and so no C5.
+    Among several, such an index is dropped; a lone one is two cliques, at
+    most one vertex each, and the certificate below answers None.  With one
+    index per component, those left are the components that hold a P4: a
+    P4 has no twins, and every cograph on two or more vertices has a pair
+    of twins (Corneil, Lerchs & Stewart Burlingham 1981), so a connected
+    cograph's core is one vertex.
 
-    A C5 or a P4 lies in one component, and two P4s in two components form
-    an induced 2P4.  So the graph is in class exactly when every component
-    is C5-free, at most one holds a P4, and that one is 2P4-free.  Twins in
-    two components are isolated vertices, so the twin core of the graph is
-    these cores and at most one isolated vertex, and the witness is the
-    one `check_class` finds on that core:
+    One index left: the C5 scan, then the 2P4 scan, on it.  The verdict
+    holds for any graph the index holds.  The index is the whole twin core
+    (the lone index of `check_class`, which may span several components),
+    or the core of the one component that holds a P4, whose hits and rests
+    are those of the whole core; so the witness is `check_class`'s.  A
+    core whose complement is bipartite (two cliques: the complement's masks
+    have an empty `_odd_transversal`) is in class, and answers None with no
+    scan: C5 is self-complementary and odd, so an induced C5 would be an
+    odd cycle of the complement, and the complement of 2P4 is the join of
+    two P4s, which holds a triangle.  Two cliques of a and n - a vertices
+    hold at least n(n - 2)/4 edges, the least at a = n/2, so a core with
+    fewer edges skips that test on one count.
 
-    - One core: `check_core` on it, since the scans' hits and rests on the
-      whole core are its own.
-    - Several, C5: the least C5 over the cores.  A canonical cycle starts
-      at its least vertex, so the least is the canonical one of the graph.
-    - Several, 2P4: the rest of any P4 holds every other core, so every P4
-      is a hit of the 2P4 scan.  The first part is the least P4 in the
-      scan's (b, c, a, d) order over the cores, and the second part the
-      least P4 of that P4's rest, over every core.
+    Several left: a C5 or a P4 lies in one component, and two P4s in two
+    components form an induced 2P4.  So the graph is in class exactly when
+    every component is C5-free, at most one holds a P4, and that one is
+    2P4-free.  Twins in two components are isolated vertices, so the twin
+    core of the graph is these cores and at most one isolated vertex, and
+    the witness is the one `check_class` finds on that core:
+
+    - C5: the least C5 over the cores.  A canonical cycle starts at its
+      least vertex, so the least is the canonical one of the graph.
+    - 2P4: the rest of any P4 holds every other core, so every P4 is a hit
+      of the 2P4 scan.  The first part is the least P4 in the scan's
+      (b, c, a, d) order over the cores, and the second part the least P4
+      of that P4's rest, over every core.
     """
-    if len(cuts) < 2:
-        return check_core(g, cuts[0]) if cuts else None
+    if len(cuts) > 1:
+        cuts = [cut for cut in cuts if cut[2] & cut[2] - 1]
+    if not cuts:
+        return None
+    if len(cuts) == 1:
+        _, nbr, keep = index = cuts[0]
+        n = keep.bit_count()
+        if (2 * sum(m.bit_count() for m in nbr) >= n * (n - 2)
+                and not _odd_transversal([keep ^ m ^ 1 << i if keep >> i & 1 else 0
+                                          for i, m in enumerate(nbr)], keep)):
+            return None
+        c5 = find_induced_cycle(g, 5, index)
+        if c5 is not None:
+            return PatternWitness("c5", (c5,))
+        return find_induced_2p4(g, index)
     c5s = [c5 for cut in cuts if (c5 := find_induced_cycle(g, 5, cut)) is not None]
     if c5s:
         return PatternWitness("c5", (min(c5s),))

@@ -11,9 +11,10 @@ root is built whole, its anchors colored.  Rules either settle colors,
 shrink palettes, or delete vertices.  A settled color goes straight into
 the instance's color map: a committed vertex, and every vertex of a region
 whose coloring was solved on the spot.  A deletion whose color depends on
-vertices that outlive it appends a replay record instead (low degree,
-domination, or a cut region keyed by its border vertex).  Witness assembly
-seeds the color map and processes the records in reverse order of creation.
+vertices that outlive it appends a replay record instead (low degree, or
+a region keyed by one vertex: a dominated vertex by its dominator, a cut
+region by its border vertex).  Witness assembly seeds the color map and
+processes the records in reverse order of creation.
 
 F1 of the solver holds by construction, so no rule rechecks it: every live
 palette holds two or three colors and lacks the color of each colored
@@ -62,24 +63,13 @@ class RecDegree:
         coloring[self.v] = min(self.palette - {coloring[u] for u in self.neighbors})
 
 
-class RecDominated:
-    """Vertex deleted because a dominating vertex can lend its color."""
-
-    __slots__ = ("v", "dominator")
-
-    def __init__(self, v: int, dominator: int):
-        self.v = v
-        self.dominator = dominator
-
-    def apply(self, coloring: dict) -> None:
-        coloring[self.v] = coloring[self.dominator]
-
-
 class RecKeyedDrop:
     """A removed region whose coloring depends on one surviving vertex.
 
     At replay time the key vertex is already colored; its color selects
     which stored extension to merge.  Clones share the record; nothing edits it.
+    A cut region is keyed by its border vertex, and a vertex that rule 5
+    deletes by its dominator, whose color it takes.
     """
 
     __slots__ = ("key", "extensions")
@@ -326,7 +316,7 @@ def _domination_pass(inst: Instance) -> bool:
         pal = inst.palettes[y]
         for yp in sorted(cands):
             if inst.eff_palette(yp) <= pal:
-                inst.delete_recorded(y, RecDominated(y, yp))
+                inst.delete_recorded(y, RecKeyedDrop(yp, {c: {y: c} for c in ALL_COLORS}))
                 inst.stats["rule_domination"] += 1
                 fired = True
                 break

@@ -22,11 +22,13 @@ vertices (a smaller one holds no P4, C5 or 3-core) gets its rank masks
 twin core (`patterns._twin_cut`).  Twins in two components are isolated,
 so these cores make up the twin core of h but for isolated vertices, and
 a twin core keeps the least id of each twin class whatever the order of
-its deletions, so h's is the input's: `patterns.check_components` on the
-cores gives the check's verdict and witness on the input.  A component
-of P that is a whole component of h keeps its masks and cut, and any
-other gets masks of its own vertex set.  Under assume_class nothing is
-checked, and a quotient that peels whole walks no components.
+its deletions, so h's is the input's: `patterns.check_components` on all
+the cores, which drops those of fewer than two vertices, gives the
+check's verdict and witness on the input.  Every finder reads the masks
+it is given and builds none.  A component of P that is a whole component
+of h keeps its masks and cut, and any other gets masks of its own vertex
+set.  Under assume_class nothing is checked, and a quotient that peels
+whole walks no components.
 
 P is what is left of h after deleting vertices of degree at most 2 until
 none is left (Matula & Beck 1983).  A vertex of degree at most 2 has a
@@ -208,7 +210,7 @@ def solve(
     if not assume_class or len(order) < len(h):
         peeled = set(order)
         split = set()   # the 3-core's vertices in components of h the peel cuts down
-        held = []       # the twin cuts of the components of h that hold a P4
+        cuts = []       # the twin cut of each component of h indexed here
         comps = connected_components(h)
         for comp in comps:
             if len(comp) < 4:
@@ -221,11 +223,10 @@ def solve(
             # a connected h is indexed whole, with no vertex set to meet
             index = patterns._index(h, comp if len(comps) > 1 else None)
             cut = patterns._twin_cut(index)
-            if cut[2] & cut[2] - 1:
-                held.append(cut)
+            cuts.append(cut)
             if not cut_down:
                 parts.append((index, cut))
-        offending = None if assume_class else patterns.check_components(h, held)
+        offending = None if assume_class else patterns.check_components(h, cuts)
         if offending is not None:
             raise ClassViolationError(offending)
         if split:

@@ -658,7 +658,7 @@ def c9_gadget(seed: int) -> Graph:
         _tally("c9_drafts")
         if patterns.check_class(g) is not None:
             continue
-        if patterns.find_induced_cycle(g, 7) is None:
+        if patterns.find_induced_cycle(g, 7, patterns._index(g)) is None:
             _tally("c9_accepted")
             return g
     raise GenerationError("no in-class 9-cycle gadget found for this seed")
@@ -697,10 +697,10 @@ def thicken(g: Graph, seed: int) -> Graph:
                 trial.add_edge(hub, w)
         # a C5 the step makes runs through hub; that cheap test rejects
         # most steps before the full check
-        order, nbr, _ = patterns._index(trial)
+        order, nbr, _ = index = patterns._index(trial)
         if (not patterns._has_c5(nbr, 1 << order.index(hub))
                 and patterns.check_class(trial) is None
-                and patterns.find_nonbipartite_neighborhood(trial) is None):
+                and patterns.find_nonbipartite_neighborhood(trial, index) is None):
             h = trial
     return h
 

@@ -198,7 +198,7 @@ def _layer_checked(g, colorable, what):
     cycle for most drafts.  A neighbourhood with an odd cycle is ruled out
     first, as solve's preflight does: the layer assumes there is none."""
     h = induced_subgraph(g, [v for v in g.vertices() if v not in false_twins(g)])
-    if find_nonbipartite_neighborhood(h) is not None:
+    if find_nonbipartite_neighborhood(h, _index(h)) is not None:
         assert not colorable, what
         return 0
     in_core = twin_core(h)._adj

@@ -184,8 +184,9 @@ def test_solve_stage_refusal_is_an_error(write, capsys):
     # anchored layer runs on the whole graph, and solve peels its quotient
     # whole and colors it
     g = erdos_renyi(16, 0.15, split_seed(9, 1209))
+    index = patterns._index(g)
     with pytest.raises(StageAssertionError, match="^partial outer neighbor outside its allowed shape$"):
-        solver._run_anchored(g, patterns._index(g), find_induced_cycle(g, 7), Counter())
+        solver._run_anchored(g, index, find_induced_cycle(g, 7, index), Counter())
     path = write("er.edges", format_edge_list(g))
     doc = assert_waived_solve_answers(capsys, path)
     code, report, _ = run_json(capsys, "solve", path, "--assume-class", "--json")
@@ -205,7 +206,8 @@ def test_solve_waived_two_part_border_is_a_stage_refusal(write, capsys):
     doc = assert_waived_solve_answers(capsys, path)
     with pytest.raises(StageAssertionError, match="^relevant component behind a disconnected border$"):
         g = doc.graph
-        solver._run_anchored(g, patterns._index(g), find_induced_cycle(g, 7), Counter())
+        index = patterns._index(g)
+        solver._run_anchored(g, index, find_induced_cycle(g, 7, index), Counter())
     code, report, _ = run_json(capsys, "solve", path, "--assume-class", "--json")
     assert code == 0 and report["stats"]["peeled"] == 16
 
@@ -399,7 +401,7 @@ def test_generate_gadgets_and_composite(capsys):
     assert code == 0
     g = parse_edge_list(out).graph
     assert check_class(g) is None
-    assert find_induced_cycle(g, 7) is not None
+    assert find_induced_cycle(g, 7, patterns._index(g)) is not None
 
     code, out, _ = run(capsys, "generate", "--kind", "cograph-composite",
                        "--n", "30", "--seed", "1")

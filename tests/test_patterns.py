@@ -11,8 +11,9 @@ from hered3 import cograph, patterns
 from hered3.solver import solve
 from hered3.patterns import (
     PatternWitness,
+    _index,
     check_class,
-    check_core,
+    check_components,
     find_co_c7,
     find_induced_2p4,
     find_induced_cycle,
@@ -113,7 +114,7 @@ def test_p4s_match_an_exhaustive_list():
 def test_find_induced_2p4():
     # two far-apart P4 stretches of one long path
     g = path_graph(9)
-    got = find_induced_2p4(g)
+    got = find_induced_2p4(g, _index(g))
     assert got is not None and got.kind == "2p4"
     a, b = got.parts
     assert_induced_path(g, a)
@@ -121,23 +122,27 @@ def test_find_induced_2p4():
     for u in a:
         for w in b:
             assert not g.has_edge(u, w)
-    assert find_induced_2p4(path_graph(8)) is None
+    g = path_graph(8)
+    assert find_induced_2p4(g, _index(g)) is None
 
 
 def test_find_induced_cycle():
     for k in (5, 7, 9):
-        got = find_induced_cycle(cycle_graph(k), k)
+        g = cycle_graph(k)
+        got = find_induced_cycle(g, k, _index(g))
         assert got is not None
-        assert_induced_cycle(cycle_graph(k), got)
-    assert find_induced_cycle(cycle_graph(6), 5) is None
-    assert find_induced_cycle(complete_graph(5), 5) is None
+        assert_induced_cycle(g, got)
+    for g in (cycle_graph(6), complete_graph(5)):
+        assert find_induced_cycle(g, 5, _index(g)) is None
     for k in (3, 4, 6):
+        g = cycle_graph(k)
         with pytest.raises(ValueError):
-            find_induced_cycle(cycle_graph(k), k)
+            find_induced_cycle(g, k, _index(g))
 
 
 def test_find_induced_cycle_canonical_order():
-    got = find_induced_cycle(cycle_graph(7), 7)
+    g = cycle_graph(7)
+    got = find_induced_cycle(g, 7, _index(g))
     assert got[0] == min(got)
     assert got[1] < got[-1]
 
@@ -171,9 +176,9 @@ def co_c7_on(order):
 
 def test_find_co_c7():
     g = co_c7_graph()
-    assert_cocycle7_order(g, find_co_c7(g))
-    assert find_co_c7(cycle_graph(7)) is None
-    assert find_co_c7(petersen_graph()) is None
+    assert_cocycle7_order(g, find_co_c7(g, _index(g)))
+    for g in (cycle_graph(7), petersen_graph()):
+        assert find_co_c7(g, _index(g)) is None
 
 
 def test_find_co_c7_under_every_labeling():
@@ -186,7 +191,7 @@ def test_find_co_c7_under_every_labeling():
             continue
         g = co_c7_on((0,) + rest)
         seen.add(frozenset(g.edges()))
-        assert_cocycle7_order(g, find_co_c7(g))
+        assert_cocycle7_order(g, find_co_c7(g, _index(g)))
     assert len(seen) == 360
 
 
@@ -206,11 +211,11 @@ def test_find_co_c7_planted_in_composite():
     for s in range(6):
         rng = Random(s)
         host = testkit.cograph_composite(120, s)
-        assert find_co_c7(host) is None
+        assert find_co_c7(host, _index(host)) is None
         planted = plant_co_c7(host, rng)
         for r in range(3):
             g = relabeled(planted, split_seed(31, s, r))
-            assert_cocycle7_order(g, find_co_c7(g))
+            assert_cocycle7_order(g, find_co_c7(g, _index(g)))
 
 
 def test_colorable_families_have_no_co_c7():
@@ -218,10 +223,10 @@ def test_colorable_families_have_no_co_c7():
     # A composite is colored by a 3-coloring of its 7-cycle spine plus, per
     # K_{a,b} blob, the two colors its spine vertex does not use; a C7
     # blowup takes the colors of C7 class by class.
-    for n in (200, 500, 1000):
-        assert find_co_c7(testkit.cograph_composite(n, 3)) is None
-    for k in range(1, 9):
-        assert find_co_c7(testkit.cycle_blowup([k, k + 1, 2, k, 3, k + 2, 1])) is None
+    graphs = [testkit.cograph_composite(n, 3) for n in (200, 500, 1000)]
+    graphs += [testkit.cycle_blowup([k, k + 1, 2, k, 3, k + 2, 1]) for k in range(1, 9)]
+    for g in graphs:
+        assert find_co_c7(g, _index(g)) is None
 
 
 def wheel_graph(k):
@@ -236,12 +241,15 @@ def wheel_graph(k):
 def test_nonbipartite_neighborhood_kinds():
     # the hub's neighbourhood: the least triangle with the hub first, or
     # the canonical rim
-    assert find_nonbipartite_neighborhood(complete_graph(4)) == PatternWitness("k4", ((1, 2, 3, 4),))
-    assert find_nonbipartite_neighborhood(wheel_graph(5)) == PatternWitness("c5", ((1, 2, 3, 4, 5),))
-    assert find_nonbipartite_neighborhood(wheel_graph(7)).kind == "c7"
-    assert find_nonbipartite_neighborhood(wheel_graph(9)).kind == "c9"
-    assert find_nonbipartite_neighborhood(cycle_graph(7)) is None
-    assert find_nonbipartite_neighborhood(petersen_graph()) is None
+    def odd(g):
+        return find_nonbipartite_neighborhood(g, _index(g))
+
+    assert odd(complete_graph(4)) == PatternWitness("k4", ((1, 2, 3, 4),))
+    assert odd(wheel_graph(5)) == PatternWitness("c5", ((1, 2, 3, 4, 5),))
+    assert odd(wheel_graph(7)).kind == "c7"
+    assert odd(wheel_graph(9)).kind == "c9"
+    assert odd(cycle_graph(7)) is None
+    assert odd(petersen_graph()) is None
 
 
 def test_nonbipartite_neighborhood_large_hole_raises():
@@ -249,7 +257,7 @@ def test_nonbipartite_neighborhood_large_hole_raises():
     # the least 2P4 of the wheel, the one the class check names
     g = wheel_graph(11)
     with pytest.raises(ClassViolationError) as info:
-        find_nonbipartite_neighborhood(g)
+        find_nonbipartite_neighborhood(g, _index(g))
     assert info.value.witness.kind == "2p4"
     assert info.value.witness == check_class(g)
 
@@ -317,8 +325,9 @@ def shuffled(g, seed):
     return Graph.from_edges(verts, edges), image
 
 
-def odd_witness(g, index=None):
-    """The odd-neighbourhood witness of g, raised or returned, or None."""
+def odd_witness(g, index):
+    """The odd-neighbourhood witness of g on index, raised or returned, or
+    None."""
     try:
         return find_nonbipartite_neighborhood(g, index)
     except ClassViolationError as exc:
@@ -355,9 +364,9 @@ def test_odd_neighbourhood_check_matches_the_bipartition_reference(monkeypatch):
             plant_wheel(g, rng, 11)               # W11: outside the class
         want = reference_nonbipartite_neighborhood(g)
         h, image = shuffled(g, split_seed(93, i))
-        relabelled = odd_witness(h)
+        relabelled = odd_witness(h, _index(h))
         searched.clear()
-        got = odd_witness(g)
+        got = odd_witness(g, _index(g))
         assert relabelled == (None if got is None else PatternWitness(
             got.kind, tuple(tuple(image[v] for v in part) for part in got.parts))), i
         if want is None:
@@ -410,16 +419,17 @@ def test_a_cut_index_searches_the_subgraph_it_keeps():
         assert cut[0] == index[0] and len(cut[1]) == len(index[1]), i
         assert all(cut[2] >> r & 1 or not m for r, m in enumerate(cut[1])), i
         sub = induced_subgraph(g, ids)
-        assert find_co_c7(g, cut) == find_co_c7(sub), i
+        own = _index(sub)
+        assert find_co_c7(g, cut) == find_co_c7(sub, own), i
         got = find_induced_2p4(g, cut)
-        assert got == find_induced_2p4(sub), i
+        assert got == find_induced_2p4(sub, own), i
         hits["2p4"] += got is not None
         for k in (5, 7, 9):
             got = find_induced_cycle(g, k, cut)
-            assert got == find_induced_cycle(sub, k), (i, k)
+            assert got == find_induced_cycle(sub, k, own), (i, k)
             hits["cycle"] += got is not None
         got = odd_witness(g, cut)
-        assert got == odd_witness(sub), i
+        assert got == odd_witness(sub, own), i
         hits["odd"] += got is not None
         hits["raised"] += got is not None and got.kind == "2p4"
     for i in range(300):
@@ -429,7 +439,8 @@ def test_a_cut_index_searches_the_subgraph_it_keeps():
         index = patterns._index(g)
         cut = patterns._cut(index, sum(1 << r for r, v in enumerate(index[0]) if v in ids))
         got = find_co_c7(g, cut)
-        assert got == find_co_c7(induced_subgraph(g, ids)), i
+        sub = induced_subgraph(g, ids)
+        assert got == find_co_c7(sub, _index(sub)), i
         hits["co_c7"] += got is not None
     # an empty cut holds nothing
     empty = patterns._cut(index, 0)
@@ -450,17 +461,18 @@ def test_mask_scans_place_bits_by_rank_not_id():
         def moved(part):
             return tuple(image[v] for v in part)
 
-        want, got = find_induced_2p4(g), find_induced_2p4(h)
+        gi, hi = _index(g), _index(h)
+        want, got = find_induced_2p4(g, gi), find_induced_2p4(h, hi)
         assert (got is None) == (want is None), i
         if want is not None:
             assert got.parts == tuple(map(moved, want.parts)), i
             hits["2p4"] += 1
         for k in (5, 7, 9):
-            want, got = find_induced_cycle(g, k), find_induced_cycle(h, k)
+            want, got = find_induced_cycle(g, k, gi), find_induced_cycle(h, k, hi)
             assert got == (None if want is None else moved(want)), (i, k)
             hits[k] += want is not None
         hub = reference_nonbipartite_neighborhood(g)
-        want, got = find_nonbipartite_neighborhood(g), find_nonbipartite_neighborhood(h)
+        want, got = find_nonbipartite_neighborhood(g, gi), find_nonbipartite_neighborhood(h, hi)
         assert (got is None) == (want is None) == (hub is None), i
         if want is not None:
             assert got == PatternWitness(want.kind, tuple(map(moved, want.parts))), i
@@ -499,9 +511,10 @@ def test_detectors_against_naive_enumeration():
     sample += [testkit.c7_gadget(i, decorate=False) for i in range(5)]
     for g in sample:
         assert bool(p4s(g)) == naive_has_p4(g)
-        assert (find_induced_2p4(g) is not None) == naive_has_2p4(g)
-        assert (find_induced_cycle(g, 5) is not None) == naive_has_cycle(g, 5)
-        assert (find_induced_cycle(g, 7) is not None) == naive_has_cycle(g, 7)
+        index = _index(g)
+        assert (find_induced_2p4(g, index) is not None) == naive_has_2p4(g)
+        assert (find_induced_cycle(g, 5, index) is not None) == naive_has_cycle(g, 5)
+        assert (find_induced_cycle(g, 7, index) is not None) == naive_has_cycle(g, 7)
         if naive_has_p4(g):
             hits["p4"] += 1
         if naive_has_2p4(g):
@@ -552,7 +565,7 @@ def test_2p4_witness_is_the_first_hit_of_the_reference_order():
     sample += [spider_plus(3 + i % 6, 2 + i // 6 % 2, split_seed(82, i)) for i in range(120)]
     hits = 0
     for i, g in enumerate(sample):
-        got = find_induced_2p4(g)
+        got = find_induced_2p4(g, _index(g))
         first = testkit.reference_2p4_first_part(g)
         assert (got is None) == (first is None), i
         if len(g) <= 18:
@@ -606,7 +619,7 @@ def test_2p4_second_part_is_the_least_p4_of_its_rest():
             return False
         first, second = got.parts
         assert second == least_p4_outside(twin_core(g), first), got
-        assert find_induced_2p4(g) == got, got
+        assert find_induced_2p4(g, _index(g)) == got, got
         return True
 
     sample = [erdos_renyi(12 + i % 9, (0.10, 0.14, 0.18, 0.22)[i % 4], split_seed(78, i))
@@ -653,13 +666,13 @@ def test_the_class_check_builds_no_cotree(monkeypatch):
     monkeypatch.setattr(cograph, "cotree_or_failure", refuse)
     cores = composite_cores()
     found = [g for g in (erdos_renyi(12 + i % 9, 0.14, split_seed(79, i)) for i in range(500))
-             if find_induced_2p4(g) is not None][:100]
+             if find_induced_2p4(g, _index(g)) is not None][:100]
     thick = [testkit.thicken(make(s), s) for make in (testkit.c7_gadget, testkit.c9_gadget)
              for s in range(20)]
     assert len(found) == 100
     for g in cores + found + thick:
         check_class(g)
-        find_induced_2p4(g)
+        find_induced_2p4(g, _index(g))
     # a composite core's 2P4 hit has a rest of more than four vertices,
     # the rests the scan once handed to the cotree
     for g in cores:
@@ -677,14 +690,16 @@ def test_scans_match_the_reference_search():
         n = 6 + i % 11
         p = (0.1, 0.2, 0.3, 0.45, 0.6, 0.75)[i % 6]
         g = erdos_renyi(n, p, split_seed(61, i))
+        index = _index(g)
         for k in (5, 7, 9):
-            got = find_induced_cycle(g, k)
+            got = find_induced_cycle(g, k, index)
             assert got == reference_induced_cycle(g, k), (i, k)
             hits[k] += got is not None
-        found = find_induced_2p4(g)
+        found = find_induced_2p4(g, index)
         assert (found is not None) == naive_has_2p4(g), i
         if found is not None:
-            assert find_induced_2p4(twin_core(g)) == found, i
+            core = twin_core(g)
+            assert find_induced_2p4(core, _index(core)) == found, i
             hits["2p4"] += 1
     assert all(10 < h < total - 10 for h in hits.values()), hits
     # sparse graphs of 30 to 60 vertices, where the canonical C5 is often
@@ -692,7 +707,7 @@ def test_scans_match_the_reference_search():
     found = rooted_above = 0
     for i in range(60):
         g = erdos_renyi(30 + i % 31, (0.05, 0.08, 0.12)[i % 3], split_seed(62, i))
-        got = find_induced_cycle(g, 5)
+        got = find_induced_cycle(g, 5, _index(g))
         assert got == reference_induced_cycle(g, 5), i
         if got is not None:
             found += 1
@@ -798,10 +813,11 @@ def shuffled_union(members, rng):
 
 
 def test_the_class_check_of_components_matches_the_whole_core():
-    # `check_components` on the twin cuts of the components that keep two
-    # or more vertices gives the witness of `check_core(twin_core(g))`, the
-    # reference, and a class-checked `solve` raises the one `check_class`
-    # gives, on unions of 2-5 random graphs of 1-9 vertices, ids shuffled
+    # `check_components` on the twin cuts of every component, of which it
+    # drops those that keep fewer than two vertices, gives the witness of
+    # `check_class`, its scans on one index of the whole twin core, the
+    # reference; a class-checked `solve` raises that witness too.  The
+    # inputs are unions of 2-5 random graphs of 1-9 vertices, ids shuffled
     # across them.  Many unions hold a C5, and many a 2P4 whose parts lie
     # in two components, which no one component's scan finds
     shapes = {"c5": 0, "2p4 across": 0}
@@ -810,22 +826,18 @@ def test_the_class_check_of_components_matches_the_whole_core():
         members = [erdos_renyi(rng.randint(1, 9), rng.choice((0.3, 0.45, 0.6)),
                                rng.getrandbits(64)) for _ in range(rng.randint(2, 5))]
         g = shuffled_union(members, rng)
-        cuts = []
-        for comp in connected_components(g):
-            cut = patterns._twin_cut(patterns._index(g, comp))
-            if cut[2] & cut[2] - 1:
-                cuts.append(cut)
-        got = patterns.check_components(g, cuts)
-        assert got == check_core(twin_core(g)), i
+        cuts = [patterns._twin_cut(patterns._index(g, comp)) for comp in connected_components(g)]
+        got = check_components(g, cuts)
+        assert got == check_class(g), i
         try:
             solve(g)
             raised = None
         except ClassViolationError as exc:
             raised = exc.witness
-        assert raised == check_class(g), i
+        assert raised == got, i
         if got is not None and got.kind == "c5":
             shapes["c5"] += 1
-        elif got is not None and len(cuts) > 1:
+        elif got is not None and sum(cut[2] & cut[2] - 1 > 0 for cut in cuts) > 1:
             shapes["2p4 across"] += 1
     assert min(shapes.values()) > 300, shapes
 
@@ -902,9 +914,8 @@ def test_c5_decision_from_one_vertex_finds_the_c5s_through_it():
 
 
 def test_bipartite_core_skips_the_c5_scan(monkeypatch):
-    # a bipartite graph has no odd cycle: an odd-length search on it builds
-    # its masks and an empty transversal, and runs no C5 decision and grows
-    # no root
+    # a bipartite graph has no odd cycle: an odd-length search on its masks
+    # finds an empty transversal, and runs no C5 decision and grows no root
     work = []
     for name in ("_index", "_has_c5", "_find_long_cycle"):
         real = getattr(patterns, name)
@@ -912,22 +923,22 @@ def test_bipartite_core_skips_the_c5_scan(monkeypatch):
                             lambda *args, _real=real, _name=name: work.append(_name) or _real(*args))
     for g in (testkit.crown_graph(6), cycle_graph(10), path_graph(9)):
         core = twin_core(g)
-        assert all(find_induced_cycle(core, k) is None for k in (5, 7, 9))
-        assert work == ["_index"] * 3
-        # check_core builds one index, which its C5 and 2P4 scans share
-        check_core(core)
-        assert work.count("_index") == 4
-        assert "_has_c5" not in work and "_find_long_cycle" not in work
+        index = patterns._index(core)
+        assert all(find_induced_cycle(core, k, index) is None for k in (5, 7, 9))
+        # check_class builds one index, which its C5 and 2P4 scans share
+        check_class(core)
+        assert work == ["_index"] * 2
         work.clear()
     g = cycle_graph(5)
-    assert check_core(g).kind == "c5"
+    assert check_class(g).kind == "c5"
     assert work == ["_index", "_has_c5", "_find_long_cycle"]
 
 
 def test_a_cut_of_a_wider_index_checks_the_core(monkeypatch):
-    # check_core on its core cut out of a wider index, the whole input's or
-    # its false-twin quotient's, as solve passes it, gives the witness or
-    # None it gives on the core's own index.  Inputs, each with twins added
+    # check_components on a lone index, the core cut out of a wider index,
+    # the whole input's or its false-twin quotient's, as solve passes it,
+    # gives the witness or None of `check_class`, which reads the core's
+    # own index.  Inputs, each with twins added
     # on shuffled ids so that the cut keeps fewer vertices than its index:
     # refutation blowups and S_n³ (in class), co-bipartite graphs (two
     # cliques, so no scan runs on the cut either, even when few edges cross
@@ -960,7 +971,7 @@ def test_a_cut_of_a_wider_index_checks_the_core(monkeypatch):
         wide = relabeled(wide, rng.randrange(1 << 30))
         core = twin_core(wide)
         calls.clear()
-        want = check_core(core)
+        want = check_class(wide)
         scans = calls[:]
         copies = false_twins(wide)
         quotient = induced_subgraph(wide, [v for v in wide.vertices() if v not in copies])
@@ -969,7 +980,7 @@ def test_a_cut_of_a_wider_index_checks_the_core(monkeypatch):
             keep = sum(1 << i for i, v in enumerate(index[0]) if core.has_vertex(v))
             assert h is quotient or keep != index[2]
             calls.clear()
-            assert check_core(core, patterns._cut(index, keep)) == want, family
+            assert check_components(core, [patterns._cut(index, keep)]) == want, family
             assert calls == scans
         if family == "out":
             assert want is not None
@@ -1019,7 +1030,7 @@ def test_transversal_rooted_scans_match_the_reference():
             g = relabeled(g, split_seed(76, i))
         found = 0
         for k in (5, 7, 9):
-            got = find_induced_cycle(g, k)
+            got = find_induced_cycle(g, k, _index(g))
             assert got == reference_induced_cycle(g, k), (i, k)
             found += got is not None
             if k == 5:
@@ -1032,7 +1043,7 @@ def test_transversal_rooted_scans_match_the_reference():
         big_t = trans.bit_count() >= 2
         two_cliques = bipartition(complement(g)) is not None
         if two_cliques:
-            # the edge count check_core tests before the search
+            # the edge count check_components tests before the search
             n = len(g)
             assert 4 * g.edge_count() >= n * (n - 2), i
         hits["t2_in"] += big_t and in_class
@@ -1049,16 +1060,19 @@ def test_core_of_two_cliques_needs_no_scan(monkeypatch):
         real = getattr(patterns, name)
         monkeypatch.setattr(patterns, name,
                             lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
-    # two disjoint cliques hold exactly the n(n - 2)/4 edges that check_core
-    # asks for before it searches the complement
+    def check(g):
+        return check_components(g, [_index(g)])
+
+    # two disjoint cliques hold exactly the n(n - 2)/4 edges that
+    # check_components asks for before it searches the complement
     for a, b in ((5, 5), (5, 4), (1, 1), (1, 0)):
         sides = (range(1, a + 1), range(a + 1, a + b + 1))
         g = Graph.from_edges(range(1, a + b + 1),
                              [(u, w) for side in sides for u in side for w in side if u < w])
-        assert check_core(g) is None
+        assert check(g) is None
     assert calls == []
     g = testkit.co_bipartite(60, 0.3, 3)
-    assert check_core(g) is None
+    assert check(g) is None
     assert calls == []
     # one missing edge inside a side leaves the complement with a triangle
     # (the missing pair and a vertex of the other side that sees neither
@@ -1068,7 +1082,7 @@ def test_core_of_two_cliques_needs_no_scan(monkeypatch):
                 and any(not g.has_edge(u, x) and not g.has_edge(w, x) for x in range(31, 61)))
     g.neighbors(u).discard(w)
     g.neighbors(w).discard(u)
-    check_core(g)
+    check(g)
     assert calls[:1] == ["find_induced_cycle"]
     # the scans are skipped exactly when the complement is bipartite, by a
     # breadth-first reference on the complement itself
@@ -1076,7 +1090,7 @@ def test_core_of_two_cliques_needs_no_scan(monkeypatch):
     for i in range(300):
         g = toggled_co_bipartite(i)
         calls.clear()
-        check_core(g)
+        check(g)
         two_cliques = bipartition(complement(g)) is not None
         assert (calls == []) == two_cliques, i
         skipped += two_cliques
@@ -1106,7 +1120,7 @@ def test_co_c7_against_naive():
         p = (0.5, 0.6, 0.7, 0.75, 0.8, 0.85)[i // 4 % 6]
         rng = Random(split_seed(7, i))
         g = relabeled(small_graph(n, p, rng, i % 3 > 0, i % 3 == 2), split_seed(9, i))
-        got = find_co_c7(g)
+        got = find_co_c7(g, _index(g))
         assert (got is not None) == naive_has_co_c7(g), i
         if got is not None:
             assert_cocycle7_order(g, got)
@@ -1156,10 +1170,10 @@ def test_twin_free_searches_agree_on_the_twin_core():
         core = twin_core(g)
         assert len(core) < len(g)
         for k in (5, 7, 9):
-            got = find_induced_cycle(core, k)
-            assert got == find_induced_cycle(g, k), (i, k)
+            got = find_induced_cycle(core, k, _index(core))
+            assert got == find_induced_cycle(g, k, _index(g)), (i, k)
             hits[f"c{k}"] += got is not None
-        full_2p4, core_2p4 = find_induced_2p4(g), find_induced_2p4(core)
+        full_2p4, core_2p4 = find_induced_2p4(g, _index(g)), find_induced_2p4(core, _index(core))
         has_2p4 = naive_has_2p4(g)
         assert (core_2p4 is not None) == (full_2p4 is not None) == has_2p4, i
         if has_2p4:
@@ -1167,7 +1181,7 @@ def test_twin_free_searches_agree_on_the_twin_core():
         in_class = not naive_has_cycle(g, 5) and not has_2p4
         assert (check_class(g) is None) == in_class, i
         co_c7 = naive_has_co_c7(g)
-        assert (find_co_c7(core) is not None) == co_c7, i
+        assert (find_co_c7(core, _index(core)) is not None) == co_c7, i
         hits["2p4"] += has_2p4
         hits["co_c7"] += co_c7
         hits["in_class"] += in_class
@@ -1177,7 +1191,7 @@ def test_twin_free_searches_agree_on_the_twin_core():
 def test_k4_detection_against_naive():
     for i in range(80):
         g = erdos_renyi(7, 0.5, split_seed(13, i))
-        w = find_nonbipartite_neighborhood(g)
+        w = find_nonbipartite_neighborhood(g, _index(g))
         if naive_has_k4(g):
             assert w is not None and w.kind == "k4"
 

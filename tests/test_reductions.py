@@ -9,7 +9,7 @@ import pytest
 
 from hered3 import cograph
 from hered3.graph import Graph, induced_subgraph
-from hered3.patterns import find_induced_cycle
+from hered3.patterns import _index, find_induced_cycle
 from hered3.reductions import (
     ALL_COLORS,
     CONTINUE,
@@ -17,7 +17,6 @@ from hered3.reductions import (
     SOLVED,
     Instance,
     RecDegree,
-    RecDominated,
     RecKeyedDrop,
     _cograph_component,
     _diamond_pass,
@@ -174,8 +173,10 @@ def test_domination_deletes():
     assert not inst.g.has_vertex(3)
     assert inst.g.vertex_count() == 3
     assert inst.stats["rule_domination"] == 1
-    rec = next(r for r in inst.replay if isinstance(r, RecDominated))
-    assert rec.v == 3 and rec.dominator == 1
+    # the dominated vertex is replayed keyed by its dominator's color
+    (rec,) = inst.replay
+    assert isinstance(rec, RecKeyedDrop)
+    assert rec.key == 1 and rec.extensions == {c: {3: c} for c in (1, 2, 3)}
     coloring = {1: 2}
     rec.apply(coloring)
     assert coloring[3] == 2
@@ -234,7 +235,7 @@ def naive_domination_pass(inst):
                 continue
             if not ny <= inst.g.neighbors(yp):
                 continue
-            inst.delete_recorded(y, RecDominated(y, yp))
+            inst.delete_recorded(y, RecKeyedDrop(yp, {c: {y: c} for c in (1, 2, 3)}))
             inst.stats["rule_domination"] += 1
             fired = True
             break
@@ -404,8 +405,9 @@ def anchored_roots(graphs):
     """Each gadget with its root per anchor coloring whose commits do not
     clash."""
     for g in graphs:
+        index = _index(g)
         for k in (7, 9):
-            cycle = find_induced_cycle(g, k)
+            cycle = find_induced_cycle(g, k, index)
             if cycle is not None:
                 break
         full = {v: FULL for v in g.vertices()}
@@ -445,7 +447,7 @@ def test_keyed_drop_replay():
 def test_anchored_branches_record_only_dependent_colors():
     # settled colors live in inst.colors; the replay log keeps only the
     # deletions whose color depends on another vertex
-    dependent = (RecDegree, RecDominated, RecKeyedDrop)
+    dependent = (RecDegree, RecKeyedDrop)
     records = solved = 0
     gadgets = [c7_gadget(s) for s in range(6)] + [c9_gadget(s) for s in range(3)]
     for g, inst in anchored_roots(gadgets):

@@ -95,7 +95,8 @@ def run_anchored(g, k=7):
     first induced k-cycle: its stats and the winning branch's witness, or
     None when every branch is rejected."""
     stats = Counter()
-    won = solver._run_anchored(g, patterns._index(g), patterns.find_induced_cycle(g, k), stats)
+    index = patterns._index(g)
+    won = solver._run_anchored(g, index, patterns.find_induced_cycle(g, k, index), stats)
     return stats, None if won is None else won.assemble_witness(g.vertices())
 
 
@@ -116,10 +117,9 @@ def cycle_search_work(monkeypatch):
         work.append(set(g.vertices()) if within is None else set(within))
         return built
 
-    def cycle(g, k, index=None):
+    def cycle(g, k, index):
         # a rank is a position in the order of the index searched
-        if index is not None:
-            order[:] = index[0]
+        order[:] = index[0]
         return real_cycle(g, k, index)
 
     def has_c5(nbr, trans):
@@ -225,7 +225,8 @@ def test_co_c7_preflight_with_a_planted_twin():
         if true_twin:
             g.add_edge(t, 1)
         assert twin_core(g).vertices() == list(range(1, 8))
-        assert patterns.find_co_c7(twin_core(g)) is not None
+        core = twin_core(g)
+        assert patterns.find_co_c7(core, patterns._index(core)) is not None
         rep = solve(g)
         assert rep.decision == "not_colorable"
         if true_twin:
@@ -243,7 +244,7 @@ def test_odd_neighborhood_check_runs_before_co_c7(monkeypatch):
     calls = []
     real = patterns.find_co_c7
 
-    def counting(g, index=None):
+    def counting(g, index):
         calls.append(index[2].bit_count())
         return real(g, index)
 
@@ -534,8 +535,10 @@ def test_refuted_anchor_prefixes_only_skip_rejected_branches(monkeypatch):
         copies = false_twins(g)
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
         assert len(connected_components(h)) == 1
+        core = twin_core(h)
+        index = patterns._index(core)
         for k in (7, 9):
-            cycle = patterns.find_induced_cycle(twin_core(h), k)
+            cycle = patterns.find_induced_cycle(core, k, index)
             if cycle is not None:
                 break
         full = {v: ALL_COLORS for v in h.vertices()}
@@ -592,8 +595,10 @@ def test_mask_propagation_matches_dict_propagation():
     for g in graphs:
         copies = false_twins(g)
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
+        core = twin_core(h)
+        index = patterns._index(core)
         for k in (7, 9):
-            cycle = patterns.find_induced_cycle(twin_core(h), k)
+            cycle = patterns.find_induced_cycle(core, k, index)
             if cycle is not None:
                 break
         order, nbr, every = patterns._index(h)
@@ -676,8 +681,9 @@ def test_anchor_branch_verdicts_are_constant_on_color_orbits():
     for g in graphs:
         assert len(connected_components(g)) == 1
         core = twin_core(g)
+        index = patterns._index(core)
         for k in (7, 9):
-            cycle = patterns.find_induced_cycle(core, k)
+            cycle = patterns.find_induced_cycle(core, k, index)
             if cycle is not None:
                 break
         full = [c for c in product((1, 2, 3), repeat=k)
@@ -711,8 +717,11 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
     # connected branch graph (F4), nested single-anchor neighborhoods (F5),
     # cut regions of two or more vertices (F6), one anchor pair once
     # neither stage branches, and on every path at most one branching per
-    # single anchor and per opposing pair; the corpus is that of the two
-    # all-colorings tests above, every proper coloring each
+    # single anchor and per opposing pair.  Where an opposing pair branches,
+    # the same branch with that pair as a post-check is refused by
+    # `_analyze`: a pair still relevant on both sides survived its
+    # branching.  The corpus is that of the two all-colorings tests above,
+    # every proper coloring each
     k = 7
     two_apart = [{a, (a + 2) % k} for a in range(k)]
     for p, q in combinations(two_apart, 2):
@@ -723,7 +732,8 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
     real_cut = solver.cut_reduction
     real_rule6 = reductions._two_sat_component
     path = {}       # instance -> the branchings above it
-    seen = {"analyzed": 0, "single": 0, "pair": 0, "one pair": 0, "cut": 0, "rule 6": 0}
+    seen = {"analyzed": 0, "single": 0, "pair": 0, "one pair": 0, "post-check": 0, "cut": 0,
+            "rule 6": 0}
 
     def colored_edges_proper(inst, verts):
         for v in verts:
@@ -794,6 +804,11 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
         assert len(kids) <= 1 + 9 * len(at[i] | at[j])
         for kid in kids:
             assert kid is None or kid.post_checks == [(i, j)]
+        probe = inst.clone()
+        probe.post_checks = [(i, j)]
+        with pytest.raises(StageAssertionError, match="^opposing anchor pair survived its branching$"):
+            real_analyze(probe)
+        seen["post-check"] += 1
         branch(inst, ("pair", i), kids)
         return kids
 
@@ -810,8 +825,9 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
         h = induced_subgraph(g, [v for v in g.vertices() if v not in copies])
         for run_on in (g, h) if copies else (g,):
             core = twin_core(run_on)
-            cycle = (patterns.find_induced_cycle(core, 7)
-                     or patterns.find_induced_cycle(core, 9))
+            index = patterns._index(core)
+            cycle = (patterns.find_induced_cycle(core, 7, index)
+                     or patterns.find_induced_cycle(core, 9, index))
             palettes = {v: ALL_COLORS for v in run_on.vertices()}
             stats = Counter()
             for col in product((1, 2, 3), repeat=len(cycle)):
@@ -821,6 +837,7 @@ def test_stage_ladder_rests_on_fixpoint_facts(monkeypatch):
                 solver._dfs(committed_root(run_on, palettes, cycle, col, stats), stats)
     assert seen["analyzed"] >= 3700 and seen["single"] >= 1800
     assert seen["pair"] >= 700 and seen["one pair"] >= 1100
+    assert seen["post-check"] == seen["pair"]
     assert seen["cut"] >= 1100 and seen["rule 6"] >= 12000
 
 
@@ -967,7 +984,7 @@ def test_waived_c9_branch_the_fixpoint_leaves_open_is_a_stage_refusal():
     assert oracle_list3color(g) is not None
     with pytest.raises(ClassViolationError):
         solve(g)
-    assert not false_twins(g) and patterns.find_induced_cycle(g, 7) is None
+    assert not false_twins(g) and patterns.find_induced_cycle(g, 7, patterns._index(g)) is None
     with pytest.raises(StageAssertionError, match="fixpoint did not fully resolve a C9 branch"):
         run_anchored(g, 9)
     # solve peels it whole: the refusal becomes an answer
@@ -1192,7 +1209,9 @@ def test_a_connected_quotient_split_into_many_3_core_parts_grows_linearly(monkey
     # built from its own vertex set, not a cut of an index of the whole
     # quotient, and twice the K4s take about twice the peak memory (2.0
     # here).  The waiver skips the class check: the input's twin core is
-    # a spider, whose 2P4 scan is cubic
+    # a spider, whose 2P4 scan, pruned by P4-free supersets, is still
+    # superquadratic: `check_class` of Sp_1000 took 14.6 s on a shared
+    # 2-core x86-64 machine
     builds = []   # the vertex set of each build
     real = patterns._index
 
@@ -1613,9 +1632,10 @@ def test_preflight_certificates_survive_the_peel():
             assert rep.decision == "not_colorable" and rep.witness is None
             assert {k: v for k, v in rep.stats.items() if k.startswith("preflight")} == {counter: 1}
             assert rep.stats["peeled"] == trees - rep.stats.get("false_twins", 0)
-            odd = patterns.find_nonbipartite_neighborhood(g)
+            odd = patterns.find_nonbipartite_neighborhood(g, patterns._index(g))
             if odd is None:
-                assert counter == "preflight_co_c7" and patterns.find_co_c7(twin_core(g)) is not None
+                core = twin_core(g)
+                assert counter == "preflight_co_c7" and patterns.find_co_c7(core, patterns._index(core)) is not None
             else:
                 assert counter == "preflight_odd_neighborhood_" + odd.kind
 

@@ -9,7 +9,7 @@ import pytest
 
 from hered3 import testkit
 from hered3.graph import Graph, false_twins, induced_subgraph, twin_core
-from hered3.patterns import check_class, find_induced_cycle
+from hered3.patterns import _index, check_class, find_induced_cycle
 from hered3.testkit import (
     apex_crown,
     bipartition,
@@ -185,7 +185,7 @@ def test_c7_gadgets_keep_their_guarantees():
         g = c7_gadget(seed)
         assert g.vertex_count() <= 20, f"seed {seed} too large"
         assert check_class(g) is None
-        assert find_induced_cycle(g, 7) is not None
+        assert find_induced_cycle(g, 7, _index(g)) is not None
 
 
 def test_thickened_gadgets_stay_in_class():
@@ -217,8 +217,9 @@ def test_c9_gadgets_keep_their_guarantees():
     for seed in range(40):
         g = c9_gadget(seed)
         assert check_class(g) is None
-        assert find_induced_cycle(g, 9) is not None
-        assert find_induced_cycle(g, 7) is None
+        index = _index(g)
+        assert find_induced_cycle(g, 9, index) is not None
+        assert find_induced_cycle(g, 7, index) is None
 
 
 def test_generator_acceptance_rate_stays_high():

@@ -5,15 +5,18 @@
 
 The first form imports hered3 from DIR/src (and the benchmark's
 instance families from DIR/bench), so DIR can be any checkout, such as a
-parent tree unpacked from `git archive`.  It writes one JSON line per
+parent tree unpacked from `git archive`, whose finders take the index of
+`patterns._index` as their last argument.  It writes one JSON line per
 input of the corpus, with these fields:
 
 - id: the input's name in the corpus
 - input: a digest of the graph's vertices and edges
 - class: the `check_class` witness, or null
-- cycles: `find_induced_cycle(twin_core(g), k)` for k = 5, 7 and 9
-- odd: the odd-neighbourhood witness, or the error it raises
-- co_c7: `find_co_c7(twin_core(g))`, the co-C7 in complement cycle order,
+- cycles: `find_induced_cycle(core, k, index)` for k = 5, 7 and 9, with
+  core = `twin_core(g)` and index = `_index(core)`
+- odd: `find_nonbipartite_neighborhood(g, _index(g))`, the
+  odd-neighbourhood witness, or the error it raises
+- co_c7: `find_co_c7(core, index)`, the co-C7 in complement cycle order,
   or null
 - solve: `solve(witness=True, assume_class=...)`, as the decision, the
   witness items sorted by id and the stats without `millis`, or the
@@ -289,12 +292,13 @@ def record(m, name, g, assume):
     except Exception as exc:
         out["class"] = raised(exc)
     core = m.graph.twin_core(g)
-    out["cycles"] = [pattern(m.patterns.find_induced_cycle(core, k)) for k in (5, 7, 9)]
+    index = m.patterns._index(core)
+    out["cycles"] = [pattern(m.patterns.find_induced_cycle(core, k, index)) for k in (5, 7, 9)]
     try:
-        out["odd"] = pattern(m.patterns.find_nonbipartite_neighborhood(g))
+        out["odd"] = pattern(m.patterns.find_nonbipartite_neighborhood(g, m.patterns._index(g)))
     except Exception as exc:
         out["odd"] = raised(exc)
-    out["co_c7"] = pattern(m.patterns.find_co_c7(core))
+    out["co_c7"] = pattern(m.patterns.find_co_c7(core, index))
     out["witness_order"] = None
     try:
         rep = m.hered3.solve(g, witness=True, assume_class=assume)
